@@ -13,13 +13,13 @@ rounding, not merely to discretization order.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sfft
 
 from .admissibility import AdmissibilityReport, FrequencyScan, admissibility_constant, cross_admissibility, fractional_spectrum
-from .errors import DomainMismatch, GridMismatch, InadmissibleWavelet, NonPowerOfTwo, ZeroCrossAdmissibility
+from .errors import DomainMismatch, GridMismatch, InadmissibleWavelet, ZeroCrossAdmissibility
 from .frft import TransformOrder, _as_order, c_alpha, frft_fast
 from .grid import Grid, SampledSignal, grids_close, inner_product, l2_norm
 from .report import VerificationReport
@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 CROSS_ZERO_TOL = 1e-8
+
+# Padded complex work per chunk of scale vectors in the fast routes; bounds
+# their memory, since a 2-D scale grid with both signs has (2M)^2 vectors.
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -149,33 +153,47 @@ def cfrwt_direct(
     return CfrwtCoefficients(out, b_grid, scales, order, psi.name)
 
 
-def _correlate_along(values: np.ndarray, kernel_fft: np.ndarray, axis: int, n: int, pad: int) -> np.ndarray:
-    spec = np.fft.fft(values, n=pad, axis=axis)
+def _lag_correlate(values: np.ndarray, taps: np.ndarray, axis: int, workers: int | None) -> np.ndarray:
+    """Lag sums out[s, .., k, ..] = sum_j values[s, .., j, ..] taps[s, k - j + n - 1]
+    along grid axis `axis` of a scale-batched array.
+
+    values carries a leading scale axis (length one broadcasts against
+    every scale); taps has shape (scales, 2n - 1), lags -(n - 1)..n - 1.
+    Any FFT length of at least 2n - 1 leaves the central n sums unaliased.
+    """
+    axis += 1
+    n = values.shape[axis]
+    pad = sfft.next_fast_len(2 * n - 1)
     shape = [1] * values.ndim
+    shape[0] = taps.shape[0]
     shape[axis] = pad
-    full = np.fft.ifft(spec * kernel_fft.reshape(shape), axis=axis)
+    kernel_fft = sfft.fft(taps, n=pad, axis=1, workers=workers).reshape(shape)
+    spec = sfft.fft(values, n=pad, axis=axis, workers=workers) * kernel_fft
+    full = sfft.ifft(spec, axis=axis, workers=workers, overwrite_x=True)
     sl = [slice(None)] * values.ndim
     sl[axis] = slice(n - 1, 2 * n - 1)
     return full[tuple(sl)]
 
 
-def _one_scale_fast(
-    chi: np.ndarray,
-    grid: Grid,
-    psi: WaveletSpec,
-    a_vec: np.ndarray,
-) -> np.ndarray:
-    acc = chi
-    for ax, (axis_spec, a_i) in enumerate(zip(grid.axes, a_vec)):
+def _scale_chunks(grid: Grid, count: int) -> list[slice]:
+    # the largest padded intermediate of one scale vector, in complex128 bytes
+    per_scale = 16 * max(grid.size // ax.count * sfft.next_fast_len(2 * ax.count - 1) for ax in grid.axes)
+    step = max(1, _CHUNK_BYTES // per_scale)
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+def _scale_correlate(values: np.ndarray, grid: Grid, a_block: np.ndarray, kernel, workers: int | None) -> np.ndarray:
+    """Lag sums against kernel((k - j) dt_i / a_i) along every grid axis,
+    one output slice per scale vector (row) of a_block."""
+    for ax, (axis_spec, a_col) in enumerate(zip(grid.axes, a_block.T)):
         n = axis_spec.count
-        pad = 4 * n
-        lags = np.arange(-(n - 1), n) * axis_spec.step / a_i
-        # reversed kernel turns the padded convolution into the lag sum
-        # sum_j chi_j conj(psi((j - k) dt / a)) exactly
-        kernel = np.conj(psi.profile(lags))[::-1]
-        kernel_fft = np.fft.fft(kernel, n=pad)
-        acc = _correlate_along(acc, kernel_fft, ax, n, pad)
-    return acc / math.sqrt(np.prod(np.abs(a_vec)))
+        lags = np.arange(-(n - 1), n) * axis_spec.step
+        values = _lag_correlate(values, kernel(lags[None, :] / a_col[:, None]), ax, workers)
+    return values
+
+
+def _scale_norms(vectors: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.prod(np.abs(vectors), axis=1))
 
 
 def cfrwt_fast(
@@ -188,27 +206,22 @@ def cfrwt_fast(
     """Coefficients over the signal's own grid via FFT correlations.
 
     Realizes exactly the same discrete sums as cfrwt_direct with
-    b_grid = f.grid, at O(N log N) per scale.  Scale slices are
-    independent; with threads > 1 they are computed concurrently and
-    assembled in index order.
+    b_grid = f.grid, at O(N log N) per scale, for any sample counts.
+    threads is the FFT worker count.
     """
     order = _as_order(order)
     _require_generic_grid(f, scales)
-    for ax in f.grid.axes:
-        if ax.count & (ax.count - 1):
-            raise NonPowerOfTwo(f"fast path needs power-of-two axis counts, got {ax.count}")
-    chi = _chirped_input(f, order)
+    chi = _chirped_input(f, order)[None]
+    expand = (-1,) + (1,) * f.ndim
+    norms = _scale_norms(scales.vectors).reshape(expand)
     out = np.empty((scales.count,) + f.grid.shape, dtype=np.complex128)
 
-    def fill(s: int) -> None:
-        out[s] = _one_scale_fast(chi, f.grid, psi, scales.vectors[s])
+    def kernel(x: np.ndarray) -> np.ndarray:
+        # sum_j chi_j conj(psi((j - k) dt / a)) is a lag sum against conj(psi(-x))
+        return np.conj(psi.profile(-x))
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(scales.count)))
-    else:
-        for s in range(scales.count):
-            fill(s)
+    for chunk in _scale_chunks(f.grid, scales.count):
+        out[chunk] = _scale_correlate(chi, f.grid, scales.vectors[chunk], kernel, threads) / norms[chunk]
     out *= _shift_phase(f.grid, order)
     return CfrwtCoefficients(out, f.grid, scales, order, psi.name)
 
@@ -330,11 +343,6 @@ def inner_product_relation_check(
     )
 
 
-def _convolve_along(values: np.ndarray, kernel_fft: np.ndarray, axis: int, n: int, pad: int) -> np.ndarray:
-    # same padded product as the correlation helper; kernel not reversed
-    return _correlate_along(values, kernel_fft, axis, n, pad)
-
-
 def reconstruct(
     coeffs: CfrwtCoefficients,
     phi: WaveletSpec,
@@ -348,6 +356,7 @@ def reconstruct(
     phi is the synthesizing wavelet; psi_used must be the wavelet the
     coefficients were taken with.  The two-wavelet normalizer is their
     cross admissibility constant; it must be bounded away from zero.
+    threads is the FFT worker count.
     """
     order = coeffs.order
     ndim = coeffs.b_grid.ndim
@@ -364,29 +373,16 @@ def reconstruct(
             "the pair cannot normalize a reconstruction"
         )
     grid = coeffs.b_grid
+    vectors = coeffs.scales.vectors
     w_b = grid.weights()
     b_phase = np.exp(0.5j * order.cot * grid.radius_sq())
-    w_a = coeffs.scales.measure_weights()
+    factors = (coeffs.scales.measure_weights() / _scale_norms(vectors)).reshape((-1,) + (1,) * ndim)
     out = np.zeros(grid.shape, dtype=np.complex128)
-
-    def one_scale(s: int) -> np.ndarray:
-        a_vec = coeffs.scales.vectors[s]
-        acc = coeffs.values[s] * w_b * b_phase
-        for ax, (axis_spec, a_i) in enumerate(zip(grid.axes, a_vec)):
-            n = axis_spec.count
-            pad = 1 << (3 * n - 2).bit_length()
-            lags = np.arange(-(n - 1), n) * axis_spec.step / a_i
-            kernel_fft = np.fft.fft(np.asarray(phi.profile(lags), dtype=np.complex128), n=pad)
-            acc = _convolve_along(acc, kernel_fft, ax, n, pad)
-        return w_a[s] / math.sqrt(np.prod(np.abs(a_vec))) * acc
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for piece in pool.map(one_scale, range(coeffs.scales.count)):
-                out += piece
-    else:
-        for s in range(coeffs.scales.count):
-            out += one_scale(s)
+    for chunk in _scale_chunks(grid, coeffs.scales.count):
+        block = _scale_correlate(coeffs.values[chunk] * w_b * b_phase, grid, vectors[chunk], phi.profile, threads)
+        # scale-index order, so the sum depends on neither threads nor chunking
+        for piece in factors[chunk] * block:
+            out += piece
     mod = abs(c_alpha(order, ndim)) ** 2
     out *= mod / cross_value * np.exp(-0.5j * order.cot * grid.radius_sq())
     return SampledSignal(grid, out)

@@ -106,11 +106,10 @@ def cmd_synth(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = parse_run_config(args.config)
-    try:
-        reports = run_suite(args.suite, cfg)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+    if args.suite not in suite_names():
+        print(f"unknown suite {args.suite!r}; valid: {', '.join(suite_names())}", file=sys.stderr)
         return EXIT_UNKNOWN_SUITE
+    reports = run_suite(args.suite, cfg)
     for rep in reports:
         print(rep.to_json())
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED

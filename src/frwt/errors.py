@@ -21,10 +21,6 @@ class DeltaKernel(FrwtError):
     """Kernel evaluation requested at an order where it degenerates to a delta."""
 
 
-class NonPowerOfTwo(FrwtError):
-    """Fast path requires power-of-two sample counts."""
-
-
 class OffGridShift(FrwtError):
     """Translation amount is not an integer multiple of the grid step."""
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sfft
 
 from .errors import StepMismatch
 from .frft import TransformOrder, _as_order, _direct_apply, c_alpha, frft_fast
@@ -80,7 +80,11 @@ def frac_convolve(
 
     chirp = np.exp(0.5j * cot * f.grid.radius_sq())
     u = f.values * chirp * f.grid.weights()
-    full = fftconvolve(u, g.values, mode="full")
+    # full linear convolution: FFTs at fast lengths of at least n + m - 1
+    full_shape = [n + m - 1 for n, m in zip(f.grid.shape, g.grid.shape)]
+    fast = [sfft.next_fast_len(k) for k in full_shape]
+    full = sfft.ifftn(sfft.fftn(u, fast) * sfft.fftn(g.values, fast))
+    full = full[tuple(slice(0, k) for k in full_shape)]
 
     # result index j maps to full-convolution index j - l0 per axis
     out = np.zeros(f.grid.shape, dtype=np.complex128)

@@ -28,13 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DeltaKernel,
-    DomainMismatch,
-    NearSingularOrder,
-    NonPowerOfTwo,
-    OffGridShift,
-)
+from .errors import DeltaKernel, DomainMismatch, NearSingularOrder, OffGridShift
 from .grid import AxisSpec, Grid, SampledSignal, grids_close
 
 __all__ = [
@@ -253,9 +247,6 @@ class FrftPlan:
 def make_plan(grid: Grid, order: "TransformOrder | float") -> FrftPlan:
     order = _as_order(order)
     order._require_generic()
-    for ax in grid.axes:
-        if ax.count & (ax.count - 1):
-            raise NonPowerOfTwo(f"fast path needs power-of-two counts, got {ax.count}")
     out_grid = natural_output_grid(grid, order)
     cot, csc = order.cot, order.csc
     phases = []
@@ -281,7 +272,8 @@ def frft_fast(
     """Chirp-FFT-chirp evaluation on the natural output grid.
 
     Exactly reproduces the direct quadrature sum (same weights, same output
-    points) at O(N log N); identity and parity orders dispatch exactly.
+    points) at O(N log N) for any sample counts; identity and parity orders
+    dispatch exactly.
     """
     order = _as_order(order)
     if not order.is_generic:
@@ -291,20 +283,26 @@ def frft_fast(
         plan = make_plan(f.grid, order)
     elif not grids_close(plan.input_grid, f.grid) or plan.order != order:
         raise DomainMismatch("plan was built for a different grid or order")
-    v = f.values * f.grid.weights() * plan.in_chirp
-    forward = order.sin_sign > 0
-    for axis in range(f.ndim):
-        n = f.grid.axes[axis].count
+    return SampledSignal(plan.output_grid, _apply_plan(f.values, plan))
+
+
+def _apply_plan(values: np.ndarray, plan: FrftPlan) -> np.ndarray:
+    """Chirp-FFT-chirp over the trailing plan.input_grid.ndim axes of values;
+    leading axes are a batch transformed independently."""
+    ndim = plan.input_grid.ndim
+    v = values * plan.input_grid.weights() * plan.in_chirp
+    forward = plan.order.sin_sign > 0
+    for k, ax in enumerate(plan.input_grid.axes):
+        axis = k - ndim
         if forward:
             v = np.fft.fft(v, axis=axis)
         else:
-            v = np.fft.ifft(v, axis=axis) * n
+            v = np.fft.ifft(v, axis=axis) * ax.count
         v = np.fft.fftshift(v, axes=axis)
-        shape = [1] * f.ndim
-        shape[axis] = -1
-        v = v * plan.axis_phases[axis].reshape(shape)
-    v = v * plan.out_chirp * plan.c_alpha
-    return SampledSignal(plan.output_grid, v)
+        shape = [1] * ndim
+        shape[k] = -1
+        v = v * plan.axis_phases[k].reshape(shape)
+    return v * plan.out_chirp * plan.c_alpha
 
 
 def frft_inverse(

@@ -25,7 +25,7 @@ import numpy as np
 from .admissibility import FrequencyScan, admissibility_constant
 from .cfrwt import CfrwtCoefficients, cfrwt_fast
 from .errors import InadmissibleWavelet, InvalidAnglePair, TailDominated, ThetaAtBoundary
-from .frft import TransformOrder, c_alpha, frft_fast
+from .frft import TransformOrder, _apply_plan, _warn_if_near_singular, c_alpha, frft_fast, make_plan
 from .grid import Grid, SampledSignal, l2_norm
 from .report import VerificationReport
 from .scales import ScaleGrid
@@ -131,12 +131,20 @@ def dispersion(f: SampledSignal, theta: float) -> float:
     return total
 
 
-def _moment_spectrum(f: SampledSignal, angle: float) -> SampledSignal:
+def _moment_spectra(grid: Grid, values: np.ndarray, angle: float) -> tuple[Grid, np.ndarray]:
+    """Output grid and chirp-FFT-chirp spectra at angle of values over grid;
+    leading axes of values are a batch sharing one plan."""
     # Identity and reflection orders permute or mirror the samples, which
-    # leaves radial moments about the origin unchanged, so f itself serves.
+    # leaves radial moments about the origin unchanged, so the input serves.
     if abs(math.sin(angle)) < _DEGENERATE_SIN:
-        return f
-    return frft_fast(f, angle)
+        return grid, values
+    plan = make_plan(grid, angle)
+    _warn_if_near_singular(plan.order)
+    return plan.output_grid, _apply_plan(values, plan)
+
+
+def _moment_spectrum(f: SampledSignal, angle: float) -> SampledSignal:
+    return SampledSignal(*_moment_spectra(f.grid, f.values, angle))
 
 
 def _angle_gap(alpha: float, beta: float) -> float:
@@ -180,17 +188,13 @@ def _scale_moment_sum(
     restricted plain energy instead of a radial moment).
     """
     weights_a = coeffs.scales.measure_weights()
-    total = []
-    for s in range(coeffs.scales.count):
-        piece = SampledSignal(coeffs.b_grid, coeffs.values[s])
-        spec = _moment_spectrum(piece, angle)
-        w = spec.grid.weights()
-        if mask is None:
-            val = math.fsum((w * np.abs(spec.values) ** 2 * spec.grid.radius_sq() ** theta).ravel())
-        else:
-            val = math.fsum((w * np.abs(spec.values) ** 2)[mask].ravel())
-        total.append(weights_a[s] * val)
-    return float(math.fsum(total))
+    grid, spectra = _moment_spectra(coeffs.b_grid, coeffs.values, angle)
+    density = grid.weights() * np.abs(spectra) ** 2
+    if mask is None:
+        per_scale = [math.fsum(d.ravel()) for d in density * grid.radius_sq() ** theta]
+    else:
+        per_scale = [math.fsum(d[mask].ravel()) for d in density]
+    return float(math.fsum(weights_a * np.array(per_scale)))
 
 
 def _gate_admissible(psi: WaveletSpec, alpha: float, ndim: int, scan: FrequencyScan | None):

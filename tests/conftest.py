@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from frwt.grid import Grid, axis_centered, sample
+from frwt.verify import _fixture as random_smooth_signal  # noqa: F401  (imported by test modules)
 
 
 @pytest.fixture
@@ -15,23 +16,3 @@ def grid_256():
 @pytest.fixture
 def gaussian_256(grid_256):
     return sample(grid_256, lambda t: np.exp(-(t**2) / 2))
-
-
-def random_smooth_signal(grid: Grid, seed: int, modes: int = 5):
-    """Seeded band-limited fixture: a few Hermite-Gaussian modes with
-    complex coefficients.  Decays like a Gaussian at the grid edge."""
-    rng = np.random.default_rng(seed)
-    coeffs = rng.normal(size=modes) + 1j * rng.normal(size=modes)
-
-    def fn(*axes):
-        r2 = sum(a**2 for a in axes)
-        env = np.exp(-r2 / 2)
-        out = np.zeros_like(env, dtype=complex)
-        for k, c in enumerate(coeffs):
-            herm = np.ones_like(env)
-            for a in axes:
-                herm = herm * np.polynomial.hermite_e.hermeval(a, [0.0] * k + [1.0])
-            out = out + c * herm * env / (2.0**k)
-        return out
-
-    return sample(grid, fn)

@@ -18,26 +18,26 @@ from frwt.cfrwt import (
     reproducing_kernel,
     truncated_coverage,
 )
-from frwt.errors import (
-    GridMismatch,
-    InadmissibleWavelet,
-    NonPowerOfTwo,
-    ZeroCrossAdmissibility,
-)
+from frwt import cfrwt as cfrwt_module
+from frwt.errors import GridMismatch, InadmissibleWavelet, ZeroCrossAdmissibility
 from frwt.frft import TransformOrder, _as_order
-from frwt.grid import Grid, SampledSignal, axis_centered, l2_norm, sample
+from frwt.grid import AxisSpec, Grid, SampledSignal, axis_centered, l2_norm, sample
 from frwt.scales import log_scale_grid
 from frwt.wavelets import DaughterParams, get_wavelet, make_daughter, wavelet_l2_norm
 
-from oracles import brute_classical_cwt
+from oracles import brute_classical_cwt, brute_reconstruct
 
 MEX = get_wavelet("mexican_hat")
 DOG3 = get_wavelet("dog3")
 DOG4 = get_wavelet("dog4")
+MOR = get_wavelet("morlet")
 GAUSS = get_wavelet("gaussian")
 
 ALPHA = 0.9
 HALF_PI = math.pi / 2
+FIVE_ORDERS = (0.4, 0.9, HALF_PI, 2.2, 2.9)
+# any nonzero constant: the synthesis tests compare routes, not normalizers
+CROSS = 1.3 - 0.4j
 
 # Frozen from the calibration runs recorded in the repository history: the
 # reproducing kernel diagonal for the standard fixture below.
@@ -155,20 +155,48 @@ def test_self_daughter_coefficient_is_squared_norm():
     assert w.values[0, k] == pytest.approx(wavelet_l2_norm(MEX) ** 2, abs=1e-6)
 
 
-def test_fast_requires_power_of_two(scales_wide):
-    g = Grid((axis_centered(0.125, 100),))
-    f = sample(g, lambda t: np.exp(-(t**2)))
-    with pytest.raises(NonPowerOfTwo):
-        cfrwt_fast(f, MEX, ALPHA, scales_wide)
-    # The direct route has no such constraint.
-    sc = log_scale_grid(1.0, 2.0, 2, ndim=1, signs="positive")
-    assert cfrwt_direct(f, MEX, ALPHA, sc).values.shape == (2, 100)
+@pytest.mark.parametrize("centred", [True, False], ids=["centred", "offset"])
+@pytest.mark.parametrize("n", [100, 101, 243, 1000])
+def test_fast_matches_direct_any_length(n, centred):
+    step = 12.0 / n
+    g = Grid((axis_centered(step, n) if centred else AxisSpec(-0.3 * n * step, step, n),))
+    f = sample(g, lambda t: np.exp(-((t - 0.5) ** 2) / 2) * np.exp(2j * t))
+    sc = log_scale_grid(0.5, 4.0, 4, ndim=1, signs="both")
+    for alpha in FIVE_ORDERS:
+        fast = cfrwt_fast(f, MEX, alpha, sc)
+        direct = cfrwt_direct(f, MEX, alpha, sc)
+        assert relative_peak_error(fast.values, direct.values) < 1e-12
+
+
+def test_fast_matches_direct_2d_odd_shape():
+    g = Grid((axis_centered(0.4, 30), AxisSpec(-4.0, 0.35, 27)))
+    f = sample(g, lambda x, y: np.exp(-(x**2 + (y + 1) ** 2) / 2) * np.exp(1j * (x - 2 * y)))
+    sc = log_scale_grid(0.5, 4.0, 3, ndim=2, signs="both")
+    fast = cfrwt_fast(f, MOR, 1.1, sc)
+    direct = cfrwt_direct(f, MOR, 1.1, sc)
+    assert relative_peak_error(fast.values, direct.values) < 1e-12
 
 
 def test_threaded_fill_is_deterministic(gabor, scales_wide):
     serial = cfrwt_fast(gabor, MEX, ALPHA, scales_wide)
     threaded = cfrwt_fast(gabor, MEX, ALPHA, scales_wide, threads=4)
     assert np.array_equal(serial.values, threaded.values)
+
+
+def test_threaded_reconstruct_is_deterministic(gabor_coeffs):
+    serial = reconstruct(gabor_coeffs, DOG4, MEX, cross_value=CROSS)
+    threaded = reconstruct(gabor_coeffs, DOG4, MEX, cross_value=CROSS, threads=4)
+    assert np.array_equal(serial.values, threaded.values)
+
+
+def test_results_do_not_depend_on_chunk_size(gabor, gabor_coeffs, scales_wide, monkeypatch):
+    recon = reconstruct(gabor_coeffs, DOG4, MEX, cross_value=CROSS)
+    # three scale vectors per chunk, the last chunk short
+    monkeypatch.setattr(cfrwt_module, "_CHUNK_BYTES", 3 * 16 * 512)
+    assert len(cfrwt_module._scale_chunks(gabor.grid, scales_wide.count)) == 43
+    chunked = cfrwt_fast(gabor, MEX, ALPHA, scales_wide)
+    assert np.array_equal(chunked.values, gabor_coeffs.values)
+    assert np.array_equal(reconstruct(chunked, DOG4, MEX, cross_value=CROSS).values, recon.values)
 
 
 # ------------------------------------------------------------ energy checks
@@ -315,6 +343,31 @@ def test_reconstruct_gaussian_shortfall_is_explained(grid, scales_wide):
     weight = spec.grid.weights() * np.abs(spec.values) ** 2
     predicted = math.sqrt(float(np.sum(weight * (1 - kappa / c_full) ** 2) / np.sum(weight)))
     assert 0.5 * predicted < err < 1.2 * predicted
+
+
+@pytest.mark.parametrize(
+    "axes,a_count",
+    [
+        ((axis_centered(0.0625, 256),), 16),
+        ((AxisSpec(-4.0, 0.1, 101),), 16),
+        ((axis_centered(0.4, 30), AxisSpec(-4.0, 0.35, 27)), 4),
+    ],
+    ids=["1d-256", "1d-101", "2d-30x27"],
+)
+def test_reconstruct_matches_brute_sum(axes, a_count):
+    g = Grid(axes)
+    f = sample(g, lambda *t: np.exp(-sum((x - 0.3) ** 2 for x in t)) * np.exp(2j * t[0]))
+    sc = log_scale_grid(2.0**-2, 2.0**2, a_count, ndim=g.ndim, signs="both")
+    chunks = cfrwt_module._scale_chunks(g, sc.count)
+    if g.ndim == 2:
+        # several chunks, the last one short
+        assert len(chunks) > 1 and chunks[-1].stop - chunks[-1].start < chunks[0].stop
+    # complex, asymmetric profiles: with an even analysis wavelet the
+    # coefficients at a and -a coincide and would hide a lag-sign slip
+    w = cfrwt_fast(f, MOR, ALPHA, sc)
+    fast = reconstruct(w, MOR, MOR, cross_value=CROSS)
+    brute = brute_reconstruct(w, MOR.profile, CROSS)
+    assert relative_peak_error(fast.values, brute) < 1e-12
 
 
 def test_reconstruct_zero_coefficients(gabor_coeffs):

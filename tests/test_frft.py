@@ -8,13 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from frwt.errors import (
-    DeltaKernel,
-    DomainMismatch,
-    NearSingularOrder,
-    NonPowerOfTwo,
-    OffGridShift,
-)
+from frwt.errors import DeltaKernel, DomainMismatch, NearSingularOrder, OffGridShift
 from frwt.frft import (
     Dilate,
     Modulate,
@@ -30,13 +24,15 @@ from frwt.frft import (
     make_plan,
     natural_output_grid,
 )
-from frwt.grid import Grid, SampledSignal, axis_centered, l1_norm, l2_norm, sample
+from frwt.grid import AxisSpec, Grid, SampledSignal, axis_centered, l1_norm, l2_norm, sample
 
 from conftest import random_smooth_signal
 from oracles import brute_kernel_transform, classical_unitary_ft
 
 # |c(pi/4)| = 2**0.25 / sqrt(2*pi), computed in closed form
 C_PI_QUARTER_ABS = 0.4744249983287943
+
+FIVE_ORDERS = (0.35, 1.2, math.pi / 2, 2.4, -0.8)
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +191,27 @@ def test_identity_wrong_output_grid_raises(gaussian_256):
         frft_direct(gaussian_256, 0.0, bad)
 
 
-def test_non_power_of_two_fast_raises():
-    g = Grid((axis_centered(0.1, 100),))
-    f = sample(g, lambda t: np.exp(-(t**2)))
-    with pytest.raises(NonPowerOfTwo):
-        frft_fast(f, 0.7)
-    # direct route has no such constraint
-    frft_direct(f, 0.7)
+@pytest.mark.parametrize("centred", [True, False], ids=["centred", "offset"])
+@pytest.mark.parametrize("n", [100, 101, 243, 1000])
+def test_fast_matches_direct_any_length(n, centred):
+    # the chirp-FFT-chirp factorization is exact for every sample count,
+    # odd ones included, and on grids that do not straddle the origin
+    step = 12.0 / n
+    ax = axis_centered(step, n) if centred else AxisSpec(-0.3 * n * step, step, n)
+    f = random_smooth_signal(Grid((ax,)), seed=n)
+    for alpha in FIVE_ORDERS:
+        fast = frft_fast(f, alpha)
+        direct = frft_direct(f, alpha)
+        assert np.max(np.abs(fast.values - direct.values)) < 1e-10
+
+
+def test_fast_matches_direct_2d_odd_shape():
+    g = Grid((axis_centered(0.4, 30), AxisSpec(-4.0, 0.35, 27)))
+    f = random_smooth_signal(g, seed=29)
+    for alpha in (0.6, 2.0):
+        fast = frft_fast(f, alpha)
+        direct = frft_direct(f, alpha)
+        assert np.max(np.abs(fast.values - direct.values)) < 1e-10
 
 
 def test_round_trip(grid_256):

@@ -332,6 +332,17 @@ def test_cli_verify_unknown_suite_exits_5(capsys):
     assert "parseval" in err and "morrey" in err
 
 
+def test_cli_verify_suite_error_is_not_unknown_suite(monkeypatch):
+    from frwt import verify
+
+    def broken(cfg):
+        raise ValueError("fixture out of range")
+
+    monkeypatch.setitem(verify._SUITES, "parseval", broken)
+    with pytest.raises(ValueError, match="fixture out of range"):
+        main(["verify", "parseval"])
+
+
 def test_cli_module_entry_point(tmp_path, grid_256):
     # one subprocess run to prove the installed module wiring works
     src = tmp_path / "in.sig"
