@@ -42,6 +42,7 @@ from .scales import ScaleGrid, log_scale_grid
 from .admissibility import (
     AdmissibilityReport,
     FrequencyScan,
+    admissibility_cache_info,
     admissibility_constant,
     cross_admissibility,
     fractional_spectrum,

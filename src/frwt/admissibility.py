@@ -6,11 +6,21 @@ at order alpha is
     C(psi, alpha) = integral |Psi_alpha(u)|^2 / |u| du   over u != 0
 
 where Psi_alpha is the order-alpha transform of the chirped profile
-psi(t) exp(-i/2 t^2 cot(alpha)).  The code evaluates Psi_alpha by direct
-kernel quadrature on a fine profile grid and integrates on a log-spaced
-frequency grid whose lower cutoff is halved several times; the sequence
-of truncated values decides between a finite constant and a divergence
-at the origin.
+psi(t) exp(-i/2 t^2 cot(alpha)).  That chirp cancels the kernel's own
+t-chirp, so
+
+    Psi_alpha(u) = c(alpha) exp(i/2 u^2 cot(alpha)) sum_j w_j psi(t_j) exp(-i u csc(alpha) t_j)
+
+is a trapezoidal Fourier sum of the bare profile on [-r, r], r the
+support radius.  Its grid is sized from a Nyquist bound: with
+v = max|u| |csc(alpha)| it has min(8192, max(256, 2 ceil(2 r v / pi) + 1))
+points, a step of about pi / (2 v), so the first alias of the profile
+spectrum sits near 3 v and the sum matches the 8192-point grid to
+rounding.  The constant is integrated on a log-spaced frequency grid
+whose lower cutoff is halved several times; the sequence of truncated
+values decides between a finite constant and a divergence at the origin.
+Reports are memoized per (phi, psi, order, scan, ndim); see
+admissibility_cache_info.
 
 Everything here is one dimensional; for separable wavelets in n
 dimensions the constant is the n-th power of the per-axis value.
@@ -18,13 +28,14 @@ dimensions the constant is the n-th power of the per-axis value.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .frft import TransformOrder, _as_order, c_alpha
-from .wavelets import WaveletSpec, _profile_quadrature
+from .wavelets import _PROFILE_POINTS, WaveletSpec, _profile_quadrature
 
 __all__ = [
     "FrequencyScan",
@@ -32,6 +43,7 @@ __all__ = [
     "fractional_spectrum",
     "admissibility_constant",
     "cross_admissibility",
+    "admissibility_cache_info",
 ]
 
 # verdict thresholds: an integral is treated as settled when the last two
@@ -41,7 +53,12 @@ __all__ = [
 _SETTLED_FRACTION = 1e-2
 _STEADY_RATIO = 0.75
 
-_CHUNK = 256
+# fewest points of a spectral profile grid
+_MIN_SPECTRAL_POINTS = 256
+# kernel matrix bytes per chunk of frequencies in fractional_spectrum
+_CHUNK_BYTES = 1 << 20
+# distinct scans kept by the report memo
+_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -88,26 +105,38 @@ class AdmissibilityReport:
         return self.verdict == "finite"
 
 
+def _spectral_points(psi: WaveletSpec, v_max: float) -> int:
+    """Profile grid size that resolves exp(-i v t) for |v| <= v_max on [-r, r]."""
+    nyquist = 2 * math.ceil(2.0 * psi.support_radius * v_max / math.pi) + 1
+    return min(_PROFILE_POINTS, max(_MIN_SPECTRAL_POINTS, nyquist))
+
+
+def _weighted_profile(psi: WaveletSpec, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Profile nodes t_j on [-r, r] and trapezoid-weighted samples w_j psi(t_j)."""
+    t, vals, dt = _profile_quadrature(psi, points)
+    w = np.full(t.shape, dt)
+    w[0] = w[-1] = dt / 2
+    return t, w * vals
+
+
 def fractional_spectrum(psi: WaveletSpec, order: TransformOrder | float, u: np.ndarray) -> np.ndarray:
     """Order-alpha kernel transform of the chirped profile at frequencies u.
 
     Computed as a direct quadrature of K_alpha(t, u) against
-    psi(t) exp(-i/2 t^2 cot(alpha)) on a fine profile grid.
+    psi(t) exp(-i/2 t^2 cot(alpha)); the two t-chirps cancel, leaving a
+    Fourier sum of the profile on a Nyquist-sized grid.
     """
     order = _as_order(order)
     cot, csc = order.cot, order.csc
-    t, vals, dt = _profile_quadrature(psi)
-    w = np.full(t.shape, dt)
-    w[0] = w[-1] = dt / 2
-    chirped = w * vals * np.exp(-0.5j * cot * t**2)
-    # kernel factor exp(i/2 t^2 cot) rejoins the chirp here; kept explicit
-    chirped = chirped * np.exp(0.5j * cot * t**2)
     u = np.asarray(u, dtype=np.float64)
     flat = u.reshape(-1)
+    v_max = abs(csc) * float(np.max(np.abs(flat), initial=0.0))
+    t, x = _weighted_profile(psi, _spectral_points(psi, v_max))
+    rows = max(1, _CHUNK_BYTES // (16 * t.size))
     out = np.empty(flat.shape, dtype=np.complex128)
-    for lo in range(0, flat.size, _CHUNK):
-        chunk = flat[lo : lo + _CHUNK]
-        out[lo : lo + _CHUNK] = np.exp(-1j * csc * np.outer(chunk, t)) @ chirped
+    for lo in range(0, flat.size, rows):
+        chunk = flat[lo : lo + rows]
+        out[lo : lo + rows] = np.exp(-1j * csc * np.outer(chunk, t)) @ x
     out *= c_alpha(order, 1) * np.exp(0.5j * cot * flat**2)
     return out.reshape(u.shape)
 
@@ -190,21 +219,38 @@ def cross_admissibility(
 
     The signed value may vanish for spectrally orthogonal pairs even when
     the moduli integral is finite; callers that divide by it must check.
+    A repeated call returns the same (frozen) report object.
     """
-    order = _as_order(order)
-    scan = scan or FrequencyScan()
+    return _report(phi, psi, _as_order(order), scan or FrequencyScan(), ndim, phi is psi)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _report(
+    phi: WaveletSpec,
+    psi: WaveletSpec,
+    order: TransformOrder,
+    scan: FrequencyScan,
+    ndim: int,
+    same: bool,
+) -> AdmissibilityReport:
+    # `same` keeps the key of a pair of equal but distinct specs apart
+    # from the self constant, which reports no cross wavelet
     signed_vals, moduli_vals, cutoffs = _scan(phi, psi, order, scan)
-    verdict = _verdict(moduli_vals)
     return AdmissibilityReport(
         wavelet=psi.name,
-        cross_wavelet=phi.name if phi is not psi else None,
+        cross_wavelet=None if same else phi.name,
         alpha=order.alpha,
         ndim=ndim,
         value=signed_vals[-1] ** ndim,
         moduli_value=moduli_vals[-1] ** ndim,
-        verdict=verdict,
+        verdict=_verdict(moduli_vals),
         trace=tuple(zip(cutoffs, moduli_vals)),
     )
+
+
+def admissibility_cache_info():
+    """Named tuple (hits, misses, maxsize, currsize) of the admissibility report memo."""
+    return _report.cache_info()
 
 
 def admissibility_constant(

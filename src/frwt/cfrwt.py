@@ -7,18 +7,29 @@ building per-scale profile matrices (the quadratic-cost oracle, usable
 with any shift grid) and a fast route that realizes the same discrete
 sums through padded FFT correlations when the shift grid equals the
 signal grid.  Both routes share the quadrature weights, so they agree to
-rounding, not merely to discretization order.
+rounding, not merely to discretization order.  The fast route's tap
+spectra depend only on the wavelet, the grid and the scales, so a small
+memo keeps the recent ones for a stream of signals.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
 
-from .admissibility import AdmissibilityReport, FrequencyScan, admissibility_constant, cross_admissibility, fractional_spectrum
+from .admissibility import (
+    AdmissibilityReport,
+    FrequencyScan,
+    _spectral_points,
+    _weighted_profile,
+    admissibility_constant,
+    cross_admissibility,
+    fractional_spectrum,
+)
 from .errors import DomainMismatch, GridMismatch, InadmissibleWavelet, ZeroCrossAdmissibility
 from .frft import TransformOrder, _as_order, c_alpha, frft_fast
 from .grid import Grid, SampledSignal, grids_close, inner_product, l2_norm
@@ -45,6 +56,8 @@ CROSS_ZERO_TOL = 1e-8
 # Padded complex work per chunk of scale vectors in the fast routes; bounds
 # their memory, since a 2-D scale grid with both signs has (2M)^2 vectors.
 _CHUNK_BYTES = 1 << 20
+# chunks of tap spectra kept (each at most _CHUNK_BYTES)
+_TAP_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -153,26 +166,42 @@ def cfrwt_direct(
     return CfrwtCoefficients(out, b_grid, scales, order, psi.name)
 
 
-def _lag_correlate(values: np.ndarray, taps: np.ndarray, axis: int, workers: int | None) -> np.ndarray:
+def _lag_correlate(values: np.ndarray, tap_fft: np.ndarray, axis: int, workers: int | None) -> np.ndarray:
     """Lag sums out[s, .., k, ..] = sum_j values[s, .., j, ..] taps[s, k - j + n - 1]
     along grid axis `axis` of a scale-batched array.
 
     values carries a leading scale axis (length one broadcasts against
-    every scale); taps has shape (scales, 2n - 1), lags -(n - 1)..n - 1.
-    Any FFT length of at least 2n - 1 leaves the central n sums unaliased.
+    every scale); tap_fft is the (scales, pad) FFT of taps over lags
+    -(n - 1)..n - 1.  Any FFT length pad >= 2n - 1 leaves the central n
+    sums unaliased.
     """
     axis += 1
     n = values.shape[axis]
-    pad = sfft.next_fast_len(2 * n - 1)
     shape = [1] * values.ndim
-    shape[0] = taps.shape[0]
-    shape[axis] = pad
-    kernel_fft = sfft.fft(taps, n=pad, axis=1, workers=workers).reshape(shape)
-    spec = sfft.fft(values, n=pad, axis=axis, workers=workers) * kernel_fft
+    shape[0], shape[axis] = tap_fft.shape
+    spec = sfft.fft(values, n=tap_fft.shape[1], axis=axis, workers=workers) * tap_fft.reshape(shape)
     full = sfft.ifft(spec, axis=axis, workers=workers, overwrite_x=True)
     sl = [slice(None)] * values.ndim
     sl[axis] = slice(n - 1, 2 * n - 1)
     return full[tuple(sl)]
+
+
+@functools.lru_cache(maxsize=_TAP_CACHE_SIZE)
+def _tap_spectrum(psi: WaveletSpec, analysis: bool, step: float, n: int, a_col: bytes, workers: int | None) -> np.ndarray:
+    """Read-only FFT of one axis's lag taps, one row per scale component.
+
+    Taps are psi(x) for synthesis and conj(psi(-x)) for analysis, at
+    x = lag step / a over lags -(n - 1)..n - 1.  They depend on neither
+    the signal nor the order, so a stream of signals on one grid and
+    scale set computes them once.
+    """
+    lags = np.arange(-(n - 1), n) * step
+    x = lags[None, :] / np.frombuffer(a_col)[:, None]
+    # sum_j chi_j conj(psi((j - k) dt / a)) is a lag sum against conj(psi(-x))
+    taps = np.conj(psi.profile(-x)) if analysis else psi.profile(x)
+    out = sfft.fft(taps, n=sfft.next_fast_len(2 * n - 1), axis=1, workers=workers)
+    out.flags.writeable = False
+    return out
 
 
 def _scale_chunks(grid: Grid, count: int) -> list[slice]:
@@ -182,13 +211,14 @@ def _scale_chunks(grid: Grid, count: int) -> list[slice]:
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
-def _scale_correlate(values: np.ndarray, grid: Grid, a_block: np.ndarray, kernel, workers: int | None) -> np.ndarray:
-    """Lag sums against kernel((k - j) dt_i / a_i) along every grid axis,
-    one output slice per scale vector (row) of a_block."""
+def _scale_correlate(
+    values: np.ndarray, grid: Grid, a_block: np.ndarray, psi: WaveletSpec, analysis: bool, workers: int | None
+) -> np.ndarray:
+    """Lag sums against the taps of psi along every grid axis, one output
+    slice per scale vector (row) of a_block."""
     for ax, (axis_spec, a_col) in enumerate(zip(grid.axes, a_block.T)):
-        n = axis_spec.count
-        lags = np.arange(-(n - 1), n) * axis_spec.step
-        values = _lag_correlate(values, kernel(lags[None, :] / a_col[:, None]), ax, workers)
+        tap_fft = _tap_spectrum(psi, analysis, axis_spec.step, axis_spec.count, a_col.tobytes(), workers)
+        values = _lag_correlate(values, tap_fft, ax, workers)
     return values
 
 
@@ -215,13 +245,8 @@ def cfrwt_fast(
     expand = (-1,) + (1,) * f.ndim
     norms = _scale_norms(scales.vectors).reshape(expand)
     out = np.empty((scales.count,) + f.grid.shape, dtype=np.complex128)
-
-    def kernel(x: np.ndarray) -> np.ndarray:
-        # sum_j chi_j conj(psi((j - k) dt / a)) is a lag sum against conj(psi(-x))
-        return np.conj(psi.profile(-x))
-
     for chunk in _scale_chunks(f.grid, scales.count):
-        out[chunk] = _scale_correlate(chi, f.grid, scales.vectors[chunk], kernel, threads) / norms[chunk]
+        out[chunk] = _scale_correlate(chi, f.grid, scales.vectors[chunk], psi, True, threads) / norms[chunk]
     out *= _shift_phase(f.grid, order)
     return CfrwtCoefficients(out, f.grid, scales, order, psi.name)
 
@@ -244,6 +269,55 @@ def _admissibility_for(
     return report
 
 
+def _uniform_step(xi: np.ndarray) -> float | None:
+    """Step of a 1-D grid uniform to a few ulps, else None."""
+    if xi.ndim != 1 or xi.size < 2:
+        return None
+    step = (xi[-1] - xi[0]) / (xi.size - 1)
+    drift = np.max(np.abs(xi - (xi[0] + step * np.arange(xi.size))))
+    if step == 0.0 or drift > 64 * np.finfo(np.float64).eps * np.max(np.abs(xi)):
+        return None
+    return float(step)
+
+
+def _spectrum_power_chirp_z(
+    psi: WaveletSpec, order: TransformOrder, a: np.ndarray, xi: np.ndarray, step: float
+) -> np.ndarray:
+    """|Psi_alpha(a_s xi_k)|^2 for a uniform xi, one Bluestein chirp-z per scale.
+
+    With centred indices t_j = j' dt and xi_k = xi_c + k' step, the Fourier
+    sum of the weighted profile x at v = s xi_k (s = a csc) is, up to a
+    unit-modulus factor in k,
+
+        sum_j x_j e^{-i s xi_c dt j'} e^{-i theta j' k'},   theta = s step dt,
+
+    and j' k' = (j'^2 + k'^2 - (k' - j')^2) / 2 turns it into a linear
+    convolution with the chirp e^{i theta (k' - j')^2 / 2}, done by FFT.
+    """
+    csc = order.csc
+    m = xi.size
+    v_max = float(np.max(np.abs(a))) * float(np.max(np.abs(xi))) * abs(csc)
+    t, x = _weighted_profile(psi, _spectral_points(psi, v_max))
+    n = t.size
+    dt = t[1] - t[0]
+    j = np.arange(n) - (n - 1) / 2
+    xi_c = (xi[0] + xi[-1]) / 2
+    size = sfft.next_fast_len(n + m - 1)
+    # lags k - j over one FFT period; k' - j' = lag - (kc - jc)
+    lags = np.arange(size)
+    lags = np.where(lags < m, lags, lags - size) - ((m - 1) - (n - 1)) / 2
+    out = np.empty((a.size, m))
+    rows = max(1, _CHUNK_BYTES // (16 * size))
+    for lo in range(0, a.size, rows):
+        s = a[lo : lo + rows, None] * csc
+        theta = s * step * dt
+        z = x * np.exp(-1j * (s * xi_c * dt * j + 0.5 * theta * j**2))
+        h = np.exp(0.5j * theta * lags**2)
+        spec = sfft.fft(z, n=size, axis=1) * sfft.fft(h, axis=1)
+        out[lo : lo + rows] = np.abs(sfft.ifft(spec, axis=1, overwrite_x=True)[:, :m]) ** 2
+    return out * abs(c_alpha(order, 1)) ** 2
+
+
 def truncated_coverage(
     psi: WaveletSpec,
     order: TransformOrder | float,
@@ -256,14 +330,23 @@ def truncated_coverage(
     on the full measure this would equal the admissibility constant for
     every xi.  The shortfall predicts how far the Plancherel ratio sits
     below one on a finite scale range.
+
+    Each scale's frequency set a xi of a uniform xi grid is uniform too,
+    so |Psi_alpha|^2 comes from one chirp-z transform per scale (Rabiner,
+    Schafer & Rader 1969) on the same profile grid fractional_spectrum
+    would use; any other xi goes through fractional_spectrum directly.
     """
     order = _as_order(order)
     if scales.ndim != 1:
         raise ValueError("coverage prediction is one dimensional")
     xi = np.asarray(xi, dtype=np.float64)
-    arg = scales.vectors.ravel()[:, None] * xi[None, :]
-    spec_sq = np.abs(fractional_spectrum(psi, order, arg)) ** 2
-    return np.tensordot(scales.log_measure_weights(), spec_sq, axes=1)
+    a = scales.vectors.ravel()
+    step = _uniform_step(xi)
+    if step is None:
+        power = np.abs(fractional_spectrum(psi, order, a[:, None] * xi[None, :])) ** 2
+    else:
+        power = _spectrum_power_chirp_z(psi, order, a, xi, step)
+    return np.tensordot(scales.log_measure_weights(), power, axes=1)
 
 
 def plancherel_check(
@@ -379,7 +462,7 @@ def reconstruct(
     factors = (coeffs.scales.measure_weights() / _scale_norms(vectors)).reshape((-1,) + (1,) * ndim)
     out = np.zeros(grid.shape, dtype=np.complex128)
     for chunk in _scale_chunks(grid, coeffs.scales.count):
-        block = _scale_correlate(coeffs.values[chunk] * w_b * b_phase, grid, vectors[chunk], phi.profile, threads)
+        block = _scale_correlate(coeffs.values[chunk] * w_b * b_phase, grid, vectors[chunk], phi, False, threads)
         # scale-index order, so the sum depends on neither threads nor chunking
         for piece in factors[chunk] * block:
             out += piece

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 parse or precondition
 failure, 3 degenerate transform order, 4 inadmissible wavelet, 5
-unknown verification suite.
+unknown verification suite, 6 a verification suite stopped on an
+unexpected error (reported on one line).
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import sys
 
 from .admissibility import FrequencyScan, admissibility_constant
 from .cfrwt import cfrwt_fast, reconstruct
-from .errors import DeltaKernel, FrwtError, InadmissibleWavelet, SignalFileError
+from .errors import DeltaKernel, FrwtError, GridMismatch, InadmissibleWavelet, SignalFileError
 from .frft import frft_direct, frft_fast
-from .grid import SampledSignal, l2_norm
+from .grid import SampledSignal, grids_close, l2_norm
 from .io import (
     parse_run_config,
     read_coefficients,
@@ -37,6 +38,7 @@ EXIT_PARSE = 2
 EXIT_DELTA = 3
 EXIT_INADMISSIBLE = 4
 EXIT_UNKNOWN_SUITE = 5
+EXIT_SUITE_ERROR = 6
 
 
 def _load_signal(path: str) -> SampledSignal:
@@ -97,6 +99,8 @@ def cmd_synth(args) -> int:
     _save_signal(args.output, recon)
     if args.reference is not None:
         ref = _load_signal(args.reference)
+        if not grids_close(ref.grid, recon.grid):
+            raise GridMismatch("the reference signal does not share the coefficients' grid")
         err = l2_norm(SampledSignal(ref.grid, recon.values - ref.values)) / l2_norm(ref)
         print(f"reconstruction error: {err:.6e}")
         if cfg.tolerance is not None and err > cfg.tolerance:
@@ -109,7 +113,14 @@ def cmd_verify(args) -> int:
     if args.suite not in suite_names():
         print(f"unknown suite {args.suite!r}; valid: {', '.join(suite_names())}", file=sys.stderr)
         return EXIT_UNKNOWN_SUITE
-    reports = run_suite(args.suite, cfg)
+    try:
+        reports = run_suite(args.suite, cfg)
+    except FrwtError:
+        raise
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"suite error: {args.suite}: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_SUITE_ERROR
     for rep in reports:
         print(rep.to_json())
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED

@@ -128,7 +128,7 @@ class Grid:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     def axis_points(self) -> list[np.ndarray]:
         return [ax.points() for ax in self.axes]

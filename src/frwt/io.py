@@ -21,7 +21,7 @@ import numpy as np
 from .cfrwt import CfrwtCoefficients
 from .errors import SignalFileError
 from .frft import TransformOrder
-from .grid import AxisSpec, Grid, SampledSignal
+from .grid import MAX_NDIM, AxisSpec, Grid, SampledSignal
 from .scales import ScaleGrid
 
 __all__ = [
@@ -61,6 +61,10 @@ def _deinterleave(raw: bytes, count: int, where: str) -> np.ndarray:
             f"{where}: payload holds {len(raw)} bytes, expected {16 * count}"
         )
     flat = np.frombuffer(raw, dtype="<f8")
+    # squares too: the energy identities need a representable energy
+    with np.errstate(over="ignore"):
+        if not math.isfinite(flat @ flat):
+            raise SignalFileError(f"{where}: payload holds non-finite samples or an overflowing energy")
     return (flat[0::2] + 1j * flat[1::2]).astype(np.complex128)
 
 
@@ -75,10 +79,17 @@ def _unpack_axes(buf: bytes, offset: int, ndim: int, where: str) -> tuple[Grid, 
             raise SignalFileError(f"{where}: axis block truncated at offset {offset}")
         start, step, count = _AXIS.unpack_from(buf, offset)
         offset += _AXIS.size
-        if count == 0 or step <= 0 or not math.isfinite(start):
+        stop = start + (count - 1) * step
+        # squared coordinates feed the chirps, so they must stay finite too
+        if count < 2 or not (step > 0 and math.isfinite(start) and math.isfinite(stop * stop + start * start)):
             raise SignalFileError(f"{where}: invalid axis (start={start}, step={step}, count={count})")
         axes.append(AxisSpec(start, step, count))
     return Grid(tuple(axes)), offset
+
+
+def _check_ndim(ndim: int, where: str) -> None:
+    if not 1 <= ndim <= MAX_NDIM:
+        raise SignalFileError(f"{where}: dimension {ndim} outside 1..{MAX_NDIM}")
 
 
 def write_signal(path: str | os.PathLike, signal: SampledSignal) -> None:
@@ -99,10 +110,9 @@ def read_signal(path: str | os.PathLike) -> SampledSignal:
         raise SignalFileError(f"{where}: bad magic {magic!r} at offset 0, expected {MAGIC!r}")
     if version != FORMAT_VERSION:
         raise SignalFileError(f"{where}: unsupported version {version}")
-    if not 1 <= ndim <= 8:
-        raise SignalFileError(f"{where}: implausible dimension {ndim}")
+    _check_ndim(ndim, where)
     grid, offset = _unpack_axes(buf, _HEAD.size, ndim, where)
-    total = int(np.prod(grid.shape))
+    total = math.prod(grid.shape)
     values = _deinterleave(buf[offset:], total, where).reshape(grid.shape)
     return SampledSignal(grid, values)
 
@@ -142,10 +152,12 @@ def read_csv(path: str | os.PathLike) -> SampledSignal:
     ndim = len(columns) - 2
     if table.shape[1] != ndim + 2:
         raise SignalFileError(f"{where}: {table.shape[1]} columns for header {header!r}")
+    if not np.all(np.isfinite(table)):
+        raise SignalFileError(f"{where}: non-finite entries")
     axes = tuple(_axis_from_column(table[:, k], where, k) for k in range(ndim))
     grid = Grid(axes)
     shape = grid.shape
-    if table.shape[0] != int(np.prod(shape)):
+    if table.shape[0] != math.prod(shape):
         raise SignalFileError(
             f"{where}: {table.shape[0]} rows cannot fill a {shape} grid"
         )
@@ -192,6 +204,7 @@ def read_coefficients(path: str | os.PathLike) -> CfrwtCoefficients:
         raise SignalFileError(f"{where}: bad magic {magic!r} at offset 0, expected {COEFF_MAGIC!r}")
     if version != FORMAT_VERSION:
         raise SignalFileError(f"{where}: unsupported version {version}")
+    _check_ndim(ndim, where)
     grid, offset = _unpack_axes(buf, _HEAD.size, ndim, where)
 
     def take(fmt: str):
@@ -203,27 +216,42 @@ def read_coefficients(path: str | os.PathLike) -> CfrwtCoefficients:
         offset += s.size
         return vals
 
+    def text(length: int) -> str:
+        nonlocal offset
+        raw = buf[offset : offset + length]
+        offset += length
+        try:
+            return raw.decode()
+        except UnicodeDecodeError as exc:
+            raise SignalFileError(f"{where}: undecodable text at offset {offset - length}") from exc
+
     (alpha,) = take("<d")
+    if not math.isfinite(alpha) or not TransformOrder(alpha).is_generic:
+        raise SignalFileError(f"{where}: order {alpha} cannot carry coefficients")
     (name_len,) = take("<B")
-    name = buf[offset : offset + name_len].decode()
-    offset += name_len
+    name = text(name_len)
     count, sdim = take("<IB")
     if sdim != ndim:
         raise SignalFileError(f"{where}: scale dimension {sdim} does not match grid {ndim}")
     log_step, a_min, a_max = take("<ddd")
     (signs_len,) = take("<B")
-    signs = buf[offset : offset + signs_len].decode()
-    offset += signs_len
+    signs = text(signs_len)
     vec_bytes = 8 * count * sdim
-    vectors = np.frombuffer(buf[offset : offset + vec_bytes], dtype="<f8").reshape(count, sdim)
+    if count == 0 or offset + vec_bytes + 8 * count > len(buf):
+        raise SignalFileError(f"{where}: scale block of {count} vectors does not fit the file")
+    vectors = np.frombuffer(buf, dtype="<f8", count=count * sdim, offset=offset).reshape(count, sdim)
     offset += vec_bytes
-    weights = np.frombuffer(buf[offset : offset + 8 * count], dtype="<f8")
+    weights = np.frombuffer(buf, dtype="<f8", count=count, offset=offset)
     offset += 8 * count
-    scales = ScaleGrid(vectors.copy(), log_step=log_step, a_min=a_min, a_max=a_max, signs=signs)
-    stored = scales.measure_weights()
-    if weights.size != count or not np.allclose(weights, stored, rtol=1e-12, atol=0.0):
+    try:
+        scales = ScaleGrid(vectors.copy(), log_step=log_step, a_min=a_min, a_max=a_max, signs=signs)
+        with np.errstate(all="ignore"):
+            stored = scales.measure_weights()
+    except (ValueError, OverflowError) as exc:
+        raise SignalFileError(f"{where}: unusable scale block: {exc}") from exc
+    if not np.allclose(weights, stored, rtol=1e-12, atol=0.0):
         raise SignalFileError(f"{where}: stored measure weights disagree with the scale block")
-    total = count * int(np.prod(grid.shape))
+    total = count * math.prod(grid.shape)
     values = _deinterleave(buf[offset:], total, where).reshape((count,) + grid.shape)
     return CfrwtCoefficients(values, grid, scales, TransformOrder(alpha), name)
 

@@ -128,9 +128,9 @@ def get_wavelet(name: str) -> WaveletSpec:
         ) from None
 
 
-def _profile_quadrature(psi: WaveletSpec) -> tuple[np.ndarray, np.ndarray, float]:
+def _profile_quadrature(psi: WaveletSpec, points: int = _PROFILE_POINTS) -> tuple[np.ndarray, np.ndarray, float]:
     r = psi.support_radius
-    t = np.linspace(-r, r, _PROFILE_POINTS)
+    t = np.linspace(-r, r, points)
     vals = np.asarray(psi.profile(t), dtype=np.complex128)
     return t, vals, t[1] - t[0]
 

@@ -111,3 +111,24 @@ def brute_reconstruct(coeffs, phi_profile, cross_value: complex) -> np.ndarray:
         chirped = coeffs.values[s].reshape(-1) * w_b * np.exp(0.5j * cot * r2)
         total += w_a[s] / np.sqrt(np.prod(np.abs(a_vec))) * (mat @ chirped)
     return (mod / cross_value * np.exp(-0.5j * cot * r2) * total).reshape(grid.shape)
+
+
+def fine_grid_fractional_spectrum(psi, alpha: float, u: np.ndarray, points: int = 8192) -> np.ndarray:
+    """Kernel quadrature of the chirped profile on a fixed 8192-point grid.
+
+    The route fractional_spectrum took before its grid was sized from a
+    Nyquist bound: both t-chirps are applied explicitly, the kernel matrix
+    is built over the whole profile grid, and c(alpha) is written out.
+    """
+    cot = np.cos(alpha) / np.sin(alpha)
+    csc = 1.0 / np.sin(alpha)
+    c = complex(np.sqrt((1.0 - 1j * cot) / (2.0 * np.pi)))
+    r = psi.support_radius
+    t = np.linspace(-r, r, points)
+    dt = t[1] - t[0]
+    w = np.full(points, dt)
+    w[0] = w[-1] = dt / 2
+    chirped = w * psi.profile(t) * np.exp(-0.5j * cot * t**2) * np.exp(0.5j * cot * t**2)
+    u = np.asarray(u, dtype=np.float64)
+    out = np.array([np.exp(-1j * csc * row * t) @ chirped for row in u.reshape(-1)])
+    return (c * np.exp(0.5j * cot * u.reshape(-1) ** 2) * out).reshape(u.shape)

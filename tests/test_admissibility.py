@@ -1,21 +1,24 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from frwt import admissibility
 from frwt.admissibility import (
     FrequencyScan,
+    admissibility_cache_info,
     admissibility_constant,
     cross_admissibility,
     fractional_spectrum,
 )
 from frwt.errors import DeltaKernel
 from frwt.frft import TransformOrder, c_alpha
-from frwt.wavelets import WaveletSpec, get_wavelet
+from frwt.wavelets import CATALOG, WaveletSpec, get_wavelet
 
-from oracles import brute_admissibility
+from oracles import brute_admissibility, fine_grid_fractional_spectrum
 
 HALF_PI = math.pi / 2
 QUARTER_PI = math.pi / 4
@@ -196,3 +199,79 @@ def test_scan_validation():
 def test_degenerate_order_rejected():
     with pytest.raises(DeltaKernel):
         admissibility_constant(MEX, 0.0)
+
+
+# ------------------------------------------------ Nyquist-sized profile grid
+
+FIVE_ORDERS = (0.4, 0.9, HALF_PI, 2.2, 2.9)
+COARSE_SCAN = FrequencyScan(points_per_decade=16, halvings=3)
+
+
+@pytest.mark.parametrize("alpha", FIVE_ORDERS)
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_nyquist_spectrum_matches_fine_grid(name, alpha, monkeypatch):
+    """The Nyquist-sized grid against the fixed 8192-point route: spectrum
+    values at 1e-12 relative, and scans with the same verdict."""
+    psi = get_wavelet(name)
+    u = np.concatenate([-np.geomspace(1e-6, 32.0, 150), np.geomspace(1e-6, 32.0, 150)])
+    got = fractional_spectrum(psi, alpha, u)
+    want = fine_grid_fractional_spectrum(psi, alpha, u)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    order = TransformOrder(alpha)
+    signed, moduli, _ = admissibility._scan(psi, psi, order, COARSE_SCAN)
+    monkeypatch.setattr(
+        admissibility, "fractional_spectrum", lambda p, o, x: fine_grid_fractional_spectrum(p, o.alpha, x)
+    )
+    signed_fine, moduli_fine, _ = admissibility._scan(psi, psi, order, COARSE_SCAN)
+    assert admissibility._verdict(moduli) == admissibility._verdict(moduli_fine)
+    np.testing.assert_allclose(moduli, moduli_fine, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(signed, signed_fine, rtol=1e-12, atol=0)
+
+
+def test_spectral_grid_size_follows_the_nyquist_bound():
+    assert admissibility._spectral_points(MEX, 0.0) == 256
+    assert admissibility._spectral_points(MEX, 32.0) == 2 * math.ceil(2 * 8.0 * 32.0 / math.pi) + 1
+    assert admissibility._spectral_points(MEX, 1e6) == 8192
+
+
+# ------------------------------------------------------------ report memo
+
+
+def test_repeated_key_returns_the_same_report():
+    first = cross_admissibility(MEX, DOG4, 0.7)
+    before = admissibility_cache_info()
+    again = cross_admissibility(MEX, DOG4, TransformOrder(0.7), scan=FrequencyScan(), ndim=1)
+    after = admissibility_cache_info()
+    assert again is first
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_equal_but_distinct_specs_keep_cross_wavelet():
+    twin = dataclasses.replace(MEX)
+    assert twin == MEX and twin is not MEX
+    self_rep = admissibility_constant(MEX, 1.1)
+    cross_rep = cross_admissibility(twin, MEX, 1.1)
+    assert self_rep.cross_wavelet is None
+    assert cross_rep.cross_wavelet == "mexican_hat"
+    assert cross_rep is not self_rep
+    assert cross_rep.value == self_rep.value
+    assert cross_admissibility(twin, MEX, 1.1) is cross_rep
+
+
+def test_memo_is_bounded_and_counts_misses():
+    maxsize = admissibility_cache_info().maxsize
+    assert isinstance(maxsize, int) and maxsize > 0
+    before = admissibility_cache_info()
+    scans = [FrequencyScan(u_max=8.0 + k, points_per_decade=16, halvings=3) for k in range(maxsize + 3)]
+    for scan in scans:
+        admissibility_constant(MEX, 0.8, scan=scan)
+    after = admissibility_cache_info()
+    assert after.misses == before.misses + maxsize + 3
+    assert after.currsize == maxsize
+    # the oldest key was evicted, the newest is still held
+    hits = after.hits
+    admissibility_constant(MEX, 0.8, scan=scans[-1])
+    assert admissibility_cache_info().hits == hits + 1
+    admissibility_constant(MEX, 0.8, scan=scans[0])
+    assert admissibility_cache_info().misses == after.misses + 1

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from frwt.admissibility import admissibility_constant
+from frwt.admissibility import admissibility_constant, fractional_spectrum
 from frwt.cfrwt import (
     CfrwtCoefficients,
     cfrwt_direct,
@@ -263,6 +263,42 @@ def test_coverage_vanishes_at_origin_and_stays_below_one(scales_wide):
     c_full = admissibility_constant(MEX, order).value.real
     assert kappa[200] < 1e-20  # xi = 0 exactly
     assert kappa.max() / c_full < 1.02
+
+
+@pytest.mark.parametrize("alpha", FIVE_ORDERS)
+@pytest.mark.parametrize("psi", [MEX, MOR], ids=["real", "complex"])
+def test_chirp_z_coverage_matches_direct_spectrum(psi, alpha):
+    """Chirp-z route against |fractional_spectrum|^2 summed over the scales,
+    on an odd, off-centre uniform xi grid."""
+    order = _as_order(alpha)
+    sc = log_scale_grid(2.0**-4, 2.0**4, 8, signs="both")
+    xi = np.linspace(-23.0, 31.0, 101)
+    got = truncated_coverage(psi, order, sc, xi)
+    power = np.abs(fractional_spectrum(psi, order, sc.vectors.ravel()[:, None] * xi[None, :])) ** 2
+    want = np.tensordot(sc.log_measure_weights(), power, axes=1)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_non_uniform_coverage_takes_the_direct_route():
+    order = _as_order(ALPHA)
+    sc = log_scale_grid(0.5, 2.0, 4, signs="both")
+    xi = np.array([0.05, 3.0, 8.0])
+    power = np.abs(fractional_spectrum(MEX, order, sc.vectors.ravel()[:, None] * xi[None, :])) ** 2
+    want = np.tensordot(sc.log_measure_weights(), power, axes=1)
+    assert np.array_equal(truncated_coverage(MEX, order, sc, xi), want)
+
+
+def test_tap_spectra_are_cached_read_only(grid, scales_wide, gabor):
+    first = cfrwt_fast(gabor, DOG3, ALPHA, scales_wide).values
+    before = cfrwt_module._tap_spectrum.cache_info()
+    again = cfrwt_fast(gabor, DOG3, ALPHA, scales_wide).values
+    after = cfrwt_module._tap_spectrum.cache_info()
+    assert np.array_equal(first, again)
+    assert after.misses == before.misses and after.hits > before.hits
+    a_col = scales_wide.vectors[:, 0].tobytes()
+    taps = cfrwt_module._tap_spectrum(DOG3, True, grid.axes[0].step, grid.axes[0].count, a_col, None)
+    assert not taps.flags.writeable
+    assert after.currsize <= after.maxsize
 
 
 def test_inner_product_relation_two_wavelets(grid, scales_wide, gabor):

@@ -1,6 +1,7 @@
 """File format round trips and command front-end behavior."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -79,6 +80,57 @@ def test_truncated_payload_rejected(tmp_path, gaussian_256):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(SignalFileError, match="f.sig"):
         read_signal(path)
+
+
+def _header_bytes(ndim, axes):
+    import struct
+
+    head = struct.pack("<4sHB", b"FRWT", 1, ndim)
+    return head + b"".join(struct.pack("<ddI", *ax) for ax in axes)
+
+
+def _payload(count, value=0.5):
+    return np.full(2 * count, value, dtype="<f8").tobytes()
+
+
+@pytest.mark.parametrize(
+    "raw,fragment",
+    [
+        (_header_bytes(4, [(-1.0, 0.5, 4)] * 4) + _payload(256), "dimension 4"),
+        (_header_bytes(1, [(-1.0, 0.5, 1)]) + _payload(1), "invalid axis"),
+        (_header_bytes(1, [(-1.0, 0.5, 4)]) + _payload(4, np.nan), "non-finite"),
+        (_header_bytes(1, [(-1.0, np.inf, 4)]) + _payload(4), "invalid axis"),
+        (_header_bytes(1, [(1e200, 0.5, 4)]) + _payload(4), "invalid axis"),
+        # 2^93 samples: a wrapping int64 product would expect 0 payload bytes
+        (_header_bytes(3, [(0.0, 1.0, 2**31)] * 3), "expected 158456325028528675187087900672"),
+    ],
+    ids=["dimension-4", "axis-count-1", "nan-payload", "infinite-step", "squared-overflow", "size-wrap"],
+)
+def test_malformed_signal_file_exits_2(tmp_path, capsys, raw, fragment):
+    path = tmp_path / "bad.sig"
+    path.write_bytes(raw)
+    with pytest.raises(SignalFileError, match=fragment):
+        read_signal(path)
+    rc = main(["cfrwt", str(path), "--output", str(tmp_path / "w.coef")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("parse error:")
+
+
+def test_coefficient_file_at_delta_order_is_malformed(tmp_path, grid_256):
+    import struct
+
+    scales = log_scale_grid(0.25, 4.0, 2, signs="both")
+    coeffs = cfrwt_fast(_modulated(grid_256), get_wavelet("mexican_hat"), 0.9, scales)
+    path = tmp_path / "w.coef"
+    write_coefficients(path, coeffs)
+    raw = bytearray(path.read_bytes())
+    offset = 7 + 20  # header, one axis block, then the order
+    assert struct.unpack_from("<d", raw, offset)[0] == 0.9
+    for alpha in (0.0, math.pi, math.nan):
+        struct.pack_into("<d", raw, offset, alpha)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(SignalFileError, match="cannot carry coefficients"):
+            read_coefficients(path)
 
 
 def test_csv_agrees_with_binary(tmp_path, grid_256):
@@ -332,15 +384,28 @@ def test_cli_verify_unknown_suite_exits_5(capsys):
     assert "parseval" in err and "morrey" in err
 
 
-def test_cli_verify_suite_error_is_not_unknown_suite(monkeypatch):
+def test_cli_verify_suite_error_is_not_unknown_suite(monkeypatch, capsys):
     from frwt import verify
 
     def broken(cfg):
-        raise ValueError("fixture out of range")
+        raise ValueError("fixture out of range\nsecond line")
 
     monkeypatch.setitem(verify._SUITES, "parseval", broken)
-    with pytest.raises(ValueError, match="fixture out of range"):
-        main(["verify", "parseval"])
+    rc = main(["verify", "parseval"])
+    assert rc == 6
+    err = capsys.readouterr().err
+    assert err == "suite error: parseval: ValueError: fixture out of range second line\n"
+
+
+def test_cli_verify_suite_package_error_keeps_its_code(monkeypatch, capsys):
+    from frwt import verify
+    from frwt.errors import InadmissibleWavelet
+
+    def inadmissible(cfg):
+        raise InadmissibleWavelet("diverges")
+
+    monkeypatch.setitem(verify._SUITES, "parseval", inadmissible)
+    assert main(["verify", "parseval"]) == 4
 
 
 def test_cli_module_entry_point(tmp_path, grid_256):
@@ -366,3 +431,9 @@ def test_cli_module_entry_point(tmp_path, grid_256):
     assert proc.returncode == 0, proc.stderr
     assert "parseval residual" in proc.stdout
     assert out.exists()
+
+
+def test_import_does_not_load_scipy_signal():
+    # scipy.signal costs about a second of cold start; nothing needs it
+    code = "import sys, frwt.cli; sys.exit('scipy.signal' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
