@@ -86,7 +86,6 @@ from .io import (
     read_coefficients,
     read_csv,
     read_signal,
-    resolve_threads,
     write_coefficients,
     write_csv,
     write_signal,

@@ -19,8 +19,12 @@ spectrum sits near 3 v and the sum matches the 8192-point grid to
 rounding.  The constant is integrated on a log-spaced frequency grid
 whose lower cutoff is halved several times; the sequence of truncated
 values decides between a finite constant and a divergence at the origin.
-Reports are memoized per (phi, psi, order, scan, ndim); see
-admissibility_cache_info.
+Both signs of u enter the integral.  For a real profile the Fourier sum
+at -v is the conjugate of the sum at v and the chirp factor is even in
+u, so the scan evaluates such a profile on the positive side only and
+takes the negative side from it; a complex profile (morlet) is
+evaluated on both sides.  Reports are memoized per (phi, psi, order,
+scan, ndim); see admissibility_cache_info.
 
 Everything here is one dimensional; for separable wavelets in n
 dimensions the constant is the n-th power of the per-axis value.
@@ -166,6 +170,19 @@ def _side_grid(scan: FrequencyScan) -> tuple[np.ndarray, list[int]]:
     return us, indices
 
 
+def _both_sides(psi: WaveletSpec, order: TransformOrder, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra of psi at +us and -us, one fractional_spectrum call for a real profile.
+
+    With Psi(u) = p(u) S(u csc), p = c(alpha) exp(i/2 u^2 cot) even in u
+    and S(-v) = conj(S(v)) for a real profile, Psi(-u) = conj(Psi(u)) p / conj(p).
+    """
+    pos = fractional_spectrum(psi, order, us)
+    if np.iscomplexobj(psi.profile(us[:1])):
+        return pos, fractional_spectrum(psi, order, -us)
+    phase = c_alpha(order, 1) * np.exp(0.5j * order.cot * us**2)
+    return pos, np.conj(pos) * (phase / np.conj(phase))
+
+
 def _scan(
     phi: WaveletSpec,
     psi: WaveletSpec,
@@ -175,13 +192,11 @@ def _scan(
     """Signed and moduli integrals over each truncated range, both signs of u."""
     us, cut_idx = _side_grid(scan)
     log_u = np.log(us)
-    spec_psi_pos = fractional_spectrum(psi, order, us)
-    spec_psi_neg = fractional_spectrum(psi, order, -us)
+    spec_psi_pos, spec_psi_neg = _both_sides(psi, order, us)
     if phi is psi:
         spec_phi_pos, spec_phi_neg = spec_psi_pos, spec_psi_neg
     else:
-        spec_phi_pos = fractional_spectrum(phi, order, us)
-        spec_phi_neg = fractional_spectrum(phi, order, -us)
+        spec_phi_pos, spec_phi_neg = _both_sides(phi, order, us)
     # du/|u| turns into d(log|u|) on each side
     signed = np.conj(spec_phi_pos) * spec_psi_pos + np.conj(spec_phi_neg) * spec_psi_neg
     moduli = np.abs(spec_phi_pos) * np.abs(spec_psi_pos) + np.abs(spec_phi_neg) * np.abs(spec_psi_neg)

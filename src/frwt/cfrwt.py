@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from .admissibility import (
     AdmissibilityReport,
@@ -31,7 +30,7 @@ from .admissibility import (
     fractional_spectrum,
 )
 from .errors import DomainMismatch, GridMismatch, InadmissibleWavelet, ZeroCrossAdmissibility
-from .frft import TransformOrder, _as_order, c_alpha, frft_fast
+from .frft import TransformOrder, _as_order, _next_fast_len, c_alpha, frft_fast
 from .grid import Grid, SampledSignal, grids_close, inner_product, l2_norm
 from .report import VerificationReport
 from .scales import ScaleGrid
@@ -166,7 +165,7 @@ def cfrwt_direct(
     return CfrwtCoefficients(out, b_grid, scales, order, psi.name)
 
 
-def _lag_correlate(values: np.ndarray, tap_fft: np.ndarray, axis: int, workers: int | None) -> np.ndarray:
+def _lag_correlate(values: np.ndarray, tap_fft: np.ndarray, axis: int) -> np.ndarray:
     """Lag sums out[s, .., k, ..] = sum_j values[s, .., j, ..] taps[s, k - j + n - 1]
     along grid axis `axis` of a scale-batched array.
 
@@ -179,15 +178,16 @@ def _lag_correlate(values: np.ndarray, tap_fft: np.ndarray, axis: int, workers: 
     n = values.shape[axis]
     shape = [1] * values.ndim
     shape[0], shape[axis] = tap_fft.shape
-    spec = sfft.fft(values, n=tap_fft.shape[1], axis=axis, workers=workers) * tap_fft.reshape(shape)
-    full = sfft.ifft(spec, axis=axis, workers=workers, overwrite_x=True)
+    spec = np.fft.fft(values, n=tap_fft.shape[1], axis=axis) * tap_fft.reshape(shape)
+    # in place: a fresh output per call would page-fault its whole size
+    full = np.fft.ifft(spec, axis=axis, out=spec)
     sl = [slice(None)] * values.ndim
     sl[axis] = slice(n - 1, 2 * n - 1)
     return full[tuple(sl)]
 
 
 @functools.lru_cache(maxsize=_TAP_CACHE_SIZE)
-def _tap_spectrum(psi: WaveletSpec, analysis: bool, step: float, n: int, a_col: bytes, workers: int | None) -> np.ndarray:
+def _tap_spectrum(psi: WaveletSpec, analysis: bool, step: float, n: int, a_col: bytes) -> np.ndarray:
     """Read-only FFT of one axis's lag taps, one row per scale component.
 
     Taps are psi(x) for synthesis and conj(psi(-x)) for analysis, at
@@ -199,26 +199,24 @@ def _tap_spectrum(psi: WaveletSpec, analysis: bool, step: float, n: int, a_col: 
     x = lags[None, :] / np.frombuffer(a_col)[:, None]
     # sum_j chi_j conj(psi((j - k) dt / a)) is a lag sum against conj(psi(-x))
     taps = np.conj(psi.profile(-x)) if analysis else psi.profile(x)
-    out = sfft.fft(taps, n=sfft.next_fast_len(2 * n - 1), axis=1, workers=workers)
+    out = np.fft.fft(taps, n=_next_fast_len(2 * n - 1), axis=1)
     out.flags.writeable = False
     return out
 
 
 def _scale_chunks(grid: Grid, count: int) -> list[slice]:
     # the largest padded intermediate of one scale vector, in complex128 bytes
-    per_scale = 16 * max(grid.size // ax.count * sfft.next_fast_len(2 * ax.count - 1) for ax in grid.axes)
+    per_scale = 16 * max(grid.size // ax.count * _next_fast_len(2 * ax.count - 1) for ax in grid.axes)
     step = max(1, _CHUNK_BYTES // per_scale)
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
-def _scale_correlate(
-    values: np.ndarray, grid: Grid, a_block: np.ndarray, psi: WaveletSpec, analysis: bool, workers: int | None
-) -> np.ndarray:
+def _scale_correlate(values: np.ndarray, grid: Grid, a_block: np.ndarray, psi: WaveletSpec, analysis: bool) -> np.ndarray:
     """Lag sums against the taps of psi along every grid axis, one output
     slice per scale vector (row) of a_block."""
     for ax, (axis_spec, a_col) in enumerate(zip(grid.axes, a_block.T)):
-        tap_fft = _tap_spectrum(psi, analysis, axis_spec.step, axis_spec.count, a_col.tobytes(), workers)
-        values = _lag_correlate(values, tap_fft, ax, workers)
+        tap_fft = _tap_spectrum(psi, analysis, axis_spec.step, axis_spec.count, a_col.tobytes())
+        values = _lag_correlate(values, tap_fft, ax)
     return values
 
 
@@ -231,13 +229,11 @@ def cfrwt_fast(
     psi: WaveletSpec,
     order: TransformOrder | float,
     scales: ScaleGrid,
-    threads: int | None = None,
 ) -> CfrwtCoefficients:
     """Coefficients over the signal's own grid via FFT correlations.
 
     Realizes exactly the same discrete sums as cfrwt_direct with
     b_grid = f.grid, at O(N log N) per scale, for any sample counts.
-    threads is the FFT worker count.
     """
     order = _as_order(order)
     _require_generic_grid(f, scales)
@@ -246,7 +242,7 @@ def cfrwt_fast(
     norms = _scale_norms(scales.vectors).reshape(expand)
     out = np.empty((scales.count,) + f.grid.shape, dtype=np.complex128)
     for chunk in _scale_chunks(f.grid, scales.count):
-        out[chunk] = _scale_correlate(chi, f.grid, scales.vectors[chunk], psi, True, threads) / norms[chunk]
+        out[chunk] = _scale_correlate(chi, f.grid, scales.vectors[chunk], psi, True) / norms[chunk]
     out *= _shift_phase(f.grid, order)
     return CfrwtCoefficients(out, f.grid, scales, order, psi.name)
 
@@ -302,7 +298,7 @@ def _spectrum_power_chirp_z(
     dt = t[1] - t[0]
     j = np.arange(n) - (n - 1) / 2
     xi_c = (xi[0] + xi[-1]) / 2
-    size = sfft.next_fast_len(n + m - 1)
+    size = _next_fast_len(n + m - 1)
     # lags k - j over one FFT period; k' - j' = lag - (kc - jc)
     lags = np.arange(size)
     lags = np.where(lags < m, lags, lags - size) - ((m - 1) - (n - 1)) / 2
@@ -313,8 +309,8 @@ def _spectrum_power_chirp_z(
         theta = s * step * dt
         z = x * np.exp(-1j * (s * xi_c * dt * j + 0.5 * theta * j**2))
         h = np.exp(0.5j * theta * lags**2)
-        spec = sfft.fft(z, n=size, axis=1) * sfft.fft(h, axis=1)
-        out[lo : lo + rows] = np.abs(sfft.ifft(spec, axis=1, overwrite_x=True)[:, :m]) ** 2
+        spec = np.fft.fft(z, n=size, axis=1) * np.fft.fft(h, axis=1)
+        out[lo : lo + rows] = np.abs(np.fft.ifft(spec, axis=1, out=spec)[:, :m]) ** 2
     return out * abs(c_alpha(order, 1)) ** 2
 
 
@@ -397,7 +393,6 @@ def inner_product_relation_check(
     scales: ScaleGrid,
     scan: FrequencyScan | None = None,
     tolerance: float = 0.07,
-    threads: int | None = None,
 ) -> VerificationReport:
     """Two-wavelet coefficient pairing against the signal inner product.
 
@@ -408,8 +403,8 @@ def inner_product_relation_check(
     if not grids_close(f.grid, g.grid):
         raise GridMismatch("signals live on different grids")
     cross = _admissibility_for(psi, order, f.ndim, scan, phi=phi)
-    wf = cfrwt_fast(f, phi, order, scales, threads=threads)
-    wg = cfrwt_fast(g, psi, order, scales, threads=threads)
+    wf = cfrwt_fast(f, phi, order, scales)
+    wg = cfrwt_fast(g, psi, order, scales)
     pairing = wf.measure_weights() * wf.values * np.conj(wg.values)
     lhs = complex(math.fsum(pairing.real.ravel()), math.fsum(pairing.imag.ravel()))
     mod = abs(c_alpha(order, f.ndim)) ** 2
@@ -432,14 +427,12 @@ def reconstruct(
     psi_used: WaveletSpec,
     scan: FrequencyScan | None = None,
     cross_value: complex | None = None,
-    threads: int | None = None,
 ) -> SampledSignal:
     """Resynthesize a signal from its coefficients.
 
     phi is the synthesizing wavelet; psi_used must be the wavelet the
     coefficients were taken with.  The two-wavelet normalizer is their
     cross admissibility constant; it must be bounded away from zero.
-    threads is the FFT worker count.
     """
     order = coeffs.order
     ndim = coeffs.b_grid.ndim
@@ -462,8 +455,8 @@ def reconstruct(
     factors = (coeffs.scales.measure_weights() / _scale_norms(vectors)).reshape((-1,) + (1,) * ndim)
     out = np.zeros(grid.shape, dtype=np.complex128)
     for chunk in _scale_chunks(grid, coeffs.scales.count):
-        block = _scale_correlate(coeffs.values[chunk] * w_b * b_phase, grid, vectors[chunk], phi, False, threads)
-        # scale-index order, so the sum depends on neither threads nor chunking
+        block = _scale_correlate(coeffs.values[chunk] * w_b * b_phase, grid, vectors[chunk], phi, False)
+        # scale-index order, so the sum does not depend on the chunking
         for piece in factors[chunk] * block:
             out += piece
     mod = abs(c_alpha(order, ndim)) ** 2
@@ -508,7 +501,6 @@ def kernel_projection(
     psi: WaveletSpec,
     p0: tuple[tuple[float, ...], tuple[float, ...]],
     scan: FrequencyScan | None = None,
-    threads: int | None = None,
     cross_value: complex | None = None,
 ) -> complex:
     """Apply the reproducing-kernel integral to a coefficient array at p0.
@@ -527,7 +519,7 @@ def kernel_projection(
     daughter0 = make_daughter(psi, DaughterParams(tuple(a0), tuple(b0), order), array.b_grid, tail_tol=None)
     # <phi_{a,b}, psi_{a0,b0}> over all (b, a) is one coefficient pass
     # of the p0 daughter treated as a signal
-    inner = np.conj(cfrwt_fast(daughter0, phi, order, array.scales, threads=threads).values)
+    inner = np.conj(cfrwt_fast(daughter0, phi, order, array.scales).values)
     mod = abs(c_alpha(order, ndim)) ** 2
     kernel_vals = mod / cross_value * inner
     total = array.measure_weights() * array.values * kernel_vals
@@ -539,7 +531,6 @@ def range_membership_residual(
     phi: WaveletSpec,
     psi: WaveletSpec,
     scan: FrequencyScan | None = None,
-    threads: int | None = None,
     cross_value: complex | None = None,
 ) -> float:
     """Relative defect of the reproducing-kernel projection on an array.
@@ -550,8 +541,8 @@ def range_membership_residual(
     arrays lose everything outside the transform's range, leaving a large
     residual under the measure norm.
     """
-    resynth = reconstruct(array, phi, psi, scan=scan, cross_value=cross_value, threads=threads)
-    projected = cfrwt_fast(resynth, psi, array.order, array.scales, threads=threads)
+    resynth = reconstruct(array, phi, psi, scan=scan, cross_value=cross_value)
+    projected = cfrwt_fast(resynth, psi, array.order, array.scales)
     defect = CfrwtCoefficients(
         projected.values - array.values, array.b_grid, array.scales, array.order, array.wavelet
     )

@@ -23,7 +23,6 @@ from .io import (
     read_coefficients,
     read_csv,
     read_signal,
-    resolve_threads,
     write_coefficients,
     write_csv,
     write_signal,
@@ -82,7 +81,7 @@ def cmd_cfrwt(args) -> int:
     scales = log_scale_grid(
         cfg.a_min, cfg.a_max, cfg.a_count, ndim=signal.ndim, signs="both"
     )
-    coeffs = cfrwt_fast(signal, psi, cfg.alpha, scales, threads=resolve_threads(cfg))
+    coeffs = cfrwt_fast(signal, psi, cfg.alpha, scales)
     write_coefficients(args.output, coeffs)
     print(f"wrote {scales.count} x {signal.values.size} coefficients at order {cfg.alpha}")
     return EXIT_OK
@@ -93,9 +92,7 @@ def cmd_synth(args) -> int:
     cfg = parse_run_config(args.config)
     synthesis = get_wavelet(cfg.wavelet)
     analysis = get_wavelet(coeffs.wavelet)
-    recon = reconstruct(
-        coeffs, synthesis, analysis, scan=_scan_for(cfg), threads=resolve_threads(cfg)
-    )
+    recon = reconstruct(coeffs, synthesis, analysis, scan=_scan_for(cfg))
     _save_signal(args.output, recon)
     if args.reference is not None:
         ref = _load_signal(args.reference)

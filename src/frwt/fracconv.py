@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import fft as sfft
 
 from .errors import StepMismatch
-from .frft import TransformOrder, _as_order, _direct_apply, c_alpha, frft_fast
+from .frft import TransformOrder, _as_order, _direct_apply, _next_fast_len, c_alpha, frft_fast
 from .grid import Grid, SampledSignal, grids_close
 from .report import VerificationReport
 
@@ -82,8 +81,10 @@ def frac_convolve(
     u = f.values * chirp * f.grid.weights()
     # full linear convolution: FFTs at fast lengths of at least n + m - 1
     full_shape = [n + m - 1 for n, m in zip(f.grid.shape, g.grid.shape)]
-    fast = [sfft.next_fast_len(k) for k in full_shape]
-    full = sfft.ifftn(sfft.fftn(u, fast) * sfft.fftn(g.values, fast))
+    fast = [_next_fast_len(k) for k in full_shape]
+    axes = tuple(range(f.ndim))
+    spec = np.fft.fftn(u, fast, axes=axes) * np.fft.fftn(g.values, fast, axes=axes)
+    full = np.fft.ifftn(spec, axes=axes, out=spec)
     full = full[tuple(slice(0, k) for k in full_shape)]
 
     # result index j maps to full-convolution index j - l0 per axis

@@ -22,6 +22,7 @@ Two evaluation routes are provided and kept deliberately independent:
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -284,6 +285,32 @@ def frft_fast(
     elif not grids_close(plan.input_grid, f.grid) or plan.order != order:
         raise DomainMismatch("plan was built for a different grid or order")
     return SampledSignal(plan.output_grid, _apply_plan(f.values, plan))
+
+
+@functools.lru_cache(maxsize=64)
+def _next_fast_len(n: int) -> int:
+    """Smallest 11-smooth integer >= n, a padded length that numpy.fft
+    splits into its fast radix passes (scipy.fft.next_fast_len's rule).
+
+    Memoized, since the fast routes ask for the same few lengths on every
+    call and the search costs tens of microseconds.
+    """
+    best = 1 << max(0, n - 1).bit_length()
+    p11 = 1
+    while p11 < best:
+        p7 = p11
+        while p7 < best:
+            p5 = p7
+            while p5 < best:
+                p3 = p5
+                while p3 < best:
+                    # times the smallest power of two that reaches n
+                    best = min(best, p3 << (-(-n // p3) - 1).bit_length())
+                    p3 *= 3
+                p5 *= 5
+            p7 *= 7
+        p11 *= 11
+    return best
 
 
 def _apply_plan(values: np.ndarray, plan: FrftPlan) -> np.ndarray:

@@ -36,7 +36,6 @@ __all__ = [
     "read_coefficients",
     "write_coefficients",
     "parse_run_config",
-    "resolve_threads",
 ]
 
 MAGIC = b"FRWT"
@@ -47,11 +46,21 @@ _HEAD = struct.Struct("<4sHB")
 _AXIS = struct.Struct("<ddI")
 
 
-def _interleave(values: np.ndarray) -> bytes:
+def _finite_energy(flat: np.ndarray) -> bool:
+    """Every re/im part finite, and their sum of squares too: the energy
+    identities need a representable energy.  Writers and readers share it,
+    so no file is written that its reader refuses."""
+    with np.errstate(over="ignore"):
+        return math.isfinite(flat @ flat)
+
+
+def _interleave(values: np.ndarray, where: str) -> bytes:
     flat = np.ascontiguousarray(values, dtype=np.complex128).ravel()
     out = np.empty(2 * flat.size, dtype="<f8")
     out[0::2] = flat.real
     out[1::2] = flat.imag
+    if not _finite_energy(out):
+        raise SignalFileError(f"{where}: not written, the payload holds non-finite samples or an overflowing energy")
     return out.tobytes()
 
 
@@ -61,10 +70,8 @@ def _deinterleave(raw: bytes, count: int, where: str) -> np.ndarray:
             f"{where}: payload holds {len(raw)} bytes, expected {16 * count}"
         )
     flat = np.frombuffer(raw, dtype="<f8")
-    # squares too: the energy identities need a representable energy
-    with np.errstate(over="ignore"):
-        if not math.isfinite(flat @ flat):
-            raise SignalFileError(f"{where}: payload holds non-finite samples or an overflowing energy")
+    if not _finite_energy(flat):
+        raise SignalFileError(f"{where}: payload holds non-finite samples or an overflowing energy")
     return (flat[0::2] + 1j * flat[1::2]).astype(np.complex128)
 
 
@@ -93,10 +100,11 @@ def _check_ndim(ndim: int, where: str) -> None:
 
 
 def write_signal(path: str | os.PathLike, signal: SampledSignal) -> None:
+    payload = _interleave(signal.values, os.fspath(path))
     with open(path, "wb") as fh:
         fh.write(_HEAD.pack(MAGIC, FORMAT_VERSION, signal.ndim))
         fh.write(_pack_axes(signal.grid))
-        fh.write(_interleave(signal.values))
+        fh.write(payload)
 
 
 def read_signal(path: str | os.PathLike) -> SampledSignal:
@@ -180,6 +188,7 @@ def write_coefficients(path: str | os.PathLike, coeffs: CfrwtCoefficients) -> No
     scales = coeffs.scales
     name = coeffs.wavelet.encode()
     signs = scales.signs.encode()
+    payload = _interleave(coeffs.values, os.fspath(path))
     with open(path, "wb") as fh:
         fh.write(_HEAD.pack(COEFF_MAGIC, FORMAT_VERSION, coeffs.b_grid.ndim))
         fh.write(_pack_axes(coeffs.b_grid))
@@ -190,7 +199,7 @@ def write_coefficients(path: str | os.PathLike, coeffs: CfrwtCoefficients) -> No
         fh.write(struct.pack("<B", len(signs)) + signs)
         fh.write(np.ascontiguousarray(scales.vectors, dtype="<f8").tobytes())
         fh.write(np.asarray(scales.measure_weights(), dtype="<f8").tobytes())
-        fh.write(_interleave(coeffs.values))
+        fh.write(payload)
 
 
 def read_coefficients(path: str | os.PathLike) -> CfrwtCoefficients:
@@ -274,11 +283,9 @@ class RunConfig:
     u_max: float = 32.0
     nu: float = 0.5
     tolerance: float | None = None
-    threads: int | None = None
 
 
 _FLOAT_KEYS = {"alpha", "beta", "a_min", "a_max", "u_min", "u_max", "nu", "tolerance"}
-_INT_KEYS = {"a_count", "threads"}
 
 
 def parse_run_config(path: str | os.PathLike | None) -> RunConfig:
@@ -300,8 +307,13 @@ def parse_run_config(path: str | os.PathLike | None) -> RunConfig:
             try:
                 if key in _FLOAT_KEYS:
                     overrides[key] = float(raw)
-                elif key in _INT_KEYS:
+                elif key == "a_count":
                     overrides[key] = int(raw)
+                elif key == "threads":
+                    # the FFTs run on one thread; the key stays valid so
+                    # that existing config files keep working
+                    if int(raw) < 1:
+                        raise SignalFileError(f"{where}:{lineno}: threads must be at least 1")
                 elif key == "wavelet":
                     overrides[key] = raw
                 else:
@@ -326,19 +338,3 @@ def _validate_config(cfg: RunConfig, where: str) -> None:
         raise SignalFileError(f"{where}: nu must be nonnegative")
     if cfg.tolerance is not None and cfg.tolerance <= 0.0:
         raise SignalFileError(f"{where}: tolerance must be positive")
-    if cfg.threads is not None and cfg.threads < 1:
-        raise SignalFileError(f"{where}: threads must be at least 1")
-
-
-def resolve_threads(cfg: RunConfig) -> int | None:
-    """Environment override first, then the config value."""
-    env = os.environ.get("FRWT_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise SignalFileError(f"FRWT_THREADS must be an integer, got {env!r}") from exc
-        if n < 1:
-            raise SignalFileError("FRWT_THREADS must be at least 1")
-        return n
-    return cfg.threads

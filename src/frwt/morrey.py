@@ -126,7 +126,6 @@ def _slice(
     psi: WaveletSpec,
     a: tuple[float, ...] | float,
     order: TransformOrder | float,
-    threads: int | None,
 ) -> SampledSignal:
     vec = np.atleast_1d(np.asarray(a, dtype=float))
     if vec.shape != (f.ndim,):
@@ -139,7 +138,7 @@ def _slice(
         a_max=float(mags.max()),
         signs="fixed",
     )
-    coeffs = cfrwt_fast(f, psi, order, grid, threads=threads)
+    coeffs = cfrwt_fast(f, psi, order, grid)
     return SampledSignal(coeffs.b_grid, coeffs.values[0])
 
 
@@ -167,7 +166,6 @@ def morrey_bound_check(
     order: TransformOrder | float,
     cfg: MorreyConfig,
     f_morrey: float | None = None,
-    threads: int | None = None,
 ) -> VerificationReport:
     """Scale-slice Morrey bound, its L1 companion, and the growth sweep.
 
@@ -178,7 +176,7 @@ def morrey_bound_check(
     """
     n = f.ndim
     mag = _magnitude(a, n)
-    slice_a = _slice(f, psi, a, order, threads)
+    slice_a = _slice(f, psi, a, order)
     lhs = morrey_norm(slice_a, cfg).value
     fm = f_morrey if f_morrey is not None else morrey_norm(f, cfg).value
     psi_l1 = wavelet_l1_norm(psi) ** n
@@ -189,7 +187,7 @@ def morrey_bound_check(
 
     sweep = []
     for s in _GROWTH_SWEEP:
-        sweep.append(morrey_norm(_slice(f, psi, (s,) * n, order, threads), cfg).value)
+        sweep.append(morrey_norm(_slice(f, psi, (s,) * n, order), cfg).value)
     if min(sweep) > 0.0:
         exponent = float(np.polyfit(np.log(_GROWTH_SWEEP), np.log(sweep), 1)[0])
         growth_ok = exponent <= _GROWTH_CAP * n
@@ -239,7 +237,6 @@ def morrey_distance_checks(
     cfg: MorreyConfig,
     f_morrey: float | None = None,
     diff_morrey: float | None = None,
-    threads: int | None = None,
 ) -> VerificationReport:
     """Perturbation bounds on a coefficient slice, all three at once.
 
@@ -255,9 +252,9 @@ def morrey_distance_checks(
     mag = _magnitude(a, n)
     root = math.sqrt(mag)
 
-    w_f_phi = _slice(f, phi, a, order, threads)
-    w_f_psi = _slice(f, psi, a, order, threads)
-    w_g_psi = _slice(g, psi, a, order, threads)
+    w_f_phi = _slice(f, phi, a, order)
+    w_f_psi = _slice(f, psi, a, order)
+    w_g_psi = _slice(g, psi, a, order)
 
     def norm_of_difference(u: SampledSignal, v: SampledSignal) -> float:
         return morrey_norm(SampledSignal(u.grid, u.values - v.values), cfg).value

@@ -212,7 +212,6 @@ def heisenberg_cfrwt(
     scales: ScaleGrid,
     scan: FrequencyScan | None = None,
     slack: float = 0.05,
-    threads: int | None = None,
 ) -> UncertaintyReport:
     """Uncertainty product for the coefficient field against its floor.
 
@@ -224,7 +223,7 @@ def heisenberg_cfrwt(
     s = _angle_gap(alpha, beta)
     n = f.ndim
     adm = _gate_admissible(psi, alpha, n, scan)
-    coeffs = cfrwt_fast(f, psi, alpha, scales, threads=threads)
+    coeffs = cfrwt_fast(f, psi, alpha, scales)
 
     moment_beta = _scale_moment_sum(coeffs, beta, 1.0)
     spec_alpha = frft_fast(f, alpha)
@@ -256,7 +255,6 @@ def lemma_moment_identity_check(
     scales: ScaleGrid,
     scan: FrequencyScan | None = None,
     tolerance: float = 0.05,
-    threads: int | None = None,
 ) -> VerificationReport:
     """Second-moment identity between coefficient field and signal spectrum.
 
@@ -267,7 +265,7 @@ def lemma_moment_identity_check(
     """
     n = f.ndim
     adm = _gate_admissible(psi, alpha, n, scan)
-    coeffs = cfrwt_fast(f, psi, alpha, scales, threads=threads)
+    coeffs = cfrwt_fast(f, psi, alpha, scales)
     lhs = _scale_moment_sum(coeffs, alpha, 1.0)
     mod = abs(c_alpha(TransformOrder(alpha), n)) ** 2
     rhs = (adm.value.real / mod) * dispersion(frft_fast(f, alpha), 1.0)
@@ -292,7 +290,6 @@ def restricted_energy_identity_check(
     radius: float,
     scan: FrequencyScan | None = None,
     tolerance: float = 0.05,
-    threads: int | None = None,
 ) -> VerificationReport:
     """Ball-restricted energy identity between the two alpha-spectra.
 
@@ -304,7 +301,7 @@ def restricted_energy_identity_check(
         raise ValueError("ball radius must be positive")
     n = f.ndim
     adm = _gate_admissible(psi, alpha, n, scan)
-    coeffs = cfrwt_fast(f, psi, alpha, scales, threads=threads)
+    coeffs = cfrwt_fast(f, psi, alpha, scales)
     spec = frft_fast(f, alpha)
     axes = spec.grid.meshgrid()
     d2 = sum((ax - c) ** 2 for ax, c in zip(axes, center))

@@ -22,7 +22,7 @@ from .cfrwt import (
 from .fracconv import spectral_identity_check
 from .frft import frft_direct, frft_fast, frft_inverse
 from .grid import Grid, SampledSignal, axis_centered, l2_norm, sample
-from .io import RunConfig, resolve_threads
+from .io import RunConfig
 from .morrey import (
     MorreyConfig,
     default_morrey_config,
@@ -202,15 +202,14 @@ def _suite_plancherel(cfg: RunConfig) -> list[VerificationReport]:
 
     grid = _grid_256()
     f = _gabor(grid)
-    threads = resolve_threads(cfg)
     scales = log_scale_grid(cfg.a_min, cfg.a_max, cfg.a_count, signs="both")
-    coeffs = cfrwt_fast(f, mex, cfg.alpha, scales, threads=threads)
+    coeffs = cfrwt_fast(f, mex, cfg.alpha, scales)
     reports.append(_meta(plancherel_check(coeffs, f, mex, scan=scan), grid))
 
     ratios = []
     for a_min, a_max, cells in [(0.25, 4.0, 32), (0.125, 8.0, 48), (cfg.a_min, cfg.a_max, cfg.a_count)]:
         sg = log_scale_grid(a_min, a_max, cells, signs="both")
-        cc = cfrwt_fast(f, mex, cfg.alpha, sg, threads=threads)
+        cc = cfrwt_fast(f, mex, cfg.alpha, sg)
         ratios.append(plancherel_check(cc, f, mex, scan=scan).ratio)
     monotone = ratios[0] < ratios[1] < ratios[2] <= 1.05 and ratios[2] >= 0.95
     reports.append(
@@ -231,14 +230,13 @@ def _suite_reconstruction(cfg: RunConfig) -> list[VerificationReport]:
     grid = _grid_256()
     mex = get_wavelet("mexican_hat")
     dog4 = get_wavelet("dog4")
-    threads = resolve_threads(cfg)
     scan = FrequencyScan(u_min=cfg.u_min, u_max=cfg.u_max)
     f = sample(grid, lambda t: np.exp(-(t**2) / (2 * 0.5**2)) * np.exp(5.0j * t))
     scales = log_scale_grid(cfg.a_min, cfg.a_max, cfg.a_count, signs="both")
-    coeffs = cfrwt_fast(f, mex, cfg.alpha, scales, threads=threads)
+    coeffs = cfrwt_fast(f, mex, cfg.alpha, scales)
     reports = []
     for label, synth, bound in [("single_wavelet", mex, 0.05), ("two_wavelet", dog4, 0.08)]:
-        recon = reconstruct(coeffs, synth, mex, scan=scan, threads=threads)
+        recon = reconstruct(coeffs, synth, mex, scan=scan)
         err = l2_norm(SampledSignal(grid, recon.values - f.values)) / l2_norm(f)
         reports.append(
             _check(f"reconstruction_{label}", err, bound, bound, err <= bound, {"synthesis": synth.name}, grid)
@@ -249,7 +247,6 @@ def _suite_reconstruction(cfg: RunConfig) -> list[VerificationReport]:
 def _suite_kernel(cfg: RunConfig) -> list[VerificationReport]:
     grid = _grid_256()
     mex = get_wavelet("mexican_hat")
-    threads = resolve_threads(cfg)
     scan = FrequencyScan(u_min=cfg.u_min, u_max=cfg.u_max)
     scales = log_scale_grid(cfg.a_min, cfg.a_max, cfg.a_count, signs="both")
 
@@ -261,8 +258,8 @@ def _suite_kernel(cfg: RunConfig) -> list[VerificationReport]:
         w0 = rng.uniform(3.5, 5.0)
         s0 = rng.uniform(0.35, 0.55)
         f = sample(grid, lambda t: np.exp(-((t - c) ** 2) / (2 * s0**2)) * np.exp(1j * w0 * t))
-        coeffs = cfrwt_fast(f, mex, cfg.alpha, scales, threads=threads)
-        res = range_membership_residual(coeffs, mex, mex, scan=scan, threads=threads)
+        coeffs = cfrwt_fast(f, mex, cfg.alpha, scales)
+        res = range_membership_residual(coeffs, mex, mex, scan=scan)
         genuine[f"trial{seed}"] = res
         worst_genuine = max(worst_genuine, res)
 
@@ -271,7 +268,6 @@ def _suite_kernel(cfg: RunConfig) -> list[VerificationReport]:
         mex,
         cfg.alpha,
         scales,
-        threads=threads,
     )
     noise = {}
     min_noise = math.inf
@@ -279,7 +275,7 @@ def _suite_kernel(cfg: RunConfig) -> list[VerificationReport]:
         rng = np.random.default_rng(seed)
         arr = rng.standard_normal(template.values.shape) + 1j * rng.standard_normal(template.values.shape)
         fake = CfrwtCoefficients(arr, template.b_grid, template.scales, template.order, template.wavelet)
-        res = range_membership_residual(fake, mex, mex, scan=scan, threads=threads)
+        res = range_membership_residual(fake, mex, mex, scan=scan)
         noise[f"trial{seed}"] = res
         min_noise = min(min_noise, res)
 
@@ -292,7 +288,6 @@ def _suite_kernel(cfg: RunConfig) -> list[VerificationReport]:
 def _suite_heisenberg(cfg: RunConfig) -> list[VerificationReport]:
     grid = _grid_256()
     mex = get_wavelet("mexican_hat")
-    threads = resolve_threads(cfg)
     reports = []
 
     gauss = sample(grid, lambda t: np.exp(-(t**2) / 2))
@@ -321,7 +316,7 @@ def _suite_heisenberg(cfg: RunConfig) -> list[VerificationReport]:
 
     scales = log_scale_grid(cfg.a_min, cfg.a_max, cfg.a_count, signs="both")
     gabor = _gabor(grid)
-    cr = heisenberg_cfrwt(gabor, mex, cfg.alpha, cfg.beta, scales, threads=threads)
+    cr = heisenberg_cfrwt(gabor, mex, cfg.alpha, cfg.beta, scales)
     reports.append(
         _check(
             "heisenberg_cfrwt_normalized",
@@ -334,11 +329,11 @@ def _suite_heisenberg(cfg: RunConfig) -> list[VerificationReport]:
         )
     )
 
-    reports.append(_meta(lemma_moment_identity_check(gabor, mex, cfg.alpha, scales, threads=threads), grid))
+    reports.append(_meta(lemma_moment_identity_check(gabor, mex, cfg.alpha, scales), grid))
     reports.append(
         _meta(
             restricted_energy_identity_check(
-                gabor, mex, cfg.alpha, scales, (2.5,), 1.5, threads=threads
+                gabor, mex, cfg.alpha, scales, (2.5,), 1.5
             ),
             grid,
         )
@@ -382,7 +377,6 @@ def _suite_local(cfg: RunConfig) -> list[VerificationReport]:
 def _suite_morrey(cfg: RunConfig) -> list[VerificationReport]:
     grid = _grid_256()
     mex = get_wavelet("mexican_hat")
-    threads = resolve_threads(cfg)
     reports = []
 
     ind = sample(grid, lambda t: np.where(np.abs(t) < 1.0, 1.0, 0.0) + 0.5 * (np.abs(t) == 1.0))
@@ -402,12 +396,12 @@ def _suite_morrey(cfg: RunConfig) -> list[VerificationReport]:
 
     scan_cfg = default_morrey_config(grid, cfg.nu)
     gauss = sample(grid, lambda t: np.exp(-(t**2) / 2))
-    reports.append(_meta(morrey_bound_check(gauss, mex, (1.0,), cfg.alpha, scan_cfg, threads=threads), grid))
+    reports.append(_meta(morrey_bound_check(gauss, mex, (1.0,), cfg.alpha, scan_cfg), grid))
 
     wide = Grid((axis_centered(0.0625, 2048),))
     wide_cfg = default_morrey_config(wide, 0.5)
     fw = sample(wide, lambda t: np.exp(-(t**2) / (2 * 24.0**2)))
-    growth = morrey_bound_check(fw, get_wavelet("gaussian"), (1.0,), HALF_PI, wide_cfg, threads=threads)
+    growth = morrey_bound_check(fw, get_wavelet("gaussian"), (1.0,), HALF_PI, wide_cfg)
     exponent = growth.details["growth_exponent"]
     reports.append(
         _check(
@@ -431,7 +425,7 @@ def _suite_morrey(cfg: RunConfig) -> list[VerificationReport]:
     )
     reports.append(
         _meta(
-            morrey_distance_checks(bump, other, mex, pert, (2.0,), cfg.alpha, scan_cfg, threads=threads),
+            morrey_distance_checks(bump, other, mex, pert, (2.0,), cfg.alpha, scan_cfg),
             grid,
         )
     )

@@ -229,6 +229,32 @@ def test_nyquist_spectrum_matches_fine_grid(name, alpha, monkeypatch):
     np.testing.assert_allclose(signed, signed_fine, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("alpha", FIVE_ORDERS)
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_one_sided_scan_matches_two_sided(name, alpha, monkeypatch):
+    """Real profiles take the negative side of the scan from the positive
+    one; the scan matches one that evaluates both sides, and only morlet
+    still calls fractional_spectrum twice."""
+    psi = get_wavelet(name)
+    order = TransformOrder(alpha)
+    calls = []
+
+    def counted(p, o, x):
+        calls.append(x.size)
+        return fractional_spectrum(p, o, x)
+
+    monkeypatch.setattr(admissibility, "fractional_spectrum", counted)
+    signed, moduli, _ = admissibility._scan(psi, psi, order, COARSE_SCAN)
+    assert len(calls) == (2 if name == "morlet" else 1)
+    monkeypatch.setattr(
+        admissibility, "_both_sides", lambda p, o, x: (fractional_spectrum(p, o, x), fractional_spectrum(p, o, -x))
+    )
+    signed_two, moduli_two, _ = admissibility._scan(psi, psi, order, COARSE_SCAN)
+    assert admissibility._verdict(moduli) == admissibility._verdict(moduli_two)
+    np.testing.assert_allclose(moduli, moduli_two, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(signed, signed_two, rtol=1e-14, atol=0)
+
+
 def test_spectral_grid_size_follows_the_nyquist_bound():
     assert admissibility._spectral_points(MEX, 0.0) == 256
     assert admissibility._spectral_points(MEX, 32.0) == 2 * math.ceil(2 * 8.0 * 32.0 / math.pi) + 1

@@ -177,18 +177,6 @@ def test_fast_matches_direct_2d_odd_shape():
     assert relative_peak_error(fast.values, direct.values) < 1e-12
 
 
-def test_threaded_fill_is_deterministic(gabor, scales_wide):
-    serial = cfrwt_fast(gabor, MEX, ALPHA, scales_wide)
-    threaded = cfrwt_fast(gabor, MEX, ALPHA, scales_wide, threads=4)
-    assert np.array_equal(serial.values, threaded.values)
-
-
-def test_threaded_reconstruct_is_deterministic(gabor_coeffs):
-    serial = reconstruct(gabor_coeffs, DOG4, MEX, cross_value=CROSS)
-    threaded = reconstruct(gabor_coeffs, DOG4, MEX, cross_value=CROSS, threads=4)
-    assert np.array_equal(serial.values, threaded.values)
-
-
 def test_results_do_not_depend_on_chunk_size(gabor, gabor_coeffs, scales_wide, monkeypatch):
     recon = reconstruct(gabor_coeffs, DOG4, MEX, cross_value=CROSS)
     # three scale vectors per chunk, the last chunk short
@@ -296,7 +284,7 @@ def test_tap_spectra_are_cached_read_only(grid, scales_wide, gabor):
     assert np.array_equal(first, again)
     assert after.misses == before.misses and after.hits > before.hits
     a_col = scales_wide.vectors[:, 0].tobytes()
-    taps = cfrwt_module._tap_spectrum(DOG3, True, grid.axes[0].step, grid.axes[0].count, a_col, None)
+    taps = cfrwt_module._tap_spectrum(DOG3, True, grid.axes[0].step, grid.axes[0].count, a_col)
     assert not taps.flags.writeable
     assert after.currsize <= after.maxsize
 

@@ -15,6 +15,7 @@ from frwt.frft import (
     OrderKind,
     TransformOrder,
     Translate,
+    _next_fast_len,
     apply_operator,
     c_alpha,
     frft_direct,
@@ -203,6 +204,14 @@ def test_fast_matches_direct_any_length(n, centred):
         fast = frft_fast(f, alpha)
         direct = frft_direct(f, alpha)
         assert np.max(np.abs(fast.values - direct.values)) < 1e-10
+
+
+def test_next_fast_len_is_scipy_next_fast_len():
+    # the padded lengths of the FFT correlations and of frac_convolve
+    from scipy.fft import next_fast_len
+
+    got = [_next_fast_len(n) for n in range(1, 20001)]
+    assert got == [next_fast_len(n) for n in range(1, 20001)]
 
 
 def test_fast_matches_direct_2d_odd_shape():
