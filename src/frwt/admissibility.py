@@ -16,9 +16,15 @@ support radius.  Its grid is sized from a Nyquist bound: with
 v = max|u| |csc(alpha)| it has min(8192, max(256, 2 ceil(2 r v / pi) + 1))
 points, a step of about pi / (2 v), so the first alias of the profile
 spectrum sits near 3 v and the sum matches the 8192-point grid to
-rounding.  The constant is integrated on a log-spaced frequency grid
-whose lower cutoff is halved several times; the sequence of truncated
-values decides between a finite constant and a divergence at the origin.
+rounding.  The sum is factored over the uniform grid: with the nodes
+split into Q = ceil(sqrt(n)) blocks of P, exp(-i v t_j) is a block
+phase times an in-block phase, so m frequencies cost m (P + Q)
+exponentials and one (m, P) x (P, Q) matrix product instead of m n
+exponentials.  It is still the same quadrature sum, with no FFT.
+
+The constant is integrated on a log-spaced frequency grid whose lower
+cutoff is halved several times; the sequence of truncated values
+decides between a finite constant and a divergence at the origin.
 Both signs of u enter the integral.  For a real profile the Fourier sum
 at -v is the conjugate of the sum at v and the chirp factor is even in
 u, so the scan evaluates such a profile on the positive side only and
@@ -59,7 +65,7 @@ _STEADY_RATIO = 0.75
 
 # fewest points of a spectral profile grid
 _MIN_SPECTRAL_POINTS = 256
-# kernel matrix bytes per chunk of frequencies in fractional_spectrum
+# phase matrix bytes per chunk of frequencies in _fourier_sum
 _CHUNK_BYTES = 1 << 20
 # distinct scans kept by the report memo
 _CACHE_SIZE = 64
@@ -128,7 +134,8 @@ def fractional_spectrum(psi: WaveletSpec, order: TransformOrder | float, u: np.n
 
     Computed as a direct quadrature of K_alpha(t, u) against
     psi(t) exp(-i/2 t^2 cot(alpha)); the two t-chirps cancel, leaving a
-    Fourier sum of the profile on a Nyquist-sized grid.
+    Fourier sum of the profile on a Nyquist-sized grid, evaluated in
+    factored form by _fourier_sum.
     """
     order = _as_order(order)
     cot, csc = order.cot, order.csc
@@ -136,13 +143,37 @@ def fractional_spectrum(psi: WaveletSpec, order: TransformOrder | float, u: np.n
     flat = u.reshape(-1)
     v_max = abs(csc) * float(np.max(np.abs(flat), initial=0.0))
     t, x = _weighted_profile(psi, _spectral_points(psi, v_max))
-    rows = max(1, _CHUNK_BYTES // (16 * t.size))
-    out = np.empty(flat.shape, dtype=np.complex128)
-    for lo in range(0, flat.size, rows):
-        chunk = flat[lo : lo + rows]
-        out[lo : lo + rows] = np.exp(-1j * csc * np.outer(chunk, t)) @ x
+    out = _fourier_sum(t[0], (t[-1] - t[0]) / (t.size - 1), x, -csc * flat)
     out *= c_alpha(order, 1) * np.exp(0.5j * cot * flat**2)
     return out.reshape(u.shape)
+
+
+def _fourier_sum(t0: float, dt: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_j x_j exp(i v t_j) on the uniform nodes t_j = t0 + j dt.
+
+    With j = P q + r, Q = ceil(sqrt(n)) and P = ceil(n / Q), the phase
+    splits as exp(i v (t0 + P q dt)) exp(i v r dt), so the sum is
+    sum_q A(v, q) (B @ X)(v, q), X the samples reshaped (Q, P) with a
+    zero-padded tail: m (P + Q) exponentials and one matrix product in
+    place of m n exponentials.  dt must be the step the nodes were built
+    with (linspace's), not a difference of two rounded nodes.
+    """
+    n = x.size
+    q = math.isqrt(n - 1) + 1
+    p = -(-n // q)
+    blocks = np.zeros(q * p, dtype=np.complex128)
+    blocks[:n] = x
+    blocks = np.ascontiguousarray(blocks.reshape(q, p).T)
+    fine = dt * np.arange(p)
+    coarse = t0 + (p * dt) * np.arange(q)
+    rows = max(1, _CHUNK_BYTES // (16 * max(p, q)))
+    out = np.empty(v.shape, dtype=np.complex128)
+    for lo in range(0, v.size, rows):
+        chunk = v[lo : lo + rows]
+        partial = np.exp(1j * np.outer(chunk, fine)) @ blocks
+        partial *= np.exp(1j * np.outer(chunk, coarse))
+        out[lo : lo + rows] = partial.sum(axis=1)
+    return out
 
 
 def _side_grid(scan: FrequencyScan) -> tuple[np.ndarray, list[int]]:

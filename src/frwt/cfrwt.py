@@ -59,6 +59,15 @@ _CHUNK_BYTES = 1 << 20
 _TAP_CACHE_SIZE = 8
 
 
+def _energy_sum(parts: np.ndarray) -> float:
+    """Exactly rounded sum of nonnegative energy parts, math.inf when the
+    sum (or a part) is not representable."""
+    try:
+        return float(math.fsum(parts))
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class CfrwtCoefficients:
     """Coefficient array over a scale grid and a shift grid.
@@ -93,22 +102,30 @@ class CfrwtCoefficients:
         return flat.sum(axis=1)
 
     def energy(self) -> float:
-        """Total coefficient energy under the measure db da/|a|_p^2."""
-        return float(math.fsum(self.scales.measure_weights() * self.shift_energies()))
+        """Total coefficient energy under the measure db da/|a|_p^2;
+        math.inf when it is not representable."""
+        return _energy_sum(self._scale_contributions())
 
     def last_octave_fraction(self) -> float:
         """Share of energy carried by scale vectors touching the top octave.
 
         The identities hold on the unbounded scale measure; this is the
-        truncation honesty line reported by every integral check.
+        truncation honesty line reported by every integral check.  It is
+        nan when the energy is not representable.
         """
         mags = np.abs(self.scales.vectors)
         outer = np.any(mags > self.scales.a_max / 2, axis=1)
-        contrib = self.scales.measure_weights() * self.shift_energies()
-        total = math.fsum(contrib)
+        contrib = self._scale_contributions()
+        total = _energy_sum(contrib)
         if total == 0.0:
             return 0.0
+        if math.isinf(total):
+            return math.nan
         return float(math.fsum(contrib[outer]) / total)
+
+    def _scale_contributions(self) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return self.scales.measure_weights() * self.shift_energies()
 
 
 @dataclass(frozen=True)
@@ -165,25 +182,40 @@ def cfrwt_direct(
     return CfrwtCoefficients(out, b_grid, scales, order, psi.name)
 
 
-def _lag_correlate(values: np.ndarray, tap_fft: np.ndarray, axis: int) -> np.ndarray:
+def _lag_correlate(values: np.ndarray, tap_fft: np.ndarray, axis: int, work: np.ndarray) -> np.ndarray:
     """Lag sums out[s, .., k, ..] = sum_j values[s, .., j, ..] taps[s, k - j + n - 1]
     along grid axis `axis` of a scale-batched array.
 
     values carries a leading scale axis (length one broadcasts against
     every scale); tap_fft is the (scales, pad) FFT of taps over lags
     -(n - 1)..n - 1.  Any FFT length pad >= 2n - 1 leaves the central n
-    sums unaliased.
+    sums unaliased.  The padded spectrum is formed and transformed in
+    place in the flat buffer work, which must not hold values; the result
+    is a view into it.  Reusing one buffer across chunks spares a fresh,
+    page-faulting allocation per chunk.
     """
     axis += 1
     n = values.shape[axis]
-    shape = [1] * values.ndim
+    shape = list(values.shape)
     shape[0], shape[axis] = tap_fft.shape
-    spec = np.fft.fft(values, n=tap_fft.shape[1], axis=axis) * tap_fft.reshape(shape)
-    # in place: a fresh output per call would page-fault its whole size
-    full = np.fft.ifft(spec, axis=axis, out=spec)
+    spec = work[: math.prod(shape)].reshape(shape)
+    taps = [1] * values.ndim
+    taps[0], taps[axis] = tap_fft.shape
+    taps = tap_fft.reshape(taps)
     sl = [slice(None)] * values.ndim
+    if values.shape[0] == shape[0]:
+        sl[axis] = slice(0, n)
+        spec[tuple(sl)] = values
+        sl[axis] = slice(n, None)
+        spec[tuple(sl)] = 0.0
+        np.fft.fft(spec, axis=axis, out=spec)
+        spec *= taps
+    else:
+        # one signal against every scale: transform it once
+        np.multiply(np.fft.fft(values, n=shape[axis], axis=axis), taps, out=spec)
+    np.fft.ifft(spec, axis=axis, out=spec)
     sl[axis] = slice(n - 1, 2 * n - 1)
-    return full[tuple(sl)]
+    return spec[tuple(sl)]
 
 
 @functools.lru_cache(maxsize=_TAP_CACHE_SIZE)
@@ -204,19 +236,31 @@ def _tap_spectrum(psi: WaveletSpec, analysis: bool, step: float, n: int, a_col: 
     return out
 
 
+def _padded_size(grid: Grid) -> int:
+    """Elements of the largest padded intermediate of one scale vector."""
+    return max(grid.size // ax.count * _next_fast_len(2 * ax.count - 1) for ax in grid.axes)
+
+
 def _scale_chunks(grid: Grid, count: int) -> list[slice]:
-    # the largest padded intermediate of one scale vector, in complex128 bytes
-    per_scale = 16 * max(grid.size // ax.count * _next_fast_len(2 * ax.count - 1) for ax in grid.axes)
-    step = max(1, _CHUNK_BYTES // per_scale)
+    step = max(1, _CHUNK_BYTES // (16 * _padded_size(grid)))
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
-def _scale_correlate(values: np.ndarray, grid: Grid, a_block: np.ndarray, psi: WaveletSpec, analysis: bool) -> np.ndarray:
+def _workspace(grid: Grid, chunks: list[slice]) -> list[np.ndarray]:
+    """Padded-spectrum buffers for the first (largest) chunk: one per grid
+    axis, at most two, since each axis reads the previous axis's buffer."""
+    size = chunks[0].stop * _padded_size(grid)
+    return [np.empty(size, dtype=np.complex128) for _ in range(min(2, grid.ndim))]
+
+
+def _scale_correlate(
+    values: np.ndarray, grid: Grid, a_block: np.ndarray, psi: WaveletSpec, analysis: bool, work: list[np.ndarray]
+) -> np.ndarray:
     """Lag sums against the taps of psi along every grid axis, one output
-    slice per scale vector (row) of a_block."""
+    slice per scale vector (row) of a_block; a view into work."""
     for ax, (axis_spec, a_col) in enumerate(zip(grid.axes, a_block.T)):
         tap_fft = _tap_spectrum(psi, analysis, axis_spec.step, axis_spec.count, a_col.tobytes())
-        values = _lag_correlate(values, tap_fft, ax)
+        values = _lag_correlate(values, tap_fft, ax, work[ax % 2])
     return values
 
 
@@ -241,8 +285,11 @@ def cfrwt_fast(
     expand = (-1,) + (1,) * f.ndim
     norms = _scale_norms(scales.vectors).reshape(expand)
     out = np.empty((scales.count,) + f.grid.shape, dtype=np.complex128)
-    for chunk in _scale_chunks(f.grid, scales.count):
-        out[chunk] = _scale_correlate(chi, f.grid, scales.vectors[chunk], psi, True) / norms[chunk]
+    chunks = _scale_chunks(f.grid, scales.count)
+    work = _workspace(f.grid, chunks)
+    for chunk in chunks:
+        block = _scale_correlate(chi, f.grid, scales.vectors[chunk], psi, True, work)
+        np.divide(block, norms[chunk], out=out[chunk])
     out *= _shift_phase(f.grid, order)
     return CfrwtCoefficients(out, f.grid, scales, order, psi.name)
 
@@ -454,10 +501,18 @@ def reconstruct(
     b_phase = np.exp(0.5j * order.cot * grid.radius_sq())
     factors = (coeffs.scales.measure_weights() / _scale_norms(vectors)).reshape((-1,) + (1,) * ndim)
     out = np.zeros(grid.shape, dtype=np.complex128)
-    for chunk in _scale_chunks(grid, coeffs.scales.count):
-        block = _scale_correlate(coeffs.values[chunk] * w_b * b_phase, grid, vectors[chunk], phi, False)
+    chunks = _scale_chunks(grid, coeffs.scales.count)
+    work = _workspace(grid, chunks)
+    # sized for the first chunk, the largest
+    weighted = np.empty((chunks[0].stop,) + grid.shape, dtype=np.complex128)
+    for chunk in chunks:
+        part = weighted[: chunk.stop - chunk.start]
+        np.multiply(coeffs.values[chunk], w_b, out=part)
+        part *= b_phase
+        block = _scale_correlate(part, grid, vectors[chunk], phi, False, work)
+        np.multiply(factors[chunk], block, out=block)
         # scale-index order, so the sum does not depend on the chunking
-        for piece in factors[chunk] * block:
+        for piece in block:
             out += piece
     mod = abs(c_alpha(order, ndim)) ** 2
     out *= mod / cross_value * np.exp(-0.5j * order.cot * grid.radius_sq())

@@ -54,6 +54,8 @@ ANGLE_TOL = 1e-12
 # Orders within [ANGLE_TOL, NEAR_SINGULAR_TOL) of a multiple of pi are legal
 # but numerically fragile; they are flagged with a warning.
 NEAR_SINGULAR_TOL = 1e-3
+# least kernel matrix bytes per block of output rows in the direct quadrature
+_KERNEL_BLOCK_BYTES = 1 << 20
 
 
 class OrderKind(enum.Enum):
@@ -196,16 +198,32 @@ def _dispatch_delta(f: SampledSignal, order: TransformOrder, output_grid: Grid |
 def _direct_apply(values: np.ndarray, grid: Grid, order: TransformOrder,
                   axes_points: list[np.ndarray]) -> np.ndarray:
     """Kernel quadrature: weighted values contracted with one kernel matrix
-    per axis.  axes_points holds the output coordinates for each axis."""
+    per axis.  axes_points holds the output coordinates for each axis.
+
+    Each kernel matrix is built and applied in blocks of whole rows, as
+    many equal blocks of at least _KERNEL_BLOCK_BYTES as fit.  A block of
+    that size is a matrix product like the whole matrix (never a one-row
+    dot product), and numpy evaluates `c1 * exp(...)` in place for it as
+    for the whole matrix (a temporary of 256 KiB or more is reused, with a
+    rounding that differs from a fresh product), so every element is
+    bit-identical to the whole-matrix quadrature.
+    """
     cot, csc = order.cot, order.csc
     c1 = complex(np.sqrt((1.0 - 1j * cot) / (2.0 * math.pi)))
     out = values * grid.weights()
     for axis, ax in enumerate(grid.axes):
         t = ax.points()
         xi = np.asarray(axes_points[axis], dtype=np.float64)
-        phase = 0.5 * (t[None, :] ** 2 + xi[:, None] ** 2) * cot - np.outer(xi, t) * csc
-        kernel = c1 * np.exp(1j * phase)
-        out = np.moveaxis(np.tensordot(kernel, np.moveaxis(out, axis, 0), axes=(1, 0)), 0, axis)
+        moved = np.moveaxis(out, axis, 0)
+        res = np.empty((xi.size,) + moved.shape[1:], dtype=np.complex128)
+        blocks = max(1, xi.size // max(2, _KERNEL_BLOCK_BYTES // (16 * t.size)))
+        for k in range(blocks):
+            rows = slice(xi.size * k // blocks, xi.size * (k + 1) // blocks)
+            x = xi[rows]
+            phase = 0.5 * (t[None, :] ** 2 + x[:, None] ** 2) * cot - np.outer(x, t) * csc
+            kernel = c1 * np.exp(1j * phase)
+            res[rows] = np.tensordot(kernel, moved, axes=(1, 0))
+        out = np.moveaxis(res, 0, axis)
     return out
 
 

@@ -4,9 +4,14 @@ and the plain-text run configuration.
 The binary layout is fixed little-endian with an explicit version so
 fixtures are bit-exact across implementations.  Header: magic "FRWT",
 version u16, dimension u8, then per axis start f64, step f64, count
-u32.  The payload is interleaved re/im f64 in row-major order.
-Coefficient files carry the same axis block for the shift grid plus the
-transform order, wavelet name, scale vectors and their measure weights.
+u32.  The payload is interleaved re/im f64 in row-major order, which is
+exactly the buffer of a contiguous little-endian complex128 ("<c16")
+array: writers hand that array to the file as it is, and readers check
+the bytes left after the header against the sample count before they
+allocate, then read the payload into one complex128 array in a single
+pass.  Coefficient files carry the same axis block for the shift grid
+plus the transform order, wavelet name, scale vectors and their measure
+weights.
 """
 
 from __future__ import annotations
@@ -54,44 +59,63 @@ def _finite_energy(flat: np.ndarray) -> bool:
         return math.isfinite(flat @ flat)
 
 
-def _interleave(values: np.ndarray, where: str) -> bytes:
-    flat = np.ascontiguousarray(values, dtype=np.complex128).ravel()
-    out = np.empty(2 * flat.size, dtype="<f8")
-    out[0::2] = flat.real
-    out[1::2] = flat.imag
-    if not _finite_energy(out):
+def _payload(values: np.ndarray, where: str) -> np.ndarray:
+    """values as the contiguous "<c16" array whose buffer is the file payload
+    (no copy when they already are one)."""
+    arr = np.ascontiguousarray(values, dtype="<c16")
+    if not _finite_energy(arr.reshape(-1).view("<f8")):
         raise SignalFileError(f"{where}: not written, the payload holds non-finite samples or an overflowing energy")
-    return out.tobytes()
+    return arr
 
 
-def _deinterleave(raw: bytes, count: int, where: str) -> np.ndarray:
-    if len(raw) != 16 * count:
-        raise SignalFileError(
-            f"{where}: payload holds {len(raw)} bytes, expected {16 * count}"
-        )
-    flat = np.frombuffer(raw, dtype="<f8")
-    if not _finite_energy(flat):
+class _Cursor:
+    """Sequential reads from an open binary file.  It tracks the offset and
+    knows the file size, so each block is checked before it is read."""
+
+    def __init__(self, fh) -> None:
+        self.fh = fh
+        self.offset = 0
+        self.size = os.fstat(fh.fileno()).st_size
+
+    def fits(self, nbytes: int) -> bool:
+        return self.offset + nbytes <= self.size
+
+    def read(self, nbytes: int) -> bytes:
+        self.offset += nbytes
+        return self.fh.read(nbytes)
+
+
+def _read_payload(cur: _Cursor, count: int, where: str) -> np.ndarray:
+    """The rest of the file as count complex128 samples, read in place into
+    one array once its size is known to match."""
+    remaining = cur.size - cur.offset
+    if remaining != 16 * count:
+        raise SignalFileError(f"{where}: payload holds {remaining} bytes, expected {16 * count}")
+    values = np.empty(count, dtype="<c16")
+    if cur.fh.readinto(values) != values.nbytes:
+        raise SignalFileError(f"{where}: payload changed size while it was read")
+    if not _finite_energy(values.view("<f8")):
         raise SignalFileError(f"{where}: payload holds non-finite samples or an overflowing energy")
-    return (flat[0::2] + 1j * flat[1::2]).astype(np.complex128)
+    # a no-op on little-endian hosts
+    return values.astype(np.complex128, copy=False)
 
 
 def _pack_axes(grid: Grid) -> bytes:
     return b"".join(_AXIS.pack(ax.start, ax.step, ax.count) for ax in grid.axes)
 
 
-def _unpack_axes(buf: bytes, offset: int, ndim: int, where: str) -> tuple[Grid, int]:
+def _read_axes(cur: _Cursor, ndim: int, where: str) -> Grid:
     axes = []
     for _ in range(ndim):
-        if offset + _AXIS.size > len(buf):
-            raise SignalFileError(f"{where}: axis block truncated at offset {offset}")
-        start, step, count = _AXIS.unpack_from(buf, offset)
-        offset += _AXIS.size
+        if not cur.fits(_AXIS.size):
+            raise SignalFileError(f"{where}: axis block truncated at offset {cur.offset}")
+        start, step, count = _AXIS.unpack(cur.read(_AXIS.size))
         stop = start + (count - 1) * step
         # squared coordinates feed the chirps, so they must stay finite too
         if count < 2 or not (step > 0 and math.isfinite(start) and math.isfinite(stop * stop + start * start)):
             raise SignalFileError(f"{where}: invalid axis (start={start}, step={step}, count={count})")
         axes.append(AxisSpec(start, step, count))
-    return Grid(tuple(axes)), offset
+    return Grid(tuple(axes))
 
 
 def _check_ndim(ndim: int, where: str) -> None:
@@ -100,7 +124,7 @@ def _check_ndim(ndim: int, where: str) -> None:
 
 
 def write_signal(path: str | os.PathLike, signal: SampledSignal) -> None:
-    payload = _interleave(signal.values, os.fspath(path))
+    payload = _payload(signal.values, os.fspath(path))
     with open(path, "wb") as fh:
         fh.write(_HEAD.pack(MAGIC, FORMAT_VERSION, signal.ndim))
         fh.write(_pack_axes(signal.grid))
@@ -108,21 +132,20 @@ def write_signal(path: str | os.PathLike, signal: SampledSignal) -> None:
 
 
 def read_signal(path: str | os.PathLike) -> SampledSignal:
-    with open(path, "rb") as fh:
-        buf = fh.read()
     where = os.fspath(path)
-    if len(buf) < _HEAD.size:
-        raise SignalFileError(f"{where}: header truncated ({len(buf)} bytes)")
-    magic, version, ndim = _HEAD.unpack_from(buf, 0)
-    if magic != MAGIC:
-        raise SignalFileError(f"{where}: bad magic {magic!r} at offset 0, expected {MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise SignalFileError(f"{where}: unsupported version {version}")
-    _check_ndim(ndim, where)
-    grid, offset = _unpack_axes(buf, _HEAD.size, ndim, where)
-    total = math.prod(grid.shape)
-    values = _deinterleave(buf[offset:], total, where).reshape(grid.shape)
-    return SampledSignal(grid, values)
+    with open(path, "rb") as fh:
+        cur = _Cursor(fh)
+        if not cur.fits(_HEAD.size):
+            raise SignalFileError(f"{where}: header truncated ({cur.size} bytes)")
+        magic, version, ndim = _HEAD.unpack(cur.read(_HEAD.size))
+        if magic != MAGIC:
+            raise SignalFileError(f"{where}: bad magic {magic!r} at offset 0, expected {MAGIC!r}")
+        if version != FORMAT_VERSION:
+            raise SignalFileError(f"{where}: unsupported version {version}")
+        _check_ndim(ndim, where)
+        grid = _read_axes(cur, ndim, where)
+        values = _read_payload(cur, math.prod(grid.shape), where)
+    return SampledSignal(grid, values.reshape(grid.shape))
 
 
 def write_csv(path: str | os.PathLike, signal: SampledSignal) -> None:
@@ -188,7 +211,7 @@ def write_coefficients(path: str | os.PathLike, coeffs: CfrwtCoefficients) -> No
     scales = coeffs.scales
     name = coeffs.wavelet.encode()
     signs = scales.signs.encode()
-    payload = _interleave(coeffs.values, os.fspath(path))
+    payload = _payload(coeffs.values, os.fspath(path))
     with open(path, "wb") as fh:
         fh.write(_HEAD.pack(COEFF_MAGIC, FORMAT_VERSION, coeffs.b_grid.ndim))
         fh.write(_pack_axes(coeffs.b_grid))
@@ -205,64 +228,56 @@ def write_coefficients(path: str | os.PathLike, coeffs: CfrwtCoefficients) -> No
 def read_coefficients(path: str | os.PathLike) -> CfrwtCoefficients:
     where = os.fspath(path)
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < _HEAD.size:
-        raise SignalFileError(f"{where}: header truncated")
-    magic, version, ndim = _HEAD.unpack_from(buf, 0)
-    if magic != COEFF_MAGIC:
-        raise SignalFileError(f"{where}: bad magic {magic!r} at offset 0, expected {COEFF_MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise SignalFileError(f"{where}: unsupported version {version}")
-    _check_ndim(ndim, where)
-    grid, offset = _unpack_axes(buf, _HEAD.size, ndim, where)
+        cur = _Cursor(fh)
+        if not cur.fits(_HEAD.size):
+            raise SignalFileError(f"{where}: header truncated")
+        magic, version, ndim = _HEAD.unpack(cur.read(_HEAD.size))
+        if magic != COEFF_MAGIC:
+            raise SignalFileError(f"{where}: bad magic {magic!r} at offset 0, expected {COEFF_MAGIC!r}")
+        if version != FORMAT_VERSION:
+            raise SignalFileError(f"{where}: unsupported version {version}")
+        _check_ndim(ndim, where)
+        grid = _read_axes(cur, ndim, where)
 
-    def take(fmt: str):
-        nonlocal offset
-        s = struct.Struct(fmt)
-        if offset + s.size > len(buf):
-            raise SignalFileError(f"{where}: truncated at offset {offset}")
-        vals = s.unpack_from(buf, offset)
-        offset += s.size
-        return vals
+        def take(fmt: str):
+            s = struct.Struct(fmt)
+            if not cur.fits(s.size):
+                raise SignalFileError(f"{where}: truncated at offset {cur.offset}")
+            return s.unpack(cur.read(s.size))
 
-    def text(length: int) -> str:
-        nonlocal offset
-        raw = buf[offset : offset + length]
-        offset += length
+        def text(length: int) -> str:
+            start = cur.offset
+            try:
+                return cur.read(length).decode()
+            except UnicodeDecodeError as exc:
+                raise SignalFileError(f"{where}: undecodable text at offset {start}") from exc
+
+        (alpha,) = take("<d")
+        if not math.isfinite(alpha) or not TransformOrder(alpha).is_generic:
+            raise SignalFileError(f"{where}: order {alpha} cannot carry coefficients")
+        (name_len,) = take("<B")
+        name = text(name_len)
+        count, sdim = take("<IB")
+        if sdim != ndim:
+            raise SignalFileError(f"{where}: scale dimension {sdim} does not match grid {ndim}")
+        log_step, a_min, a_max = take("<ddd")
+        (signs_len,) = take("<B")
+        signs = text(signs_len)
+        vec_bytes = 8 * count * sdim
+        if count == 0 or not cur.fits(vec_bytes + 8 * count):
+            raise SignalFileError(f"{where}: scale block of {count} vectors does not fit the file")
+        vectors = np.frombuffer(cur.read(vec_bytes), dtype="<f8").reshape(count, sdim)
+        weights = np.frombuffer(cur.read(8 * count), dtype="<f8")
         try:
-            return raw.decode()
-        except UnicodeDecodeError as exc:
-            raise SignalFileError(f"{where}: undecodable text at offset {offset - length}") from exc
-
-    (alpha,) = take("<d")
-    if not math.isfinite(alpha) or not TransformOrder(alpha).is_generic:
-        raise SignalFileError(f"{where}: order {alpha} cannot carry coefficients")
-    (name_len,) = take("<B")
-    name = text(name_len)
-    count, sdim = take("<IB")
-    if sdim != ndim:
-        raise SignalFileError(f"{where}: scale dimension {sdim} does not match grid {ndim}")
-    log_step, a_min, a_max = take("<ddd")
-    (signs_len,) = take("<B")
-    signs = text(signs_len)
-    vec_bytes = 8 * count * sdim
-    if count == 0 or offset + vec_bytes + 8 * count > len(buf):
-        raise SignalFileError(f"{where}: scale block of {count} vectors does not fit the file")
-    vectors = np.frombuffer(buf, dtype="<f8", count=count * sdim, offset=offset).reshape(count, sdim)
-    offset += vec_bytes
-    weights = np.frombuffer(buf, dtype="<f8", count=count, offset=offset)
-    offset += 8 * count
-    try:
-        scales = ScaleGrid(vectors.copy(), log_step=log_step, a_min=a_min, a_max=a_max, signs=signs)
-        with np.errstate(all="ignore"):
-            stored = scales.measure_weights()
-    except (ValueError, OverflowError) as exc:
-        raise SignalFileError(f"{where}: unusable scale block: {exc}") from exc
-    if not np.allclose(weights, stored, rtol=1e-12, atol=0.0):
-        raise SignalFileError(f"{where}: stored measure weights disagree with the scale block")
-    total = count * math.prod(grid.shape)
-    values = _deinterleave(buf[offset:], total, where).reshape((count,) + grid.shape)
-    return CfrwtCoefficients(values, grid, scales, TransformOrder(alpha), name)
+            scales = ScaleGrid(vectors.copy(), log_step=log_step, a_min=a_min, a_max=a_max, signs=signs)
+            with np.errstate(all="ignore"):
+                stored = scales.measure_weights()
+        except (ValueError, OverflowError) as exc:
+            raise SignalFileError(f"{where}: unusable scale block: {exc}") from exc
+        if not np.allclose(weights, stored, rtol=1e-12, atol=0.0):
+            raise SignalFileError(f"{where}: stored measure weights disagree with the scale block")
+        values = _read_payload(cur, count * math.prod(grid.shape), where)
+    return CfrwtCoefficients(values.reshape((count,) + grid.shape), grid, scales, TransformOrder(alpha), name)
 
 
 # ------------------------------------------------------------------

@@ -366,6 +366,7 @@ def local_uncertainty_scan(
     out_grid = spectra[0].grid
     axes = out_grid.meshgrid()
     w = out_grid.weights()
+    densities = [w * np.abs(spec.values) ** 2 for spec in spectra]
 
     entries = []
     for center, radius in e_family:
@@ -376,8 +377,8 @@ def local_uncertainty_scan(
         lam = _ball_measure(radius, n)
         best_ratio = 0.0
         best_env = 0.0
-        for spec, moment, norm in zip(spectra, moments, norms):
-            energy = float(math.fsum((w * np.abs(spec.values) ** 2)[mask].ravel()))
+        for density, moment, norm in zip(densities, moments, norms):
+            energy = float(math.fsum(density[mask].ravel()))
             if branch == "subcritical":
                 env = energy * abs(s) ** (2.0 * theta) / moment
                 ratio = env / lam ** (2.0 * theta / n)

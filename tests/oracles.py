@@ -8,6 +8,8 @@ intermediate structure.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from frwt.grid import Grid, SampledSignal
@@ -132,3 +134,22 @@ def fine_grid_fractional_spectrum(psi, alpha: float, u: np.ndarray, points: int 
     u = np.asarray(u, dtype=np.float64)
     out = np.array([np.exp(-1j * csc * row * t) @ chirped for row in u.reshape(-1)])
     return (c * np.exp(0.5j * cot * u.reshape(-1) ** 2) * out).reshape(u.shape)
+
+
+def dense_direct_apply(values: np.ndarray, grid: Grid, alpha: float, axes_points) -> np.ndarray:
+    """Per-axis kernel quadrature with each whole kernel matrix built at once.
+
+    The direct route before it was built in row blocks, with the same
+    elementwise expression and contraction, so the two agree bit for bit.
+    """
+    cot = math.cos(alpha) / math.sin(alpha)
+    csc = 1.0 / math.sin(alpha)
+    c1 = complex(np.sqrt((1.0 - 1j * cot) / (2.0 * math.pi)))
+    out = values * grid.weights()
+    for axis, ax in enumerate(grid.axes):
+        t = ax.points()
+        xi = np.asarray(axes_points[axis], dtype=np.float64)
+        phase = 0.5 * (t[None, :] ** 2 + xi[:, None] ** 2) * cot - np.outer(xi, t) * csc
+        kernel = c1 * np.exp(1j * phase)
+        out = np.moveaxis(np.tensordot(kernel, np.moveaxis(out, axis, 0), axes=(1, 0)), 0, axis)
+    return out

@@ -229,6 +229,21 @@ def test_nyquist_spectrum_matches_fine_grid(name, alpha, monkeypatch):
     np.testing.assert_allclose(signed, signed_fine, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("points", [257, 419, 1365, 8192])
+@pytest.mark.parametrize("name,alpha", [("mexican_hat", 0.4), ("dog4", 2.9), ("morlet", HALF_PI)])
+def test_factored_sum_matches_dense_quadrature(name, alpha, points, monkeypatch):
+    """The block-factored Fourier sum on profile grids whose size is not a
+    perfect square, against the dense kernel quadrature on the same grid,
+    at 1e-12 of the peak on the scan grid and on a linear grid."""
+    monkeypatch.setattr(admissibility, "_spectral_points", lambda psi, v_max: points)
+    psi = get_wavelet(name)
+    side, _ = admissibility._side_grid(FrequencyScan())
+    for u in (side, np.linspace(-32.0, 32.0, 257)):
+        got = fractional_spectrum(psi, alpha, u)
+        want = fine_grid_fractional_spectrum(psi, alpha, u, points=points)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("alpha", FIVE_ORDERS)
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_one_sided_scan_matches_two_sided(name, alpha, monkeypatch):

@@ -230,6 +230,21 @@ def test_plancherel_monotone_in_nested_ranges(gabor):
     assert 0.95 <= ratios[2] <= 1.05
 
 
+def test_unrepresentable_energy_fails_the_check_without_a_traceback():
+    """Finite samples of 1e153 give finite coefficients whose energy is not
+    representable: energy() is inf, the top-octave share nan, and the
+    Plancherel check reports a failure instead of raising OverflowError."""
+    f = SampledSignal(Grid((AxisSpec(-32.0, 1.0, 64),)), np.full(64, 1e153 + 0j))
+    coeffs = cfrwt_fast(f, MEX, ALPHA, log_scale_grid(2.0**-4, 2.0**4, 64, signs="both"))
+    assert np.all(np.isfinite(coeffs.values))
+    assert coeffs.energy() == math.inf
+    assert math.isnan(coeffs.last_octave_fraction())
+    rep = plancherel_check(coeffs, f, MEX)
+    assert not rep.passed
+    assert rep.ratio == math.inf
+    assert rep.details["coefficient_energy"] == math.inf
+
+
 def test_plancherel_rejects_grid_mismatch(gabor_coeffs):
     other = Grid((axis_centered(0.125, 128),))
     f = sample(other, lambda t: np.exp(-(t**2)))

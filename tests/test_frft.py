@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from frwt.errors import DeltaKernel, DomainMismatch, NearSingularOrder, OffGridShift
+from frwt import frft as frft_module
 from frwt.frft import (
     Dilate,
     Modulate,
@@ -28,7 +29,7 @@ from frwt.frft import (
 from frwt.grid import AxisSpec, Grid, SampledSignal, axis_centered, l1_norm, l2_norm, sample
 
 from conftest import random_smooth_signal
-from oracles import brute_kernel_transform, classical_unitary_ft
+from oracles import brute_kernel_transform, classical_unitary_ft, dense_direct_apply
 
 # |c(pi/4)| = 2**0.25 / sqrt(2*pi), computed in closed form
 C_PI_QUARTER_ABS = 0.4744249983287943
@@ -169,6 +170,34 @@ def test_direct_matches_brute_tensor_kernel():
     direct = frft_direct(f, 0.9, out_grid)
     brute = brute_kernel_transform(f, 0.9, out_grid)
     assert np.max(np.abs(direct.values - brute)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "axes,block_bytes",
+    [
+        ((axis_centered(0.1, 64),), None),
+        ((AxisSpec(-3.0, 0.07, 101),), None),
+        ((axis_centered(0.02, 512),), None),
+        ((axis_centered(0.01, 1024),), None),
+        # 54-row blocks would leave a last block of 12 rows
+        ((AxisSpec(-5.0, 0.009, 1200),), None),
+        ((axis_centered(0.3, 32), axis_centered(0.25, 32)), 16 * 7 * 32),
+        ((axis_centered(0.4, 30), AxisSpec(-4.0, 0.35, 27)), 16 * 7 * 30),
+        ((axis_centered(0.04, 300), AxisSpec(-5.0, 0.04, 280)), None),
+    ],
+    ids=["64", "101", "512", "1024", "1200", "32x32-7-rows", "30x27-7-rows", "300x280"],
+)
+def test_direct_blocks_are_bit_identical_to_dense_kernel(axes, block_bytes, monkeypatch):
+    """Building the kernel in row blocks changes no bit of frft_direct:
+    every element is the same expression contracted the same way."""
+    if block_bytes is not None:
+        monkeypatch.setattr(frft_module, "_KERNEL_BLOCK_BYTES", block_bytes)
+    g = Grid(axes)
+    f = random_smooth_signal(g, seed=g.size)
+    for alpha in (0.3, 0.9, math.pi / 2, 2.2, 2.9, -0.7, 4.0):
+        out = frft_direct(f, alpha)
+        dense = dense_direct_apply(f.values, g, alpha, out.grid.axis_points())
+        assert np.array_equal(out.values, dense)
 
 
 def test_identity_dispatch_exact(grid_256, gaussian_256):

@@ -210,6 +210,100 @@ def test_coefficients_round_trip(tmp_path, grid_256):
     )
 
 
+def _c16_bits(values):
+    return np.ascontiguousarray(values, dtype="<c16").view("<u8")
+
+
+def _coefficients(grid, count, seed):
+    scales = log_scale_grid(0.25, 4.0, count, ndim=grid.ndim, signs="positive")
+    rng = np.random.default_rng(seed)
+    shape = (scales.count,) + grid.shape
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return CfrwtCoefficients(values, grid, scales, TransformOrder(0.9), "mexican_hat")
+
+
+def test_read_of_write_is_bit_exact_with_signed_zeros(tmp_path, grid_256):
+    """Readers return the stored bits: a -0.0 real or imaginary part
+    survives the round trip (re + 1j * im would turn a -0.0 real part
+    into +0.0)."""
+    values = random_smooth_signal(grid_256, seed=5).values.copy()
+    values[:4] = [complex(-0.0, 1.0), complex(-0.0, -0.0), complex(1.0, -0.0), 0j]
+    path = tmp_path / "f.sig"
+    write_signal(path, SampledSignal(grid_256, values))
+    assert np.array_equal(_c16_bits(read_signal(path).values), _c16_bits(values))
+
+    coeffs = _coefficients(grid_256, 3, seed=6)
+    coeffs.values[1, :4] = values[:4]
+    path = tmp_path / "w.coef"
+    write_coefficients(path, coeffs)
+    assert np.array_equal(_c16_bits(read_coefficients(path).values), _c16_bits(coeffs.values))
+
+
+def test_written_payload_is_the_c16_buffer(tmp_path):
+    """Both writers put the header, then the bytes of the little-endian
+    complex128 array."""
+    grid = Grid((axis_centered(0.5, 16), axis_centered(0.25, 8)))
+    f = random_smooth_signal(grid, seed=8)
+    path = tmp_path / "f.sig"
+    write_signal(path, f)
+    axes = [(ax.start, ax.step, ax.count) for ax in grid.axes]
+    assert path.read_bytes() == _header_bytes(2, axes) + np.asarray(f.values, "<c16").tobytes()
+
+    coeffs = _coefficients(grid, 3, seed=9)
+    path = tmp_path / "w.coef"
+    write_coefficients(path, coeffs)
+    raw = path.read_bytes()
+    count = coeffs.scales.count
+    head = 7 + 20 * 2 + 8 + 1 + len("mexican_hat") + 5 + 24 + 1 + len("positive") + 8 * count * 2 + 8 * count
+    assert raw[head:] == np.asarray(coeffs.values, "<c16").tobytes()
+
+
+def test_read_coefficients_holds_one_payload(tmp_path):
+    """Reading a 2 MiB coefficient file allocates little beyond the array
+    it returns."""
+    import tracemalloc
+
+    coeffs = _coefficients(Grid((axis_centered(0.0625, 1024),)), 128, seed=10)
+    path = tmp_path / "w.coef"
+    write_coefficients(path, coeffs)
+    payload = coeffs.values.nbytes
+    tracemalloc.start()
+    try:
+        back = read_coefficients(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.values, coeffs.values)
+    assert peak < 1.25 * payload
+
+
+def test_oversized_header_is_refused_before_allocation(tmp_path, capsys, grid_256):
+    """A header that claims 3 x 2^31 samples exits 2 on the size check,
+    before any payload is allocated."""
+    import struct
+    import tracemalloc
+
+    signal = tmp_path / "big.sig"
+    signal.write_bytes(_header_bytes(2, [(0.0, 1.0, 3), (0.0, 1.0, 2**31)]) + _payload(8))
+    coef = tmp_path / "big.coef"
+    write_coefficients(coef, _coefficients(grid_256, 3, seed=11))
+    raw = bytearray(coef.read_bytes())
+    struct.pack_into("<I", raw, 7 + 16, 2**31)  # the shift axis count
+    coef.write_bytes(bytes(raw))
+    for reader, path in ((read_signal, signal), (read_coefficients, coef)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SignalFileError, match="expected 103079215104"):
+                reader(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+    assert main(["cfrwt", str(signal), "--output", str(tmp_path / "w.coef")]) == 2
+    assert main(["synth", str(coef), "--output", str(tmp_path / "w.sig")]) == 2
+    assert capsys.readouterr().err.count("parse error:") == 2
+
+
 # ---------------------------------------------------------------------------
 # run configuration
 
