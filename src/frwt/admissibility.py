@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frft import TransformOrder, _as_order, c_alpha
+from .frft import TransformOrder, _as_order, _chirp, c_alpha
 from .wavelets import _PROFILE_POINTS, WaveletSpec, _profile_quadrature
 
 __all__ = [
@@ -144,7 +144,7 @@ def fractional_spectrum(psi: WaveletSpec, order: TransformOrder | float, u: np.n
     v_max = abs(csc) * float(np.max(np.abs(flat), initial=0.0))
     t, x = _weighted_profile(psi, _spectral_points(psi, v_max))
     out = _fourier_sum(t[0], (t[-1] - t[0]) / (t.size - 1), x, -csc * flat)
-    out *= c_alpha(order, 1) * np.exp(0.5j * cot * flat**2)
+    out *= c_alpha(order, 1) * _chirp(flat**2, cot)
     return out.reshape(u.shape)
 
 
@@ -210,7 +210,7 @@ def _both_sides(psi: WaveletSpec, order: TransformOrder, us: np.ndarray) -> tupl
     pos = fractional_spectrum(psi, order, us)
     if np.iscomplexobj(psi.profile(us[:1])):
         return pos, fractional_spectrum(psi, order, -us)
-    phase = c_alpha(order, 1) * np.exp(0.5j * order.cot * us**2)
+    phase = c_alpha(order, 1) * _chirp(us**2, order.cot)
     return pos, np.conj(pos) * (phase / np.conj(phase))
 
 

@@ -30,8 +30,8 @@ from .admissibility import (
     fractional_spectrum,
 )
 from .errors import DomainMismatch, GridMismatch, InadmissibleWavelet, ZeroCrossAdmissibility
-from .frft import TransformOrder, _as_order, _next_fast_len, c_alpha, frft_fast
-from .grid import Grid, SampledSignal, grids_close, inner_product, l2_norm
+from .frft import TransformOrder, _as_order, _chirp, _fft_convolve, _next_fast_len, c_alpha, frft_fast
+from .grid import Grid, SampledSignal, _exact_sum, grids_close, inner_product, l2_norm
 from .report import VerificationReport
 from .scales import ScaleGrid
 from .wavelets import DaughterParams, WaveletSpec, make_daughter
@@ -57,15 +57,6 @@ CROSS_ZERO_TOL = 1e-8
 _CHUNK_BYTES = 1 << 20
 # chunks of tap spectra kept (each at most _CHUNK_BYTES)
 _TAP_CACHE_SIZE = 8
-
-
-def _energy_sum(parts: np.ndarray) -> float:
-    """Exactly rounded sum of nonnegative energy parts, math.inf when the
-    sum (or a part) is not representable."""
-    try:
-        return float(math.fsum(parts))
-    except OverflowError:
-        return math.inf
 
 
 @dataclass(frozen=True)
@@ -104,7 +95,7 @@ class CfrwtCoefficients:
     def energy(self) -> float:
         """Total coefficient energy under the measure db da/|a|_p^2;
         math.inf when it is not representable."""
-        return _energy_sum(self._scale_contributions())
+        return _exact_sum(self._scale_contributions())
 
     def last_octave_fraction(self) -> float:
         """Share of energy carried by scale vectors touching the top octave.
@@ -116,12 +107,12 @@ class CfrwtCoefficients:
         mags = np.abs(self.scales.vectors)
         outer = np.any(mags > self.scales.a_max / 2, axis=1)
         contrib = self._scale_contributions()
-        total = _energy_sum(contrib)
+        total = _exact_sum(contrib)
         if total == 0.0:
             return 0.0
         if math.isinf(total):
             return math.nan
-        return float(math.fsum(contrib[outer]) / total)
+        return _exact_sum(contrib[outer]) / total
 
     def _scale_contributions(self) -> np.ndarray:
         with np.errstate(over="ignore"):
@@ -145,11 +136,7 @@ def _require_generic_grid(f: SampledSignal, scales: ScaleGrid) -> None:
 def _chirped_input(f: SampledSignal, order: TransformOrder) -> np.ndarray:
     # quadrature weights and the +i/2 |t|^2 cot chirp of the conjugated
     # daughter are folded in once, shared by both evaluation routes
-    return f.values * f.grid.weights() * np.exp(0.5j * order.cot * f.grid.radius_sq())
-
-
-def _shift_phase(b_grid: Grid, order: TransformOrder) -> np.ndarray:
-    return np.exp(-0.5j * order.cot * b_grid.radius_sq())
+    return f.values * f.grid.weights() * _chirp(f.grid.radius_sq(), order.cot)
 
 
 def cfrwt_direct(
@@ -178,7 +165,7 @@ def cfrwt_direct(
             mat = np.conj(psi.profile((t_pts[None, :] - b_pts[:, None]) / a_i))
             acc = np.moveaxis(np.tensordot(mat, acc, axes=([1], [ax])), 0, ax)
         out[s] = acc / math.sqrt(np.prod(np.abs(a_vec)))
-    out *= _shift_phase(b_grid, order)
+    out *= _chirp(b_grid.radius_sq(), -order.cot)
     return CfrwtCoefficients(out, b_grid, scales, order, psi.name)
 
 
@@ -189,33 +176,17 @@ def _lag_correlate(values: np.ndarray, tap_fft: np.ndarray, axis: int, work: np.
     values carries a leading scale axis (length one broadcasts against
     every scale); tap_fft is the (scales, pad) FFT of taps over lags
     -(n - 1)..n - 1.  Any FFT length pad >= 2n - 1 leaves the central n
-    sums unaliased.  The padded spectrum is formed and transformed in
-    place in the flat buffer work, which must not hold values; the result
-    is a view into it.  Reusing one buffer across chunks spares a fresh,
-    page-faulting allocation per chunk.
+    sums unaliased.  The convolution runs in the flat buffer work, which
+    must not hold values; the result is a view into it.
     """
     axis += 1
     n = values.shape[axis]
-    shape = list(values.shape)
-    shape[0], shape[axis] = tap_fft.shape
-    spec = work[: math.prod(shape)].reshape(shape)
     taps = [1] * values.ndim
     taps[0], taps[axis] = tap_fft.shape
-    taps = tap_fft.reshape(taps)
+    full = _fft_convolve(values, tap_fft.reshape(taps), (axis,), work)
     sl = [slice(None)] * values.ndim
-    if values.shape[0] == shape[0]:
-        sl[axis] = slice(0, n)
-        spec[tuple(sl)] = values
-        sl[axis] = slice(n, None)
-        spec[tuple(sl)] = 0.0
-        np.fft.fft(spec, axis=axis, out=spec)
-        spec *= taps
-    else:
-        # one signal against every scale: transform it once
-        np.multiply(np.fft.fft(values, n=shape[axis], axis=axis), taps, out=spec)
-    np.fft.ifft(spec, axis=axis, out=spec)
     sl[axis] = slice(n - 1, 2 * n - 1)
-    return spec[tuple(sl)]
+    return full[tuple(sl)]
 
 
 @functools.lru_cache(maxsize=_TAP_CACHE_SIZE)
@@ -290,7 +261,7 @@ def cfrwt_fast(
     for chunk in chunks:
         block = _scale_correlate(chi, f.grid, scales.vectors[chunk], psi, True, work)
         np.divide(block, norms[chunk], out=out[chunk])
-    out *= _shift_phase(f.grid, order)
+    out *= _chirp(f.grid.radius_sq(), -order.cot)
     return CfrwtCoefficients(out, f.grid, scales, order, psi.name)
 
 
@@ -355,9 +326,8 @@ def _spectrum_power_chirp_z(
         s = a[lo : lo + rows, None] * csc
         theta = s * step * dt
         z = x * np.exp(-1j * (s * xi_c * dt * j + 0.5 * theta * j**2))
-        h = np.exp(0.5j * theta * lags**2)
-        spec = np.fft.fft(z, n=size, axis=1) * np.fft.fft(h, axis=1)
-        out[lo : lo + rows] = np.abs(np.fft.ifft(spec, axis=1, out=spec)[:, :m]) ** 2
+        full = _fft_convolve(z, np.fft.fft(_chirp(lags**2, theta), axis=1), (1,))
+        out[lo : lo + rows] = np.abs(full[:, :m]) ** 2
     return out * abs(c_alpha(order, 1)) ** 2
 
 
@@ -453,7 +423,7 @@ def inner_product_relation_check(
     wf = cfrwt_fast(f, phi, order, scales)
     wg = cfrwt_fast(g, psi, order, scales)
     pairing = wf.measure_weights() * wf.values * np.conj(wg.values)
-    lhs = complex(math.fsum(pairing.real.ravel()), math.fsum(pairing.imag.ravel()))
+    lhs = _exact_sum(pairing)
     mod = abs(c_alpha(order, f.ndim)) ** 2
     rhs = cross.value / mod * inner_product(f, g)
     scale = cross.moduli_value / mod * l2_norm(f) * l2_norm(g)
@@ -498,7 +468,7 @@ def reconstruct(
     grid = coeffs.b_grid
     vectors = coeffs.scales.vectors
     w_b = grid.weights()
-    b_phase = np.exp(0.5j * order.cot * grid.radius_sq())
+    b_phase = _chirp(grid.radius_sq(), order.cot)
     factors = (coeffs.scales.measure_weights() / _scale_norms(vectors)).reshape((-1,) + (1,) * ndim)
     out = np.zeros(grid.shape, dtype=np.complex128)
     chunks = _scale_chunks(grid, coeffs.scales.count)
@@ -515,7 +485,7 @@ def reconstruct(
         for piece in block:
             out += piece
     mod = abs(c_alpha(order, ndim)) ** 2
-    out *= mod / cross_value * np.exp(-0.5j * order.cot * grid.radius_sq())
+    out *= mod / cross_value * _chirp(grid.radius_sq(), -order.cot)
     return SampledSignal(grid, out)
 
 
@@ -578,7 +548,7 @@ def kernel_projection(
     mod = abs(c_alpha(order, ndim)) ** 2
     kernel_vals = mod / cross_value * inner
     total = array.measure_weights() * array.values * kernel_vals
-    return complex(math.fsum(total.real.ravel()), math.fsum(total.imag.ravel()))
+    return _exact_sum(total)
 
 
 def range_membership_residual(

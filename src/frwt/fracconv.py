@@ -14,14 +14,13 @@ factorization on concrete grids.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import StepMismatch
-from .frft import TransformOrder, _as_order, _direct_apply, _next_fast_len, c_alpha, frft_fast
+from .frft import TransformOrder, _as_order, _chirp, _direct_apply, _fft_convolve, _next_fast_len, c_alpha, frft_fast
 from .grid import Grid, SampledSignal, grids_close
 from .report import VerificationReport
 
@@ -77,14 +76,12 @@ def frac_convolve(
     cot = order.cot
     offsets = _alignment_offsets(f, g)
 
-    chirp = np.exp(0.5j * cot * f.grid.radius_sq())
-    u = f.values * chirp * f.grid.weights()
+    u = f.values * _chirp(f.grid.radius_sq(), cot) * f.grid.weights()
     # full linear convolution: FFTs at fast lengths of at least n + m - 1
     full_shape = [n + m - 1 for n, m in zip(f.grid.shape, g.grid.shape)]
     fast = [_next_fast_len(k) for k in full_shape]
     axes = tuple(range(f.ndim))
-    spec = np.fft.fftn(u, fast, axes=axes) * np.fft.fftn(g.values, fast, axes=axes)
-    full = np.fft.ifftn(spec, axes=axes, out=spec)
+    full = _fft_convolve(u, np.fft.fftn(g.values, fast, axes=axes), axes)
     full = full[tuple(slice(0, k) for k in full_shape)]
 
     # result index j maps to full-convolution index j - l0 per axis
@@ -103,12 +100,8 @@ def frac_convolve(
             dst.append(slice(lo, hi + 1))
             src.append(slice(lo - offsets[ax], hi - offsets[ax] + 1))
     out[tuple(dst)] = full[tuple(src)]
-    out = out * np.exp(-0.5j * cot * f.grid.radius_sq())
+    out = out * _chirp(f.grid.radius_sq(), -cot)
     return FracConvResult(SampledSignal(f.grid, out), order)
-
-
-def _chirped(g: SampledSignal, cot: float, sign: float) -> SampledSignal:
-    return SampledSignal(g.grid, g.values * np.exp(sign * 0.5j * cot * g.grid.radius_sq()))
 
 
 def spectral_identity_check(
@@ -124,9 +117,9 @@ def spectral_identity_check(
     conv = frac_convolve(f, g, order).signal
     lhs = frft_fast(conv, order)
     f_hat = frft_fast(f, order)
-    g_ch = _chirped(g, order.cot, -1.0)
-    g_hat = _direct_apply(g_ch.values, g_ch.grid, order, lhs.grid.axis_points())
-    out_chirp = np.exp(-0.5j * order.cot * lhs.grid.radius_sq())
+    g_ch = g.values * _chirp(g.grid.radius_sq(), -order.cot)
+    g_hat = _direct_apply(g_ch, g.grid, order, lhs.grid.axis_points())
+    out_chirp = _chirp(lhs.grid.radius_sq(), -order.cot)
     rhs = out_chirp * f_hat.values * g_hat / c_alpha(order, f.ndim)
     peak = float(np.max(np.abs(lhs.values)))
     dev = float(np.max(np.abs(lhs.values - rhs))) / peak
@@ -208,9 +201,9 @@ def scaled_identity_check(
     lhs = frft_fast(conv, neg)
 
     f_hat = frft_fast(f, neg)
-    g_ch = _chirped(g, order.cot, -1.0)
+    g_ch = g.values * _chirp(g.grid.radius_sq(), -order.cot)
     scaled_points = [a * pts for a, pts in zip(scale, lhs.grid.axis_points())]
-    g_hat = _direct_apply(g_ch.values, g_ch.grid, order, scaled_points)
+    g_hat = _direct_apply(g_ch, g.grid, order, scaled_points)
 
     a_abs = float(np.prod([abs(a) for a in scale]))
     xi_sq = np.zeros(lhs.grid.shape)
@@ -218,7 +211,7 @@ def scaled_identity_check(
         shape = [1] * lhs.grid.ndim
         shape[ax_i] = -1
         xi_sq = xi_sq + ((scale[ax_i] * pts) ** 2).reshape(shape)
-    rhs = (a_abs / c_alpha(order, f.ndim)) * np.exp(-0.5j * order.cot * xi_sq) * f_hat.values * g_hat
+    rhs = (a_abs / c_alpha(order, f.ndim)) * _chirp(xi_sq, -order.cot) * f_hat.values * g_hat
 
     peak = float(np.max(np.abs(lhs.values)))
     dev = float(np.max(np.abs(lhs.values - rhs))) / peak

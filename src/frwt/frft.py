@@ -179,9 +179,11 @@ def natural_output_grid(grid: Grid, order: "TransformOrder | float") -> Grid:
     return Grid(tuple(axes))
 
 
-def _chirp(grid: Grid, factor: float) -> np.ndarray:
-    """exp(i * factor * |t|^2 / 2) over the grid."""
-    return np.exp(0.5j * factor * grid.radius_sq())
+def _chirp(radius_sq: np.ndarray, factor: "float | np.ndarray") -> np.ndarray:
+    """exp(i * factor * |t|^2 / 2) at squared radii |t|^2; the sign of the
+    phase is carried by factor (cot for the input chirp, -cot for its
+    inverse)."""
+    return np.exp(0.5j * factor * radius_sq)
 
 
 def _dispatch_delta(f: SampledSignal, order: TransformOrder, output_grid: Grid | None) -> SampledSignal:
@@ -277,8 +279,8 @@ def make_plan(grid: Grid, order: "TransformOrder | float") -> FrftPlan:
         input_grid=grid,
         output_grid=out_grid,
         c_alpha=c_alpha(order, grid.ndim),
-        in_chirp=_chirp(grid, cot),
-        out_chirp=_chirp(out_grid, cot),
+        in_chirp=_chirp(grid.radius_sq(), cot),
+        out_chirp=_chirp(out_grid.radius_sq(), cot),
         axis_phases=tuple(phases),
     )
 
@@ -329,6 +331,42 @@ def _next_fast_len(n: int) -> int:
             p7 *= 7
         p11 *= 11
     return best
+
+
+def _fft_convolve(
+    operand: np.ndarray, kernel_fft: np.ndarray, axes: tuple[int, ...], out: np.ndarray | None = None
+) -> np.ndarray:
+    """Circular convolution along axes of operand, zero-padded to the
+    lengths of kernel_fft, with the kernel whose spectrum is kernel_fft.
+
+    kernel_fft broadcasts against the padded operand; an operand axis of
+    length one (a batch of one signal) broadcasts against every kernel
+    row and is transformed once.  The padded spectrum is formed and
+    inverted in place in out, a flat buffer that must not hold operand,
+    or in a fresh array; the full padded result is returned (a view into
+    out) for the caller to slice.  Reusing one buffer across calls spares
+    a fresh, page-faulting allocation per call.
+    """
+    shape = list(operand.shape)
+    for ax in axes:
+        shape[ax] = kernel_fft.shape[ax]
+    full = np.broadcast_shapes(tuple(shape), kernel_fft.shape)
+    size = math.prod(full)
+    result = (np.empty(size, dtype=np.complex128) if out is None else out[:size]).reshape(full)
+    spec = result if tuple(shape) == full else np.empty(shape, dtype=np.complex128)
+    spec[tuple(slice(0, n) for n in operand.shape)] = operand
+    for ax in axes:
+        pad = [slice(None)] * operand.ndim
+        pad[ax] = slice(operand.shape[ax], None)
+        spec[tuple(pad)] = 0.0
+    # axis by axis, last first: the rounding of numpy's fftn without its
+    # per-call overhead
+    for ax in reversed(axes):
+        np.fft.fft(spec, axis=ax, out=spec)
+    np.multiply(spec, kernel_fft, out=result)
+    for ax in reversed(axes):
+        np.fft.ifft(result, axis=ax, out=result)
+    return result
 
 
 def _apply_plan(values: np.ndarray, plan: FrftPlan) -> np.ndarray:

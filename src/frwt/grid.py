@@ -2,9 +2,8 @@
 
 All transforms in this package operate on signals sampled over uniform
 axis-aligned grids in one to three dimensions.  Integrals are approximated
-by the tensor product of one-dimensional trapezoidal rules; reductions use
-compensated summation with a fixed traversal order so results do not depend
-on chunking or thread count.
+by the tensor product of one-dimensional trapezoidal rules; reductions are
+exactly rounded sums (_exact_sum), so results do not depend on chunking.
 """
 
 from __future__ import annotations
@@ -202,16 +201,29 @@ def sample(grid: Grid, fn: Callable[..., np.ndarray]) -> SampledSignal:
     return SampledSignal(grid, np.asarray(fn(*grid.meshgrid()), dtype=np.complex128))
 
 
-def _compensated_complex_sum(values: np.ndarray) -> complex:
-    # math.fsum is an error-free summation; applying it to the real and
-    # imaginary parts separately in C order keeps the reduction deterministic.
+def _exact_sum(values: np.ndarray) -> "float | complex":
+    """Exactly rounded sum of a real or complex array: math.fsum over the
+    real and imaginary parts separately, in C order.
+
+    A part whose sum fsum cannot form (an intermediate overflow, or
+    inf + -inf) takes numpy's sum of the same part instead, which is
+    then inf or nan, so an unrepresentable sum is a non-finite value
+    rather than an exception.
+    """
     flat = np.ascontiguousarray(values).reshape(-1)
-    return complex(math.fsum(flat.real), math.fsum(flat.imag))
+    sums = []
+    for part in (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,):
+        try:
+            sums.append(math.fsum(part))
+        except (OverflowError, ValueError):
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums.append(float(np.sum(part)))
+    return complex(*sums) if len(sums) == 2 else sums[0]
 
 
 def integrate(f: SampledSignal) -> complex:
     """Trapezoidal approximation of the integral of f over its grid."""
-    return _compensated_complex_sum(f.grid.weights() * f.values)
+    return _exact_sum(f.grid.weights() * f.values)
 
 
 def _require_same_grid(f: SampledSignal, g: SampledSignal) -> None:
@@ -222,14 +234,13 @@ def _require_same_grid(f: SampledSignal, g: SampledSignal) -> None:
 def inner_product(f: SampledSignal, g: SampledSignal) -> complex:
     """<f, g> = integral of f * conj(g); conjugate-linear in g."""
     _require_same_grid(f, g)
-    return _compensated_complex_sum(f.grid.weights() * f.values * np.conj(g.values))
+    return _exact_sum(f.grid.weights() * f.values * np.conj(g.values))
 
 
 def l2_norm(f: SampledSignal) -> float:
     w = f.grid.weights()
-    total = math.fsum((w * (f.values.real**2 + f.values.imag**2)).reshape(-1))
-    return math.sqrt(total)
+    return math.sqrt(_exact_sum(w * (f.values.real**2 + f.values.imag**2)))
 
 
 def l1_norm(f: SampledSignal) -> float:
-    return math.fsum((f.grid.weights() * np.abs(f.values)).reshape(-1))
+    return _exact_sum(f.grid.weights() * np.abs(f.values))

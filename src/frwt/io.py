@@ -11,13 +11,15 @@ the bytes left after the header against the sample count before they
 allocate, then read the payload into one complex128 array in a single
 pass.  Coefficient files carry the same axis block for the shift grid
 plus the transform order, wavelet name, scale vectors and their measure
-weights.
+weights.  Inputs must be regular files, since the reader takes the size
+from fstat; a pipe, a FIFO or a device is refused.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import stat
 import struct
 from dataclasses import dataclass, replace
 
@@ -68,14 +70,23 @@ def _payload(values: np.ndarray, where: str) -> np.ndarray:
     return arr
 
 
+def _open_nonblocking(path: str, flags: int) -> int:
+    # opening a FIFO that has no writer would wait for one; _Cursor
+    # refuses what this opens unless it is a regular file
+    return os.open(path, flags | getattr(os, "O_NONBLOCK", 0))
+
+
 class _Cursor:
-    """Sequential reads from an open binary file.  It tracks the offset and
+    """Sequential reads from an open regular file.  It tracks the offset and
     knows the file size, so each block is checked before it is read."""
 
-    def __init__(self, fh) -> None:
+    def __init__(self, fh, where: str) -> None:
+        st = os.fstat(fh.fileno())
+        if not stat.S_ISREG(st.st_mode):
+            raise SignalFileError(f"{where}: not a regular file")
         self.fh = fh
         self.offset = 0
-        self.size = os.fstat(fh.fileno()).st_size
+        self.size = st.st_size
 
     def fits(self, nbytes: int) -> bool:
         return self.offset + nbytes <= self.size
@@ -133,8 +144,8 @@ def write_signal(path: str | os.PathLike, signal: SampledSignal) -> None:
 
 def read_signal(path: str | os.PathLike) -> SampledSignal:
     where = os.fspath(path)
-    with open(path, "rb") as fh:
-        cur = _Cursor(fh)
+    with open(path, "rb", opener=_open_nonblocking) as fh:
+        cur = _Cursor(fh, where)
         if not cur.fits(_HEAD.size):
             raise SignalFileError(f"{where}: header truncated ({cur.size} bytes)")
         magic, version, ndim = _HEAD.unpack(cur.read(_HEAD.size))
@@ -227,8 +238,8 @@ def write_coefficients(path: str | os.PathLike, coeffs: CfrwtCoefficients) -> No
 
 def read_coefficients(path: str | os.PathLike) -> CfrwtCoefficients:
     where = os.fspath(path)
-    with open(path, "rb") as fh:
-        cur = _Cursor(fh)
+    with open(path, "rb", opener=_open_nonblocking) as fh:
+        cur = _Cursor(fh, where)
         if not cur.fits(_HEAD.size):
             raise SignalFileError(f"{where}: header truncated")
         magic, version, ndim = _HEAD.unpack(cur.read(_HEAD.size))

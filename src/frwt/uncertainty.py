@@ -26,7 +26,7 @@ from .admissibility import FrequencyScan, admissibility_constant
 from .cfrwt import CfrwtCoefficients, cfrwt_fast
 from .errors import InadmissibleWavelet, InvalidAnglePair, TailDominated, ThetaAtBoundary
 from .frft import TransformOrder, _apply_plan, _warn_if_near_singular, c_alpha, frft_fast, make_plan
-from .grid import Grid, SampledSignal, l2_norm
+from .grid import Grid, SampledSignal, _exact_sum, l2_norm
 from .report import VerificationReport
 from .scales import ScaleGrid
 from .wavelets import WaveletSpec
@@ -119,10 +119,10 @@ def dispersion(f: SampledSignal, theta: float) -> float:
     r2 = f.grid.radius_sq()
     dens = f.grid.weights() * np.abs(f.values) ** 2
     weighted = dens * r2**theta
-    total = float(math.fsum(weighted.ravel()))
+    total = _exact_sum(weighted)
     if total > 0.0:
         outer = r2 > r2.max() / 4.0
-        tail = float(math.fsum(weighted[outer].ravel()))
+        tail = _exact_sum(weighted[outer])
         if tail > _TAIL_FRACTION * total:
             raise TailDominated(
                 f"outer radial octave holds {tail / total:.1%} of the moment; "
@@ -191,10 +191,10 @@ def _scale_moment_sum(
     grid, spectra = _moment_spectra(coeffs.b_grid, coeffs.values, angle)
     density = grid.weights() * np.abs(spectra) ** 2
     if mask is None:
-        per_scale = [math.fsum(d.ravel()) for d in density * grid.radius_sq() ** theta]
+        per_scale = [_exact_sum(d) for d in density * grid.radius_sq() ** theta]
     else:
-        per_scale = [math.fsum(d[mask].ravel()) for d in density]
-    return float(math.fsum(weights_a * np.array(per_scale)))
+        per_scale = [_exact_sum(d[mask]) for d in density]
+    return _exact_sum(weights_a * np.array(per_scale))
 
 
 def _gate_admissible(psi: WaveletSpec, alpha: float, ndim: int, scan: FrequencyScan | None):
@@ -310,9 +310,7 @@ def restricted_energy_identity_check(
         raise ValueError("ball contains no spectral samples")
     lhs = _scale_moment_sum(coeffs, alpha, 0.0, mask=mask)
     mod = abs(c_alpha(TransformOrder(alpha), n)) ** 2
-    rhs = (adm.value.real / mod) * float(
-        math.fsum((spec.grid.weights() * np.abs(spec.values) ** 2)[mask].ravel())
-    )
+    rhs = (adm.value.real / mod) * _exact_sum((spec.grid.weights() * np.abs(spec.values) ** 2)[mask])
     ratio = lhs / rhs
     return VerificationReport(
         "restricted_energy_identity",
@@ -378,7 +376,7 @@ def local_uncertainty_scan(
         best_ratio = 0.0
         best_env = 0.0
         for density, moment, norm in zip(densities, moments, norms):
-            energy = float(math.fsum(density[mask].ravel()))
+            energy = _exact_sum(density[mask])
             if branch == "subcritical":
                 env = energy * abs(s) ** (2.0 * theta) / moment
                 ratio = env / lam ** (2.0 * theta / n)

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GridTooSmall, ZeroScaleComponent
-from .frft import TransformOrder, _as_order
+from .frft import TransformOrder, _as_order, _chirp
 from .grid import Grid, SampledSignal
 
 __all__ = [
@@ -40,17 +40,11 @@ MORLET_OMEGA0 = 5.0
 
 @dataclass(frozen=True)
 class WaveletSpec:
-    """A named 1-D mother wavelet profile.
-
-    spectrum holds the closed-form classical Fourier spectrum (unitary
-    convention) when one is known; it is reference data for verification
-    suites, never used by the transform code paths.
-    """
+    """A named 1-D mother wavelet profile."""
 
     name: str
     profile: Callable[[np.ndarray], np.ndarray]
     support_radius: float
-    spectrum: Callable[[np.ndarray], np.ndarray] | None = None
 
     def evaluate(self, *coords: np.ndarray) -> np.ndarray:
         """Separable n-D evaluation: product of the profile along each axis."""
@@ -84,38 +78,15 @@ def _dog_profile(m: int) -> Callable[[np.ndarray], np.ndarray]:
     return profile
 
 
-def _dog_spectrum(m: int) -> Callable[[np.ndarray], np.ndarray]:
-    def spectrum(u: np.ndarray) -> np.ndarray:
-        return (1j * u) ** m * np.exp(-(u**2) / 2)
-
-    return spectrum
-
-
 CATALOG: dict[str, WaveletSpec] = {
-    "mexican_hat": WaveletSpec(
-        "mexican_hat",
-        _mexican_hat,
-        support_radius=8.0,
-        spectrum=lambda u: u**2 * np.exp(-(u**2) / 2),
-    ),
-    "morlet": WaveletSpec(
-        "morlet",
-        _morlet,
-        support_radius=8.0,
-        spectrum=lambda u: math.pi**-0.25
-        * (np.exp(-((u - MORLET_OMEGA0) ** 2) / 2) - math.exp(-(MORLET_OMEGA0**2) / 2) * np.exp(-(u**2) / 2)),
-    ),
-    "gaussian": WaveletSpec(
-        # inadmissible on purpose: nonzero mean, so the admissibility
-        # integral diverges logarithmically at the origin
-        "gaussian",
-        _gaussian,
-        support_radius=7.0,
-        spectrum=lambda u: np.exp(-(u**2) / 2),
-    ),
-    "dog1": WaveletSpec("dog1", _dog_profile(1), support_radius=8.0, spectrum=_dog_spectrum(1)),
-    "dog3": WaveletSpec("dog3", _dog_profile(3), support_radius=9.0, spectrum=_dog_spectrum(3)),
-    "dog4": WaveletSpec("dog4", _dog_profile(4), support_radius=9.0, spectrum=_dog_spectrum(4)),
+    "mexican_hat": WaveletSpec("mexican_hat", _mexican_hat, support_radius=8.0),
+    "morlet": WaveletSpec("morlet", _morlet, support_radius=8.0),
+    # inadmissible on purpose: nonzero mean, so the admissibility
+    # integral diverges logarithmically at the origin
+    "gaussian": WaveletSpec("gaussian", _gaussian, support_radius=7.0),
+    "dog1": WaveletSpec("dog1", _dog_profile(1), support_radius=8.0),
+    "dog3": WaveletSpec("dog3", _dog_profile(3), support_radius=9.0),
+    "dog4": WaveletSpec("dog4", _dog_profile(4), support_radius=9.0),
 }
 
 
@@ -206,5 +177,5 @@ def make_daughter(
     mesh = np.meshgrid(*scaled, indexing="ij")
     envelope = psi.evaluate(*mesh)
     b_sq = sum(b_i * b_i for b_i in params.b)
-    chirp = np.exp(-0.5j * cot * (grid.radius_sq() - b_sq))
+    chirp = _chirp(grid.radius_sq() - b_sq, -cot)
     return SampledSignal(grid, envelope * chirp / math.sqrt(a_abs))

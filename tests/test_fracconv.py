@@ -12,6 +12,7 @@ from frwt.fracconv import frac_convolve, scaled_identity_check, spectral_identit
 from frwt.grid import AxisSpec, Grid, SampledSignal, axis_centered, sample
 
 from conftest import random_smooth_signal
+from oracles import fftn_frac_convolve
 
 SQRT_PI = 1.7724538509055160  # closed form sqrt(pi)
 
@@ -127,3 +128,22 @@ def test_2d_spectral_identity():
     h = sample(g, lambda x, y: (x + 0.5j * y) * np.exp(-(x**2 + y**2)))
     rep = spectral_identity_check(f, h, 1.2)
     assert rep.passed, rep.details
+
+
+@pytest.mark.parametrize("alpha", [0.7, math.pi / 2, -1.3, 2.6])
+@pytest.mark.parametrize(
+    "f_axes, g_axes",
+    [
+        ([axis_centered(0.1, 101)], [AxisSpec(-1.2, 0.1, 37)]),
+        ([axis_centered(0.1, 64)], [AxisSpec(0.5, 0.1, 80)]),
+        ([axis_centered(0.2, 64), axis_centered(0.25, 48)], [AxisSpec(0.4, 0.2, 20), AxisSpec(-2.0, 0.25, 31)]),
+        ([axis_centered(0.2, 30), axis_centered(0.2, 27)], [axis_centered(0.2, 30), axis_centered(0.2, 27)]),
+    ],
+)
+def test_frac_convolve_is_bit_identical_to_fftn_formula(alpha, f_axes, g_axes):
+    rng = np.random.default_rng(11)
+    f_grid, g_grid = Grid(tuple(f_axes)), Grid(tuple(g_axes))
+    f = SampledSignal(f_grid, rng.standard_normal(f_grid.shape) + 1j * rng.standard_normal(f_grid.shape))
+    g = SampledSignal(g_grid, rng.standard_normal(g_grid.shape) + 0.5j)
+    got = frac_convolve(f, g, alpha).signal.values
+    assert np.array_equal(got, fftn_frac_convolve(f, g, alpha))

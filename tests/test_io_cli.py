@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -399,6 +400,42 @@ def test_cli_missing_input_is_parse_failure(tmp_path, capsys):
     )
     assert rc == 2
     assert "no.sig" in capsys.readouterr().err
+
+
+@pytest.fixture(params=["devnull", "pipe"])
+def non_regular_path(request, tmp_path, gaussian_256):
+    """/dev/null, or the read end of a pipe holding a whole signal file,
+    opened through /dev/fd.  The write end stays open, so opening the
+    read end does not wait for a writer."""
+    if request.param == "devnull":
+        yield "/dev/null"
+        return
+    write_signal(tmp_path / "a.sig", gaussian_256)
+    read_fd, write_fd = os.pipe()
+    try:
+        os.write(write_fd, (tmp_path / "a.sig").read_bytes())
+        yield f"/dev/fd/{read_fd}"
+    finally:
+        os.close(read_fd)
+        os.close(write_fd)
+
+
+@pytest.mark.parametrize("reader", [read_signal, read_coefficients])
+def test_non_regular_file_is_refused(non_regular_path, reader):
+    with pytest.raises(SignalFileError, match=f"^{non_regular_path}: not a regular file$"):
+        reader(non_regular_path)
+
+
+@pytest.mark.parametrize("kind", ["devnull", "fifo"])
+def test_cli_non_regular_input_exits_2(tmp_path, kind):
+    # in a subprocess with a timeout: a FIFO with no writer must not block
+    path = "/dev/null" if kind == "devnull" else str(tmp_path / "in.sig")
+    if kind == "fifo":
+        os.mkfifo(path)
+    cmd = [sys.executable, "-m", "frwt.cli", "frft", path, "--alpha", "0.9", "--output", str(tmp_path / "x.sig")]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert f"{path}: not a regular file" in proc.stderr
 
 
 def test_cli_corrupt_input_is_parse_failure(tmp_path, signal_file, capsys):

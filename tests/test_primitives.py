@@ -1,0 +1,171 @@
+"""The shared numerical primitives: one chirp, one padded FFT convolution
+and one exact sum, each defined once and used everywhere else."""
+
+from __future__ import annotations
+
+import ast
+import math
+import re
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from frwt.cfrwt import CfrwtCoefficients, cfrwt_fast, inner_product_relation_check, kernel_projection
+from frwt.frft import TransformOrder, _chirp, _fft_convolve, _next_fast_len
+from frwt.grid import Grid, SampledSignal, _exact_sum, axis_centered, inner_product, integrate, l1_norm, l2_norm
+from frwt.report import VerificationReport
+from frwt.scales import log_scale_grid
+from frwt.uncertainty import dispersion
+from frwt.wavelets import get_wavelet
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "frwt"
+
+# (what, pattern, the helpers allowed to contain it as (file, function))
+RULES = [
+    ("math.fsum", re.compile(r"\bfsum\("), {("grid.py", "_exact_sum")}),
+    (
+        "inline quadratic chirp",
+        re.compile(r"np\.exp\(\s*(?:[-+]\s*|\w+\s*\*\s*)?0\.5j"),
+        {("frft.py", "_chirp")},
+    ),
+    (
+        "inverse FFT",
+        re.compile(r"\bifftn?\("),
+        {("frft.py", "_fft_convolve"), ("frft.py", "_apply_plan")},
+    ),
+]
+
+
+def _function_spans(tree: ast.AST) -> dict[str, tuple[int, int]]:
+    return {
+        node.name: (node.lineno, node.end_lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
+@pytest.mark.parametrize("what, pattern, allowed", RULES, ids=[r[0] for r in RULES])
+def test_primitive_lives_only_in_its_helper(what, pattern, allowed):
+    offences, used_in = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        spans = _function_spans(ast.parse(text))
+        inside = [spans[fn] for name, fn in allowed if name == path.name and fn in spans]
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if not pattern.search(line):
+                continue
+            if any(lo <= lineno <= hi for lo, hi in inside):
+                used_in.add(path.name)
+            else:
+                offences.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert not offences, f"{what} outside {sorted(allowed)}:\n" + "\n".join(offences)
+    # the helpers exist and still hold the primitive, so the rule is not vacuous
+    assert used_in == {name for name, _ in allowed}
+
+
+def test_chirp_carries_the_sign_in_its_factor():
+    r2 = np.linspace(0.0, 40.0, 97)
+    for cot in np.linspace(-30.0, 30.0, 61):
+        assert np.array_equal(_chirp(r2, cot), np.exp(0.5j * cot * r2))
+        assert np.array_equal(_chirp(r2, -cot), np.exp(-0.5j * cot * r2))
+
+
+@pytest.mark.parametrize("n, m", [(101, 37), (256, 256), (5, 64)])
+def test_fft_convolve_is_linear_convolution(n, m):
+    rng = np.random.default_rng(n + m)
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    g = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    pad = _next_fast_len(n + m - 1)
+    full = _fft_convolve(u, np.fft.fft(g, pad), (0,))
+    assert full.shape == (pad,)
+    np.testing.assert_allclose(full[: n + m - 1], np.convolve(u, g), rtol=0, atol=1e-12 * n * m)
+
+
+def test_fft_convolve_broadcasts_one_operand_row_into_a_given_buffer():
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal((1, 40)) + 0j
+    kernels = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
+    work = np.full(4 * 64, np.nan, dtype=np.complex128)
+    full = _fft_convolve(u, kernels, (1,), work)
+    assert full.shape == (3, 64)
+    assert np.shares_memory(full, work)
+    rows = [_fft_convolve(u[0], kernels[k], (0,)) for k in range(3)]
+    assert np.array_equal(full, np.stack(rows))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.linspace(-1.0, 1.0, 1001) ** 3,
+        (np.arange(64.0) - 20.0) * (1.0 + 1e-3j),
+        np.array([1e100, 1.0, -1e100]),
+    ],
+)
+def test_exact_sum_is_fsum_of_each_part(values):
+    got = _exact_sum(values)
+    if np.iscomplexobj(values):
+        assert isinstance(got, complex)
+        assert got == complex(math.fsum(values.real), math.fsum(values.imag))
+    else:
+        assert isinstance(got, float)
+        assert got == math.fsum(values)
+
+
+def test_exact_sum_is_non_finite_where_fsum_raises():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # intermediate overflow of finite parts
+        assert _exact_sum(np.full(64, 1e307)) == math.inf
+        # inf + -inf
+        assert math.isnan(_exact_sum(np.array([math.inf, -math.inf, 1.0])))
+        got = _exact_sum(np.full(64, -1e307 + 1.0j))
+        assert got.real == -math.inf and got.imag == 64.0
+
+
+GRID = Grid((axis_centered(1.0, 64),))
+MEX, DOG4 = get_wavelet("mexican_hat"), get_wavelet("dog4")
+
+
+def _flat(value: float) -> SampledSignal:
+    return SampledSignal(GRID, np.full(GRID.shape, value, dtype=np.complex128))
+
+
+def _scales(a_min: float = 0.5):
+    return log_scale_grid(a_min, 8.0, 16, ndim=1, signs="both")
+
+
+# Every public entry that ends in an exact sum, on signals whose samples
+# are finite but whose sums are not representable.
+OVERFLOWING = {
+    "integrate": lambda: integrate(_flat(1e307)),
+    "l1_norm": lambda: l1_norm(_flat(1e307)),
+    "inner_product": lambda: inner_product(_flat(1e307), _flat(1e307)),
+    "l2_norm": lambda: l2_norm(_flat(1e307)),
+    "inner_product_relation_check": lambda: inner_product_relation_check(
+        _flat(1e153), _flat(1e153), MEX, DOG4, 0.9, _scales()
+    ),
+    # an arbitrary array, far from the range, whose kernel integral overflows
+    "kernel_projection": lambda: kernel_projection(
+        CfrwtCoefficients(
+            np.full((_scales(0.1).count,) + GRID.shape, 1e308 + 0j), GRID, _scales(0.1), TransformOrder(0.9), "dog4"
+        ),
+        MEX,
+        DOG4,
+        ((0.0,), (1.0,)),
+    ),
+    "dispersion": lambda: dispersion(_flat(1e153), 1.0),
+    "energy": lambda: cfrwt_fast(_flat(1e153), MEX, 0.9, _scales()).energy(),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(OVERFLOWING))
+def test_unrepresentable_sum_is_non_finite_not_an_exception(entry):
+    with np.errstate(all="ignore"):
+        result = OVERFLOWING[entry]()
+    if isinstance(result, VerificationReport):
+        assert not result.passed
+        assert not np.isfinite(result.lhs)
+    else:
+        assert not np.isfinite(result)
