@@ -29,7 +29,7 @@ from .admissibility import (
     cross_admissibility,
     fractional_spectrum,
 )
-from .errors import DomainMismatch, GridMismatch, InadmissibleWavelet, ZeroCrossAdmissibility
+from .errors import GridMismatch, InadmissibleWavelet, ZeroCrossAdmissibility
 from .frft import TransformOrder, _as_order, _chirp, _fft_convolve, _next_fast_len, c_alpha, frft_fast
 from .grid import Grid, SampledSignal, _exact_sum, grids_close, inner_product, l2_norm
 from .report import VerificationReport
@@ -307,27 +307,36 @@ def _spectrum_power_chirp_z(
 
     and j' k' = (j'^2 + k'^2 - (k' - j')^2) / 2 turns it into a linear
     convolution with the chirp e^{i theta (k' - j')^2 / 2}, done by FFT.
+
+    Each scale gets the Nyquist profile grid of its own frequencies,
+    _spectral_points at |a_s| max|xi| |csc|, so small scales sum short
+    grids; scales whose grids have the same size share FFT chunks.  Row s
+    depends on a_s alone, not on the other scales of the call.
     """
     csc = order.csc
     m = xi.size
-    v_max = float(np.max(np.abs(a))) * float(np.max(np.abs(xi))) * abs(csc)
-    t, x = _weighted_profile(psi, _spectral_points(psi, v_max))
-    n = t.size
-    dt = t[1] - t[0]
-    j = np.arange(n) - (n - 1) / 2
+    xi_max = float(np.max(np.abs(xi)))
+    groups: dict[int, list[int]] = {}
+    for k, a_k in enumerate(np.abs(a).tolist()):
+        groups.setdefault(_spectral_points(psi, a_k * xi_max * abs(csc)), []).append(k)
     xi_c = (xi[0] + xi[-1]) / 2
-    size = _next_fast_len(n + m - 1)
-    # lags k - j over one FFT period; k' - j' = lag - (kc - jc)
-    lags = np.arange(size)
-    lags = np.where(lags < m, lags, lags - size) - ((m - 1) - (n - 1)) / 2
     out = np.empty((a.size, m))
-    rows = max(1, _CHUNK_BYTES // (16 * size))
-    for lo in range(0, a.size, rows):
-        s = a[lo : lo + rows, None] * csc
-        theta = s * step * dt
-        z = x * np.exp(-1j * (s * xi_c * dt * j + 0.5 * theta * j**2))
-        full = _fft_convolve(z, np.fft.fft(_chirp(lags**2, theta), axis=1), (1,))
-        out[lo : lo + rows] = np.abs(full[:, :m]) ** 2
+    for n, members in groups.items():
+        t, x = _weighted_profile(psi, n)
+        dt = t[1] - t[0]
+        j = np.arange(n) - (n - 1) / 2
+        size = _next_fast_len(n + m - 1)
+        # lags k - j over one FFT period; k' - j' = lag - (kc - jc)
+        lags = np.arange(size)
+        lags = np.where(lags < m, lags, lags - size) - ((m - 1) - (n - 1)) / 2
+        rows = max(1, _CHUNK_BYTES // (16 * size))
+        for lo in range(0, len(members), rows):
+            chunk = members[lo : lo + rows]
+            s = a[chunk, None] * csc
+            theta = s * step * dt
+            z = x * np.exp(-1j * (s * xi_c * dt * j + 0.5 * theta * j**2))
+            full = _fft_convolve(z, np.fft.fft(_chirp(lags**2, theta), axis=1), (1,))
+            out[chunk] = np.abs(full[:, :m]) ** 2
     return out * abs(c_alpha(order, 1)) ** 2
 
 
@@ -346,8 +355,10 @@ def truncated_coverage(
 
     Each scale's frequency set a xi of a uniform xi grid is uniform too,
     so |Psi_alpha|^2 comes from one chirp-z transform per scale (Rabiner,
-    Schafer & Rader 1969) on the same profile grid fractional_spectrum
-    would use; any other xi goes through fractional_spectrum directly.
+    Schafer & Rader 1969) on that scale's own Nyquist-sized profile grid,
+    the grid fractional_spectrum would size for the frequencies a xi of
+    that scale alone; any other xi goes through fractional_spectrum
+    directly.
     """
     order = _as_order(order)
     if scales.ndim != 1:

@@ -9,7 +9,6 @@ unexpected error (reported on one line).
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 

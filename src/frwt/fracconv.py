@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import StepMismatch
 from .frft import TransformOrder, _as_order, _chirp, _direct_apply, _fft_convolve, _next_fast_len, c_alpha, frft_fast
-from .grid import Grid, SampledSignal, grids_close
+from .grid import Grid, SampledSignal
 from .report import VerificationReport
 
 __all__ = [

@@ -24,9 +24,9 @@ import numpy as np
 
 from .admissibility import FrequencyScan, admissibility_constant
 from .cfrwt import CfrwtCoefficients, cfrwt_fast
-from .errors import InadmissibleWavelet, InvalidAnglePair, TailDominated, ThetaAtBoundary
+from .errors import GridMismatch, InadmissibleWavelet, InvalidAnglePair, TailDominated, ThetaAtBoundary
 from .frft import TransformOrder, _apply_plan, _warn_if_near_singular, c_alpha, frft_fast, make_plan
-from .grid import Grid, SampledSignal, _exact_sum, l2_norm
+from .grid import Grid, SampledSignal, _exact_sum, grids_close, l2_norm
 from .report import VerificationReport
 from .scales import ScaleGrid
 from .wavelets import WaveletSpec
@@ -357,14 +357,27 @@ def local_uncertainty_scan(
     s = _angle_gap(alpha, beta)
     branch = "subcritical" if theta < n / 2.0 else "supercritical"
 
-    spectra = [frft_fast(f, alpha) for f in f_family]
-    moments = [dispersion(_moment_spectrum(f, beta), theta) for f in f_family]
-    norms = [l2_norm(f) for f in f_family]
+    if not all(grids_close(f.grid, grid) for f in f_family):
+        raise GridMismatch("signals live on different grids")
+    values = np.stack([f.values for f in f_family])
+    order = TransformOrder(alpha)
+    if order.is_generic:
+        # one plan for the family; numpy transforms each row on its own, so
+        # every row equals frft_fast of its signal
+        plan = make_plan(grid, order)
+        _warn_if_near_singular(order)
+        out_grid, spectra = plan.output_grid, _apply_plan(values, plan)
+    else:
+        # identity and parity orders, which make_plan refuses: exact dispatch
+        delta = [frft_fast(f, order) for f in f_family]
+        out_grid, spectra = delta[0].grid, np.stack([spec.values for spec in delta])
+    beta_grid, beta_spectra = _moment_spectra(grid, values, beta)
+    moments = [dispersion(SampledSignal(beta_grid, v), theta) for v in beta_spectra]
+    # only the supercritical envelope reads the norms
+    norms = [l2_norm(f) for f in f_family] if branch == "supercritical" else None
 
-    out_grid = spectra[0].grid
     axes = out_grid.meshgrid()
-    w = out_grid.weights()
-    densities = [w * np.abs(spec.values) ** 2 for spec in spectra]
+    densities = out_grid.weights() * np.abs(spectra) ** 2
 
     entries = []
     for center, radius in e_family:
@@ -375,13 +388,13 @@ def local_uncertainty_scan(
         lam = _ball_measure(radius, n)
         best_ratio = 0.0
         best_env = 0.0
-        for density, moment, norm in zip(densities, moments, norms):
-            energy = _exact_sum(density[mask])
+        for k, restricted in enumerate(densities[:, mask]):
+            energy = _exact_sum(restricted)
             if branch == "subcritical":
-                env = energy * abs(s) ** (2.0 * theta) / moment
+                env = energy * abs(s) ** (2.0 * theta) / moments[k]
                 ratio = env / lam ** (2.0 * theta / n)
             else:
-                env = energy * abs(s) ** n / (norm ** (2.0 - n / theta) * moment ** (n / (2.0 * theta)))
+                env = energy * abs(s) ** n / (norms[k] ** (2.0 - n / theta) * moments[k] ** (n / (2.0 * theta)))
                 ratio = env / lam
             best_ratio = max(best_ratio, ratio)
             best_env = max(best_env, env)

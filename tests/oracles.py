@@ -12,7 +12,9 @@ import math
 
 import numpy as np
 
-from frwt.grid import Grid, SampledSignal
+from frwt.frft import frft_fast
+from frwt.grid import Grid, SampledSignal, _exact_sum, l2_norm
+from frwt.uncertainty import LocalEntry, _ball_measure, _moment_spectrum, dispersion
 from frwt.wavelets import MORLET_OMEGA0
 
 
@@ -197,3 +199,52 @@ def fftn_frac_convolve(f: SampledSignal, g: SampledSignal, alpha: float) -> np.n
         if all(0 <= ki < n for ki, n in zip(k, full_shape)):
             out[j] = full[k]
     return out * np.exp(-0.5j * cot * r2)
+
+
+def per_signal_local_scan(f_family, alpha: float, beta: float, theta: float, e_family):
+    """The local uncertainty scan with one frft_fast (and one plan) per
+    signal and every signal's norm computed, as the scan was written
+    before it transformed the family in one batch.
+
+    Returns (entries, a_hat, envelope_slope); the same floating-point
+    operations as local_uncertainty_scan, so the two agree bit for bit.
+    """
+    n = f_family[0].grid.ndim
+    s = math.sin(alpha - beta)
+    branch = "subcritical" if theta < n / 2.0 else "supercritical"
+
+    spectra = [frft_fast(f, alpha) for f in f_family]
+    moments = [dispersion(_moment_spectrum(f, beta), theta) for f in f_family]
+    norms = [l2_norm(f) for f in f_family]
+
+    out_grid = spectra[0].grid
+    axes = out_grid.meshgrid()
+    w = out_grid.weights()
+    densities = [w * np.abs(spec.values) ** 2 for spec in spectra]
+
+    entries = []
+    for center, radius in e_family:
+        d2 = sum((ax - c) ** 2 for ax, c in zip(axes, center))
+        mask = d2 <= radius**2
+        lam = _ball_measure(radius, n)
+        best_ratio = 0.0
+        best_env = 0.0
+        for density, moment, norm in zip(densities, moments, norms):
+            energy = _exact_sum(density[mask])
+            if branch == "subcritical":
+                env = energy * abs(s) ** (2.0 * theta) / moment
+                ratio = env / lam ** (2.0 * theta / n)
+            else:
+                env = energy * abs(s) ** n / (norm ** (2.0 - n / theta) * moment ** (n / (2.0 * theta)))
+                ratio = env / lam
+            best_ratio = max(best_ratio, ratio)
+            best_env = max(best_env, env)
+        entries.append(LocalEntry(tuple(center), radius, lam, best_ratio, best_env))
+
+    a_hat = max(e.ratio for e in entries)
+    by_measure = sorted(entries, key=lambda e: e.measure)
+    half = by_measure[: max(2, len(by_measure) // 2)]
+    xs = np.log([e.measure for e in half])
+    ys = np.log([max(e.envelope, 1e-300) for e in half])
+    slope = float(np.polyfit(xs, ys, 1)[0])
+    return tuple(entries), a_hat, slope

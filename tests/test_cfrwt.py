@@ -20,12 +20,12 @@ from frwt.cfrwt import (
 )
 from frwt import cfrwt as cfrwt_module
 from frwt.errors import GridMismatch, InadmissibleWavelet, ZeroCrossAdmissibility
-from frwt.frft import TransformOrder, _as_order
+from frwt.frft import _as_order
 from frwt.grid import AxisSpec, Grid, SampledSignal, axis_centered, l2_norm, sample
 from frwt.scales import log_scale_grid
-from frwt.wavelets import DaughterParams, get_wavelet, make_daughter, wavelet_l2_norm
+from frwt.wavelets import CATALOG, DaughterParams, get_wavelet, make_daughter, wavelet_l2_norm
 
-from oracles import brute_classical_cwt, brute_reconstruct
+from oracles import brute_classical_cwt, brute_reconstruct, fine_grid_fractional_spectrum
 
 MEX = get_wavelet("mexican_hat")
 DOG3 = get_wavelet("dog3")
@@ -280,6 +280,48 @@ def test_chirp_z_coverage_matches_direct_spectrum(psi, alpha):
     power = np.abs(fractional_spectrum(psi, order, sc.vectors.ravel()[:, None] * xi[None, :])) ** 2
     want = np.tensordot(sc.log_measure_weights(), power, axes=1)
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+
+def _rows_of(full: np.ndarray, nested: np.ndarray) -> np.ndarray:
+    """Indices of nested's scales in full, which must hold them bit for bit."""
+    rows = np.searchsorted(full, nested)
+    assert np.array_equal(full[rows], nested)
+    return rows
+
+
+@pytest.mark.parametrize("a_min, a_max, cells", [(0.25, 4.0, 32), (0.125, 8.0, 48)])
+@pytest.mark.parametrize("psi", [MEX, MOR], ids=["real", "complex"])
+def test_chirp_z_row_depends_on_its_own_scale_only(scales_wide, psi, a_min, a_max, cells):
+    """Each scale sums its own Nyquist-sized profile grid, so a range nested
+    in the default one at the same 8 cells an octave gives bit-identical
+    rows for the scales the two share."""
+    order = _as_order(ALPHA)
+    xi = np.linspace(-23.0, 31.0, 101)
+    step = cfrwt_module._uniform_step(xi)
+    full = scales_wide.vectors.ravel()
+    nested = log_scale_grid(a_min, a_max, cells, signs="both").vectors.ravel()
+    want = cfrwt_module._spectrum_power_chirp_z(psi, order, full, xi, step)
+    got = cfrwt_module._spectrum_power_chirp_z(psi, order, nested, xi, step)
+    assert np.array_equal(got, want[_rows_of(full, nested)])
+
+
+@pytest.mark.parametrize("alpha", FIVE_ORDERS)
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_per_scale_coverage_matches_fine_grid(scales_wide, name, alpha):
+    """Coverage on per-scale Nyquist grids against |Psi_alpha|^2 from the
+    fixed 8192-point quadrature, at 1e-12 of the peak, on the default scale
+    range and on a range nested in it."""
+    psi = get_wavelet(name)
+    order = _as_order(alpha)
+    xi = np.linspace(-39.0, 35.0, 3)
+    full = scales_wide.vectors.ravel()
+    power = np.abs(fine_grid_fractional_spectrum(psi, alpha, full[:, None] * xi[None, :])) ** 2
+    nested = log_scale_grid(0.125, 8.0, 48, signs="both")
+    for sc, part in ((scales_wide, power), (nested, power[_rows_of(full, nested.vectors.ravel())])):
+        got = truncated_coverage(psi, order, sc, xi)
+        want = np.tensordot(sc.log_measure_weights(), part, axes=1)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
 
 def test_non_uniform_coverage_takes_the_direct_route():

@@ -1,5 +1,6 @@
 """The shared numerical primitives: one chirp, one padded FFT convolution
-and one exact sum, each defined once and used everywhere else."""
+and one exact sum, each defined once and used everywhere else; and no
+module imports a name it never reads."""
 
 from __future__ import annotations
 
@@ -63,6 +64,43 @@ def test_primitive_lives_only_in_its_helper(what, pattern, allowed):
     assert not offences, f"{what} outside {sorted(allowed)}:\n" + "\n".join(offences)
     # the helpers exist and still hold the primitive, so the rule is not vacuous
     assert used_in == {name for name, _ in allowed}
+
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    # string annotations ("TransformOrder | float") read names too
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                names |= _names_read(ast.parse(node.value, mode="eval"))
+            except SyntaxError:
+                pass
+    return names
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unused = []
+    # the package module re-exports everything it imports
+    for path in sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"):
+        tree = ast.parse(path.read_text())
+        kept = _names_read(tree) | _exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [(a.asname or a.name.split(".")[0]) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [(a.asname or a.name) for a in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno}: {name}" for name in bound if name not in kept]
+    assert not unused, "imported and never read:\n" + "\n".join(unused)
 
 
 def test_chirp_carries_the_sign_in_its_factor():

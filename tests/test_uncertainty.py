@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 
 from conftest import random_smooth_signal
+from frwt import uncertainty
 from frwt.errors import (
+    GridMismatch,
     InadmissibleWavelet,
     InvalidAnglePair,
     TailDominated,
     ThetaAtBoundary,
 )
-from frwt.grid import Grid, SampledSignal, axis_centered, sample
+from frwt.grid import Grid, SampledSignal, axis_centered, l2_norm, sample
 from frwt.scales import log_scale_grid
 from frwt.uncertainty import (
     MomentSpec,
@@ -27,6 +29,7 @@ from frwt.uncertainty import (
     local_uncertainty_scan,
 )
 from frwt.wavelets import get_wavelet
+from oracles import per_signal_local_scan
 
 HALF_PI = math.pi / 2
 SQRT_PI_HALF = 0.8862269254527580
@@ -277,3 +280,34 @@ def test_local_scan_validation(wide_grid):
         local_uncertainty_scan(fam, HALF_PI, 0.0, 0.25, [((0.0,), 0.0)])
     with pytest.raises(InvalidAnglePair):
         local_uncertainty_scan(fam, HALF_PI, HALF_PI, 0.25, _balls(3))
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, theta",
+    [(HALF_PI, 0.0, 0.25), (HALF_PI, 0.0, 1.5), (math.pi, HALF_PI, 0.25)],
+    ids=["subcritical", "supercritical", "delta_order"],
+)
+def test_local_scan_equals_per_signal_oracle(wide_grid, alpha, beta, theta, monkeypatch):
+    """One plan and one batched transform for the whole family (frft_fast's
+    exact dispatch at alpha = pi) change no bit of the scan, and only the
+    supercritical branch computes the norms it reads."""
+    family = [
+        sample(wide_grid, lambda t, s=s: s**-0.5 * np.exp(-(((t - 0.3) / s) ** 2) / 2))
+        for s in np.exp2(np.linspace(-3, 3, 13))
+    ]
+    balls = _balls(11) + [((0.5,), 0.75), ((-1.25,), 1.5)]
+    norms = []
+    monkeypatch.setattr(uncertainty, "l2_norm", lambda f: norms.append(f) or l2_norm(f))
+    rep = uncertainty.local_uncertainty_scan(family, alpha, beta, theta, balls)
+    assert len(norms) == (len(family) if rep.branch == "supercritical" else 0)
+    entries, a_hat, slope = per_signal_local_scan(family, alpha, beta, theta, balls)
+    assert rep.entries == entries
+    assert rep.a_hat == a_hat
+    assert rep.envelope_slope == slope
+
+
+def test_local_scan_rejects_a_family_on_several_grids(wide_grid):
+    other = Grid((axis_centered(0.125, 2048),))
+    fam = _dilates(wide_grid, 2) + _dilates(other, 1)
+    with pytest.raises(GridMismatch):
+        local_uncertainty_scan(fam, HALF_PI, 0.0, 0.25, _balls(3))

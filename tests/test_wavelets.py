@@ -7,7 +7,7 @@ import pytest
 
 from frwt.errors import GridTooSmall, ZeroScaleComponent
 from frwt.frft import TransformOrder
-from frwt.grid import Grid, SampledSignal, axis_centered, l2_norm
+from frwt.grid import Grid, axis_centered, l2_norm
 from frwt.wavelets import (
     CATALOG,
     DaughterParams,
