@@ -267,11 +267,12 @@ def cfrwt_fast(
 
 def _admissibility_for(
     psi: WaveletSpec,
-    order: TransformOrder,
+    order: TransformOrder | float,
     ndim: int,
     scan: FrequencyScan | None,
     phi: WaveletSpec | None = None,
 ) -> AdmissibilityReport:
+    order = _as_order(order)
     if phi is None or phi is psi:
         report = admissibility_constant(psi, order, scan=scan, ndim=ndim)
     else:
@@ -281,6 +282,26 @@ def _admissibility_for(
             f"{report.cross_wavelet or report.wavelet}/{report.wavelet} admissibility integral diverges at order {order.alpha}"
         )
     return report
+
+
+def _cross_value(
+    phi: WaveletSpec,
+    psi: WaveletSpec,
+    order: TransformOrder,
+    ndim: int,
+    scan: FrequencyScan | None,
+    cross_value: complex | None,
+) -> complex:
+    """The given cross constant, or the phi/psi one when none is given;
+    refused when it is too close to zero to normalize."""
+    if cross_value is None:
+        cross_value = _admissibility_for(psi, order, ndim, scan, phi=phi).value
+    if abs(cross_value) < CROSS_ZERO_TOL:
+        raise ZeroCrossAdmissibility(
+            f"cross admissibility {abs(cross_value):.2e} below {CROSS_ZERO_TOL:.0e}; "
+            "the pair cannot normalize a reconstruction"
+        )
+    return cross_value
 
 
 def _uniform_step(xi: np.ndarray) -> float | None:
@@ -468,14 +489,7 @@ def reconstruct(
         raise ValueError(
             f"coefficients were taken with {coeffs.wavelet!r}, not {psi_used.name!r}"
         )
-    if cross_value is None:
-        cross = _admissibility_for(psi_used, order, ndim, scan, phi=phi)
-        cross_value = cross.value
-    if abs(cross_value) < CROSS_ZERO_TOL:
-        raise ZeroCrossAdmissibility(
-            f"cross admissibility {abs(cross_value):.2e} below {CROSS_ZERO_TOL:.0e}; "
-            "the pair cannot normalize a reconstruction"
-        )
+    cross_value = _cross_value(phi, psi_used, order, ndim, scan, cross_value)
     grid = coeffs.b_grid
     vectors = coeffs.scales.vectors
     w_b = grid.weights()
@@ -519,11 +533,7 @@ def reproducing_kernel(
     order = _as_order(order)
     (b0, a0), (b, a) = p0, p
     ndim = grid.ndim
-    if cross_value is None:
-        cross = _admissibility_for(psi, order, ndim, scan, phi=phi)
-        cross_value = cross.value
-    if abs(cross_value) < CROSS_ZERO_TOL:
-        raise ZeroCrossAdmissibility("cross admissibility too close to zero")
+    cross_value = _cross_value(phi, psi, order, ndim, scan, cross_value)
     d_phi = make_daughter(phi, DaughterParams(tuple(a), tuple(b), order), grid, tail_tol=None)
     d_psi = make_daughter(psi, DaughterParams(tuple(a0), tuple(b0), order), grid, tail_tol=None)
     mod = abs(c_alpha(order, ndim)) ** 2
@@ -547,10 +557,7 @@ def kernel_projection(
     """
     order = array.order
     ndim = array.b_grid.ndim
-    if cross_value is None:
-        cross_value = _admissibility_for(psi, order, ndim, scan, phi=phi).value
-    if abs(cross_value) < CROSS_ZERO_TOL:
-        raise ZeroCrossAdmissibility("cross admissibility too close to zero")
+    cross_value = _cross_value(phi, psi, order, ndim, scan, cross_value)
     b0, a0 = p0
     daughter0 = make_daughter(psi, DaughterParams(tuple(a0), tuple(b0), order), array.b_grid, tail_tol=None)
     # <phi_{a,b}, psi_{a0,b0}> over all (b, a) is one coefficient pass

@@ -119,13 +119,14 @@ def _as_order(order: "TransformOrder | float") -> TransformOrder:
     return order if isinstance(order, TransformOrder) else TransformOrder(float(order))
 
 
-def _warn_if_near_singular(order: TransformOrder) -> None:
+def _warn_if_near_singular(order: TransformOrder, stacklevel: int = 3) -> None:
+    # stacklevel names the caller of the public entry
     if order.near_singular:
         warnings.warn(
             f"order {order.alpha} is within {NEAR_SINGULAR_TOL} of a multiple of pi; "
             "results may lose precision",
             NearSingularOrder,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
@@ -186,17 +187,6 @@ def _chirp(radius_sq: np.ndarray, factor: "float | np.ndarray") -> np.ndarray:
     return np.exp(0.5j * factor * radius_sq)
 
 
-def _dispatch_delta(f: SampledSignal, order: TransformOrder, output_grid: Grid | None) -> SampledSignal:
-    if order.kind is OrderKind.IDENTITY:
-        if output_grid is not None and not grids_close(f.grid, output_grid):
-            raise DomainMismatch("identity order requires the input grid as output")
-        return f.copy()
-    target = f.grid.reflected()
-    if output_grid is not None and not grids_close(target, output_grid):
-        raise DomainMismatch("parity order requires the reflected input grid as output")
-    return SampledSignal(target, np.flip(f.values))
-
-
 def _direct_apply(values: np.ndarray, grid: Grid, order: TransformOrder,
                   axes_points: list[np.ndarray]) -> np.ndarray:
     """Kernel quadrature: weighted values contracted with one kernel matrix
@@ -242,7 +232,12 @@ def frft_direct(
     """
     order = _as_order(order)
     if not order.is_generic:
-        return _dispatch_delta(f, order, output_grid)
+        out_grid, values = _transform(f.grid, f.values, order)
+        if output_grid is not None and not grids_close(out_grid, output_grid):
+            raise DomainMismatch(
+                f"{order.kind.value} order requires the input grid or its reflection as output"
+            )
+        return SampledSignal(out_grid, values)
     _warn_if_near_singular(order)
     if output_grid is None:
         output_grid = natural_output_grid(f.grid, order)
@@ -296,15 +291,29 @@ def frft_fast(
     points) at O(N log N) for any sample counts; identity and parity orders
     dispatch exactly.
     """
+    return SampledSignal(*_transform(f.grid, f.values, order, plan))
+
+
+def _transform(
+    grid: Grid, values: np.ndarray, order: "TransformOrder | float", plan: FrftPlan | None = None
+) -> tuple[Grid, np.ndarray]:
+    """Output grid and frft_fast of values over the trailing grid.ndim axes.
+
+    Leading axes are a batch sharing one plan; numpy transforms each row
+    on its own, so every row equals frft_fast of its signal.  Identity
+    and parity orders copy or mirror the samples exactly.
+    """
     order = _as_order(order)
-    if not order.is_generic:
-        return _dispatch_delta(f, order, None)
-    _warn_if_near_singular(order)
+    if order.kind is OrderKind.IDENTITY:
+        return grid, values.copy()
+    if order.kind is OrderKind.PARITY:
+        return grid.reflected(), np.flip(values, axis=tuple(range(-grid.ndim, 0)))
+    _warn_if_near_singular(order, stacklevel=4)
     if plan is None:
-        plan = make_plan(f.grid, order)
-    elif not grids_close(plan.input_grid, f.grid) or plan.order != order:
+        plan = make_plan(grid, order)
+    elif not grids_close(plan.input_grid, grid) or plan.order != order:
         raise DomainMismatch("plan was built for a different grid or order")
-    return SampledSignal(plan.output_grid, _apply_plan(f.values, plan))
+    return plan.output_grid, _apply_plan(values, plan)
 
 
 @functools.lru_cache(maxsize=64)

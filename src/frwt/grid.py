@@ -155,9 +155,6 @@ class Grid:
     def reflected(self) -> "Grid":
         return Grid(tuple(ax.reflected() for ax in self.axes))
 
-    def volume_element(self) -> float:
-        return float(np.prod([ax.step for ax in self.axes]))
-
 
 def grids_close(a: Grid, b: Grid, rtol: float = AXIS_RTOL) -> bool:
     return a.ndim == b.ndim and all(

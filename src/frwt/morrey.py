@@ -20,7 +20,7 @@ from .cfrwt import cfrwt_fast
 from .errors import EmptyScan, GridMismatch
 from .frft import TransformOrder
 from .grid import Grid, SampledSignal, grids_close, l1_norm
-from .report import VerificationReport
+from .report import VerificationReport, _ratio
 from .scales import ScaleGrid
 from .wavelets import WaveletSpec, wavelet_l1_norm
 
@@ -121,42 +121,35 @@ def morrey_norm(f: SampledSignal, cfg: MorreyConfig) -> MorreyEstimate:
     return MorreyEstimate(best_val, best_center, best_radius)
 
 
-def _slice(
+def _slices(
     f: SampledSignal,
     psi: WaveletSpec,
     a: tuple[float, ...] | float,
     order: TransformOrder | float,
-) -> SampledSignal:
+    sweep: tuple[float, ...] = (),
+) -> tuple[float, list[SampledSignal]]:
+    """|a|_p and the coefficient slices of f at scale vector a, then at the
+    isotropic scale vector (s, .., s) of each s in sweep, all from one
+    coefficient pass."""
     vec = np.atleast_1d(np.asarray(a, dtype=float))
     if vec.shape != (f.ndim,):
         raise ValueError(f"scale vector has {vec.size} components, signal has {f.ndim}")
-    mags = np.abs(vec)
+    isotropic = np.repeat(np.array(sweep, dtype=float)[:, None], f.ndim, axis=1)
+    vectors = np.concatenate([vec[None, :], isotropic])
+    mags = np.abs(vectors)
     grid = ScaleGrid(
-        vec[None, :],
+        vectors,
         log_step=0.0,
         a_min=float(mags.min()),
         a_max=float(mags.max()),
         signs="fixed",
     )
     coeffs = cfrwt_fast(f, psi, order, grid)
-    return SampledSignal(coeffs.b_grid, coeffs.values[0])
-
-
-def _magnitude(a: tuple[float, ...] | float, ndim: int) -> float:
-    vec = np.atleast_1d(np.asarray(a, dtype=float))
-    if vec.shape != (ndim,):
-        raise ValueError(f"scale vector has {vec.size} components, expected {ndim}")
-    return float(np.prod(np.abs(vec)))
+    return float(np.prod(np.abs(vec))), [SampledSignal(coeffs.b_grid, row) for row in coeffs.values]
 
 
 def _holds(lhs: float, rhs: float) -> bool:
     return lhs <= rhs * (1.0 + _REL_SLACK)
-
-
-def _slack(lhs: float, rhs: float) -> float:
-    if rhs > 0.0:
-        return lhs / rhs
-    return 0.0 if lhs == 0.0 else math.inf
 
 
 def morrey_bound_check(
@@ -175,8 +168,7 @@ def morrey_bound_check(
     than the square root along an isotropic scale sweep.
     """
     n = f.ndim
-    mag = _magnitude(a, n)
-    slice_a = _slice(f, psi, a, order)
+    mag, (slice_a, *sweep_slices) = _slices(f, psi, a, order, _GROWTH_SWEEP)
     lhs = morrey_norm(slice_a, cfg).value
     fm = f_morrey if f_morrey is not None else morrey_norm(f, cfg).value
     psi_l1 = wavelet_l1_norm(psi) ** n
@@ -185,9 +177,7 @@ def morrey_bound_check(
     l1_lhs = l1_norm(slice_a)
     l1_rhs = math.sqrt(mag) * psi_l1 * l1_norm(f)
 
-    sweep = []
-    for s in _GROWTH_SWEEP:
-        sweep.append(morrey_norm(_slice(f, psi, (s,) * n, order), cfg).value)
+    sweep = [morrey_norm(w, cfg).value for w in sweep_slices]
     if min(sweep) > 0.0:
         exponent = float(np.polyfit(np.log(_GROWTH_SWEEP), np.log(sweep), 1)[0])
         growth_ok = exponent <= _GROWTH_CAP * n
@@ -205,7 +195,7 @@ def morrey_bound_check(
         "signal_morrey": fm,
         "wavelet_l1": psi_l1,
     }
-    return VerificationReport("morrey_slice_bound", lhs, rhs, _slack(lhs, rhs), 1.0, passed, details)
+    return VerificationReport("morrey_slice_bound", lhs, rhs, _ratio(lhs, rhs), 1.0, passed, details)
 
 
 def _l1_distance(phi: WaveletSpec, psi: WaveletSpec, ndim: int) -> float:
@@ -235,8 +225,6 @@ def morrey_distance_checks(
     a: tuple[float, ...] | float,
     order: TransformOrder | float,
     cfg: MorreyConfig,
-    f_morrey: float | None = None,
-    diff_morrey: float | None = None,
 ) -> VerificationReport:
     """Perturbation bounds on a coefficient slice, all three at once.
 
@@ -249,22 +237,16 @@ def morrey_distance_checks(
     if not grids_close(f.grid, g.grid):
         raise GridMismatch("signals live on different grids")
     n = f.ndim
-    mag = _magnitude(a, n)
+    mag, (w_f_phi,) = _slices(f, phi, a, order)
+    _, (w_f_psi,) = _slices(f, psi, a, order)
+    _, (w_g_psi,) = _slices(g, psi, a, order)
     root = math.sqrt(mag)
-
-    w_f_phi = _slice(f, phi, a, order)
-    w_f_psi = _slice(f, psi, a, order)
-    w_g_psi = _slice(g, psi, a, order)
 
     def norm_of_difference(u: SampledSignal, v: SampledSignal) -> float:
         return morrey_norm(SampledSignal(u.grid, u.values - v.values), cfg).value
 
-    fm = f_morrey if f_morrey is not None else morrey_norm(f, cfg).value
-    dm = (
-        diff_morrey
-        if diff_morrey is not None
-        else morrey_norm(SampledSignal(f.grid, f.values - g.values), cfg).value
-    )
+    fm = morrey_norm(f, cfg).value
+    dm = morrey_norm(SampledSignal(f.grid, f.values - g.values), cfg).value
     phi_psi_l1 = _l1_distance(phi, psi, n)
     psi_l1 = wavelet_l1_norm(psi) ** n
 
@@ -281,7 +263,7 @@ def morrey_distance_checks(
         (lhs_both, rhs_both),
     ]
     passed = all(_holds(l, r) for l, r in checks)
-    worst = max(_slack(l, r) for l, r in checks)
+    worst = max(_ratio(l, r) for l, r in checks)
     details = {
         "wavelet_perturbation": {"lhs": lhs_wavelet, "rhs": rhs_wavelet},
         "signal_perturbation": {"lhs": lhs_signal, "rhs": rhs_signal},

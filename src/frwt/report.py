@@ -28,6 +28,13 @@ def _js(value: Any) -> Any:
     return value
 
 
+def _ratio(lhs: float, rhs: float) -> float:
+    """lhs / rhs, with x / 0 infinite and 0 / 0 zero."""
+    if rhs != 0.0:
+        return lhs / rhs
+    return 0.0 if lhs == 0.0 else math.inf
+
+
 @dataclass
 class VerificationReport:
     name: str

@@ -57,10 +57,6 @@ class ScaleGrid:
     def count(self) -> int:
         return int(self.vectors.shape[0])
 
-    def magnitude_product(self) -> np.ndarray:
-        """|a|_p per scale vector."""
-        return np.prod(np.abs(self.vectors), axis=1)
-
     def measure_weights(self) -> np.ndarray:
         """Quadrature weights for the measure da / |a|_p^2 (one da/a_i^2 per axis)."""
         return self.log_step**self.ndim / np.prod(self.vectors**2 / np.abs(self.vectors), axis=1)

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admissibility import FrequencyScan, admissibility_constant
-from .cfrwt import CfrwtCoefficients, cfrwt_fast
-from .errors import GridMismatch, InadmissibleWavelet, InvalidAnglePair, TailDominated, ThetaAtBoundary
-from .frft import TransformOrder, _apply_plan, _warn_if_near_singular, c_alpha, frft_fast, make_plan
+from .admissibility import FrequencyScan
+from .cfrwt import CfrwtCoefficients, _admissibility_for, cfrwt_fast
+from .errors import GridMismatch, InvalidAnglePair, TailDominated, ThetaAtBoundary
+from .frft import TransformOrder, _transform, c_alpha, frft_fast
 from .grid import Grid, SampledSignal, _exact_sum, grids_close, l2_norm
 from .report import VerificationReport
 from .scales import ScaleGrid
@@ -43,9 +43,6 @@ __all__ = [
     "restricted_energy_identity_check",
     "local_uncertainty_scan",
 ]
-
-# below this, sin(angle) is treated as exactly zero (identity / reflection)
-_DEGENERATE_SIN = 1e-12
 
 # angle differences closer to a multiple of pi than this make the
 # inequality floor vanish; there is nothing to verify
@@ -116,35 +113,28 @@ def dispersion(f: SampledSignal, theta: float) -> float:
     """
     if not 0.0 < theta <= 8.0:
         raise ValueError("moment exponent must lie in (0, 8]")
-    r2 = f.grid.radius_sq()
-    dens = f.grid.weights() * np.abs(f.values) ** 2
-    weighted = dens * r2**theta
-    total = _exact_sum(weighted)
-    if total > 0.0:
-        outer = r2 > r2.max() / 4.0
-        tail = _exact_sum(weighted[outer])
-        if tail > _TAIL_FRACTION * total:
-            raise TailDominated(
-                f"outer radial octave holds {tail / total:.1%} of the moment; "
-                "enlarge the grid or use a faster-decaying signal"
-            )
-    return total
+    return _radial_moments(f.grid, f.values, theta)[0]
 
 
-def _moment_spectra(grid: Grid, values: np.ndarray, angle: float) -> tuple[Grid, np.ndarray]:
-    """Output grid and chirp-FFT-chirp spectra at angle of values over grid;
-    leading axes of values are a batch sharing one plan."""
-    # Identity and reflection orders permute or mirror the samples, which
-    # leaves radial moments about the origin unchanged, so the input serves.
-    if abs(math.sin(angle)) < _DEGENERATE_SIN:
-        return grid, values
-    plan = make_plan(grid, angle)
-    _warn_if_near_singular(plan.order)
-    return plan.output_grid, _apply_plan(values, plan)
-
-
-def _moment_spectrum(f: SampledSignal, angle: float) -> SampledSignal:
-    return SampledSignal(*_moment_spectra(f.grid, f.values, angle))
+def _radial_moments(grid: Grid, values: np.ndarray, theta: float) -> list[float]:
+    """dispersion of each signal in a batch: leading axes of values index
+    the signals, trailing axes run over grid, and the tail rule holds per
+    signal."""
+    r2 = grid.radius_sq()
+    weighted = grid.weights() * np.abs(values) ** 2 * r2**theta
+    outer = r2 > r2.max() / 4.0
+    moments = []
+    for row in weighted.reshape((-1,) + grid.shape):
+        total = _exact_sum(row)
+        if total > 0.0:
+            tail = _exact_sum(row[outer])
+            if tail > _TAIL_FRACTION * total:
+                raise TailDominated(
+                    f"outer radial octave holds {tail / total:.1%} of the moment; "
+                    "enlarge the grid or use a faster-decaying signal"
+                )
+        moments.append(total)
+    return moments
 
 
 def _angle_gap(alpha: float, beta: float) -> float:
@@ -170,7 +160,7 @@ def heisenberg_two_domain(
     """
     s = _angle_gap(alpha, beta)
     n = f.ndim
-    lhs = dispersion(_moment_spectrum(f, beta), 1.0) * dispersion(_moment_spectrum(f, alpha), 1.0)
+    lhs = dispersion(frft_fast(f, beta), 1.0) * dispersion(frft_fast(f, alpha), 1.0)
     rhs = (n**2 / 4.0) * s**2 * l2_norm(f) ** 4
     ratio = lhs / rhs
     return UncertaintyReport(lhs, rhs, ratio, alpha, beta, ratio >= 1.0 - slack, {})
@@ -188,7 +178,7 @@ def _scale_moment_sum(
     restricted plain energy instead of a radial moment).
     """
     weights_a = coeffs.scales.measure_weights()
-    grid, spectra = _moment_spectra(coeffs.b_grid, coeffs.values, angle)
+    grid, spectra = _transform(coeffs.b_grid, coeffs.values, angle)
     density = grid.weights() * np.abs(spectra) ** 2
     if mask is None:
         per_scale = [_exact_sum(d) for d in density * grid.radius_sq() ** theta]
@@ -197,11 +187,12 @@ def _scale_moment_sum(
     return _exact_sum(weights_a * np.array(per_scale))
 
 
-def _gate_admissible(psi: WaveletSpec, alpha: float, ndim: int, scan: FrequencyScan | None):
-    rep = admissibility_constant(psi, alpha, scan=scan, ndim=ndim)
-    if rep.verdict == "divergent":
-        raise InadmissibleWavelet(f"{psi.name} has a divergent admissibility integral")
-    return rep
+def _ball_mask(grid: Grid, center: tuple[float, ...], radius: float) -> np.ndarray:
+    """Samples of grid in the closed ball of radius about center."""
+    if radius <= 0.0:
+        raise ValueError("ball radius must be positive")
+    d2 = sum((ax - c) ** 2 for ax, c in zip(grid.meshgrid(), center))
+    return d2 <= radius**2
 
 
 def heisenberg_cfrwt(
@@ -222,7 +213,7 @@ def heisenberg_cfrwt(
     """
     s = _angle_gap(alpha, beta)
     n = f.ndim
-    adm = _gate_admissible(psi, alpha, n, scan)
+    adm = _admissibility_for(psi, alpha, n, scan)
     coeffs = cfrwt_fast(f, psi, alpha, scales)
 
     moment_beta = _scale_moment_sum(coeffs, beta, 1.0)
@@ -264,7 +255,7 @@ def lemma_moment_identity_check(
     below as the range widens.
     """
     n = f.ndim
-    adm = _gate_admissible(psi, alpha, n, scan)
+    adm = _admissibility_for(psi, alpha, n, scan)
     coeffs = cfrwt_fast(f, psi, alpha, scales)
     lhs = _scale_moment_sum(coeffs, alpha, 1.0)
     mod = abs(c_alpha(TransformOrder(alpha), n)) ** 2
@@ -297,17 +288,13 @@ def restricted_energy_identity_check(
     intact; both sides use the same discrete mask, so the comparison is
     exact up to scale truncation.
     """
-    if radius <= 0.0:
-        raise ValueError("ball radius must be positive")
     n = f.ndim
-    adm = _gate_admissible(psi, alpha, n, scan)
-    coeffs = cfrwt_fast(f, psi, alpha, scales)
     spec = frft_fast(f, alpha)
-    axes = spec.grid.meshgrid()
-    d2 = sum((ax - c) ** 2 for ax, c in zip(axes, center))
-    mask = d2 <= radius**2
+    mask = _ball_mask(spec.grid, center, radius)
     if not np.any(mask):
         raise ValueError("ball contains no spectral samples")
+    adm = _admissibility_for(psi, alpha, n, scan)
+    coeffs = cfrwt_fast(f, psi, alpha, scales)
     lhs = _scale_moment_sum(coeffs, alpha, 0.0, mask=mask)
     mod = abs(c_alpha(TransformOrder(alpha), n)) ** 2
     rhs = (adm.value.real / mod) * _exact_sum((spec.grid.weights() * np.abs(spec.values) ** 2)[mask])
@@ -353,38 +340,22 @@ def local_uncertainty_scan(
         raise ValueError("moment exponent must lie in (0, 8]")
     if abs(theta - n / 2.0) < 1e-6:
         raise ThetaAtBoundary(f"theta = {theta} sits at the critical exponent n/2 = {n / 2}")
-    MomentSpec(theta, grid)
     s = _angle_gap(alpha, beta)
     branch = "subcritical" if theta < n / 2.0 else "supercritical"
 
     if not all(grids_close(f.grid, grid) for f in f_family):
         raise GridMismatch("signals live on different grids")
     values = np.stack([f.values for f in f_family])
-    order = TransformOrder(alpha)
-    if order.is_generic:
-        # one plan for the family; numpy transforms each row on its own, so
-        # every row equals frft_fast of its signal
-        plan = make_plan(grid, order)
-        _warn_if_near_singular(order)
-        out_grid, spectra = plan.output_grid, _apply_plan(values, plan)
-    else:
-        # identity and parity orders, which make_plan refuses: exact dispatch
-        delta = [frft_fast(f, order) for f in f_family]
-        out_grid, spectra = delta[0].grid, np.stack([spec.values for spec in delta])
-    beta_grid, beta_spectra = _moment_spectra(grid, values, beta)
-    moments = [dispersion(SampledSignal(beta_grid, v), theta) for v in beta_spectra]
+    out_grid, spectra = _transform(grid, values, alpha)
+    moments = _radial_moments(*_transform(grid, values, beta), theta)
     # only the supercritical envelope reads the norms
     norms = [l2_norm(f) for f in f_family] if branch == "supercritical" else None
 
-    axes = out_grid.meshgrid()
     densities = out_grid.weights() * np.abs(spectra) ** 2
 
     entries = []
     for center, radius in e_family:
-        if radius <= 0.0:
-            raise ValueError("ball radius must be positive")
-        d2 = sum((ax - c) ** 2 for ax, c in zip(axes, center))
-        mask = d2 <= radius**2
+        mask = _ball_mask(out_grid, center, radius)
         lam = _ball_measure(radius, n)
         best_ratio = 0.0
         best_env = 0.0

@@ -30,7 +30,7 @@ from .morrey import (
     morrey_distance_checks,
     morrey_norm,
 )
-from .report import VerificationReport
+from .report import VerificationReport, _ratio
 from .scales import log_scale_grid
 from .uncertainty import (
     heisenberg_cfrwt,
@@ -80,12 +80,6 @@ def _gabor(grid: Grid, shift: float = 0.5, width: float = 0.4, carrier: float = 
 def _meta(rep: VerificationReport, grid: Grid) -> VerificationReport:
     rep.details.setdefault("grid", {"shape": list(grid.shape), "steps": [ax.step for ax in grid.axes]})
     return rep
-
-
-def _ratio(lhs: float, rhs: float) -> float:
-    if rhs != 0.0:
-        return lhs / rhs
-    return 0.0 if lhs == 0.0 else math.inf
 
 
 def _check(name: str, lhs: float, rhs: float, tolerance: float, passed: bool, details: dict, grid: Grid) -> VerificationReport:

@@ -14,7 +14,7 @@ import numpy as np
 
 from frwt.frft import frft_fast
 from frwt.grid import Grid, SampledSignal, _exact_sum, l2_norm
-from frwt.uncertainty import LocalEntry, _ball_measure, _moment_spectrum, dispersion
+from frwt.uncertainty import LocalEntry, _ball_measure, dispersion
 from frwt.wavelets import MORLET_OMEGA0
 
 
@@ -202,9 +202,10 @@ def fftn_frac_convolve(f: SampledSignal, g: SampledSignal, alpha: float) -> np.n
 
 
 def per_signal_local_scan(f_family, alpha: float, beta: float, theta: float, e_family):
-    """The local uncertainty scan with one frft_fast (and one plan) per
-    signal and every signal's norm computed, as the scan was written
-    before it transformed the family in one batch.
+    """The local uncertainty scan with two frft_fast calls (one plan each)
+    and one dispersion per signal and every signal's norm computed, as
+    the scan was written before it transformed and took the moments of
+    the family in one batch.
 
     Returns (entries, a_hat, envelope_slope); the same floating-point
     operations as local_uncertainty_scan, so the two agree bit for bit.
@@ -214,7 +215,7 @@ def per_signal_local_scan(f_family, alpha: float, beta: float, theta: float, e_f
     branch = "subcritical" if theta < n / 2.0 else "supercritical"
 
     spectra = [frft_fast(f, alpha) for f in f_family]
-    moments = [dispersion(_moment_spectrum(f, beta), theta) for f in f_family]
+    moments = [dispersion(frft_fast(f, beta), theta) for f in f_family]
     norms = [l2_norm(f) for f in f_family]
 
     out_grid = spectra[0].grid

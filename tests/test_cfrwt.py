@@ -475,6 +475,22 @@ def test_reconstruct_rejects_vanishing_cross_constant(gabor_coeffs):
         reconstruct(gabor_coeffs, DOG3, MEX)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda coeffs, grid, cross: reconstruct(coeffs, MEX, MEX, cross_value=cross),
+        lambda coeffs, grid, cross: reproducing_kernel(
+            MEX, MEX, ALPHA, ((0.5,), (1.0,)), ((0.5,), (1.0,)), grid, cross_value=cross
+        ),
+        lambda coeffs, grid, cross: kernel_projection(coeffs, MEX, MEX, ((0.5,), (1.0,)), cross_value=cross),
+    ],
+    ids=["reconstruct", "reproducing_kernel", "kernel_projection"],
+)
+def test_given_cross_constant_below_zero_tolerance_is_refused(entry, gabor_coeffs, grid):
+    with pytest.raises(ZeroCrossAdmissibility):
+        entry(gabor_coeffs, grid, 1e-9)
+
+
 # -------------------------------------------------------- reproducing kernel
 
 

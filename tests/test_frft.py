@@ -17,6 +17,7 @@ from frwt.frft import (
     TransformOrder,
     Translate,
     _next_fast_len,
+    _transform,
     apply_operator,
     c_alpha,
     frft_direct,
@@ -299,6 +300,21 @@ def test_plan_reuse(grid_256):
     other = Grid((axis_centered(0.1, 256),))
     with pytest.raises(DomainMismatch):
         frft_fast(sample(other, lambda t: np.exp(-(t**2))), 1.05, plan)
+
+
+@pytest.mark.parametrize("alpha", [0.9, 0.0, math.pi, -math.pi])
+@pytest.mark.parametrize(
+    "grid",
+    [Grid((axis_centered(0.0625, 256),)), Grid((axis_centered(0.25, 30), axis_centered(0.2, 27)))],
+    ids=["1d_256", "2d_30x27"],
+)
+def test_batch_transform_equals_frft_fast_per_row(grid, alpha):
+    family = [random_smooth_signal(grid, seed=seed) for seed in range(4)]
+    out_grid, out = _transform(grid, np.stack([f.values for f in family]), alpha)
+    for f, row in zip(family, out):
+        single = frft_fast(f, alpha)
+        assert out_grid == single.grid
+        assert np.array_equal(row, single.values)
 
 
 def test_plan_c_alpha_modulus(grid_256):

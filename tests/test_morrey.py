@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+from frwt import morrey
+from frwt.cfrwt import cfrwt_fast
 from frwt.errors import EmptyScan, GridMismatch
 from frwt.grid import Grid, SampledSignal, axis_centered, l1_norm, sample
 from frwt.morrey import (
@@ -17,6 +19,7 @@ from frwt.morrey import (
     morrey_distance_checks,
     morrey_norm,
 )
+from frwt.scales import ScaleGrid
 from frwt.wavelets import WaveletSpec, get_wavelet, wavelet_l1_norm
 
 MEX = get_wavelet("mexican_hat")
@@ -200,6 +203,32 @@ def test_bound_check_analytic_override(gaussian_256, cfg_default):
 def test_bound_check_scale_vector_validation(gaussian_256, cfg_default):
     with pytest.raises(ValueError):
         morrey_bound_check(gaussian_256, MEX, (1.0, 2.0), 0.9, cfg_default)
+
+
+@pytest.mark.parametrize(
+    "grid, a",
+    [
+        (Grid((axis_centered(0.0625, 256),)), (1.0,)),
+        (Grid((axis_centered(0.0625, 2048),)), (-3.0,)),
+        (Grid((axis_centered(0.25, 30), axis_centered(0.2, 27))), (0.5, -2.0)),
+    ],
+    ids=["256", "2048", "30x27"],
+)
+def test_bound_check_takes_one_coefficient_pass(grid, a, monkeypatch):
+    """The slice at a and the whole growth sweep come from one cfrwt_fast
+    call, whose rows equal one single-vector call per scale vector."""
+    f = sample(grid, lambda *axes: np.exp(-sum(x**2 for x in axes) / 2) * np.exp(1j * axes[0]))
+    calls = []
+    monkeypatch.setattr(morrey, "cfrwt_fast", lambda *args: calls.append(args) or cfrwt_fast(*args))
+    morrey_bound_check(f, MEX, a, 0.9, default_morrey_config(grid, 0.5))
+    assert len(calls) == 1
+    _, slices = morrey._slices(f, MEX, a, 0.9, morrey._GROWTH_SWEEP)
+    vectors = [a] + [(s,) * grid.ndim for s in morrey._GROWTH_SWEEP]
+    assert len(slices) == len(vectors)
+    for vec, got in zip(vectors, slices):
+        mags = np.abs(vec)
+        one = ScaleGrid(np.array([vec], dtype=float), 0.0, float(mags.min()), float(mags.max()), "fixed")
+        assert np.array_equal(got.values, cfrwt_fast(f, MEX, 0.9, one).values[0])
 
 
 def test_bound_check_two_dimensional():

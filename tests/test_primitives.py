@@ -1,6 +1,6 @@
-"""The shared numerical primitives: one chirp, one padded FFT convolution
-and one exact sum, each defined once and used everywhere else; and no
-module imports a name it never reads."""
+"""The shared numerical primitives: one chirp, one padded FFT convolution,
+one exact sum and one batched fast-transform entry, each defined once and
+used everywhere else; and no module imports a name it never reads."""
 
 from __future__ import annotations
 
@@ -35,6 +35,11 @@ RULES = [
         "inverse FFT",
         re.compile(r"\bifftn?\("),
         {("frft.py", "_fft_convolve"), ("frft.py", "_apply_plan")},
+    ),
+    (
+        "fast transform plan",
+        re.compile(r"\b(?:make_plan|_apply_plan)\("),
+        {("frft.py", "_transform"), ("frft.py", "make_plan"), ("frft.py", "_apply_plan")},
     ),
 ]
 

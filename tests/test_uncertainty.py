@@ -306,6 +306,16 @@ def test_local_scan_equals_per_signal_oracle(wide_grid, alpha, beta, theta, monk
     assert rep.envelope_slope == slope
 
 
+def test_local_scan_keeps_the_tail_rule_per_signal(wide_grid):
+    # one slowly decaying member among well-contained ones: its moment is
+    # taken in the same batch as theirs and still refused
+    fam = _dilates(wide_grid, 3)
+    fam.insert(1, sample(wide_grid, lambda t: (1.0 + t**2) ** -0.4))
+    with pytest.raises(TailDominated):
+        local_uncertainty_scan(fam, HALF_PI, 0.0, 0.25, _balls(3))
+    local_uncertainty_scan(fam[:1] + fam[2:], HALF_PI, 0.0, 0.25, _balls(3))
+
+
 def test_local_scan_rejects_a_family_on_several_grids(wide_grid):
     other = Grid((axis_centered(0.125, 2048),))
     fam = _dilates(wide_grid, 2) + _dilates(other, 1)
