@@ -10,6 +10,12 @@ signal grid.  Both routes share the quadrature weights, so they agree to
 rounding, not merely to discretization order.  The fast route's tap
 spectra depend only on the wavelet, the grid and the scales, so a small
 memo keeps the recent ones for a stream of signals.
+
+Synthesis integrates over the scale vectors as well.  The DFT is linear,
+so reconstruct adds the scale vectors' padded spectra along the last grid
+axis, in scale order, and inverts that sum once per call instead of once
+per scale vector; the result does not depend on how the scale vectors
+are chunked.
 """
 
 from __future__ import annotations
@@ -169,7 +175,15 @@ def cfrwt_direct(
     return CfrwtCoefficients(out, b_grid, scales, order, psi.name)
 
 
-def _lag_correlate(values: np.ndarray, tap_fft: np.ndarray, axis: int, work: np.ndarray) -> np.ndarray:
+def _lag_correlate(
+    values: np.ndarray,
+    tap_fft: np.ndarray,
+    axis: int,
+    work: np.ndarray | None,
+    weights: tuple[np.ndarray, ...] = (),
+    acc: np.ndarray | None = None,
+    invert: bool = True,
+) -> np.ndarray:
     """Lag sums out[s, .., k, ..] = sum_j values[s, .., j, ..] taps[s, k - j + n - 1]
     along grid axis `axis` of a scale-batched array.
 
@@ -177,13 +191,15 @@ def _lag_correlate(values: np.ndarray, tap_fft: np.ndarray, axis: int, work: np.
     every scale); tap_fft is the (scales, pad) FFT of taps over lags
     -(n - 1)..n - 1.  Any FFT length pad >= 2n - 1 leaves the central n
     sums unaliased.  The convolution runs in the flat buffer work, which
-    must not hold values; the result is a view into it.
+    must not hold values; the result is a view into it.  weights, acc and
+    invert go to _fft_convolve: with acc the scale rows are summed onto
+    it, and the result is its slice, the lag sums once it is inverted.
     """
     axis += 1
     n = values.shape[axis]
     taps = [1] * values.ndim
     taps[0], taps[axis] = tap_fft.shape
-    full = _fft_convolve(values, tap_fft.reshape(taps), (axis,), work)
+    full = _fft_convolve(values, tap_fft.reshape(taps), (axis,), work, weights, acc, invert)
     sl = [slice(None)] * values.ndim
     sl[axis] = slice(n - 1, 2 * n - 1)
     return full[tuple(sl)]
@@ -225,13 +241,31 @@ def _workspace(grid: Grid, chunks: list[slice]) -> list[np.ndarray]:
 
 
 def _scale_correlate(
-    values: np.ndarray, grid: Grid, a_block: np.ndarray, psi: WaveletSpec, analysis: bool, work: list[np.ndarray]
+    values: np.ndarray,
+    grid: Grid,
+    a_block: np.ndarray,
+    psi: WaveletSpec,
+    analysis: bool,
+    work: list[np.ndarray],
+    weights: tuple[np.ndarray, ...] = (),
+    acc: np.ndarray | None = None,
+    invert: bool = True,
 ) -> np.ndarray:
     """Lag sums against the taps of psi along every grid axis, one output
-    slice per scale vector (row) of a_block; a view into work."""
+    slice per scale vector (row) of a_block; a view into work.
+
+    weights multiply values as the first axis pads them; acc and invert
+    go to the last axis, which then sums the rows onto acc
+    (_lag_correlate).
+    """
+    last = grid.ndim - 1
     for ax, (axis_spec, a_col) in enumerate(zip(grid.axes, a_block.T)):
         tap_fft = _tap_spectrum(psi, analysis, axis_spec.step, axis_spec.count, a_col.tobytes())
-        values = _lag_correlate(values, tap_fft, ax, work[ax % 2])
+        if ax < last:
+            values = _lag_correlate(values, tap_fft, ax, work[ax % 2], weights)
+        else:
+            values = _lag_correlate(values, tap_fft, ax, work[ax % 2], weights, acc, invert)
+        weights = ()
     return values
 
 
@@ -482,6 +516,13 @@ def reconstruct(
     phi is the synthesizing wavelet; psi_used must be the wavelet the
     coefficients were taken with.  The two-wavelet normalizer is their
     cross admissibility constant; it must be bounded away from zero.
+
+    The coefficients, weighted by the shift quadrature, the b-chirp and
+    each scale's measure weight / sqrt|a|, are correlated with the
+    synthesis taps axis by axis.  Along the last axis every chunk's
+    padded spectra are added in scale order onto one running spectrum,
+    which is inverted once at the end; the result is bit-for-bit the
+    same for any chunk size.
     """
     order = coeffs.order
     ndim = coeffs.b_grid.ndim
@@ -492,26 +533,20 @@ def reconstruct(
     cross_value = _cross_value(phi, psi_used, order, ndim, scan, cross_value)
     grid = coeffs.b_grid
     vectors = coeffs.scales.vectors
-    w_b = grid.weights()
-    b_phase = _chirp(grid.radius_sq(), order.cot)
+    b_weights = grid.weights() * _chirp(grid.radius_sq(), order.cot)
     factors = (coeffs.scales.measure_weights() / _scale_norms(vectors)).reshape((-1,) + (1,) * ndim)
-    out = np.zeros(grid.shape, dtype=np.complex128)
+    # the running padded spectrum of the scale sum along the last axis
+    n = grid.axes[-1].count
+    acc = np.zeros((1,) + grid.shape[:-1] + (_next_fast_len(2 * n - 1),), dtype=np.complex128)
     chunks = _scale_chunks(grid, coeffs.scales.count)
     work = _workspace(grid, chunks)
-    # sized for the first chunk, the largest
-    weighted = np.empty((chunks[0].stop,) + grid.shape, dtype=np.complex128)
     for chunk in chunks:
-        part = weighted[: chunk.stop - chunk.start]
-        np.multiply(coeffs.values[chunk], w_b, out=part)
-        part *= b_phase
-        block = _scale_correlate(part, grid, vectors[chunk], phi, False, work)
-        np.multiply(factors[chunk], block, out=block)
-        # scale-index order, so the sum does not depend on the chunking
-        for piece in block:
-            out += piece
+        weights = (b_weights, factors[chunk])
+        out = _scale_correlate(
+            coeffs.values[chunk], grid, vectors[chunk], phi, False, work, weights, acc, chunk is chunks[-1]
+        )
     mod = abs(c_alpha(order, ndim)) ** 2
-    out *= mod / cross_value * _chirp(grid.radius_sq(), -order.cot)
-    return SampledSignal(grid, out)
+    return SampledSignal(grid, out[0] * (mod / cross_value * _chirp(grid.radius_sq(), -order.cot)))
 
 
 def reproducing_kernel(

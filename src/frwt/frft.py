@@ -343,18 +343,32 @@ def _next_fast_len(n: int) -> int:
 
 
 def _fft_convolve(
-    operand: np.ndarray, kernel_fft: np.ndarray, axes: tuple[int, ...], out: np.ndarray | None = None
+    operand: np.ndarray,
+    kernel_fft: np.ndarray,
+    axes: tuple[int, ...],
+    out: np.ndarray | None = None,
+    weights: tuple[np.ndarray, ...] = (),
+    acc: np.ndarray | None = None,
+    invert: bool = True,
 ) -> np.ndarray:
     """Circular convolution along axes of operand, zero-padded to the
     lengths of kernel_fft, with the kernel whose spectrum is kernel_fft.
 
     kernel_fft broadcasts against the padded operand; an operand axis of
     length one (a batch of one signal) broadcasts against every kernel
-    row and is transformed once.  The padded spectrum is formed and
-    inverted in place in out, a flat buffer that must not hold operand,
-    or in a fresh array; the full padded result is returned (a view into
-    out) for the caller to slice.  Reusing one buffer across calls spares
-    a fresh, page-faulting allocation per call.
+    row and is transformed once.  weights, factors that broadcast against
+    operand, multiply it as it is written into the padding.  The padded
+    spectrum is formed and inverted in place in out, a flat buffer that
+    must not hold operand, or in a fresh array; the full padded result is
+    returned (a view into out) for the caller to slice.  Reusing one
+    buffer across calls spares a fresh, page-faulting allocation per call.
+
+    With acc, a padded spectrum shaped like one row along axis 0 of the
+    product, the product's rows are added onto acc in row order instead,
+    and acc is inverted in place and returned if invert is set, or
+    returned still a spectrum for the next call if not.  The rows of a
+    stream of calls are thus summed in order, whatever the split, and the
+    sum is inverted once.
     """
     shape = list(operand.shape)
     for ax in axes:
@@ -363,7 +377,13 @@ def _fft_convolve(
     size = math.prod(full)
     result = (np.empty(size, dtype=np.complex128) if out is None else out[:size]).reshape(full)
     spec = result if tuple(shape) == full else np.empty(shape, dtype=np.complex128)
-    spec[tuple(slice(0, n) for n in operand.shape)] = operand
+    head = spec[tuple(slice(0, n) for n in operand.shape)]
+    if weights:
+        np.multiply(operand, weights[0], out=head)
+        for w in weights[1:]:
+            head *= w
+    else:
+        head[...] = operand
     for ax in axes:
         pad = [slice(None)] * operand.ndim
         pad[ax] = slice(operand.shape[ax], None)
@@ -373,8 +393,15 @@ def _fft_convolve(
     for ax in reversed(axes):
         np.fft.fft(spec, axis=ax, out=spec)
     np.multiply(spec, kernel_fft, out=result)
-    for ax in reversed(axes):
-        np.fft.ifft(result, axis=ax, out=result)
+    if acc is not None:
+        # acc joins the first row, and numpy's reduce over the leading axis
+        # of a C-contiguous block adds the rows in order
+        result[:1] += acc
+        np.add.reduce(result, axis=0, keepdims=True, out=acc)
+        result = acc
+    if invert:
+        for ax in reversed(axes):
+            np.fft.ifft(result, axis=ax, out=result)
     return result
 
 

@@ -58,8 +58,12 @@ class ScaleGrid:
         return int(self.vectors.shape[0])
 
     def measure_weights(self) -> np.ndarray:
-        """Quadrature weights for the measure da / |a|_p^2 (one da/a_i^2 per axis)."""
-        return self.log_step**self.ndim / np.prod(self.vectors**2 / np.abs(self.vectors), axis=1)
+        """Quadrature weights for the measure da / |a|_p^2 (one da/a_i^2 per axis).
+
+        On the log grid da_i = |a_i| h, so each axis contributes h / |a_i|;
+        squaring a_i first would overflow or underflow for legal scales.
+        """
+        return self.log_step**self.ndim / np.prod(np.abs(self.vectors), axis=1)
 
     def log_measure_weights(self) -> np.ndarray:
         """Quadrature weights for the measure da / |a|_p."""

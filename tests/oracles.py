@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from frwt.frft import frft_fast
+from frwt.cfrwt import _lag_correlate, _tap_spectrum
+from frwt.frft import _chirp, c_alpha, frft_fast
 from frwt.grid import Grid, SampledSignal, _exact_sum, l2_norm
 from frwt.uncertainty import LocalEntry, _ball_measure, dispersion
 from frwt.wavelets import MORLET_OMEGA0
@@ -116,6 +117,29 @@ def brute_reconstruct(coeffs, phi_profile, cross_value: complex) -> np.ndarray:
         chirped = coeffs.values[s].reshape(-1) * w_b * np.exp(0.5j * cot * r2)
         total += w_a[s] / np.sqrt(np.prod(np.abs(a_vec))) * (mat @ chirped)
     return (mod / cross_value * np.exp(-0.5j * cot * r2) * total).reshape(grid.shape)
+
+
+def per_scale_reconstruct(coeffs, phi, cross_value: complex) -> np.ndarray:
+    """Synthesis by the time-domain scale sum that reconstruct replaced:
+    every scale vector is correlated with its synthesis taps along each
+    axis and inverted on its own (one _lag_correlate per axis), then the
+    rows, each times its measure weight / sqrt|a|, are added in scale
+    order.  Shares the taps and the lag correlation with the package,
+    not the frequency-domain scale sum.
+    """
+    grid = coeffs.b_grid
+    order = coeffs.order
+    vectors = coeffs.scales.vectors
+    block = coeffs.values * grid.weights() * _chirp(grid.radius_sq(), order.cot)
+    for ax, axis_spec in enumerate(grid.axes):
+        tap_fft = _tap_spectrum(phi, False, axis_spec.step, axis_spec.count, vectors[:, ax].tobytes())
+        block = _lag_correlate(block, tap_fft, ax, None)
+    factors = coeffs.scales.measure_weights() / np.sqrt(np.prod(np.abs(vectors), axis=1))
+    total = np.zeros(grid.shape, dtype=complex)
+    for factor, row in zip(factors, block):
+        total += factor * row
+    mod = abs(c_alpha(order, grid.ndim)) ** 2
+    return total * (mod / cross_value * _chirp(grid.radius_sq(), -order.cot))
 
 
 def fine_grid_fractional_spectrum(psi, alpha: float, u: np.ndarray, points: int = 8192) -> np.ndarray:

@@ -25,7 +25,7 @@ from frwt.grid import AxisSpec, Grid, SampledSignal, axis_centered, l2_norm, sam
 from frwt.scales import log_scale_grid
 from frwt.wavelets import CATALOG, DaughterParams, get_wavelet, make_daughter, wavelet_l2_norm
 
-from oracles import brute_classical_cwt, brute_reconstruct, fine_grid_fractional_spectrum
+from oracles import brute_classical_cwt, brute_reconstruct, fine_grid_fractional_spectrum, per_scale_reconstruct
 
 MEX = get_wavelet("mexican_hat")
 DOG3 = get_wavelet("dog3")
@@ -185,6 +185,47 @@ def test_results_do_not_depend_on_chunk_size(gabor, gabor_coeffs, scales_wide, m
     chunked = cfrwt_fast(gabor, MEX, ALPHA, scales_wide)
     assert np.array_equal(chunked.values, gabor_coeffs.values)
     assert np.array_equal(reconstruct(chunked, DOG4, MEX, cross_value=CROSS).values, recon.values)
+
+
+def _synthesis_case(axes, a_count, psi=MOR):
+    g = Grid(axes)
+    f = sample(g, lambda *t: np.exp(-sum((x - 0.3) ** 2 for x in t)) * np.exp(2j * t[0]))
+    sc = log_scale_grid(2.0**-2, 2.0**2, a_count, ndim=g.ndim, signs="both")
+    return cfrwt_fast(f, psi, ALPHA, sc)
+
+
+@pytest.mark.parametrize(
+    "axes,a_count,rows",
+    [
+        ((AxisSpec(-4.0, 0.1, 101),), 16, 3),
+        ((axis_centered(0.4, 30), AxisSpec(-4.0, 0.35, 27)), 4, 5),
+    ],
+    ids=["1d-101", "2d-30x27"],
+)
+def test_synthesis_does_not_depend_on_chunk_size(axes, a_count, rows, monkeypatch):
+    w = _synthesis_case(axes, a_count)
+    recon = reconstruct(w, MOR, MOR, cross_value=CROSS)
+    monkeypatch.setattr(cfrwt_module, "_CHUNK_BYTES", rows * 16 * cfrwt_module._padded_size(w.b_grid))
+    chunks = cfrwt_module._scale_chunks(w.b_grid, w.scales.count)
+    # chunks of `rows` scale vectors, the last one short
+    assert chunks[0].stop == rows and 0 < chunks[-1].stop - chunks[-1].start < rows
+    assert np.array_equal(reconstruct(w, MOR, MOR, cross_value=CROSS).values, recon.values)
+
+
+def test_synthesis_inverts_one_padded_row(gabor_coeffs, monkeypatch):
+    """The scale sum is taken in the frequency domain: a 1-D synthesis over
+    128 scale vectors inverts one padded row, not one per scale vector."""
+    inverted = []
+    ifft = np.fft.ifft
+
+    def recording_ifft(a, *args, axis=-1, **kwargs):
+        inverted.append(a.size // a.shape[axis])
+        return ifft(a, *args, axis=axis, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", recording_ifft)
+    assert gabor_coeffs.scales.count == 128
+    reconstruct(gabor_coeffs, DOG4, MEX, cross_value=CROSS)
+    assert inverted == [1]
 
 
 # ------------------------------------------------------------ energy checks
@@ -436,19 +477,34 @@ def test_reconstruct_gaussian_shortfall_is_explained(grid, scales_wide):
     ids=["1d-256", "1d-101", "2d-30x27"],
 )
 def test_reconstruct_matches_brute_sum(axes, a_count):
-    g = Grid(axes)
-    f = sample(g, lambda *t: np.exp(-sum((x - 0.3) ** 2 for x in t)) * np.exp(2j * t[0]))
-    sc = log_scale_grid(2.0**-2, 2.0**2, a_count, ndim=g.ndim, signs="both")
-    chunks = cfrwt_module._scale_chunks(g, sc.count)
-    if g.ndim == 2:
-        # several chunks, the last one short
-        assert len(chunks) > 1 and chunks[-1].stop - chunks[-1].start < chunks[0].stop
     # complex, asymmetric profiles: with an even analysis wavelet the
     # coefficients at a and -a coincide and would hide a lag-sign slip
-    w = cfrwt_fast(f, MOR, ALPHA, sc)
+    w = _synthesis_case(axes, a_count)
+    chunks = cfrwt_module._scale_chunks(w.b_grid, w.scales.count)
+    if w.b_grid.ndim == 2:
+        # several chunks, the last one short
+        assert len(chunks) > 1 and chunks[-1].stop - chunks[-1].start < chunks[0].stop
     fast = reconstruct(w, MOR, MOR, cross_value=CROSS)
     brute = brute_reconstruct(w, MOR.profile, CROSS)
     assert relative_peak_error(fast.values, brute) < 1e-12
+
+
+@pytest.mark.parametrize("psi", [MEX, MOR], ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "axes,a_count",
+    [
+        ((axis_centered(0.0625, 256),), 16),
+        ((AxisSpec(-4.0, 0.1, 101),), 16),
+        ((axis_centered(0.4, 30), AxisSpec(-4.0, 0.35, 27)), 4),
+        ((axis_centered(0.5, 12), AxisSpec(-3.0, 0.6, 10), axis_centered(0.7, 9)), 2),
+    ],
+    ids=["1d-256", "1d-101", "2d-30x27", "3d-12x10x9"],
+)
+def test_reconstruct_matches_per_scale_route(axes, a_count, psi):
+    w = _synthesis_case(axes, a_count, psi)
+    fast = reconstruct(w, psi, psi, cross_value=CROSS)
+    oracle = per_scale_reconstruct(w, psi, CROSS)
+    assert relative_peak_error(fast.values, oracle) <= 1e-13
 
 
 def test_reconstruct_zero_coefficients(gabor_coeffs):

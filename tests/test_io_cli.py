@@ -211,6 +211,29 @@ def test_coefficients_round_trip(tmp_path, grid_256):
     )
 
 
+def test_coefficient_file_with_squared_scale_weights_still_reads(tmp_path):
+    """Files written while measure weights were h^n / prod(a_i^2 / |a_i|)
+    carry weights a few ulps off h^n / prod|a_i|; they still read."""
+    grid = Grid((axis_centered(0.5, 8), axis_centered(0.5, 4)))
+    scales = log_scale_grid(0.3, 7.0, 13, ndim=2, signs="both")
+    v = scales.vectors
+    old = scales.log_step**2 / np.prod(v**2 / np.abs(v), axis=1)
+    assert np.any(old != scales.measure_weights())
+    rng = np.random.default_rng(11)
+    shape = (scales.count,) + grid.shape
+    coeffs = CfrwtCoefficients(rng.normal(size=shape) + 0j, grid, scales, TransformOrder(0.9), "mexican_hat")
+    path = tmp_path / "old.coef"
+    write_coefficients(path, coeffs)
+    raw = bytearray(path.read_bytes())
+    at = len(raw) - 16 * coeffs.values.size - 8 * scales.count
+    assert raw[at : at + 8 * scales.count] == scales.measure_weights().astype("<f8").tobytes()
+    raw[at : at + 8 * scales.count] = old.astype("<f8").tobytes()
+    path.write_bytes(bytes(raw))
+    back = read_coefficients(path)
+    assert np.array_equal(back.values, coeffs.values)
+    assert np.array_equal(back.measure_weights(), coeffs.measure_weights())
+
+
 def _c16_bits(values):
     return np.ascontiguousarray(values, dtype="<c16").view("<u8")
 

@@ -138,6 +138,39 @@ def test_fft_convolve_broadcasts_one_operand_row_into_a_given_buffer():
     assert np.array_equal(full, np.stack(rows))
 
 
+@pytest.mark.parametrize("shape, pad", [((12, 40), 96), ((7, 5, 33), 72)])
+def test_fft_convolve_reduces_rows_onto_a_running_spectrum(shape, pad):
+    rng = np.random.default_rng(len(shape))
+    u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    u *= np.exp(rng.uniform(-8.0, 8.0, shape))
+    kernels = rng.standard_normal((shape[0],) + (1,) * (len(shape) - 2) + (pad,)) * (1.0 + 0.5j)
+    axes = (len(shape) - 1,)
+    plain = _fft_convolve(u, kernels, axes)
+    row = (1,) + plain.shape[1:]
+    whole = _fft_convolve(u, kernels, axes, acc=np.zeros(row, dtype=np.complex128))
+    assert whole.shape == row
+    assert np.abs(whole[0] - plain.sum(axis=0)).max() <= 1e-13 * np.abs(plain).max()
+    # any split of the rows into successive calls sums them in the same order
+    k = shape[0]
+    for cuts in ([], list(range(1, k)), [1, 4], [k - 1], sorted(rng.choice(np.arange(1, k), 3, replace=False))):
+        acc = np.zeros(row, dtype=np.complex128)
+        bounds = [0, *cuts, k]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            got = _fft_convolve(u[lo:hi], kernels[lo:hi], axes, acc=acc, invert=hi == k)
+            assert got is acc
+        assert np.array_equal(acc, whole)
+
+
+def test_fft_convolve_weights_multiply_the_operand_as_it_is_padded():
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal((4, 30)) + 1j * rng.standard_normal((4, 30))
+    w_b = np.exp(1j * rng.standard_normal(30))
+    w_s = rng.uniform(0.5, 2.0, (4, 1))
+    kernels = rng.standard_normal((4, 64)) + 0j
+    want = _fft_convolve(u * w_b * w_s, kernels, (1,))
+    assert np.array_equal(_fft_convolve(u, kernels, (1,), weights=(w_b, w_s)), want)
+
+
 @pytest.mark.parametrize(
     "values",
     [
