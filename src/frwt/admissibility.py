@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frft import TransformOrder, _as_order, _chirp, c_alpha
+from .frft import TransformOrder, _as_order, _chirp, _row_blocks, c_alpha
 from .wavelets import _PROFILE_POINTS, WaveletSpec, _profile_quadrature
 
 __all__ = [
@@ -65,8 +65,6 @@ _STEADY_RATIO = 0.75
 
 # fewest points of a spectral profile grid
 _MIN_SPECTRAL_POINTS = 256
-# phase matrix bytes per chunk of frequencies in _fourier_sum
-_CHUNK_BYTES = 1 << 20
 # distinct scans kept by the report memo
 _CACHE_SIZE = 64
 
@@ -166,13 +164,11 @@ def _fourier_sum(t0: float, dt: float, x: np.ndarray, v: np.ndarray) -> np.ndarr
     blocks = np.ascontiguousarray(blocks.reshape(q, p).T)
     fine = dt * np.arange(p)
     coarse = t0 + (p * dt) * np.arange(q)
-    rows = max(1, _CHUNK_BYTES // (16 * max(p, q)))
     out = np.empty(v.shape, dtype=np.complex128)
-    for lo in range(0, v.size, rows):
-        chunk = v[lo : lo + rows]
-        partial = np.exp(1j * np.outer(chunk, fine)) @ blocks
-        partial *= np.exp(1j * np.outer(chunk, coarse))
-        out[lo : lo + rows] = partial.sum(axis=1)
+    for rows in _row_blocks(v.size, max(p, q)):
+        partial = np.exp(1j * np.outer(v[rows], fine)) @ blocks
+        partial *= np.exp(1j * np.outer(v[rows], coarse))
+        out[rows] = partial.sum(axis=1)
     return out
 
 

@@ -11,6 +11,12 @@ rounding, not merely to discretization order.  The fast route's tap
 spectra depend only on the wavelet, the grid and the scales, so a small
 memo keeps the recent ones for a stream of signals.
 
+A fast pass, analysis or synthesis, runs from one chunk plan: the scale
+vectors in chunks of the shared row-block rule (frft._row_blocks, one
+row per scale vector's largest padded intermediate), at most two reused
+padded buffers, and each axis's lag FFT length.  Every axis of a chunk
+is then one padded FFT convolution (frft._fft_convolve).
+
 Synthesis integrates over the scale vectors as well.  The DFT is linear,
 so reconstruct adds the scale vectors' padded spectra along the last grid
 axis, in scale order, and inverts that sum once per call instead of once
@@ -36,7 +42,7 @@ from .admissibility import (
     fractional_spectrum,
 )
 from .errors import GridMismatch, InadmissibleWavelet, ZeroCrossAdmissibility
-from .frft import TransformOrder, _as_order, _chirp, _fft_convolve, _next_fast_len, c_alpha, frft_fast
+from .frft import TransformOrder, _as_order, _chirp, _fft_convolve, _next_fast_len, _row_blocks, c_alpha, frft_fast
 from .grid import Grid, SampledSignal, _exact_sum, grids_close, inner_product, l2_norm
 from .report import VerificationReport
 from .scales import ScaleGrid
@@ -58,10 +64,7 @@ __all__ = [
 
 CROSS_ZERO_TOL = 1e-8
 
-# Padded complex work per chunk of scale vectors in the fast routes; bounds
-# their memory, since a 2-D scale grid with both signs has (2M)^2 vectors.
-_CHUNK_BYTES = 1 << 20
-# chunks of tap spectra kept (each at most _CHUNK_BYTES)
+# chunks of tap spectra kept (each at most frft._CHUNK_BYTES)
 _TAP_CACHE_SIZE = 8
 
 
@@ -175,39 +178,10 @@ def cfrwt_direct(
     return CfrwtCoefficients(out, b_grid, scales, order, psi.name)
 
 
-def _lag_correlate(
-    values: np.ndarray,
-    tap_fft: np.ndarray,
-    axis: int,
-    work: np.ndarray | None,
-    weights: tuple[np.ndarray, ...] = (),
-    acc: np.ndarray | None = None,
-    invert: bool = True,
-) -> np.ndarray:
-    """Lag sums out[s, .., k, ..] = sum_j values[s, .., j, ..] taps[s, k - j + n - 1]
-    along grid axis `axis` of a scale-batched array.
-
-    values carries a leading scale axis (length one broadcasts against
-    every scale); tap_fft is the (scales, pad) FFT of taps over lags
-    -(n - 1)..n - 1.  Any FFT length pad >= 2n - 1 leaves the central n
-    sums unaliased.  The convolution runs in the flat buffer work, which
-    must not hold values; the result is a view into it.  weights, acc and
-    invert go to _fft_convolve: with acc the scale rows are summed onto
-    it, and the result is its slice, the lag sums once it is inverted.
-    """
-    axis += 1
-    n = values.shape[axis]
-    taps = [1] * values.ndim
-    taps[0], taps[axis] = tap_fft.shape
-    full = _fft_convolve(values, tap_fft.reshape(taps), (axis,), work, weights, acc, invert)
-    sl = [slice(None)] * values.ndim
-    sl[axis] = slice(n - 1, 2 * n - 1)
-    return full[tuple(sl)]
-
-
 @functools.lru_cache(maxsize=_TAP_CACHE_SIZE)
-def _tap_spectrum(psi: WaveletSpec, analysis: bool, step: float, n: int, a_col: bytes) -> np.ndarray:
-    """Read-only FFT of one axis's lag taps, one row per scale component.
+def _tap_spectrum(psi: WaveletSpec, analysis: bool, step: float, n: int, pad: int, a_col: bytes) -> np.ndarray:
+    """Read-only length-pad FFT of one axis's lag taps, one row per scale
+    component.
 
     Taps are psi(x) for synthesis and conj(psi(-x)) for analysis, at
     x = lag step / a over lags -(n - 1)..n - 1.  They depend on neither
@@ -218,26 +192,27 @@ def _tap_spectrum(psi: WaveletSpec, analysis: bool, step: float, n: int, a_col: 
     x = lags[None, :] / np.frombuffer(a_col)[:, None]
     # sum_j chi_j conj(psi((j - k) dt / a)) is a lag sum against conj(psi(-x))
     taps = np.conj(psi.profile(-x)) if analysis else psi.profile(x)
-    out = np.fft.fft(taps, n=_next_fast_len(2 * n - 1), axis=1)
+    out = np.fft.fft(taps, n=pad, axis=1)
     out.flags.writeable = False
     return out
 
 
-def _padded_size(grid: Grid) -> int:
-    """Elements of the largest padded intermediate of one scale vector."""
-    return max(grid.size // ax.count * _next_fast_len(2 * ax.count - 1) for ax in grid.axes)
+def _chunk_plan(grid: Grid, count: int) -> tuple[list[slice], list[np.ndarray], tuple[int, ...]]:
+    """Chunks of count scale vectors, padded buffers and per-axis lag FFT
+    lengths for one coefficient pass over grid.
 
-
-def _scale_chunks(grid: Grid, count: int) -> list[slice]:
-    step = max(1, _CHUNK_BYTES // (16 * _padded_size(grid)))
-    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
-
-
-def _workspace(grid: Grid, chunks: list[slice]) -> list[np.ndarray]:
-    """Padded-spectrum buffers for the first (largest) chunk: one per grid
-    axis, at most two, since each axis reads the previous axis's buffer."""
-    size = chunks[0].stop * _padded_size(grid)
-    return [np.empty(size, dtype=np.complex128) for _ in range(min(2, grid.ndim))]
+    Axis k correlates over lags -(n_k - 1)..n_k - 1, so any FFT length
+    pads[k] >= 2 n_k - 1 leaves its n_k central sums unaliased.  A chunk
+    holds as many scale vectors as fit _CHUNK_BYTES of their largest
+    padded intermediate.  The buffers, sized for the first (largest)
+    chunk, are one per grid axis, at most two, since each axis reads the
+    previous axis's buffer.
+    """
+    pads = tuple(_next_fast_len(2 * ax.count - 1) for ax in grid.axes)
+    padded = max(grid.size // ax.count * pad for ax, pad in zip(grid.axes, pads))
+    chunks = _row_blocks(count, padded)
+    work = [np.empty(chunks[0].stop * padded, dtype=np.complex128) for _ in range(min(2, grid.ndim))]
+    return chunks, work, pads
 
 
 def _scale_correlate(
@@ -247,24 +222,31 @@ def _scale_correlate(
     psi: WaveletSpec,
     analysis: bool,
     work: list[np.ndarray],
+    pads: tuple[int, ...],
     weights: tuple[np.ndarray, ...] = (),
     acc: np.ndarray | None = None,
     invert: bool = True,
 ) -> np.ndarray:
-    """Lag sums against the taps of psi along every grid axis, one output
-    slice per scale vector (row) of a_block; a view into work.
+    """Lag sums out[s, .., k, ..] = sum_j values[s, .., j, ..] taps_s[k - j + n - 1]
+    against the taps of psi along every grid axis, one output slice per
+    scale vector s (row) of a_block.
 
-    weights multiply values as the first axis pads them; acc and invert
-    go to the last axis, which then sums the rows onto acc
-    (_lag_correlate).
+    values carries a leading scale axis (length one broadcasts against
+    every scale).  Axis ax is one length-pads[ax] FFT convolution in the
+    flat buffer work[ax % 2], which must not hold values; the result is a
+    view into it.  weights multiply values as the first axis pads them;
+    with acc the last axis sums the rows onto acc (see _fft_convolve),
+    and invert says whether to invert it.
     """
-    last = grid.ndim - 1
-    for ax, (axis_spec, a_col) in enumerate(zip(grid.axes, a_block.T)):
-        tap_fft = _tap_spectrum(psi, analysis, axis_spec.step, axis_spec.count, a_col.tobytes())
-        if ax < last:
-            values = _lag_correlate(values, tap_fft, ax, work[ax % 2], weights)
-        else:
-            values = _lag_correlate(values, tap_fft, ax, work[ax % 2], weights, acc, invert)
+    for ax, (axis_spec, pad, a_col) in enumerate(zip(grid.axes, pads, a_block.T)):
+        n = axis_spec.count
+        tap_fft = _tap_spectrum(psi, analysis, axis_spec.step, n, pad, a_col.tobytes())
+        taps = [1] * values.ndim
+        taps[0], taps[ax + 1] = tap_fft.shape
+        on_last = ax == grid.ndim - 1
+        full = _fft_convolve(values, tap_fft.reshape(taps), (ax + 1,), work[ax % 2], weights,
+                             acc if on_last else None, invert or not on_last)
+        values = full[(slice(None),) * (ax + 1) + (slice(n - 1, 2 * n - 1),)]
         weights = ()
     return values
 
@@ -290,10 +272,9 @@ def cfrwt_fast(
     expand = (-1,) + (1,) * f.ndim
     norms = _scale_norms(scales.vectors).reshape(expand)
     out = np.empty((scales.count,) + f.grid.shape, dtype=np.complex128)
-    chunks = _scale_chunks(f.grid, scales.count)
-    work = _workspace(f.grid, chunks)
+    chunks, work, pads = _chunk_plan(f.grid, scales.count)
     for chunk in chunks:
-        block = _scale_correlate(chi, f.grid, scales.vectors[chunk], psi, True, work)
+        block = _scale_correlate(chi, f.grid, scales.vectors[chunk], psi, True, work, pads)
         np.divide(block, norms[chunk], out=out[chunk])
     out *= _chirp(f.grid.radius_sq(), -order.cot)
     return CfrwtCoefficients(out, f.grid, scales, order, psi.name)
@@ -384,9 +365,8 @@ def _spectrum_power_chirp_z(
         # lags k - j over one FFT period; k' - j' = lag - (kc - jc)
         lags = np.arange(size)
         lags = np.where(lags < m, lags, lags - size) - ((m - 1) - (n - 1)) / 2
-        rows = max(1, _CHUNK_BYTES // (16 * size))
-        for lo in range(0, len(members), rows):
-            chunk = members[lo : lo + rows]
+        for rows in _row_blocks(len(members), size):
+            chunk = members[rows]
             s = a[chunk, None] * csc
             theta = s * step * dt
             z = x * np.exp(-1j * (s * xi_c * dt * j + 0.5 * theta * j**2))
@@ -432,17 +412,17 @@ def plancherel_check(
     coeffs: CfrwtCoefficients,
     f: SampledSignal,
     psi: WaveletSpec,
-    order: TransformOrder | float | None = None,
     scan: FrequencyScan | None = None,
     tolerance: float = 0.05,
 ) -> VerificationReport:
-    """Coefficient energy against the admissibility-scaled signal energy.
+    """Coefficient energy against the admissibility-scaled signal energy,
+    both at the order the coefficients were taken at.
 
     The reported ratio tends to one from below as the scale range widens;
     details carry the top-octave share and, in one dimension, the ratio
     predicted by the scale-truncated coverage of the signal's spectrum.
     """
-    order = _as_order(order) if order is not None else coeffs.order
+    order = coeffs.order
     if not grids_close(coeffs.b_grid, f.grid):
         raise GridMismatch("coefficients were not taken over the signal's grid")
     adm = _admissibility_for(psi, order, f.ndim, scan)
@@ -535,15 +515,13 @@ def reconstruct(
     vectors = coeffs.scales.vectors
     b_weights = grid.weights() * _chirp(grid.radius_sq(), order.cot)
     factors = (coeffs.scales.measure_weights() / _scale_norms(vectors)).reshape((-1,) + (1,) * ndim)
+    chunks, work, pads = _chunk_plan(grid, coeffs.scales.count)
     # the running padded spectrum of the scale sum along the last axis
-    n = grid.axes[-1].count
-    acc = np.zeros((1,) + grid.shape[:-1] + (_next_fast_len(2 * n - 1),), dtype=np.complex128)
-    chunks = _scale_chunks(grid, coeffs.scales.count)
-    work = _workspace(grid, chunks)
+    acc = np.zeros((1,) + grid.shape[:-1] + (pads[-1],), dtype=np.complex128)
     for chunk in chunks:
         weights = (b_weights, factors[chunk])
         out = _scale_correlate(
-            coeffs.values[chunk], grid, vectors[chunk], phi, False, work, weights, acc, chunk is chunks[-1]
+            coeffs.values[chunk], grid, vectors[chunk], phi, False, work, pads, weights, acc, chunk is chunks[-1]
         )
     mod = abs(c_alpha(order, ndim)) ** 2
     return SampledSignal(grid, out[0] * (mod / cross_value * _chirp(grid.radius_sq(), -order.cot)))

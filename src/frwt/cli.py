@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .admissibility import FrequencyScan, admissibility_constant
+from .admissibility import admissibility_constant
 from .cfrwt import cfrwt_fast, reconstruct
 from .errors import DeltaKernel, FrwtError, GridMismatch, InadmissibleWavelet, SignalFileError
 from .frft import frft_direct, frft_fast
@@ -26,7 +26,6 @@ from .io import (
     write_csv,
     write_signal,
 )
-from .scales import log_scale_grid
 from .verify import run_suite, suite_names
 from .wavelets import get_wavelet
 
@@ -52,10 +51,6 @@ def _save_signal(path: str, signal: SampledSignal) -> None:
         write_signal(path, signal)
 
 
-def _scan_for(cfg) -> FrequencyScan:
-    return FrequencyScan(u_min=cfg.u_min, u_max=cfg.u_max)
-
-
 def cmd_frft(args) -> int:
     signal = _load_signal(args.input)
     engine = frft_fast if args.engine == "fast" else frft_direct
@@ -70,16 +65,14 @@ def cmd_cfrwt(args) -> int:
     signal = _load_signal(args.input)
     cfg = parse_run_config(args.config)
     psi = get_wavelet(cfg.wavelet)
-    adm = admissibility_constant(psi, cfg.alpha, scan=_scan_for(cfg), ndim=signal.ndim)
+    adm = admissibility_constant(psi, cfg.alpha, scan=cfg.frequency_scan(), ndim=signal.ndim)
     if adm.verdict == "divergent":
         print(f"wavelet {psi.name!r} is inadmissible at order {cfg.alpha}", file=sys.stderr)
         print("divergence trace (cutoff, running integral):", file=sys.stderr)
         for cutoff, value in adm.trace:
             print(f"  {cutoff:.3e}  {value:.6f}", file=sys.stderr)
         return EXIT_INADMISSIBLE
-    scales = log_scale_grid(
-        cfg.a_min, cfg.a_max, cfg.a_count, ndim=signal.ndim, signs="both"
-    )
+    scales = cfg.scale_grid(signal.ndim)
     coeffs = cfrwt_fast(signal, psi, cfg.alpha, scales)
     write_coefficients(args.output, coeffs)
     print(f"wrote {scales.count} x {signal.values.size} coefficients at order {cfg.alpha}")
@@ -91,7 +84,7 @@ def cmd_synth(args) -> int:
     cfg = parse_run_config(args.config)
     synthesis = get_wavelet(cfg.wavelet)
     analysis = get_wavelet(coeffs.wavelet)
-    recon = reconstruct(coeffs, synthesis, analysis, scan=_scan_for(cfg))
+    recon = reconstruct(coeffs, synthesis, analysis, scan=cfg.frequency_scan())
     _save_signal(args.output, recon)
     if args.reference is not None:
         ref = _load_signal(args.reference)

@@ -54,7 +54,8 @@ ANGLE_TOL = 1e-12
 # Orders within [ANGLE_TOL, NEAR_SINGULAR_TOL) of a multiple of pi are legal
 # but numerically fragile; they are flagged with a warning.
 NEAR_SINGULAR_TOL = 1e-3
-# least kernel matrix bytes per block of output rows in the direct quadrature
+# least kernel matrix bytes per block of output rows in the direct quadrature;
+# a floor its bit-identity needs (see _direct_apply), not a memory cap
 _KERNEL_BLOCK_BYTES = 1 << 20
 
 
@@ -403,6 +404,20 @@ def _fft_convolve(
         for ax in reversed(axes):
             np.fft.ifft(result, axis=ax, out=result)
     return result
+
+
+# complex bytes per block of rows in the budgeted loops: the coefficient
+# pass over scale vectors, the chirp-z over scales and the factored
+# Fourier sum over frequencies
+_CHUNK_BYTES = 1 << 20
+
+
+def _row_blocks(count: int, row_elems: int) -> list[slice]:
+    """Successive slices over range(count), each of as many rows of
+    row_elems complex elements as fit _CHUNK_BYTES (at least one row);
+    only the last may be short."""
+    step = max(1, _CHUNK_BYTES // (16 * row_elems))
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def _apply_plan(values: np.ndarray, plan: FrftPlan) -> np.ndarray:

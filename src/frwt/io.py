@@ -11,8 +11,8 @@ the bytes left after the header against the sample count before they
 allocate, then read the payload into one complex128 array in a single
 pass.  Coefficient files carry the same axis block for the shift grid
 plus the transform order, wavelet name, scale vectors and their measure
-weights.  Inputs must be regular files, since the reader takes the size
-from fstat; a pipe, a FIFO or a device is refused.
+weights.  Inputs, CSV included, must be regular files, since the binary
+readers take the size from fstat; a pipe, a FIFO or a device is refused.
 """
 
 from __future__ import annotations
@@ -25,11 +25,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .admissibility import FrequencyScan
 from .cfrwt import CfrwtCoefficients
 from .errors import SignalFileError
 from .frft import TransformOrder
 from .grid import MAX_NDIM, AxisSpec, Grid, SampledSignal
-from .scales import ScaleGrid
+from .scales import ScaleGrid, log_scale_grid
 
 __all__ = [
     "MAGIC",
@@ -71,9 +72,17 @@ def _payload(values: np.ndarray, where: str) -> np.ndarray:
 
 
 def _open_nonblocking(path: str, flags: int) -> int:
-    # opening a FIFO that has no writer would wait for one; _Cursor
+    # opening a FIFO that has no writer would wait for one; _regular_size
     # refuses what this opens unless it is a regular file
     return os.open(path, flags | getattr(os, "O_NONBLOCK", 0))
+
+
+def _regular_size(fh, where: str) -> int:
+    """Size of the open file fh, refused unless it is a regular file."""
+    st = os.fstat(fh.fileno())
+    if not stat.S_ISREG(st.st_mode):
+        raise SignalFileError(f"{where}: not a regular file")
+    return st.st_size
 
 
 class _Cursor:
@@ -81,12 +90,9 @@ class _Cursor:
     knows the file size, so each block is checked before it is read."""
 
     def __init__(self, fh, where: str) -> None:
-        st = os.fstat(fh.fileno())
-        if not stat.S_ISREG(st.st_mode):
-            raise SignalFileError(f"{where}: not a regular file")
+        self.size = _regular_size(fh, where)
         self.fh = fh
         self.offset = 0
-        self.size = st.st_size
 
     def fits(self, nbytes: int) -> bool:
         return self.offset + nbytes <= self.size
@@ -182,7 +188,8 @@ def _axis_from_column(col: np.ndarray, where: str, k: int) -> AxisSpec:
 
 def read_csv(path: str | os.PathLike) -> SampledSignal:
     where = os.fspath(path)
-    with open(path) as fh:
+    with open(path, opener=_open_nonblocking) as fh:
+        _regular_size(fh, where)
         header = fh.readline().strip()
         try:
             table = np.loadtxt(fh, delimiter=",", ndmin=2)
@@ -310,6 +317,14 @@ class RunConfig:
     nu: float = 0.5
     tolerance: float | None = None
 
+    def frequency_scan(self) -> FrequencyScan:
+        """The admissibility scan over the band [u_min, u_max]."""
+        return FrequencyScan(u_min=self.u_min, u_max=self.u_max)
+
+    def scale_grid(self, ndim: int = 1) -> ScaleGrid:
+        """The a_count-cell scale grid over [a_min, a_max], both signs per axis."""
+        return log_scale_grid(self.a_min, self.a_max, self.a_count, ndim=ndim, signs="both")
+
 
 _FLOAT_KEYS = {"alpha", "beta", "a_min", "a_max", "u_min", "u_max", "nu", "tolerance"}
 
@@ -352,8 +367,10 @@ def parse_run_config(path: str | os.PathLike | None) -> RunConfig:
 
 
 def _validate_config(cfg: RunConfig, where: str) -> None:
-    if not (math.isfinite(cfg.alpha) and math.isfinite(cfg.beta)):
-        raise SignalFileError(f"{where}: orders must be finite")
+    for key in sorted(_FLOAT_KEYS):
+        value = getattr(cfg, key)
+        if value is not None and not math.isfinite(value):
+            raise SignalFileError(f"{where}: {key} must be finite")
     if not 0.0 < cfg.a_min < cfg.a_max:
         raise SignalFileError(f"{where}: need 0 < a_min < a_max")
     if cfg.a_count < 1:

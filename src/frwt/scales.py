@@ -69,18 +69,6 @@ class ScaleGrid:
         """Quadrature weights for the measure da / |a|_p."""
         return np.full(self.count, self.log_step**self.ndim)
 
-    def restrict(self, a_min: float, a_max: float) -> "ScaleGrid":
-        """Sub-grid keeping vectors whose every |a_i| lies in [a_min, a_max].
-
-        Midpoint alignment means restriction to a sub-range with the same
-        per-octave density reproduces that range's own grid exactly.
-        """
-        mags = np.abs(self.vectors)
-        keep = np.all((mags > a_min) & (mags < a_max), axis=1)
-        if not np.any(keep):
-            raise ValueError("restriction removed every scale vector")
-        return ScaleGrid(self.vectors[keep], self.log_step, a_min, a_max, self.signs)
-
 
 def log_scale_grid(
     a_min: float,

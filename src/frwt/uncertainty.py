@@ -51,6 +51,11 @@ _MIN_ANGLE_GAP = 1e-6
 _TAIL_FRACTION = 0.01
 
 
+def _check_theta(theta: float) -> None:
+    if not 0.0 < theta <= 8.0:
+        raise ValueError("moment exponent must lie in (0, 8]")
+
+
 @dataclass(frozen=True)
 class MomentSpec:
     """Moment exponent paired with the grid it will be evaluated on."""
@@ -59,8 +64,7 @@ class MomentSpec:
     grid: Grid
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.theta <= 8.0:
-            raise ValueError("moment exponent must lie in (0, 8]")
+        _check_theta(self.theta)
 
 
 @dataclass(frozen=True)
@@ -111,8 +115,7 @@ def dispersion(f: SampledSignal, theta: float) -> float:
     carries more than 1% of the value: the truncated moment is then not
     trustworthy as a stand-in for the full integral.
     """
-    if not 0.0 < theta <= 8.0:
-        raise ValueError("moment exponent must lie in (0, 8]")
+    _check_theta(theta)
     return _radial_moments(f.grid, f.values, theta)[0]
 
 
@@ -336,8 +339,7 @@ def local_uncertainty_scan(
         raise ValueError("need at least one ball")
     grid = f_family[0].grid
     n = grid.ndim
-    if not 0.0 < theta <= 8.0:
-        raise ValueError("moment exponent must lie in (0, 8]")
+    _check_theta(theta)
     if abs(theta - n / 2.0) < 1e-6:
         raise ThetaAtBoundary(f"theta = {theta} sits at the critical exponent n/2 = {n / 2}")
     s = _angle_gap(alpha, beta)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .admissibility import FrequencyScan, admissibility_constant
+from .admissibility import admissibility_constant
 from .cfrwt import (
     CfrwtCoefficients,
     cfrwt_fast,
@@ -162,7 +162,7 @@ def _suite_convolution(cfg: RunConfig) -> list[VerificationReport]:
 
 
 def _suite_plancherel(cfg: RunConfig) -> list[VerificationReport]:
-    scan = FrequencyScan(u_min=cfg.u_min, u_max=cfg.u_max)
+    scan = cfg.frequency_scan()
     mex = get_wavelet("mexican_hat")
     reports = []
 
@@ -196,7 +196,7 @@ def _suite_plancherel(cfg: RunConfig) -> list[VerificationReport]:
 
     grid = _grid_256()
     f = _gabor(grid)
-    scales = log_scale_grid(cfg.a_min, cfg.a_max, cfg.a_count, signs="both")
+    scales = cfg.scale_grid()
     coeffs = cfrwt_fast(f, mex, cfg.alpha, scales)
     default_range = plancherel_check(coeffs, f, mex, scan=scan)
     reports.append(_meta(default_range, grid))
@@ -227,9 +227,9 @@ def _suite_reconstruction(cfg: RunConfig) -> list[VerificationReport]:
     grid = _grid_256()
     mex = get_wavelet("mexican_hat")
     dog4 = get_wavelet("dog4")
-    scan = FrequencyScan(u_min=cfg.u_min, u_max=cfg.u_max)
+    scan = cfg.frequency_scan()
     f = sample(grid, lambda t: np.exp(-(t**2) / (2 * 0.5**2)) * np.exp(5.0j * t))
-    scales = log_scale_grid(cfg.a_min, cfg.a_max, cfg.a_count, signs="both")
+    scales = cfg.scale_grid()
     coeffs = cfrwt_fast(f, mex, cfg.alpha, scales)
     reports = []
     for label, synth, bound in [("single_wavelet", mex, 0.05), ("two_wavelet", dog4, 0.08)]:
@@ -244,8 +244,8 @@ def _suite_reconstruction(cfg: RunConfig) -> list[VerificationReport]:
 def _suite_kernel(cfg: RunConfig) -> list[VerificationReport]:
     grid = _grid_256()
     mex = get_wavelet("mexican_hat")
-    scan = FrequencyScan(u_min=cfg.u_min, u_max=cfg.u_max)
-    scales = log_scale_grid(cfg.a_min, cfg.a_max, cfg.a_count, signs="both")
+    scan = cfg.frequency_scan()
+    scales = cfg.scale_grid()
 
     genuine = {}
     worst_genuine = 0.0
@@ -311,7 +311,7 @@ def _suite_heisenberg(cfg: RunConfig) -> list[VerificationReport]:
         _check("heisenberg_two_domain_suite", worst, 1.0, 1e-3, worst >= 1.0 - 1e-3, cases, grid)
     )
 
-    scales = log_scale_grid(cfg.a_min, cfg.a_max, cfg.a_count, signs="both")
+    scales = cfg.scale_grid()
     gabor = _gabor(grid)
     cr = heisenberg_cfrwt(gabor, mex, cfg.alpha, cfg.beta, scales)
     reports.append(
@@ -429,18 +429,6 @@ def _suite_morrey(cfg: RunConfig) -> list[VerificationReport]:
     return reports
 
 
-SUITE_ORDER = (
-    "parseval",
-    "additivity",
-    "convolution",
-    "plancherel",
-    "reconstruction",
-    "kernel",
-    "heisenberg",
-    "local",
-    "morrey",
-)
-
 _SUITES = {
     "parseval": _suite_parseval,
     "additivity": _suite_additivity,
@@ -452,6 +440,8 @@ _SUITES = {
     "local": _suite_local,
     "morrey": _suite_morrey,
 }
+# the suite names in `verify all` order
+SUITE_ORDER = tuple(_SUITES)
 
 
 def suite_names() -> tuple[str, ...]:

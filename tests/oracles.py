@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from frwt.cfrwt import _lag_correlate, _tap_spectrum
+from frwt.cfrwt import _chunk_plan, _scale_correlate
 from frwt.frft import _chirp, c_alpha, frft_fast
 from frwt.grid import Grid, SampledSignal, _exact_sum, l2_norm
 from frwt.uncertainty import LocalEntry, _ball_measure, dispersion
@@ -122,22 +122,22 @@ def brute_reconstruct(coeffs, phi_profile, cross_value: complex) -> np.ndarray:
 def per_scale_reconstruct(coeffs, phi, cross_value: complex) -> np.ndarray:
     """Synthesis by the time-domain scale sum that reconstruct replaced:
     every scale vector is correlated with its synthesis taps along each
-    axis and inverted on its own (one _lag_correlate per axis), then the
-    rows, each times its measure weight / sqrt|a|, are added in scale
-    order.  Shares the taps and the lag correlation with the package,
-    not the frequency-domain scale sum.
+    axis and inverted on its own (_scale_correlate without a running
+    spectrum), then the rows, each times its measure weight / sqrt|a|,
+    are added in scale order.  Shares the taps and the lag correlation
+    with the package, not the frequency-domain scale sum.
     """
     grid = coeffs.b_grid
     order = coeffs.order
     vectors = coeffs.scales.vectors
-    block = coeffs.values * grid.weights() * _chirp(grid.radius_sq(), order.cot)
-    for ax, axis_spec in enumerate(grid.axes):
-        tap_fft = _tap_spectrum(phi, False, axis_spec.step, axis_spec.count, vectors[:, ax].tobytes())
-        block = _lag_correlate(block, tap_fft, ax, None)
+    chirped = coeffs.values * grid.weights() * _chirp(grid.radius_sq(), order.cot)
     factors = coeffs.scales.measure_weights() / np.sqrt(np.prod(np.abs(vectors), axis=1))
     total = np.zeros(grid.shape, dtype=complex)
-    for factor, row in zip(factors, block):
-        total += factor * row
+    chunks, work, pads = _chunk_plan(grid, coeffs.scales.count)
+    for chunk in chunks:
+        block = _scale_correlate(chirped[chunk], grid, vectors[chunk], phi, False, work, pads)
+        for factor, row in zip(factors[chunk], block):
+            total += factor * row
     mod = abs(c_alpha(order, grid.ndim)) ** 2
     return total * (mod / cross_value * _chirp(grid.radius_sq(), -order.cot))
 

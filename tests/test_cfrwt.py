@@ -19,6 +19,7 @@ from frwt.cfrwt import (
     truncated_coverage,
 )
 from frwt import cfrwt as cfrwt_module
+from frwt import frft as frft_module
 from frwt.errors import GridMismatch, InadmissibleWavelet, ZeroCrossAdmissibility
 from frwt.frft import _as_order
 from frwt.grid import AxisSpec, Grid, SampledSignal, axis_centered, l2_norm, sample
@@ -180,8 +181,8 @@ def test_fast_matches_direct_2d_odd_shape():
 def test_results_do_not_depend_on_chunk_size(gabor, gabor_coeffs, scales_wide, monkeypatch):
     recon = reconstruct(gabor_coeffs, DOG4, MEX, cross_value=CROSS)
     # three scale vectors per chunk, the last chunk short
-    monkeypatch.setattr(cfrwt_module, "_CHUNK_BYTES", 3 * 16 * 512)
-    assert len(cfrwt_module._scale_chunks(gabor.grid, scales_wide.count)) == 43
+    monkeypatch.setattr(frft_module, "_CHUNK_BYTES", 3 * 16 * 512)
+    assert len(cfrwt_module._chunk_plan(gabor.grid, scales_wide.count)[0]) == 43
     chunked = cfrwt_fast(gabor, MEX, ALPHA, scales_wide)
     assert np.array_equal(chunked.values, gabor_coeffs.values)
     assert np.array_equal(reconstruct(chunked, DOG4, MEX, cross_value=CROSS).values, recon.values)
@@ -205,8 +206,11 @@ def _synthesis_case(axes, a_count, psi=MOR):
 def test_synthesis_does_not_depend_on_chunk_size(axes, a_count, rows, monkeypatch):
     w = _synthesis_case(axes, a_count)
     recon = reconstruct(w, MOR, MOR, cross_value=CROSS)
-    monkeypatch.setattr(cfrwt_module, "_CHUNK_BYTES", rows * 16 * cfrwt_module._padded_size(w.b_grid))
-    chunks = cfrwt_module._scale_chunks(w.b_grid, w.scales.count)
+    chunks, work, _ = cfrwt_module._chunk_plan(w.b_grid, w.scales.count)
+    # elements of one scale vector's largest padded intermediate
+    padded = work[0].size // chunks[0].stop
+    monkeypatch.setattr(frft_module, "_CHUNK_BYTES", rows * 16 * padded)
+    chunks = cfrwt_module._chunk_plan(w.b_grid, w.scales.count)[0]
     # chunks of `rows` scale vectors, the last one short
     assert chunks[0].stop == rows and 0 < chunks[-1].stop - chunks[-1].start < rows
     assert np.array_equal(reconstruct(w, MOR, MOR, cross_value=CROSS).values, recon.values)
@@ -382,7 +386,8 @@ def test_tap_spectra_are_cached_read_only(grid, scales_wide, gabor):
     assert np.array_equal(first, again)
     assert after.misses == before.misses and after.hits > before.hits
     a_col = scales_wide.vectors[:, 0].tobytes()
-    taps = cfrwt_module._tap_spectrum(DOG3, True, grid.axes[0].step, grid.axes[0].count, a_col)
+    pad = cfrwt_module._chunk_plan(grid, scales_wide.count)[2][0]
+    taps = cfrwt_module._tap_spectrum(DOG3, True, grid.axes[0].step, grid.axes[0].count, pad, a_col)
     assert not taps.flags.writeable
     assert after.currsize <= after.maxsize
 
@@ -480,7 +485,7 @@ def test_reconstruct_matches_brute_sum(axes, a_count):
     # complex, asymmetric profiles: with an even analysis wavelet the
     # coefficients at a and -a coincide and would hide a lag-sign slip
     w = _synthesis_case(axes, a_count)
-    chunks = cfrwt_module._scale_chunks(w.b_grid, w.scales.count)
+    chunks = cfrwt_module._chunk_plan(w.b_grid, w.scales.count)[0]
     if w.b_grid.ndim == 2:
         # several chunks, the last one short
         assert len(chunks) > 1 and chunks[-1].stop - chunks[-1].start < chunks[0].stop

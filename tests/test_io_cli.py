@@ -362,6 +362,10 @@ def test_config_overrides(tmp_path):
         ("just a sentence", "expected key=value"),
         ("a_min = 8\na_max = 2", "a_min < a_max"),
         ("threads = 0", "threads"),
+        ("a_max = inf", "a_max must be finite"),
+        ("u_max = inf", "u_max must be finite"),
+        ("tolerance = nan", "tolerance must be finite"),
+        ("nu = inf", "nu must be finite"),
     ],
 )
 def test_config_rejects_bad_input(tmp_path, line, fragment):
@@ -443,17 +447,17 @@ def non_regular_path(request, tmp_path, gaussian_256):
         os.close(write_fd)
 
 
-@pytest.mark.parametrize("reader", [read_signal, read_coefficients])
+@pytest.mark.parametrize("reader", [read_signal, read_coefficients, read_csv])
 def test_non_regular_file_is_refused(non_regular_path, reader):
     with pytest.raises(SignalFileError, match=f"^{non_regular_path}: not a regular file$"):
         reader(non_regular_path)
 
 
-@pytest.mark.parametrize("kind", ["devnull", "fifo"])
+@pytest.mark.parametrize("kind", ["devnull", "fifo", "csv-fifo"])
 def test_cli_non_regular_input_exits_2(tmp_path, kind):
     # in a subprocess with a timeout: a FIFO with no writer must not block
-    path = "/dev/null" if kind == "devnull" else str(tmp_path / "in.sig")
-    if kind == "fifo":
+    path = "/dev/null" if kind == "devnull" else str(tmp_path / ("in.csv" if kind == "csv-fifo" else "in.sig"))
+    if kind != "devnull":
         os.mkfifo(path)
     cmd = [sys.executable, "-m", "frwt.cli", "frft", path, "--alpha", "0.9", "--output", str(tmp_path / "x.sig")]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)

@@ -1,6 +1,7 @@
 """The shared numerical primitives: one chirp, one padded FFT convolution,
-one exact sum and one batched fast-transform entry, each defined once and
-used everywhere else; and no module imports a name it never reads."""
+one exact sum, one batched fast-transform entry, one row-block rule and
+one lag FFT length, each defined once and used everywhere else; and no
+module imports a name it never reads."""
 
 from __future__ import annotations
 
@@ -41,6 +42,12 @@ RULES = [
         re.compile(r"\b(?:make_plan|_apply_plan)\("),
         {("frft.py", "_transform"), ("frft.py", "make_plan"), ("frft.py", "_apply_plan")},
     ),
+    (
+        "rows per byte budget",
+        re.compile(r"// \(16 \*"),
+        {("frft.py", "_row_blocks"), ("frft.py", "_direct_apply")},
+    ),
+    ("lag FFT length", re.compile(r"_next_fast_len\(2 \*"), {("cfrwt.py", "_chunk_plan")}),
 ]
 
 
