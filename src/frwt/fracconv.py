@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import StepMismatch
-from .frft import TransformOrder, _as_order, _chirp, _direct_apply, _fft_convolve, _next_fast_len, c_alpha, frft_fast
+from .frft import TransformOrder, _as_order, _chirp, _direct_apply, _fft_convolve, _next_fast_len, _row_blocks, c_alpha, frft_fast
 from .grid import Grid, SampledSignal
 from .report import VerificationReport
 
@@ -142,38 +142,25 @@ def _evaluate_scaled(
 ) -> np.ndarray:
     """Samples of y -> g(y / -a) on the target grid.
 
-    Uses exact index manipulation when every |a_i| is 1, the callable when
-    provided, and cubic interpolation otherwise (zero fill off-grid).
+    Uses the callable when provided.  Otherwise each axis is resampled by
+    Whittaker-Shannon (sinc) interpolation of g's uniform samples, with
+    zero where y / -a lies outside g's grid hull.
     """
-    coords = [pts / (-a) for pts, a in zip(target.meshgrid(), scale)]
     if g_eval is not None:
+        coords = [pts / (-a) for pts, a in zip(target.meshgrid(), scale)]
         return np.asarray(g_eval(*coords), dtype=np.complex128)
-    if all(abs(abs(a) - 1.0) < 1e-14 for a in scale):
-        out = np.zeros(target.shape, dtype=np.complex128)
-        idx = []
-        ok = np.ones(target.shape, dtype=bool)
-        for ax_i, (ax, a) in enumerate(zip(g.grid.axes, scale)):
-            q = target.axes[ax_i].points() / (-a)
-            j = np.rint((q - ax.start) / ax.step).astype(int)
-            exact = np.abs((q - ax.start) / ax.step - j) < 1e-9
-            inside = (j >= 0) & (j < ax.count) & exact
-            shape = [1] * target.ndim
-            shape[ax_i] = -1
-            ok &= inside.reshape(shape)
-            idx.append(np.clip(j, 0, ax.count - 1))
-        gathered = g.values[np.ix_(*idx)]
-        out[ok] = gathered[ok]
-        return out
-    from scipy.interpolate import RegularGridInterpolator
-
-    interp_r = RegularGridInterpolator(
-        g.grid.axis_points(), g.values.real, method="cubic", bounds_error=False, fill_value=0.0
-    )
-    interp_i = RegularGridInterpolator(
-        g.grid.axis_points(), g.values.imag, method="cubic", bounds_error=False, fill_value=0.0
-    )
-    pts = np.stack([c.reshape(-1) for c in coords], axis=1)
-    return (interp_r(pts) + 1j * interp_i(pts)).reshape(target.shape)
+    out = np.asarray(g.values, dtype=np.complex128)
+    for k, (ax, a, tgt) in enumerate(zip(g.grid.axes, scale, target.axes)):
+        # target coordinates in units of g's step from its first sample
+        u = (tgt.points() / (-a) - ax.start) / ax.step
+        inside = (u >= -1e-9) & (u <= ax.count - 1 + 1e-9)
+        j = np.arange(ax.count)
+        blocks = [
+            np.tensordot(np.sinc(u[rows, None] - j) * inside[rows, None], out, axes=(1, k))
+            for rows in _row_blocks(u.size, ax.count)
+        ]
+        out = np.moveaxis(np.concatenate(blocks), 0, k)
+    return out
 
 
 def scaled_identity_check(

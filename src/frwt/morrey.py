@@ -73,9 +73,7 @@ class MorreyEstimate:
 def default_morrey_config(grid: Grid, nu: float) -> MorreyConfig:
     """64 centers across the grid hull, 32 log radii up to the half-width."""
     per_axis = {1: 64, 2: 8}.get(grid.ndim, 4)
-    axis_points = [
-        np.linspace(ax.start, ax.start + (ax.count - 1) * ax.step, per_axis) for ax in grid.axes
-    ]
+    axis_points = [np.linspace(ax.start, ax.stop, per_axis) for ax in grid.axes]
     centers = tuple(tuple(float(c) for c in combo) for combo in itertools.product(*axis_points))
     step = max(ax.step for ax in grid.axes)
     half_width = min((ax.count - 1) * ax.step for ax in grid.axes) / 2.0
@@ -93,7 +91,7 @@ def morrey_norm(f: SampledSignal, cfg: MorreyConfig) -> MorreyEstimate:
     if not cfg.centers or not cfg.radii:
         raise EmptyScan("morrey scan needs at least one center and one radius")
     lo = [ax.start for ax in f.grid.axes]
-    hi = [ax.start + (ax.count - 1) * ax.step for ax in f.grid.axes]
+    hi = [ax.stop for ax in f.grid.axes]
     coords = [m.ravel() for m in f.grid.meshgrid()]
     mass = (f.grid.weights() * np.abs(f.values)).ravel()
     radii = np.sort(np.asarray(cfg.radii, dtype=float))
@@ -199,22 +197,18 @@ def morrey_bound_check(
 
 
 def _l1_distance(phi: WaveletSpec, psi: WaveletSpec, ndim: int) -> float:
+    points = {1: 8192, 2: 1024}.get(ndim)
+    if points is None:
+        raise ValueError("wavelet distance quadrature supports 1 or 2 dimensions")
     r = max(phi.support_radius, psi.support_radius)
-    if ndim == 1:
-        t = np.linspace(-r, r, 8192)
-        diff = np.abs(
-            np.asarray(phi.evaluate(t), dtype=complex) - np.asarray(psi.evaluate(t), dtype=complex)
-        )
-        return float(np.trapezoid(diff, x=t))
-    if ndim == 2:
-        t = np.linspace(-r, r, 1024)
-        x, y = np.meshgrid(t, t, indexing="ij")
-        diff = np.abs(
-            np.asarray(phi.evaluate(x, y), dtype=complex)
-            - np.asarray(psi.evaluate(x, y), dtype=complex)
-        )
-        return float(np.trapezoid(np.trapezoid(diff, x=t, axis=1), x=t))
-    raise ValueError("wavelet distance quadrature supports 1 or 2 dimensions")
+    t = np.linspace(-r, r, points)
+    mesh = np.meshgrid(*[t] * ndim, indexing="ij")
+    diff = np.abs(
+        np.asarray(phi.evaluate(*mesh), dtype=complex) - np.asarray(psi.evaluate(*mesh), dtype=complex)
+    )
+    for _ in range(ndim):
+        diff = np.trapezoid(diff, x=t, axis=-1)
+    return float(diff)
 
 
 def morrey_distance_checks(

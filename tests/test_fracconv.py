@@ -58,10 +58,38 @@ def test_scaled_identity_general_scale_via_callable(grid_512):
 
 
 def test_scaled_identity_interpolated_operand(grid_512):
-    # no callable: sampled operand is rescaled by cubic interpolation
+    # no callable: the sampled operand is rescaled by sinc interpolation
     f = sample(grid_512, lambda t: np.exp(-(t**2) / 2))
-    rep = scaled_identity_check(f, f, (2.0,), 0.9, tolerance=1e-5)
+    rep = scaled_identity_check(f, f, (2.0,), 0.9, tolerance=1e-7)
     assert rep.passed
+
+
+@pytest.mark.parametrize(
+    "shift, step_factor, count",
+    [
+        (0.5, 1.0, 511),  # half a step off the target lattice
+        (0.0, 1.5, 341),  # a step 1.5 times the target's
+    ],
+)
+def test_scaled_identity_operand_off_target_lattice(grid_512, shift, step_factor, count):
+    # at a = 1 the operand's samples need not sit on f's grid; the sampled
+    # route must agree with the exact callable route
+    gauss = lambda t: np.exp(-(t**2) / 2)
+    f = sample(grid_512, gauss)
+    step = grid_512.axes[0].step
+    g_axis = axis_centered(step_factor * step, count)
+    g = sample(Grid((AxisSpec(g_axis.start + shift * step, g_axis.step, count),)), gauss)
+    sampled = scaled_identity_check(f, g, (1.0,), 0.9)
+    exact = scaled_identity_check(f, g, (1.0,), 0.9, g_eval=gauss)
+    assert sampled.details["max_relative_deviation"] <= 1e-12
+    assert abs(sampled.ratio - exact.ratio) <= 1e-12
+
+
+def test_scaled_identity_2d_interpolated_operand():
+    g = Grid((axis_centered(0.375, 64), axis_centered(0.375, 48)))
+    f = sample(g, lambda x, y: np.exp(-(x**2 + y**2) / 2) * (1 + 0.3j * x))
+    rep = scaled_identity_check(f, f, (2.0, -0.5), 1.1)
+    assert rep.details["max_relative_deviation"] <= 1e-6
 
 
 def test_bilinearity(grid_512):

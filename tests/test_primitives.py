@@ -48,6 +48,8 @@ RULES = [
         {("frft.py", "_row_blocks"), ("frft.py", "_direct_apply")},
     ),
     ("lag FFT length", re.compile(r"_next_fast_len\(2 \*"), {("cfrwt.py", "_chunk_plan")}),
+    # the runtime depends on numpy alone
+    ("scipy import", re.compile(r"^\s*(?:from|import)\s+scipy\b"), set()),
 ]
 
 
