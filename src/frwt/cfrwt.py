@@ -137,7 +137,7 @@ class ReproducingKernelPoint:
     value: complex
 
 
-def _require_generic_grid(f: SampledSignal, scales: ScaleGrid) -> None:
+def _require_same_ndim(f: SampledSignal, scales: ScaleGrid) -> None:
     if f.ndim != scales.ndim:
         raise ValueError("signal and scale grid dimensions differ")
 
@@ -161,7 +161,7 @@ def cfrwt_direct(
     and works with any shift grid.
     """
     order = _as_order(order)
-    _require_generic_grid(f, scales)
+    _require_same_ndim(f, scales)
     b_grid = b_grid or f.grid
     chi = _chirped_input(f, order)
     t_axes = f.grid.axis_points()
@@ -267,7 +267,7 @@ def cfrwt_fast(
     b_grid = f.grid, at O(N log N) per scale, for any sample counts.
     """
     order = _as_order(order)
-    _require_generic_grid(f, scales)
+    _require_same_ndim(f, scales)
     chi = _chirped_input(f, order)[None]
     expand = (-1,) + (1,) * f.ndim
     norms = _scale_norms(scales.vectors).reshape(expand)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import StepMismatch
 from .frft import TransformOrder, _as_order, _chirp, _direct_apply, _fft_convolve, _next_fast_len, _row_blocks, c_alpha, frft_fast
-from .grid import Grid, SampledSignal
+from .grid import Grid, SampledSignal, _separable
 from .report import VerificationReport
 
 __all__ = [
@@ -179,6 +179,8 @@ def scaled_identity_check(
     """
     order = _as_order(order)
     scale = tuple(float(a) for a in scale)
+    if len(scale) != f.ndim:
+        raise ValueError(f"scale has {len(scale)} components for a {f.ndim}-d signal")
     if any(a == 0.0 for a in scale):
         raise ValueError("scale components must be nonzero")
     neg = order.negated()
@@ -193,11 +195,7 @@ def scaled_identity_check(
     g_hat = _direct_apply(g_ch, g.grid, order, scaled_points)
 
     a_abs = float(np.prod([abs(a) for a in scale]))
-    xi_sq = np.zeros(lhs.grid.shape)
-    for ax_i, pts in enumerate(lhs.grid.axis_points()):
-        shape = [1] * lhs.grid.ndim
-        shape[ax_i] = -1
-        xi_sq = xi_sq + ((scale[ax_i] * pts) ** 2).reshape(shape)
+    xi_sq = _separable([pts**2 for pts in scaled_points])
     rhs = (a_abs / c_alpha(order, f.ndim)) * _chirp(xi_sq, -order.cot) * f_hat.values * g_hat
 
     peak = float(np.max(np.abs(lhs.values)))

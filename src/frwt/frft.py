@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DeltaKernel, DomainMismatch, NearSingularOrder, OffGridShift
-from .grid import AxisSpec, Grid, SampledSignal, grids_close
+from .grid import AxisSpec, Grid, SampledSignal, _separable, grids_close
 
 __all__ = [
     "OrderKind",
@@ -281,23 +281,17 @@ def make_plan(grid: Grid, order: "TransformOrder | float") -> FrftPlan:
     )
 
 
-def frft_fast(
-    f: SampledSignal,
-    order: "TransformOrder | float",
-    plan: FrftPlan | None = None,
-) -> SampledSignal:
+def frft_fast(f: SampledSignal, order: "TransformOrder | float") -> SampledSignal:
     """Chirp-FFT-chirp evaluation on the natural output grid.
 
     Exactly reproduces the direct quadrature sum (same weights, same output
     points) at O(N log N) for any sample counts; identity and parity orders
     dispatch exactly.
     """
-    return SampledSignal(*_transform(f.grid, f.values, order, plan))
+    return SampledSignal(*_transform(f.grid, f.values, order))
 
 
-def _transform(
-    grid: Grid, values: np.ndarray, order: "TransformOrder | float", plan: FrftPlan | None = None
-) -> tuple[Grid, np.ndarray]:
+def _transform(grid: Grid, values: np.ndarray, order: "TransformOrder | float") -> tuple[Grid, np.ndarray]:
     """Output grid and frft_fast of values over the trailing grid.ndim axes.
 
     Leading axes are a batch sharing one plan; numpy transforms each row
@@ -310,10 +304,7 @@ def _transform(
     if order.kind is OrderKind.PARITY:
         return grid.reflected(), np.flip(values, axis=tuple(range(-grid.ndim, 0)))
     _warn_if_near_singular(order, stacklevel=4)
-    if plan is None:
-        plan = make_plan(grid, order)
-    elif not grids_close(plan.input_grid, grid) or plan.order != order:
-        raise DomainMismatch("plan was built for a different grid or order")
+    plan = make_plan(grid, order)
     return plan.output_grid, _apply_plan(values, plan)
 
 
@@ -439,11 +430,9 @@ def _apply_plan(values: np.ndarray, plan: FrftPlan) -> np.ndarray:
     return v * plan.out_chirp * plan.c_alpha
 
 
-def frft_inverse(
-    g: SampledSignal, order: "TransformOrder | float", plan: FrftPlan | None = None
-) -> SampledSignal:
+def frft_inverse(g: SampledSignal, order: "TransformOrder | float") -> SampledSignal:
     """Inverse transform: the fast path at the negated order."""
-    return frft_fast(g, _as_order(order).negated(), plan)
+    return frft_fast(g, _as_order(order).negated())
 
 
 # ---------------------------------------------------------------------------
@@ -506,23 +495,14 @@ def apply_operator(f: SampledSignal, op: "Translate | Modulate | Dilate") -> Sam
                 )
             if m:
                 values = _shift_with_zero_fill(values, axis, m)
-        cot = op.order.cot
-        phase = np.zeros(f.grid.shape)
-        for axis, (pts, eta_i) in enumerate(zip(f.grid.axis_points(), op.eta)):
-            shape = [1] * f.ndim
-            shape[axis] = -1
-            phase = phase + (pts * eta_i).reshape(shape)
-        return SampledSignal(f.grid, values * np.exp(1j * cot * phase))
+        phase = _separable([pts * eta_i for pts, eta_i in zip(f.grid.axis_points(), op.eta)])
+        return SampledSignal(f.grid, values * np.exp(1j * op.order.cot * phase))
 
     if isinstance(op, Modulate):
         if len(op.eta) != f.ndim:
             raise ValueError("eta dimension mismatch")
         cot, csc = op.order.cot, op.order.csc
-        dot = np.zeros(f.grid.shape)
-        for axis, (pts, eta_i) in enumerate(zip(f.grid.axis_points(), op.eta)):
-            shape = [1] * f.ndim
-            shape[axis] = -1
-            dot = dot + (pts * eta_i).reshape(shape)
+        dot = _separable([pts * eta_i for pts, eta_i in zip(f.grid.axis_points(), op.eta)])
         eta_sq = sum(e * e for e in op.eta)
         return SampledSignal(f.grid, f.values * np.exp(1j * (csc * dot + 0.5 * cot * eta_sq)))
 

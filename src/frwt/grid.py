@@ -4,13 +4,18 @@ All transforms in this package operate on signals sampled over uniform
 axis-aligned grids in one to three dimensions.  Integrals are approximated
 by the tensor product of one-dimensional trapezoidal rules; reductions are
 exactly rounded sums (_exact_sum), so results do not depend on chunking.
+
+A per-axis quantity (weights, squared coordinates, a phase, a wavelet
+profile) reaches the grid in one way only: _separable combines one 1-D
+array per axis into the full grid array with an outer ufunc.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -81,12 +86,12 @@ class AxisSpec:
         """Axis carrying the points {-t : t on this axis}, in increasing order."""
         return AxisSpec(-self.stop, self.step, self.count)
 
-    def isclose(self, other: "AxisSpec", rtol: float = AXIS_RTOL) -> bool:
+    def isclose(self, other: "AxisSpec") -> bool:
         scale = max(abs(self.start), abs(self.stop), self.step)
         return (
             self.count == other.count
-            and abs(self.step - other.step) <= rtol * self.step
-            and abs(self.start - other.start) <= rtol * max(scale, 1.0)
+            and abs(self.step - other.step) <= AXIS_RTOL * self.step
+            and abs(self.start - other.start) <= AXIS_RTOL * max(scale, 1.0)
         )
 
 
@@ -137,29 +142,26 @@ class Grid:
 
     def weights(self) -> np.ndarray:
         """Full tensor-product trapezoidal weight array, shape == grid shape."""
-        w = self.axes[0].weights()
-        out = w
-        for ax in self.axes[1:]:
-            out = np.multiply.outer(out, ax.weights())
-        return out
+        return _separable([ax.weights() for ax in self.axes], np.multiply)
 
     def radius_sq(self) -> np.ndarray:
         """Array of squared Euclidean norms ||t||^2 over the grid."""
-        out = np.zeros(self.shape)
-        for k, pts in enumerate(self.axis_points()):
-            shape = [1] * self.ndim
-            shape[k] = -1
-            out = out + (pts**2).reshape(shape)
-        return out
+        return _separable([pts**2 for pts in self.axis_points()])
 
     def reflected(self) -> "Grid":
         return Grid(tuple(ax.reflected() for ax in self.axes))
 
 
-def grids_close(a: Grid, b: Grid, rtol: float = AXIS_RTOL) -> bool:
-    return a.ndim == b.ndim and all(
-        ax.isclose(bx, rtol) for ax, bx in zip(a.axes, b.axes)
-    )
+def grids_close(a: Grid, b: Grid) -> bool:
+    return a.ndim == b.ndim and all(ax.isclose(bx) for ax, bx in zip(a.axes, b.axes))
+
+
+def _separable(per_axis: Sequence[np.ndarray], ufunc: np.ufunc = np.add) -> np.ndarray:
+    """Grid array of one 1-D array per axis: element (i, j, ...) is
+    ufunc(per_axis[0][i], per_axis[1][j], ...), combined in axis order
+    (np.add for a sum of squares or a phase, np.multiply for a separable
+    product).  A single axis returns its array itself."""
+    return functools.reduce(ufunc.outer, per_axis)
 
 
 class SampledSignal:

@@ -19,7 +19,7 @@ import numpy as np
 from .cfrwt import cfrwt_fast
 from .errors import EmptyScan, GridMismatch
 from .frft import TransformOrder
-from .grid import Grid, SampledSignal, grids_close, l1_norm
+from .grid import Grid, SampledSignal, _separable, grids_close, l1_norm
 from .report import VerificationReport, _ratio
 from .scales import ScaleGrid
 from .wavelets import WaveletSpec, wavelet_l1_norm
@@ -92,7 +92,7 @@ def morrey_norm(f: SampledSignal, cfg: MorreyConfig) -> MorreyEstimate:
         raise EmptyScan("morrey scan needs at least one center and one radius")
     lo = [ax.start for ax in f.grid.axes]
     hi = [ax.stop for ax in f.grid.axes]
-    coords = [m.ravel() for m in f.grid.meshgrid()]
+    axis_points = f.grid.axis_points()
     mass = (f.grid.weights() * np.abs(f.values)).ravel()
     radii = np.sort(np.asarray(cfg.radii, dtype=float))
     scale = radii ** (-cfg.nu)
@@ -106,7 +106,7 @@ def morrey_norm(f: SampledSignal, cfg: MorreyConfig) -> MorreyEstimate:
         for c, a_lo, a_hi in zip(center, lo, hi):
             if not a_lo - 1e-9 <= c <= a_hi + 1e-9:
                 raise ValueError(f"center {center} lies outside the grid hull")
-        d2 = sum((x - c) ** 2 for x, c in zip(coords, center))
+        d2 = _separable([(pts - c) ** 2 for pts, c in zip(axis_points, center)]).ravel()
         order = np.argsort(d2, kind="stable")
         prefix = np.concatenate(([0.0], np.cumsum(mass[order])))
         counts = np.searchsorted(d2[order], r2, side="right")
@@ -202,9 +202,8 @@ def _l1_distance(phi: WaveletSpec, psi: WaveletSpec, ndim: int) -> float:
         raise ValueError("wavelet distance quadrature supports 1 or 2 dimensions")
     r = max(phi.support_radius, psi.support_radius)
     t = np.linspace(-r, r, points)
-    mesh = np.meshgrid(*[t] * ndim, indexing="ij")
     diff = np.abs(
-        np.asarray(phi.evaluate(*mesh), dtype=complex) - np.asarray(psi.evaluate(*mesh), dtype=complex)
+        _separable([phi.evaluate(t)] * ndim, np.multiply) - _separable([psi.evaluate(t)] * ndim, np.multiply)
     )
     for _ in range(ndim):
         diff = np.trapezoid(diff, x=t, axis=-1)

@@ -26,7 +26,7 @@ from .admissibility import FrequencyScan
 from .cfrwt import CfrwtCoefficients, _admissibility_for, cfrwt_fast
 from .errors import GridMismatch, InvalidAnglePair, TailDominated, ThetaAtBoundary
 from .frft import TransformOrder, _transform, c_alpha, frft_fast
-from .grid import Grid, SampledSignal, _exact_sum, grids_close, l2_norm
+from .grid import Grid, SampledSignal, _exact_sum, _separable, grids_close, l2_norm
 from .report import VerificationReport
 from .scales import ScaleGrid
 from .wavelets import WaveletSpec
@@ -194,7 +194,9 @@ def _ball_mask(grid: Grid, center: tuple[float, ...], radius: float) -> np.ndarr
     """Samples of grid in the closed ball of radius about center."""
     if radius <= 0.0:
         raise ValueError("ball radius must be positive")
-    d2 = sum((ax - c) ** 2 for ax, c in zip(grid.meshgrid(), center))
+    if len(center) != grid.ndim:
+        raise ValueError(f"center {center} has wrong dimension for a {grid.ndim}-d grid")
+    d2 = _separable([(pts - c) ** 2 for pts, c in zip(grid.axis_points(), center)])
     return d2 <= radius**2
 
 

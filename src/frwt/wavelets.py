@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import GridTooSmall, ZeroScaleComponent
 from .frft import TransformOrder, _as_order, _chirp
-from .grid import Grid, SampledSignal
+from .grid import Grid, SampledSignal, _separable
 
 __all__ = [
     "WaveletSpec",
@@ -170,12 +170,10 @@ def make_daughter(
 
     cot = order.cot
     a_abs = float(np.prod([abs(a_i) for a_i in params.a]))
-    scaled = [
-        (pts - b_i) / a_i
-        for pts, a_i, b_i in zip(grid.axis_points(), params.a, params.b)
-    ]
-    mesh = np.meshgrid(*scaled, indexing="ij")
-    envelope = psi.evaluate(*mesh)
+    envelope = _separable(
+        [psi.evaluate((pts - b_i) / a_i) for pts, a_i, b_i in zip(grid.axis_points(), params.a, params.b)],
+        np.multiply,
+    )
     b_sq = sum(b_i * b_i for b_i in params.b)
     chirp = _chirp(grid.radius_sq() - b_sq, -cot)
     return SampledSignal(grid, envelope * chirp / math.sqrt(a_abs))

@@ -94,29 +94,33 @@ def brute_classical_cwt(f: SampledSignal, profile, a: float, b_points: np.ndarra
 
 
 def brute_reconstruct(coeffs, phi_profile, cross_value: complex) -> np.ndarray:
-    """Two-wavelet synthesis sum with one full tensor-product profile matrix
-    per scale vector and no FFT:
+    """Two-wavelet synthesis sum with no FFT, one dense profile matrix per
+    axis and scale vector:
 
         |c|^2 / C e^{-i|t|^2 cot/2} sum_a w_a |a|^{-1/2} sum_b w_b W(a, b) e^{i|b|^2 cot/2} prod_i phi((t_i - b_i) / a_i)
 
-    with |c|^2 = (2 pi |sin alpha|)^-n written out here, not taken from the package.
+    The product kernel is separable, so the sum over b is one matrix
+    phi((t_i - b_i) / a_i) applied along each axis i in turn.  |c|^2 =
+    (2 pi |sin alpha|)^-n is written out here, not taken from the package.
     """
     grid = coeffs.b_grid
     alpha = coeffs.order.alpha
     cot = np.cos(alpha) / np.sin(alpha)
     mod = (2.0 * np.pi * abs(np.sin(alpha))) ** -grid.ndim
 
-    pts = np.stack([a.reshape(-1) for a in grid.meshgrid()], axis=1)  # (P, n)
-    r2 = np.sum(pts**2, axis=1)
-    w_b = grid.weights().reshape(-1)
+    axes = grid.axis_points()
+    r2 = sum(np.meshgrid(*[p**2 for p in axes], indexing="ij"))
+    chirp = np.exp(0.5j * cot * r2)
     w_a = coeffs.scales.measure_weights()
-    diff = pts[:, None, :] - pts[None, :, :]  # (P, P, n): t_j - b_k
-    total = np.zeros(pts.shape[0], dtype=complex)
+    total = np.zeros(grid.shape, dtype=complex)
     for s, a_vec in enumerate(coeffs.scales.vectors):
-        mat = np.prod(phi_profile(diff / a_vec), axis=2)
-        chirped = coeffs.values[s].reshape(-1) * w_b * np.exp(0.5j * cot * r2)
-        total += w_a[s] / np.sqrt(np.prod(np.abs(a_vec))) * (mat @ chirped)
-    return (mod / cross_value * np.exp(-0.5j * cot * r2) * total).reshape(grid.shape)
+        acc = coeffs.values[s] * chirp
+        for ax, (spec, pts, a_i) in enumerate(zip(grid.axes, axes, a_vec)):
+            # [t_j, b_k], times the trapezoidal weight of b_k
+            mat = phi_profile((pts[:, None] - pts[None, :]) / a_i) * spec.weights()
+            acc = np.moveaxis(np.tensordot(mat, acc, axes=(1, ax)), 0, ax)
+        total += w_a[s] / np.sqrt(np.prod(np.abs(a_vec))) * acc
+    return mod / cross_value * np.conj(chirp) * total
 
 
 def per_scale_reconstruct(coeffs, phi, cross_value: complex) -> np.ndarray:

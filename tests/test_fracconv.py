@@ -92,6 +92,14 @@ def test_scaled_identity_2d_interpolated_operand():
     assert rep.details["max_relative_deviation"] <= 1e-6
 
 
+@pytest.mark.parametrize("scale", [(2.0, 3.0), ()], ids=["too_long", "empty"])
+def test_scaled_identity_refuses_a_scale_of_the_wrong_dimension(grid_512, scale):
+    # zip over the axes would drop the extra component, or index past an empty scale
+    f = sample(grid_512, lambda t: np.exp(-(t**2) / 2))
+    with pytest.raises(ValueError, match="components"):
+        scaled_identity_check(f, f, scale, 0.9)
+
+
 def test_bilinearity(grid_512):
     f = random_smooth_signal(grid_512, seed=4)
     h1 = random_smooth_signal(grid_512, seed=5)

@@ -291,17 +291,6 @@ def test_output_grid_spacing(grid_256):
         assert out_grid.axes[0].step == pytest.approx(expected, rel=1e-14)
 
 
-def test_plan_reuse(grid_256):
-    f = random_smooth_signal(grid_256, seed=41)
-    plan = make_plan(grid_256, TransformOrder(1.05))
-    a = frft_fast(f, 1.05, plan)
-    b = frft_fast(f, 1.05)
-    assert np.array_equal(a.values, b.values)
-    other = Grid((axis_centered(0.1, 256),))
-    with pytest.raises(DomainMismatch):
-        frft_fast(sample(other, lambda t: np.exp(-(t**2))), 1.05, plan)
-
-
 @pytest.mark.parametrize("alpha", [0.9, 0.0, math.pi, -math.pi])
 @pytest.mark.parametrize(
     "grid",

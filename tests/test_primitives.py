@@ -1,7 +1,7 @@
 """The shared numerical primitives: one chirp, one padded FFT convolution,
-one exact sum, one batched fast-transform entry, one row-block rule and
-one lag FFT length, each defined once and used everywhere else; and no
-module imports a name it never reads."""
+one exact sum, one batched fast-transform entry, one row-block rule, one
+lag FFT length and one separable broadcast onto a grid, each defined once
+and used everywhere else; and no module imports a name it never reads."""
 
 from __future__ import annotations
 
@@ -16,7 +16,18 @@ import pytest
 
 from frwt.cfrwt import CfrwtCoefficients, cfrwt_fast, inner_product_relation_check, kernel_projection
 from frwt.frft import TransformOrder, _chirp, _fft_convolve, _next_fast_len
-from frwt.grid import Grid, SampledSignal, _exact_sum, axis_centered, inner_product, integrate, l1_norm, l2_norm
+from frwt.grid import (
+    AxisSpec,
+    Grid,
+    SampledSignal,
+    _exact_sum,
+    _separable,
+    axis_centered,
+    inner_product,
+    integrate,
+    l1_norm,
+    l2_norm,
+)
 from frwt.report import VerificationReport
 from frwt.scales import log_scale_grid
 from frwt.uncertainty import dispersion
@@ -48,6 +59,9 @@ RULES = [
         {("frft.py", "_row_blocks"), ("frft.py", "_direct_apply")},
     ),
     ("lag FFT length", re.compile(r"_next_fast_len\(2 \*"), {("cfrwt.py", "_chunk_plan")}),
+    # a per-axis quantity reaches the grid through grid._separable
+    ("per-axis reshape", re.compile(r"\[\w+\]\s*=\s*-1\b"), {("frft.py", "_apply_plan")}),
+    ("full coordinate mesh", re.compile(r"np\.meshgrid\("), {("grid.py", "meshgrid")}),
     # the runtime depends on numpy alone
     ("scipy import", re.compile(r"^\s*(?:from|import)\s+scipy\b"), set()),
 ]
@@ -207,6 +221,47 @@ def test_exact_sum_is_non_finite_where_fsum_raises():
         assert math.isnan(_exact_sum(np.array([math.inf, -math.inf, 1.0])))
         got = _exact_sum(np.full(64, -1e307 + 1.0j))
         assert got.real == -math.inf and got.imag == 64.0
+
+
+SEPARABLE_GRIDS = [
+    Grid((AxisSpec(-8.3, 0.1, 167),)),
+    Grid((axis_centered(0.4, 30), AxisSpec(-4.0, 0.35, 27))),
+    Grid((axis_centered(0.5, 12), AxisSpec(-8.3, 0.1, 167), axis_centered(0.7, 9))),
+]
+
+
+@pytest.mark.parametrize("grid", SEPARABLE_GRIDS, ids=["1d", "2d", "3d"])
+def test_separable_is_bitwise_the_hand_rolled_broadcasts(grid):
+    points = grid.axis_points()
+    mesh = np.meshgrid(*points, indexing="ij")
+    # reshape-and-add, as radius_sq and the operator phases were written
+    summed = np.zeros(grid.shape)
+    for k, pts in enumerate(points):
+        shape = [1] * grid.ndim
+        shape[k] = -1
+        summed = summed + (pts**2).reshape(shape)
+    assert np.array_equal(_separable([pts**2 for pts in points]), summed)
+    assert np.array_equal(grid.radius_sq(), summed)
+    # a multiply.outer chain, as the trapezoidal weights were written
+    chained = grid.axes[0].weights()
+    for ax in grid.axes[1:]:
+        chained = np.multiply.outer(chained, ax.weights())
+    assert np.array_equal(grid.weights(), chained)
+    # full meshes, as the ball distances and the wavelet envelopes were written
+    center = tuple(0.3 * k - 0.45 for k in range(grid.ndim))
+    d2 = sum((m - c) ** 2 for m, c in zip(mesh, center))
+    assert np.array_equal(_separable([(pts - c) ** 2 for pts, c in zip(points, center)]), d2)
+    for name in ("mexican_hat", "dog3", "morlet"):
+        psi = get_wavelet(name)
+        product = _separable([psi.evaluate(pts / 1.7) for pts in points], np.multiply)
+        full = psi.evaluate(*[m / 1.7 for m in mesh])
+        if name == "morlet" and full.nbytes >= 1 << 18:
+            # numpy reuses a temporary of 256 KiB or more in the mesh form,
+            # multiplying with its operands swapped, and a complex product
+            # then rounds its imaginary part differently in the last bit
+            np.testing.assert_allclose(product, full, rtol=1e-15, atol=0)
+        else:
+            assert np.array_equal(product, full)
 
 
 GRID = Grid((axis_centered(1.0, 64),))

@@ -215,6 +215,14 @@ def test_restricted_energy_ball_validation(gabor, scales_wide):
         restricted_energy_identity_check(gabor, MEX, 0.9, scales_wide, (300.0,), 0.01)
 
 
+def test_ball_centre_must_match_the_grid_dimension(gabor, scales_wide):
+    # a 2-d centre on a 1-d spectrum: zip over the axes would ignore the 99.0
+    with pytest.raises(ValueError, match="wrong dimension"):
+        restricted_energy_identity_check(gabor, MEX, 0.9, scales_wide, (2.5, 99.0), 1.5)
+    with pytest.raises(ValueError, match="wrong dimension"):
+        local_uncertainty_scan([gabor], HALF_PI, 0.0, 0.25, [((0.0, 99.0), 1.0)])
+
+
 # ------------------------------------------------------------------
 # local scan
 
