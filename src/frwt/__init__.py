@@ -13,25 +13,23 @@ from .grid import (
     sample,
 )
 from .frft import (
-    Dilate,
     FrftPlan,
-    Modulate,
     OrderKind,
     TransformOrder,
-    Translate,
-    apply_operator,
     c_alpha,
+    dilate,
     frft_direct,
     frft_fast,
     frft_inverse,
     kernel_eval,
     make_plan,
+    modulate,
     natural_output_grid,
+    translate,
 )
 from .fracconv import frac_convolve, scaled_identity_check, spectral_identity_check
 from .wavelets import (
     CATALOG,
-    DaughterParams,
     WaveletSpec,
     get_wavelet,
     make_daughter,
@@ -49,7 +47,6 @@ from .admissibility import (
 )
 from .cfrwt import (
     CfrwtCoefficients,
-    ReproducingKernelPoint,
     cfrwt_direct,
     cfrwt_fast,
     inner_product_relation_check,
@@ -63,8 +60,6 @@ from .cfrwt import (
 from .uncertainty import (
     LocalEntry,
     LocalUncertaintyReport,
-    MomentSpec,
-    UncertaintyReport,
     dispersion,
     heisenberg_cfrwt,
     heisenberg_two_domain,
@@ -91,6 +86,6 @@ from .io import (
     write_signal,
 )
 from .report import VerificationReport
-from .verify import run_suite, suite_names
+from .verify import SUITE_ORDER, run_suite, suite_names
 
 __version__ = "0.1.0"

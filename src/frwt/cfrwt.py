@@ -43,14 +43,13 @@ from .admissibility import (
 )
 from .errors import GridMismatch, InadmissibleWavelet, ZeroCrossAdmissibility
 from .frft import TransformOrder, _as_order, _chirp, _fft_convolve, _next_fast_len, _row_blocks, c_alpha, frft_fast
-from .grid import Grid, SampledSignal, _exact_sum, grids_close, inner_product, l2_norm
+from .grid import Grid, SampledSignal, _exact_sum, _require_same_grid, grids_close, inner_product, l2_norm
 from .report import VerificationReport
 from .scales import ScaleGrid
-from .wavelets import DaughterParams, WaveletSpec, make_daughter
+from .wavelets import WaveletSpec, make_daughter
 
 __all__ = [
     "CfrwtCoefficients",
-    "ReproducingKernelPoint",
     "cfrwt_direct",
     "cfrwt_fast",
     "plancherel_check",
@@ -126,15 +125,6 @@ class CfrwtCoefficients:
     def _scale_contributions(self) -> np.ndarray:
         with np.errstate(over="ignore"):
             return self.scales.measure_weights() * self.shift_energies()
-
-
-@dataclass(frozen=True)
-class ReproducingKernelPoint:
-    """One evaluation of the two-wavelet reproducing kernel."""
-
-    p0: tuple[tuple[float, ...], tuple[float, ...]]
-    p: tuple[tuple[float, ...], tuple[float, ...]]
-    value: complex
 
 
 def _require_same_ndim(f: SampledSignal, scales: ScaleGrid) -> None:
@@ -463,8 +453,7 @@ def inner_product_relation_check(
     normalized by the moduli admissibility bound at that scale.
     """
     order = _as_order(order)
-    if not grids_close(f.grid, g.grid):
-        raise GridMismatch("signals live on different grids")
+    _require_same_grid(f, g)
     cross = _admissibility_for(psi, order, f.ndim, scan, phi=phi)
     wf = cfrwt_fast(f, phi, order, scales)
     wg = cfrwt_fast(g, psi, order, scales)
@@ -536,7 +525,7 @@ def reproducing_kernel(
     grid: Grid,
     scan: FrequencyScan | None = None,
     cross_value: complex | None = None,
-) -> ReproducingKernelPoint:
+) -> complex:
     """Point value of the two-wavelet reproducing kernel.
 
     p0 and p are (shift vector, scale vector) pairs; the kernel is the
@@ -547,11 +536,10 @@ def reproducing_kernel(
     (b0, a0), (b, a) = p0, p
     ndim = grid.ndim
     cross_value = _cross_value(phi, psi, order, ndim, scan, cross_value)
-    d_phi = make_daughter(phi, DaughterParams(tuple(a), tuple(b), order), grid, tail_tol=None)
-    d_psi = make_daughter(psi, DaughterParams(tuple(a0), tuple(b0), order), grid, tail_tol=None)
+    d_phi = make_daughter(phi, a, b, order, grid, tail_tol=None)
+    d_psi = make_daughter(psi, a0, b0, order, grid, tail_tol=None)
     mod = abs(c_alpha(order, ndim)) ** 2
-    value = mod / cross_value * inner_product(d_phi, d_psi)
-    return ReproducingKernelPoint((tuple(b0), tuple(a0)), (tuple(b), tuple(a)), value)
+    return mod / cross_value * inner_product(d_phi, d_psi)
 
 
 def kernel_projection(
@@ -572,7 +560,7 @@ def kernel_projection(
     ndim = array.b_grid.ndim
     cross_value = _cross_value(phi, psi, order, ndim, scan, cross_value)
     b0, a0 = p0
-    daughter0 = make_daughter(psi, DaughterParams(tuple(a0), tuple(b0), order), array.b_grid, tail_tol=None)
+    daughter0 = make_daughter(psi, a0, b0, order, array.b_grid, tail_tol=None)
     # <phi_{a,b}, psi_{a0,b0}> over all (b, a) is one coefficient pass
     # of the p0 daughter treated as a signal
     inner = np.conj(cfrwt_fast(daughter0, phi, order, array.scales).values)

@@ -9,6 +9,7 @@ unexpected error (reported on one line).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -26,6 +27,7 @@ from .io import (
     write_csv,
     write_signal,
 )
+from .report import _ratio
 from .verify import run_suite, suite_names
 from .wavelets import get_wavelet
 
@@ -49,6 +51,17 @@ def _save_signal(path: str, signal: SampledSignal) -> None:
         write_csv(path, signal)
     else:
         write_signal(path, signal)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for real options: a non-finite value is a parse error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def cmd_frft(args) -> int:
@@ -90,7 +103,7 @@ def cmd_synth(args) -> int:
         ref = _load_signal(args.reference)
         if not grids_close(ref.grid, recon.grid):
             raise GridMismatch("the reference signal does not share the coefficients' grid")
-        err = l2_norm(SampledSignal(ref.grid, recon.values - ref.values)) / l2_norm(ref)
+        err = _ratio(l2_norm(SampledSignal(ref.grid, recon.values - ref.values)), l2_norm(ref))
         print(f"reconstruction error: {err:.6e}")
         if cfg.tolerance is not None and err > cfg.tolerance:
             return EXIT_CHECK_FAILED
@@ -124,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("frft", help="transform a signal file at a fractional order")
     p.add_argument("input", help="signal file (binary or .csv)")
-    p.add_argument("--alpha", type=float, required=True, help="transform order in radians")
+    p.add_argument("--alpha", type=_finite_float, required=True, help="transform order in radians")
     p.add_argument("--engine", choices=("fast", "direct"), default="fast")
     p.add_argument("--output", required=True)
     p.set_defaults(handler=cmd_frft)

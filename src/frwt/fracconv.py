@@ -14,7 +14,6 @@ factorization on concrete grids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,19 +24,10 @@ from .grid import Grid, SampledSignal, _separable
 from .report import VerificationReport
 
 __all__ = [
-    "FracConvResult",
     "frac_convolve",
     "spectral_identity_check",
     "scaled_identity_check",
 ]
-
-
-@dataclass(frozen=True)
-class FracConvResult:
-    """Convolution output together with the order it was taken at."""
-
-    signal: SampledSignal
-    order: TransformOrder
 
 
 def _alignment_offsets(f: SampledSignal, g: SampledSignal) -> list[int]:
@@ -64,7 +54,7 @@ def _alignment_offsets(f: SampledSignal, g: SampledSignal) -> list[int]:
 
 def frac_convolve(
     f: SampledSignal, g: SampledSignal, order: "TransformOrder | float"
-) -> FracConvResult:
+) -> SampledSignal:
     """Order-alpha convolution, sampled on f's grid.
 
     g is zero-extended beyond its own grid.  Operand grids must share the
@@ -101,7 +91,7 @@ def frac_convolve(
             src.append(slice(lo - offsets[ax], hi - offsets[ax] + 1))
     out[tuple(dst)] = full[tuple(src)]
     out = out * _chirp(f.grid.radius_sq(), -cot)
-    return FracConvResult(SampledSignal(f.grid, out), order)
+    return SampledSignal(f.grid, out)
 
 
 def spectral_identity_check(
@@ -114,7 +104,7 @@ def spectral_identity_check(
     the g factor evaluated by direct quadrature on the same grid.
     """
     order = _as_order(order)
-    conv = frac_convolve(f, g, order).signal
+    conv = frac_convolve(f, g, order)
     lhs = frft_fast(conv, order)
     f_hat = frft_fast(f, order)
     g_ch = g.values * _chirp(g.grid.radius_sq(), -order.cot)
@@ -186,7 +176,7 @@ def scaled_identity_check(
     neg = order.negated()
 
     h = SampledSignal(f.grid, _evaluate_scaled(g, scale, f.grid, g_eval))
-    conv = frac_convolve(f, h, neg).signal
+    conv = frac_convolve(f, h, neg)
     lhs = frft_fast(conv, neg)
 
     f_hat = frft_fast(f, neg)

@@ -43,10 +43,9 @@ __all__ = [
     "frft_direct",
     "frft_fast",
     "frft_inverse",
-    "Translate",
-    "Modulate",
-    "Dilate",
-    "apply_operator",
+    "translate",
+    "modulate",
+    "dilate",
 ]
 
 # Orders closer than this to a multiple of pi are dispatched exactly.
@@ -439,29 +438,6 @@ def frft_inverse(g: SampledSignal, order: "TransformOrder | float") -> SampledSi
 # Structure operators
 
 
-@dataclass(frozen=True)
-class Translate:
-    """f(t + eta) * exp(i <t, eta> cot(alpha)); eta must sit on the grid."""
-
-    eta: tuple[float, ...]
-    order: TransformOrder
-
-
-@dataclass(frozen=True)
-class Modulate:
-    """exp(i <t, eta> csc(alpha) + i/2 |eta|^2 cot(alpha)) * f(t)."""
-
-    eta: tuple[float, ...]
-    order: TransformOrder
-
-
-@dataclass(frozen=True)
-class Dilate:
-    """f(a t) with every |a_i| = 1, so resampling stays exact."""
-
-    factors: tuple[float, ...]
-
-
 def _shift_with_zero_fill(values: np.ndarray, axis: int, m: int) -> np.ndarray:
     # out[j] = in[j + m], zero outside the sampled window
     out = np.zeros_like(values)
@@ -480,45 +456,46 @@ def _shift_with_zero_fill(values: np.ndarray, axis: int, m: int) -> np.ndarray:
     return out
 
 
-def apply_operator(f: SampledSignal, op: "Translate | Modulate | Dilate") -> SampledSignal:
-    """Apply a translation, modulation or unit dilation to a signal."""
-    if isinstance(op, Translate):
-        if len(op.eta) != f.ndim:
-            raise ValueError("eta dimension mismatch")
-        values = f.values
-        for axis, (ax, eta_i) in enumerate(zip(f.grid.axes, op.eta)):
-            ratio = eta_i / ax.step
-            m = round(ratio)
-            if abs(ratio - m) > 1e-9:
-                raise OffGridShift(
-                    f"translation {eta_i} is not an integer multiple of step {ax.step}"
-                )
-            if m:
-                values = _shift_with_zero_fill(values, axis, m)
-        phase = _separable([pts * eta_i for pts, eta_i in zip(f.grid.axis_points(), op.eta)])
-        return SampledSignal(f.grid, values * np.exp(1j * op.order.cot * phase))
+def translate(f: SampledSignal, eta: tuple[float, ...], order: TransformOrder) -> SampledSignal:
+    """f(t + eta) * exp(i <t, eta> cot(alpha)); eta must sit on the grid."""
+    if len(eta) != f.ndim:
+        raise ValueError("eta dimension mismatch")
+    values = f.values
+    for axis, (ax, eta_i) in enumerate(zip(f.grid.axes, eta)):
+        ratio = eta_i / ax.step
+        m = round(ratio)
+        if abs(ratio - m) > 1e-9:
+            raise OffGridShift(
+                f"translation {eta_i} is not an integer multiple of step {ax.step}"
+            )
+        if m:
+            values = _shift_with_zero_fill(values, axis, m)
+    phase = _separable([pts * eta_i for pts, eta_i in zip(f.grid.axis_points(), eta)])
+    return SampledSignal(f.grid, values * np.exp(1j * order.cot * phase))
 
-    if isinstance(op, Modulate):
-        if len(op.eta) != f.ndim:
-            raise ValueError("eta dimension mismatch")
-        cot, csc = op.order.cot, op.order.csc
-        dot = _separable([pts * eta_i for pts, eta_i in zip(f.grid.axis_points(), op.eta)])
-        eta_sq = sum(e * e for e in op.eta)
-        return SampledSignal(f.grid, f.values * np.exp(1j * (csc * dot + 0.5 * cot * eta_sq)))
 
-    if isinstance(op, Dilate):
-        if len(op.factors) != f.ndim:
-            raise ValueError("dilation dimension mismatch")
-        if any(abs(abs(a) - 1.0) > 1e-12 for a in op.factors):
-            raise ValueError("dilation factors must have unit modulus")
-        values = f.values
-        axes = []
-        for axis, (ax, a) in enumerate(zip(f.grid.axes, op.factors)):
-            if a < 0:
-                values = np.flip(values, axis=axis)
-                axes.append(ax.reflected())
-            else:
-                axes.append(ax)
-        return SampledSignal(Grid(tuple(axes)), values.copy())
+def modulate(f: SampledSignal, eta: tuple[float, ...], order: TransformOrder) -> SampledSignal:
+    """exp(i <t, eta> csc(alpha) + i/2 |eta|^2 cot(alpha)) * f(t)."""
+    if len(eta) != f.ndim:
+        raise ValueError("eta dimension mismatch")
+    cot, csc = order.cot, order.csc
+    dot = _separable([pts * eta_i for pts, eta_i in zip(f.grid.axis_points(), eta)])
+    eta_sq = sum(e * e for e in eta)
+    return SampledSignal(f.grid, f.values * np.exp(1j * (csc * dot + 0.5 * cot * eta_sq)))
 
-    raise TypeError(f"unsupported operator {type(op)!r}")
+
+def dilate(f: SampledSignal, factors: tuple[float, ...]) -> SampledSignal:
+    """f(a t) with every |a_i| = 1, so resampling stays exact."""
+    if len(factors) != f.ndim:
+        raise ValueError("dilation dimension mismatch")
+    if any(abs(abs(a) - 1.0) > 1e-12 for a in factors):
+        raise ValueError("dilation factors must have unit modulus")
+    values = f.values
+    axes = []
+    for axis, (ax, a) in enumerate(zip(f.grid.axes, factors)):
+        if a < 0:
+            values = np.flip(values, axis=axis)
+            axes.append(ax.reflected())
+        else:
+            axes.append(ax)
+    return SampledSignal(Grid(tuple(axes)), values.copy())

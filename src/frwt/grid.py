@@ -32,7 +32,6 @@ __all__ = [
     "l2_norm",
     "l1_norm",
     "sample",
-    "grids_close",
 ]
 
 MAX_NDIM = 3
@@ -187,9 +186,6 @@ class SampledSignal:
     @property
     def ndim(self) -> int:
         return self.grid.ndim
-
-    def copy(self) -> "SampledSignal":
-        return SampledSignal(self.grid, self.values.copy())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SampledSignal(ndim={self.ndim}, shape={self.grid.shape})"

@@ -33,9 +33,6 @@ from .grid import MAX_NDIM, AxisSpec, Grid, SampledSignal
 from .scales import ScaleGrid, log_scale_grid
 
 __all__ = [
-    "MAGIC",
-    "COEFF_MAGIC",
-    "FORMAT_VERSION",
     "RunConfig",
     "read_signal",
     "write_signal",

@@ -3,9 +3,7 @@
 The norm is a supremum over balls of normalized mass, estimated here by
 a finite center/radius scan.  The scan only ever under-estimates, so
 every inequality check keeps the scanned quantity on the small side:
-discretization cannot manufacture a false pass.  The signal norm that
-appears as an upper-bound factor can be overridden with an analytic
-value when one is known.
+discretization cannot manufacture a false pass.
 """
 
 from __future__ import annotations
@@ -17,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cfrwt import cfrwt_fast
-from .errors import EmptyScan, GridMismatch
+from .errors import EmptyScan
 from .frft import TransformOrder
-from .grid import Grid, SampledSignal, _separable, grids_close, l1_norm
+from .grid import Grid, SampledSignal, _require_same_grid, _separable, l1_norm
 from .report import VerificationReport, _ratio
 from .scales import ScaleGrid
 from .wavelets import WaveletSpec, wavelet_l1_norm
@@ -156,7 +154,6 @@ def morrey_bound_check(
     a: tuple[float, ...] | float,
     order: TransformOrder | float,
     cfg: MorreyConfig,
-    f_morrey: float | None = None,
 ) -> VerificationReport:
     """Scale-slice Morrey bound, its L1 companion, and the growth sweep.
 
@@ -168,7 +165,7 @@ def morrey_bound_check(
     n = f.ndim
     mag, (slice_a, *sweep_slices) = _slices(f, psi, a, order, _GROWTH_SWEEP)
     lhs = morrey_norm(slice_a, cfg).value
-    fm = f_morrey if f_morrey is not None else morrey_norm(f, cfg).value
+    fm = morrey_norm(f, cfg).value
     psi_l1 = wavelet_l1_norm(psi) ** n
     rhs = math.sqrt(mag) * psi_l1 * fm
 
@@ -203,7 +200,7 @@ def _l1_distance(phi: WaveletSpec, psi: WaveletSpec, ndim: int) -> float:
     r = max(phi.support_radius, psi.support_radius)
     t = np.linspace(-r, r, points)
     diff = np.abs(
-        _separable([phi.evaluate(t)] * ndim, np.multiply) - _separable([psi.evaluate(t)] * ndim, np.multiply)
+        _separable([phi.profile(t)] * ndim, np.multiply) - _separable([psi.profile(t)] * ndim, np.multiply)
     )
     for _ in range(ndim):
         diff = np.trapezoid(diff, x=t, axis=-1)
@@ -227,8 +224,7 @@ def morrey_distance_checks(
     by the sum.  The report's headline numbers are the combined bound,
     with the two single-swap checks in the details.
     """
-    if not grids_close(f.grid, g.grid):
-        raise GridMismatch("signals live on different grids")
+    _require_same_grid(f, g)
     n = f.ndim
     mag, (w_f_phi,) = _slices(f, phi, a, order)
     _, (w_f_psi,) = _slices(f, psi, a, order)

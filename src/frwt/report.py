@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
+__all__ = ["VerificationReport"]
+
 
 def _js(value: Any) -> Any:
     if isinstance(value, complex):

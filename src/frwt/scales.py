@@ -79,7 +79,7 @@ def log_scale_grid(
 ) -> ScaleGrid:
     """Build a midpoint log-spaced scale grid over magnitudes [a_min, a_max].
 
-    signs is one of "both", "positive", "negative".  With "both" each axis
+    signs is "both" or "positive".  With "both" each axis
     runs through the negated magnitudes (descending) followed by the
     positive ones (ascending), covering all 2^n orthants of scale space.
     """
@@ -97,8 +97,6 @@ def log_scale_grid(
         axis = np.concatenate([-mags[::-1], mags])
     elif signs == "positive":
         axis = mags
-    elif signs == "negative":
-        axis = -mags[::-1]
     else:
         raise ValueError(f"unknown sign choice {signs!r}")
     vectors = np.array(list(itertools.product(axis, repeat=ndim)), dtype=np.float64)

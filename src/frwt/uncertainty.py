@@ -24,16 +24,14 @@ import numpy as np
 
 from .admissibility import FrequencyScan
 from .cfrwt import CfrwtCoefficients, _admissibility_for, cfrwt_fast
-from .errors import GridMismatch, InvalidAnglePair, TailDominated, ThetaAtBoundary
+from .errors import InvalidAnglePair, TailDominated, ThetaAtBoundary
 from .frft import TransformOrder, _transform, c_alpha, frft_fast
-from .grid import Grid, SampledSignal, _exact_sum, _separable, grids_close, l2_norm
+from .grid import Grid, SampledSignal, _exact_sum, _require_same_grid, _separable, l2_norm
 from .report import VerificationReport
 from .scales import ScaleGrid
 from .wavelets import WaveletSpec
 
 __all__ = [
-    "MomentSpec",
-    "UncertaintyReport",
     "LocalEntry",
     "LocalUncertaintyReport",
     "dispersion",
@@ -54,32 +52,6 @@ _TAIL_FRACTION = 0.01
 def _check_theta(theta: float) -> None:
     if not 0.0 < theta <= 8.0:
         raise ValueError("moment exponent must lie in (0, 8]")
-
-
-@dataclass(frozen=True)
-class MomentSpec:
-    """Moment exponent paired with the grid it will be evaluated on."""
-
-    theta: float
-    grid: Grid
-
-    def __post_init__(self) -> None:
-        _check_theta(self.theta)
-
-
-@dataclass(frozen=True)
-class UncertaintyReport:
-    lhs: float
-    rhs: float
-    ratio: float
-    alpha: float
-    beta: float
-    passed: bool
-    details: dict
-
-    def __post_init__(self) -> None:
-        if self.lhs < 0.0 or self.rhs < 0.0:
-            raise ValueError("both sides of an uncertainty product are nonnegative")
 
 
 @dataclass(frozen=True)
@@ -155,7 +127,7 @@ def heisenberg_two_domain(
     alpha: float,
     beta: float,
     slack: float = 1e-3,
-) -> UncertaintyReport:
+) -> VerificationReport:
     """Second-moment product in two fractional domains against its floor.
 
     The floor is (n^2/4) sin^2(alpha-beta) ||f||^4; a centered Gaussian
@@ -166,7 +138,9 @@ def heisenberg_two_domain(
     lhs = dispersion(frft_fast(f, beta), 1.0) * dispersion(frft_fast(f, alpha), 1.0)
     rhs = (n**2 / 4.0) * s**2 * l2_norm(f) ** 4
     ratio = lhs / rhs
-    return UncertaintyReport(lhs, rhs, ratio, alpha, beta, ratio >= 1.0 - slack, {})
+    return VerificationReport(
+        "heisenberg_two_domain", lhs, rhs, ratio, slack, ratio >= 1.0 - slack, {"alpha": alpha, "beta": beta}
+    )
 
 
 def _scale_moment_sum(
@@ -208,7 +182,7 @@ def heisenberg_cfrwt(
     scales: ScaleGrid,
     scan: FrequencyScan | None = None,
     slack: float = 0.05,
-) -> UncertaintyReport:
+) -> VerificationReport:
     """Uncertainty product for the coefficient field against its floor.
 
     The discrete scale range truncates the coefficient-side moment, so
@@ -240,8 +214,10 @@ def heisenberg_cfrwt(
         "rhs_untruncated": rhs_full,
         "identity_ratio": c_eff * mod / adm.value.real,
         "admissibility": adm.value.real,
+        "alpha": alpha,
+        "beta": beta,
     }
-    return UncertaintyReport(lhs, rhs_norm, ratio, alpha, beta, ratio >= 1.0 - slack, details)
+    return VerificationReport("heisenberg_cfrwt", lhs, rhs_norm, ratio, slack, ratio >= 1.0 - slack, details)
 
 
 def lemma_moment_identity_check(
@@ -347,8 +323,8 @@ def local_uncertainty_scan(
     s = _angle_gap(alpha, beta)
     branch = "subcritical" if theta < n / 2.0 else "supercritical"
 
-    if not all(grids_close(f.grid, grid) for f in f_family):
-        raise GridMismatch("signals live on different grids")
+    for f in f_family[1:]:
+        _require_same_grid(f, f_family[0])
     values = np.stack([f.values for f in f_family])
     out_grid, spectra = _transform(grid, values, alpha)
     moments = _radial_moments(*_transform(grid, values, beta), theta)

@@ -24,7 +24,6 @@ from .grid import Grid, SampledSignal, _separable
 
 __all__ = [
     "WaveletSpec",
-    "DaughterParams",
     "CATALOG",
     "get_wavelet",
     "make_daughter",
@@ -45,13 +44,6 @@ class WaveletSpec:
     name: str
     profile: Callable[[np.ndarray], np.ndarray]
     support_radius: float
-
-    def evaluate(self, *coords: np.ndarray) -> np.ndarray:
-        """Separable n-D evaluation: product of the profile along each axis."""
-        out = np.asarray(self.profile(np.asarray(coords[0], dtype=np.float64)), dtype=np.complex128)
-        for c in coords[1:]:
-            out = out * self.profile(np.asarray(c, dtype=np.float64))
-        return out
 
 
 def _mexican_hat(t: np.ndarray) -> np.ndarray:
@@ -116,15 +108,6 @@ def wavelet_l2_norm(psi: WaveletSpec) -> float:
     return float(math.sqrt(np.trapezoid(np.abs(vals) ** 2, dx=dt)))
 
 
-@dataclass(frozen=True)
-class DaughterParams:
-    """Scale vector, position vector and transform order of one daughter."""
-
-    a: tuple[float, ...]
-    b: tuple[float, ...]
-    order: TransformOrder
-
-
 def _mass_outside_fraction(psi: WaveletSpec, a: float, b: float, lo: float, hi: float) -> float:
     """Fraction of the squared profile mass of psi((x-b)/a) outside [lo, hi]."""
     t, vals, dt = _profile_quadrature(psi)
@@ -140,11 +123,13 @@ def _mass_outside_fraction(psi: WaveletSpec, a: float, b: float, lo: float, hi: 
 
 def make_daughter(
     psi: WaveletSpec,
-    params: DaughterParams,
+    a: tuple[float, ...],
+    b: tuple[float, ...],
+    order: TransformOrder | float,
     grid: Grid,
     tail_tol: float | None = 1e-6,
 ) -> SampledSignal:
-    """Sample one daughter wavelet on a grid.
+    """Sample the daughter at scale vector a and position vector b on a grid.
 
     With tail_tol set, raises GridTooSmall when more than that fraction of
     the daughter's squared mass falls outside the grid along any axis.
@@ -152,28 +137,27 @@ def make_daughter(
     clipped daughter against a decaying signal is still a valid inner
     product).
     """
-    order = _as_order(params.order)
-    if len(params.a) != grid.ndim or len(params.b) != grid.ndim:
+    order = _as_order(order)
+    if len(a) != grid.ndim or len(b) != grid.ndim:
         raise ValueError("parameter dimensions do not match the grid")
-    for a_i in params.a:
+    for a_i in a:
         if a_i == 0.0 or not math.isfinite(a_i):
             raise ZeroScaleComponent(f"scale component {a_i} is not usable")
 
     if tail_tol is not None:
-        for ax, a_i, b_i in zip(grid.axes, params.a, params.b):
+        for ax, a_i, b_i in zip(grid.axes, a, b):
             spill = _mass_outside_fraction(psi, a_i, b_i, ax.start, ax.stop)
             if spill > tail_tol:
                 raise GridTooSmall(
-                    f"daughter at a={params.a} b={params.b} spills {spill:.2e} of its "
+                    f"daughter at a={a} b={b} spills {spill:.2e} of its "
                     f"mass past the grid edge (tolerance {tail_tol:.1e})"
                 )
 
     cot = order.cot
-    a_abs = float(np.prod([abs(a_i) for a_i in params.a]))
+    a_abs = float(np.prod([abs(a_i) for a_i in a]))
     envelope = _separable(
-        [psi.evaluate((pts - b_i) / a_i) for pts, a_i, b_i in zip(grid.axis_points(), params.a, params.b)],
-        np.multiply,
+        [psi.profile((pts - b_i) / a_i) for pts, a_i, b_i in zip(grid.axis_points(), a, b)], np.multiply
     )
-    b_sq = sum(b_i * b_i for b_i in params.b)
+    b_sq = sum(b_i * b_i for b_i in b)
     chirp = _chirp(grid.radius_sq() - b_sq, -cot)
     return SampledSignal(grid, envelope * chirp / math.sqrt(a_abs))

@@ -26,7 +26,7 @@ def test_classical_limit_gaussian_pair(grid_512):
     # at order pi/2 the chirps vanish and
     # (exp(-t^2/2) conv exp(-t^2/2))(t) = sqrt(pi) exp(-t^2/4)
     f = sample(grid_512, lambda t: np.exp(-(t**2) / 2))
-    conv = frac_convolve(f, f, math.pi / 2).signal
+    conv = frac_convolve(f, f, math.pi / 2)
     t = grid_512.axis_points()[0]
     assert np.max(np.abs(conv.values - SQRT_PI * np.exp(-(t**2) / 4))) < 1e-6
 
@@ -106,18 +106,18 @@ def test_bilinearity(grid_512):
     h2 = random_smooth_signal(grid_512, seed=6)
     lam = 0.7 - 0.2j
     combined = SampledSignal(grid_512, h1.values + lam * h2.values)
-    left = frac_convolve(f, combined, 0.7).signal.values
+    left = frac_convolve(f, combined, 0.7).values
     right = (
-        frac_convolve(f, h1, 0.7).signal.values
-        + lam * frac_convolve(f, h2, 0.7).signal.values
+        frac_convolve(f, h1, 0.7).values
+        + lam * frac_convolve(f, h2, 0.7).values
     )
     scale = np.max(np.abs(left))
     assert np.max(np.abs(left - right)) / scale < 1e-12
     # and in the first argument
-    left = frac_convolve(combined, f, 0.7).signal.values
+    left = frac_convolve(combined, f, 0.7).values
     right = (
-        frac_convolve(h1, f, 0.7).signal.values
-        + lam * frac_convolve(h2, f, 0.7).signal.values
+        frac_convolve(h1, f, 0.7).values
+        + lam * frac_convolve(h2, f, 0.7).values
     )
     assert np.max(np.abs(left - right)) / np.max(np.abs(left)) < 1e-12
 
@@ -129,11 +129,11 @@ def test_second_operand_own_grid(grid_512):
     step = grid_512.axes[0].step
     g_grid = Grid((AxisSpec(-85 * step, step, 200),))
     g = sample(g_grid, lambda t: np.exp(-2 * t**2))
-    out = frac_convolve(f, g, 0.8).signal
+    out = frac_convolve(f, g, 0.8)
     # compare against the same operand zero-extended onto the wide grid
     wide = np.zeros(512, dtype=complex)
     wide[512 // 2 - 85 : 512 // 2 - 85 + 200] = g.values
-    out2 = frac_convolve(f, SampledSignal(grid_512, wide), 0.8).signal
+    out2 = frac_convolve(f, SampledSignal(grid_512, wide), 0.8)
     assert np.max(np.abs(out.values - out2.values)) < 1e-12
 
 
@@ -181,5 +181,5 @@ def test_frac_convolve_is_bit_identical_to_fftn_formula(alpha, f_axes, g_axes):
     f_grid, g_grid = Grid(tuple(f_axes)), Grid(tuple(g_axes))
     f = SampledSignal(f_grid, rng.standard_normal(f_grid.shape) + 1j * rng.standard_normal(f_grid.shape))
     g = SampledSignal(g_grid, rng.standard_normal(g_grid.shape) + 0.5j)
-    got = frac_convolve(f, g, alpha).signal.values
+    got = frac_convolve(f, g, alpha).values
     assert np.array_equal(got, fftn_frac_convolve(f, g, alpha))

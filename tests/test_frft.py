@@ -11,21 +11,20 @@ import pytest
 from frwt.errors import DeltaKernel, DomainMismatch, NearSingularOrder, OffGridShift
 from frwt import frft as frft_module
 from frwt.frft import (
-    Dilate,
-    Modulate,
     OrderKind,
     TransformOrder,
-    Translate,
     _next_fast_len,
     _transform,
-    apply_operator,
     c_alpha,
+    dilate,
     frft_direct,
     frft_fast,
     frft_inverse,
     kernel_eval,
     make_plan,
+    modulate,
     natural_output_grid,
+    translate,
 )
 from frwt.grid import AxisSpec, Grid, SampledSignal, axis_centered, l1_norm, l2_norm, sample
 
@@ -320,10 +319,8 @@ def test_translate_covariance(grid_256):
     f = random_smooth_signal(grid_256, seed=5)
     alpha = TransformOrder(1.1)
     eta = (4 * grid_256.axes[0].step,)
-    lhs = frft_fast(apply_operator(f, Translate(eta, alpha)), alpha)
-    rhs = apply_operator(
-        frft_fast(f, alpha), Modulate(tuple(-e for e in eta), alpha.negated())
-    )
+    lhs = frft_fast(translate(f, eta, alpha), alpha)
+    rhs = modulate(frft_fast(f, alpha), tuple(-e for e in eta), alpha.negated())
     assert np.max(np.abs(lhs.values - rhs.values)) < 1e-6
 
 
@@ -332,17 +329,15 @@ def test_modulate_covariance(grid_256):
     alpha = TransformOrder(0.9)
     out_step = natural_output_grid(grid_256, alpha).axes[0].step
     eta = (3 * out_step,)
-    lhs = frft_fast(apply_operator(f, Modulate(eta, alpha)), alpha)
-    rhs = apply_operator(
-        frft_fast(f, alpha), Translate(tuple(-e for e in eta), alpha.negated())
-    )
+    lhs = frft_fast(modulate(f, eta, alpha), alpha)
+    rhs = translate(frft_fast(f, alpha), tuple(-e for e in eta), alpha.negated())
     assert np.max(np.abs(lhs.values - rhs.values)) < 1e-6
 
 
 def test_dilate_covariance(grid_256):
     f = random_smooth_signal(grid_256, seed=8)
     alpha = 0.8
-    lhs = frft_fast(apply_operator(f, Dilate((-1.0,))), alpha)
+    lhs = frft_fast(dilate(f, (-1.0,)), alpha)
     # right side: transform evaluated at -xi, i.e. on the reflected output grid
     refl = natural_output_grid(grid_256, alpha).reflected()
     rhs = frft_direct(f, alpha, refl)
@@ -351,18 +346,18 @@ def test_dilate_covariance(grid_256):
 
 def test_translate_off_grid_raises(grid_256, gaussian_256):
     with pytest.raises(OffGridShift):
-        apply_operator(gaussian_256, Translate((0.33 * grid_256.axes[0].step,), TransformOrder(1.0)))
+        translate(gaussian_256, (0.33 * grid_256.axes[0].step,), TransformOrder(1.0))
 
 
 def test_dilate_rejects_non_unit(gaussian_256):
     with pytest.raises(ValueError):
-        apply_operator(gaussian_256, Dilate((2.0,)))
+        dilate(gaussian_256, (2.0,))
 
 
 def test_translate_exact_shift(grid_256):
     f = random_smooth_signal(grid_256, seed=9)
     # at cot == 0 (alpha = pi/2) the phase factor is 1: pure index shift
-    shifted = apply_operator(f, Translate((2 * grid_256.axes[0].step,), TransformOrder(math.pi / 2)))
+    shifted = translate(f, (2 * grid_256.axes[0].step,), TransformOrder(math.pi / 2))
     # cot(pi/2) is ~1e-17 in floating point, so the phase factor is 1 to rounding
     assert np.allclose(shifted.values[:-2], f.values[2:], rtol=0, atol=1e-12)
     assert np.all(shifted.values[-2:] == 0)

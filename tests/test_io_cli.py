@@ -540,6 +540,27 @@ def test_cli_cfrwt_then_synth_round_trip(tmp_path, signal_file, capsys):
     assert float(line.split(":")[1]) <= 0.05
 
 
+def test_cli_synth_against_an_all_zero_reference(tmp_path, grid_256):
+    zero = tmp_path / "zero.sig"
+    write_signal(zero, SampledSignal(grid_256, np.zeros(grid_256.shape)))
+    coef = tmp_path / "w.coef"
+    assert main(["cfrwt", str(zero), "--output", str(coef)]) == 0
+    cmd = [sys.executable, "-m", "frwt.cli", "synth", str(coef), "--output", str(tmp_path / "r.sig"), "--reference", str(zero)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "reconstruction error: 0.000000e+00" in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_cli_frft_non_finite_alpha_is_parse_failure(tmp_path, signal_file, capsys, alpha):
+    with pytest.raises(SystemExit) as exc:
+        main(["frft", str(signal_file), f"--alpha={alpha}", "--output", str(tmp_path / "x.sig")])
+    assert exc.value.code == 2
+    assert f"not a finite number: {alpha!r}" in capsys.readouterr().err
+    assert not (tmp_path / "x.sig").exists()
+
+
 def test_cli_verify_emits_json_lines(capsys):
     rc = main(["verify", "parseval"])
     assert rc == 0

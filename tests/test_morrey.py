@@ -194,12 +194,6 @@ def test_growth_exponent_saturates_for_mean_carrying_wavelet(wide_grid):
     assert 0.4 <= rep.details["growth_exponent"] <= 0.6
 
 
-def test_bound_check_analytic_override(gaussian_256, cfg_default):
-    rep = morrey_bound_check(gaussian_256, MEX, (1.0,), 0.9, cfg_default, f_morrey=1.7763)
-    assert rep.passed
-    assert rep.details["signal_morrey"] == 1.7763
-
-
 def test_bound_check_scale_vector_validation(gaussian_256, cfg_default):
     with pytest.raises(ValueError):
         morrey_bound_check(gaussian_256, MEX, (1.0, 2.0), 0.9, cfg_default)

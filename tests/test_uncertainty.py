@@ -19,8 +19,6 @@ from frwt.errors import (
 from frwt.grid import Grid, SampledSignal, axis_centered, l2_norm, sample
 from frwt.scales import log_scale_grid
 from frwt.uncertainty import (
-    MomentSpec,
-    UncertaintyReport,
     dispersion,
     heisenberg_two_domain,
     heisenberg_cfrwt,
@@ -70,13 +68,6 @@ def test_dispersion_tail_dominated(grid_256):
     slow = sample(grid_256, lambda t: (1.0 + t**2) ** -0.4)
     with pytest.raises(TailDominated):
         dispersion(slow, 1.0)
-
-
-def test_moment_spec_validation(grid_256):
-    spec = MomentSpec(1.0, grid_256)
-    assert spec.theta == 1.0
-    with pytest.raises(ValueError):
-        MomentSpec(0.0, grid_256)
 
 
 # ------------------------------------------------------------------
@@ -134,11 +125,6 @@ def test_scaling_leaves_ratio_invariant(grid_256):
     assert r2.lhs == pytest.approx(81.0 * r1.lhs, rel=1e-12)
     assert r2.rhs == pytest.approx(81.0 * r1.rhs, rel=1e-12)
     assert r2.ratio == pytest.approx(r1.ratio, rel=1e-10)
-
-
-def test_report_rejects_negative_sides():
-    with pytest.raises(ValueError):
-        UncertaintyReport(-1.0, 1.0, -1.0, 0.9, 0.0, False, {})
 
 
 # ------------------------------------------------------------------
