@@ -17,15 +17,11 @@ from .frft import (
     OrderKind,
     TransformOrder,
     c_alpha,
-    dilate,
     frft_direct,
     frft_fast,
     frft_inverse,
-    kernel_eval,
     make_plan,
-    modulate,
     natural_output_grid,
-    translate,
 )
 from .fracconv import frac_convolve, scaled_identity_check, spectral_identity_check
 from .wavelets import (

@@ -2,14 +2,14 @@
 reconstruction, and the reproducing kernel.
 
 Coefficients are inner products of the signal against daughters over a
-(scale vector, shift) grid.  Two evaluation routes exist: a direct route
-building per-scale profile matrices (the quadratic-cost oracle, usable
-with any shift grid) and a fast route that realizes the same discrete
-sums through padded FFT correlations when the shift grid equals the
-signal grid.  Both routes share the quadrature weights, so they agree to
-rounding, not merely to discretization order.  The fast route's tap
-spectra depend only on the wavelet, the grid and the scales, so a small
-memo keeps the recent ones for a stream of signals.
+(scale vector, shift) grid whose shifts are the signal's own samples.
+Two evaluation routes exist: a direct route building per-scale profile
+matrices (the quadratic-cost oracle) and a fast route that realizes the
+same discrete sums through padded FFT correlations.  Both routes share
+the quadrature weights, so they agree to rounding, not merely to
+discretization order.  The fast route's tap spectra depend only on the
+wavelet, the grid and the scales, so a small memo keeps the recent ones
+for a stream of signals.
 
 A fast pass, analysis or synthesis, runs from one chunk plan: the scale
 vectors in chunks of the shared row-block rule (frft._row_blocks, one
@@ -37,7 +37,6 @@ from .admissibility import (
     FrequencyScan,
     _spectral_points,
     _weighted_profile,
-    admissibility_constant,
     cross_admissibility,
     fractional_spectrum,
 )
@@ -143,29 +142,26 @@ def cfrwt_direct(
     psi: WaveletSpec,
     order: TransformOrder | float,
     scales: ScaleGrid,
-    b_grid: Grid | None = None,
 ) -> CfrwtCoefficients:
-    """Coefficients by explicit per-scale inner products.
+    """Coefficients over the signal's own grid by explicit per-scale inner
+    products.
 
-    Cost is quadratic in grid size per scale; this is the oracle route
-    and works with any shift grid.
+    Cost is quadratic in grid size per scale; this is the oracle route.
     """
     order = _as_order(order)
     _require_same_ndim(f, scales)
-    b_grid = b_grid or f.grid
     chi = _chirped_input(f, order)
     t_axes = f.grid.axis_points()
-    b_axes = b_grid.axis_points()
-    out = np.empty((scales.count,) + b_grid.shape, dtype=np.complex128)
+    out = np.empty((scales.count,) + f.grid.shape, dtype=np.complex128)
     for s, a_vec in enumerate(scales.vectors):
         acc = chi
-        for ax, (t_pts, b_pts, a_i) in enumerate(zip(t_axes, b_axes, a_vec)):
-            # mat[k, j] = conj(psi((t_j - b_k) / a_i)); contract the t_j axis
-            mat = np.conj(psi.profile((t_pts[None, :] - b_pts[:, None]) / a_i))
+        for ax, (t_pts, a_i) in enumerate(zip(t_axes, a_vec)):
+            # mat[k, j] = conj(psi((t_j - t_k) / a_i)); contract the t_j axis
+            mat = np.conj(psi.profile((t_pts[None, :] - t_pts[:, None]) / a_i))
             acc = np.moveaxis(np.tensordot(mat, acc, axes=([1], [ax])), 0, ax)
         out[s] = acc / math.sqrt(np.prod(np.abs(a_vec)))
-    out *= _chirp(b_grid.radius_sq(), -order.cot)
-    return CfrwtCoefficients(out, b_grid, scales, order, psi.name)
+    out *= _chirp(f.grid.radius_sq(), -order.cot)
+    return CfrwtCoefficients(out, f.grid, scales, order, psi.name)
 
 
 @functools.lru_cache(maxsize=_TAP_CACHE_SIZE)
@@ -253,8 +249,8 @@ def cfrwt_fast(
 ) -> CfrwtCoefficients:
     """Coefficients over the signal's own grid via FFT correlations.
 
-    Realizes exactly the same discrete sums as cfrwt_direct with
-    b_grid = f.grid, at O(N log N) per scale, for any sample counts.
+    Realizes exactly the same discrete sums as cfrwt_direct, at
+    O(N log N) per scale, for any sample counts.
     """
     order = _as_order(order)
     _require_same_ndim(f, scales)
@@ -278,10 +274,7 @@ def _admissibility_for(
     phi: WaveletSpec | None = None,
 ) -> AdmissibilityReport:
     order = _as_order(order)
-    if phi is None or phi is psi:
-        report = admissibility_constant(psi, order, scan=scan, ndim=ndim)
-    else:
-        report = cross_admissibility(phi, psi, order, scan=scan, ndim=ndim)
+    report = cross_admissibility(phi or psi, psi, order, scan=scan, ndim=ndim)
     if report.verdict == "divergent":
         raise InadmissibleWavelet(
             f"{report.cross_wavelet or report.wavelet}/{report.wavelet} admissibility integral diverges at order {order.alpha}"
@@ -403,7 +396,6 @@ def plancherel_check(
     f: SampledSignal,
     psi: WaveletSpec,
     scan: FrequencyScan | None = None,
-    tolerance: float = 0.05,
 ) -> VerificationReport:
     """Coefficient energy against the admissibility-scaled signal energy,
     both at the order the coefficients were taken at.
@@ -433,8 +425,8 @@ def plancherel_check(
         details["predicted_ratio"] = float(
             np.sum(weighted * coverage) / (adm.value.real * np.sum(weighted))
         )
-    passed = abs(ratio - 1.0) <= tolerance
-    return VerificationReport("plancherel_ratio", lhs, rhs, ratio, tolerance, passed, details)
+    tolerance = 0.05
+    return VerificationReport("plancherel_ratio", lhs, rhs, ratio, tolerance, abs(ratio - 1.0) <= tolerance, details)
 
 
 def inner_product_relation_check(
@@ -445,7 +437,6 @@ def inner_product_relation_check(
     order: TransformOrder | float,
     scales: ScaleGrid,
     scan: FrequencyScan | None = None,
-    tolerance: float = 0.07,
 ) -> VerificationReport:
     """Two-wavelet coefficient pairing against the signal inner product.
 
@@ -468,6 +459,7 @@ def inner_product_relation_check(
         "normalization": scale,
         "last_octave_fraction": wf.last_octave_fraction(),
     }
+    tolerance = 0.07
     return VerificationReport(
         "inner_product_relation", lhs, rhs, deviation, tolerance, deviation <= tolerance, details
     )

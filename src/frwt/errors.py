@@ -21,10 +21,6 @@ class DeltaKernel(FrwtError):
     """Kernel evaluation requested at an order where it degenerates to a delta."""
 
 
-class OffGridShift(FrwtError):
-    """Translation amount is not an integer multiple of the grid step."""
-
-
 class StepMismatch(FrwtError):
     """Convolution operands have incommensurate grid steps or offsets."""
 
@@ -63,6 +59,10 @@ class EmptyScan(FrwtError):
 
 class SignalFileError(FrwtError):
     """Malformed signal or coefficient file."""
+
+
+class OutputFileError(FrwtError):
+    """A signal or coefficient file could not be written."""
 
 
 class NearSingularOrder(UserWarning):

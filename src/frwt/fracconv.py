@@ -94,9 +94,7 @@ def frac_convolve(
     return SampledSignal(f.grid, out)
 
 
-def spectral_identity_check(
-    f: SampledSignal, g: SampledSignal, order: "TransformOrder | float", tolerance: float = 1e-6
-) -> VerificationReport:
+def spectral_identity_check(f: SampledSignal, g: SampledSignal, order: "TransformOrder | float") -> VerificationReport:
     """Transform of the convolution vs the chirped product of transforms.
 
     Left side: transform of f *_a g on the fast path's natural grid.
@@ -113,6 +111,7 @@ def spectral_identity_check(
     rhs = out_chirp * f_hat.values * g_hat / c_alpha(order, f.ndim)
     peak = float(np.max(np.abs(lhs.values)))
     dev = float(np.max(np.abs(lhs.values - rhs))) / peak
+    tolerance = 1e-6
     return VerificationReport(
         name="fracconv_spectral_identity",
         lhs=peak,
@@ -158,7 +157,6 @@ def scaled_identity_check(
     g: SampledSignal,
     scale: Sequence[float],
     order: "TransformOrder | float",
-    tolerance: float = 1e-6,
     g_eval: Callable[..., np.ndarray] | None = None,
 ) -> VerificationReport:
     """Scaled convolution identity.
@@ -190,6 +188,7 @@ def scaled_identity_check(
 
     peak = float(np.max(np.abs(lhs.values)))
     dev = float(np.max(np.abs(lhs.values - rhs))) / peak
+    tolerance = 1e-6
     return VerificationReport(
         name="fracconv_scaled_identity",
         lhs=peak,

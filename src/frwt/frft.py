@@ -29,23 +29,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DeltaKernel, DomainMismatch, NearSingularOrder, OffGridShift
-from .grid import AxisSpec, Grid, SampledSignal, _separable, grids_close
+from .errors import DeltaKernel, DomainMismatch, NearSingularOrder
+from .grid import AxisSpec, Grid, SampledSignal, grids_close
 
 __all__ = [
     "OrderKind",
     "TransformOrder",
     "c_alpha",
-    "kernel_eval",
     "natural_output_grid",
     "FrftPlan",
     "make_plan",
     "frft_direct",
     "frft_fast",
     "frft_inverse",
-    "translate",
-    "modulate",
-    "dilate",
 ]
 
 # Orders closer than this to a multiple of pi are dispatched exactly.
@@ -136,32 +132,6 @@ def c_alpha(order: "TransformOrder | float", ndim: int = 1) -> complex:
     order._require_generic()
     c1 = np.sqrt((1.0 - 1j * order.cot) / (2.0 * math.pi))
     return complex(c1**ndim)
-
-
-def kernel_eval(
-    t: np.ndarray, xi: np.ndarray, order: "TransformOrder | float", ndim: int = 1
-) -> np.ndarray:
-    """Evaluate the chirp kernel at points (t, xi).
-
-    For ndim == 1 the inputs are broadcast arrays of coordinates.  For
-    ndim > 1 the trailing axis of each input must hold the coordinate
-    vector.  Raises DeltaKernel at identity/parity orders, where the
-    kernel is a distribution rather than a function.
-    """
-    order = _as_order(order)
-    order._require_generic()
-    t = np.asarray(t, dtype=np.float64)
-    xi = np.asarray(xi, dtype=np.float64)
-    if ndim == 1:
-        tt, xx, dot = t**2, xi**2, t * xi
-    else:
-        if t.shape[-1] != ndim or xi.shape[-1] != ndim:
-            raise ValueError(f"trailing axis must have length {ndim}")
-        tt = np.sum(t**2, axis=-1)
-        xx = np.sum(xi**2, axis=-1)
-        dot = np.sum(t * xi, axis=-1)
-    phase = 0.5 * (tt + xx) * order.cot - dot * order.csc
-    return c_alpha(order, ndim) * np.exp(1j * phase)
 
 
 def natural_output_grid(grid: Grid, order: "TransformOrder | float") -> Grid:
@@ -432,70 +402,3 @@ def _apply_plan(values: np.ndarray, plan: FrftPlan) -> np.ndarray:
 def frft_inverse(g: SampledSignal, order: "TransformOrder | float") -> SampledSignal:
     """Inverse transform: the fast path at the negated order."""
     return frft_fast(g, _as_order(order).negated())
-
-
-# ---------------------------------------------------------------------------
-# Structure operators
-
-
-def _shift_with_zero_fill(values: np.ndarray, axis: int, m: int) -> np.ndarray:
-    # out[j] = in[j + m], zero outside the sampled window
-    out = np.zeros_like(values)
-    n = values.shape[axis]
-    if abs(m) >= n:
-        return out
-    src = [slice(None)] * values.ndim
-    dst = [slice(None)] * values.ndim
-    if m >= 0:
-        dst[axis] = slice(0, n - m)
-        src[axis] = slice(m, n)
-    else:
-        dst[axis] = slice(-m, n)
-        src[axis] = slice(0, n + m)
-    out[tuple(dst)] = values[tuple(src)]
-    return out
-
-
-def translate(f: SampledSignal, eta: tuple[float, ...], order: TransformOrder) -> SampledSignal:
-    """f(t + eta) * exp(i <t, eta> cot(alpha)); eta must sit on the grid."""
-    if len(eta) != f.ndim:
-        raise ValueError("eta dimension mismatch")
-    values = f.values
-    for axis, (ax, eta_i) in enumerate(zip(f.grid.axes, eta)):
-        ratio = eta_i / ax.step
-        m = round(ratio)
-        if abs(ratio - m) > 1e-9:
-            raise OffGridShift(
-                f"translation {eta_i} is not an integer multiple of step {ax.step}"
-            )
-        if m:
-            values = _shift_with_zero_fill(values, axis, m)
-    phase = _separable([pts * eta_i for pts, eta_i in zip(f.grid.axis_points(), eta)])
-    return SampledSignal(f.grid, values * np.exp(1j * order.cot * phase))
-
-
-def modulate(f: SampledSignal, eta: tuple[float, ...], order: TransformOrder) -> SampledSignal:
-    """exp(i <t, eta> csc(alpha) + i/2 |eta|^2 cot(alpha)) * f(t)."""
-    if len(eta) != f.ndim:
-        raise ValueError("eta dimension mismatch")
-    cot, csc = order.cot, order.csc
-    dot = _separable([pts * eta_i for pts, eta_i in zip(f.grid.axis_points(), eta)])
-    eta_sq = sum(e * e for e in eta)
-    return SampledSignal(f.grid, f.values * np.exp(1j * (csc * dot + 0.5 * cot * eta_sq)))
-
-
-def dilate(f: SampledSignal, factors: tuple[float, ...]) -> SampledSignal:
-    """f(a t) with every |a_i| = 1, so resampling stays exact."""
-    if len(factors) != f.ndim:
-        raise ValueError("dilation dimension mismatch")
-    if any(abs(abs(a) - 1.0) > 1e-12 for a in factors):
-        raise ValueError("dilation factors must have unit modulus")
-    values = f.values
-    axes = []
-    for axis, (ax, a) in enumerate(zip(f.grid.axes, factors)):
-        if a < 0:
-            values = np.flip(values, axis=axis)
-            axes.append(ax.reflected())
-        else:
-            axes.append(ax)
-    return SampledSignal(Grid(tuple(axes)), values.copy())

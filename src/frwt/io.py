@@ -17,6 +17,7 @@ readers take the size from fstat; a pipe, a FIFO or a device is refused.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import stat
@@ -27,7 +28,7 @@ import numpy as np
 
 from .admissibility import FrequencyScan
 from .cfrwt import CfrwtCoefficients
-from .errors import SignalFileError
+from .errors import OutputFileError, SignalFileError
 from .frft import TransformOrder
 from .grid import MAX_NDIM, AxisSpec, Grid, SampledSignal
 from .scales import ScaleGrid, log_scale_grid
@@ -66,6 +67,16 @@ def _payload(values: np.ndarray, where: str) -> np.ndarray:
     if not _finite_energy(arr.reshape(-1).view("<f8")):
         raise SignalFileError(f"{where}: not written, the payload holds non-finite samples or an overflowing energy")
     return arr
+
+
+@contextlib.contextmanager
+def _writing(path: str | os.PathLike):
+    """Turn an OSError raised while path is written into an OutputFileError,
+    so that a failed write never reads as a failed read."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputFileError(f"cannot write {os.fspath(path)}: {exc.strerror or exc}") from exc
 
 
 def _open_nonblocking(path: str, flags: int) -> int:
@@ -139,7 +150,7 @@ def _check_ndim(ndim: int, where: str) -> None:
 
 def write_signal(path: str | os.PathLike, signal: SampledSignal) -> None:
     payload = _payload(signal.values, os.fspath(path))
-    with open(path, "wb") as fh:
+    with _writing(path), open(path, "wb") as fh:
         fh.write(_HEAD.pack(MAGIC, FORMAT_VERSION, signal.ndim))
         fh.write(_pack_axes(signal.grid))
         fh.write(payload)
@@ -169,7 +180,8 @@ def write_csv(path: str | os.PathLike, signal: SampledSignal) -> None:
     coords = [m.ravel() for m in signal.grid.meshgrid()]
     flat = signal.values.ravel()
     table = np.column_stack(coords + [flat.real, flat.imag])
-    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
+    with _writing(path):
+        np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def _axis_from_column(col: np.ndarray, where: str, k: int) -> AxisSpec:
@@ -227,7 +239,7 @@ def write_coefficients(path: str | os.PathLike, coeffs: CfrwtCoefficients) -> No
     name = coeffs.wavelet.encode()
     signs = scales.signs.encode()
     payload = _payload(coeffs.values, os.fspath(path))
-    with open(path, "wb") as fh:
+    with _writing(path), open(path, "wb") as fh:
         fh.write(_HEAD.pack(COEFF_MAGIC, FORMAT_VERSION, coeffs.b_grid.ndim))
         fh.write(_pack_axes(coeffs.b_grid))
         fh.write(struct.pack("<d", coeffs.order.alpha))

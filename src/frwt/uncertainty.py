@@ -126,7 +126,6 @@ def heisenberg_two_domain(
     f: SampledSignal,
     alpha: float,
     beta: float,
-    slack: float = 1e-3,
 ) -> VerificationReport:
     """Second-moment product in two fractional domains against its floor.
 
@@ -138,6 +137,7 @@ def heisenberg_two_domain(
     lhs = dispersion(frft_fast(f, beta), 1.0) * dispersion(frft_fast(f, alpha), 1.0)
     rhs = (n**2 / 4.0) * s**2 * l2_norm(f) ** 4
     ratio = lhs / rhs
+    slack = 1e-3
     return VerificationReport(
         "heisenberg_two_domain", lhs, rhs, ratio, slack, ratio >= 1.0 - slack, {"alpha": alpha, "beta": beta}
     )
@@ -181,7 +181,6 @@ def heisenberg_cfrwt(
     beta: float,
     scales: ScaleGrid,
     scan: FrequencyScan | None = None,
-    slack: float = 0.05,
 ) -> VerificationReport:
     """Uncertainty product for the coefficient field against its floor.
 
@@ -217,6 +216,7 @@ def heisenberg_cfrwt(
         "alpha": alpha,
         "beta": beta,
     }
+    slack = 0.05
     return VerificationReport("heisenberg_cfrwt", lhs, rhs_norm, ratio, slack, ratio >= 1.0 - slack, details)
 
 
@@ -226,7 +226,6 @@ def lemma_moment_identity_check(
     alpha: float,
     scales: ScaleGrid,
     scan: FrequencyScan | None = None,
-    tolerance: float = 0.05,
 ) -> VerificationReport:
     """Second-moment identity between coefficient field and signal spectrum.
 
@@ -242,15 +241,9 @@ def lemma_moment_identity_check(
     mod = abs(c_alpha(TransformOrder(alpha), n)) ** 2
     rhs = (adm.value.real / mod) * dispersion(frft_fast(f, alpha), 1.0)
     ratio = lhs / rhs
-    return VerificationReport(
-        "coefficient_moment_identity",
-        lhs,
-        rhs,
-        ratio,
-        tolerance,
-        abs(ratio - 1.0) <= tolerance,
-        {"admissibility": adm.value.real},
-    )
+    tolerance = 0.05
+    details = {"admissibility": adm.value.real}
+    return VerificationReport("coefficient_moment_identity", lhs, rhs, ratio, tolerance, abs(ratio - 1.0) <= tolerance, details)
 
 
 def restricted_energy_identity_check(
@@ -261,7 +254,6 @@ def restricted_energy_identity_check(
     center: tuple[float, ...],
     radius: float,
     scan: FrequencyScan | None = None,
-    tolerance: float = 0.05,
 ) -> VerificationReport:
     """Ball-restricted energy identity between the two alpha-spectra.
 
@@ -280,15 +272,9 @@ def restricted_energy_identity_check(
     mod = abs(c_alpha(TransformOrder(alpha), n)) ** 2
     rhs = (adm.value.real / mod) * _exact_sum((spec.grid.weights() * np.abs(spec.values) ** 2)[mask])
     ratio = lhs / rhs
-    return VerificationReport(
-        "restricted_energy_identity",
-        lhs,
-        rhs,
-        ratio,
-        tolerance,
-        abs(ratio - 1.0) <= tolerance,
-        {"center": center, "radius": radius},
-    )
+    tolerance = 0.05
+    details = {"center": center, "radius": radius}
+    return VerificationReport("restricted_energy_identity", lhs, rhs, ratio, tolerance, abs(ratio - 1.0) <= tolerance, details)
 
 
 def _ball_measure(radius: float, n: int) -> float:

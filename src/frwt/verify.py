@@ -155,7 +155,7 @@ def _suite_convolution(cfg: RunConfig) -> list[VerificationReport]:
     g = _fixture(grid, 61)
     reports = []
     for alpha in _FIVE_ORDERS:
-        rep = spectral_identity_check(f, g, alpha, tolerance=1e-6)
+        rep = spectral_identity_check(f, g, alpha)
         rep.name = f"frac_convolution_spectral_{alpha:.4f}"
         reports.append(_meta(rep, grid))
     return reports
@@ -311,29 +311,25 @@ def _suite_heisenberg(cfg: RunConfig) -> list[VerificationReport]:
         _check("heisenberg_two_domain_suite", worst, 1.0, 1e-3, worst >= 1.0 - 1e-3, cases, grid)
     )
 
+    scan = cfg.frequency_scan()
     scales = cfg.scale_grid()
     gabor = _gabor(grid)
-    cr = heisenberg_cfrwt(gabor, mex, cfg.alpha, cfg.beta, scales)
+    cr = heisenberg_cfrwt(gabor, mex, cfg.alpha, cfg.beta, scales, scan=scan)
     reports.append(
         _check(
             "heisenberg_cfrwt_normalized",
             cr.lhs,
             cr.rhs,
-            0.05,
+            cr.tolerance,
             cr.passed,
             {"ratio": cr.ratio, "raw_ratio": cr.details["raw_ratio"]},
             grid,
         )
     )
 
-    reports.append(_meta(lemma_moment_identity_check(gabor, mex, cfg.alpha, scales), grid))
+    reports.append(_meta(lemma_moment_identity_check(gabor, mex, cfg.alpha, scales, scan=scan), grid))
     reports.append(
-        _meta(
-            restricted_energy_identity_check(
-                gabor, mex, cfg.alpha, scales, (2.5,), 1.5
-            ),
-            grid,
-        )
+        _meta(restricted_energy_identity_check(gabor, mex, cfg.alpha, scales, (2.5,), 1.5, scan=scan), grid)
     )
     return reports
 
@@ -341,11 +337,11 @@ def _suite_heisenberg(cfg: RunConfig) -> list[VerificationReport]:
 def _suite_local(cfg: RunConfig) -> list[VerificationReport]:
     grid = Grid((axis_centered(0.0625, 2048),))
 
-    def dilate(s):
+    def dilated_gaussian(s):
         return sample(grid, lambda t: s**-0.5 * np.exp(-((t / s) ** 2) / 2))
 
     def family(count):
-        return [dilate(float(s)) for s in np.exp2(np.linspace(-3, 3, count))]
+        return [dilated_gaussian(float(s)) for s in np.exp2(np.linspace(-3, 3, count))]
 
     def balls(count):
         return [((0.0,), float(r)) for r in np.exp2(np.linspace(-3, 2, count))]

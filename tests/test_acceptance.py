@@ -146,7 +146,7 @@ def test_criterion_05_convolution_identity():
     g = random_smooth_signal(grid, seed=61)
     worst = 0.0
     for alpha in FIVE_ORDERS:
-        rep = spectral_identity_check(f, g, alpha, tolerance=1e-6)
+        rep = spectral_identity_check(f, g, alpha)
         worst = max(worst, rep.details["max_relative_deviation"])
         assert rep.passed
     _verdict(

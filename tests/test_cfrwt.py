@@ -151,7 +151,7 @@ def test_self_daughter_coefficient_is_squared_norm():
     order = _as_order(ALPHA)
     d = make_daughter(MEX, (2.0,), (1.5,), order, g)
     sc = log_scale_grid(2.0 * 2**-0.5, 2.0 * 2**0.5, 1, ndim=1, signs="positive")
-    w = cfrwt_direct(SampledSignal(g, d.values), MEX, ALPHA, sc, b_grid=g)
+    w = cfrwt_direct(SampledSignal(g, d.values), MEX, ALPHA, sc)
     k = int(round((1.5 - g.axes[0].start) / g.axes[0].step))
     assert w.values[0, k] == pytest.approx(wavelet_l2_norm(MEX) ** 2, abs=1e-6)
 

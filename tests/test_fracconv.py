@@ -60,8 +60,8 @@ def test_scaled_identity_general_scale_via_callable(grid_512):
 def test_scaled_identity_interpolated_operand(grid_512):
     # no callable: the sampled operand is rescaled by sinc interpolation
     f = sample(grid_512, lambda t: np.exp(-(t**2) / 2))
-    rep = scaled_identity_check(f, f, (2.0,), 0.9, tolerance=1e-7)
-    assert rep.passed
+    rep = scaled_identity_check(f, f, (2.0,), 0.9)
+    assert rep.details["max_relative_deviation"] <= 1e-7
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
-"""Checks for the fractional Fourier engine: kernel, fast/direct routes,
-exact dispatch and the structure operators."""
+"""Checks for the fractional Fourier engine: kernel normalization,
+fast/direct routes and exact dispatch."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from frwt.errors import DeltaKernel, DomainMismatch, NearSingularOrder, OffGridShift
+from frwt.errors import DeltaKernel, DomainMismatch, NearSingularOrder
 from frwt import frft as frft_module
 from frwt.frft import (
     OrderKind,
@@ -16,15 +16,11 @@ from frwt.frft import (
     _next_fast_len,
     _transform,
     c_alpha,
-    dilate,
     frft_direct,
     frft_fast,
     frft_inverse,
-    kernel_eval,
     make_plan,
-    modulate,
     natural_output_grid,
-    translate,
 )
 from frwt.grid import AxisSpec, Grid, SampledSignal, axis_centered, l1_norm, l2_norm, sample
 
@@ -74,39 +70,20 @@ def test_near_singular_warning_emitted(grid_256, gaussian_256):
 # kernel
 
 
-def test_kernel_symmetry_in_t_xi():
-    t = np.linspace(-2, 2, 17)
-    xi = np.linspace(-1.5, 2.5, 17)
-    a = kernel_eval(t, xi, 0.8)
-    b = kernel_eval(xi, t, 0.8)
-    assert np.array_equal(a, b)
-
-
-def test_kernel_conjugation():
-    t = np.linspace(-3, 3, 11)[:, None]
-    xi = np.linspace(-3, 3, 13)[None, :]
-    lhs = np.conj(kernel_eval(t, xi, 1.1))
-    rhs = kernel_eval(t, xi, -1.1)
-    assert np.max(np.abs(lhs - rhs)) < 1e-10
-
-
-def test_kernel_modulus_constant():
-    vals = kernel_eval(np.linspace(-4, 4, 33), 0.7, math.pi / 4)
-    assert np.allclose(np.abs(vals), C_PI_QUARTER_ABS, atol=1e-12)
-
-
-def test_kernel_delta_orders_raise():
-    for alpha in (0.0, math.pi, -2 * math.pi):
-        with pytest.raises(DeltaKernel):
-            kernel_eval(0.0, 0.0, alpha)
-
-
 def test_c_alpha_modulus():
     for alpha in (0.4, 1.0, 2.0, -0.9):
         for n in (1, 2, 3):
             expected = (abs(1 / math.sin(alpha)) / (2 * math.pi)) ** (n / 2)
             assert abs(c_alpha(alpha, n)) == pytest.approx(expected, rel=1e-12)
     assert c_alpha(math.pi / 2, 1) == pytest.approx(1 / math.sqrt(2 * math.pi))
+    # the kernel's modulus is |c(alpha)| at every (t, xi)
+    assert abs(c_alpha(math.pi / 4)) == pytest.approx(C_PI_QUARTER_ABS, rel=1e-12)
+
+
+def test_c_alpha_delta_orders_raise():
+    for alpha in (0.0, math.pi, -2 * math.pi):
+        with pytest.raises(DeltaKernel):
+            c_alpha(alpha)
 
 
 def test_kernel_semigroup_on_gaussian(grid_256, gaussian_256):
@@ -309,55 +286,3 @@ def test_plan_c_alpha_modulus(grid_256):
     plan = make_plan(grid_256, TransformOrder(0.9))
     expected = (abs(1 / math.sin(0.9)) / (2 * math.pi)) ** 0.5
     assert abs(plan.c_alpha) == pytest.approx(expected, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# operators
-
-
-def test_translate_covariance(grid_256):
-    f = random_smooth_signal(grid_256, seed=5)
-    alpha = TransformOrder(1.1)
-    eta = (4 * grid_256.axes[0].step,)
-    lhs = frft_fast(translate(f, eta, alpha), alpha)
-    rhs = modulate(frft_fast(f, alpha), tuple(-e for e in eta), alpha.negated())
-    assert np.max(np.abs(lhs.values - rhs.values)) < 1e-6
-
-
-def test_modulate_covariance(grid_256):
-    f = random_smooth_signal(grid_256, seed=6)
-    alpha = TransformOrder(0.9)
-    out_step = natural_output_grid(grid_256, alpha).axes[0].step
-    eta = (3 * out_step,)
-    lhs = frft_fast(modulate(f, eta, alpha), alpha)
-    rhs = translate(frft_fast(f, alpha), tuple(-e for e in eta), alpha.negated())
-    assert np.max(np.abs(lhs.values - rhs.values)) < 1e-6
-
-
-def test_dilate_covariance(grid_256):
-    f = random_smooth_signal(grid_256, seed=8)
-    alpha = 0.8
-    lhs = frft_fast(dilate(f, (-1.0,)), alpha)
-    # right side: transform evaluated at -xi, i.e. on the reflected output grid
-    refl = natural_output_grid(grid_256, alpha).reflected()
-    rhs = frft_direct(f, alpha, refl)
-    assert np.max(np.abs(lhs.values - rhs.values[::-1])) < 1e-8
-
-
-def test_translate_off_grid_raises(grid_256, gaussian_256):
-    with pytest.raises(OffGridShift):
-        translate(gaussian_256, (0.33 * grid_256.axes[0].step,), TransformOrder(1.0))
-
-
-def test_dilate_rejects_non_unit(gaussian_256):
-    with pytest.raises(ValueError):
-        dilate(gaussian_256, (2.0,))
-
-
-def test_translate_exact_shift(grid_256):
-    f = random_smooth_signal(grid_256, seed=9)
-    # at cot == 0 (alpha = pi/2) the phase factor is 1: pure index shift
-    shifted = translate(f, (2 * grid_256.axes[0].step,), TransformOrder(math.pi / 2))
-    # cot(pi/2) is ~1e-17 in floating point, so the phase factor is 1 to rounding
-    assert np.allclose(shifted.values[:-2], f.values[2:], rtol=0, atol=1e-12)
-    assert np.all(shifted.values[-2:] == 0)

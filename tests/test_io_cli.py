@@ -429,6 +429,29 @@ def test_cli_missing_input_is_parse_failure(tmp_path, capsys):
     assert "no.sig" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, target, reason",
+    [
+        ("frft", "", "Is a directory"),
+        ("cfrwt", "", "Is a directory"),
+        ("synth", "", "Is a directory"),
+        ("frft", "missing/x.sig", "No such file or directory"),
+        ("frft", "missing/x.csv", "No such file or directory"),
+    ],
+)
+def test_cli_unwritable_output_is_a_write_error(tmp_path, signal_file, capsys, command, target, reason):
+    source = signal_file
+    if command == "synth":
+        source = tmp_path / "w.coef"
+        assert main(["cfrwt", str(signal_file), "--output", str(source)]) == 0
+        capsys.readouterr()
+    options = ["--alpha", "0.9"] if command == "frft" else []
+    out = tmp_path / target
+    rc = main([command, str(source), *options, "--output", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+
+
 @pytest.fixture(params=["devnull", "pipe"])
 def non_regular_path(request, tmp_path, gaussian_256):
     """/dev/null, or the read end of a pipe holding a whole signal file,

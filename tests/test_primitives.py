@@ -1,8 +1,9 @@
 """The shared numerical primitives: one chirp, one padded FFT convolution,
 one exact sum, one batched fast-transform entry, one row-block rule, one
 lag FFT length and one separable broadcast onto a grid, each defined once
-and used everywhere else; no module imports a name it never reads; and the
-package exports exactly the names its modules list in __all__."""
+and used everywhere else; no module imports a name it never reads; the
+package exports exactly the names its modules list in __all__; and every
+function, parameter and name the benchmark in perfbench/ binds exists."""
 
 from __future__ import annotations
 
@@ -148,6 +149,44 @@ def test_public_surface_is_the_union_of_the_module_lists():
     assert not misplaced, "listed but not defined there or not re-exported by frwt: " + ", ".join(misplaced)
     public = {name for name, value in vars(package).items() if not name.startswith("_") and not inspect.ismodule(value)}
     assert sorted(public - listed) == []
+
+
+PERFBENCH = SRC.parents[1] / "perfbench"
+
+
+def test_what_perfbench_binds_exists():
+    # perfbench/tracing.py rebinds the functions in SPANNED and its
+    # counters read arguments by name; its workloads import names from
+    # the package and pass some by keyword.  Read the scripts, edit none.
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text())
+    spanned = next(
+        ast.literal_eval(n.value)
+        for n in tree.body
+        if isinstance(n, ast.Assign) and getattr(n.targets[0], "id", None) == "SPANNED"
+    )
+    missing = [
+        f"{module}.{fn}"
+        for module, fns in spanned.items()
+        for fn in fns
+        if not callable(getattr(importlib.import_module(f"frwt.{module}"), fn, None))
+    ]
+    parameters = {
+        ("admissibility", "cross_admissibility"): ("phi", "psi", "scan", "ndim"),
+        ("cfrwt", "truncated_coverage"): ("scales",),
+        ("cfrwt", "reconstruct"): ("cross_value",),
+        ("morrey", "morrey_norm"): ("cfg",),
+        ("scales", "log_scale_grid"): ("signs",),
+        **{("io", fn): ("path",) for fn in spanned["io"]},
+    }
+    for (module, fn), names in parameters.items():
+        signature = inspect.signature(getattr(importlib.import_module(f"frwt.{module}"), fn))
+        missing += [f"{module}.{fn}({name}=)" for name in names if name not in signature.parameters]
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "frwt":
+                module = importlib.import_module(node.module)
+                missing += [f"{path.name}: {node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
+    assert not missing, "perfbench binds what the package no longer has: " + ", ".join(missing)
 
 
 def test_chirp_carries_the_sign_in_its_factor():

@@ -16,7 +16,9 @@ from frwt.errors import (
     TailDominated,
     ThetaAtBoundary,
 )
+from frwt.admissibility import admissibility_constant
 from frwt.grid import Grid, SampledSignal, axis_centered, l2_norm, sample
+from frwt.io import RunConfig
 from frwt.scales import log_scale_grid
 from frwt.uncertainty import (
     dispersion,
@@ -26,6 +28,7 @@ from frwt.uncertainty import (
     restricted_energy_identity_check,
     local_uncertainty_scan,
 )
+from frwt.verify import _gabor, _grid_256, run_suite
 from frwt.wavelets import get_wavelet
 from oracles import per_signal_local_scan
 
@@ -315,3 +318,21 @@ def test_local_scan_rejects_a_family_on_several_grids(wide_grid):
     fam = _dilates(wide_grid, 2) + _dilates(other, 1)
     with pytest.raises(GridMismatch):
         local_uncertainty_scan(fam, HALF_PI, 0.0, 0.25, _balls(3))
+
+
+def test_verify_heisenberg_reads_the_configured_admissibility_band():
+    # u_max = 8 moves the mexican hat constant in its last digits; every
+    # coefficient-side record must be taken with the configured scan
+    cfg = RunConfig(u_max=8.0)
+    scan = cfg.frequency_scan()
+    mex = get_wavelet("mexican_hat")
+    adm = admissibility_constant(mex, cfg.alpha, scan=scan).value.real
+    assert adm != admissibility_constant(mex, cfg.alpha).value.real
+    records = {r.name: r for r in run_suite("heisenberg", cfg)}
+    gabor, scales = _gabor(_grid_256()), cfg.scale_grid()
+
+    assert records["coefficient_moment_identity"].details["admissibility"] == adm
+    cr = heisenberg_cfrwt(gabor, mex, cfg.alpha, cfg.beta, scales, scan=scan)
+    assert records["heisenberg_cfrwt_normalized"].details["raw_ratio"] == cr.details["raw_ratio"]
+    restricted = restricted_energy_identity_check(gabor, mex, cfg.alpha, scales, (2.5,), 1.5, scan=scan)
+    assert records["restricted_energy_identity"].rhs == restricted.rhs
