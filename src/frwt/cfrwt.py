@@ -93,12 +93,6 @@ class CfrwtCoefficients:
         w_b = self.b_grid.weights()
         return w_a.reshape((-1,) + (1,) * self.b_grid.ndim) * w_b
 
-    def shift_energies(self) -> np.ndarray:
-        """Per-scale shift-integrated energies, no scale measure applied."""
-        w_b = self.b_grid.weights()
-        flat = (np.abs(self.values) ** 2 * w_b).reshape(self.scales.count, -1)
-        return flat.sum(axis=1)
-
     def energy(self) -> float:
         """Total coefficient energy under the measure db da/|a|_p^2;
         math.inf when it is not representable."""
@@ -123,7 +117,8 @@ class CfrwtCoefficients:
 
     def _scale_contributions(self) -> np.ndarray:
         with np.errstate(over="ignore"):
-            return self.scales.measure_weights() * self.shift_energies()
+            flat = (np.abs(self.values) ** 2 * self.b_grid.weights()).reshape(self.scales.count, -1)
+            return self.scales.measure_weights() * flat.sum(axis=1)
 
 
 def _require_same_ndim(f: SampledSignal, scales: ScaleGrid) -> None:
@@ -288,10 +283,10 @@ def _cross_value(
     order: TransformOrder,
     ndim: int,
     scan: FrequencyScan | None,
-    cross_value: complex | None,
+    cross_value: complex | None = None,
 ) -> complex:
-    """The given cross constant, or the phi/psi one when none is given;
-    refused when it is too close to zero to normalize."""
+    """Synthesis factor |c_alpha|^2 / C, C the given cross constant or else
+    the phi/psi one; refused when C is too close to zero to normalize."""
     if cross_value is None:
         cross_value = _admissibility_for(psi, order, ndim, scan, phi=phi).value
     if abs(cross_value) < CROSS_ZERO_TOL:
@@ -299,7 +294,28 @@ def _cross_value(
             f"cross admissibility {abs(cross_value):.2e} below {CROSS_ZERO_TOL:.0e}; "
             "the pair cannot normalize a reconstruction"
         )
-    return cross_value
+    return abs(c_alpha(order, ndim)) ** 2 / cross_value
+
+
+def _require_wavelet(coeffs: CfrwtCoefficients, psi: WaveletSpec) -> None:
+    if psi.name != coeffs.wavelet:
+        raise ValueError(f"coefficients were taken with {coeffs.wavelet!r}, not {psi.name!r}")
+
+
+def _field_normalizer(
+    coeffs: CfrwtCoefficients,
+    f: SampledSignal,
+    psi: WaveletSpec,
+    scan: FrequencyScan | None,
+) -> tuple[AdmissibilityReport, float]:
+    """Admissibility report of psi at the field's order, and |c_alpha|^2,
+    for a coefficient-side check of the field coeffs of f; refused unless
+    coeffs were taken with psi over f's grid."""
+    _require_wavelet(coeffs, psi)
+    if not grids_close(coeffs.b_grid, f.grid):
+        raise GridMismatch("coefficients were not taken over the signal's grid")
+    adm = _admissibility_for(psi, coeffs.order, f.ndim, scan)
+    return adm, abs(c_alpha(coeffs.order, f.ndim)) ** 2
 
 
 def _uniform_step(xi: np.ndarray) -> float | None:
@@ -397,19 +413,17 @@ def plancherel_check(
     psi: WaveletSpec,
     scan: FrequencyScan | None = None,
 ) -> VerificationReport:
-    """Coefficient energy against the admissibility-scaled signal energy,
-    both at the order the coefficients were taken at.
+    """Energy of the coefficient field coeffs of f, taken with psi, against
+    the admissibility-scaled signal energy, both at the field's order.
 
     The reported ratio tends to one from below as the scale range widens;
     details carry the top-octave share and, in one dimension, the ratio
     predicted by the scale-truncated coverage of the signal's spectrum.
     """
     order = coeffs.order
-    if not grids_close(coeffs.b_grid, f.grid):
-        raise GridMismatch("coefficients were not taken over the signal's grid")
-    adm = _admissibility_for(psi, order, f.ndim, scan)
+    adm, mod = _field_normalizer(coeffs, f, psi, scan)
     energy = coeffs.energy()
-    lhs = energy * abs(c_alpha(order, f.ndim)) ** 2
+    lhs = energy * mod
     rhs = adm.value.real * l2_norm(f) ** 2
     ratio = lhs / rhs
     details: dict = {
@@ -487,11 +501,8 @@ def reconstruct(
     """
     order = coeffs.order
     ndim = coeffs.b_grid.ndim
-    if psi_used.name != coeffs.wavelet:
-        raise ValueError(
-            f"coefficients were taken with {coeffs.wavelet!r}, not {psi_used.name!r}"
-        )
-    cross_value = _cross_value(phi, psi_used, order, ndim, scan, cross_value)
+    _require_wavelet(coeffs, psi_used)
+    factor = _cross_value(phi, psi_used, order, ndim, scan, cross_value)
     grid = coeffs.b_grid
     vectors = coeffs.scales.vectors
     b_weights = grid.weights() * _chirp(grid.radius_sq(), order.cot)
@@ -504,8 +515,7 @@ def reconstruct(
         out = _scale_correlate(
             coeffs.values[chunk], grid, vectors[chunk], phi, False, work, pads, weights, acc, chunk is chunks[-1]
         )
-    mod = abs(c_alpha(order, ndim)) ** 2
-    return SampledSignal(grid, out[0] * (mod / cross_value * _chirp(grid.radius_sq(), -order.cot)))
+    return SampledSignal(grid, out[0] * (factor * _chirp(grid.radius_sq(), -order.cot)))
 
 
 def reproducing_kernel(
@@ -516,7 +526,6 @@ def reproducing_kernel(
     p: tuple[tuple[float, ...], tuple[float, ...]],
     grid: Grid,
     scan: FrequencyScan | None = None,
-    cross_value: complex | None = None,
 ) -> complex:
     """Point value of the two-wavelet reproducing kernel.
 
@@ -526,12 +535,10 @@ def reproducing_kernel(
     """
     order = _as_order(order)
     (b0, a0), (b, a) = p0, p
-    ndim = grid.ndim
-    cross_value = _cross_value(phi, psi, order, ndim, scan, cross_value)
+    factor = _cross_value(phi, psi, order, grid.ndim, scan)
     d_phi = make_daughter(phi, a, b, order, grid, tail_tol=None)
     d_psi = make_daughter(psi, a0, b0, order, grid, tail_tol=None)
-    mod = abs(c_alpha(order, ndim)) ** 2
-    return mod / cross_value * inner_product(d_phi, d_psi)
+    return factor * inner_product(d_phi, d_psi)
 
 
 def kernel_projection(
@@ -540,24 +547,22 @@ def kernel_projection(
     psi: WaveletSpec,
     p0: tuple[tuple[float, ...], tuple[float, ...]],
     scan: FrequencyScan | None = None,
-    cross_value: complex | None = None,
 ) -> complex:
     """Apply the reproducing-kernel integral to a coefficient array at p0.
 
-    For arrays in the transform's range this reproduces the array value
-    at p0; for arbitrary arrays the defect measures distance from the
-    range.
+    psi must be the wavelet the array was taken with.  For arrays in the
+    transform's range this reproduces the array value at p0; for
+    arbitrary arrays the defect measures distance from the range.
     """
     order = array.order
-    ndim = array.b_grid.ndim
-    cross_value = _cross_value(phi, psi, order, ndim, scan, cross_value)
+    _require_wavelet(array, psi)
+    factor = _cross_value(phi, psi, order, array.b_grid.ndim, scan)
     b0, a0 = p0
     daughter0 = make_daughter(psi, a0, b0, order, array.b_grid, tail_tol=None)
     # <phi_{a,b}, psi_{a0,b0}> over all (b, a) is one coefficient pass
     # of the p0 daughter treated as a signal
     inner = np.conj(cfrwt_fast(daughter0, phi, order, array.scales).values)
-    mod = abs(c_alpha(order, ndim)) ** 2
-    kernel_vals = mod / cross_value * inner
+    kernel_vals = factor * inner
     total = array.measure_weights() * array.values * kernel_vals
     return _exact_sum(total)
 
@@ -567,7 +572,6 @@ def range_membership_residual(
     phi: WaveletSpec,
     psi: WaveletSpec,
     scan: FrequencyScan | None = None,
-    cross_value: complex | None = None,
 ) -> float:
     """Relative defect of the reproducing-kernel projection on an array.
 
@@ -577,7 +581,7 @@ def range_membership_residual(
     arrays lose everything outside the transform's range, leaving a large
     residual under the measure norm.
     """
-    resynth = reconstruct(array, phi, psi, scan=scan, cross_value=cross_value)
+    resynth = reconstruct(array, phi, psi, scan=scan)
     projected = cfrwt_fast(resynth, psi, array.order, array.scales)
     defect = CfrwtCoefficients(
         projected.values - array.values, array.b_grid, array.scales, array.order, array.wavelet

@@ -95,14 +95,15 @@ def cmd_cfrwt(args) -> int:
 def cmd_synth(args) -> int:
     coeffs = read_coefficients(args.input)
     cfg = parse_run_config(args.config)
+    # the reference is read and checked before the output is written
+    ref = None if args.reference is None else _load_signal(args.reference)
+    if ref is not None and not grids_close(ref.grid, coeffs.b_grid):
+        raise GridMismatch("the reference signal does not share the coefficients' grid")
     synthesis = get_wavelet(cfg.wavelet)
     analysis = get_wavelet(coeffs.wavelet)
     recon = reconstruct(coeffs, synthesis, analysis, scan=cfg.frequency_scan())
     _save_signal(args.output, recon)
-    if args.reference is not None:
-        ref = _load_signal(args.reference)
-        if not grids_close(ref.grid, recon.grid):
-            raise GridMismatch("the reference signal does not share the coefficients' grid")
+    if ref is not None:
         err = _ratio(l2_norm(SampledSignal(ref.grid, recon.values - ref.values)), l2_norm(ref))
         print(f"reconstruction error: {err:.6e}")
         if cfg.tolerance is not None and err > cfg.tolerance:
@@ -169,9 +170,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except SignalFileError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"cannot read {exc.filename}", file=sys.stderr)
         return EXIT_PARSE
     except KeyError as exc:
         print(f"parse error: {exc.args[0] if exc.args else exc}", file=sys.stderr)

@@ -61,6 +61,10 @@ class SignalFileError(FrwtError):
     """Malformed signal or coefficient file."""
 
 
+class InputFileError(FrwtError):
+    """A signal, coefficient or configuration file could not be read."""
+
+
 class OutputFileError(FrwtError):
     """A signal or coefficient file could not be written."""
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .admissibility import FrequencyScan
 from .cfrwt import CfrwtCoefficients
-from .errors import OutputFileError, SignalFileError
+from .errors import InputFileError, OutputFileError, SignalFileError
 from .frft import TransformOrder
 from .grid import MAX_NDIM, AxisSpec, Grid, SampledSignal
 from .scales import ScaleGrid, log_scale_grid
@@ -70,13 +70,15 @@ def _payload(values: np.ndarray, where: str) -> np.ndarray:
 
 
 @contextlib.contextmanager
-def _writing(path: str | os.PathLike):
-    """Turn an OSError raised while path is written into an OutputFileError,
-    so that a failed write never reads as a failed read."""
+def _file_errors(path: str | os.PathLike, verb: str):
+    """Turn an OSError raised while path is read (verb "read") or written
+    ("write") into an InputFileError or OutputFileError, so that a failed
+    write never reads as a failed read."""
     try:
         yield
     except OSError as exc:
-        raise OutputFileError(f"cannot write {os.fspath(path)}: {exc.strerror or exc}") from exc
+        error = OutputFileError if verb == "write" else InputFileError
+        raise error(f"cannot {verb} {os.fspath(path)}: {exc.strerror or exc}") from exc
 
 
 def _open_nonblocking(path: str, flags: int) -> int:
@@ -150,7 +152,7 @@ def _check_ndim(ndim: int, where: str) -> None:
 
 def write_signal(path: str | os.PathLike, signal: SampledSignal) -> None:
     payload = _payload(signal.values, os.fspath(path))
-    with _writing(path), open(path, "wb") as fh:
+    with _file_errors(path, "write"), open(path, "wb") as fh:
         fh.write(_HEAD.pack(MAGIC, FORMAT_VERSION, signal.ndim))
         fh.write(_pack_axes(signal.grid))
         fh.write(payload)
@@ -158,7 +160,7 @@ def write_signal(path: str | os.PathLike, signal: SampledSignal) -> None:
 
 def read_signal(path: str | os.PathLike) -> SampledSignal:
     where = os.fspath(path)
-    with open(path, "rb", opener=_open_nonblocking) as fh:
+    with _file_errors(path, "read"), open(path, "rb", opener=_open_nonblocking) as fh:
         cur = _Cursor(fh, where)
         if not cur.fits(_HEAD.size):
             raise SignalFileError(f"{where}: header truncated ({cur.size} bytes)")
@@ -180,7 +182,7 @@ def write_csv(path: str | os.PathLike, signal: SampledSignal) -> None:
     coords = [m.ravel() for m in signal.grid.meshgrid()]
     flat = signal.values.ravel()
     table = np.column_stack(coords + [flat.real, flat.imag])
-    with _writing(path):
+    with _file_errors(path, "write"):
         np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
@@ -197,7 +199,7 @@ def _axis_from_column(col: np.ndarray, where: str, k: int) -> AxisSpec:
 
 def read_csv(path: str | os.PathLike) -> SampledSignal:
     where = os.fspath(path)
-    with open(path, opener=_open_nonblocking) as fh:
+    with _file_errors(path, "read"), open(path, opener=_open_nonblocking) as fh:
         _regular_size(fh, where)
         header = fh.readline().strip()
         try:
@@ -239,7 +241,7 @@ def write_coefficients(path: str | os.PathLike, coeffs: CfrwtCoefficients) -> No
     name = coeffs.wavelet.encode()
     signs = scales.signs.encode()
     payload = _payload(coeffs.values, os.fspath(path))
-    with _writing(path), open(path, "wb") as fh:
+    with _file_errors(path, "write"), open(path, "wb") as fh:
         fh.write(_HEAD.pack(COEFF_MAGIC, FORMAT_VERSION, coeffs.b_grid.ndim))
         fh.write(_pack_axes(coeffs.b_grid))
         fh.write(struct.pack("<d", coeffs.order.alpha))
@@ -254,7 +256,7 @@ def write_coefficients(path: str | os.PathLike, coeffs: CfrwtCoefficients) -> No
 
 def read_coefficients(path: str | os.PathLike) -> CfrwtCoefficients:
     where = os.fspath(path)
-    with open(path, "rb", opener=_open_nonblocking) as fh:
+    with _file_errors(path, "read"), open(path, "rb", opener=_open_nonblocking) as fh:
         cur = _Cursor(fh, where)
         if not cur.fits(_HEAD.size):
             raise SignalFileError(f"{where}: header truncated")
@@ -344,7 +346,7 @@ def parse_run_config(path: str | os.PathLike | None) -> RunConfig:
         return cfg
     where = os.fspath(path)
     overrides: dict = {}
-    with open(path) as fh:
+    with _file_errors(path, "read"), open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:

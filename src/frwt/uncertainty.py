@@ -23,12 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admissibility import FrequencyScan
-from .cfrwt import CfrwtCoefficients, _admissibility_for, cfrwt_fast
+from .cfrwt import CfrwtCoefficients, _field_normalizer
 from .errors import InvalidAnglePair, TailDominated, ThetaAtBoundary
-from .frft import TransformOrder, _transform, c_alpha, frft_fast
+from .frft import _transform, frft_fast
 from .grid import Grid, SampledSignal, _exact_sum, _require_same_grid, _separable, l2_norm
 from .report import VerificationReport
-from .scales import ScaleGrid
 from .wavelets import WaveletSpec
 
 __all__ = [
@@ -175,24 +174,23 @@ def _ball_mask(grid: Grid, center: tuple[float, ...], radius: float) -> np.ndarr
 
 
 def heisenberg_cfrwt(
+    coeffs: CfrwtCoefficients,
     f: SampledSignal,
     psi: WaveletSpec,
-    alpha: float,
     beta: float,
-    scales: ScaleGrid,
     scan: FrequencyScan | None = None,
 ) -> VerificationReport:
-    """Uncertainty product for the coefficient field against its floor.
+    """Uncertainty product of the coefficient field coeffs of f against its floor.
 
     The discrete scale range truncates the coefficient-side moment, so
     the reported ratio is normalized by the measured moment identity
     (the truncated analogue of the admissibility factor); the raw ratio
     against the untruncated floor is kept in the details.
     """
+    alpha = coeffs.order.alpha
     s = _angle_gap(alpha, beta)
     n = f.ndim
-    adm = _admissibility_for(psi, alpha, n, scan)
-    coeffs = cfrwt_fast(f, psi, alpha, scales)
+    adm, mod = _field_normalizer(coeffs, f, psi, scan)
 
     moment_beta = _scale_moment_sum(coeffs, beta, 1.0)
     spec_alpha = frft_fast(f, alpha)
@@ -200,7 +198,6 @@ def heisenberg_cfrwt(
     lhs = moment_beta * moment_alpha
 
     norm4 = l2_norm(f) ** 4
-    mod = abs(c_alpha(TransformOrder(alpha), n)) ** 2
     rhs_full = (n**2 / 4.0) * (adm.value.real / mod) * s**2 * norm4
 
     # measured truncation of the admissibility factor: coefficient-side
@@ -221,24 +218,21 @@ def heisenberg_cfrwt(
 
 
 def lemma_moment_identity_check(
+    coeffs: CfrwtCoefficients,
     f: SampledSignal,
     psi: WaveletSpec,
-    alpha: float,
-    scales: ScaleGrid,
     scan: FrequencyScan | None = None,
 ) -> VerificationReport:
-    """Second-moment identity between coefficient field and signal spectrum.
+    """Second-moment identity between the coefficient field coeffs of f and f's spectrum.
 
     The scale integral of the b-spectrum moment equals the admissibility
     factor times the signal's spectral moment; truncation of the scale
     range can only lose nonnegative mass, so the ratio approaches 1 from
     below as the range widens.
     """
-    n = f.ndim
-    adm = _admissibility_for(psi, alpha, n, scan)
-    coeffs = cfrwt_fast(f, psi, alpha, scales)
+    alpha = coeffs.order.alpha
+    adm, mod = _field_normalizer(coeffs, f, psi, scan)
     lhs = _scale_moment_sum(coeffs, alpha, 1.0)
-    mod = abs(c_alpha(TransformOrder(alpha), n)) ** 2
     rhs = (adm.value.real / mod) * dispersion(frft_fast(f, alpha), 1.0)
     ratio = lhs / rhs
     tolerance = 0.05
@@ -247,29 +241,26 @@ def lemma_moment_identity_check(
 
 
 def restricted_energy_identity_check(
+    coeffs: CfrwtCoefficients,
     f: SampledSignal,
     psi: WaveletSpec,
-    alpha: float,
-    scales: ScaleGrid,
     center: tuple[float, ...],
     radius: float,
     scan: FrequencyScan | None = None,
 ) -> VerificationReport:
-    """Ball-restricted energy identity between the two alpha-spectra.
+    """Ball-restricted energy identity between the alpha-spectra of coeffs and f.
 
     Restricting the spectral integrals to a ball E keeps the identity
     intact; both sides use the same discrete mask, so the comparison is
     exact up to scale truncation.
     """
-    n = f.ndim
+    alpha = coeffs.order.alpha
+    adm, mod = _field_normalizer(coeffs, f, psi, scan)
     spec = frft_fast(f, alpha)
     mask = _ball_mask(spec.grid, center, radius)
     if not np.any(mask):
         raise ValueError("ball contains no spectral samples")
-    adm = _admissibility_for(psi, alpha, n, scan)
-    coeffs = cfrwt_fast(f, psi, alpha, scales)
     lhs = _scale_moment_sum(coeffs, alpha, 0.0, mask=mask)
-    mod = abs(c_alpha(TransformOrder(alpha), n)) ** 2
     rhs = (adm.value.real / mod) * _exact_sum((spec.grid.weights() * np.abs(spec.values) ** 2)[mask])
     ratio = lhs / rhs
     tolerance = 0.05

@@ -312,9 +312,9 @@ def _suite_heisenberg(cfg: RunConfig) -> list[VerificationReport]:
     )
 
     scan = cfg.frequency_scan()
-    scales = cfg.scale_grid()
     gabor = _gabor(grid)
-    cr = heisenberg_cfrwt(gabor, mex, cfg.alpha, cfg.beta, scales, scan=scan)
+    coeffs = cfrwt_fast(gabor, mex, cfg.alpha, cfg.scale_grid())
+    cr = heisenberg_cfrwt(coeffs, gabor, mex, cfg.beta, scan=scan)
     reports.append(
         _check(
             "heisenberg_cfrwt_normalized",
@@ -327,10 +327,8 @@ def _suite_heisenberg(cfg: RunConfig) -> list[VerificationReport]:
         )
     )
 
-    reports.append(_meta(lemma_moment_identity_check(gabor, mex, cfg.alpha, scales, scan=scan), grid))
-    reports.append(
-        _meta(restricted_energy_identity_check(gabor, mex, cfg.alpha, scales, (2.5,), 1.5, scan=scan), grid)
-    )
+    reports.append(_meta(lemma_moment_identity_check(coeffs, gabor, mex, scan=scan), grid))
+    reports.append(_meta(restricted_energy_identity_check(coeffs, gabor, mex, (2.5,), 1.5, scan=scan), grid))
     return reports
 
 

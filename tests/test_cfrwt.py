@@ -24,6 +24,7 @@ from frwt.errors import GridMismatch, InadmissibleWavelet, ZeroCrossAdmissibilit
 from frwt.frft import _as_order
 from frwt.grid import AxisSpec, Grid, SampledSignal, axis_centered, l2_norm, sample
 from frwt.scales import log_scale_grid
+from frwt.uncertainty import heisenberg_cfrwt, lemma_moment_identity_check, restricted_energy_identity_check
 from frwt.wavelets import CATALOG, get_wavelet, make_daughter, wavelet_l2_norm
 
 from oracles import brute_classical_cwt, brute_reconstruct, fine_grid_fractional_spectrum, per_scale_reconstruct
@@ -539,17 +540,40 @@ def test_reconstruct_rejects_vanishing_cross_constant(gabor_coeffs):
 @pytest.mark.parametrize(
     "entry",
     [
-        lambda coeffs, grid, cross: reconstruct(coeffs, MEX, MEX, cross_value=cross),
-        lambda coeffs, grid, cross: reproducing_kernel(
-            MEX, MEX, ALPHA, ((0.5,), (1.0,)), ((0.5,), (1.0,)), grid, cross_value=cross
-        ),
-        lambda coeffs, grid, cross: kernel_projection(coeffs, MEX, MEX, ((0.5,), (1.0,)), cross_value=cross),
+        lambda coeffs, grid: reconstruct(coeffs, MEX, MEX, cross_value=1e-9),
+        # the dog3/mexican hat constant cancels to about 1.7e-15
+        lambda coeffs, grid: reproducing_kernel(DOG3, MEX, ALPHA, ((0.5,), (1.0,)), ((0.5,), (1.0,)), grid),
+        lambda coeffs, grid: kernel_projection(coeffs, DOG3, MEX, ((0.5,), (1.0,))),
+        lambda coeffs, grid: range_membership_residual(coeffs, DOG3, MEX),
     ],
-    ids=["reconstruct", "reproducing_kernel", "kernel_projection"],
+    ids=["reconstruct", "reproducing_kernel", "kernel_projection", "range_membership_residual"],
 )
 def test_given_cross_constant_below_zero_tolerance_is_refused(entry, gabor_coeffs, grid):
     with pytest.raises(ZeroCrossAdmissibility):
-        entry(gabor_coeffs, grid, 1e-9)
+        entry(gabor_coeffs, grid)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        plancherel_check,
+        lambda coeffs, f, psi: heisenberg_cfrwt(coeffs, f, psi, ALPHA - HALF_PI),
+        lemma_moment_identity_check,
+        lambda coeffs, f, psi: restricted_energy_identity_check(coeffs, f, psi, (2.5,), 1.5),
+        lambda coeffs, f, psi: kernel_projection(coeffs, MEX, psi, ((0.5,), (1.0,))),
+    ],
+    ids=[
+        "plancherel_check",
+        "heisenberg_cfrwt",
+        "lemma_moment_identity_check",
+        "restricted_energy_identity_check",
+        "kernel_projection",
+    ],
+)
+def test_field_of_another_wavelet_is_refused(check, gabor_coeffs, gabor):
+    # mexican hat coefficients read as dog4's gave a Plancherel ratio of 0.166
+    with pytest.raises(ValueError, match="taken with 'mexican_hat', not 'dog4'"):
+        check(gabor_coeffs, gabor, DOG4)
 
 
 # -------------------------------------------------------- reproducing kernel

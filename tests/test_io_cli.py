@@ -452,6 +452,47 @@ def test_cli_unwritable_output_is_a_write_error(tmp_path, signal_file, capsys, c
     assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
 
 
+@pytest.mark.parametrize(
+    "command, role",
+    [("frft", "input"), ("cfrwt", "input"), ("synth", "input"), ("cfrwt", "--config"), ("synth", "--reference")],
+)
+def test_cli_unreadable_input_is_a_read_error(tmp_path, signal_file, capsys, command, role):
+    source = signal_file
+    if command == "synth":
+        source = tmp_path / "w.coef"
+        assert main(["cfrwt", str(signal_file), "--output", str(source)]) == 0
+        capsys.readouterr()
+    folder = tmp_path / "dir"
+    folder.mkdir()
+    out = tmp_path / "out.sig"
+    argv = [command, str(folder if role == "input" else source), "--output", str(out)]
+    argv += ["--alpha", "0.9"] if command == "frft" else []
+    argv += [role, str(folder)] if role != "input" else []
+    rc = main(argv)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: cannot read {folder}: Is a directory\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("reference", ["missing", "other grid"])
+def test_cli_synth_checks_the_reference_before_writing(tmp_path, signal_file, capsys, reference):
+    coef = tmp_path / "w.coef"
+    assert main(["cfrwt", str(signal_file), "--output", str(coef)]) == 0
+    capsys.readouterr()
+    ref = tmp_path / "ref.sig"
+    if reference == "other grid":
+        write_signal(ref, _modulated(Grid((axis_centered(0.125, 128),))))
+    out = tmp_path / "out.sig"
+    rc = main(["synth", str(coef), "--output", str(out), "--reference", str(ref)])
+    assert rc == 2
+    if reference == "missing":
+        expected = f"error: cannot read {ref}: No such file or directory\n"
+    else:
+        expected = "error: the reference signal does not share the coefficients' grid\n"
+    assert capsys.readouterr().err == expected
+    assert not out.exists()
+
+
 @pytest.fixture(params=["devnull", "pipe"])
 def non_regular_path(request, tmp_path, gaussian_256):
     """/dev/null, or the read end of a pipe holding a whole signal file,

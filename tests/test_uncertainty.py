@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from frwt.errors import (
     ThetaAtBoundary,
 )
 from frwt.admissibility import admissibility_constant
+from frwt.cfrwt import cfrwt_fast
 from frwt.grid import Grid, SampledSignal, axis_centered, l2_norm, sample
 from frwt.io import RunConfig
 from frwt.scales import log_scale_grid
@@ -145,8 +147,13 @@ def gabor():
     return sample(grid, lambda t: np.exp(-((t - 0.5) ** 2) / (2 * 0.4**2)) * np.exp(3.0j * t))
 
 
-def test_cfrwt_heisenberg_gabor(gabor, scales_wide):
-    rep = heisenberg_cfrwt(gabor, MEX, 0.9, 0.9 - HALF_PI, scales_wide)
+@pytest.fixture(scope="module")
+def gabor_field(gabor, scales_wide):
+    return cfrwt_fast(gabor, MEX, 0.9, scales_wide)
+
+
+def test_cfrwt_heisenberg_gabor(gabor_field, gabor):
+    rep = heisenberg_cfrwt(gabor_field, gabor, MEX, 0.9 - HALF_PI)
     assert rep.passed
     # floor is extremely loose for a generic wavelet; the chirp in b
     # spreads the beta-spectrum far beyond the minimizer
@@ -156,19 +163,21 @@ def test_cfrwt_heisenberg_gabor(gabor, scales_wide):
 
 
 def test_cfrwt_heisenberg_gaussian_signal(gaussian_256, scales_wide):
-    rep = heisenberg_cfrwt(gaussian_256, MEX, 0.9, 0.9 - HALF_PI, scales_wide)
+    field = cfrwt_fast(gaussian_256, MEX, 0.9, scales_wide)
+    rep = heisenberg_cfrwt(field, gaussian_256, MEX, 0.9 - HALF_PI)
     assert rep.passed
     assert 5.0 < rep.ratio < 30.0
 
 
 def test_cfrwt_heisenberg_gates_admissibility(gaussian_256, scales_wide):
+    field = cfrwt_fast(gaussian_256, GAUSS_WAVELET, 0.9, scales_wide)
     with pytest.raises(InadmissibleWavelet):
-        heisenberg_cfrwt(gaussian_256, GAUSS_WAVELET, 0.9, 0.9 - HALF_PI, scales_wide)
+        heisenberg_cfrwt(field, gaussian_256, GAUSS_WAVELET, 0.9 - HALF_PI)
 
 
-def test_cfrwt_heisenberg_angle_gap(gaussian_256, scales_wide):
+def test_cfrwt_heisenberg_angle_gap(gabor_field, gabor):
     with pytest.raises(InvalidAnglePair):
-        heisenberg_cfrwt(gaussian_256, MEX, 0.9, 0.9, scales_wide)
+        heisenberg_cfrwt(gabor_field, gabor, MEX, 0.9)
 
 
 def test_moment_identity_nested_ranges(gabor):
@@ -176,7 +185,7 @@ def test_moment_identity_nested_ranges(gabor):
     ratios = []
     for amin, amax, cells in [(0.25, 4.0, 32), (0.125, 8.0, 48), (2.0**-4, 2.0**4, 64)]:
         sg = log_scale_grid(amin, amax, cells, signs="both")
-        ratios.append(lemma_moment_identity_check(gabor, MEX, 0.9, sg).ratio)
+        ratios.append(lemma_moment_identity_check(cfrwt_fast(gabor, MEX, 0.9, sg), gabor, MEX).ratio)
     assert ratios[0] < ratios[1] < ratios[2] < 1.0
     assert ratios[0] == pytest.approx(0.562280, abs=1e-3)
     assert ratios[1] == pytest.approx(0.927022, abs=1e-3)
@@ -184,32 +193,62 @@ def test_moment_identity_nested_ranges(gabor):
     assert abs(ratios[2] - 1.0) <= 0.05
 
 
-def test_restricted_energy_identity(gabor, scales_wide):
+def test_restricted_energy_identity(gabor_field, gabor):
     for center, radius, expect in [
         ((0.0,), 2.0, 0.964200),
         ((2.5,), 1.5, 0.998578),
         ((0.0,), 6.0, 0.986169),
     ]:
-        rep = restricted_energy_identity_check(gabor, MEX, 0.9, scales_wide, center, radius)
+        rep = restricted_energy_identity_check(gabor_field, gabor, MEX, center, radius)
         assert rep.passed
         assert rep.ratio == pytest.approx(expect, abs=1e-3)
         assert rep.details["radius"] == radius
 
 
-def test_restricted_energy_ball_validation(gabor, scales_wide):
+def test_restricted_energy_ball_validation(gabor_field, gabor):
     with pytest.raises(ValueError):
-        restricted_energy_identity_check(gabor, MEX, 0.9, scales_wide, (0.0,), -1.0)
+        restricted_energy_identity_check(gabor_field, gabor, MEX, (0.0,), -1.0)
     with pytest.raises(ValueError):
         # ball far outside the spectral window holds no samples
-        restricted_energy_identity_check(gabor, MEX, 0.9, scales_wide, (300.0,), 0.01)
+        restricted_energy_identity_check(gabor_field, gabor, MEX, (300.0,), 0.01)
 
 
-def test_ball_centre_must_match_the_grid_dimension(gabor, scales_wide):
+def test_ball_centre_must_match_the_grid_dimension(gabor_field, gabor):
     # a 2-d centre on a 1-d spectrum: zip over the axes would ignore the 99.0
     with pytest.raises(ValueError, match="wrong dimension"):
-        restricted_energy_identity_check(gabor, MEX, 0.9, scales_wide, (2.5, 99.0), 1.5)
+        restricted_energy_identity_check(gabor_field, gabor, MEX, (2.5, 99.0), 1.5)
     with pytest.raises(ValueError, match="wrong dimension"):
         local_uncertainty_scan([gabor], HALF_PI, 0.0, 0.25, [((0.0, 99.0), 1.0)])
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda coeffs, f: heisenberg_cfrwt(coeffs, f, MEX, 0.9 - HALF_PI),
+        lambda coeffs, f: lemma_moment_identity_check(coeffs, f, MEX),
+        lambda coeffs, f: restricted_energy_identity_check(coeffs, f, MEX, (2.5,), 1.5),
+    ],
+    ids=["heisenberg_cfrwt", "lemma_moment_identity_check", "restricted_energy_identity_check"],
+)
+def test_coefficient_checks_refuse_a_signal_on_another_grid(check, gabor_field):
+    other = sample(Grid((axis_centered(0.125, 128),)), lambda t: np.exp(-(t**2)))
+    with pytest.raises(GridMismatch):
+        check(gabor_field, other)
+
+
+def test_verify_heisenberg_takes_one_coefficient_field(monkeypatch):
+    # the three coefficient-side records share one field of the gabor fixture
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return cfrwt_fast(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "frwt" and getattr(module, "cfrwt_fast", None) is cfrwt_fast:
+            monkeypatch.setattr(module, "cfrwt_fast", counted)
+    run_suite("heisenberg", RunConfig())
+    assert len(calls) == 1
 
 
 # ------------------------------------------------------------------
@@ -329,10 +368,11 @@ def test_verify_heisenberg_reads_the_configured_admissibility_band():
     adm = admissibility_constant(mex, cfg.alpha, scan=scan).value.real
     assert adm != admissibility_constant(mex, cfg.alpha).value.real
     records = {r.name: r for r in run_suite("heisenberg", cfg)}
-    gabor, scales = _gabor(_grid_256()), cfg.scale_grid()
+    gabor = _gabor(_grid_256())
+    field = cfrwt_fast(gabor, mex, cfg.alpha, cfg.scale_grid())
 
     assert records["coefficient_moment_identity"].details["admissibility"] == adm
-    cr = heisenberg_cfrwt(gabor, mex, cfg.alpha, cfg.beta, scales, scan=scan)
+    cr = heisenberg_cfrwt(field, gabor, mex, cfg.beta, scan=scan)
     assert records["heisenberg_cfrwt_normalized"].details["raw_ratio"] == cr.details["raw_ratio"]
-    restricted = restricted_energy_identity_check(gabor, mex, cfg.alpha, scales, (2.5,), 1.5, scan=scan)
+    restricted = restricted_energy_identity_check(field, gabor, mex, (2.5,), 1.5, scan=scan)
     assert records["restricted_energy_identity"].rhs == restricted.rhs
