@@ -14,7 +14,7 @@ class GridMismatch(FrwtError):
 
 
 class DomainMismatch(FrwtError):
-    """Requested output grid is incompatible with an exact dispatch."""
+    """The output grid of this transform cannot be formed."""
 
 
 class DeltaKernel(FrwtError):

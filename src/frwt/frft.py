@@ -136,7 +136,8 @@ def c_alpha(order: "TransformOrder | float", ndim: int = 1) -> complex:
 
 def natural_output_grid(grid: Grid, order: "TransformOrder | float") -> Grid:
     """Output grid of the fast path: per axis step 2 pi |sin alpha| / (N dt),
-    zero-centered with the input's sample count."""
+    zero-centered with the input's sample count.  DomainMismatch if Grid
+    refuses it (a tiny input step makes |xi|^2 overflow)."""
     order = _as_order(order)
     if order.kind is OrderKind.IDENTITY:
         return grid
@@ -144,10 +145,14 @@ def natural_output_grid(grid: Grid, order: "TransformOrder | float") -> Grid:
         return grid.reflected()
     s = abs(math.sin(order.alpha))
     axes = []
-    for ax in grid.axes:
-        dxi = 2.0 * math.pi * s / (ax.count * ax.step)
-        axes.append(AxisSpec(-(ax.count // 2) * dxi, dxi, ax.count))
-    return Grid(tuple(axes))
+    try:
+        for ax in grid.axes:
+            dxi = 2.0 * math.pi * s / (ax.count * ax.step)
+            axes.append(AxisSpec(-(ax.count // 2) * dxi, dxi, ax.count))
+        return Grid(tuple(axes))
+    except ValueError as exc:
+        steps = [ax.step for ax in grid.axes]
+        raise DomainMismatch(f"no output grid for order {order.alpha} on input steps {steps}: {exc}") from exc
 
 
 def _chirp(radius_sq: np.ndarray, factor: "float | np.ndarray") -> np.ndarray:

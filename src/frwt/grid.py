@@ -112,7 +112,8 @@ def axis_centered(step: float, count: int) -> AxisSpec:
 
 @dataclass(frozen=True)
 class Grid:
-    """Tensor product of 1 to 3 axes."""
+    """Tensor product of 1 to 3 axes.  Every transform carries the chirp
+    exp(i |t|^2 cot(alpha) / 2), so |t|^2 must be finite on the grid."""
 
     axes: tuple[AxisSpec, ...]
 
@@ -120,6 +121,9 @@ class Grid:
         if not (1 <= len(self.axes) <= MAX_NDIM):
             raise ValueError(f"grid dimension must be 1..{MAX_NDIM}, got {len(self.axes)}")
         object.__setattr__(self, "axes", tuple(self.axes))
+        # radius_sq's largest sum, in its axis order (x * x: float ** raises)
+        if not math.isfinite(sum(max(ax.start * ax.start, ax.stop * ax.stop) for ax in self.axes)):
+            raise ValueError("the largest squared coordinate |t|^2 on the grid is not finite")
 
     @property
     def ndim(self) -> int:

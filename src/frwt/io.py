@@ -1,17 +1,20 @@
 """File formats: binary signal files, CSV ingestion, coefficient files,
 and the plain-text run configuration.
 
-The binary layout is fixed little-endian with an explicit version so
-fixtures are bit-exact across implementations.  Header: magic "FRWT",
-version u16, dimension u8, then per axis start f64, step f64, count
-u32.  The payload is interleaved re/im f64 in row-major order, which is
-exactly the buffer of a contiguous little-endian complex128 ("<c16")
-array: writers hand that array to the file as it is, and readers check
-the bytes left after the header against the sample count before they
-allocate, then read the payload into one complex128 array in a single
-pass.  Coefficient files carry the same axis block for the shift grid
-plus the transform order, wavelet name, scale vectors and their measure
-weights.  Inputs, CSV included, must be regular files, since the binary
+Signal ("FRWT") and coefficient ("FRWC") files share one fixed
+little-endian container with an explicit version, so fixtures are
+bit-exact across implementations: magic, version u16, dimension u8, per
+axis start f64, step f64, count u32, then the format's own fields (none
+for a signal; the order, wavelet name, scale vectors and measure weights
+for coefficients, whose axes are the shift grid), then the payload.  The
+payload is interleaved re/im f64 in row-major order, which is exactly
+the buffer of a contiguous little-endian complex128 ("<c16") array:
+the writer hands that array to the file as it is, and the reader checks
+each header field against the file size before it reads it, and the
+payload against the sample count before it allocates, then reads it
+into one complex128 array in a single pass.  Binary and CSV readers
+alike build their grid with Grid and report its refusal as an invalid
+axis block.  Inputs, CSV included, must be regular files, since the
 readers take the size from fstat; a pipe, a FIFO or a device is refused.
 """
 
@@ -50,6 +53,9 @@ FORMAT_VERSION = 1
 
 _HEAD = struct.Struct("<4sHB")
 _AXIS = struct.Struct("<ddI")
+_ORDER = struct.Struct("<d")
+_LENGTH = struct.Struct("<B")
+_SCALES = struct.Struct("<IBddd")
 
 
 def _finite_energy(flat: np.ndarray) -> bool:
@@ -67,6 +73,15 @@ def _payload(values: np.ndarray, where: str) -> np.ndarray:
     if not _finite_energy(arr.reshape(-1).view("<f8")):
         raise SignalFileError(f"{where}: not written, the payload holds non-finite samples or an overflowing energy")
     return arr
+
+
+def _grid(axes: list[tuple[float, float, int]], where: str) -> Grid:
+    """The grid on axes, (start, step, count) triples read from a file;
+    what AxisSpec or Grid refuses makes the file malformed."""
+    try:
+        return Grid(tuple(AxisSpec(*ax) for ax in axes))
+    except ValueError as exc:
+        raise SignalFileError(f"{where}: invalid axis block {axes}: {exc}") from exc
 
 
 @contextlib.contextmanager
@@ -102,99 +117,97 @@ class _Cursor:
     def __init__(self, fh, where: str) -> None:
         self.size = _regular_size(fh, where)
         self.fh = fh
+        self.where = where
         self.offset = 0
 
-    def fits(self, nbytes: int) -> bool:
-        return self.offset + nbytes <= self.size
-
     def read(self, nbytes: int) -> bytes:
+        if self.offset + nbytes > self.size:
+            raise SignalFileError(f"{self.where}: truncated at offset {self.offset}")
         self.offset += nbytes
         return self.fh.read(nbytes)
 
+    def take(self, fields: struct.Struct) -> tuple:
+        return fields.unpack(self.read(fields.size))
 
-def _read_payload(cur: _Cursor, count: int, where: str) -> np.ndarray:
-    """The rest of the file as count complex128 samples, read in place into
-    one array once its size is known to match."""
-    remaining = cur.size - cur.offset
-    if remaining != 16 * count:
-        raise SignalFileError(f"{where}: payload holds {remaining} bytes, expected {16 * count}")
-    values = np.empty(count, dtype="<c16")
-    if cur.fh.readinto(values) != values.nbytes:
-        raise SignalFileError(f"{where}: payload changed size while it was read")
-    if not _finite_energy(values.view("<f8")):
-        raise SignalFileError(f"{where}: payload holds non-finite samples or an overflowing energy")
-    # a no-op on little-endian hosts
-    return values.astype(np.complex128, copy=False)
+    def text(self, nbytes: int) -> str:
+        start = self.offset
+        try:
+            return self.read(nbytes).decode()
+        except UnicodeDecodeError as exc:
+            raise SignalFileError(f"{self.where}: undecodable text at offset {start}") from exc
 
-
-def _pack_axes(grid: Grid) -> bytes:
-    return b"".join(_AXIS.pack(ax.start, ax.step, ax.count) for ax in grid.axes)
-
-
-def _read_axes(cur: _Cursor, ndim: int, where: str) -> Grid:
-    axes = []
-    for _ in range(ndim):
-        if not cur.fits(_AXIS.size):
-            raise SignalFileError(f"{where}: axis block truncated at offset {cur.offset}")
-        start, step, count = _AXIS.unpack(cur.read(_AXIS.size))
-        stop = start + (count - 1) * step
-        # squared coordinates feed the chirps, so they must stay finite too
-        if count < 2 or not (step > 0 and math.isfinite(start) and math.isfinite(stop * stop + start * start)):
-            raise SignalFileError(f"{where}: invalid axis (start={start}, step={step}, count={count})")
-        axes.append(AxisSpec(start, step, count))
-    return Grid(tuple(axes))
+    def payload(self, count: int) -> np.ndarray:
+        """The rest of the file as count complex128 samples, read in place
+        into one array once its size is known to match."""
+        remaining = self.size - self.offset
+        if remaining != 16 * count:
+            raise SignalFileError(f"{self.where}: payload holds {remaining} bytes, expected {16 * count}")
+        values = np.empty(count, dtype="<c16")
+        if self.fh.readinto(values) != values.nbytes:
+            raise SignalFileError(f"{self.where}: payload changed size while it was read")
+        if not _finite_energy(values.view("<f8")):
+            raise SignalFileError(f"{self.where}: payload holds non-finite samples or an overflowing energy")
+        # a no-op on little-endian hosts
+        return values.astype(np.complex128, copy=False)
 
 
-def _check_ndim(ndim: int, where: str) -> None:
-    if not 1 <= ndim <= MAX_NDIM:
-        raise SignalFileError(f"{where}: dimension {ndim} outside 1..{MAX_NDIM}")
-
-
-def write_signal(path: str | os.PathLike, signal: SampledSignal) -> None:
-    payload = _payload(signal.values, os.fspath(path))
-    with _file_errors(path, "write"), open(path, "wb") as fh:
-        fh.write(_HEAD.pack(MAGIC, FORMAT_VERSION, signal.ndim))
-        fh.write(_pack_axes(signal.grid))
-        fh.write(payload)
-
-
-def read_signal(path: str | os.PathLike) -> SampledSignal:
+@contextlib.contextmanager
+def _container(path: str | os.PathLike, magic: bytes):
+    """Open the binary file at path and read its container header; yields
+    the cursor, left at the format's own fields, and the grid."""
     where = os.fspath(path)
     with _file_errors(path, "read"), open(path, "rb", opener=_open_nonblocking) as fh:
         cur = _Cursor(fh, where)
-        if not cur.fits(_HEAD.size):
-            raise SignalFileError(f"{where}: header truncated ({cur.size} bytes)")
-        magic, version, ndim = _HEAD.unpack(cur.read(_HEAD.size))
-        if magic != MAGIC:
-            raise SignalFileError(f"{where}: bad magic {magic!r} at offset 0, expected {MAGIC!r}")
+        found, version, ndim = cur.take(_HEAD)
+        if found != magic:
+            raise SignalFileError(f"{where}: bad magic {found!r} at offset 0, expected {magic!r}")
         if version != FORMAT_VERSION:
             raise SignalFileError(f"{where}: unsupported version {version}")
-        _check_ndim(ndim, where)
-        grid = _read_axes(cur, ndim, where)
-        values = _read_payload(cur, math.prod(grid.shape), where)
+        # bounds the number of axis blocks read
+        if not 1 <= ndim <= MAX_NDIM:
+            raise SignalFileError(f"{where}: dimension {ndim} outside 1..{MAX_NDIM}")
+        yield cur, _grid([cur.take(_AXIS) for _ in range(ndim)], where)
+
+
+def _write_container(path: str | os.PathLike, magic: bytes, grid: Grid, head: bytes, values: np.ndarray) -> None:
+    """Write the container: header and axis block of grid, then head (the
+    format's own fields), then values as the payload."""
+    payload = _payload(values, os.fspath(path))
+    axes = b"".join(_AXIS.pack(ax.start, ax.step, ax.count) for ax in grid.axes)
+    with _file_errors(path, "write"), open(path, "wb") as fh:
+        fh.write(_HEAD.pack(magic, FORMAT_VERSION, grid.ndim) + axes + head)
+        fh.write(payload)
+
+
+def write_signal(path: str | os.PathLike, signal: SampledSignal) -> None:
+    _write_container(path, MAGIC, signal.grid, b"", signal.values)
+
+
+def read_signal(path: str | os.PathLike) -> SampledSignal:
+    with _container(path, MAGIC) as (cur, grid):
+        values = cur.payload(grid.size)
     return SampledSignal(grid, values.reshape(grid.shape))
 
 
 def write_csv(path: str | os.PathLike, signal: SampledSignal) -> None:
-    if signal.ndim > 3:
-        raise SignalFileError("CSV export supports at most 3 axes")
     header = ",".join(f"t{k + 1}" for k in range(signal.ndim)) + ",re,im"
     coords = [m.ravel() for m in signal.grid.meshgrid()]
-    flat = signal.values.ravel()
+    flat = _payload(signal.values, os.fspath(path)).ravel()
     table = np.column_stack(coords + [flat.real, flat.imag])
     with _file_errors(path, "write"):
         np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
-def _axis_from_column(col: np.ndarray, where: str, k: int) -> AxisSpec:
+def _axis_from_column(col: np.ndarray, where: str, k: int) -> tuple[float, float, int]:
     points = np.unique(col)
     if points.size == 1:
         raise SignalFileError(f"{where}: axis t{k + 1} has a single coordinate")
-    steps = np.diff(points)
+    with np.errstate(over="ignore"):  # an infinite step is AxisSpec's to refuse
+        steps = np.diff(points)
     step = float(steps[0])
-    if step <= 0 or not np.allclose(steps, step, rtol=1e-9, atol=0.0):
+    if not np.allclose(steps, step, rtol=1e-9, atol=0.0):
         raise SignalFileError(f"{where}: axis t{k + 1} coordinates are not uniformly spaced")
-    return AxisSpec(float(points[0]), step, points.size)
+    return float(points[0]), step, points.size
 
 
 def read_csv(path: str | os.PathLike) -> SampledSignal:
@@ -212,19 +225,20 @@ def read_csv(path: str | os.PathLike) -> SampledSignal:
     ndim = len(columns) - 2
     if table.shape[1] != ndim + 2:
         raise SignalFileError(f"{where}: {table.shape[1]} columns for header {header!r}")
-    if not np.all(np.isfinite(table)):
-        raise SignalFileError(f"{where}: non-finite entries")
-    axes = tuple(_axis_from_column(table[:, k], where, k) for k in range(ndim))
-    grid = Grid(axes)
+    if not np.all(np.isfinite(table[:, :ndim])):
+        raise SignalFileError(f"{where}: non-finite coordinates")
+    if not _finite_energy(table[:, ndim:].ravel()):
+        raise SignalFileError(f"{where}: samples hold non-finite values or an overflowing energy")
+    grid = _grid([_axis_from_column(table[:, k], where, k) for k in range(ndim)], where)
     shape = grid.shape
-    if table.shape[0] != math.prod(shape):
+    if table.shape[0] != grid.size:
         raise SignalFileError(
             f"{where}: {table.shape[0]} rows cannot fill a {shape} grid"
         )
     values = np.full(shape, np.nan + 0j, dtype=np.complex128)
     filled = np.zeros(shape, dtype=bool)
     idx = []
-    for k, ax in enumerate(axes):
+    for k, ax in enumerate(grid.axes):
         j = np.rint((table[:, k] - ax.start) / ax.step).astype(int)
         if np.any((j < 0) | (j >= ax.count)):
             raise SignalFileError(f"{where}: coordinate outside axis t{k + 1}")
@@ -240,62 +254,29 @@ def write_coefficients(path: str | os.PathLike, coeffs: CfrwtCoefficients) -> No
     scales = coeffs.scales
     name = coeffs.wavelet.encode()
     signs = scales.signs.encode()
-    payload = _payload(coeffs.values, os.fspath(path))
-    with _file_errors(path, "write"), open(path, "wb") as fh:
-        fh.write(_HEAD.pack(COEFF_MAGIC, FORMAT_VERSION, coeffs.b_grid.ndim))
-        fh.write(_pack_axes(coeffs.b_grid))
-        fh.write(struct.pack("<d", coeffs.order.alpha))
-        fh.write(struct.pack("<B", len(name)) + name)
-        fh.write(struct.pack("<IB", scales.count, scales.ndim))
-        fh.write(struct.pack("<ddd", scales.log_step, scales.a_min, scales.a_max))
-        fh.write(struct.pack("<B", len(signs)) + signs)
-        fh.write(np.ascontiguousarray(scales.vectors, dtype="<f8").tobytes())
-        fh.write(np.asarray(scales.measure_weights(), dtype="<f8").tobytes())
-        fh.write(payload)
+    head = b"".join([
+        _ORDER.pack(coeffs.order.alpha),
+        _LENGTH.pack(len(name)) + name,
+        _SCALES.pack(scales.count, scales.ndim, scales.log_step, scales.a_min, scales.a_max),
+        _LENGTH.pack(len(signs)) + signs,
+        np.ascontiguousarray(scales.vectors, dtype="<f8").tobytes(),
+        np.asarray(scales.measure_weights(), dtype="<f8").tobytes(),
+    ])
+    _write_container(path, COEFF_MAGIC, coeffs.b_grid, head, coeffs.values)
 
 
 def read_coefficients(path: str | os.PathLike) -> CfrwtCoefficients:
-    where = os.fspath(path)
-    with _file_errors(path, "read"), open(path, "rb", opener=_open_nonblocking) as fh:
-        cur = _Cursor(fh, where)
-        if not cur.fits(_HEAD.size):
-            raise SignalFileError(f"{where}: header truncated")
-        magic, version, ndim = _HEAD.unpack(cur.read(_HEAD.size))
-        if magic != COEFF_MAGIC:
-            raise SignalFileError(f"{where}: bad magic {magic!r} at offset 0, expected {COEFF_MAGIC!r}")
-        if version != FORMAT_VERSION:
-            raise SignalFileError(f"{where}: unsupported version {version}")
-        _check_ndim(ndim, where)
-        grid = _read_axes(cur, ndim, where)
-
-        def take(fmt: str):
-            s = struct.Struct(fmt)
-            if not cur.fits(s.size):
-                raise SignalFileError(f"{where}: truncated at offset {cur.offset}")
-            return s.unpack(cur.read(s.size))
-
-        def text(length: int) -> str:
-            start = cur.offset
-            try:
-                return cur.read(length).decode()
-            except UnicodeDecodeError as exc:
-                raise SignalFileError(f"{where}: undecodable text at offset {start}") from exc
-
-        (alpha,) = take("<d")
+    with _container(path, COEFF_MAGIC) as (cur, grid):
+        where = cur.where
+        (alpha,) = cur.take(_ORDER)
         if not math.isfinite(alpha) or not TransformOrder(alpha).is_generic:
             raise SignalFileError(f"{where}: order {alpha} cannot carry coefficients")
-        (name_len,) = take("<B")
-        name = text(name_len)
-        count, sdim = take("<IB")
-        if sdim != ndim:
-            raise SignalFileError(f"{where}: scale dimension {sdim} does not match grid {ndim}")
-        log_step, a_min, a_max = take("<ddd")
-        (signs_len,) = take("<B")
-        signs = text(signs_len)
-        vec_bytes = 8 * count * sdim
-        if count == 0 or not cur.fits(vec_bytes + 8 * count):
-            raise SignalFileError(f"{where}: scale block of {count} vectors does not fit the file")
-        vectors = np.frombuffer(cur.read(vec_bytes), dtype="<f8").reshape(count, sdim)
+        name = cur.text(*cur.take(_LENGTH))
+        count, sdim, log_step, a_min, a_max = cur.take(_SCALES)
+        if sdim != grid.ndim:
+            raise SignalFileError(f"{where}: scale dimension {sdim} does not match grid {grid.ndim}")
+        signs = cur.text(*cur.take(_LENGTH))
+        vectors = np.frombuffer(cur.read(8 * count * sdim), dtype="<f8").reshape(count, sdim)
         weights = np.frombuffer(cur.read(8 * count), dtype="<f8")
         try:
             scales = ScaleGrid(vectors.copy(), log_step=log_step, a_min=a_min, a_max=a_max, signs=signs)
@@ -305,7 +286,7 @@ def read_coefficients(path: str | os.PathLike) -> CfrwtCoefficients:
             raise SignalFileError(f"{where}: unusable scale block: {exc}") from exc
         if not np.allclose(weights, stored, rtol=1e-12, atol=0.0):
             raise SignalFileError(f"{where}: stored measure weights disagree with the scale block")
-        values = _read_payload(cur, count * math.prod(grid.shape), where)
+        values = cur.payload(count * grid.size)
     return CfrwtCoefficients(values.reshape((count,) + grid.shape), grid, scales, TransformOrder(alpha), name)
 
 

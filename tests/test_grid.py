@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -34,6 +35,22 @@ def test_axis_validation():
         AxisSpec(0.0, 0.1, 1)
     with pytest.raises(ValueError):
         AxisSpec(math.nan, 0.1, 8)
+
+
+def test_grid_refuses_an_overflowing_squared_radius():
+    edge = math.sqrt(sys.float_info.max)  # edge * edge is finite, its successor's square is not
+    half = math.sqrt(sys.float_info.max / 2)
+    for axes in [(AxisSpec(0.0, edge, 2),), (AxisSpec(-edge, edge, 2),), (AxisSpec(0.0, half, 2),) * 2]:
+        assert np.all(np.isfinite(Grid(axes).radius_sq()))
+    overflowing = [
+        (AxisSpec(0.0, math.nextafter(edge, math.inf), 2),),
+        (AxisSpec(1e200, 1e200, 4),),
+        # each axis's squares are finite, their sum is not
+        (AxisSpec(0.0, 1.3e154 / 3, 4),) * 2,
+    ]
+    for axes in overflowing:
+        with pytest.raises(ValueError, match="squared coordinate"):
+            Grid(axes)
 
 
 def test_axis_weights_sum():

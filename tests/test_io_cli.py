@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from frwt import (
 from frwt.cli import main
 from frwt.errors import SignalFileError
 from frwt.grid import AxisSpec, Grid, axis_centered, sample
+from frwt.scales import ScaleGrid
 
 from conftest import random_smooth_signal
 
@@ -103,10 +105,15 @@ def _payload(count, value=0.5):
         (_header_bytes(1, [(-1.0, 0.5, 4)]) + _payload(4, np.nan), "non-finite"),
         (_header_bytes(1, [(-1.0, np.inf, 4)]) + _payload(4), "invalid axis"),
         (_header_bytes(1, [(1e200, 0.5, 4)]) + _payload(4), "invalid axis"),
+        # each axis's squares are finite, but |t|^2 = t1^2 + t2^2 overflows
+        (_header_bytes(2, [(0.0, 1.3e154 / 3, 4)] * 2) + _payload(16), "invalid axis"),
         # 2^93 samples: a wrapping int64 product would expect 0 payload bytes
         (_header_bytes(3, [(0.0, 1.0, 2**31)] * 3), "expected 158456325028528675187087900672"),
     ],
-    ids=["dimension-4", "axis-count-1", "nan-payload", "infinite-step", "squared-overflow", "size-wrap"],
+    ids=[
+        "dimension-4", "axis-count-1", "nan-payload", "infinite-step", "squared-overflow", "squared-sum-overflow",
+        "size-wrap",
+    ],
 )
 def test_malformed_signal_file_exits_2(tmp_path, capsys, raw, fragment):
     path = tmp_path / "bad.sig"
@@ -116,6 +123,43 @@ def test_malformed_signal_file_exits_2(tmp_path, capsys, raw, fragment):
     rc = main(["cfrwt", str(path), "--output", str(tmp_path / "w.coef")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("parse error:")
+
+
+@pytest.mark.parametrize(
+    "rows, fragment",
+    [
+        ([(k * 1e200, 0.5) for k in range(1, 5)], "invalid axis"),
+        ([(-1e308, 0.5), (1e308, 0.5)], "invalid axis"),
+        ([(0.5 * k, 1e200 if k == 1 else 0.5) for k in range(4)], "overflowing energy"),
+    ],
+    ids=["squared-overflow", "step-overflow", "overflowing-energy"],
+)
+def test_malformed_csv_file_exits_2(tmp_path, capsys, rows, fragment):
+    path = tmp_path / "bad.csv"
+    path.write_text("t1,re,im\n" + "".join(f"{t!r},{re!r},0\n" for t, re in rows))
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would add lines to stderr
+        with pytest.raises(SignalFileError, match=fragment):
+            read_csv(path)
+        rc = main(["frft", str(path), "--alpha", "0.9", "--output", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: {path}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("engine", ["fast", "direct"])
+def test_cli_frft_without_an_output_grid_exits_2(tmp_path, capsys, engine):
+    # a legal input whose natural output step 2 pi sin(alpha) / (N dt) is about 1e300
+    path = tmp_path / "tiny.sig"
+    path.write_bytes(_header_bytes(1, [(0.0, 1e-300, 4)]) + _payload(4))
+    out = tmp_path / "x.sig"
+    rc = main(["frft", str(path), "--alpha", "0.9", "--engine", engine, "--output", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no output grid for order 0.9 on input steps [1e-300]") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", [np.nan, 1e155], ids=["nan", "overflowing-energy"])
@@ -128,9 +172,10 @@ def test_writers_refuse_what_readers_refuse(tmp_path, grid_256, value):
         write_coefficients(path, coeffs)
     assert not path.exists()
     if np.isfinite(value):  # a SampledSignal holds finite samples only
-        with pytest.raises(SignalFileError, match="not written"):
-            write_signal(tmp_path / "bad.sig", SampledSignal(grid_256, values[0]))
-        assert not (tmp_path / "bad.sig").exists()
+        for writer, name in ((write_signal, "bad.sig"), (write_csv, "bad.csv")):
+            with pytest.raises(SignalFileError, match="not written"):
+                writer(tmp_path / name, SampledSignal(grid_256, values[0]))
+            assert not (tmp_path / name).exists()
 
 
 @pytest.mark.parametrize("step, value", [(1.0, 1e153), (1e150, 1e150)], ids=["huge-samples", "huge-step"])
@@ -280,6 +325,41 @@ def test_written_payload_is_the_c16_buffer(tmp_path):
     count = coeffs.scales.count
     head = 7 + 20 * 2 + 8 + 1 + len("mexican_hat") + 5 + 24 + 1 + len("positive") + 8 * count * 2 + 8 * count
     assert raw[head:] == np.asarray(coeffs.values, "<c16").tobytes()
+
+
+def test_written_files_match_golden_bytes(tmp_path):
+    """The container layout, packed here field by field: a 1-D signal,
+    then a 2-D coefficient field."""
+    import struct
+
+    signal = SampledSignal(Grid((AxisSpec(-1.0, 0.5, 4),)), np.array([1 + 2j, -0.5, 0.25j, 3 - 1j]))
+    golden = (
+        struct.pack("<4sHB", b"FRWT", 1, 1)
+        + struct.pack("<ddI", -1.0, 0.5, 4)
+        + struct.pack("<8d", 1.0, 2.0, -0.5, 0.0, 0.0, 0.25, 3.0, -1.0)
+    )
+    write_signal(tmp_path / "f.sig", signal)
+    assert (tmp_path / "f.sig").read_bytes() == golden
+
+    grid = Grid((AxisSpec(-0.5, 0.5, 2), AxisSpec(0.0, 0.25, 3)))
+    scales = ScaleGrid(np.array([[1.0, 2.0], [-1.0, 0.5]]), log_step=0.5, a_min=0.5, a_max=2.0, signs="both")
+    values = np.arange(12.0).reshape(2, 2, 3) + 0.5j
+    coeffs = CfrwtCoefficients(values, grid, scales, TransformOrder(0.9), "mexican_hat")
+    golden = (
+        struct.pack("<4sHB", b"FRWC", 1, 2)
+        + struct.pack("<ddI", -0.5, 0.5, 2)
+        + struct.pack("<ddI", 0.0, 0.25, 3)
+        + struct.pack("<d", 0.9)
+        + struct.pack("<B", 11) + b"mexican_hat"
+        + struct.pack("<IB", 2, 2)
+        + struct.pack("<ddd", 0.5, 0.5, 2.0)
+        + struct.pack("<B", 4) + b"both"
+        + struct.pack("<4d", 1.0, 2.0, -1.0, 0.5)
+        + struct.pack("<2d", 0.125, 0.5)  # h^2 / |a_1 a_2|
+        + struct.pack("<24d", *[part for k in range(12) for part in (float(k), 0.5)])
+    )
+    write_coefficients(tmp_path / "w.coef", coeffs)
+    assert (tmp_path / "w.coef").read_bytes() == golden
 
 
 def test_read_coefficients_holds_one_payload(tmp_path):

@@ -13,11 +13,12 @@ import json
 from pathlib import Path
 
 from frwt.cli import main
-from frwt.verify import SUITE_ORDER
+from frwt.verify import SUITE_ORDER, run_suite
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 RECORD_RTOL = 1e-9
 COMPARED = ("name", "pass", "lhs", "rhs", "ratio")
+RECORD_FIELDS = ("name", "lhs", "rhs", "ratio", "tolerance", "pass")
 
 
 def _close(got, want) -> bool:
@@ -40,3 +41,11 @@ def test_verify_all_matches_the_reference_records(capsys):
         if not _close(g[key], w[key])
     ]
     assert not moved, "\n".join(moved)
+
+
+def test_no_detail_repeats_a_record_field():
+    # to_json drops such a detail, so passing one only hides a value
+    repeated = [
+        f"{rep.name}.{key}" for rep in run_suite("all") for key in rep.details if key in RECORD_FIELDS
+    ]
+    assert not repeated, ", ".join(repeated)
