@@ -21,9 +21,12 @@ Two evaluation routes are provided and kept deliberately independent:
 
 from __future__ import annotations
 
+import ctypes
 import enum
 import functools
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -52,6 +55,9 @@ NEAR_SINGULAR_TOL = 1e-3
 # least kernel matrix bytes per block of output rows in the direct quadrature;
 # a floor its bit-identity needs (see _direct_apply), not a memory cap
 _KERNEL_BLOCK_BYTES = 1 << 20
+# threads that apply a kernel matrix's row blocks: every CPU the process
+# may run on
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 class OrderKind(enum.Enum):
@@ -162,6 +168,73 @@ def _chirp(radius_sq: np.ndarray, factor: "float | np.ndarray") -> np.ndarray:
     return np.exp(0.5j * factor * radius_sq)
 
 
+def _cis(phase: np.ndarray) -> np.ndarray:
+    """cos(phase) + i sin(phase) in a fresh complex array: the bits of
+    np.exp(1j * phase) without the complex exponential."""
+    out = np.empty(phase.shape, dtype=np.complex128)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """The get and set thread-count calls of the OpenBLAS that numpy
+    bundles, or None where numpy's extension does not export them."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+def _run_blocks(blocks: int, work, workers: int) -> None:
+    """Call work(k) for every k in range(blocks), on the calling thread and
+    up to workers - 1 helper threads that take the indices from one shared
+    iterator.  The calls must not depend on one another.
+
+    While helpers run, OpenBLAS is held to one thread, so each block's
+    contraction does not start threads of its own on CPUs the blocks
+    already use; its previous count is restored afterwards.  The first
+    exception raised by any call is re-raised here once every thread has
+    stopped.
+    """
+    helpers = min(workers, blocks) - 1
+    if helpers < 1:
+        for k in range(blocks):
+            work(k)
+        return
+    indices = iter(range(blocks))
+    errors = []
+
+    def drain() -> None:
+        try:
+            for k in indices:
+                work(k)
+        except BaseException as exc:  # re-raised in the caller below
+            errors.append(exc)
+
+    calls = _openblas_thread_calls()
+    previous = calls[0]() if calls else None
+    try:
+        if calls:
+            calls[1](1)
+        threads = [threading.Thread(target=drain) for _ in range(helpers)]
+        for thread in threads:
+            thread.start()
+        drain()
+        for thread in threads:
+            thread.join()
+    finally:
+        if calls:
+            calls[1](previous)
+    if errors:
+        raise errors[0]
+
+
 def _direct_apply(values: np.ndarray, grid: Grid, order: TransformOrder,
                   axes_points: list[np.ndarray]) -> np.ndarray:
     """Kernel quadrature: weighted values contracted with one kernel matrix
@@ -170,10 +243,19 @@ def _direct_apply(values: np.ndarray, grid: Grid, order: TransformOrder,
     Each kernel matrix is built and applied in blocks of whole rows, as
     many equal blocks of at least _KERNEL_BLOCK_BYTES as fit.  A block of
     that size is a matrix product like the whole matrix (never a one-row
-    dot product), and numpy evaluates `c1 * exp(...)` in place for it as
-    for the whole matrix (a temporary of 256 KiB or more is reused, with a
-    rounding that differs from a fresh product), so every element is
-    bit-identical to the whole-matrix quadrature.
+    dot product), and numpy evaluates `c1 * _cis(...)` in place for it as
+    it does `c1 * exp(...)` for the whole matrix (a temporary of 256 KiB or
+    more is reused, with a rounding that differs from a fresh product), so
+    every element is bit-identical to the whole-matrix quadrature.
+
+    Where the operand is a vector (a 1-D signal), the blocks run
+    concurrently on every CPU (_run_blocks): each writes its own rows of
+    the result and reads the operand only, and OpenBLAS's thread count
+    moves no bit of a matrix-vector product, whose every output is one
+    row's dot product.  It does move bits of a matrix-matrix product (its
+    inner-dimension panels differ; seen at 300 and 363 input samples), so
+    the blocks of a matrix operand run one after another, with OpenBLAS
+    as it is.
     """
     cot, csc = order.cot, order.csc
     c1 = complex(np.sqrt((1.0 - 1j * cot) / (2.0 * math.pi)))
@@ -184,12 +266,15 @@ def _direct_apply(values: np.ndarray, grid: Grid, order: TransformOrder,
         moved = np.moveaxis(out, axis, 0)
         res = np.empty((xi.size,) + moved.shape[1:], dtype=np.complex128)
         blocks = max(1, xi.size // max(2, _KERNEL_BLOCK_BYTES // (16 * t.size)))
-        for k in range(blocks):
+
+        def apply_block(k: int) -> None:
             rows = slice(xi.size * k // blocks, xi.size * (k + 1) // blocks)
             x = xi[rows]
             phase = 0.5 * (t[None, :] ** 2 + x[:, None] ** 2) * cot - np.outer(x, t) * csc
-            kernel = c1 * np.exp(1j * phase)
+            kernel = c1 * _cis(phase)
             res[rows] = np.tensordot(kernel, moved, axes=(1, 0))
+
+        _run_blocks(blocks, apply_block, _WORKERS if moved.ndim == 1 else 1)
         out = np.moveaxis(res, 0, axis)
     return out
 

@@ -243,7 +243,9 @@ def read_csv(path: str | os.PathLike) -> SampledSignal:
         if np.any((j < 0) | (j >= ax.count)):
             raise SignalFileError(f"{where}: coordinate outside axis t{k + 1}")
         idx.append(j)
-    values[tuple(idx)] = table[:, ndim] + 1j * table[:, ndim + 1]
+    # part by part: re + 1j * im would turn a -0.0 real part into +0.0
+    values.real[tuple(idx)] = table[:, ndim]
+    values.imag[tuple(idx)] = table[:, ndim + 1]
     filled[tuple(idx)] = True
     if not filled.all():
         raise SignalFileError(f"{where}: duplicate or missing grid rows")

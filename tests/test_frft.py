@@ -4,6 +4,8 @@ fast/direct routes and exact dispatch."""
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -175,6 +177,114 @@ def test_direct_blocks_are_bit_identical_to_dense_kernel(axes, block_bytes, monk
         out = frft_direct(f, alpha)
         dense = dense_direct_apply(f.values, g, alpha, out.grid.axis_points())
         assert np.array_equal(out.values, dense)
+
+
+# the direct route's row blocks and the worker count: the uneven 1200-point
+# case (22 blocks, on helper threads), and 300x280 with blocks small enough
+# that both axes split (matrix operands, on the calling thread)
+THREADED_CASES = [
+    ((AxisSpec(-5.0, 0.009, 1200),), None, True),
+    ((axis_centered(0.04, 300), AxisSpec(-5.0, 0.04, 280)), 16 * 40 * 300, False),
+]
+THREADED_IDS = ["1200", "300x280"]
+
+
+def _direct_outputs(axes, block_bytes, monkeypatch, workers):
+    if block_bytes is not None:
+        monkeypatch.setattr(frft_module, "_KERNEL_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(frft_module, "_WORKERS", workers)
+    g = Grid(axes)
+    f = random_smooth_signal(g, seed=g.size)
+    return [frft_direct(f, alpha).values for alpha in (0.9, 2.2, -0.7)]
+
+
+@pytest.mark.parametrize("axes,block_bytes,on_helpers", THREADED_CASES, ids=THREADED_IDS)
+def test_direct_blocks_on_threads_are_bit_identical_to_serial(axes, block_bytes, on_helpers, monkeypatch):
+    """Any number of threads, more than the blocks included, gives the
+    serial result bit for bit: each block writes its own rows."""
+    serial = _direct_outputs(axes, block_bytes, monkeypatch, 1)
+    for workers in (len(os.sched_getaffinity(0)), 2, 64):
+        threaded = _direct_outputs(axes, block_bytes, monkeypatch, workers)
+        assert all(np.array_equal(a, b) for a, b in zip(threaded, serial))
+
+
+@pytest.mark.parametrize("axes,block_bytes,on_helpers", THREADED_CASES, ids=THREADED_IDS)
+def test_direct_blocks_use_helpers_for_vector_operands_only(axes, block_bytes, on_helpers, monkeypatch):
+    """A 1-D signal's blocks run on helper threads too.  A matrix operand's
+    run on the caller: OpenBLAS's thread count moves bits of a matrix
+    product, so it stays untouched there."""
+    on_caller = set()
+    real_cis = frft_module._cis
+
+    def cis(phase):
+        on_caller.add(threading.current_thread() is threading.main_thread())
+        return real_cis(phase)
+
+    monkeypatch.setattr(frft_module, "_cis", cis)
+    _direct_outputs(axes, block_bytes, monkeypatch, 4)
+    assert on_caller == ({True, False} if on_helpers else {True})
+
+
+def test_direct_block_error_in_a_helper_reaches_the_caller(monkeypatch):
+    # the caller waits in its first block until a helper has raised, so the
+    # failure is a helper's, and the helper's exception is the one raised
+    helper_failed = threading.Event()
+    helpers = []
+    real_cis = frft_module._cis
+
+    def cis(phase):
+        if threading.current_thread() is threading.main_thread():
+            helper_failed.wait(timeout=30)
+            return real_cis(phase)
+        helpers.append(threading.current_thread())
+        helper_failed.set()
+        raise ArithmeticError("block failed on a helper")
+
+    monkeypatch.setattr(frft_module, "_WORKERS", 2)
+    monkeypatch.setattr(frft_module, "_cis", cis)
+    f = random_smooth_signal(Grid((axis_centered(0.01, 1024),)), seed=3)
+    with pytest.raises(ArithmeticError, match="on a helper"):
+        frft_direct(f, 0.9)
+    # raised after the join
+    assert helpers and not any(thread.is_alive() for thread in helpers)
+
+
+@pytest.mark.skipif(frft_module._openblas_thread_calls() is None, reason="numpy's OpenBLAS exports no thread calls")
+def test_direct_route_holds_openblas_to_one_thread_and_restores_it(monkeypatch):
+    get_threads, set_threads = frft_module._openblas_thread_calls()
+    seen = []
+    real_cis = frft_module._cis
+
+    def cis(phase):
+        seen.append(get_threads())
+        return real_cis(phase)
+
+    monkeypatch.setattr(frft_module, "_WORKERS", 2)
+    monkeypatch.setattr(frft_module, "_cis", cis)
+    before = get_threads()
+    # a count other than one, so that a count left at one shows
+    set_threads(2)
+    try:
+        frft_direct(random_smooth_signal(Grid((axis_centered(0.01, 1024),)), seed=3), 0.9)
+        after = get_threads()
+    finally:
+        set_threads(before)
+    assert after == 2
+    assert seen and set(seen) == {1}
+
+
+def test_direct_route_without_openblas_thread_calls_is_unchanged(monkeypatch):
+    axes, block_bytes, _ = THREADED_CASES[0]
+    found = _direct_outputs(axes, block_bytes, monkeypatch, 2)
+    # a library that exports neither call: the lookup finds nothing
+    monkeypatch.setattr(frft_module.ctypes, "CDLL", lambda path: object())
+    frft_module._openblas_thread_calls.cache_clear()
+    try:
+        assert frft_module._openblas_thread_calls() is None
+        missing = _direct_outputs(axes, block_bytes, monkeypatch, 2)
+    finally:
+        frft_module._openblas_thread_calls.cache_clear()
+    assert all(np.array_equal(a, b) for a, b in zip(missing, found))
 
 
 def test_identity_dispatch_exact(grid_256, gaussian_256):

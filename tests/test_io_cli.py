@@ -236,6 +236,18 @@ def test_csv_round_trip_2d(tmp_path):
     assert np.max(np.abs(g.values - f.values)) <= 1e-15
 
 
+def test_csv_round_trip_keeps_signed_zeros(tmp_path):
+    # the binary files keep the sign of a zero part, and so does the CSV
+    grid = Grid((axis_centered(0.5, 4),))
+    values = np.array([complex(-0.0, 1.0), complex(2.0, -0.0), complex(-0.0, -0.0), complex(0.0, 0.0)])
+    path = tmp_path / "z.csv"
+    write_csv(path, SampledSignal(grid, values))
+    back = read_csv(path).values
+    assert np.array_equal(np.signbit(back.real), np.signbit(values.real))
+    assert np.array_equal(np.signbit(back.imag), np.signbit(values.imag))
+    assert np.array_equal(back, values)
+
+
 # ---------------------------------------------------------------------------
 # coefficient files
 

@@ -73,6 +73,10 @@ RULES = [
     ("struct unpack", re.compile(r"\.unpack\("), {("io.py", "take")}),
     # the file readers leave every axis and grid check to AxisSpec and Grid
     ("axis from a file", re.compile(r"\bAxisSpec\("), {("io.py", "_grid")}, "io.py"),
+    # one concurrency site: the direct route's row blocks, with OpenBLAS's
+    # thread count looked up in one place
+    ("helper thread", re.compile(r"\bthreading\.Thread\("), {("frft.py", "_run_blocks")}),
+    ("OpenBLAS lookup", re.compile(r"\bctypes\.CDLL\(|scipy_openblas_"), {("frft.py", "_openblas_thread_calls")}),
 ]
 
 
