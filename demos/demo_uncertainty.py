@@ -57,7 +57,7 @@ for beta in (0.3, 0.8, 1.2):
 # the measured spectral-moment constant
 scales = log_scale_grid(2**-4, 2**4, 64, signs="both")
 mex = get_wavelet("mexican_hat")
-cr = heisenberg_cfrwt(cfrwt_fast(f, mex, 0.9, scales), f, mex, 0.9 - HALF_PI)
+cr = heisenberg_cfrwt(cfrwt_fast(f, mex, 0.9, scales), f, 0.9 - HALF_PI)
 print(f"\ncoefficient-field floor: normalized ratio {cr.ratio:.1f} >= 1")
 
 # local version: energy a signal family can pack into a ball of radius r

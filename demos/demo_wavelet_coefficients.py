@@ -61,7 +61,7 @@ for lo in (0.0625, 0.25, 1.0, 4.0):
     print(f"[{lo:7.4f}, {4 * lo:7.4f})   {energies[band].sum() / total:6.1%}")
 
 # the weighted coefficient energy reproduces the signal energy
-rep = plancherel_check(coeffs, f, mex)
+rep = plancherel_check(coeffs, f)
 print(f"\nenergy ratio (coefficients vs signal): {rep.ratio:.4f}")
 
 # why not exactly one: a finite scale window covers each frequency only

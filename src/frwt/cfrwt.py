@@ -68,7 +68,8 @@ _TAP_CACHE_SIZE = 8
 
 @dataclass(frozen=True)
 class CfrwtCoefficients:
-    """Coefficient array over a scale grid and a shift grid.
+    """Coefficient array over a scale grid and a shift grid, taken with
+    the analysing wavelet `wavelet`.
 
     values[s] holds the coefficients of scale vector s over the shift
     grid, so values has shape (scale count,) + b_grid.shape.
@@ -78,7 +79,7 @@ class CfrwtCoefficients:
     b_grid: Grid
     scales: ScaleGrid
     order: TransformOrder
-    wavelet: str
+    wavelet: WaveletSpec
 
     def __post_init__(self) -> None:
         expected = (self.scales.count,) + self.b_grid.shape
@@ -156,7 +157,7 @@ def cfrwt_direct(
             acc = np.moveaxis(np.tensordot(mat, acc, axes=([1], [ax])), 0, ax)
         out[s] = acc / math.sqrt(np.prod(np.abs(a_vec)))
     out *= _chirp(f.grid.radius_sq(), -order.cot)
-    return CfrwtCoefficients(out, f.grid, scales, order, psi.name)
+    return CfrwtCoefficients(out, f.grid, scales, order, psi)
 
 
 @functools.lru_cache(maxsize=_TAP_CACHE_SIZE)
@@ -258,7 +259,7 @@ def cfrwt_fast(
         block = _scale_correlate(chi, f.grid, scales.vectors[chunk], psi, True, work, pads)
         np.divide(block, norms[chunk], out=out[chunk])
     out *= _chirp(f.grid.radius_sq(), -order.cot)
-    return CfrwtCoefficients(out, f.grid, scales, order, psi.name)
+    return CfrwtCoefficients(out, f.grid, scales, order, psi)
 
 
 def _admissibility_for(
@@ -297,24 +298,17 @@ def _cross_value(
     return abs(c_alpha(order, ndim)) ** 2 / cross_value
 
 
-def _require_wavelet(coeffs: CfrwtCoefficients, psi: WaveletSpec) -> None:
-    if psi.name != coeffs.wavelet:
-        raise ValueError(f"coefficients were taken with {coeffs.wavelet!r}, not {psi.name!r}")
-
-
 def _field_normalizer(
     coeffs: CfrwtCoefficients,
     f: SampledSignal,
-    psi: WaveletSpec,
     scan: FrequencyScan | None,
 ) -> tuple[AdmissibilityReport, float]:
-    """Admissibility report of psi at the field's order, and |c_alpha|^2,
-    for a coefficient-side check of the field coeffs of f; refused unless
-    coeffs were taken with psi over f's grid."""
-    _require_wavelet(coeffs, psi)
+    """Admissibility report of the field's wavelet at its order, and
+    |c_alpha|^2, for a coefficient-side check of the field coeffs of f;
+    refused unless coeffs were taken over f's grid."""
     if not grids_close(coeffs.b_grid, f.grid):
         raise GridMismatch("coefficients were not taken over the signal's grid")
-    adm = _admissibility_for(psi, coeffs.order, f.ndim, scan)
+    adm = _admissibility_for(coeffs.wavelet, coeffs.order, f.ndim, scan)
     return adm, abs(c_alpha(coeffs.order, f.ndim)) ** 2
 
 
@@ -410,18 +404,17 @@ def truncated_coverage(
 def plancherel_check(
     coeffs: CfrwtCoefficients,
     f: SampledSignal,
-    psi: WaveletSpec,
     scan: FrequencyScan | None = None,
 ) -> VerificationReport:
-    """Energy of the coefficient field coeffs of f, taken with psi, against
-    the admissibility-scaled signal energy, both at the field's order.
+    """Energy of the coefficient field coeffs of f against the
+    admissibility-scaled signal energy, both at the field's order.
 
     The reported ratio tends to one from below as the scale range widens;
     details carry the top-octave share and, in one dimension, the ratio
     predicted by the scale-truncated coverage of the signal's spectrum.
     """
     order = coeffs.order
-    adm, mod = _field_normalizer(coeffs, f, psi, scan)
+    adm, mod = _field_normalizer(coeffs, f, scan)
     energy = coeffs.energy()
     lhs = energy * mod
     rhs = adm.value.real * l2_norm(f) ** 2
@@ -434,7 +427,7 @@ def plancherel_check(
     if f.ndim == 1:
         spectrum = frft_fast(f, order)
         xi = spectrum.grid.axis_points()[0]
-        coverage = truncated_coverage(psi, order, coeffs.scales, xi)
+        coverage = truncated_coverage(coeffs.wavelet, order, coeffs.scales, xi)
         weighted = spectrum.grid.weights() * np.abs(spectrum.values) ** 2
         details["predicted_ratio"] = float(
             np.sum(weighted * coverage) / (adm.value.real * np.sum(weighted))
@@ -501,7 +494,8 @@ def reconstruct(
     """
     order = coeffs.order
     ndim = coeffs.b_grid.ndim
-    _require_wavelet(coeffs, psi_used)
+    if psi_used.name != coeffs.wavelet.name:
+        raise ValueError(f"coefficients were taken with {coeffs.wavelet.name!r}, not {psi_used.name!r}")
     factor = _cross_value(phi, psi_used, order, ndim, scan, cross_value)
     grid = coeffs.b_grid
     vectors = coeffs.scales.vectors
@@ -544,18 +538,17 @@ def reproducing_kernel(
 def kernel_projection(
     array: CfrwtCoefficients,
     phi: WaveletSpec,
-    psi: WaveletSpec,
     p0: tuple[tuple[float, ...], tuple[float, ...]],
     scan: FrequencyScan | None = None,
 ) -> complex:
     """Apply the reproducing-kernel integral to a coefficient array at p0.
 
-    psi must be the wavelet the array was taken with.  For arrays in the
-    transform's range this reproduces the array value at p0; for
-    arbitrary arrays the defect measures distance from the range.
+    For arrays in the transform's range this reproduces the array value
+    at p0; for arbitrary arrays the defect measures distance from the
+    range.
     """
     order = array.order
-    _require_wavelet(array, psi)
+    psi = array.wavelet
     factor = _cross_value(phi, psi, order, array.b_grid.ndim, scan)
     b0, a0 = p0
     daughter0 = make_daughter(psi, a0, b0, order, array.b_grid, tail_tol=None)
@@ -570,7 +563,6 @@ def kernel_projection(
 def range_membership_residual(
     array: CfrwtCoefficients,
     phi: WaveletSpec,
-    psi: WaveletSpec,
     scan: FrequencyScan | None = None,
 ) -> float:
     """Relative defect of the reproducing-kernel projection on an array.
@@ -581,8 +573,8 @@ def range_membership_residual(
     arrays lose everything outside the transform's range, leaving a large
     residual under the measure norm.
     """
-    resynth = reconstruct(array, phi, psi, scan=scan)
-    projected = cfrwt_fast(resynth, psi, array.order, array.scales)
+    resynth = reconstruct(array, phi, array.wavelet, scan=scan)
+    projected = cfrwt_fast(resynth, array.wavelet, array.order, array.scales)
     defect = CfrwtCoefficients(
         projected.values - array.values, array.b_grid, array.scales, array.order, array.wavelet
     )

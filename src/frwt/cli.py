@@ -99,9 +99,7 @@ def cmd_synth(args) -> int:
     ref = None if args.reference is None else _load_signal(args.reference)
     if ref is not None and not grids_close(ref.grid, coeffs.b_grid):
         raise GridMismatch("the reference signal does not share the coefficients' grid")
-    synthesis = get_wavelet(cfg.wavelet)
-    analysis = get_wavelet(coeffs.wavelet)
-    recon = reconstruct(coeffs, synthesis, analysis, scan=cfg.frequency_scan())
+    recon = reconstruct(coeffs, get_wavelet(cfg.wavelet), coeffs.wavelet, scan=cfg.frequency_scan())
     _save_signal(args.output, recon)
     if ref is not None:
         err = _ratio(l2_norm(SampledSignal(ref.grid, recon.values - ref.values)), l2_norm(ref))

@@ -94,6 +94,45 @@ def frac_convolve(
     return SampledSignal(f.grid, out)
 
 
+def _factorization_check(
+    name: str,
+    f: SampledSignal,
+    g: SampledSignal,
+    order: TransformOrder,
+    theta: TransformOrder,
+    h: SampledSignal,
+    scale: tuple[float, ...],
+    details: dict,
+) -> VerificationReport:
+    """Order-theta transform of f *_theta h against the chirped product
+
+        (|a|_p / c(alpha)) exp(-i/2 |a xi|^2 cot alpha) F_theta[f](xi) F_alpha[chirped g](a xi),
+
+    alpha = order and a = scale, the g factor evaluated by direct
+    quadrature; the deviation is relative to the left side's peak.
+    """
+    lhs = frft_fast(frac_convolve(f, h, theta), theta)
+    f_hat = frft_fast(f, theta)
+    g_ch = g.values * _chirp(g.grid.radius_sq(), -order.cot)
+    scaled_points = [a * pts for a, pts in zip(scale, lhs.grid.axis_points())]
+    g_hat = _direct_apply(g_ch, g.grid, order, scaled_points)
+    a_abs = float(np.prod([abs(a) for a in scale]))
+    xi_sq = _separable([pts**2 for pts in scaled_points])
+    rhs = _chirp(xi_sq, -order.cot) * f_hat.values * g_hat / (c_alpha(order, f.ndim) / a_abs)
+    peak = float(np.max(np.abs(lhs.values)))
+    dev = float(np.max(np.abs(lhs.values - rhs))) / peak
+    tolerance = 1e-6
+    return VerificationReport(
+        name=name,
+        lhs=peak,
+        rhs=peak * (1.0 + dev),
+        ratio=1.0 + dev,
+        tolerance=tolerance,
+        passed=dev <= tolerance,
+        details={"max_relative_deviation": dev, "alpha": order.alpha, **details},
+    )
+
+
 def spectral_identity_check(f: SampledSignal, g: SampledSignal, order: "TransformOrder | float") -> VerificationReport:
     """Transform of the convolution vs the chirped product of transforms.
 
@@ -102,25 +141,7 @@ def spectral_identity_check(f: SampledSignal, g: SampledSignal, order: "Transfor
     the g factor evaluated by direct quadrature on the same grid.
     """
     order = _as_order(order)
-    conv = frac_convolve(f, g, order)
-    lhs = frft_fast(conv, order)
-    f_hat = frft_fast(f, order)
-    g_ch = g.values * _chirp(g.grid.radius_sq(), -order.cot)
-    g_hat = _direct_apply(g_ch, g.grid, order, lhs.grid.axis_points())
-    out_chirp = _chirp(lhs.grid.radius_sq(), -order.cot)
-    rhs = out_chirp * f_hat.values * g_hat / c_alpha(order, f.ndim)
-    peak = float(np.max(np.abs(lhs.values)))
-    dev = float(np.max(np.abs(lhs.values - rhs))) / peak
-    tolerance = 1e-6
-    return VerificationReport(
-        name="fracconv_spectral_identity",
-        lhs=peak,
-        rhs=peak * (1.0 + dev),
-        ratio=1.0 + dev,
-        tolerance=tolerance,
-        passed=dev <= tolerance,
-        details={"max_relative_deviation": dev, "alpha": order.alpha},
-    )
+    return _factorization_check("fracconv_spectral_identity", f, g, order, order, g, (1.0,) * f.ndim, {})
 
 
 def _evaluate_scaled(
@@ -171,30 +192,7 @@ def scaled_identity_check(
         raise ValueError(f"scale has {len(scale)} components for a {f.ndim}-d signal")
     if any(a == 0.0 for a in scale):
         raise ValueError("scale components must be nonzero")
-    neg = order.negated()
-
     h = SampledSignal(f.grid, _evaluate_scaled(g, scale, f.grid, g_eval))
-    conv = frac_convolve(f, h, neg)
-    lhs = frft_fast(conv, neg)
-
-    f_hat = frft_fast(f, neg)
-    g_ch = g.values * _chirp(g.grid.radius_sq(), -order.cot)
-    scaled_points = [a * pts for a, pts in zip(scale, lhs.grid.axis_points())]
-    g_hat = _direct_apply(g_ch, g.grid, order, scaled_points)
-
-    a_abs = float(np.prod([abs(a) for a in scale]))
-    xi_sq = _separable([pts**2 for pts in scaled_points])
-    rhs = (a_abs / c_alpha(order, f.ndim)) * _chirp(xi_sq, -order.cot) * f_hat.values * g_hat
-
-    peak = float(np.max(np.abs(lhs.values)))
-    dev = float(np.max(np.abs(lhs.values - rhs))) / peak
-    tolerance = 1e-6
-    return VerificationReport(
-        name="fracconv_scaled_identity",
-        lhs=peak,
-        rhs=peak * (1.0 + dev),
-        ratio=1.0 + dev,
-        tolerance=tolerance,
-        passed=dev <= tolerance,
-        details={"max_relative_deviation": dev, "alpha": order.alpha, "scale": list(scale)},
+    return _factorization_check(
+        "fracconv_scaled_identity", f, g, order, order.negated(), h, scale, {"scale": list(scale)}
     )

@@ -5,13 +5,13 @@ Signal ("FRWT") and coefficient ("FRWC") files share one fixed
 little-endian container with an explicit version, so fixtures are
 bit-exact across implementations: magic, version u16, dimension u8, per
 axis start f64, step f64, count u32, then the format's own fields (none
-for a signal; the order, wavelet name, scale vectors and measure weights
-for coefficients, whose axes are the shift grid), then the payload.  The
-payload is interleaved re/im f64 in row-major order, which is exactly
-the buffer of a contiguous little-endian complex128 ("<c16") array:
-the writer hands that array to the file as it is, and the reader checks
-each header field against the file size before it reads it, and the
-payload against the sample count before it allocates, then reads it
+for a signal; the order, wavelet catalog name, scale vectors and measure
+weights for coefficients, whose axes are the shift grid), then the
+payload.  The payload is interleaved re/im f64 in row-major order, which
+is exactly the buffer of a contiguous little-endian complex128 ("<c16")
+array: the writer hands that array to the file as it is, and the reader
+checks each header field against the file size before it reads it, and
+the payload against the sample count before it allocates, then reads it
 into one complex128 array in a single pass.  Binary and CSV readers
 alike build their grid with Grid and report its refusal as an invalid
 axis block.  Inputs, CSV included, must be regular files, since the
@@ -35,6 +35,7 @@ from .errors import InputFileError, OutputFileError, SignalFileError
 from .frft import TransformOrder
 from .grid import MAX_NDIM, AxisSpec, Grid, SampledSignal
 from .scales import ScaleGrid, log_scale_grid
+from .wavelets import CATALOG
 
 __all__ = [
     "RunConfig",
@@ -253,8 +254,13 @@ def read_csv(path: str | os.PathLike) -> SampledSignal:
 
 
 def write_coefficients(path: str | os.PathLike, coeffs: CfrwtCoefficients) -> None:
+    """Write coeffs; the file stores its wavelet by catalog name, so a field
+    taken with any other wavelet is refused, as the reader would refuse or
+    replace it."""
+    if CATALOG.get(coeffs.wavelet.name) != coeffs.wavelet:
+        raise SignalFileError(f"{os.fspath(path)}: not written, wavelet {coeffs.wavelet.name!r} is not a catalog entry")
     scales = coeffs.scales
-    name = coeffs.wavelet.encode()
+    name = coeffs.wavelet.name.encode()
     signs = scales.signs.encode()
     head = b"".join([
         _ORDER.pack(coeffs.order.alpha),
@@ -274,6 +280,10 @@ def read_coefficients(path: str | os.PathLike) -> CfrwtCoefficients:
         if not math.isfinite(alpha) or not TransformOrder(alpha).is_generic:
             raise SignalFileError(f"{where}: order {alpha} cannot carry coefficients")
         name = cur.text(*cur.take(_LENGTH))
+        # looked up at read time, so a replaced catalog entry is the one used
+        psi = CATALOG.get(name)
+        if psi is None:
+            raise SignalFileError(f"{where}: unknown wavelet {name!r}")
         count, sdim, log_step, a_min, a_max = cur.take(_SCALES)
         if sdim != grid.ndim:
             raise SignalFileError(f"{where}: scale dimension {sdim} does not match grid {grid.ndim}")
@@ -289,7 +299,7 @@ def read_coefficients(path: str | os.PathLike) -> CfrwtCoefficients:
         if not np.allclose(weights, stored, rtol=1e-12, atol=0.0):
             raise SignalFileError(f"{where}: stored measure weights disagree with the scale block")
         values = cur.payload(count * grid.size)
-    return CfrwtCoefficients(values.reshape((count,) + grid.shape), grid, scales, TransformOrder(alpha), name)
+    return CfrwtCoefficients(values.reshape((count,) + grid.shape), grid, scales, TransformOrder(alpha), psi)
 
 
 # ------------------------------------------------------------------

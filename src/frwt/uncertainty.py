@@ -28,7 +28,6 @@ from .errors import InvalidAnglePair, TailDominated, ThetaAtBoundary
 from .frft import _transform, frft_fast
 from .grid import Grid, SampledSignal, _exact_sum, _require_same_grid, _separable, l2_norm
 from .report import VerificationReport
-from .wavelets import WaveletSpec
 
 __all__ = [
     "LocalEntry",
@@ -176,7 +175,6 @@ def _ball_mask(grid: Grid, center: tuple[float, ...], radius: float) -> np.ndarr
 def heisenberg_cfrwt(
     coeffs: CfrwtCoefficients,
     f: SampledSignal,
-    psi: WaveletSpec,
     beta: float,
     scan: FrequencyScan | None = None,
 ) -> VerificationReport:
@@ -190,7 +188,7 @@ def heisenberg_cfrwt(
     alpha = coeffs.order.alpha
     s = _angle_gap(alpha, beta)
     n = f.ndim
-    adm, mod = _field_normalizer(coeffs, f, psi, scan)
+    adm, mod = _field_normalizer(coeffs, f, scan)
 
     moment_beta = _scale_moment_sum(coeffs, beta, 1.0)
     spec_alpha = frft_fast(f, alpha)
@@ -220,7 +218,6 @@ def heisenberg_cfrwt(
 def lemma_moment_identity_check(
     coeffs: CfrwtCoefficients,
     f: SampledSignal,
-    psi: WaveletSpec,
     scan: FrequencyScan | None = None,
 ) -> VerificationReport:
     """Second-moment identity between the coefficient field coeffs of f and f's spectrum.
@@ -231,7 +228,7 @@ def lemma_moment_identity_check(
     below as the range widens.
     """
     alpha = coeffs.order.alpha
-    adm, mod = _field_normalizer(coeffs, f, psi, scan)
+    adm, mod = _field_normalizer(coeffs, f, scan)
     lhs = _scale_moment_sum(coeffs, alpha, 1.0)
     rhs = (adm.value.real / mod) * dispersion(frft_fast(f, alpha), 1.0)
     ratio = lhs / rhs
@@ -243,7 +240,6 @@ def lemma_moment_identity_check(
 def restricted_energy_identity_check(
     coeffs: CfrwtCoefficients,
     f: SampledSignal,
-    psi: WaveletSpec,
     center: tuple[float, ...],
     radius: float,
     scan: FrequencyScan | None = None,
@@ -255,7 +251,7 @@ def restricted_energy_identity_check(
     exact up to scale truncation.
     """
     alpha = coeffs.order.alpha
-    adm, mod = _field_normalizer(coeffs, f, psi, scan)
+    adm, mod = _field_normalizer(coeffs, f, scan)
     spec = frft_fast(f, alpha)
     mask = _ball_mask(spec.grid, center, radius)
     if not np.any(mask):

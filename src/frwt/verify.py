@@ -72,10 +72,9 @@ def _grid_256() -> Grid:
     return Grid((axis_centered(0.0625, 256),))
 
 
-def _gabor(grid: Grid, shift: float = 0.5, width: float = 0.4, carrier: float = 3.0) -> SampledSignal:
-    return sample(
-        grid, lambda t: np.exp(-((t - shift) ** 2) / (2 * width**2)) * np.exp(1j * carrier * t)
-    )
+def _gabor(grid: Grid) -> SampledSignal:
+    """Gabor atom of width 0.4 about t = 0.5 with carrier 3."""
+    return sample(grid, lambda t: np.exp(-((t - 0.5) ** 2) / (2 * 0.4**2)) * np.exp(3.0j * t))
 
 
 def _meta(rep: VerificationReport, grid: Grid) -> VerificationReport:
@@ -199,7 +198,7 @@ def _suite_plancherel(cfg: RunConfig) -> list[VerificationReport]:
     f = _gabor(grid)
     scales = cfg.scale_grid()
     coeffs = cfrwt_fast(f, mex, cfg.alpha, scales)
-    default_range = plancherel_check(coeffs, f, mex, scan=scan)
+    default_range = plancherel_check(coeffs, f, scan=scan)
     reports.append(_meta(default_range, grid))
 
     # nested scale ranges, ending with the default range checked above
@@ -207,7 +206,7 @@ def _suite_plancherel(cfg: RunConfig) -> list[VerificationReport]:
     for a_min, a_max, cells in [(0.25, 4.0, 32), (0.125, 8.0, 48)]:
         sg = log_scale_grid(a_min, a_max, cells, signs="both")
         cc = cfrwt_fast(f, mex, cfg.alpha, sg)
-        ratios.append(plancherel_check(cc, f, mex, scan=scan).ratio)
+        ratios.append(plancherel_check(cc, f, scan=scan).ratio)
     ratios.append(default_range.ratio)
     monotone = ratios[0] < ratios[1] < ratios[2] <= 1.05 and ratios[2] >= 0.95
     reports.append(
@@ -257,23 +256,18 @@ def _suite_kernel(cfg: RunConfig) -> list[VerificationReport]:
         s0 = rng.uniform(0.35, 0.55)
         f = sample(grid, lambda t: np.exp(-((t - c) ** 2) / (2 * s0**2)) * np.exp(1j * w0 * t))
         coeffs = cfrwt_fast(f, mex, cfg.alpha, scales)
-        res = range_membership_residual(coeffs, mex, mex, scan=scan)
+        res = range_membership_residual(coeffs, mex, scan=scan)
         genuine[f"trial{seed}"] = res
         worst_genuine = max(worst_genuine, res)
 
-    template = cfrwt_fast(
-        sample(grid, lambda t: np.exp(-(t**2) / (2 * 0.45**2)) * np.exp(4.0j * t)),
-        mex,
-        cfg.alpha,
-        scales,
-    )
+    # noise arrays on the genuine fields' grid, scales, order and wavelet
     noise = {}
     min_noise = math.inf
     for seed in range(100, 105):
         rng = np.random.default_rng(seed)
-        arr = rng.standard_normal(template.values.shape) + 1j * rng.standard_normal(template.values.shape)
-        fake = CfrwtCoefficients(arr, template.b_grid, template.scales, template.order, template.wavelet)
-        res = range_membership_residual(fake, mex, mex, scan=scan)
+        arr = rng.standard_normal(coeffs.values.shape) + 1j * rng.standard_normal(coeffs.values.shape)
+        fake = CfrwtCoefficients(arr, coeffs.b_grid, coeffs.scales, coeffs.order, coeffs.wavelet)
+        res = range_membership_residual(fake, mex, scan=scan)
         noise[f"trial{seed}"] = res
         min_noise = min(min_noise, res)
 
@@ -315,7 +309,7 @@ def _suite_heisenberg(cfg: RunConfig) -> list[VerificationReport]:
     scan = cfg.frequency_scan()
     gabor = _gabor(grid)
     coeffs = cfrwt_fast(gabor, mex, cfg.alpha, cfg.scale_grid())
-    cr = heisenberg_cfrwt(coeffs, gabor, mex, cfg.beta, scan=scan)
+    cr = heisenberg_cfrwt(coeffs, gabor, cfg.beta, scan=scan)
     reports.append(
         _check(
             "heisenberg_cfrwt_normalized",
@@ -328,8 +322,8 @@ def _suite_heisenberg(cfg: RunConfig) -> list[VerificationReport]:
         )
     )
 
-    reports.append(_meta(lemma_moment_identity_check(coeffs, gabor, mex, scan=scan), grid))
-    reports.append(_meta(restricted_energy_identity_check(coeffs, gabor, mex, (2.5,), 1.5, scan=scan), grid))
+    reports.append(_meta(lemma_moment_identity_check(coeffs, gabor, scan=scan), grid))
+    reports.append(_meta(restricted_energy_identity_check(coeffs, gabor, (2.5,), 1.5, scan=scan), grid))
     return reports
 
 

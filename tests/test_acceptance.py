@@ -176,7 +176,7 @@ def test_criterion_07_plancherel(grid_fine, mexhat, gabor, scan_default):
     for a_min, a_max, cells in [(0.25, 4.0, 32), (0.125, 8.0, 48), (2.0**-4, 2.0**4, 64)]:
         sg = log_scale_grid(a_min, a_max, cells, signs="both")
         cc = cfrwt_fast(gabor, mexhat, ALPHA, sg)
-        ratios.append(plancherel_check(cc, gabor, mexhat, scan=scan_default).ratio)
+        ratios.append(plancherel_check(cc, gabor, scan=scan_default).ratio)
     elapsed = time.perf_counter() - start
     in_band = 0.95 <= ratios[2] <= 1.05
     monotone = ratios[0] < ratios[1] < ratios[2]
@@ -216,7 +216,7 @@ def test_criterion_09_kernel_discriminator(grid_fine, mexhat, scales_default, sc
             grid_fine, lambda t: np.exp(-((t - c) ** 2) / (2 * s0**2)) * np.exp(1j * w0 * t)
         )
         coeffs = cfrwt_fast(f, mexhat, ALPHA, scales_default)
-        res = range_membership_residual(coeffs, mexhat, mexhat, scan=scan_default)
+        res = range_membership_residual(coeffs, mexhat, scan=scan_default)
         worst_genuine = max(worst_genuine, res)
 
     template = cfrwt_fast(
@@ -235,7 +235,7 @@ def test_criterion_09_kernel_discriminator(grid_fine, mexhat, scales_default, sc
             arr, template.b_grid, template.scales, template.order, template.wavelet
         )
         min_noise = min(
-            min_noise, range_membership_residual(fake, mexhat, mexhat, scan=scan_default)
+            min_noise, range_membership_residual(fake, mexhat, scan=scan_default)
         )
     _verdict(
         9,
@@ -275,9 +275,9 @@ def test_criterion_10_two_domain_floor(grid_fine):
 
 def test_criterion_11_coefficient_floor(grid_fine, mexhat, gabor, scales_default):
     field = cfrwt_fast(gabor, mexhat, ALPHA, scales_default)
-    rep = heisenberg_cfrwt(field, gabor, mexhat, BETA)
-    moment = lemma_moment_identity_check(field, gabor, mexhat)
-    energy = restricted_energy_identity_check(field, gabor, mexhat, (2.5,), 1.5)
+    rep = heisenberg_cfrwt(field, gabor, BETA)
+    moment = lemma_moment_identity_check(field, gabor)
+    energy = restricted_energy_identity_check(field, gabor, (2.5,), 1.5)
     ok = (
         rep.passed
         and rep.ratio >= 0.95

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from frwt import (
     RunConfig,
     SampledSignal,
     TransformOrder,
+    WaveletSpec,
     cfrwt_fast,
     frft_fast,
     get_wavelet,
@@ -166,7 +168,7 @@ def test_cli_frft_without_an_output_grid_exits_2(tmp_path, capsys, engine):
 def test_writers_refuse_what_readers_refuse(tmp_path, grid_256, value):
     values = np.full((1,) + grid_256.shape, value, dtype=np.complex128)
     scales = log_scale_grid(0.5, 2.0, 1, signs="positive")
-    coeffs = CfrwtCoefficients(values, grid_256, scales, TransformOrder(0.9), "mexican_hat")
+    coeffs = CfrwtCoefficients(values, grid_256, scales, TransformOrder(0.9), get_wavelet("mexican_hat"))
     path = tmp_path / "bad.coef"
     with pytest.raises(SignalFileError, match="not written"):
         write_coefficients(path, coeffs)
@@ -262,10 +264,38 @@ def test_coefficients_round_trip(tmp_path, grid_256):
     assert np.array_equal(back.values, coeffs.values)
     assert np.array_equal(back.scales.vectors, coeffs.scales.vectors)
     assert back.order.alpha == coeffs.order.alpha
-    assert back.wavelet == coeffs.wavelet
+    assert back.wavelet is get_wavelet("mexican_hat")
     np.testing.assert_allclose(
         back.measure_weights(), coeffs.measure_weights(), rtol=1e-12
     )
+
+
+def test_coefficient_file_naming_an_unknown_wavelet_exits_2(tmp_path, capsys, grid_256):
+    """The stored name is resolved through the catalog on reading; a name
+    outside it is a malformed file, and synth reports it on one line."""
+    path = tmp_path / "w.coef"
+    write_coefficients(path, _coefficients(grid_256, 3, seed=12))
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(b"mexican_hat", b"mexican_hot", 1))
+    with pytest.raises(SignalFileError, match="unknown wavelet 'mexican_hot'"):
+        read_coefficients(path)
+    out = tmp_path / "w.sig"
+    assert main(["synth", str(path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: {path}: unknown wavelet") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_field_of_a_wavelet_outside_the_catalog_is_not_written(tmp_path, grid_256):
+    """A file names its wavelet, so a field taken with a wavelet the catalog
+    does not hold under that name would come back with another one."""
+    mex = get_wavelet("mexican_hat")
+    field = _coefficients(grid_256, 3, seed=13)
+    path = tmp_path / "w.coef"
+    for psi in (WaveletSpec("mexhat_wide", mex.profile, 12.0), WaveletSpec("mexican_hat", mex.profile, 12.0)):
+        with pytest.raises(SignalFileError, match="not written"):
+            write_coefficients(path, replace(field, wavelet=psi))
+        assert not path.exists()
 
 
 def test_coefficient_file_with_squared_scale_weights_still_reads(tmp_path):
@@ -278,7 +308,7 @@ def test_coefficient_file_with_squared_scale_weights_still_reads(tmp_path):
     assert np.any(old != scales.measure_weights())
     rng = np.random.default_rng(11)
     shape = (scales.count,) + grid.shape
-    coeffs = CfrwtCoefficients(rng.normal(size=shape) + 0j, grid, scales, TransformOrder(0.9), "mexican_hat")
+    coeffs = CfrwtCoefficients(rng.normal(size=shape) + 0j, grid, scales, TransformOrder(0.9), get_wavelet("mexican_hat"))
     path = tmp_path / "old.coef"
     write_coefficients(path, coeffs)
     raw = bytearray(path.read_bytes())
@@ -300,7 +330,7 @@ def _coefficients(grid, count, seed):
     rng = np.random.default_rng(seed)
     shape = (scales.count,) + grid.shape
     values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    return CfrwtCoefficients(values, grid, scales, TransformOrder(0.9), "mexican_hat")
+    return CfrwtCoefficients(values, grid, scales, TransformOrder(0.9), get_wavelet("mexican_hat"))
 
 
 def test_read_of_write_is_bit_exact_with_signed_zeros(tmp_path, grid_256):
@@ -356,7 +386,7 @@ def test_written_files_match_golden_bytes(tmp_path):
     grid = Grid((AxisSpec(-0.5, 0.5, 2), AxisSpec(0.0, 0.25, 3)))
     scales = ScaleGrid(np.array([[1.0, 2.0], [-1.0, 0.5]]), log_step=0.5, a_min=0.5, a_max=2.0, signs="both")
     values = np.arange(12.0).reshape(2, 2, 3) + 0.5j
-    coeffs = CfrwtCoefficients(values, grid, scales, TransformOrder(0.9), "mexican_hat")
+    coeffs = CfrwtCoefficients(values, grid, scales, TransformOrder(0.9), get_wavelet("mexican_hat"))
     golden = (
         struct.pack("<4sHB", b"FRWC", 1, 2)
         + struct.pack("<ddI", -0.5, 0.5, 2)

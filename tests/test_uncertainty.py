@@ -153,7 +153,7 @@ def gabor_field(gabor, scales_wide):
 
 
 def test_cfrwt_heisenberg_gabor(gabor_field, gabor):
-    rep = heisenberg_cfrwt(gabor_field, gabor, MEX, 0.9 - HALF_PI)
+    rep = heisenberg_cfrwt(gabor_field, gabor, 0.9 - HALF_PI)
     assert rep.passed
     # floor is extremely loose for a generic wavelet; the chirp in b
     # spreads the beta-spectrum far beyond the minimizer
@@ -164,7 +164,7 @@ def test_cfrwt_heisenberg_gabor(gabor_field, gabor):
 
 def test_cfrwt_heisenberg_gaussian_signal(gaussian_256, scales_wide):
     field = cfrwt_fast(gaussian_256, MEX, 0.9, scales_wide)
-    rep = heisenberg_cfrwt(field, gaussian_256, MEX, 0.9 - HALF_PI)
+    rep = heisenberg_cfrwt(field, gaussian_256, 0.9 - HALF_PI)
     assert rep.passed
     assert 5.0 < rep.ratio < 30.0
 
@@ -172,12 +172,12 @@ def test_cfrwt_heisenberg_gaussian_signal(gaussian_256, scales_wide):
 def test_cfrwt_heisenberg_gates_admissibility(gaussian_256, scales_wide):
     field = cfrwt_fast(gaussian_256, GAUSS_WAVELET, 0.9, scales_wide)
     with pytest.raises(InadmissibleWavelet):
-        heisenberg_cfrwt(field, gaussian_256, GAUSS_WAVELET, 0.9 - HALF_PI)
+        heisenberg_cfrwt(field, gaussian_256, 0.9 - HALF_PI)
 
 
 def test_cfrwt_heisenberg_angle_gap(gabor_field, gabor):
     with pytest.raises(InvalidAnglePair):
-        heisenberg_cfrwt(gabor_field, gabor, MEX, 0.9)
+        heisenberg_cfrwt(gabor_field, gabor, 0.9)
 
 
 def test_moment_identity_nested_ranges(gabor):
@@ -185,7 +185,7 @@ def test_moment_identity_nested_ranges(gabor):
     ratios = []
     for amin, amax, cells in [(0.25, 4.0, 32), (0.125, 8.0, 48), (2.0**-4, 2.0**4, 64)]:
         sg = log_scale_grid(amin, amax, cells, signs="both")
-        ratios.append(lemma_moment_identity_check(cfrwt_fast(gabor, MEX, 0.9, sg), gabor, MEX).ratio)
+        ratios.append(lemma_moment_identity_check(cfrwt_fast(gabor, MEX, 0.9, sg), gabor).ratio)
     assert ratios[0] < ratios[1] < ratios[2] < 1.0
     assert ratios[0] == pytest.approx(0.562280, abs=1e-3)
     assert ratios[1] == pytest.approx(0.927022, abs=1e-3)
@@ -199,7 +199,7 @@ def test_restricted_energy_identity(gabor_field, gabor):
         ((2.5,), 1.5, 0.998578),
         ((0.0,), 6.0, 0.986169),
     ]:
-        rep = restricted_energy_identity_check(gabor_field, gabor, MEX, center, radius)
+        rep = restricted_energy_identity_check(gabor_field, gabor, center, radius)
         assert rep.passed
         assert rep.ratio == pytest.approx(expect, abs=1e-3)
         assert rep.details["radius"] == radius
@@ -207,16 +207,16 @@ def test_restricted_energy_identity(gabor_field, gabor):
 
 def test_restricted_energy_ball_validation(gabor_field, gabor):
     with pytest.raises(ValueError):
-        restricted_energy_identity_check(gabor_field, gabor, MEX, (0.0,), -1.0)
+        restricted_energy_identity_check(gabor_field, gabor, (0.0,), -1.0)
     with pytest.raises(ValueError):
         # ball far outside the spectral window holds no samples
-        restricted_energy_identity_check(gabor_field, gabor, MEX, (300.0,), 0.01)
+        restricted_energy_identity_check(gabor_field, gabor, (300.0,), 0.01)
 
 
 def test_ball_centre_must_match_the_grid_dimension(gabor_field, gabor):
     # a 2-d centre on a 1-d spectrum: zip over the axes would ignore the 99.0
     with pytest.raises(ValueError, match="wrong dimension"):
-        restricted_energy_identity_check(gabor_field, gabor, MEX, (2.5, 99.0), 1.5)
+        restricted_energy_identity_check(gabor_field, gabor, (2.5, 99.0), 1.5)
     with pytest.raises(ValueError, match="wrong dimension"):
         local_uncertainty_scan([gabor], HALF_PI, 0.0, 0.25, [((0.0, 99.0), 1.0)])
 
@@ -224,9 +224,9 @@ def test_ball_centre_must_match_the_grid_dimension(gabor_field, gabor):
 @pytest.mark.parametrize(
     "check",
     [
-        lambda coeffs, f: heisenberg_cfrwt(coeffs, f, MEX, 0.9 - HALF_PI),
-        lambda coeffs, f: lemma_moment_identity_check(coeffs, f, MEX),
-        lambda coeffs, f: restricted_energy_identity_check(coeffs, f, MEX, (2.5,), 1.5),
+        lambda coeffs, f: heisenberg_cfrwt(coeffs, f, 0.9 - HALF_PI),
+        lambda coeffs, f: lemma_moment_identity_check(coeffs, f),
+        lambda coeffs, f: restricted_energy_identity_check(coeffs, f, (2.5,), 1.5),
     ],
     ids=["heisenberg_cfrwt", "lemma_moment_identity_check", "restricted_energy_identity_check"],
 )
@@ -372,7 +372,7 @@ def test_verify_heisenberg_reads_the_configured_admissibility_band():
     field = cfrwt_fast(gabor, mex, cfg.alpha, cfg.scale_grid())
 
     assert records["coefficient_moment_identity"].details["admissibility"] == adm
-    cr = heisenberg_cfrwt(field, gabor, mex, cfg.beta, scan=scan)
+    cr = heisenberg_cfrwt(field, gabor, cfg.beta, scan=scan)
     assert records["heisenberg_cfrwt_normalized"].details["raw_ratio"] == cr.details["raw_ratio"]
-    restricted = restricted_energy_identity_check(field, gabor, mex, (2.5,), 1.5, scan=scan)
+    restricted = restricted_energy_identity_check(field, gabor, (2.5,), 1.5, scan=scan)
     assert records["restricted_energy_identity"].rhs == restricted.rhs
