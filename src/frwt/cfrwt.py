@@ -42,8 +42,8 @@ from .admissibility import (
 )
 from .errors import GridMismatch, InadmissibleWavelet, ZeroCrossAdmissibility
 from .frft import TransformOrder, _as_order, _chirp, _fft_convolve, _next_fast_len, _row_blocks, c_alpha, frft_fast
-from .grid import Grid, SampledSignal, _exact_sum, _require_same_grid, grids_close, inner_product, l2_norm
-from .report import VerificationReport
+from .grid import Grid, SampledSignal, _exact_sum, grids_close, inner_product, l2_norm
+from .report import VerificationReport, _ratio
 from .scales import ScaleGrid
 from .wavelets import WaveletSpec, make_daughter
 
@@ -263,18 +263,15 @@ def cfrwt_fast(
 
 
 def _admissibility_for(
+    phi: WaveletSpec,
     psi: WaveletSpec,
-    order: TransformOrder | float,
+    order: TransformOrder,
     ndim: int,
     scan: FrequencyScan | None,
-    phi: WaveletSpec | None = None,
 ) -> AdmissibilityReport:
-    order = _as_order(order)
-    report = cross_admissibility(phi or psi, psi, order, scan=scan, ndim=ndim)
+    report = cross_admissibility(phi, psi, order, scan=scan, ndim=ndim)
     if report.verdict == "divergent":
-        raise InadmissibleWavelet(
-            f"{report.cross_wavelet or report.wavelet}/{report.wavelet} admissibility integral diverges at order {order.alpha}"
-        )
+        raise InadmissibleWavelet(f"{phi.name}/{psi.name} admissibility integral diverges at order {order.alpha}")
     return report
 
 
@@ -289,7 +286,7 @@ def _cross_value(
     """Synthesis factor |c_alpha|^2 / C, C the given cross constant or else
     the phi/psi one; refused when C is too close to zero to normalize."""
     if cross_value is None:
-        cross_value = _admissibility_for(psi, order, ndim, scan, phi=phi).value
+        cross_value = _admissibility_for(phi, psi, order, ndim, scan).value
     if abs(cross_value) < CROSS_ZERO_TOL:
         raise ZeroCrossAdmissibility(
             f"cross admissibility {abs(cross_value):.2e} below {CROSS_ZERO_TOL:.0e}; "
@@ -299,17 +296,28 @@ def _cross_value(
 
 
 def _field_normalizer(
-    coeffs: CfrwtCoefficients,
+    wf: CfrwtCoefficients,
     f: SampledSignal,
+    wg: CfrwtCoefficients,
+    g: SampledSignal,
     scan: FrequencyScan | None,
 ) -> tuple[AdmissibilityReport, float]:
-    """Admissibility report of the field's wavelet at its order, and
-    |c_alpha|^2, for a coefficient-side check of the field coeffs of f;
-    refused unless coeffs were taken over f's grid."""
-    if not grids_close(coeffs.b_grid, f.grid):
+    """Cross admissibility report of the wavelets of the field wf of f and
+    the field wg of g, and |c_alpha|^2, for a coefficient-side check; a
+    one-field check passes its field and signal twice.  Refused unless each
+    field was taken over its signal's grid, and both on one grid, at one
+    order and over the same scale vectors and measure weights."""
+    if not (grids_close(wf.b_grid, f.grid) and grids_close(wg.b_grid, g.grid)):
         raise GridMismatch("coefficients were not taken over the signal's grid")
-    adm = _admissibility_for(coeffs.wavelet, coeffs.order, f.ndim, scan)
-    return adm, abs(c_alpha(coeffs.order, f.ndim)) ** 2
+    if not (
+        grids_close(wf.b_grid, wg.b_grid)
+        and wf.order == wg.order
+        and np.array_equal(wf.scales.vectors, wg.scales.vectors)
+        and np.array_equal(wf.scales.measure_weights(), wg.scales.measure_weights())
+    ):
+        raise GridMismatch("the two fields differ in grid, order or scales")
+    adm = _admissibility_for(wf.wavelet, wg.wavelet, wf.order, f.ndim, scan)
+    return adm, abs(c_alpha(wf.order, f.ndim)) ** 2
 
 
 def _uniform_step(xi: np.ndarray) -> float | None:
@@ -414,11 +422,11 @@ def plancherel_check(
     predicted by the scale-truncated coverage of the signal's spectrum.
     """
     order = coeffs.order
-    adm, mod = _field_normalizer(coeffs, f, scan)
+    adm, mod = _field_normalizer(coeffs, f, coeffs, f, scan)
     energy = coeffs.energy()
     lhs = energy * mod
     rhs = adm.value.real * l2_norm(f) ** 2
-    ratio = lhs / rhs
+    ratio = _ratio(lhs, rhs)
     details: dict = {
         "admissibility": adm.value.real,
         "coefficient_energy": energy,
@@ -429,35 +437,27 @@ def plancherel_check(
         xi = spectrum.grid.axis_points()[0]
         coverage = truncated_coverage(coeffs.wavelet, order, coeffs.scales, xi)
         weighted = spectrum.grid.weights() * np.abs(spectrum.values) ** 2
-        details["predicted_ratio"] = float(
-            np.sum(weighted * coverage) / (adm.value.real * np.sum(weighted))
-        )
+        details["predicted_ratio"] = float(_ratio(np.sum(weighted * coverage), adm.value.real * np.sum(weighted)))
     tolerance = 0.05
     return VerificationReport("plancherel_ratio", lhs, rhs, ratio, tolerance, abs(ratio - 1.0) <= tolerance, details)
 
 
 def inner_product_relation_check(
+    wf: CfrwtCoefficients,
     f: SampledSignal,
+    wg: CfrwtCoefficients,
     g: SampledSignal,
-    phi: WaveletSpec,
-    psi: WaveletSpec,
-    order: TransformOrder | float,
-    scales: ScaleGrid,
     scan: FrequencyScan | None = None,
 ) -> VerificationReport:
-    """Two-wavelet coefficient pairing against the signal inner product.
+    """Pairing of the field wf of f (taken with phi) and the field wg of g
+    (taken with psi) against the signal inner product.
 
     Both sides scale like the product of signal norms; the deviation is
     normalized by the moduli admissibility bound at that scale.
     """
-    order = _as_order(order)
-    _require_same_grid(f, g)
-    cross = _admissibility_for(psi, order, f.ndim, scan, phi=phi)
-    wf = cfrwt_fast(f, phi, order, scales)
-    wg = cfrwt_fast(g, psi, order, scales)
+    cross, mod = _field_normalizer(wf, f, wg, g, scan)
     pairing = wf.measure_weights() * wf.values * np.conj(wg.values)
     lhs = _exact_sum(pairing)
-    mod = abs(c_alpha(order, f.ndim)) ** 2
     rhs = cross.value / mod * inner_product(f, g)
     scale = cross.moduli_value / mod * l2_norm(f) * l2_norm(g)
     deviation = abs(lhs - rhs) / scale if scale > 0 else math.inf
@@ -494,8 +494,8 @@ def reconstruct(
     """
     order = coeffs.order
     ndim = coeffs.b_grid.ndim
-    if psi_used.name != coeffs.wavelet.name:
-        raise ValueError(f"coefficients were taken with {coeffs.wavelet.name!r}, not {psi_used.name!r}")
+    if psi_used != coeffs.wavelet:
+        raise ValueError(f"coefficients were taken with {coeffs.wavelet.name!r}, not the given {psi_used.name!r}")
     factor = _cross_value(phi, psi_used, order, ndim, scan, cross_value)
     grid = coeffs.b_grid
     vectors = coeffs.scales.vectors

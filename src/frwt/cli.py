@@ -69,7 +69,8 @@ def cmd_frft(args) -> int:
     engine = frft_fast if args.engine == "fast" else frft_direct
     out = engine(signal, args.alpha)
     _save_signal(args.output, out)
-    residual = abs(l2_norm(out) - l2_norm(signal)) / l2_norm(signal) if l2_norm(signal) else 0.0
+    norm = l2_norm(signal)
+    residual = _ratio(abs(l2_norm(out) - norm), norm)
     print(f"parseval residual: {residual:.6e}")
     return EXIT_OK
 

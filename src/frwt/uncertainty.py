@@ -27,7 +27,7 @@ from .cfrwt import CfrwtCoefficients, _field_normalizer
 from .errors import InvalidAnglePair, TailDominated, ThetaAtBoundary
 from .frft import _transform, frft_fast
 from .grid import Grid, SampledSignal, _exact_sum, _require_same_grid, _separable, l2_norm
-from .report import VerificationReport
+from .report import VerificationReport, _ratio
 
 __all__ = [
     "LocalEntry",
@@ -134,20 +134,15 @@ def heisenberg_two_domain(
     n = f.ndim
     lhs = dispersion(frft_fast(f, beta), 1.0) * dispersion(frft_fast(f, alpha), 1.0)
     rhs = (n**2 / 4.0) * s**2 * l2_norm(f) ** 4
-    ratio = lhs / rhs
+    ratio = _ratio(lhs, rhs)
     slack = 1e-3
     return VerificationReport(
         "heisenberg_two_domain", lhs, rhs, ratio, slack, ratio >= 1.0 - slack, {"alpha": alpha, "beta": beta}
     )
 
 
-def _scale_moment_sum(
-    coeffs: CfrwtCoefficients,
-    angle: float,
-    theta: float,
-    mask: np.ndarray | None = None,
-) -> float:
-    """Sum over scales of the b-spectrum moment, against da/|a|_p^2.
+def _scale_moment_sum(coeffs: CfrwtCoefficients, angle: float, mask: np.ndarray | None = None) -> float:
+    """Sum over scales of the b-spectrum second moment, against da/|a|_p^2.
 
     With mask given, the moment weight is replaced by the mask (a
     restricted plain energy instead of a radial moment).
@@ -156,7 +151,7 @@ def _scale_moment_sum(
     grid, spectra = _transform(coeffs.b_grid, coeffs.values, angle)
     density = grid.weights() * np.abs(spectra) ** 2
     if mask is None:
-        per_scale = [_exact_sum(d) for d in density * grid.radius_sq() ** theta]
+        per_scale = [_exact_sum(d) for d in density * grid.radius_sq()]
     else:
         per_scale = [_exact_sum(d[mask]) for d in density]
     return _exact_sum(weights_a * np.array(per_scale))
@@ -188,9 +183,9 @@ def heisenberg_cfrwt(
     alpha = coeffs.order.alpha
     s = _angle_gap(alpha, beta)
     n = f.ndim
-    adm, mod = _field_normalizer(coeffs, f, scan)
+    adm, mod = _field_normalizer(coeffs, f, coeffs, f, scan)
 
-    moment_beta = _scale_moment_sum(coeffs, beta, 1.0)
+    moment_beta = _scale_moment_sum(coeffs, beta)
     spec_alpha = frft_fast(f, alpha)
     moment_alpha = dispersion(spec_alpha, 1.0)
     lhs = moment_beta * moment_alpha
@@ -200,11 +195,11 @@ def heisenberg_cfrwt(
 
     # measured truncation of the admissibility factor: coefficient-side
     # alpha-moment over the signal-side alpha-moment
-    c_eff = _scale_moment_sum(coeffs, alpha, 1.0) / moment_alpha
+    c_eff = _ratio(_scale_moment_sum(coeffs, alpha), moment_alpha)
     rhs_norm = (n**2 / 4.0) * c_eff * s**2 * norm4
-    ratio = lhs / rhs_norm
+    ratio = _ratio(lhs, rhs_norm)
     details = {
-        "raw_ratio": lhs / rhs_full,
+        "raw_ratio": _ratio(lhs, rhs_full),
         "rhs_untruncated": rhs_full,
         "identity_ratio": c_eff * mod / adm.value.real,
         "admissibility": adm.value.real,
@@ -228,10 +223,10 @@ def lemma_moment_identity_check(
     below as the range widens.
     """
     alpha = coeffs.order.alpha
-    adm, mod = _field_normalizer(coeffs, f, scan)
-    lhs = _scale_moment_sum(coeffs, alpha, 1.0)
+    adm, mod = _field_normalizer(coeffs, f, coeffs, f, scan)
+    lhs = _scale_moment_sum(coeffs, alpha)
     rhs = (adm.value.real / mod) * dispersion(frft_fast(f, alpha), 1.0)
-    ratio = lhs / rhs
+    ratio = _ratio(lhs, rhs)
     tolerance = 0.05
     details = {"admissibility": adm.value.real}
     return VerificationReport("coefficient_moment_identity", lhs, rhs, ratio, tolerance, abs(ratio - 1.0) <= tolerance, details)
@@ -251,14 +246,14 @@ def restricted_energy_identity_check(
     exact up to scale truncation.
     """
     alpha = coeffs.order.alpha
-    adm, mod = _field_normalizer(coeffs, f, scan)
+    adm, mod = _field_normalizer(coeffs, f, coeffs, f, scan)
     spec = frft_fast(f, alpha)
     mask = _ball_mask(spec.grid, center, radius)
     if not np.any(mask):
         raise ValueError("ball contains no spectral samples")
-    lhs = _scale_moment_sum(coeffs, alpha, 0.0, mask=mask)
+    lhs = _scale_moment_sum(coeffs, alpha, mask)
     rhs = (adm.value.real / mod) * _exact_sum((spec.grid.weights() * np.abs(spec.values) ** 2)[mask])
-    ratio = lhs / rhs
+    ratio = _ratio(lhs, rhs)
     tolerance = 0.05
     details = {"center": center, "radius": radius}
     return VerificationReport("restricted_energy_identity", lhs, rhs, ratio, tolerance, abs(ratio - 1.0) <= tolerance, details)

@@ -219,21 +219,12 @@ def test_criterion_09_kernel_discriminator(grid_fine, mexhat, scales_default, sc
         res = range_membership_residual(coeffs, mexhat, scan=scan_default)
         worst_genuine = max(worst_genuine, res)
 
-    template = cfrwt_fast(
-        sample(grid_fine, lambda t: np.exp(-(t**2) / (2 * 0.45**2)) * np.exp(4.0j * t)),
-        mexhat,
-        ALPHA,
-        scales_default,
-    )
+    # noise arrays on the last genuine field's grid, scales, order and wavelet
     min_noise = math.inf
     for seed in range(100, 105):
         rng = np.random.default_rng(seed)
-        arr = rng.standard_normal(template.values.shape) + 1j * rng.standard_normal(
-            template.values.shape
-        )
-        fake = CfrwtCoefficients(
-            arr, template.b_grid, template.scales, template.order, template.wavelet
-        )
+        arr = rng.standard_normal(coeffs.values.shape) + 1j * rng.standard_normal(coeffs.values.shape)
+        fake = CfrwtCoefficients(arr, coeffs.b_grid, coeffs.scales, coeffs.order, coeffs.wavelet)
         min_noise = min(
             min_noise, range_membership_residual(fake, mexhat, scan=scan_default)
         )

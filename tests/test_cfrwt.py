@@ -23,7 +23,7 @@ from frwt import frft as frft_module
 from frwt.errors import GridMismatch, InadmissibleWavelet, ZeroCrossAdmissibility
 from frwt.frft import _as_order
 from frwt.grid import AxisSpec, Grid, SampledSignal, axis_centered, l2_norm, sample
-from frwt.scales import log_scale_grid
+from frwt.scales import ScaleGrid, log_scale_grid
 from frwt.uncertainty import heisenberg_cfrwt, lemma_moment_identity_check, restricted_energy_identity_check
 from frwt.wavelets import CATALOG, WaveletSpec, get_wavelet, make_daughter, wavelet_l2_norm
 
@@ -393,9 +393,9 @@ def test_tap_spectra_are_cached_read_only(grid, scales_wide, gabor):
     assert after.currsize <= after.maxsize
 
 
-def test_inner_product_relation_two_wavelets(grid, scales_wide, gabor):
+def test_inner_product_relation_two_wavelets(grid, scales_wide, gabor, gabor_coeffs):
     g2 = sample(grid, lambda t: np.exp(-((t + 0.3) ** 2) / (2 * 0.35**2)) * np.exp(2.5j * t))
-    rep = inner_product_relation_check(gabor, g2, MEX, DOG4, ALPHA, scales_wide)
+    rep = inner_product_relation_check(gabor_coeffs, gabor, cfrwt_fast(g2, DOG4, ALPHA, scales_wide), g2)
     assert rep.passed
     assert rep.ratio < 0.03
 
@@ -403,17 +403,33 @@ def test_inner_product_relation_two_wavelets(grid, scales_wide, gabor):
 def test_inner_product_relation_orthogonal_pair(grid, scales_wide):
     even = sample(grid, lambda t: np.exp(-(t**2) / (2 * 0.5**2)))
     odd = sample(grid, lambda t: t * np.exp(-(t**2) / (2 * 0.5**2)))
-    rep = inner_product_relation_check(even, odd, MEX, MEX, ALPHA, scales_wide)
+    w_even, w_odd = (cfrwt_fast(h, MEX, ALPHA, scales_wide) for h in (even, odd))
+    rep = inner_product_relation_check(w_even, even, w_odd, odd)
     # Both sides are near zero; the normalized deviation stays tiny.
     assert rep.ratio < 1e-3
 
 
-def test_self_pairing_matches_plancherel(gabor, gabor_coeffs, scales_wide):
-    rep = inner_product_relation_check(gabor, gabor, MEX, MEX, ALPHA, scales_wide)
+def test_self_pairing_matches_plancherel(gabor, gabor_coeffs):
+    rep = inner_product_relation_check(gabor_coeffs, gabor, gabor_coeffs, gabor)
     ratio = rep.lhs / rep.rhs
     plancherel = plancherel_check(gabor_coeffs, gabor).ratio
     assert abs(ratio.imag) < 1e-12
     assert ratio.real == pytest.approx(plancherel, abs=1e-12)
+
+
+@pytest.mark.parametrize("differs_in", ["grid", "order", "scales", "scale measure"])
+def test_inner_product_relation_refuses_fields_of_different_passes(differs_in, grid, gabor, gabor_coeffs, scales_wide):
+    """Each field lies on its own signal's grid, but the two were not taken
+    on one grid, at one order and over one scale set."""
+    g_grid = Grid((axis_centered(0.0625, 128),)) if differs_in == "grid" else grid
+    g = sample(g_grid, lambda t: np.exp(-(t**2)) * np.exp(2j * t))
+    order = ALPHA + 0.1 if differs_in == "order" else ALPHA
+    scales = {
+        "scales": log_scale_grid(2.0**-3, 2.0**4, 56, ndim=1, signs="both"),
+        "scale measure": ScaleGrid(scales_wide.vectors, 2 * scales_wide.log_step, 2.0**-4, 2.0**4, "both"),
+    }.get(differs_in, scales_wide)
+    with pytest.raises(GridMismatch):
+        inner_product_relation_check(gabor_coeffs, gabor, cfrwt_fast(g, DOG4, order, scales), g)
 
 
 # ------------------------------------------------------------ reconstruction
@@ -526,8 +542,12 @@ def test_reconstruct_zero_coefficients(gabor_coeffs):
 
 
 def test_reconstruct_rejects_wavelet_mismatch(gabor_coeffs):
-    with pytest.raises(ValueError, match="mexican_hat"):
-        reconstruct(gabor_coeffs, MEX, DOG4)
+    # the impostor carries the field's own name: unguarded, it reconstructs
+    # this field with an error of 0.51, against 0.076 with the field's wavelet
+    impostor = WaveletSpec("mexican_hat", lambda t: 2 * MEX.profile(t), 8.0)
+    for psi_used in (DOG4, impostor):
+        with pytest.raises(ValueError, match="coefficients were taken with 'mexican_hat'"):
+            reconstruct(gabor_coeffs, MEX, psi_used)
 
 
 def test_reconstruct_rejects_vanishing_cross_constant(gabor_coeffs):
@@ -620,18 +640,9 @@ def test_range_membership_discriminates_noise(grid, scales_wide):
         w = cfrwt_fast(f, MEX, ALPHA, scales_wide)
         assert range_membership_residual(w, MEX) < 0.05
 
-    template = cfrwt_fast(
-        sample(grid, lambda t: np.exp(-(t**2) / (2 * 0.45**2)) * np.exp(4j * t)),
-        MEX,
-        ALPHA,
-        scales_wide,
-    )
+    # noise arrays on the last genuine field's grid, scales, order and wavelet
     for seed in range(100, 105):
         rng = np.random.default_rng(seed)
-        raw = rng.standard_normal(template.values.shape) + 1j * rng.standard_normal(
-            template.values.shape
-        )
-        fake = CfrwtCoefficients(
-            raw, template.b_grid, template.scales, template.order, template.wavelet
-        )
+        raw = rng.standard_normal(w.values.shape) + 1j * rng.standard_normal(w.values.shape)
+        fake = CfrwtCoefficients(raw, w.b_grid, w.scales, w.order, w.wavelet)
         assert range_membership_residual(fake, MEX) >= 0.20

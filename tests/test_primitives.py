@@ -80,6 +80,14 @@ RULES = [
     # a coefficient field carries its wavelet, so only the synthesis entry,
     # which is handed the analysing wavelet again, compares the two
     ("analysing wavelet guard", re.compile(r"coefficients were taken with"), {("cfrwt.py", "reconstruct")}),
+    # a coefficient-side check takes the fields it checks; only the kernel
+    # values and the re-analysis of a resynthesis need a pass of their own
+    (
+        "coefficient pass",
+        re.compile(r"\bcfrwt_fast\("),
+        {("cfrwt.py", "cfrwt_fast"), ("cfrwt.py", "kernel_projection"), ("cfrwt.py", "range_membership_residual")},
+        "cfrwt.py",
+    ),
 ]
 
 
@@ -352,7 +360,8 @@ OVERFLOWING = {
     "inner_product": lambda: inner_product(_flat(1e307), _flat(1e307)),
     "l2_norm": lambda: l2_norm(_flat(1e307)),
     "inner_product_relation_check": lambda: inner_product_relation_check(
-        _flat(1e153), _flat(1e153), MEX, DOG4, 0.9, _scales()
+        cfrwt_fast(_flat(1e153), MEX, 0.9, _scales()), _flat(1e153),
+        cfrwt_fast(_flat(1e153), DOG4, 0.9, _scales()), _flat(1e153),
     ),
     # an arbitrary array, far from the range, whose kernel integral overflows
     "kernel_projection": lambda: kernel_projection(

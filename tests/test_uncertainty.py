@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from frwt.errors import (
     ThetaAtBoundary,
 )
 from frwt.admissibility import admissibility_constant
-from frwt.cfrwt import cfrwt_fast
+from frwt.cfrwt import cfrwt_fast, plancherel_check
 from frwt.grid import Grid, SampledSignal, axis_centered, l2_norm, sample
 from frwt.io import RunConfig
 from frwt.scales import log_scale_grid
@@ -234,6 +235,34 @@ def test_coefficient_checks_refuse_a_signal_on_another_grid(check, gabor_field):
     other = sample(Grid((axis_centered(0.125, 128),)), lambda t: np.exp(-(t**2)))
     with pytest.raises(GridMismatch):
         check(gabor_field, other)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda coeffs, f: plancherel_check(coeffs, f),
+        lambda coeffs, f: heisenberg_cfrwt(coeffs, f, 0.9 - HALF_PI),
+        lambda coeffs, f: lemma_moment_identity_check(coeffs, f),
+        lambda coeffs, f: restricted_energy_identity_check(coeffs, f, (2.5,), 1.5),
+        lambda coeffs, f: heisenberg_two_domain(f, HALF_PI, 0.0),
+    ],
+    ids=[
+        "plancherel_check",
+        "heisenberg_cfrwt",
+        "lemma_moment_identity_check",
+        "restricted_energy_identity_check",
+        "heisenberg_two_domain",
+    ],
+)
+def test_zero_signal_fails_the_check_without_a_traceback(check, grid_256, scales_wide):
+    # both sides vanish: a ratio of 0 / 0 reads zero, a failed check
+    zero = sample(grid_256, lambda t: np.zeros_like(t))
+    field = cfrwt_fast(zero, MEX, 0.9, scales_wide)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check(field, zero)
+    assert not rep.passed
+    assert rep.lhs == rep.rhs == rep.ratio == 0.0
 
 
 def test_verify_heisenberg_takes_one_coefficient_field(monkeypatch):
