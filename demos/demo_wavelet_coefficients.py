@@ -65,12 +65,16 @@ rep = plancherel_check(coeffs, f)
 print(f"\nenergy ratio (coefficients vs signal): {rep.ratio:.4f}")
 
 # why not exactly one: a finite scale window covers each frequency only
-# partially; the shortfall is largest at frequencies below 1/a_max
-from frwt import truncated_coverage
+# partially; the shortfall is largest at frequencies below 1/a_max.  The
+# coverage is taken on a uniform frequency grid, here of step 0.05
+from frwt import axis_linspace, truncated_coverage
 
-cov = truncated_coverage(mex, alpha, scales, np.array([0.05, 3.0, 8.0]))
-print("coverage of the scale window at frequency 0.05 / 3 / 8: "
-      + " / ".join(f"{c / adm.value.real:.2f}" for c in cov))
+freqs = Grid((axis_linspace(0.05, 8.0, 160),))
+cov = truncated_coverage(mex, alpha, scales, freqs)
+picks = [0, 59, 159]
+print("coverage of the scale window at frequency "
+      + " / ".join(f"{xi:g}" for xi in freqs.axis_points()[0][picks]) + ": "
+      + " / ".join(f"{c / adm.value.real:.2f}" for c in cov[picks]))
 
 # rebuild the signal; the same wavelet synthesizes, a different one
 # (fourth derivative of a gaussian) works through its cross constant

@@ -29,11 +29,13 @@ Both signs of u enter the integral.  For a real profile the Fourier sum
 at -v is the conjugate of the sum at v and the chirp factor is even in
 u, so the scan evaluates such a profile on the positive side only and
 takes the negative side from it; a complex profile (morlet) is
-evaluated on both sides.  Reports are memoized per (phi, psi, order,
-scan, ndim); see admissibility_cache_info.
+evaluated on both sides.
 
 Everything here is one dimensional; for separable wavelets in n
-dimensions the constant is the n-th power of the per-axis value.
+dimensions the constant is the n-th power of the per-axis value.  So
+the 1-D scan is memoized per (phi, psi, order, scan), whatever the
+dimension, and each call builds its report from it; see
+admissibility_cache_info.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ _STEADY_RATIO = 0.75
 
 # fewest points of a spectral profile grid
 _MIN_SPECTRAL_POINTS = 256
-# distinct scans kept by the report memo
+# distinct scans kept by the scan memo
 _CACHE_SIZE = 64
 
 
@@ -210,13 +212,15 @@ def _both_sides(psi: WaveletSpec, order: TransformOrder, us: np.ndarray) -> tupl
     return pos, np.conj(pos) * (phase / np.conj(phase))
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _scan(
     phi: WaveletSpec,
     psi: WaveletSpec,
     order: TransformOrder,
     scan: FrequencyScan,
-) -> tuple[list[complex], list[float], list[float]]:
-    """Signed and moduli integrals over each truncated range, both signs of u."""
+) -> tuple[tuple[complex, ...], tuple[float, ...], tuple[float, ...]]:
+    """Signed and moduli integrals over each truncated range, both signs of
+    u, with the lower cutoff of each range."""
     us, cut_idx = _side_grid(scan)
     log_u = np.log(us)
     spec_psi_pos, spec_psi_neg = _both_sides(psi, order, us)
@@ -232,10 +236,10 @@ def _scan(
         cutoffs.append(scan.u_min * 2.0 ** (-k))
         signed_vals.append(complex(np.trapezoid(signed[idx:], x=log_u[idx:])))
         moduli_vals.append(float(np.trapezoid(moduli[idx:], x=log_u[idx:])))
-    return signed_vals, moduli_vals, cutoffs
+    return tuple(signed_vals), tuple(moduli_vals), tuple(cutoffs)
 
 
-def _verdict(moduli_vals: list[float]) -> str:
+def _verdict(moduli_vals: tuple[float, ...]) -> str:
     total = moduli_vals[-1]
     if total <= 0.0:
         return "indeterminate"
@@ -261,26 +265,14 @@ def cross_admissibility(
 
     The signed value may vanish for spectrally orthogonal pairs even when
     the moduli integral is finite; callers that divide by it must check.
-    A repeated call returns the same (frozen) report object.
+    The report is built per call from the memoized 1-D scan, its values
+    raised to the power ndim.
     """
-    return _report(phi, psi, _as_order(order), scan or FrequencyScan(), ndim, phi is psi)
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _report(
-    phi: WaveletSpec,
-    psi: WaveletSpec,
-    order: TransformOrder,
-    scan: FrequencyScan,
-    ndim: int,
-    same: bool,
-) -> AdmissibilityReport:
-    # `same` keeps the key of a pair of equal but distinct specs apart
-    # from the self constant, which reports no cross wavelet
-    signed_vals, moduli_vals, cutoffs = _scan(phi, psi, order, scan)
+    order = _as_order(order)
+    signed_vals, moduli_vals, cutoffs = _scan(phi, psi, order, scan or FrequencyScan())
     return AdmissibilityReport(
         wavelet=psi.name,
-        cross_wavelet=None if same else phi.name,
+        cross_wavelet=None if phi is psi else phi.name,
         alpha=order.alpha,
         ndim=ndim,
         value=signed_vals[-1] ** ndim,
@@ -291,8 +283,8 @@ def _report(
 
 
 def admissibility_cache_info():
-    """Named tuple (hits, misses, maxsize, currsize) of the admissibility report memo."""
-    return _report.cache_info()
+    """Named tuple (hits, misses, maxsize, currsize) of the 1-D scan memo."""
+    return _scan.cache_info()
 
 
 def admissibility_constant(

@@ -38,11 +38,10 @@ from .admissibility import (
     _spectral_points,
     _weighted_profile,
     cross_admissibility,
-    fractional_spectrum,
 )
 from .errors import GridMismatch, InadmissibleWavelet, ZeroCrossAdmissibility
 from .frft import TransformOrder, _as_order, _chirp, _fft_convolve, _next_fast_len, _row_blocks, c_alpha, frft_fast
-from .grid import Grid, SampledSignal, _exact_sum, grids_close, inner_product, l2_norm
+from .grid import AxisSpec, Grid, SampledSignal, _exact_sum, grids_close, inner_product, l2_norm
 from .report import VerificationReport, _ratio
 from .scales import ScaleGrid
 from .wavelets import WaveletSpec, make_daughter
@@ -320,21 +319,9 @@ def _field_normalizer(
     return adm, abs(c_alpha(wf.order, f.ndim)) ** 2
 
 
-def _uniform_step(xi: np.ndarray) -> float | None:
-    """Step of a 1-D grid uniform to a few ulps, else None."""
-    if xi.ndim != 1 or xi.size < 2:
-        return None
-    step = (xi[-1] - xi[0]) / (xi.size - 1)
-    drift = np.max(np.abs(xi - (xi[0] + step * np.arange(xi.size))))
-    if step == 0.0 or drift > 64 * np.finfo(np.float64).eps * np.max(np.abs(xi)):
-        return None
-    return float(step)
-
-
-def _spectrum_power_chirp_z(
-    psi: WaveletSpec, order: TransformOrder, a: np.ndarray, xi: np.ndarray, step: float
-) -> np.ndarray:
-    """|Psi_alpha(a_s xi_k)|^2 for a uniform xi, one Bluestein chirp-z per scale.
+def _spectrum_power_chirp_z(psi: WaveletSpec, order: TransformOrder, a: np.ndarray, axis: AxisSpec) -> np.ndarray:
+    """|Psi_alpha(a_s xi_k)|^2 at the points xi_k of axis, one Bluestein
+    chirp-z per scale.
 
     With centred indices t_j = j' dt and xi_k = xi_c + k' step, the Fourier
     sum of the weighted profile x at v = s xi_k (s = a csc) is, up to a
@@ -351,6 +338,7 @@ def _spectrum_power_chirp_z(
     depends on a_s alone, not on the other scales of the call.
     """
     csc = order.csc
+    xi, step = axis.points(), axis.step
     m = xi.size
     xi_max = float(np.max(np.abs(xi)))
     groups: dict[int, list[int]] = {}
@@ -380,32 +368,26 @@ def truncated_coverage(
     psi: WaveletSpec,
     order: TransformOrder | float,
     scales: ScaleGrid,
-    xi: np.ndarray,
+    grid: Grid,
 ) -> np.ndarray:
-    """Scale-truncated admissibility weight at 1-D frequencies xi.
+    """Scale-truncated admissibility weight at the points of a 1-D
+    frequency grid.
 
     Integrates |Psi_alpha(a xi)|^2 over the scale grid against da/|a|;
     on the full measure this would equal the admissibility constant for
     every xi.  The shortfall predicts how far the Plancherel ratio sits
     below one on a finite scale range.
 
-    Each scale's frequency set a xi of a uniform xi grid is uniform too,
+    Each scale's frequency set a xi of the uniform grid is uniform too,
     so |Psi_alpha|^2 comes from one chirp-z transform per scale (Rabiner,
     Schafer & Rader 1969) on that scale's own Nyquist-sized profile grid,
     the grid fractional_spectrum would size for the frequencies a xi of
-    that scale alone; any other xi goes through fractional_spectrum
-    directly.
+    that scale alone.
     """
     order = _as_order(order)
-    if scales.ndim != 1:
+    if scales.ndim != 1 or grid.ndim != 1:
         raise ValueError("coverage prediction is one dimensional")
-    xi = np.asarray(xi, dtype=np.float64)
-    a = scales.vectors.ravel()
-    step = _uniform_step(xi)
-    if step is None:
-        power = np.abs(fractional_spectrum(psi, order, a[:, None] * xi[None, :])) ** 2
-    else:
-        power = _spectrum_power_chirp_z(psi, order, a, xi, step)
+    power = _spectrum_power_chirp_z(psi, order, scales.vectors.ravel(), grid.axes[0])
     return np.tensordot(scales.log_measure_weights(), power, axes=1)
 
 
@@ -434,8 +416,7 @@ def plancherel_check(
     }
     if f.ndim == 1:
         spectrum = frft_fast(f, order)
-        xi = spectrum.grid.axis_points()[0]
-        coverage = truncated_coverage(coeffs.wavelet, order, coeffs.scales, xi)
+        coverage = truncated_coverage(coeffs.wavelet, order, coeffs.scales, spectrum.grid)
         weighted = spectrum.grid.weights() * np.abs(spectrum.values) ** 2
         details["predicted_ratio"] = float(_ratio(np.sum(weighted * coverage), adm.value.real * np.sum(weighted)))
     tolerance = 0.05

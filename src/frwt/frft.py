@@ -258,7 +258,7 @@ def _direct_apply(values: np.ndarray, grid: Grid, order: TransformOrder,
     as it is.
     """
     cot, csc = order.cot, order.csc
-    c1 = complex(np.sqrt((1.0 - 1j * cot) / (2.0 * math.pi)))
+    c1 = c_alpha(order, 1)
     out = values * grid.weights()
     for axis, ax in enumerate(grid.axes):
         t = ax.points()

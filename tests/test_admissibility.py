@@ -218,12 +218,19 @@ def test_nyquist_spectrum_matches_fine_grid(name, alpha, monkeypatch):
     want = fine_grid_fractional_spectrum(psi, alpha, u)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    # the unmemoized scan, so each route is evaluated, not read back
+    scan = admissibility._scan.__wrapped__
     order = TransformOrder(alpha)
-    signed, moduli, _ = admissibility._scan(psi, psi, order, COARSE_SCAN)
-    monkeypatch.setattr(
-        admissibility, "fractional_spectrum", lambda p, o, x: fine_grid_fractional_spectrum(p, o.alpha, x)
-    )
-    signed_fine, moduli_fine, _ = admissibility._scan(psi, psi, order, COARSE_SCAN)
+    signed, moduli, _ = scan(psi, psi, order, COARSE_SCAN)
+    calls = []
+
+    def fine(p, o, x):
+        calls.append(x.size)
+        return fine_grid_fractional_spectrum(p, o.alpha, x)
+
+    monkeypatch.setattr(admissibility, "fractional_spectrum", fine)
+    signed_fine, moduli_fine, _ = scan(psi, psi, order, COARSE_SCAN)
+    assert len(calls) == (2 if name == "morlet" else 1)
     assert admissibility._verdict(moduli) == admissibility._verdict(moduli_fine)
     np.testing.assert_allclose(moduli, moduli_fine, rtol=1e-12, atol=0)
     np.testing.assert_allclose(signed, signed_fine, rtol=1e-12, atol=0)
@@ -258,13 +265,13 @@ def test_one_sided_scan_matches_two_sided(name, alpha, monkeypatch):
         calls.append(x.size)
         return fractional_spectrum(p, o, x)
 
+    scan = admissibility._scan.__wrapped__
     monkeypatch.setattr(admissibility, "fractional_spectrum", counted)
-    signed, moduli, _ = admissibility._scan(psi, psi, order, COARSE_SCAN)
+    signed, moduli, _ = scan(psi, psi, order, COARSE_SCAN)
     assert len(calls) == (2 if name == "morlet" else 1)
-    monkeypatch.setattr(
-        admissibility, "_both_sides", lambda p, o, x: (fractional_spectrum(p, o, x), fractional_spectrum(p, o, -x))
-    )
-    signed_two, moduli_two, _ = admissibility._scan(psi, psi, order, COARSE_SCAN)
+    monkeypatch.setattr(admissibility, "_both_sides", lambda p, o, x: (counted(p, o, x), counted(p, o, -x)))
+    signed_two, moduli_two, _ = scan(psi, psi, order, COARSE_SCAN)
+    assert len(calls) == (4 if name == "morlet" else 3)
     assert admissibility._verdict(moduli) == admissibility._verdict(moduli_two)
     np.testing.assert_allclose(moduli, moduli_two, rtol=1e-14, atol=0)
     np.testing.assert_allclose(signed, signed_two, rtol=1e-14, atol=0)
@@ -276,7 +283,7 @@ def test_spectral_grid_size_follows_the_nyquist_bound():
     assert admissibility._spectral_points(MEX, 1e6) == 8192
 
 
-# ------------------------------------------------------------ report memo
+# -------------------------------------------------------------- scan memo
 
 
 def test_repeated_key_returns_the_same_report():
@@ -284,7 +291,7 @@ def test_repeated_key_returns_the_same_report():
     before = admissibility_cache_info()
     again = cross_admissibility(MEX, DOG4, TransformOrder(0.7), scan=FrequencyScan(), ndim=1)
     after = admissibility_cache_info()
-    assert again is first
+    assert again == first
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
@@ -292,12 +299,35 @@ def test_equal_but_distinct_specs_keep_cross_wavelet():
     twin = dataclasses.replace(MEX)
     assert twin == MEX and twin is not MEX
     self_rep = admissibility_constant(MEX, 1.1)
+    before = admissibility_cache_info()
     cross_rep = cross_admissibility(twin, MEX, 1.1)
+    after = admissibility_cache_info()
+    # the twin pair reads the self scan, and still names its cross wavelet
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
     assert self_rep.cross_wavelet is None
     assert cross_rep.cross_wavelet == "mexican_hat"
-    assert cross_rep is not self_rep
+    assert cross_rep != self_rep
     assert cross_rep.value == self_rep.value
-    assert cross_admissibility(twin, MEX, 1.1) is cross_rep
+    assert cross_admissibility(twin, MEX, 1.1) == cross_rep
+
+
+@pytest.mark.parametrize("phi", [MEX, DOG4], ids=["self", "cross"])
+def test_every_dimension_reads_one_scan(phi):
+    """The n-D report raises the 1-D scan's last entries to the n-th
+    power; after the 1-D call, the 2-D and 3-D calls are memo hits."""
+    one = cross_admissibility(phi, MEX, 1.3, scan=COARSE_SCAN)
+    entries = admissibility._scan(phi, MEX, TransformOrder(1.3), COARSE_SCAN)
+    assert all(isinstance(part, tuple) for part in entries)  # a held entry cannot be mutated
+    signed, moduli, _ = entries
+    for ndim in (2, 3):
+        before = admissibility_cache_info()
+        rep = cross_admissibility(phi, MEX, 1.3, scan=COARSE_SCAN, ndim=ndim)
+        after = admissibility_cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert rep.ndim == ndim
+        assert rep.value == signed[-1] ** ndim
+        assert rep.moduli_value == moduli[-1] ** ndim
+        assert (rep.verdict, rep.trace, rep.cross_wavelet) == (one.verdict, one.trace, one.cross_wavelet)
 
 
 def test_memo_is_bounded_and_counts_misses():

@@ -22,7 +22,7 @@ from frwt import cfrwt as cfrwt_module
 from frwt import frft as frft_module
 from frwt.errors import GridMismatch, InadmissibleWavelet, ZeroCrossAdmissibility
 from frwt.frft import _as_order
-from frwt.grid import AxisSpec, Grid, SampledSignal, axis_centered, l2_norm, sample
+from frwt.grid import AxisSpec, Grid, SampledSignal, axis_centered, axis_linspace, l2_norm, sample
 from frwt.scales import ScaleGrid, log_scale_grid
 from frwt.uncertainty import heisenberg_cfrwt, lemma_moment_identity_check, restricted_energy_identity_check
 from frwt.wavelets import CATALOG, WaveletSpec, get_wavelet, make_daughter, wavelet_l2_norm
@@ -307,8 +307,7 @@ def test_plancherel_rejects_inadmissible_wavelet(grid, scales_wide):
 
 def test_coverage_vanishes_at_origin_and_stays_below_one(scales_wide):
     order = _as_order(ALPHA)
-    xi = np.linspace(-20.0, 20.0, 401)
-    kappa = truncated_coverage(MEX, order, scales_wide, xi)
+    kappa = truncated_coverage(MEX, order, scales_wide, Grid((axis_centered(0.1, 401),)))
     c_full = admissibility_constant(MEX, order).value.real
     assert kappa[200] < 1e-20  # xi = 0 exactly
     assert kappa.max() / c_full < 1.02
@@ -321,8 +320,9 @@ def test_chirp_z_coverage_matches_direct_spectrum(psi, alpha):
     on an odd, off-centre uniform xi grid."""
     order = _as_order(alpha)
     sc = log_scale_grid(2.0**-4, 2.0**4, 8, signs="both")
-    xi = np.linspace(-23.0, 31.0, 101)
-    got = truncated_coverage(psi, order, sc, xi)
+    xi_grid = Grid((axis_linspace(-23.0, 31.0, 101),))
+    xi = xi_grid.axis_points()[0]
+    got = truncated_coverage(psi, order, sc, xi_grid)
     power = np.abs(fractional_spectrum(psi, order, sc.vectors.ravel()[:, None] * xi[None, :])) ** 2
     want = np.tensordot(sc.log_measure_weights(), power, axes=1)
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
@@ -343,12 +343,11 @@ def test_chirp_z_row_depends_on_its_own_scale_only(scales_wide, psi, a_min, a_ma
     in the default one at the same 8 cells an octave gives bit-identical
     rows for the scales the two share."""
     order = _as_order(ALPHA)
-    xi = np.linspace(-23.0, 31.0, 101)
-    step = cfrwt_module._uniform_step(xi)
+    axis = axis_linspace(-23.0, 31.0, 101)
     full = scales_wide.vectors.ravel()
     nested = log_scale_grid(a_min, a_max, cells, signs="both").vectors.ravel()
-    want = cfrwt_module._spectrum_power_chirp_z(psi, order, full, xi, step)
-    got = cfrwt_module._spectrum_power_chirp_z(psi, order, nested, xi, step)
+    want = cfrwt_module._spectrum_power_chirp_z(psi, order, full, axis)
+    got = cfrwt_module._spectrum_power_chirp_z(psi, order, nested, axis)
     assert np.array_equal(got, want[_rows_of(full, nested)])
 
 
@@ -360,23 +359,15 @@ def test_per_scale_coverage_matches_fine_grid(scales_wide, name, alpha):
     range and on a range nested in it."""
     psi = get_wavelet(name)
     order = _as_order(alpha)
-    xi = np.linspace(-39.0, 35.0, 3)
+    xi_grid = Grid((axis_linspace(-39.0, 35.0, 3),))
+    xi = xi_grid.axis_points()[0]
     full = scales_wide.vectors.ravel()
     power = np.abs(fine_grid_fractional_spectrum(psi, alpha, full[:, None] * xi[None, :])) ** 2
     nested = log_scale_grid(0.125, 8.0, 48, signs="both")
     for sc, part in ((scales_wide, power), (nested, power[_rows_of(full, nested.vectors.ravel())])):
-        got = truncated_coverage(psi, order, sc, xi)
+        got = truncated_coverage(psi, order, sc, xi_grid)
         want = np.tensordot(sc.log_measure_weights(), part, axes=1)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
-
-
-def test_non_uniform_coverage_takes_the_direct_route():
-    order = _as_order(ALPHA)
-    sc = log_scale_grid(0.5, 2.0, 4, signs="both")
-    xi = np.array([0.05, 3.0, 8.0])
-    power = np.abs(fractional_spectrum(MEX, order, sc.vectors.ravel()[:, None] * xi[None, :])) ** 2
-    want = np.tensordot(sc.log_measure_weights(), power, axes=1)
-    assert np.array_equal(truncated_coverage(MEX, order, sc, xi), want)
 
 
 def test_tap_spectra_are_cached_read_only(grid, scales_wide, gabor):
@@ -481,8 +472,7 @@ def test_reconstruct_gaussian_shortfall_is_explained(grid, scales_wide):
 
     order = _as_order(ALPHA)
     spec = frft_fast(f, order)
-    xi = spec.grid.axis_points()[0]
-    kappa = truncated_coverage(MEX, order, scales_wide, xi)
+    kappa = truncated_coverage(MEX, order, scales_wide, spec.grid)
     c_full = admissibility_constant(MEX, order).value.real
     weight = spec.grid.weights() * np.abs(spec.values) ** 2
     predicted = math.sqrt(float(np.sum(weight * (1 - kappa / c_full) ** 2) / np.sum(weight)))

@@ -2,8 +2,9 @@
 one exact sum, one batched fast-transform entry, one row-block rule, one
 lag FFT length and one separable broadcast onto a grid, each defined once
 and used everywhere else; no module imports a name it never reads; the
-package exports exactly the names its modules list in __all__; and every
-function, parameter and name the benchmark in perfbench/ binds exists."""
+package exports exactly the names its modules list in __all__; every
+function, parameter and name the benchmark in perfbench/ binds exists; and
+the only memos are four named ones."""
 
 from __future__ import annotations
 
@@ -118,6 +119,28 @@ def test_primitive_lives_only_in_its_helper(rule):
     # the helpers exist and still hold the primitive, so the rule is not vacuous
     assert used_in == {name for name, _ in allowed}
 
+
+# every function memoized with functools.cache or functools.lru_cache, as
+# module.function: the package's hidden state lives in these and no others
+MEMOIZED = {"admissibility._scan", "cfrwt._tap_spectrum", "frft._next_fast_len", "frft._openblas_thread_calls"}
+
+
+def _is_memo(decorator: ast.expr) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name) and target.value.id == "functools":
+        return target.attr in ("cache", "lru_cache")
+    return isinstance(target, ast.Name) and target.id in ("cache", "lru_cache")
+
+
+def test_memoized_functions_are_the_named_ones():
+    # a decorator line sits outside the function's span, so RULES cannot see it
+    memoized = {
+        f"{path.stem}.{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(map(_is_memo, node.decorator_list))
+    }
+    assert memoized == MEMOIZED
 
 
 def _names_read(tree: ast.AST) -> set[str]:
