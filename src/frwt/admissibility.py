@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +70,9 @@ _STEADY_RATIO = 0.75
 _MIN_SPECTRAL_POINTS = 256
 # distinct scans kept by the scan memo
 _CACHE_SIZE = 64
+# held around every memo lookup, so that a key missed by two threads at once
+# is scanned once and the hit and miss counts do not depend on timing
+_SCAN_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -269,7 +273,8 @@ def cross_admissibility(
     raised to the power ndim.
     """
     order = _as_order(order)
-    signed_vals, moduli_vals, cutoffs = _scan(phi, psi, order, scan or FrequencyScan())
+    with _SCAN_LOCK:
+        signed_vals, moduli_vals, cutoffs = _scan(phi, psi, order, scan or FrequencyScan())
     return AdmissibilityReport(
         wavelet=psi.name,
         cross_wavelet=None if phi is psi else phi.name,

@@ -55,8 +55,8 @@ NEAR_SINGULAR_TOL = 1e-3
 # least kernel matrix bytes per block of output rows in the direct quadrature;
 # a floor its bit-identity needs (see _direct_apply), not a memory cap
 _KERNEL_BLOCK_BYTES = 1 << 20
-# threads that apply a kernel matrix's row blocks: every CPU the process
-# may run on
+# most threads that do _run_blocks work at once: every CPU the process may
+# run on
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
@@ -191,48 +191,111 @@ def _openblas_thread_calls():
     return get, put
 
 
+# helper threads doing block work now, less one for each caller that waits
+# on its helpers and so lends its CPU: kept at most _WORKERS - 1, so that
+# with the thread that made the outermost call at most _WORKERS threads do
+# block work at once (see _run_blocks)
+_helpers_busy = 0
+_helpers_changed = threading.Condition()
+
+
+def _adjust_helpers(change: int, wanted: int = 0) -> int:
+    """Add change to _helpers_busy, then take up to wanted of the free
+    helper slots; the number taken is returned."""
+    global _helpers_busy
+    with _helpers_changed:
+        _helpers_busy += change
+        taken = max(0, min(wanted, _WORKERS - 1 - _helpers_busy))
+        _helpers_busy += taken
+        _helpers_changed.notify_all()
+    return taken
+
+
+def _reclaim_cpu() -> None:
+    """Take back the CPU a caller lent while it waited on its helpers, once
+    one is free."""
+    global _helpers_busy
+    with _helpers_changed:
+        try:
+            _helpers_changed.wait_for(lambda: _helpers_busy < _WORKERS - 1)
+        finally:
+            _helpers_busy += 1
+
+
 def _run_blocks(blocks: int, work, workers: int) -> None:
     """Call work(k) for every k in range(blocks), on the calling thread and
-    up to workers - 1 helper threads that take the indices from one shared
-    iterator.  The calls must not depend on one another.
+    up to workers - 1 helper threads that take the indices in order from
+    one shared counter.  The calls must not depend on one another.
 
-    While helpers run, OpenBLAS is held to one thread, so each block's
-    contraction does not start threads of its own on CPUs the blocks
-    already use; its previous count is restored afterwards.  The first
-    exception raised by any call is re-raised here once every thread has
-    stopped.
+    Helpers come only from free slots, so at most _WORKERS threads do
+    block work at any time however the calls nest: a call that finds none
+    free runs its blocks serially, each helper frees its slot as it ends,
+    and a caller lends its own CPU while it waits on its helpers.  While
+    helpers run, OpenBLAS is held to one thread, so a block's contraction
+    does not start threads of its own on CPUs the blocks already use; its
+    previous count is restored afterwards.
+
+    Once a call has raised, no further index is handed out, and the
+    exception of the lowest failing index is re-raised here once every
+    helper has stopped: the one a serial loop would have raised.
     """
-    helpers = min(workers, blocks) - 1
-    if helpers < 1:
+    helpers = _adjust_helpers(0, min(workers, blocks) - 1)
+    if not helpers:
         for k in range(blocks):
             work(k)
         return
+    lock = threading.Lock()
     indices = iter(range(blocks))
-    errors = []
+    failures = {}
+
+    def fail(k: int, exc: BaseException) -> None:
+        with lock:
+            failures[k] = exc
 
     def drain() -> None:
-        try:
-            for k in indices:
+        while True:
+            with lock:
+                k = next(indices, blocks) if not failures else blocks
+            if k == blocks:
+                return
+            try:
                 work(k)
-        except BaseException as exc:  # re-raised in the caller below
-            errors.append(exc)
+            except BaseException as exc:  # re-raised in the caller below
+                fail(k, exc)
+                return
+
+    def helper() -> None:
+        try:
+            drain()
+        finally:
+            _adjust_helpers(-1)
 
     calls = _openblas_thread_calls()
-    previous = calls[0]() if calls else None
+    previous = calls[0]() if calls else 1
+    threads = []
     try:
-        if calls:
+        if previous != 1:
             calls[1](1)
-        threads = [threading.Thread(target=drain) for _ in range(helpers)]
-        for thread in threads:
+        for _ in range(helpers):
+            thread = threading.Thread(target=helper)
             thread.start()
+            threads.append(thread)
         drain()
-        for thread in threads:
-            thread.join()
-    finally:
-        if calls:
-            calls[1](previous)
-    if errors:
-        raise errors[0]
+    except BaseException as exc:  # a helper that did not start, or an interrupt
+        fail(-1, exc)
+    # the slots of helpers that never started, and the caller's own CPU
+    _adjust_helpers(len(threads) - helpers - 1)
+    for thread in threads:
+        while thread.is_alive():
+            try:
+                thread.join()
+            except BaseException as exc:  # an interrupt: stop handing out blocks
+                fail(-1, exc)
+    _reclaim_cpu()
+    if previous != 1:
+        calls[1](previous)
+    if failures:
+        raise failures[min(failures)]
 
 
 def _direct_apply(values: np.ndarray, grid: Grid, order: TransformOrder,
@@ -249,8 +312,8 @@ def _direct_apply(values: np.ndarray, grid: Grid, order: TransformOrder,
     every element is bit-identical to the whole-matrix quadrature.
 
     Where the operand is a vector (a 1-D signal), the blocks run
-    concurrently on every CPU (_run_blocks): each writes its own rows of
-    the result and reads the operand only, and OpenBLAS's thread count
+    concurrently on every free CPU (_run_blocks): each writes its own rows
+    of the result and reads the operand only, and OpenBLAS's thread count
     moves no bit of a matrix-vector product, whose every output is one
     row's dot product.  It does move bits of a matrix-matrix product (its
     inner-dimension panels differ; seen at 300 and 363 input samples), so

@@ -1,7 +1,8 @@
 """Built-in verification suites over canonical fixtures.
 
 Each suite returns a list of VerificationReports mirroring one group of
-acceptance checks; `run_suite("all")` chains every group.  Fixtures are
+acceptance checks; `run_suite("all")` chains every group, running the
+suites concurrently on every CPU and keeping their order.  Fixtures are
 seeded and deterministic, so two runs produce identical records.
 """
 
@@ -20,7 +21,7 @@ from .cfrwt import (
     reconstruct,
 )
 from .fracconv import spectral_identity_check
-from .frft import frft_direct, frft_fast, frft_inverse
+from .frft import _run_blocks, frft_direct, frft_fast, frft_inverse
 from .grid import Grid, SampledSignal, axis_centered, l2_norm, sample
 from .io import RunConfig
 from .morrey import (
@@ -441,10 +442,15 @@ def run_suite(name: str, cfg: RunConfig | None = None) -> list[VerificationRepor
     """Run one named suite (or "all") and return its reports."""
     cfg = cfg if cfg is not None else RunConfig()
     if name == "all":
-        out = []
-        for key in SUITE_ORDER:
-            out.extend(_SUITES[key](cfg))
-        return out
+        # the suites share no state, so they run as independent blocks on
+        # as many CPUs as are free; each list keeps its SUITE_ORDER place
+        lists = [None] * len(SUITE_ORDER)
+
+        def run(k: int) -> None:
+            lists[k] = _SUITES[SUITE_ORDER[k]](cfg)
+
+        _run_blocks(len(SUITE_ORDER), run, len(SUITE_ORDER))
+        return [rep for reports in lists for rep in reports]
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; valid: {', '.join(suite_names())}")
     return _SUITES[name](cfg)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -328,6 +329,25 @@ def test_every_dimension_reads_one_scan(phi):
         assert rep.value == signed[-1] ** ndim
         assert rep.moduli_value == moduli[-1] ** ndim
         assert (rep.verdict, rep.trace, rep.cross_wavelet) == (one.verdict, one.trace, one.cross_wavelet)
+
+
+def test_a_key_missed_by_two_threads_at_once_is_scanned_once():
+    admissibility._scan.cache_clear()
+    meet = threading.Barrier(2)
+    reports = []
+
+    def ask():
+        meet.wait(timeout=30)
+        reports.append(cross_admissibility(MEX, DOG4, 0.7, scan=COARSE_SCAN))
+
+    threads = [threading.Thread(target=ask) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    info = admissibility_cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert len(reports) == 2 and reports[0] == reports[1]
 
 
 def test_memo_is_bounded_and_counts_misses():

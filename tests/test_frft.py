@@ -3,9 +3,14 @@ fast/direct routes and exact dispatch."""
 
 from __future__ import annotations
 
+import json
 import math
 import os
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,6 +252,164 @@ def test_direct_block_error_in_a_helper_reaches_the_caller(monkeypatch):
         frft_direct(f, 0.9)
     # raised after the join
     assert helpers and not any(thread.is_alive() for thread in helpers)
+
+
+def _free_helper_slots() -> int:
+    return frft_module._WORKERS - 1 - frft_module._helpers_busy
+
+
+def _nested_blocks(inner) -> None:
+    # 4 outer blocks, each running 8 inner ones on every helper it can get
+    frft_module._run_blocks(4, lambda k: frft_module._run_blocks(8, lambda j: inner(k, j), 8), 4)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_nested_block_runs_never_have_more_busy_threads_than_cpus(workers, monkeypatch):
+    monkeypatch.setattr(frft_module, "_WORKERS", workers)
+    lock = threading.Lock()
+    inside, most, done = 0, 0, []
+
+    def inner(k, j):
+        nonlocal inside, most
+        with lock:
+            inside += 1
+            most = max(most, inside)
+        time.sleep(0.002)
+        with lock:
+            inside -= 1
+            done.append((k, j))
+
+    _nested_blocks(inner)
+    assert sorted(done) == [(k, j) for k in range(4) for j in range(8)]
+    assert 1 < most <= workers
+    assert _free_helper_slots() == workers - 1
+
+
+def test_helper_slots_are_free_again_after_a_nested_block_raises(monkeypatch):
+    monkeypatch.setattr(frft_module, "_WORKERS", 3)
+
+    def inner(k, j):
+        time.sleep(0.001)
+        if (k, j) == (2, 5):
+            raise ArithmeticError("inner block failed")
+
+    with pytest.raises(ArithmeticError, match="inner block failed"):
+        _nested_blocks(inner)
+    assert _free_helper_slots() == 2
+
+
+def _one_block_per_thread(on_caller, on_helper):
+    """work for _run_blocks(2, ...) with two threads: the caller's block
+    waits until the helper has taken the other one, so each thread runs
+    one; on_helper gets the helper's Thread and on_caller waits on it."""
+    helper = []
+    taken = threading.Event()
+
+    def work(k):
+        if threading.current_thread() is threading.main_thread():
+            taken.wait(timeout=30)
+            on_caller(helper[0])
+        else:
+            helper.append(threading.current_thread())
+            taken.set()
+            on_helper(helper[0])
+
+    return work
+
+
+def test_no_block_starts_once_one_has_raised(monkeypatch):
+    monkeypatch.setattr(frft_module, "_WORKERS", 2)
+    ran = []
+
+    def fail(thread):
+        raise ArithmeticError("block failed on the helper")
+
+    first_two = _one_block_per_thread(lambda thread: thread.join(timeout=30), fail)
+    # the caller's block returns once the helper has raised and stopped
+    with pytest.raises(ArithmeticError, match="on the helper"):
+        frft_module._run_blocks(6, lambda k: first_two(k) if k < 2 else ran.append(k), 2)
+    assert ran == []
+
+
+def test_a_waiting_caller_lends_its_cpu_to_a_helpers_nested_blocks(monkeypatch):
+    monkeypatch.setattr(frft_module, "_WORKERS", 2)
+    lock = threading.Lock()
+    inside, most = 0, 0
+
+    def inner(j):
+        nonlocal inside, most
+        with lock:
+            inside += 1
+            most = max(most, inside)
+        time.sleep(0.002)
+        with lock:
+            inside -= 1
+
+    def nested(thread):
+        # the caller, with no block left, waits on this helper and lends its CPU
+        deadline = time.monotonic() + 30
+        while _free_helper_slots() != 1 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        frft_module._run_blocks(8, inner, 8)
+
+    frft_module._run_blocks(2, _one_block_per_thread(lambda thread: None, nested), 2)
+    assert most == 2
+    assert _free_helper_slots() == 1
+
+
+# a 2-D direct transform whose axes both split into row blocks, against the
+# whole-matrix formula, in a process with OpenBLAS at one thread: the bits
+# of a matrix operand's products depend on OpenBLAS's thread count
+_SPLIT_2D = """
+import collections, json, math, sys
+import numpy as np
+from frwt import frft
+from frwt.grid import AxisSpec, Grid, axis_centered
+from conftest import random_smooth_signal
+from oracles import dense_direct_apply
+
+rows, cols, step, block_bytes = int(sys.argv[1]), int(sys.argv[2]), float(sys.argv[3]), int(sys.argv[4])
+frft._KERNEL_BLOCK_BYTES = block_bytes
+g = Grid((axis_centered(step, rows), AxisSpec(-5.0, step, cols)))
+f = random_smooth_signal(g, seed=g.size)
+blocks = collections.Counter()
+real_cis = frft._cis
+
+def cis(phase):
+    blocks[phase.shape[1]] += 1
+    return real_cis(phase)
+
+frft._cis = cis
+equal = []
+for alpha in (0.3, 0.9, math.pi / 2, 2.2, -0.7):
+    out = frft.frft_direct(f, alpha)
+    equal.append(bool(np.array_equal(out.values, dense_direct_apply(f.values, g, alpha, out.grid.axis_points()))))
+print(json.dumps({"equal": equal, "blocks": [blocks[rows] // 5, blocks[cols] // 5]}))
+"""
+
+
+@pytest.mark.parametrize(
+    "rows,cols,step,block_bytes,blocks",
+    [
+        # a floor of 55 rows, the fewest whose kernel block reaches numpy's
+        # 256 KiB threshold for evaluating `c1 * <temporary>` in place
+        (300, 280, 0.04, 16 * 55 * 300, [5, 4]),
+        (600, 500, 0.02, frft_module._KERNEL_BLOCK_BYTES, [5, 3]),
+    ],
+    ids=["300x280-55-rows", "600x500"],
+)
+def test_split_2d_direct_blocks_are_bit_identical_to_dense_kernel_at_one_openblas_thread(
+    rows, cols, step, block_bytes, blocks
+):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root / "tests"), env.get("PYTHONPATH", "")])
+    argv = [sys.executable, "-c", _SPLIT_2D, str(rows), str(cols), str(step), str(block_bytes)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout)
+    assert found["blocks"] == blocks
+    assert found["equal"] == [True] * 5
 
 
 @pytest.mark.skipif(frft_module._openblas_thread_calls() is None, reason="numpy's OpenBLAS exports no thread calls")

@@ -1,0 +1,79 @@
+"""`run_suite("all")` runs the nine suites as concurrent blocks: its
+records, their order, the scan memo's counts and the failure it reports
+are those of the suites run one after another."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
+import pytest
+
+from frwt import admissibility, frft, verify
+from frwt.admissibility import admissibility_cache_info
+from frwt.cli import main
+from frwt.verify import SUITE_ORDER, run_suite
+
+
+@pytest.fixture(scope="module")
+def all_from_a_cleared_memo():
+    admissibility._scan.cache_clear()
+    reports = run_suite("all")
+    return reports, admissibility_cache_info()
+
+
+def test_all_equals_the_suites_run_alone(all_from_a_cleared_memo):
+    reports, _ = all_from_a_cleared_memo
+    alone = [rep for name in SUITE_ORDER for rep in run_suite(name)]
+    assert [rep.to_json() for rep in reports] == [rep.to_json() for rep in alone]
+
+
+def test_all_reads_the_scan_memo_the_same_way_every_pass(all_from_a_cleared_memo):
+    # 4 distinct scans, each asked for again whichever lane asks first
+    _, info = all_from_a_cleared_memo
+    assert (info.misses, info.hits) == (4, 16)
+
+
+def test_two_verify_all_processes_print_the_same_records():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), env.get("PYTHONPATH", "")])
+    argv = [sys.executable, "-m", "frwt.cli", "verify", "all"]
+    procs = [subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env) for _ in range(2)]
+    (out_a, err_a), (out_b, err_b) = (proc.communicate() for proc in procs)
+    assert [proc.returncode for proc in procs] == [0, 0], err_a + err_b
+    assert len(out_a.splitlines()) == 29
+    assert out_a == out_b
+
+
+def test_the_earlier_of_two_failing_suites_is_reported(monkeypatch, capsys):
+    # two lanes even on one CPU; the later suite raises first, and no
+    # suite starts once it has
+    monkeypatch.setattr(frft, "_WORKERS", 2)
+    later_raised = threading.Event()
+    ran = []
+
+    def earlier(cfg):
+        later_raised.wait(timeout=30)
+        time.sleep(0.1)
+        raise ValueError("parseval broke")
+
+    def later(cfg):
+        try:
+            raise ArithmeticError("additivity broke")
+        finally:
+            later_raised.set()
+
+    monkeypatch.setitem(verify._SUITES, "parseval", earlier)
+    monkeypatch.setitem(verify._SUITES, "additivity", later)
+    for name in SUITE_ORDER[2:]:
+        monkeypatch.setitem(verify._SUITES, name, lambda cfg, name=name: ran.append(name) or [])
+    assert main(["verify", "all"]) == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "suite error: all: ValueError: parseval broke\n"
+    assert ran == []
