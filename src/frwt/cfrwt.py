@@ -400,27 +400,32 @@ def plancherel_check(
     admissibility-scaled signal energy, both at the field's order.
 
     The reported ratio tends to one from below as the scale range widens;
-    details carry the top-octave share and, in one dimension, the ratio
-    predicted by the scale-truncated coverage of the signal's spectrum.
+    details carry the admissibility constant, the coefficient energy and
+    the top-octave share.
     """
-    order = coeffs.order
     adm, mod = _field_normalizer(coeffs, f, coeffs, f, scan)
     energy = coeffs.energy()
     lhs = energy * mod
     rhs = adm.value.real * l2_norm(f) ** 2
     ratio = _ratio(lhs, rhs)
-    details: dict = {
+    details = {
         "admissibility": adm.value.real,
         "coefficient_energy": energy,
         "last_octave_fraction": coeffs.last_octave_fraction(),
     }
-    if f.ndim == 1:
-        spectrum = frft_fast(f, order)
-        coverage = truncated_coverage(coeffs.wavelet, order, coeffs.scales, spectrum.grid)
-        weighted = spectrum.grid.weights() * np.abs(spectrum.values) ** 2
-        details["predicted_ratio"] = float(_ratio(np.sum(weighted * coverage), adm.value.real * np.sum(weighted)))
     tolerance = 0.05
     return VerificationReport("plancherel_ratio", lhs, rhs, ratio, tolerance, abs(ratio - 1.0) <= tolerance, details)
+
+
+def _predicted_plancherel_ratio(coeffs: CfrwtCoefficients, f: SampledSignal, admissibility: float) -> float:
+    """The plancherel_check ratio of the 1-D field coeffs of f that the
+    scale-truncated coverage of f's spectrum predicts; admissibility is
+    the field's wavelet constant at its order, as plancherel_check reports
+    it."""
+    spectrum = frft_fast(f, coeffs.order)
+    coverage = truncated_coverage(coeffs.wavelet, coeffs.order, coeffs.scales, spectrum.grid)
+    weighted = spectrum.grid.weights() * np.abs(spectrum.values) ** 2
+    return float(_ratio(np.sum(weighted * coverage), admissibility * np.sum(weighted)))
 
 
 def inner_product_relation_check(

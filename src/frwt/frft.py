@@ -191,35 +191,11 @@ def _openblas_thread_calls():
     return get, put
 
 
-# helper threads doing block work now, less one for each caller that waits
-# on its helpers and so lends its CPU: kept at most _WORKERS - 1, so that
-# with the thread that made the outermost call at most _WORKERS threads do
-# block work at once (see _run_blocks)
-_helpers_busy = 0
-_helpers_changed = threading.Condition()
-
-
-def _adjust_helpers(change: int, wanted: int = 0) -> int:
-    """Add change to _helpers_busy, then take up to wanted of the free
-    helper slots; the number taken is returned."""
-    global _helpers_busy
-    with _helpers_changed:
-        _helpers_busy += change
-        taken = max(0, min(wanted, _WORKERS - 1 - _helpers_busy))
-        _helpers_busy += taken
-        _helpers_changed.notify_all()
-    return taken
-
-
-def _reclaim_cpu() -> None:
-    """Take back the CPU a caller lent while it waited on its helpers, once
-    one is free."""
-    global _helpers_busy
-    with _helpers_changed:
-        try:
-            _helpers_changed.wait_for(lambda: _helpers_busy < _WORKERS - 1)
-        finally:
-            _helpers_busy += 1
+# one permit for each CPU beyond the first: a helper thread holds one while
+# it does block work, and a caller gives its own CPU back while it waits on
+# its helpers, so with the thread that made the outermost call at most
+# _WORKERS threads do block work at once (see _run_blocks)
+_cpu_permits = threading.Semaphore(_WORKERS - 1)
 
 
 def _run_blocks(blocks: int, work, workers: int) -> None:
@@ -227,19 +203,21 @@ def _run_blocks(blocks: int, work, workers: int) -> None:
     up to workers - 1 helper threads that take the indices in order from
     one shared counter.  The calls must not depend on one another.
 
-    Helpers come only from free slots, so at most _WORKERS threads do
-    block work at any time however the calls nest: a call that finds none
-    free runs its blocks serially, each helper frees its slot as it ends,
-    and a caller lends its own CPU while it waits on its helpers.  While
-    helpers run, OpenBLAS is held to one thread, so a block's contraction
-    does not start threads of its own on CPUs the blocks already use; its
-    previous count is restored afterwards.
+    Each helper holds a CPU permit, taken without waiting, so at most
+    _WORKERS threads do block work at any time however the calls nest: a
+    call that finds none free runs its blocks serially, and a caller lends
+    its own CPU while it waits on its helpers.  While helpers run, OpenBLAS
+    is held to one thread, so a block's contraction does not start threads
+    of its own on CPUs the blocks already use; its previous count is
+    restored afterwards.
 
     Once a call has raised, no further index is handed out, and the
     exception of the lowest failing index is re-raised here once every
     helper has stopped: the one a serial loop would have raised.
     """
-    helpers = _adjust_helpers(0, min(workers, blocks) - 1)
+    helpers = 0
+    while helpers < min(workers, blocks) - 1 and _cpu_permits.acquire(blocking=False):
+        helpers += 1
     if not helpers:
         for k in range(blocks):
             work(k)
@@ -268,7 +246,16 @@ def _run_blocks(blocks: int, work, workers: int) -> None:
         try:
             drain()
         finally:
-            _adjust_helpers(-1)
+            _cpu_permits.release()
+
+    def uninterrupted(wait) -> None:
+        # an interrupt stops the hand-out of blocks, and the wait goes on
+        while True:
+            try:
+                wait()
+                return
+            except BaseException as exc:
+                fail(-1, exc)
 
     calls = _openblas_thread_calls()
     previous = calls[0]() if calls else 1
@@ -283,17 +270,15 @@ def _run_blocks(blocks: int, work, workers: int) -> None:
         drain()
     except BaseException as exc:  # a helper that did not start, or an interrupt
         fail(-1, exc)
-    # the slots of helpers that never started, and the caller's own CPU
-    _adjust_helpers(len(threads) - helpers - 1)
-    for thread in threads:
-        while thread.is_alive():
-            try:
-                thread.join()
-            except BaseException as exc:  # an interrupt: stop handing out blocks
-                fail(-1, exc)
-    _reclaim_cpu()
-    if previous != 1:
-        calls[1](previous)
+    try:
+        # the permits of helpers that never started, and the caller's own CPU
+        _cpu_permits.release(helpers - len(threads) + 1)
+        for thread in threads:
+            uninterrupted(thread.join)
+    finally:
+        if previous != 1:
+            calls[1](previous)
+        uninterrupted(_cpu_permits.acquire)
     if failures:
         raise failures[min(failures)]
 
@@ -337,7 +322,7 @@ def _direct_apply(values: np.ndarray, grid: Grid, order: TransformOrder,
             kernel = c1 * _cis(phase)
             res[rows] = np.tensordot(kernel, moved, axes=(1, 0))
 
-        _run_blocks(blocks, apply_block, _WORKERS if moved.ndim == 1 else 1)
+        _run_blocks(blocks, apply_block, blocks if moved.ndim == 1 else 1)
         out = np.moveaxis(res, 0, axis)
     return out
 

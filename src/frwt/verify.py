@@ -15,6 +15,7 @@ import numpy as np
 from .admissibility import admissibility_constant
 from .cfrwt import (
     CfrwtCoefficients,
+    _predicted_plancherel_ratio,
     cfrwt_fast,
     plancherel_check,
     range_membership_residual,
@@ -200,6 +201,9 @@ def _suite_plancherel(cfg: RunConfig) -> list[VerificationReport]:
     scales = cfg.scale_grid()
     coeffs = cfrwt_fast(f, mex, cfg.alpha, scales)
     default_range = plancherel_check(coeffs, f, scan=scan)
+    default_range.details["predicted_ratio"] = _predicted_plancherel_ratio(
+        coeffs, f, default_range.details["admissibility"]
+    )
     reports.append(_meta(default_range, grid))
 
     # nested scale ranges, ending with the default range checked above

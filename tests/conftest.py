@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
+from frwt import frft
 from frwt.grid import Grid, axis_centered, sample
 from frwt.verify import _fixture as random_smooth_signal  # noqa: F401  (imported by test modules)
 
@@ -16,3 +19,10 @@ def grid_256():
 @pytest.fixture
 def gaussian_256(grid_256):
     return sample(grid_256, lambda t: np.exp(-(t**2) / 2))
+
+
+def set_workers(monkeypatch, workers: int) -> None:
+    """Run frft's block runner as on a host of `workers` CPUs: the CPU
+    count and its permits change together."""
+    monkeypatch.setattr(frft, "_WORKERS", workers)
+    monkeypatch.setattr(frft, "_cpu_permits", threading.Semaphore(workers - 1))

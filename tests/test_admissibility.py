@@ -252,13 +252,19 @@ def test_factored_sum_matches_dense_quadrature(name, alpha, points, monkeypatch)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+# every self pair, and a real profile against a complex one both ways: there
+# the unit-modulus factor of a real profile's negative side does not cancel
+SCAN_PAIRS = [(name, name) for name in sorted(CATALOG)] + [("mexican_hat", "morlet"), ("morlet", "mexican_hat")]
+
+
 @pytest.mark.parametrize("alpha", FIVE_ORDERS)
-@pytest.mark.parametrize("name", sorted(CATALOG))
-def test_one_sided_scan_matches_two_sided(name, alpha, monkeypatch):
+@pytest.mark.parametrize("pair", SCAN_PAIRS, ids=[phi if phi == psi else f"{phi}/{psi}" for phi, psi in SCAN_PAIRS])
+def test_one_sided_scan_matches_two_sided(pair, alpha, monkeypatch):
     """Real profiles take the negative side of the scan from the positive
     one; the scan matches one that evaluates both sides, and only morlet
     still calls fractional_spectrum twice."""
-    psi = get_wavelet(name)
+    phi, psi = (get_wavelet(name) for name in pair)
+    profiles = set(pair)
     order = TransformOrder(alpha)
     calls = []
 
@@ -268,11 +274,12 @@ def test_one_sided_scan_matches_two_sided(name, alpha, monkeypatch):
 
     scan = admissibility._scan.__wrapped__
     monkeypatch.setattr(admissibility, "fractional_spectrum", counted)
-    signed, moduli, _ = scan(psi, psi, order, COARSE_SCAN)
-    assert len(calls) == (2 if name == "morlet" else 1)
+    signed, moduli, _ = scan(phi, psi, order, COARSE_SCAN)
+    one_sided = len(profiles) + ("morlet" in profiles)
+    assert len(calls) == one_sided
     monkeypatch.setattr(admissibility, "_both_sides", lambda p, o, x: (counted(p, o, x), counted(p, o, -x)))
-    signed_two, moduli_two, _ = scan(psi, psi, order, COARSE_SCAN)
-    assert len(calls) == (4 if name == "morlet" else 3)
+    signed_two, moduli_two, _ = scan(phi, psi, order, COARSE_SCAN)
+    assert len(calls) == one_sided + 2 * len(profiles)
     assert admissibility._verdict(moduli) == admissibility._verdict(moduli_two)
     np.testing.assert_allclose(moduli, moduli_two, rtol=1e-14, atol=0)
     np.testing.assert_allclose(signed, signed_two, rtol=1e-14, atol=0)

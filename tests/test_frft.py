@@ -31,7 +31,7 @@ from frwt.frft import (
 )
 from frwt.grid import AxisSpec, Grid, SampledSignal, axis_centered, l1_norm, l2_norm, sample
 
-from conftest import random_smooth_signal
+from conftest import random_smooth_signal, set_workers
 from oracles import brute_kernel_transform, classical_unitary_ft, dense_direct_apply
 
 # |c(pi/4)| = 2**0.25 / sqrt(2*pi), computed in closed form
@@ -197,7 +197,7 @@ THREADED_IDS = ["1200", "300x280"]
 def _direct_outputs(axes, block_bytes, monkeypatch, workers):
     if block_bytes is not None:
         monkeypatch.setattr(frft_module, "_KERNEL_BLOCK_BYTES", block_bytes)
-    monkeypatch.setattr(frft_module, "_WORKERS", workers)
+    set_workers(monkeypatch, workers)
     g = Grid(axes)
     f = random_smooth_signal(g, seed=g.size)
     return [frft_direct(f, alpha).values for alpha in (0.9, 2.2, -0.7)]
@@ -245,7 +245,7 @@ def test_direct_block_error_in_a_helper_reaches_the_caller(monkeypatch):
         helper_failed.set()
         raise ArithmeticError("block failed on a helper")
 
-    monkeypatch.setattr(frft_module, "_WORKERS", 2)
+    set_workers(monkeypatch, 2)
     monkeypatch.setattr(frft_module, "_cis", cis)
     f = random_smooth_signal(Grid((axis_centered(0.01, 1024),)), seed=3)
     with pytest.raises(ArithmeticError, match="on a helper"):
@@ -255,7 +255,13 @@ def test_direct_block_error_in_a_helper_reaches_the_caller(monkeypatch):
 
 
 def _free_helper_slots() -> int:
-    return frft_module._WORKERS - 1 - frft_module._helpers_busy
+    permits = frft_module._cpu_permits
+    free = 0
+    while permits.acquire(blocking=False):
+        free += 1
+    if free:
+        permits.release(free)
+    return free
 
 
 def _nested_blocks(inner) -> None:
@@ -265,7 +271,7 @@ def _nested_blocks(inner) -> None:
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_nested_block_runs_never_have_more_busy_threads_than_cpus(workers, monkeypatch):
-    monkeypatch.setattr(frft_module, "_WORKERS", workers)
+    set_workers(monkeypatch, workers)
     lock = threading.Lock()
     inside, most, done = 0, 0, []
 
@@ -286,7 +292,7 @@ def test_nested_block_runs_never_have_more_busy_threads_than_cpus(workers, monke
 
 
 def test_helper_slots_are_free_again_after_a_nested_block_raises(monkeypatch):
-    monkeypatch.setattr(frft_module, "_WORKERS", 3)
+    set_workers(monkeypatch, 3)
 
     def inner(k, j):
         time.sleep(0.001)
@@ -318,7 +324,7 @@ def _one_block_per_thread(on_caller, on_helper):
 
 
 def test_no_block_starts_once_one_has_raised(monkeypatch):
-    monkeypatch.setattr(frft_module, "_WORKERS", 2)
+    set_workers(monkeypatch, 2)
     ran = []
 
     def fail(thread):
@@ -332,7 +338,7 @@ def test_no_block_starts_once_one_has_raised(monkeypatch):
 
 
 def test_a_waiting_caller_lends_its_cpu_to_a_helpers_nested_blocks(monkeypatch):
-    monkeypatch.setattr(frft_module, "_WORKERS", 2)
+    set_workers(monkeypatch, 2)
     lock = threading.Lock()
     inside, most = 0, 0
 
@@ -422,7 +428,7 @@ def test_direct_route_holds_openblas_to_one_thread_and_restores_it(monkeypatch):
         seen.append(get_threads())
         return real_cis(phase)
 
-    monkeypatch.setattr(frft_module, "_WORKERS", 2)
+    set_workers(monkeypatch, 2)
     monkeypatch.setattr(frft_module, "_cis", cis)
     before = get_threads()
     # a count other than one, so that a count left at one shows
@@ -434,6 +440,36 @@ def test_direct_route_holds_openblas_to_one_thread_and_restores_it(monkeypatch):
         set_threads(before)
     assert after == 2
     assert seen and set(seen) == {1}
+
+
+@pytest.mark.skipif(frft_module._openblas_thread_calls() is None, reason="numpy's OpenBLAS exports no thread calls")
+def test_an_interrupt_while_the_caller_takes_its_cpu_back_restores_openblas_and_the_permits(monkeypatch):
+    get_threads, set_threads = frft_module._openblas_thread_calls()
+    set_workers(monkeypatch, 2)
+    permits = frft_module._cpu_permits
+    real_acquire = permits.acquire
+    interrupted = []
+
+    def acquire(blocking=True, timeout=None):
+        # the one blocking acquire: the caller's, once its helper has stopped
+        if blocking and not interrupted:
+            interrupted.append(True)
+            raise KeyboardInterrupt
+        return real_acquire(blocking, timeout)
+
+    monkeypatch.setattr(permits, "acquire", acquire)
+    free = _free_helper_slots()
+    before = get_threads()
+    set_threads(2)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            frft_module._run_blocks(4, lambda k: time.sleep(0.001), 2)
+        after = get_threads()
+    finally:
+        set_threads(before)
+    assert interrupted
+    assert after == 2
+    assert _free_helper_slots() == free
 
 
 def test_direct_route_without_openblas_thread_calls_is_unchanged(monkeypatch):

@@ -74,9 +74,12 @@ RULES = [
     ("struct unpack", re.compile(r"\.unpack\("), {("io.py", "take")}),
     # the file readers leave every axis and grid check to AxisSpec and Grid
     ("axis from a file", re.compile(r"\bAxisSpec\("), {("io.py", "_grid")}, "io.py"),
-    # one concurrency site: the direct route's row blocks, with OpenBLAS's
-    # thread count looked up in one place
+    # one concurrency site: the block runner, which runs the direct route's
+    # row blocks and `verify all`'s suites; only it starts helper threads and
+    # takes or gives CPU permits, and OpenBLAS's thread count is looked up
+    # in one place
     ("helper thread", re.compile(r"\bthreading\.Thread\("), {("frft.py", "_run_blocks")}),
+    ("CPU permit", re.compile(r"\b_cpu_permits\."), {("frft.py", "_run_blocks")}),
     ("OpenBLAS lookup", re.compile(r"\bctypes\.CDLL\(|scipy_openblas_"), {("frft.py", "_openblas_thread_calls")}),
     # a coefficient field carries its wavelet, so only the synthesis entry,
     # which is handed the analysing wavelet again, compares the two

@@ -13,10 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from frwt import admissibility, frft, verify
+from frwt import admissibility, verify
 from frwt.admissibility import admissibility_cache_info
 from frwt.cli import main
 from frwt.verify import SUITE_ORDER, run_suite
+
+from conftest import set_workers
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +55,7 @@ def test_two_verify_all_processes_print_the_same_records():
 def test_the_earlier_of_two_failing_suites_is_reported(monkeypatch, capsys):
     # two lanes even on one CPU; the later suite raises first, and no
     # suite starts once it has
-    monkeypatch.setattr(frft, "_WORKERS", 2)
+    set_workers(monkeypatch, 2)
     later_raised = threading.Event()
     ran = []
 
