@@ -51,6 +51,7 @@ from .cfrwt import (
     range_membership_residual,
     reconstruct,
     reproducing_kernel,
+    tap_cache_info,
     truncated_coverage,
 )
 from .uncertainty import (

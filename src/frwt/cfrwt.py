@@ -7,21 +7,40 @@ Two evaluation routes exist: a direct route building per-scale profile
 matrices (the quadratic-cost oracle) and a fast route that realizes the
 same discrete sums through padded FFT correlations.  Both routes share
 the quadrature weights, so they agree to rounding, not merely to
-discretization order.  The fast route's tap spectra depend only on the
-wavelet, the grid and the scales, so a small memo keeps the recent ones
-for a stream of signals.
+discretization order.
 
-A fast pass, analysis or synthesis, runs from one chunk plan: the scale
-vectors in chunks of the shared row-block rule (frft._row_blocks, one
-row per scale vector's largest padded intermediate), at most two reused
-padded buffers, and each axis's lag FFT length.  Every axis of a chunk
-is then one padded FFT convolution (frft._fft_convolve).
+The fast route's taps depend only on the wavelet, the grid axis and one
+scale component.  The lags are symmetric, so the taps of -a are those
+of +a reversed, bit for bit: the profile is evaluated once per
+magnitude, and an even profile's palindromic row serves both signs with
+one spectrum (an odd profile's two rows are kept apart, since negation
+need not keep the sign of an exact zero).  A small memo keeps these
+tables for a stream of signals, one entry per run of an axis's distinct
+magnitudes, each at most frft._CHUNK_BYTES (the row-block budget), so a
+second pass over the same grid and scales recomputes nothing while at
+most _TAP_CACHE_SIZE tables are in play.
 
-Synthesis integrates over the scale vectors as well.  The DFT is linear,
-so reconstruct adds the scale vectors' padded spectra along the last grid
-axis, in scale order, and inverts that sum once per call instead of once
-per scale vector; the result does not depend on how the scale vectors
-are chunked.
+A fast pass, analysis or synthesis, runs from one chunk plan: blocks of
+the shared row-block rule (frft._row_blocks, one row per scale vector's
+largest padded intermediate), at most two reused padded buffers, and
+each axis's lag FFT length.  Every axis is then one padded FFT
+convolution (frft._fft_convolve) whose kernel rows are slices of the
+tap tables.
+
+Analysis computes each distinct row once.  A coefficient row depends on
+the scale vector only through its tap row on each axis, and the axis-k
+stage only through the rows of axes 1..k, so axis k runs once per
+distinct prefix of tap rows, on its parent prefix's row.  Each distinct
+coefficient row is normalized and chirped into the first of its scale
+vectors' slots and copied into the others: with both signs, an even
+wavelet's 2-D pass over 16 x 16 signed scale vectors runs 8 + 64 rows,
+not 2 x 256.  The blocks hold distinct rows, not scale vectors.
+
+Synthesis integrates over the scale vectors as well, one row per scale
+vector.  The DFT is linear, so reconstruct adds the scale vectors'
+padded spectra along the last grid axis, in scale order, and inverts
+that sum once per call instead of once per scale vector; the result
+does not depend on how the scale vectors are chunked.
 """
 
 from __future__ import annotations
@@ -56,12 +75,13 @@ __all__ = [
     "reproducing_kernel",
     "kernel_projection",
     "range_membership_residual",
+    "tap_cache_info",
     "truncated_coverage",
 ]
 
 CROSS_ZERO_TOL = 1e-8
 
-# chunks of tap spectra kept (each at most frft._CHUNK_BYTES)
+# tap spectrum tables kept (each at most frft._CHUNK_BYTES)
 _TAP_CACHE_SIZE = 8
 
 
@@ -160,22 +180,148 @@ def cfrwt_direct(
 
 
 @functools.lru_cache(maxsize=_TAP_CACHE_SIZE)
-def _tap_spectrum(psi: WaveletSpec, analysis: bool, step: float, n: int, pad: int, a_col: bytes) -> np.ndarray:
-    """Read-only length-pad FFT of one axis's lag taps, one row per scale
-    component.
+def _tap_spectrum(
+    psi: WaveletSpec, analysis: bool, step: float, n: int, pad: int, cap: int, mags: bytes
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only table of length-pad lag-tap FFTs for a run of ascending
+    scale magnitudes on one axis, one row per distinct tap row, and the
+    table rows of -m and +m for each magnitude m it covers.
 
     Taps are psi(x) for synthesis and conj(psi(-x)) for analysis, at
     x = lag step / a over lags -(n - 1)..n - 1.  They depend on neither
     the signal nor the order, so a stream of signals on one grid and
-    scale set computes them once.
+    scale set computes them once.  The lags are symmetric, so the taps of
+    -m are those of +m reversed, bit for bit: the profile is evaluated
+    once per magnitude.  A palindromic row serves both signs with one
+    spectrum; any other row gets one spectrum per sign.  (An odd
+    profile's -m row is the negated +m row, but negation need not keep
+    the sign of an exact zero, so it is not shared.)
+
+    The table covers the leading magnitudes whose rows fit in cap rows
+    (at least one magnitude), so len(rows) says how far it reaches.  The
+    -m rows of its own come first, in descending magnitude, then the +m
+    rows in ascending magnitude: a signed scale axis in ascending order
+    reads the table as one or two strided runs.
     """
     lags = np.arange(-(n - 1), n) * step
-    x = lags[None, :] / np.frombuffer(a_col)[:, None]
-    # sum_j chi_j conj(psi((j - k) dt / a)) is a lag sum against conj(psi(-x))
-    taps = np.conj(psi.profile(-x)) if analysis else psi.profile(x)
-    out = np.fft.fft(taps, n=pad, axis=1)
-    out.flags.writeable = False
-    return out
+    plus, odd, count = [], [], 0
+    for m in np.frombuffer(mags).tolist():
+        # one magnitude at a time keeps the profile's temporaries small
+        # enough to be reused; sum_j chi_j conj(psi((j - k) dt / a)) is a
+        # lag sum against conj(psi(-x))
+        taps = np.conj(psi.profile(-(lags / m))) if analysis else psi.profile(lags / m)
+        palindrome = np.array_equal(taps, taps[::-1])
+        count += 1 if palindrome else 2
+        if plus and count > cap:
+            break
+        plus.append(taps)
+        odd.append(not palindrome)
+    own = np.flatnonzero(odd)[::-1]
+    rows = np.empty((len(plus), 2), dtype=np.intp)
+    rows[:, 1] = np.arange(own.size, own.size + len(plus))
+    rows[:, 0] = rows[:, 1]
+    rows[own, 0] = np.arange(own.size)
+    table = np.empty((own.size + len(plus), pad), dtype=np.complex128)
+    for (minus, positive), taps in zip(rows, plus):
+        table[minus, : 2 * n - 1] = taps[::-1]
+        table[positive, : 2 * n - 1] = taps
+    table[:, 2 * n - 1 :] = 0.0
+    np.fft.fft(table, axis=1, out=table)
+    table.flags.writeable = False
+    rows.flags.writeable = False
+    return table, rows
+
+
+def tap_cache_info():
+    """Named tuple (hits, misses, maxsize, currsize) of the tap spectrum
+    memo; currsize counts its entries, each at most frft._CHUNK_BYTES."""
+    return _tap_spectrum.cache_info()
+
+
+def _tap_rows(
+    psi: WaveletSpec, analysis: bool, axis: AxisSpec, pad: int, col: np.ndarray
+) -> tuple[list[np.ndarray], int, np.ndarray]:
+    """The tap spectrum tables of one grid axis for the scale components
+    col, the most rows a table holds, width, and the id table * width +
+    row of each component's tap row; equal ids are equal tap rows.
+
+    The distinct magnitudes of col, ascending, are cut into the runs that
+    _tap_spectrum covers, each table as many rows as fit _CHUNK_BYTES.
+    """
+    mags = np.abs(col)
+    ranked = np.sort(mags)
+    distinct = ranked[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
+    # no more rows than the distinct magnitudes can need
+    cap = _row_blocks(2 * distinct.size, pad)[0].stop
+    tables, maps, lo = [], [], 0
+    while lo < distinct.size:
+        table, rows = _tap_spectrum(psi, analysis, axis.step, axis.count, pad, cap, distinct[lo : lo + cap].tobytes())
+        tables.append(table)
+        maps.append(rows)
+        lo += len(rows)
+    width = max(len(table) for table in tables)
+    ids = np.concatenate([rows + k * width for k, rows in enumerate(maps)])
+    return tables, width, ids[distinct.searchsorted(mags), (col > 0).view(np.int8)]
+
+
+def _runs(fixed: np.ndarray | None, *stepped: np.ndarray) -> list[tuple[int, int]]:
+    """Maximal position runs (lo, hi) over which fixed, if given, stays
+    constant and every sequence in stepped moves by one stride, so that a
+    run is one basic slice of each."""
+    size = (stepped[0] if stepped else fixed).size
+    cuts = set() if fixed is None else set((fixed[1:] != fixed[:-1]).nonzero()[0].tolist())
+    bends = set()
+    for seq in stepped:
+        # a bend at j: the stride into j differs from the stride out of it
+        stride = seq[1:] - seq[:-1]
+        bends.update((stride[1:] != stride[:-1]).nonzero()[0].tolist())
+    if not (cuts or bends):
+        return [(0, size)] if size else []
+    cuts = {j + 1 for j in cuts}
+    bends = {j + 1 for j in bends}
+    runs, lo = [], 0
+    for j in sorted(cuts | bends):
+        # a cut at j starts a run there; a bend ends the run after j,
+        # unless the run starts at j
+        if j > lo:
+            end = j if j in cuts else j + 1
+            runs.append((lo, end))
+            lo = end
+    if lo < size:
+        runs.append((lo, size))
+    return runs
+
+
+def _pieces(tables: list[np.ndarray], table_of: np.ndarray, row: np.ndarray) -> list[tuple[slice, np.ndarray]]:
+    """The tap spectra of the rows row of tables table_of, in order, as
+    (positions, spectra) pieces for _fft_convolve, each a basic slice of
+    one table."""
+    return [(slice(a, b), tables[table_of[a]][_span(row, a, b)]) for a, b in _runs(table_of, row)]
+
+
+def _twins(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values of key, ascending, and the first position of
+    each; then every later position of a value, and the first position of
+    its value."""
+    ranked = key.argsort(kind="stable")
+    key = key[ranked]
+    fresh = np.empty(key.size, dtype=bool)
+    fresh[0] = True
+    np.not_equal(key[1:], key[:-1], out=fresh[1:])
+    twin = ~fresh
+    first = ranked[fresh]
+    return key[fresh], first, ranked[twin], first[fresh.cumsum()[twin] - 1]
+
+
+def _span(seq: np.ndarray, lo: int, hi: int) -> slice:
+    """The basic slice of the strided run seq[lo:hi]; a run of one repeated
+    value is that one element, which broadcasts."""
+    first = int(seq[lo])
+    stride = int(seq[lo + 1] - seq[lo]) if hi - lo > 1 else 1
+    if stride == 0:
+        return slice(first, first + 1)
+    stop = first + stride * (hi - lo)
+    return slice(first, stop if stop >= 0 else None, stride)
 
 
 def _chunk_plan(grid: Grid, count: int) -> tuple[list[slice], list[np.ndarray], tuple[int, ...]]:
@@ -185,7 +331,8 @@ def _chunk_plan(grid: Grid, count: int) -> tuple[list[slice], list[np.ndarray], 
     Axis k correlates over lags -(n_k - 1)..n_k - 1, so any FFT length
     pads[k] >= 2 n_k - 1 leaves its n_k central sums unaliased.  A chunk
     holds as many scale vectors as fit _CHUNK_BYTES of their largest
-    padded intermediate.  The buffers, sized for the first (largest)
+    padded intermediate; analysis runs its distinct rows in blocks of the
+    first chunk's length.  The buffers, sized for the first (largest)
     chunk, are one per grid axis, at most two, since each axis reads the
     previous axis's buffer.
     """
@@ -196,38 +343,51 @@ def _chunk_plan(grid: Grid, count: int) -> tuple[list[slice], list[np.ndarray], 
     return chunks, work, pads
 
 
-def _scale_correlate(
+def _axis_correlate(
     values: np.ndarray,
-    grid: Grid,
-    a_block: np.ndarray,
-    psi: WaveletSpec,
-    analysis: bool,
-    work: list[np.ndarray],
-    pads: tuple[int, ...],
+    ax: int,
+    n: int,
+    kernel: list[tuple[slice, np.ndarray]],
+    buf: np.ndarray | None,
     weights: tuple[np.ndarray, ...] = (),
     acc: np.ndarray | None = None,
     invert: bool = True,
 ) -> np.ndarray:
     """Lag sums out[s, .., k, ..] = sum_j values[s, .., j, ..] taps_s[k - j + n - 1]
-    against the taps of psi along every grid axis, one output slice per
-    scale vector s (row) of a_block.
+    along grid axis ax, one output slice per row s of kernel, the tap
+    spectra of that axis as (rows, spectra (rows, pad)) pieces.
 
     values carries a leading scale axis (length one broadcasts against
-    every scale).  Axis ax is one length-pads[ax] FFT convolution in the
-    flat buffer work[ax % 2], which must not hold values; the result is a
-    view into it.  weights multiply values as the first axis pads them;
-    with acc the last axis sums the rows onto acc (see _fft_convolve),
-    and invert says whether to invert it.
+    every kernel row).  The axis is one length-pad FFT convolution in the
+    flat buffer buf, which must not hold values; the result is a view
+    into it.  weights multiply values as they are padded; with acc the
+    rows are summed onto acc (see _fft_convolve), and invert says whether
+    to invert it.
     """
-    for ax, (axis_spec, pad, a_col) in enumerate(zip(grid.axes, pads, a_block.T)):
-        n = axis_spec.count
-        tap_fft = _tap_spectrum(psi, analysis, axis_spec.step, n, pad, a_col.tobytes())
-        taps = [1] * values.ndim
-        taps[0], taps[ax + 1] = tap_fft.shape
+    shape = [-1] + [1] * (values.ndim - 1)
+    shape[ax + 1] = kernel[0][1].shape[1]
+    pieces = [(rows, spectra.reshape(shape)) for rows, spectra in kernel]
+    full = _fft_convolve(values, pieces, (ax + 1,), buf, weights, acc, invert)
+    return full[(slice(None),) * (ax + 1) + (slice(n - 1, 2 * n - 1),)]
+
+
+def _scale_correlate(
+    values: np.ndarray,
+    grid: Grid,
+    kernels: list[list[tuple[slice, np.ndarray]]],
+    work: list[np.ndarray | None],
+    weights: tuple[np.ndarray, ...] = (),
+    acc: np.ndarray | None = None,
+    invert: bool = True,
+) -> np.ndarray:
+    """_axis_correlate along every grid axis in turn, against kernels[ax]
+    on axis ax, in the buffer work[ax % 2].  weights apply on the first
+    axis, acc and invert on the last."""
+    for ax, (axis_spec, kernel) in enumerate(zip(grid.axes, kernels)):
         on_last = ax == grid.ndim - 1
-        full = _fft_convolve(values, tap_fft.reshape(taps), (ax + 1,), work[ax % 2], weights,
-                             acc if on_last else None, invert or not on_last)
-        values = full[(slice(None),) * (ax + 1) + (slice(n - 1, 2 * n - 1),)]
+        values = _axis_correlate(
+            values, ax, axis_spec.count, kernel, work[ax % 2], weights, acc if on_last else None, invert or not on_last
+        )
         weights = ()
     return values
 
@@ -245,20 +405,59 @@ def cfrwt_fast(
     """Coefficients over the signal's own grid via FFT correlations.
 
     Realizes exactly the same discrete sums as cfrwt_direct, at
-    O(N log N) per scale, for any sample counts.
+    O(N log N) per distinct coefficient row, for any sample counts.
     """
     order = _as_order(order)
     _require_same_ndim(f, scales)
+    grid = f.grid
     chi = _chirped_input(f, order)[None]
-    expand = (-1,) + (1,) * f.ndim
-    norms = _scale_norms(scales.vectors).reshape(expand)
-    out = np.empty((scales.count,) + f.grid.shape, dtype=np.complex128)
-    chunks, work, pads = _chunk_plan(f.grid, scales.count)
-    for chunk in chunks:
-        block = _scale_correlate(chi, f.grid, scales.vectors[chunk], psi, True, work, pads)
-        np.divide(block, norms[chunk], out=out[chunk])
-    out *= _chirp(f.grid.radius_sq(), -order.cot)
-    return CfrwtCoefficients(out, f.grid, scales, order, psi)
+    norms = _scale_norms(scales.vectors).reshape((-1,) + (1,) * f.ndim)
+    chirp = _chirp(grid.radius_sq(), -order.cot)
+    out = np.empty((scales.count,) + grid.shape, dtype=np.complex128)
+    chunks, work, pads = _chunk_plan(grid, scales.count)
+    taps = [_tap_rows(psi, True, axis, pad, col) for axis, pad, col in zip(grid.axes, pads, scales.vectors.T)]
+    # a coefficient row is fixed by its tap row ids, one mixed-radix key
+    # per scale vector
+    radix = [width * len(tables) for tables, width, _ in taps]
+    key = taps[0][2]
+    for (_, _, ids), base in zip(taps[1:], radix[1:]):
+        key = key * base + ids
+    distinct, first, twins, twin_of = _twins(key)
+    row_elems = [grid.size // axis.count * pad for axis, pad in zip(grid.axes, pads)]
+    step = chunks[0].stop
+    for lo in range(0, distinct.size, step):
+        block = distinct[lo : lo + step]
+        # chi is the one parent of the first axis
+        parents, opens = [chi], np.zeros(len(block), dtype=bool)
+        opens[0] = True
+        for ax, (axis, (tables, width, _)) in enumerate(zip(grid.axes, taps)):
+            # axis ax runs once per distinct prefix of tap rows through it,
+            # on its parent prefix's row; siblings share one convolution
+            prefix = block // math.prod(radix[ax + 1 :])
+            owner = opens.cumsum() - 1
+            np.not_equal(prefix, np.concatenate(([-1], prefix[:-1])), out=opens)
+            heads = opens.nonzero()[0]
+            owner = owner[heads]
+            table_of, row = np.divmod(prefix[heads] % radix[ax], width)
+            offset, level = 0, []
+            for a, b in _runs(owner):
+                kernel = _pieces(tables, table_of[a:b], row[a:b])
+                level.append(_axis_correlate(parents[owner[a]], ax, axis.count, kernel, work[ax % 2][offset:]))
+                offset += (b - a) * row_elems[ax]
+            if ax < grid.ndim - 1:
+                parents = [rows[i : i + 1] for rows in level for i in range(len(rows))]
+        # each distinct row goes to its first slot, normalized and chirped
+        done = lo
+        for rows in level:
+            slots = first[done : done + len(rows)]
+            for a, b in _runs(None, slots):
+                dst = out[_span(slots, a, b)]
+                np.divide(rows[a:b], norms[_span(slots, a, b)], out=dst)
+                dst *= chirp
+            done += len(rows)
+    for a, b in _runs(None, twin_of, twins):
+        out[_span(twins, a, b)] = out[_span(twin_of, a, b)]
+    return CfrwtCoefficients(out, grid, scales, order, psi)
 
 
 def _admissibility_for(
@@ -488,13 +687,13 @@ def reconstruct(
     b_weights = grid.weights() * _chirp(grid.radius_sq(), order.cot)
     factors = (coeffs.scales.measure_weights() / _scale_norms(vectors)).reshape((-1,) + (1,) * ndim)
     chunks, work, pads = _chunk_plan(grid, coeffs.scales.count)
+    taps = [_tap_rows(phi, False, axis, pad, col) for axis, pad, col in zip(grid.axes, pads, vectors.T)]
     # the running padded spectrum of the scale sum along the last axis
     acc = np.zeros((1,) + grid.shape[:-1] + (pads[-1],), dtype=np.complex128)
     for chunk in chunks:
+        kernels = [_pieces(tables, *np.divmod(ids[chunk], width)) for tables, width, ids in taps]
         weights = (b_weights, factors[chunk])
-        out = _scale_correlate(
-            coeffs.values[chunk], grid, vectors[chunk], phi, False, work, pads, weights, acc, chunk is chunks[-1]
-        )
+        out = _scale_correlate(coeffs.values[chunk], grid, kernels, work, weights, acc, chunk is chunks[-1])
     return SampledSignal(grid, out[0] * (factor * _chirp(grid.radius_sq(), -order.cot)))
 
 

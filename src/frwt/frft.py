@@ -443,7 +443,7 @@ def _next_fast_len(n: int) -> int:
 
 def _fft_convolve(
     operand: np.ndarray,
-    kernel_fft: np.ndarray,
+    kernel_fft: np.ndarray | list[tuple[slice, np.ndarray]],
     axes: tuple[int, ...],
     out: np.ndarray | None = None,
     weights: tuple[np.ndarray, ...] = (),
@@ -455,12 +455,16 @@ def _fft_convolve(
 
     kernel_fft broadcasts against the padded operand; an operand axis of
     length one (a batch of one signal) broadcasts against every kernel
-    row and is transformed once.  weights, factors that broadcast against
-    operand, multiply it as it is written into the padding.  The padded
-    spectrum is formed and inverted in place in out, a flat buffer that
-    must not hold operand, or in a fresh array; the full padded result is
-    returned (a view into out) for the caller to slice.  Reusing one
-    buffer across calls spares a fresh, page-faulting allocation per call.
+    row and is transformed once.  kernel_fft may also be a list of
+    (rows, spectrum) pieces, rows slices that partition axis 0 of the
+    product in order, each spectrum broadcasting against its rows: the
+    operand is still padded and transformed once.  weights, factors that
+    broadcast against operand, multiply it as it is written into the
+    padding.  The padded spectrum is formed and inverted in place in out,
+    a flat buffer that must not hold operand, or in a fresh array; the
+    full padded result is returned (a view into out) for the caller to
+    slice.  Reusing one buffer across calls spares a fresh, page-faulting
+    allocation per call.
 
     With acc, a padded spectrum shaped like one row along axis 0 of the
     product, the product's rows are added onto acc in row order instead,
@@ -469,10 +473,15 @@ def _fft_convolve(
     stream of calls are thus summed in order, whatever the split, and the
     sum is inverted once.
     """
+    pieces = kernel_fft if isinstance(kernel_fft, list) else [(slice(None), kernel_fft)]
+    kernel_shape = pieces[0][1].shape
     shape = list(operand.shape)
     for ax in axes:
-        shape[ax] = kernel_fft.shape[ax]
-    full = np.broadcast_shapes(tuple(shape), kernel_fft.shape)
+        shape[ax] = kernel_shape[ax]
+    if pieces[0][0] == slice(None):
+        full = np.broadcast_shapes(tuple(shape), kernel_shape)
+    else:
+        full = (pieces[-1][0].stop,) + np.broadcast_shapes(tuple(shape[1:]), kernel_shape[1:])
     size = math.prod(full)
     result = (np.empty(size, dtype=np.complex128) if out is None else out[:size]).reshape(full)
     spec = result if tuple(shape) == full else np.empty(shape, dtype=np.complex128)
@@ -491,7 +500,8 @@ def _fft_convolve(
     # per-call overhead
     for ax in reversed(axes):
         np.fft.fft(spec, axis=ax, out=spec)
-    np.multiply(spec, kernel_fft, out=result)
+    for rows, kernel in pieces:
+        np.multiply(spec if spec is not result else spec[rows], kernel, out=result[rows])
     if acc is not None:
         # acc joins the first row, and numpy's reduce over the leading axis
         # of a C-contiguous block adds the rows in order

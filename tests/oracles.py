@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from frwt.cfrwt import _chunk_plan, _scale_correlate
-from frwt.frft import _chirp, c_alpha, frft_fast
+from frwt.cfrwt import _axis_correlate, _chirped_input, _scale_correlate
+from frwt.frft import _as_order, _chirp, _next_fast_len, c_alpha, frft_fast
 from frwt.grid import Grid, SampledSignal, _exact_sum, l2_norm
 from frwt.uncertainty import LocalEntry, _ball_measure, dispersion
 from frwt.wavelets import MORLET_OMEGA0
@@ -123,13 +123,44 @@ def brute_reconstruct(coeffs, phi_profile, cross_value: complex) -> np.ndarray:
     return mod / cross_value * np.conj(chirp) * total
 
 
+def signed_tap_spectrum(psi, analysis: bool, axis, a: float) -> list:
+    """The lag taps of one signed scale component a on one grid axis, taken
+    from the profile at lags / a itself (no reversal of the +|a| row and no
+    sharing between signs), and their FFT at the package's lag length, as
+    the one piece _axis_correlate takes."""
+    n = axis.count
+    x = np.arange(-(n - 1), n)[None, :] * axis.step / a
+    taps = np.conj(psi.profile(-x)) if analysis else psi.profile(x)
+    return [(slice(0, 1), np.fft.fft(taps, n=_next_fast_len(2 * n - 1), axis=1))]
+
+
+def per_vector_cfrwt(f: SampledSignal, psi, alpha: float, scales) -> np.ndarray:
+    """Coefficients with every scale vector correlated on its own, axis by
+    axis, against taps computed for its own signed components: the route
+    cfrwt_fast took before it computed each distinct row once.  Shares the
+    chirped input and the lag correlation with the package, not the tap
+    tables, their row maps or the twin copies, so equal bits show that
+    sharing rows changed no coefficient."""
+    order = _as_order(alpha)
+    grid = f.grid
+    chi = _chirped_input(f, order)[None]
+    out = np.empty((scales.count,) + grid.shape, dtype=complex)
+    for s, a_vec in enumerate(scales.vectors):
+        values = chi
+        for ax, (axis, a) in enumerate(zip(grid.axes, a_vec)):
+            values = _axis_correlate(values, ax, axis.count, signed_tap_spectrum(psi, True, axis, a), None)
+        out[s] = values[0] / np.sqrt(np.prod(np.abs(a_vec)))
+    out *= _chirp(grid.radius_sq(), -order.cot)
+    return out
+
+
 def per_scale_reconstruct(coeffs, phi, cross_value: complex) -> np.ndarray:
     """Synthesis by the time-domain scale sum that reconstruct replaced:
-    every scale vector is correlated with its synthesis taps along each
-    axis and inverted on its own (_scale_correlate without a running
+    every scale vector is correlated with its own synthesis taps along
+    each axis and inverted on its own (_scale_correlate without a running
     spectrum), then the rows, each times its measure weight / sqrt|a|,
-    are added in scale order.  Shares the taps and the lag correlation
-    with the package, not the frequency-domain scale sum.
+    are added in scale order.  Shares the lag correlation with the
+    package, not the tap tables or the frequency-domain scale sum.
     """
     grid = coeffs.b_grid
     order = coeffs.order
@@ -137,11 +168,9 @@ def per_scale_reconstruct(coeffs, phi, cross_value: complex) -> np.ndarray:
     chirped = coeffs.values * grid.weights() * _chirp(grid.radius_sq(), order.cot)
     factors = coeffs.scales.measure_weights() / np.sqrt(np.prod(np.abs(vectors), axis=1))
     total = np.zeros(grid.shape, dtype=complex)
-    chunks, work, pads = _chunk_plan(grid, coeffs.scales.count)
-    for chunk in chunks:
-        block = _scale_correlate(chirped[chunk], grid, vectors[chunk], phi, False, work, pads)
-        for factor, row in zip(factors[chunk], block):
-            total += factor * row
+    for s, a_vec in enumerate(vectors):
+        kernels = [signed_tap_spectrum(phi, False, axis, a) for axis, a in zip(grid.axes, a_vec)]
+        total += factors[s] * _scale_correlate(chirped[s : s + 1], grid, kernels, [None, None])[0]
     mod = abs(c_alpha(order, grid.ndim)) ** 2
     return total * (mod / cross_value * _chirp(grid.radius_sq(), -order.cot))
 

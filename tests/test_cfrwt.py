@@ -28,13 +28,25 @@ from frwt.scales import ScaleGrid, log_scale_grid
 from frwt.uncertainty import heisenberg_cfrwt, lemma_moment_identity_check, restricted_energy_identity_check
 from frwt.wavelets import CATALOG, WaveletSpec, get_wavelet, make_daughter, wavelet_l2_norm
 
-from oracles import brute_classical_cwt, brute_reconstruct, fine_grid_fractional_spectrum, per_scale_reconstruct
+from oracles import (
+    brute_classical_cwt,
+    brute_reconstruct,
+    fine_grid_fractional_spectrum,
+    per_scale_reconstruct,
+    per_vector_cfrwt,
+    signed_tap_spectrum,
+)
 
 MEX = get_wavelet("mexican_hat")
 DOG3 = get_wavelet("dog3")
 DOG4 = get_wavelet("dog4")
 MOR = get_wavelet("morlet")
 GAUSS = get_wavelet("gaussian")
+# the perturbed profile of frwt.verify's Morrey distance record: neither
+# even nor odd
+PERTURBED = WaveletSpec(
+    "mexhat_perturbed", lambda t: MEX.profile(t) + 0.05 * DOG3.profile(t), max(MEX.support_radius, DOG3.support_radius)
+)
 
 ALPHA = 0.9
 HALF_PI = math.pi / 2
@@ -375,16 +387,111 @@ def test_per_scale_coverage_matches_fine_grid(scales_wide, name, alpha):
 
 def test_tap_spectra_are_cached_read_only(grid, scales_wide, gabor):
     first = cfrwt_fast(gabor, DOG3, ALPHA, scales_wide).values
-    before = cfrwt_module._tap_spectrum.cache_info()
+    before = cfrwt_module.tap_cache_info()
     again = cfrwt_fast(gabor, DOG3, ALPHA, scales_wide).values
-    after = cfrwt_module._tap_spectrum.cache_info()
+    after = cfrwt_module.tap_cache_info()
     assert np.array_equal(first, again)
     assert after.misses == before.misses and after.hits > before.hits
-    a_col = scales_wide.vectors[:, 0].tobytes()
     pad = cfrwt_module._chunk_plan(grid, scales_wide.count)[2][0]
-    taps = cfrwt_module._tap_spectrum(DOG3, True, grid.axes[0].step, grid.axes[0].count, pad, a_col)
-    assert not taps.flags.writeable
+    tables = cfrwt_module._tap_rows(DOG3, True, grid.axes[0], pad, scales_wide.vectors[:, 0])[0]
+    mags = np.unique(np.abs(scales_wide.vectors))
+    cap = frft_module._row_blocks(2 * mags.size, pad)[0].stop
+    table, rows = cfrwt_module._tap_spectrum(
+        DOG3, True, grid.axes[0].step, grid.axes[0].count, pad, cap, mags[:cap].tobytes()
+    )
+    assert table is tables[0]
+    assert not table.flags.writeable and not rows.flags.writeable
     assert after.currsize <= after.maxsize
+
+
+@pytest.mark.parametrize("psi, rows", [(MEX, 64), (DOG3, 128)], ids=["even", "odd"])
+def test_tap_tables_hold_one_row_per_distinct_tap_row(grid, scales_wide, psi, rows):
+    """128 signed scales over 64 magnitudes: an even profile's +-a rows are
+    one row, an odd profile's two; every table fits the chunk budget."""
+    pad = cfrwt_module._chunk_plan(grid, scales_wide.count)[2][0]
+    tables, _, ids = cfrwt_module._tap_rows(psi, True, grid.axes[0], pad, scales_wide.vectors[:, 0])
+    assert sum(len(t) for t in tables) == len(set(ids.tolist())) == rows
+    assert all(t.nbytes <= frft_module._CHUNK_BYTES for t in tables)
+
+
+def test_a_long_pass_fits_the_tap_memo():
+    """A 1-D N=4096 pass over the default 128 scales needs 8 tables of 8
+    magnitudes, so a second identical pass only hits."""
+    g = Grid((axis_centered(1 / 64, 4096),))
+    f = sample(g, lambda t: np.exp(-(t**2) / 2) * np.exp(4j * t))
+    sc = log_scale_grid(2.0**-4, 2.0**4, 64, signs="both")
+    cfrwt_fast(f, MEX, ALPHA, sc)
+    before = cfrwt_module.tap_cache_info()
+    cfrwt_fast(f, MEX, ALPHA, sc)
+    after = cfrwt_module.tap_cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (8, 0)
+
+
+@pytest.mark.parametrize("n", [101, 256, 4096])
+def test_negative_scale_taps_are_the_reversed_positive_ones(n):
+    """For every catalog profile, the taps computed at -a are those at +a
+    reversed, bit for bit, on both the analysis and the synthesis side;
+    exactly the even profiles give palindromes."""
+    axis = AxisSpec(-4.0, 8.0 / n, n)
+    palindromes = set()
+    for name, psi in CATALOG.items():
+        for a in (0.07, 0.9, 3.3):
+            for analysis in (True, False):
+                x = np.arange(-(n - 1), n) * axis.step
+                plus, minus = (np.conj(psi.profile(-x / b)) if analysis else psi.profile(x / b) for b in (a, -a))
+                assert np.array_equal(minus, plus[::-1]), (name, a, analysis)
+        if np.array_equal(plus, plus[::-1]):
+            palindromes.add(name)
+    assert palindromes == {"mexican_hat", "dog4", "gaussian"}
+
+
+def _twin_case(ndim, signs):
+    if ndim == 1:
+        g = Grid((AxisSpec(-5.0, 0.1, 101),))
+        sc = log_scale_grid(2.0**-3, 2.0**3, 24, signs=signs)
+    else:
+        g = Grid((axis_centered(0.4, 30), AxisSpec(-4.0, 0.35, 27)))
+        sc = log_scale_grid(0.5, 4.0, 3, ndim=2, signs=signs)
+    f = sample(g, lambda *t: np.exp(-sum((x - 0.3) ** 2 for x in t)) * np.exp(1j * (t[0] - 2 * t[-1])))
+    return f, sc
+
+
+# the default budget, three 1-D rows per table and block, and one row (an
+# odd profile's table then holds a magnitude's two rows)
+@pytest.mark.parametrize("chunk_bytes", [frft_module._CHUNK_BYTES, 3 * 16 * 512, 16], ids=["1MiB", "3rows", "1row"])
+@pytest.mark.parametrize("signs", ["both", "positive"])
+@pytest.mark.parametrize("case", ["1d-101", "1d-256", "2d-30x27"])
+@pytest.mark.parametrize("psi", [MEX, DOG4, DOG3, MOR, PERTURBED], ids=lambda p: p.name)
+def test_fast_is_bitwise_the_per_vector_route(psi, case, signs, chunk_bytes, grid, monkeypatch):
+    """One coefficient row per distinct tuple of tap rows, ±a twins copied,
+    gives the bits of correlating every scale vector on its own."""
+    if case == "1d-256":
+        f = sample(grid, lambda t: np.exp(-((t - 0.5) ** 2) / (2 * 0.4**2)) * np.exp(3j * t))
+        sc = log_scale_grid(2.0**-4, 2.0**4, 64, signs=signs)
+    else:
+        f, sc = _twin_case(int(case[0]), signs)
+    monkeypatch.setattr(frft_module, "_CHUNK_BYTES", chunk_bytes)
+    assert np.array_equal(cfrwt_fast(f, psi, ALPHA, sc).values, per_vector_cfrwt(f, psi, ALPHA, sc))
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_twin_scale_vectors_read_the_same_bits(ndim):
+    """An even wavelet's coefficients at a and at -a are one row."""
+    f, sc = _twin_case(ndim, "both")
+    values = cfrwt_fast(f, MEX, ALPHA, sc).values
+    vectors = [tuple(v) for v in sc.vectors.tolist()]
+    a = vectors[-1]
+    twin = vectors.index(tuple(-c for c in a))
+    assert np.array_equal(values[twin], values[-1])
+    assert np.any(values[-1] != values[-2])
+
+
+def test_signed_taps_oracle_is_the_package_tap_table(grid, scales_wide):
+    pad = cfrwt_module._chunk_plan(grid, scales_wide.count)[2][0]
+    tables, width, ids = cfrwt_module._tap_rows(DOG3, False, grid.axes[0], pad, scales_wide.vectors[:, 0])
+    for a, i in zip(scales_wide.vectors[:, 0], ids):
+        (_, spectrum), = signed_tap_spectrum(DOG3, False, grid.axes[0], a)
+        assert np.array_equal(tables[i // width][i % width], spectrum[0])
 
 
 def test_inner_product_relation_two_wavelets(grid, scales_wide, gabor, gabor_coeffs):

@@ -65,6 +65,9 @@ RULES = [
         {("frft.py", "_row_blocks"), ("frft.py", "_direct_apply")},
     ),
     ("lag FFT length", re.compile(r"_next_fast_len\(2 \*"), {("cfrwt.py", "_chunk_plan")}),
+    # the tap lags are built once per magnitude run, where a -a row is the
+    # reversed +a row
+    ("lag grid", re.compile(r"np\.arange\(-\(n - 1\), n\)"), {("cfrwt.py", "_tap_spectrum")}),
     # a per-axis quantity reaches the grid through grid._separable
     ("per-axis reshape", re.compile(r"\[\w+\]\s*=\s*-1\b"), {("frft.py", "_apply_plan")}),
     ("full coordinate mesh", re.compile(r"np\.meshgrid\("), {("grid.py", "meshgrid")}),
