@@ -36,11 +36,17 @@ vectors' slots and copied into the others: with both signs, an even
 wavelet's 2-D pass over 16 x 16 signed scale vectors runs 8 + 64 rows,
 not 2 x 256.  The blocks hold distinct rows, not scale vectors.
 
-Synthesis integrates over the scale vectors as well, one row per scale
-vector.  The DFT is linear, so reconstruct adds the scale vectors'
-padded spectra along the last grid axis, in scale order, and inverts
-that sum once per call instead of once per scale vector; the result
-does not depend on how the scale vectors are chunked.
+Synthesis integrates over the scale vectors as well.  The DFT is
+linear, so reconstruct adds the scale vectors' padded spectra along the
+last grid axis, in scale order, and inverts that sum once per call
+instead of once per scale vector; the result does not depend on how the
+scale vectors are chunked.  Within a chunk, scale vectors whose
+synthesis tap rows, factors and coefficient rows agree bit for bit are
+twins: each distinct row is convolved once and its product row copied
+into its twins' rows of the chunk's buffer, so the in-order sum sees one
+row per scale vector, bit for bit.  An even synthesis wavelet on an even
+analysis wavelet's field pairs the +-a rows of every chunk that holds
+both signs.
 """
 
 from __future__ import annotations
@@ -292,25 +298,82 @@ def _runs(fixed: np.ndarray | None, *stepped: np.ndarray) -> list[tuple[int, int
     return runs
 
 
-def _pieces(tables: list[np.ndarray], table_of: np.ndarray, row: np.ndarray) -> list[tuple[slice, np.ndarray]]:
+def _pieces(
+    tables: list[np.ndarray], table_of: np.ndarray, row: np.ndarray, at: np.ndarray | None = None
+) -> list[tuple[slice, np.ndarray]]:
     """The tap spectra of the rows row of tables table_of, in order, as
     (positions, spectra) pieces for _fft_convolve, each a basic slice of
-    one table."""
-    return [(slice(a, b), tables[table_of[a]][_span(row, a, b)]) for a, b in _runs(table_of, row)]
+    one table; at, if given, picks the rows read and gives their
+    positions, else they are 0, 1, ..."""
+    if at is None:
+        return [(slice(a, b), tables[table_of[a]][_span(row, a, b)]) for a, b in _runs(table_of, row)]
+    table_of, row = table_of[at], row[at]
+    return [(_span(at, a, b), tables[table_of[a]][_span(row, a, b)]) for a, b in _runs(table_of, row, at)]
 
 
-def _twins(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct values of key, ascending, and the first position of
-    each; then every later position of a value, and the first position of
-    its value."""
-    ranked = key.argsort(kind="stable")
-    key = key[ranked]
-    fresh = np.empty(key.size, dtype=bool)
+def _twins(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The classes of positions equal in every key, ordered by keys[0],
+    then keys[1] and so on: keys[0] at the first position of each class,
+    and that position; then every later position of a class, and the
+    first position of its class."""
+    ranked = np.lexsort(keys[::-1])
+    fresh = np.zeros(ranked.size, dtype=bool)
     fresh[0] = True
-    np.not_equal(key[1:], key[:-1], out=fresh[1:])
+    for key in keys:
+        key = key[ranked]
+        fresh[1:] |= key[1:] != key[:-1]
     twin = ~fresh
     first = ranked[fresh]
-    return key[fresh], first, ranked[twin], first[fresh.cumsum()[twin] - 1]
+    return keys[0][first], first, ranked[twin], first[fresh.cumsum()[twin] - 1]
+
+
+def _row_keys(taps: list[tuple[list[np.ndarray], int, np.ndarray]]) -> tuple[np.ndarray, list[int]]:
+    """One mixed-radix key per scale vector from its tap row ids on every
+    axis (equal keys, equal tap rows), and each axis's radix."""
+    radix = [width * len(tables) for tables, width, _ in taps]
+    key = taps[0][2]
+    for (_, _, ids), base in zip(taps[1:], radix[1:]):
+        key = key * base + ids
+    return key, radix
+
+
+def _twin_rows(chunks: list[slice], key: np.ndarray, factors: np.ndarray, values: np.ndarray) -> dict:
+    """The twins of a synthesis pass: scale vectors of one chunk whose tap
+    rows (equal key), factors and coefficient rows (values) agree bit for
+    bit, each a twin of the last of them.
+
+    Maps the start of each chunk that holds twins to its other rows,
+    ascending, and the twins argument of _fft_convolve: those rows as
+    slices, and the (twin rows, last rows) pairs that copy a product row
+    to its twins, in chunk coordinates."""
+    count, step = key.size, chunks[0].stop
+    # the last vector of a class is convolved: in log_scale_grid's order it
+    # is the one of positive components, whose tap rows the tables hold
+    # forward, and numpy multiplies by a forward run of rows faster
+    keys = (np.arange(count) // step, key, factors.view(np.int64))
+    _, _, twins, twin_of = _twins(*(k[::-1] for k in keys))
+    twins, twin_of = count - 1 - twins, count - 1 - twin_of
+    # candidates whose coefficient rows differ in any bit, -0.0 and NaN
+    # payloads too, stay distinct rows
+    bits = values.reshape(count, -1).view(np.uint64)
+    runs = _runs(twins // step, twins, twin_of)
+    equal = np.empty(twins.size, dtype=bool)
+    for a, b in runs:
+        np.all(bits[_span(twins, a, b)] == bits[_span(twin_of, a, b)], axis=1, out=equal[a:b])
+    if not equal.all():
+        twins, twin_of = twins[equal], twin_of[equal]
+        runs = _runs(twins // step, twins, twin_of)
+    kept = np.ones(count, dtype=bool)
+    kept[twins] = False
+    plan = {}
+    for a, b in runs:
+        lo = int(twins[a]) // step * step
+        if lo not in plan:
+            keep = kept[lo : lo + step].nonzero()[0]
+            plan[lo] = keep, ([_span(keep, c, d) for c, d in _runs(None, keep)], [])
+        _, (_, copies) = plan[lo]
+        copies.append((_span(twins[a:b] - lo, 0, b - a), _span(twin_of[a:b] - lo, 0, b - a)))
+    return plan
 
 
 def _span(seq: np.ndarray, lo: int, hi: int) -> slice:
@@ -352,6 +415,7 @@ def _axis_correlate(
     weights: tuple[np.ndarray, ...] = (),
     acc: np.ndarray | None = None,
     invert: bool = True,
+    twins: tuple[list, list] | None = None,
 ) -> np.ndarray:
     """Lag sums out[s, .., k, ..] = sum_j values[s, .., j, ..] taps_s[k - j + n - 1]
     along grid axis ax, one output slice per row s of kernel, the tap
@@ -362,12 +426,13 @@ def _axis_correlate(
     flat buffer buf, which must not hold values; the result is a view
     into it.  weights multiply values as they are padded; with acc the
     rows are summed onto acc (see _fft_convolve), and invert says whether
-    to invert it.
+    to invert it; twins convolves only some rows of values (see
+    _fft_convolve).
     """
     shape = [-1] + [1] * (values.ndim - 1)
     shape[ax + 1] = kernel[0][1].shape[1]
     pieces = [(rows, spectra.reshape(shape)) for rows, spectra in kernel]
-    full = _fft_convolve(values, pieces, (ax + 1,), buf, weights, acc, invert)
+    full = _fft_convolve(values, pieces, (ax + 1,), buf, weights, acc, invert, twins)
     return full[(slice(None),) * (ax + 1) + (slice(n - 1, 2 * n - 1),)]
 
 
@@ -379,14 +444,24 @@ def _scale_correlate(
     weights: tuple[np.ndarray, ...] = (),
     acc: np.ndarray | None = None,
     invert: bool = True,
+    twins: tuple[list, list] | None = None,
 ) -> np.ndarray:
     """_axis_correlate along every grid axis in turn, against kernels[ax]
     on axis ax, in the buffer work[ax % 2].  weights apply on the first
-    axis, acc and invert on the last."""
+    axis, acc, invert and the copies of twins on the last; every axis
+    convolves only the live rows of twins (see _fft_convolve)."""
     for ax, (axis_spec, kernel) in enumerate(zip(grid.axes, kernels)):
         on_last = ax == grid.ndim - 1
         values = _axis_correlate(
-            values, ax, axis_spec.count, kernel, work[ax % 2], weights, acc if on_last else None, invert or not on_last
+            values,
+            ax,
+            axis_spec.count,
+            kernel,
+            work[ax % 2],
+            weights,
+            acc if on_last else None,
+            invert or not on_last,
+            twins if on_last or twins is None else (twins[0], ()),
         )
         weights = ()
     return values
@@ -418,10 +493,7 @@ def cfrwt_fast(
     taps = [_tap_rows(psi, True, axis, pad, col) for axis, pad, col in zip(grid.axes, pads, scales.vectors.T)]
     # a coefficient row is fixed by its tap row ids, one mixed-radix key
     # per scale vector
-    radix = [width * len(tables) for tables, width, _ in taps]
-    key = taps[0][2]
-    for (_, _, ids), base in zip(taps[1:], radix[1:]):
-        key = key * base + ids
+    key, radix = _row_keys(taps)
     distinct, first, twins, twin_of = _twins(key)
     row_elems = [grid.size // axis.count * pad for axis, pad in zip(grid.axes, pads)]
     step = chunks[0].stop
@@ -675,7 +747,8 @@ def reconstruct(
     synthesis taps axis by axis.  Along the last axis every chunk's
     padded spectra are added in scale order onto one running spectrum,
     which is inverted once at the end; the result is bit-for-bit the
-    same for any chunk size.
+    same for any chunk size.  A chunk convolves each distinct row once
+    and copies its padded spectrum to its twins (see the module notes).
     """
     order = coeffs.order
     ndim = coeffs.b_grid.ndim
@@ -684,16 +757,24 @@ def reconstruct(
     factor = _cross_value(phi, psi_used, order, ndim, scan, cross_value)
     grid = coeffs.b_grid
     vectors = coeffs.scales.vectors
+    count = coeffs.scales.count
+    # the twin check reads the samples' bits as complex128
+    values = np.ascontiguousarray(coeffs.values, dtype=np.complex128)
     b_weights = grid.weights() * _chirp(grid.radius_sq(), order.cot)
-    factors = (coeffs.scales.measure_weights() / _scale_norms(vectors)).reshape((-1,) + (1,) * ndim)
-    chunks, work, pads = _chunk_plan(grid, coeffs.scales.count)
+    factors = coeffs.scales.measure_weights() / _scale_norms(vectors)
+    chunks, work, pads = _chunk_plan(grid, count)
     taps = [_tap_rows(phi, False, axis, pad, col) for axis, pad, col in zip(grid.axes, pads, vectors.T)]
+    plan = _twin_rows(chunks, _row_keys(taps)[0], factors, values)
+    factors = factors.reshape((-1,) + (1,) * ndim)
     # the running padded spectrum of the scale sum along the last axis
     acc = np.zeros((1,) + grid.shape[:-1] + (pads[-1],), dtype=np.complex128)
     for chunk in chunks:
-        kernels = [_pieces(tables, *np.divmod(ids[chunk], width)) for tables, width, ids in taps]
+        # a chunk with twins convolves its distinct rows and copies them to
+        # their twins' rows before the in-order sum
+        keep, twins = plan.get(chunk.start, (None, None))
+        kernels = [_pieces(tables, *np.divmod(ids[chunk], width), keep) for tables, width, ids in taps]
         weights = (b_weights, factors[chunk])
-        out = _scale_correlate(coeffs.values[chunk], grid, kernels, work, weights, acc, chunk is chunks[-1])
+        out = _scale_correlate(values[chunk], grid, kernels, work, weights, acc, chunk is chunks[-1], twins)
     return SampledSignal(grid, out[0] * (factor * _chirp(grid.radius_sq(), -order.cot)))
 
 

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 verification failure, 2 parse or precondition
 failure, 3 degenerate transform order, 4 inadmissible wavelet, 5
 unknown verification suite, 6 a verification suite stopped on an
-unexpected error (reported on one line).
+unexpected error (reported on one line), 7 stdout was closed before the
+output was written.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ EXIT_DELTA = 3
 EXIT_INADMISSIBLE = 4
 EXIT_UNKNOWN_SUITE = 5
 EXIT_SUITE_ERROR = 6
+EXIT_CLOSED_STDOUT = 7
 
 
 def _load_signal(path: str) -> SampledSignal:
@@ -166,7 +168,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        # a reader that left shows here, not in the flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the output has nowhere to go; the flush at exit must not raise
+        # again, so stdout now writes to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
     except SignalFileError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

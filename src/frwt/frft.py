@@ -449,6 +449,7 @@ def _fft_convolve(
     weights: tuple[np.ndarray, ...] = (),
     acc: np.ndarray | None = None,
     invert: bool = True,
+    twins: tuple[list[slice], list[tuple[slice, slice]]] | None = None,
 ) -> np.ndarray:
     """Circular convolution along axes of operand, zero-padded to the
     lengths of kernel_fft, with the kernel whose spectrum is kernel_fft.
@@ -458,13 +459,23 @@ def _fft_convolve(
     row and is transformed once.  kernel_fft may also be a list of
     (rows, spectrum) pieces, rows slices that partition axis 0 of the
     product in order, each spectrum broadcasting against its rows: the
-    operand is still padded and transformed once.  weights, factors that
-    broadcast against operand, multiply it as it is written into the
-    padding.  The padded spectrum is formed and inverted in place in out,
-    a flat buffer that must not hold operand, or in a fresh array; the
-    full padded result is returned (a view into out) for the caller to
-    slice.  Reusing one buffer across calls spares a fresh, page-faulting
-    allocation per call.
+    operand is still padded and transformed once.  weights, if given, are
+    a factor broadcasting against the operand, which multiplies it as it
+    is written into the padding, then factors of one value per operand
+    row, shaped (rows, 1, ..., 1), which multiply the padded rows (the
+    padding stays zero while they are finite).  The padded spectrum is
+    formed and inverted in place in out, a flat buffer that must not hold
+    operand, or in a fresh array; the full padded result is returned (a
+    view into out) for the caller to slice.  Reusing one buffer across
+    calls spares a fresh, page-faulting allocation per call.
+
+    twins, a pair (live, copies), is for operand rows whose products are
+    known to equal those of others: only the operand rows in the slices
+    live are weighted, padded, transformed and multiplied (the pieces
+    cover only them), and each (dst, src) pair of copies then copies
+    product rows src to rows dst, in order.  Rows outside live and not
+    copied to are left as they were, for a later call that reads only
+    live rows.
 
     With acc, a padded spectrum shaped like one row along axis 0 of the
     product, the product's rows are added onto acc in row order instead,
@@ -481,27 +492,37 @@ def _fft_convolve(
     if pieces[0][0] == slice(None):
         full = np.broadcast_shapes(tuple(shape), kernel_shape)
     else:
-        full = (pieces[-1][0].stop,) + np.broadcast_shapes(tuple(shape[1:]), kernel_shape[1:])
+        count = pieces[-1][0].stop if twins is None else shape[0]
+        full = (count,) + np.broadcast_shapes(tuple(shape[1:]), kernel_shape[1:])
     size = math.prod(full)
     result = (np.empty(size, dtype=np.complex128) if out is None else out[:size]).reshape(full)
     spec = result if tuple(shape) == full else np.empty(shape, dtype=np.complex128)
-    head = spec[tuple(slice(0, n) for n in operand.shape)]
-    if weights:
-        np.multiply(operand, weights[0], out=head)
-        for w in weights[1:]:
-            head *= w
-    else:
-        head[...] = operand
-    for ax in axes:
-        pad = [slice(None)] * operand.ndim
-        pad[ax] = slice(operand.shape[ax], None)
-        spec[tuple(pad)] = 0.0
-    # axis by axis, last first: the rounding of numpy's fftn without its
-    # per-call overhead
-    for ax in reversed(axes):
-        np.fft.fft(spec, axis=ax, out=spec)
+    live, copies = twins or ((slice(None),), ())
+    for part in live:
+        # the operand rows part, weighted, padded and transformed in place
+        block, rows_in, factors = spec, operand, weights[1:]
+        if twins is not None:
+            block, rows_in, factors = spec[part], operand[part], [w[part] for w in factors]
+        head = block[tuple(slice(0, n) for n in rows_in.shape)]
+        if weights:
+            np.multiply(rows_in, weights[0], out=head)
+        else:
+            head[...] = rows_in
+        for ax in axes:
+            pad = [slice(None)] * operand.ndim
+            pad[ax] = slice(operand.shape[ax], None)
+            block[tuple(pad)] = 0.0
+        # the padding too, so that numpy needs one iterator buffer, not three
+        for w in factors:
+            block *= w
+        # axis by axis, last first: the rounding of numpy's fftn without
+        # its per-call overhead
+        for ax in reversed(axes):
+            np.fft.fft(block, axis=ax, out=block)
     for rows, kernel in pieces:
         np.multiply(spec if spec is not result else spec[rows], kernel, out=result[rows])
+    for dst, src in copies:
+        result[dst] = result[src]
     if acc is not None:
         # acc joins the first row, and numpy's reduce over the leading axis
         # of a C-contiguous block adds the rows in order
@@ -509,8 +530,11 @@ def _fft_convolve(
         np.add.reduce(result, axis=0, keepdims=True, out=acc)
         result = acc
     if invert:
-        for ax in reversed(axes):
-            np.fft.ifft(result, axis=ax, out=result)
+        # rows neither live nor copied to hold no product
+        for part in live if acc is None and not copies else (slice(None),):
+            block = result[part]
+            for ax in reversed(axes):
+                np.fft.ifft(block, axis=ax, out=block)
     return result
 
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from frwt.cfrwt import _axis_correlate, _chirped_input, _scale_correlate
+from frwt.cfrwt import _axis_correlate, _chirped_input, _chunk_plan, _pieces, _scale_correlate, _tap_rows
 from frwt.frft import _as_order, _chirp, _next_fast_len, c_alpha, frft_fast
 from frwt.grid import Grid, SampledSignal, _exact_sum, l2_norm
 from frwt.uncertainty import LocalEntry, _ball_measure, dispersion
@@ -173,6 +173,34 @@ def per_scale_reconstruct(coeffs, phi, cross_value: complex) -> np.ndarray:
         total += factors[s] * _scale_correlate(chirped[s : s + 1], grid, kernels, [None, None])[0]
     mod = abs(c_alpha(order, grid.ndim)) ** 2
     return total * (mod / cross_value * _chirp(grid.radius_sq(), -order.cot))
+
+
+def per_vector_reconstruct(coeffs, phi, cross_value: complex) -> np.ndarray:
+    """Synthesis with one product row per scale vector: the route
+    reconstruct took before it convolved each distinct row of a chunk once
+    and copied it to its twins.  Each chunk's coefficients, times the
+    shift weights and b-chirp and then each row's measure weight /
+    sqrt|a| (the two products reconstruct forms as it pads them), are
+    correlated with the synthesis taps axis by axis and added in scale
+    order onto one running spectrum, inverted at the end.  Shares the
+    chunk plan, the tap tables and the lag correlation with the package,
+    not the twin search, the weighting in the padding or the row copies,
+    so equal bits show that sharing rows changed no sample."""
+    grid = coeffs.b_grid
+    order = coeffs.order
+    vectors = coeffs.scales.vectors
+    b_weights = grid.weights() * _chirp(grid.radius_sq(), order.cot)
+    factors = coeffs.scales.measure_weights() / np.sqrt(np.prod(np.abs(vectors), axis=1))
+    factors = factors.reshape((-1,) + (1,) * grid.ndim)
+    chunks, work, pads = _chunk_plan(grid, coeffs.scales.count)
+    taps = [_tap_rows(phi, False, axis, pad, col) for axis, pad, col in zip(grid.axes, pads, vectors.T)]
+    acc = np.zeros((1,) + grid.shape[:-1] + (pads[-1],), dtype=complex)
+    for chunk in chunks:
+        kernels = [_pieces(tables, *np.divmod(ids[chunk], width)) for tables, width, ids in taps]
+        weighted = coeffs.values[chunk] * b_weights * factors[chunk]
+        out = _scale_correlate(weighted, grid, kernels, work, (), acc, chunk is chunks[-1])
+    mod = abs(c_alpha(order, grid.ndim)) ** 2
+    return out[0] * (mod / cross_value * _chirp(grid.radius_sq(), -order.cot))
 
 
 def fine_grid_fractional_spectrum(psi, alpha: float, u: np.ndarray, points: int = 8192) -> np.ndarray:

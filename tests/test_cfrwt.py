@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from frwt import frft as frft_module
 from frwt.errors import GridMismatch, InadmissibleWavelet, ZeroCrossAdmissibility
 from frwt.frft import _as_order
 from frwt.grid import AxisSpec, Grid, SampledSignal, axis_centered, axis_linspace, l2_norm, sample
+from frwt.io import read_coefficients, write_coefficients
 from frwt.scales import ScaleGrid, log_scale_grid
 from frwt.uncertainty import heisenberg_cfrwt, lemma_moment_identity_check, restricted_energy_identity_check
 from frwt.wavelets import CATALOG, WaveletSpec, get_wavelet, make_daughter, wavelet_l2_norm
@@ -34,6 +36,7 @@ from oracles import (
     fine_grid_fractional_spectrum,
     per_scale_reconstruct,
     per_vector_cfrwt,
+    per_vector_reconstruct,
     signed_tap_spectrum,
 )
 
@@ -627,6 +630,138 @@ def test_reconstruct_matches_per_scale_route(axes, a_count, psi):
     fast = reconstruct(w, psi, psi, cross_value=CROSS)
     oracle = per_scale_reconstruct(w, psi, CROSS)
     assert relative_peak_error(fast.values, oracle) <= 1e-13
+
+
+# ---------------------------------------------------------- synthesis twins
+
+# the default budget, about 8, 2 and 1 rows of the 1-D 256-sample pass,
+# and one row of any pass
+SYNTHESIS_CHUNK_BYTES = (frft_module._CHUNK_BYTES, 70_000, 20_000, 4096, 100)
+TWIN_CASES = {
+    "1d-101": ((AxisSpec(-5.0, 0.1, 101),), (2.0**-3, 2.0**3, 24)),
+    "1d-256": ((axis_centered(0.0625, 256),), (2.0**-4, 2.0**4, 64)),
+    "2d-30x27": ((axis_centered(0.4, 30), AxisSpec(-4.0, 0.35, 27)), (0.5, 4.0, 3)),
+    "3d-12x9x7": ((axis_centered(0.5, 12), AxisSpec(-3.0, 0.6, 9), axis_centered(0.7, 7)), (0.5, 2.0, 2)),
+}
+
+
+def _twin_field(case, signs="both", psi=MEX, shuffled=False, alpha=ALPHA):
+    axes, (a_min, a_max, cells) = TWIN_CASES[case]
+    g = Grid(axes)
+    sc = log_scale_grid(a_min, a_max, cells, ndim=g.ndim, signs=signs)
+    if shuffled:
+        order = np.random.default_rng(sc.count).permutation(sc.count)
+        sc = ScaleGrid(sc.vectors[order], sc.log_step, sc.a_min, sc.a_max, sc.signs)
+    f = sample(g, lambda *t: np.exp(-sum((x - 0.3) ** 2 for x in t)) * np.exp(1j * (t[0] - 2 * t[-1])))
+    return cfrwt_fast(f, psi, alpha, sc)
+
+
+@pytest.fixture
+def twin_rows(monkeypatch):
+    """The number of twin rows, copied instead of convolved, of each
+    reconstruct call."""
+    counts = []
+    real = cfrwt_module._twin_rows
+
+    def spy(chunks, *args):
+        plan = real(chunks, *args)
+        sizes = {c.start: c.stop - c.start for c in chunks}
+        counts.append(sum(sizes[lo] - keep.size for lo, (keep, _) in plan.items()))
+        return plan
+
+    monkeypatch.setattr(cfrwt_module, "_twin_rows", spy)
+    return counts
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["sorted", "shuffled"])
+@pytest.mark.parametrize("signs", ["both", "positive"])
+@pytest.mark.parametrize("case", list(TWIN_CASES))
+@pytest.mark.parametrize("psi", [MEX, DOG4, DOG3, MOR, PERTURBED], ids=lambda p: p.name)
+def test_reconstruct_is_bitwise_the_per_vector_route(psi, case, signs, shuffled, monkeypatch):
+    """Each distinct row of a chunk convolved once and copied to its twins
+    gives the bits of one product row per scale vector, at any chunk
+    size."""
+    w = _twin_field(case, signs, psi, shuffled)
+    for chunk_bytes in SYNTHESIS_CHUNK_BYTES:
+        monkeypatch.setattr(frft_module, "_CHUNK_BYTES", chunk_bytes)
+        got = reconstruct(w, psi, psi, cross_value=CROSS).values
+        assert np.array_equal(got, per_vector_reconstruct(w, psi, CROSS)), chunk_bytes
+
+
+@pytest.mark.parametrize("alpha", [0.9, 2.2])
+@pytest.mark.parametrize("phi", [MEX, DOG4], ids=lambda p: p.name)
+def test_the_stream_pass_convolves_half_its_rows(phi, alpha, twin_rows):
+    """The benchmark stream's mexican_hat field over 128 signed scales is
+    one chunk in which every -a row is the +a row's twin."""
+    w = _twin_field("1d-256", alpha=alpha)
+    got = reconstruct(w, phi, MEX, cross_value=CROSS).values
+    assert np.array_equal(got, per_vector_reconstruct(w, phi, CROSS))
+    assert twin_rows == [64]
+
+
+def test_twins_need_even_taps_both_signs_and_one_chunk(twin_rows, monkeypatch):
+    reconstruct(_twin_field("1d-256"), DOG3, MEX, cross_value=CROSS)
+    reconstruct(_twin_field("1d-256", "positive"), MEX, MEX, cross_value=CROSS)
+    # eight rows a chunk: each chunk holds one sign only
+    monkeypatch.setattr(frft_module, "_CHUNK_BYTES", 70_000)
+    reconstruct(_twin_field("1d-256"), MEX, MEX, cross_value=CROSS)
+    assert twin_rows == [0, 0, 0]
+
+
+@pytest.mark.parametrize("edit", ["signed-zero", "one-ulp"])
+def test_a_twin_row_off_by_one_bit_is_convolved_on_its_own(edit, twin_rows):
+    """Only the pair at +-a_max keeps its rows, so one ulp reaches the
+    output, and one of them then differs in one bit."""
+    w = _twin_field("1d-101")
+    top, twin = w.scales.count - 1, 0
+    assert w.scales.vectors[twin, 0] == -w.scales.vectors[top, 0]
+    values = np.zeros_like(w.values)
+    values[[top, twin]] = w.values[top]
+    if edit == "signed-zero":
+        values[[top, twin], 5] = 0.0
+        values[twin, 5] = complex(-0.0, 0.0)
+    else:
+        values[twin, 50] = complex(np.nextafter(values[twin, 50].real, np.inf), values[twin, 50].imag)
+    field = CfrwtCoefficients(values, w.b_grid, w.scales, w.order, w.wavelet)
+    got = reconstruct(field, MEX, MEX, cross_value=CROSS).values
+    assert np.array_equal(got.view(np.uint64), per_vector_reconstruct(field, MEX, CROSS).view(np.uint64))
+    # the zero rows of the other 23 pairs are still twins
+    assert twin_rows == [w.scales.count // 2 - 1]
+
+
+def test_a_field_read_from_a_file_reconstructs_bitwise(tmp_path, twin_rows):
+    w = _twin_field("1d-256")
+    write_coefficients(tmp_path / "field.bin", w)
+    back = read_coefficients(tmp_path / "field.bin")
+    got = reconstruct(back, MEX, MEX, cross_value=CROSS).values
+    assert np.array_equal(got, per_vector_reconstruct(back, MEX, CROSS))
+    assert np.array_equal(got, reconstruct(w, MEX, MEX, cross_value=CROSS).values)
+    assert twin_rows == [64, 64]
+
+
+# reconstruct's tracemalloc peak in bytes, measured before it convolved
+# each distinct row of a chunk once (numpy 2.4): the benchmark stream's
+# field, and a 2-D 64^2 field over 256 signed scale vectors, the CLI
+# benchmark's 2-D item, whose chunks of 8 hold no twins
+PEAK_BEFORE = {"1d-256": 1_460_024, "2d-64x64": 2_703_832}
+
+
+@pytest.mark.parametrize("case", sorted(PEAK_BEFORE))
+def test_synthesis_twins_take_no_more_memory(case):
+    if case == "1d-256":
+        w = _twin_field(case)
+    else:
+        g = Grid((axis_centered(0.125, 64), axis_centered(0.125, 64)))
+        f = sample(g, lambda x, y: np.exp(-((x - 0.3) ** 2 + y**2) / 0.5) * np.exp(5.5j * x))
+        w = cfrwt_fast(f, MEX, ALPHA, log_scale_grid(0.125, 8.0, 8, ndim=2, signs="both"))
+    reconstruct(w, MEX, MEX, cross_value=CROSS)
+    tracemalloc.start()
+    try:
+        reconstruct(w, MEX, MEX, cross_value=CROSS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PEAK_BEFORE[case]
 
 
 def test_reconstruct_zero_coefficients(gabor_coeffs):

@@ -816,6 +816,18 @@ def test_cli_module_entry_point(tmp_path, grid_256):
     assert out.exists()
 
 
+def test_a_closed_stdout_is_an_exit_code_not_a_traceback():
+    """A reader that leaves before the records are printed, as `head`
+    does, ends the command with exit 7 and nothing on stderr."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "frwt.cli", "verify", "parseval"], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 7
+    assert err == b""
+
+
 def test_import_does_not_load_scipy_signal():
     # no scipy module at all: scipy.fft alone costs about 0.4 s of cold start
     code = "import sys, frwt.cli; print(' '.join(m for m in sys.modules if m.startswith('scipy')))"

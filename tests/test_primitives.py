@@ -65,6 +65,9 @@ RULES = [
         {("frft.py", "_row_blocks"), ("frft.py", "_direct_apply")},
     ),
     ("lag FFT length", re.compile(r"_next_fast_len\(2 \*"), {("cfrwt.py", "_chunk_plan")}),
+    # synthesis sums its scale rows, twin copies among them, in row order in
+    # the one padded convolution
+    ("scale sum", re.compile(r"np\.add\.reduce\("), {("frft.py", "_fft_convolve")}),
     # the tap lags are built once per magnitude run, where a -a row is the
     # reversed +a row
     ("lag grid", re.compile(r"np\.arange\(-\(n - 1\), n\)"), {("cfrwt.py", "_tap_spectrum")}),
@@ -290,6 +293,36 @@ def test_fft_convolve_reduces_rows_onto_a_running_spectrum(shape, pad):
             got = _fft_convolve(u[lo:hi], kernels[lo:hi], axes, acc=acc, invert=hi == k)
             assert got is acc
         assert np.array_equal(acc, whole)
+
+
+def test_fft_convolve_sums_copied_twin_rows_in_row_order():
+    """Rows convolved once and copied to their twins' rows reach the
+    running spectrum exactly as the rows added one at a time in row order:
+    numpy's reduce over the leading axis of a C-contiguous block, the
+    ground of synthesis's bit-identity, pinned."""
+    rng = np.random.default_rng(11)
+    k, n, pad = 10, 40, 96
+    u = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+    u *= np.exp(rng.uniform(-8.0, 8.0, (k, n)))
+    kernels = rng.standard_normal((k, pad)) * (1.0 + 0.5j)
+    # rows 6, 7 and 8 are twins of rows 3, 2 and 1, and row 9 of row 3
+    for twin, first in ((6, 3), (7, 2), (8, 1), (9, 3)):
+        u[twin], kernels[twin] = u[first], kernels[first]
+    twins = ([slice(0, 6)], [(slice(6, 9), slice(3, 0, -1)), (slice(9, 10), slice(3, 4))])
+    start = rng.standard_normal((1, pad)) * 1e3 + 0j
+    acc, work = start.copy(), np.empty(k * pad, dtype=np.complex128)
+    got = _fft_convolve(u, [(slice(0, 6), kernels[:6])], (1,), work, acc=acc, invert=False, twins=twins)
+    assert got is acc
+    product = _fft_convolve(u, kernels, (1,), invert=False)
+    # the buffer holds the product rows, the first one summed onto acc
+    assert np.array_equal(work.reshape(k, pad)[1:], product[1:])
+    total = start[0]
+    for row in product:
+        total = total + row
+    assert np.array_equal(acc[0], total)
+    # without acc, the inverted rows, copies among them
+    plain = _fft_convolve(u, [(slice(0, 6), kernels[:6])], (1,), twins=twins)
+    assert np.array_equal(plain, _fft_convolve(u, kernels, (1,)))
 
 
 def test_fft_convolve_weights_multiply_the_operand_as_it_is_padded():
