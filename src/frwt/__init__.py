@@ -51,6 +51,7 @@ from .cfrwt import (
     range_membership_residual,
     reconstruct,
     reproducing_kernel,
+    synthesis_cache_info,
     tap_cache_info,
     truncated_coverage,
 )

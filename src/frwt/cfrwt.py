@@ -46,7 +46,11 @@ twins: each distinct row is convolved once and its product row copied
 into its twins' rows of the chunk's buffer, so the in-order sum sees one
 row per scale vector, bit for bit.  An even synthesis wavelet on an even
 analysis wavelet's field pairs the +-a rows of every chunk that holds
-both signs.
+both signs.  What synthesis does apart from the signal (tap table keys
+and row ids, factors, twin candidates and each chunk's pieces) is one
+plan, memoized per wavelet, grid, chunk length and scale set, so a
+stream of fields on one scale grid builds it once; a call fetches the
+tap tables and compares the candidates' coefficient rows.
 """
 
 from __future__ import annotations
@@ -65,7 +69,17 @@ from .admissibility import (
     cross_admissibility,
 )
 from .errors import GridMismatch, InadmissibleWavelet, ZeroCrossAdmissibility
-from .frft import TransformOrder, _as_order, _chirp, _fft_convolve, _next_fast_len, _row_blocks, c_alpha, frft_fast
+from .frft import (
+    TransformOrder,
+    _as_order,
+    _chirp,
+    _fft_convolve,
+    _next_fast_len,
+    _row_blocks,
+    _short_buffers,
+    c_alpha,
+    frft_fast,
+)
 from .grid import AxisSpec, Grid, SampledSignal, _exact_sum, grids_close, inner_product, l2_norm
 from .report import VerificationReport, _ratio
 from .scales import ScaleGrid
@@ -81,6 +95,7 @@ __all__ = [
     "reproducing_kernel",
     "kernel_projection",
     "range_membership_residual",
+    "synthesis_cache_info",
     "tap_cache_info",
     "truncated_coverage",
 ]
@@ -89,6 +104,9 @@ CROSS_ZERO_TOL = 1e-8
 
 # tap spectrum tables kept (each at most frft._CHUNK_BYTES)
 _TAP_CACHE_SIZE = 8
+# synthesis plans kept: a stream on one grid and scale set takes one per
+# synthesis wavelet
+_SYNTHESIS_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -244,12 +262,13 @@ def tap_cache_info():
     return _tap_spectrum.cache_info()
 
 
-def _tap_rows(
+def _tap_layout(
     psi: WaveletSpec, analysis: bool, axis: AxisSpec, pad: int, col: np.ndarray
-) -> tuple[list[np.ndarray], int, np.ndarray]:
+) -> tuple[list[tuple], list[np.ndarray], int, np.ndarray]:
     """The tap spectrum tables of one grid axis for the scale components
-    col, the most rows a table holds, width, and the id table * width +
-    row of each component's tap row; equal ids are equal tap rows.
+    col, with their _tap_spectrum arguments, the most rows a table holds,
+    width, and the id table * width + row of each component's tap row;
+    equal ids are equal tap rows.
 
     The distinct magnitudes of col, ascending, are cut into the runs that
     _tap_spectrum covers, each table as many rows as fit _CHUNK_BYTES.
@@ -259,15 +278,23 @@ def _tap_rows(
     distinct = ranked[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
     # no more rows than the distinct magnitudes can need
     cap = _row_blocks(2 * distinct.size, pad)[0].stop
-    tables, maps, lo = [], [], 0
+    keys, tables, maps, lo = [], [], [], 0
     while lo < distinct.size:
-        table, rows = _tap_spectrum(psi, analysis, axis.step, axis.count, pad, cap, distinct[lo : lo + cap].tobytes())
+        keys.append((psi, analysis, axis.step, axis.count, pad, cap, distinct[lo : lo + cap].tobytes()))
+        table, rows = _tap_spectrum(*keys[-1])
         tables.append(table)
         maps.append(rows)
         lo += len(rows)
     width = max(len(table) for table in tables)
     ids = np.concatenate([rows + k * width for k, rows in enumerate(maps)])
-    return tables, width, ids[distinct.searchsorted(mags), (col > 0).view(np.int8)]
+    return keys, tables, width, ids[distinct.searchsorted(mags), (col > 0).view(np.int8)]
+
+
+def _tap_rows(
+    psi: WaveletSpec, analysis: bool, axis: AxisSpec, pad: int, col: np.ndarray
+) -> tuple[list[np.ndarray], int, np.ndarray]:
+    """_tap_layout without the table keys."""
+    return _tap_layout(psi, analysis, axis, pad, col)[1:]
 
 
 def _runs(fixed: np.ndarray | None, *stepped: np.ndarray) -> list[tuple[int, int]]:
@@ -298,17 +325,29 @@ def _runs(fixed: np.ndarray | None, *stepped: np.ndarray) -> list[tuple[int, int
     return runs
 
 
-def _pieces(
-    tables: list[np.ndarray], table_of: np.ndarray, row: np.ndarray, at: np.ndarray | None = None
-) -> list[tuple[slice, np.ndarray]]:
-    """The tap spectra of the rows row of tables table_of, in order, as
-    (positions, spectra) pieces for _fft_convolve, each a basic slice of
-    one table; at, if given, picks the rows read and gives their
-    positions, else they are 0, 1, ..."""
+def _piece_spec(
+    table_of: np.ndarray, row: np.ndarray, at: np.ndarray | None = None
+) -> tuple[tuple[slice, int, slice], ...]:
+    """The rows row of tables table_of, in order, as (positions, table,
+    rows) pieces, each rows a basic slice of one table; at, if given,
+    picks the rows read and gives their positions, else they are 0, 1,
+    ..."""
     if at is None:
-        return [(slice(a, b), tables[table_of[a]][_span(row, a, b)]) for a, b in _runs(table_of, row)]
+        return tuple((slice(a, b), int(table_of[a]), _span(row, a, b)) for a, b in _runs(table_of, row))
     table_of, row = table_of[at], row[at]
-    return [(_span(at, a, b), tables[table_of[a]][_span(row, a, b)]) for a, b in _runs(table_of, row, at)]
+    return tuple((_span(at, a, b), int(table_of[a]), _span(row, a, b)) for a, b in _runs(table_of, row, at))
+
+
+def _kernel(tables: list[np.ndarray], spec: tuple[tuple[slice, int, slice], ...]) -> list[tuple[slice, np.ndarray]]:
+    """The (positions, spectra) pieces for _fft_convolve of the pieces
+    spec (see _piece_spec) of tables."""
+    return [(at, tables[table][rows]) for at, table, rows in spec]
+
+
+def _pieces(tables: list[np.ndarray], table_of: np.ndarray, row: np.ndarray) -> list[tuple[slice, np.ndarray]]:
+    """The tap spectra of the rows row of tables table_of, in order, as
+    (positions, spectra) pieces for _fft_convolve (see _piece_spec)."""
+    return _kernel(tables, _piece_spec(table_of, row))
 
 
 def _twins(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -335,45 +374,6 @@ def _row_keys(taps: list[tuple[list[np.ndarray], int, np.ndarray]]) -> tuple[np.
     for (_, _, ids), base in zip(taps[1:], radix[1:]):
         key = key * base + ids
     return key, radix
-
-
-def _twin_rows(chunks: list[slice], key: np.ndarray, factors: np.ndarray, values: np.ndarray) -> dict:
-    """The twins of a synthesis pass: scale vectors of one chunk whose tap
-    rows (equal key), factors and coefficient rows (values) agree bit for
-    bit, each a twin of the last of them.
-
-    Maps the start of each chunk that holds twins to its other rows,
-    ascending, and the twins argument of _fft_convolve: those rows as
-    slices, and the (twin rows, last rows) pairs that copy a product row
-    to its twins, in chunk coordinates."""
-    count, step = key.size, chunks[0].stop
-    # the last vector of a class is convolved: in log_scale_grid's order it
-    # is the one of positive components, whose tap rows the tables hold
-    # forward, and numpy multiplies by a forward run of rows faster
-    keys = (np.arange(count) // step, key, factors.view(np.int64))
-    _, _, twins, twin_of = _twins(*(k[::-1] for k in keys))
-    twins, twin_of = count - 1 - twins, count - 1 - twin_of
-    # candidates whose coefficient rows differ in any bit, -0.0 and NaN
-    # payloads too, stay distinct rows
-    bits = values.reshape(count, -1).view(np.uint64)
-    runs = _runs(twins // step, twins, twin_of)
-    equal = np.empty(twins.size, dtype=bool)
-    for a, b in runs:
-        np.all(bits[_span(twins, a, b)] == bits[_span(twin_of, a, b)], axis=1, out=equal[a:b])
-    if not equal.all():
-        twins, twin_of = twins[equal], twin_of[equal]
-        runs = _runs(twins // step, twins, twin_of)
-    kept = np.ones(count, dtype=bool)
-    kept[twins] = False
-    plan = {}
-    for a, b in runs:
-        lo = int(twins[a]) // step * step
-        if lo not in plan:
-            keep = kept[lo : lo + step].nonzero()[0]
-            plan[lo] = keep, ([_span(keep, c, d) for c, d in _runs(None, keep)], [])
-        _, (_, copies) = plan[lo]
-        copies.append((_span(twins[a:b] - lo, 0, b - a), _span(twin_of[a:b] - lo, 0, b - a)))
-    return plan
 
 
 def _span(seq: np.ndarray, lo: int, hi: int) -> slice:
@@ -469,6 +469,120 @@ def _scale_correlate(
 
 def _scale_norms(vectors: np.ndarray) -> np.ndarray:
     return np.sqrt(np.prod(np.abs(vectors), axis=1))
+
+
+@dataclass(frozen=True)
+class _SynthesisPlan:
+    """The signal-free part of a synthesis pass over one grid, chunk
+    length and scale set with one wavelet, built once and shared by every
+    call (see _synthesis_plan); its arrays are read-only.
+
+    tap_keys holds each axis's _tap_spectrum arguments: a call fetches
+    the tables from that memo.  factors holds each scale vector's measure
+    weight / sqrt|a|, shaped (count, 1, ..., 1).  steps holds what each
+    chunk runs if every twin candidate is a twin (see _synthesis_steps).
+    twins and twin_of are those candidates, each a candidate twin of the
+    scale vector twin_of; compare holds the runs (lo, hi, twins span,
+    twin_of span) over which a call compares their coefficient rows; and
+    taps holds each axis's (width, ids), from which a call whose
+    candidates are not all twins builds its own steps.
+    """
+
+    tap_keys: tuple[tuple[tuple, ...], ...]
+    factors: np.ndarray
+    steps: tuple
+    twins: np.ndarray
+    twin_of: np.ndarray
+    compare: tuple[tuple[int, int, slice, slice], ...]
+    taps: tuple[tuple[int, np.ndarray], ...]
+
+    def tables(self) -> list[list[np.ndarray]]:
+        """Each axis's tap spectrum tables, from the tap memo."""
+        return [[_tap_spectrum(*key)[0] for key in keys] for keys in self.tap_keys]
+
+
+@functools.lru_cache(maxsize=_SYNTHESIS_CACHE_SIZE)
+def _synthesis_plan(
+    phi: WaveletSpec, grid: Grid, pads: tuple[int, ...], step: int, vectors: bytes, weights: bytes
+) -> _SynthesisPlan:
+    """The plan of a synthesis pass of phi over grid with lag FFT lengths
+    pads, in chunks of step scale vectors, over the scale vectors and
+    measure weights given as bytes.
+
+    Memoized by value: an equal scale set is a hit, and one edited in
+    place a miss.  The plan holds tap table keys and row ids, never the
+    tables, so the tap memo's bound is the only bound on them.
+
+    Twin candidates are the scale vectors of one chunk whose synthesis
+    tap rows (one mixed-radix key) and factors agree bit for bit, each a
+    candidate twin of the last of them: in log_scale_grid's order that is
+    the one of positive components, whose tap rows the tables hold
+    forward, and numpy multiplies by a forward run of rows faster.
+    """
+    vectors = np.frombuffer(vectors).reshape(-1, grid.ndim)
+    layouts = [_tap_layout(phi, False, axis, pad, col) for axis, pad, col in zip(grid.axes, pads, vectors.T)]
+    taps = [layout[1:] for layout in layouts]
+    factors = np.frombuffer(weights) / _scale_norms(vectors)
+    count = factors.size
+    keys = (np.arange(count) // step, _row_keys(taps)[0], factors.view(np.int64))
+    _, _, twins, twin_of = _twins(*(k[::-1] for k in keys))
+    twins, twin_of = count - 1 - twins, count - 1 - twin_of
+    compare = tuple((a, b, _span(twins, a, b), _span(twin_of, a, b)) for a, b in _runs(twins // step, twins, twin_of))
+    rows = tuple((width, ids) for _, width, ids in taps)
+    factors = factors.reshape((-1,) + (1,) * grid.ndim)
+    for array in (factors, twins, twin_of, *(ids for _, ids in rows)):
+        array.flags.writeable = False
+    steps = _synthesis_steps(count, step, rows, twins, twin_of)
+    tap_keys = tuple(tuple(layout[0]) for layout in layouts)
+    return _SynthesisPlan(tap_keys, factors, steps, twins, twin_of, compare, rows)
+
+
+def synthesis_cache_info():
+    """Named tuple (hits, misses, maxsize, currsize) of the synthesis plan
+    memo; currsize counts its plans, each a few index arrays of one entry
+    per scale vector."""
+    return _synthesis_plan.cache_info()
+
+
+def _synthesis_steps(
+    count: int, step: int, taps: tuple[tuple[int, np.ndarray], ...], twins: np.ndarray, twin_of: np.ndarray
+) -> tuple:
+    """Per chunk of step of the count scale vectors, the pieces of each
+    axis (see _piece_spec) and the twins argument of _fft_convolve, or
+    None, for the twins (each a twin of twin_of) in the chunk: the chunk's
+    other rows as slices, and the (twin rows, rows) pairs that copy a
+    product row to its twins, in chunk coordinates.  taps holds each
+    axis's (width, ids)."""
+    kept = np.ones(count, dtype=bool)
+    kept[twins] = False
+    copies = {}
+    for a, b in _runs(twins // step, twins, twin_of):
+        lo = int(twins[a]) // step * step
+        copies.setdefault(lo, []).append((_span(twins[a:b] - lo, 0, b - a), _span(twin_of[a:b] - lo, 0, b - a)))
+    steps = []
+    for lo in range(0, count, step):
+        chunk = slice(lo, min(lo + step, count))
+        keep = kept[chunk].nonzero()[0] if lo in copies else None
+        pieces = tuple(_piece_spec(*np.divmod(ids[chunk], width), keep) for width, ids in taps)
+        live = None if keep is None else (tuple(_span(keep, c, d) for c, d in _runs(None, keep)), tuple(copies[lo]))
+        steps.append((pieces, live))
+    return tuple(steps)
+
+
+def _twin_rows(plan: _SynthesisPlan, step: int, values: np.ndarray) -> tuple:
+    """The synthesis steps, in chunks of step, for the coefficient rows
+    values: the plan's if every twin candidate's row agrees bit for bit
+    with its twin's (compared as integers, so -0.0 and NaN payloads
+    count), else those of the candidates that do, built as the plan's
+    were."""
+    bits = values.reshape(plan.factors.shape[0], -1).view(np.uint64)
+    equal = np.empty(plan.twins.size, dtype=bool)
+    with _short_buffers():
+        for a, b, dst, src in plan.compare:
+            np.all(bits[dst] == bits[src], axis=1, out=equal[a:b])
+    if equal.all():
+        return plan.steps
+    return _synthesis_steps(len(bits), step, plan.taps, plan.twins[equal], plan.twin_of[equal])
 
 
 def cfrwt_fast(
@@ -756,24 +870,21 @@ def reconstruct(
         raise ValueError(f"coefficients were taken with {coeffs.wavelet.name!r}, not the given {psi_used.name!r}")
     factor = _cross_value(phi, psi_used, order, ndim, scan, cross_value)
     grid = coeffs.b_grid
-    vectors = coeffs.scales.vectors
-    count = coeffs.scales.count
+    scales = coeffs.scales
     # the twin check reads the samples' bits as complex128
     values = np.ascontiguousarray(coeffs.values, dtype=np.complex128)
     b_weights = grid.weights() * _chirp(grid.radius_sq(), order.cot)
-    factors = coeffs.scales.measure_weights() / _scale_norms(vectors)
-    chunks, work, pads = _chunk_plan(grid, count)
-    taps = [_tap_rows(phi, False, axis, pad, col) for axis, pad, col in zip(grid.axes, pads, vectors.T)]
-    plan = _twin_rows(chunks, _row_keys(taps)[0], factors, values)
-    factors = factors.reshape((-1,) + (1,) * ndim)
+    chunks, work, pads = _chunk_plan(grid, scales.count)
+    step = chunks[0].stop
+    plan = _synthesis_plan(phi, grid, pads, step, scales.vectors.tobytes(), scales.measure_weights().tobytes())
+    tables = plan.tables()
     # the running padded spectrum of the scale sum along the last axis
     acc = np.zeros((1,) + grid.shape[:-1] + (pads[-1],), dtype=np.complex128)
-    for chunk in chunks:
+    for chunk, (pieces, twins) in zip(chunks, _twin_rows(plan, step, values)):
         # a chunk with twins convolves its distinct rows and copies them to
         # their twins' rows before the in-order sum
-        keep, twins = plan.get(chunk.start, (None, None))
-        kernels = [_pieces(tables, *np.divmod(ids[chunk], width), keep) for tables, width, ids in taps]
-        weights = (b_weights, factors[chunk])
+        kernels = [_kernel(axis_tables, spec) for axis_tables, spec in zip(tables, pieces)]
+        weights = (b_weights, plan.factors[chunk])
         out = _scale_correlate(values[chunk], grid, kernels, work, weights, acc, chunk is chunks[-1], twins)
     return SampledSignal(grid, out[0] * (factor * _chirp(grid.radius_sq(), -order.cot)))
 

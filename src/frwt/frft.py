@@ -21,6 +21,7 @@ Two evaluation routes are provided and kept deliberately independent:
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import enum
 import functools
@@ -55,6 +56,8 @@ NEAR_SINGULAR_TOL = 1e-3
 # least kernel matrix bytes per block of output rows in the direct quadrature;
 # a floor its bit-identity needs (see _direct_apply), not a memory cap
 _KERNEL_BLOCK_BYTES = 1 << 20
+# numpy's ufunc buffer size, in elements, inside _short_buffers
+_UFUNC_BUFSIZE = 256
 # most threads that do _run_blocks work at once: every CPU the process may
 # run on
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -369,6 +372,8 @@ class FrftPlan:
 
 
 def make_plan(grid: Grid, order: "TransformOrder | float") -> FrftPlan:
+    """The fast path's chirps and phases for grid at order, built afresh
+    on every call: the caller owns the plan and its arrays."""
     order = _as_order(order)
     order._require_generic()
     out_grid = natural_output_grid(grid, order)
@@ -441,6 +446,23 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
+@contextlib.contextmanager
+def _short_buffers():
+    """Run the body with numpy's ufunc buffers at _UFUNC_BUFSIZE elements.
+
+    numpy's iterator copies a broadcast or strided operand of a
+    multi-dimensional ufunc through buffers of bufsize elements, 128 KiB
+    each at the default 8192 (a 1 MiB pass's chunk needs two or three).
+    At 256 it walks rows of 256 or more elements in place and copies
+    shorter ones through 4 KiB; the arithmetic is the same.
+    """
+    with np.errstate():
+        np.setbufsize(_UFUNC_BUFSIZE)
+        yield
+
+
+# its ufuncs broadcast or write strided operands
+@_short_buffers()
 def _fft_convolve(
     operand: np.ndarray,
     kernel_fft: np.ndarray | list[tuple[slice, np.ndarray]],
@@ -512,7 +534,7 @@ def _fft_convolve(
             pad = [slice(None)] * operand.ndim
             pad[ax] = slice(operand.shape[ax], None)
             block[tuple(pad)] = 0.0
-        # the padding too, so that numpy needs one iterator buffer, not three
+        # the padding too (it stays zero): one contiguous operand
         for w in factors:
             block *= w
         # axis by axis, last first: the rounding of numpy's fftn without

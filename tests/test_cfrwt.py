@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -645,7 +649,7 @@ TWIN_CASES = {
 }
 
 
-def _twin_field(case, signs="both", psi=MEX, shuffled=False, alpha=ALPHA):
+def _twin_inputs(case, signs="both", shuffled=False):
     axes, (a_min, a_max, cells) = TWIN_CASES[case]
     g = Grid(axes)
     sc = log_scale_grid(a_min, a_max, cells, ndim=g.ndim, signs=signs)
@@ -653,6 +657,11 @@ def _twin_field(case, signs="both", psi=MEX, shuffled=False, alpha=ALPHA):
         order = np.random.default_rng(sc.count).permutation(sc.count)
         sc = ScaleGrid(sc.vectors[order], sc.log_step, sc.a_min, sc.a_max, sc.signs)
     f = sample(g, lambda *t: np.exp(-sum((x - 0.3) ** 2 for x in t)) * np.exp(1j * (t[0] - 2 * t[-1])))
+    return f, sc
+
+
+def _twin_field(case, signs="both", psi=MEX, shuffled=False, alpha=ALPHA):
+    f, sc = _twin_inputs(case, signs, shuffled)
     return cfrwt_fast(f, psi, alpha, sc)
 
 
@@ -663,11 +672,10 @@ def twin_rows(monkeypatch):
     counts = []
     real = cfrwt_module._twin_rows
 
-    def spy(chunks, *args):
-        plan = real(chunks, *args)
-        sizes = {c.start: c.stop - c.start for c in chunks}
-        counts.append(sum(sizes[lo] - keep.size for lo, (keep, _) in plan.items()))
-        return plan
+    def spy(plan, step, values):
+        steps = real(plan, step, values)
+        counts.append(sum(len(range(step)[dst]) for _, twins in steps if twins for dst, _ in twins[1]))
+        return steps
 
     monkeypatch.setattr(cfrwt_module, "_twin_rows", spy)
     return counts
@@ -762,6 +770,149 @@ def test_synthesis_twins_take_no_more_memory(case):
     finally:
         tracemalloc.stop()
     assert peak <= PEAK_BEFORE[case]
+
+
+# ---------------------------------------------------------- synthesis plan
+
+# the default budget, about 2 rows of the 1-D 256-sample pass, and one row
+PLAN_CHUNK_BYTES = (frft_module._CHUNK_BYTES, 20_000, 100)
+PLAN_CASES = [("1d-256", False), ("2d-30x27", False), ("3d-12x9x7", False), ("1d-256", True), ("2d-30x27", True)]
+
+
+def _plan_calls(before):
+    """(hits, misses) of the synthesis plan memo since before."""
+    after = cfrwt_module.synthesis_cache_info()
+    return after.hits - before.hits, after.misses - before.misses
+
+
+def _held_arrays(value):
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (tuple, list)):
+        return [a for item in value for a in _held_arrays(item)]
+    if dataclasses.is_dataclass(value):
+        return [a for f in dataclasses.fields(value) for a in _held_arrays(getattr(value, f.name))]
+    return []
+
+
+@pytest.mark.parametrize("chunk_bytes", PLAN_CHUNK_BYTES)
+@pytest.mark.parametrize("case, shuffled", PLAN_CASES, ids=[f"{c}-{'shuffled' if s else 'sorted'}" for c, s in PLAN_CASES])
+def test_a_warm_synthesis_plan_gives_the_same_bits(case, shuffled, chunk_bytes, monkeypatch):
+    """A second pass over the same grid and scales only hits the plan memo
+    and gives the first pass's bits, which are one product row per scale
+    vector's."""
+    monkeypatch.setattr(frft_module, "_CHUNK_BYTES", chunk_bytes)
+    f, sc = _twin_inputs(case, shuffled=shuffled)
+    w = cfrwt_fast(f, MEX, ALPHA, sc)
+    assert np.array_equal(w.values, per_vector_cfrwt(f, MEX, ALPHA, sc))
+    first = reconstruct(w, MEX, MEX, cross_value=CROSS).values
+    before = cfrwt_module.synthesis_cache_info()
+    again = reconstruct(w, MEX, MEX, cross_value=CROSS).values
+    assert _plan_calls(before) == (1, 0)
+    assert np.array_equal(again, first)
+    assert np.array_equal(again, per_vector_reconstruct(w, MEX, CROSS))
+
+
+@pytest.mark.parametrize("edit", ["one-bit", "negative-zero"])
+def test_a_warm_plan_compares_every_field_s_twin_rows(edit, twin_rows):
+    """The plan assumes its candidates are twins; a field whose twin row
+    differs in one bit is convolved row by row there, plan warm or not."""
+    w = _twin_field("1d-256")
+    reconstruct(w, MEX, MEX, cross_value=CROSS)
+    # row 0 (-a_max) is the candidate twin of row 127 (+a_max)
+    values = w.values.copy()
+    if edit == "one-bit":
+        values.view(np.uint64)[0, 200] ^= 1
+    else:
+        values[[0, 127], 100] = 0.0
+        values[0, 100] = complex(-0.0, 0.0)
+    field = CfrwtCoefficients(values, w.b_grid, w.scales, w.order, w.wavelet)
+    before = cfrwt_module.synthesis_cache_info()
+    got = reconstruct(field, MEX, MEX, cross_value=CROSS).values
+    assert _plan_calls(before) == (1, 0)
+    assert np.array_equal(got.view(np.uint64), per_vector_reconstruct(field, MEX, CROSS).view(np.uint64))
+    assert twin_rows == [64, 63]
+
+
+def test_the_synthesis_plan_is_keyed_by_the_scale_values():
+    w = _twin_field("1d-101")
+    want = reconstruct(w, MEX, MEX, cross_value=CROSS).values
+    sc = w.scales
+    equal = ScaleGrid(sc.vectors.copy(), sc.log_step, sc.a_min, sc.a_max, sc.signs)
+    field = CfrwtCoefficients(w.values, w.b_grid, equal, w.order, w.wavelet)
+    before = cfrwt_module.synthesis_cache_info()
+    assert np.array_equal(reconstruct(field, MEX, MEX, cross_value=CROSS).values, want)
+    assert _plan_calls(before) == (1, 0)
+    # an edit in place is a new key, whose plan gives the edited result
+    equal.vectors[3, 0] *= 1.5
+    before = cfrwt_module.synthesis_cache_info()
+    got = reconstruct(field, MEX, MEX, cross_value=CROSS).values
+    assert _plan_calls(before) == (0, 1)
+    assert np.array_equal(got, per_vector_reconstruct(field, MEX, CROSS))
+    assert not np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("case", ["1d-256", "2d-30x27"])
+def test_a_synthesis_plan_holds_read_only_arrays_and_no_tables(case):
+    w = _twin_field(case)
+    reconstruct(w, MEX, MEX, cross_value=CROSS)
+    sc = w.scales
+    chunks, _, pads = cfrwt_module._chunk_plan(w.b_grid, sc.count)
+    plan = cfrwt_module._synthesis_plan(
+        MEX, w.b_grid, pads, chunks[0].stop, sc.vectors.tobytes(), sc.measure_weights().tobytes()
+    )
+    held = _held_arrays(plan)
+    assert held and not any(a.flags.writeable for a in held)
+    # the tap tables stay in the tap memo: the plan holds their keys only
+    tables = [t for axis_tables in plan.tables() for t in axis_tables]
+    assert not any(np.shares_memory(a, t) for a in held for t in tables)
+
+
+def test_threads_share_one_synthesis_plan():
+    """More threads than CPUs build and read one plan at once, with
+    frequent switches; each gets the per-vector bits on every pass."""
+    w = _twin_field("2d-30x27")
+    want = per_vector_reconstruct(w, MEX, CROSS)
+    cfrwt_module._synthesis_plan.cache_clear()
+    workers = 2 * (os.cpu_count() or 1) + 1
+    start = threading.Barrier(workers)
+    results = [[] for _ in range(workers)]
+
+    def run(k):
+        start.wait()
+        for _ in range(3):
+            results[k].append(reconstruct(w, MEX, MEX, cross_value=CROSS).values)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(len(got) == 3 and all(np.array_equal(g, want) for g in got) for got in results)
+
+
+# reconstruct's tracemalloc peak on the stream field beyond its 1 MiB work
+# buffer (numpy 2.4): 48 264 B measured, 281 763 B before the synthesis
+# plan and _fft_convolve's short ufunc buffers
+SYNTHESIS_PEAK_MARGIN = 64 * 1024
+
+
+def test_reconstruct_needs_little_beyond_its_work_buffer():
+    w = _twin_field("1d-256")
+    reconstruct(w, MEX, MEX, cross_value=CROSS)
+    tracemalloc.start()
+    try:
+        reconstruct(w, MEX, MEX, cross_value=CROSS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= frft_module._CHUNK_BYTES + SYNTHESIS_PEAK_MARGIN
 
 
 def test_reconstruct_zero_coefficients(gabor_coeffs):

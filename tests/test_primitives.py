@@ -4,7 +4,7 @@ lag FFT length and one separable broadcast onto a grid, each defined once
 and used everywhere else; no module imports a name it never reads; the
 package exports exactly the names its modules list in __all__; every
 function, parameter and name the benchmark in perfbench/ binds exists; and
-the only memos are four named ones."""
+the only memos are five named ones."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import importlib
 import inspect
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -131,7 +132,13 @@ def test_primitive_lives_only_in_its_helper(rule):
 
 # every function memoized with functools.cache or functools.lru_cache, as
 # module.function: the package's hidden state lives in these and no others
-MEMOIZED = {"admissibility._scan", "cfrwt._tap_spectrum", "frft._next_fast_len", "frft._openblas_thread_calls"}
+MEMOIZED = {
+    "admissibility._scan",
+    "cfrwt._synthesis_plan",
+    "cfrwt._tap_spectrum",
+    "frft._next_fast_len",
+    "frft._openblas_thread_calls",
+}
 
 
 def _is_memo(decorator: ast.expr) -> bool:
@@ -333,6 +340,30 @@ def test_fft_convolve_weights_multiply_the_operand_as_it_is_padded():
     kernels = rng.standard_normal((4, 64)) + 0j
     want = _fft_convolve(u * w_b * w_s, kernels, (1,))
     assert np.array_equal(_fft_convolve(u, kernels, (1,), weights=(w_b, w_s)), want)
+
+
+def test_fft_convolve_weighs_a_chunk_in_place_with_its_bits():
+    """The stream field's synthesis chunk, 64 rows of 256 samples padded to
+    512 and weighted as they are written: numpy walks the strided and
+    broadcast operands in place instead of copying them through its
+    128 KiB ufunc buffers, and every bit is what those buffers give."""
+    rng = np.random.default_rng(7)
+    u = rng.standard_normal((64, 256)) + 1j * rng.standard_normal((64, 256))
+    u *= np.exp(rng.uniform(-30.0, 30.0, u.shape))
+    weights = (np.exp(1j * rng.standard_normal(256)) * rng.uniform(0.1, 2.0, 256), rng.uniform(0.5, 2.0, (64, 1)))
+    kernels = rng.standard_normal((64, 512)) + 1j * rng.standard_normal((64, 512))
+    work = np.empty(64 * 512, dtype=np.complex128)
+    buffered = _fft_convolve.__wrapped__(u, kernels, (1,), None, weights)
+    _fft_convolve(u, kernels, (1,), work, weights)
+    tracemalloc.start()
+    try:
+        got = _fft_convolve(u, kernels, (1,), work, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got.view(np.uint64), buffered.view(np.uint64))
+    # the weighted write alone took 263 632 B of ufunc buffers
+    assert peak < 16 * 1024
 
 
 @pytest.mark.parametrize(
