@@ -43,6 +43,7 @@ from .admissibility import (
 )
 from .cfrwt import (
     CfrwtCoefficients,
+    analysis_cache_info,
     cfrwt_direct,
     cfrwt_fast,
     inner_product_relation_check,

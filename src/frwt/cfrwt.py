@@ -34,7 +34,12 @@ distinct prefix of tap rows, on its parent prefix's row.  Each distinct
 coefficient row is normalized and chirped into the first of its scale
 vectors' slots and copied into the others: with both signs, an even
 wavelet's 2-D pass over 16 x 16 signed scale vectors runs 8 + 64 rows,
-not 2 x 256.  The blocks hold distinct rows, not scale vectors.
+not 2 x 256.  The blocks hold distinct rows, not scale vectors.  What
+analysis does apart from the signal (tap table keys, the runs each axis
+convolves and their buffer offsets, the writes that normalize distinct
+rows into their slots, the twin copies and the scale norms) is one plan,
+memoized per wavelet, grid, chunk length and scale set; a call fetches
+the tap tables and runs the convolutions.
 
 Synthesis integrates over the scale vectors as well.  The DFT is
 linear, so reconstruct adds the scale vectors' padded spectra along the
@@ -48,9 +53,10 @@ row per scale vector, bit for bit.  An even synthesis wavelet on an even
 analysis wavelet's field pairs the +-a rows of every chunk that holds
 both signs.  What synthesis does apart from the signal (tap table keys
 and row ids, factors, twin candidates and each chunk's pieces) is one
-plan, memoized per wavelet, grid, chunk length and scale set, so a
-stream of fields on one scale grid builds it once; a call fetches the
-tap tables and compares the candidates' coefficient rows.
+plan too, so a stream of fields on one scale grid builds it once; a call
+fetches the tap tables and compares the candidates' coefficient rows.
+The first call after a plan's build takes the tables the build fetched,
+so a pass of more tables than the tap memo keeps computes each once.
 """
 
 from __future__ import annotations
@@ -87,6 +93,7 @@ from .wavelets import WaveletSpec, make_daughter
 
 __all__ = [
     "CfrwtCoefficients",
+    "analysis_cache_info",
     "cfrwt_direct",
     "cfrwt_fast",
     "plancherel_check",
@@ -104,9 +111,9 @@ CROSS_ZERO_TOL = 1e-8
 
 # tap spectrum tables kept (each at most frft._CHUNK_BYTES)
 _TAP_CACHE_SIZE = 8
-# synthesis plans kept: a stream on one grid and scale set takes one per
-# synthesis wavelet
-_SYNTHESIS_CACHE_SIZE = 8
+# plans kept by each of the analysis and synthesis plan memos: a stream
+# on one grid and scale set takes one per wavelet
+_PLAN_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -290,13 +297,6 @@ def _tap_layout(
     return keys, tables, width, ids[distinct.searchsorted(mags), (col > 0).view(np.int8)]
 
 
-def _tap_rows(
-    psi: WaveletSpec, analysis: bool, axis: AxisSpec, pad: int, col: np.ndarray
-) -> tuple[list[np.ndarray], int, np.ndarray]:
-    """_tap_layout without the table keys."""
-    return _tap_layout(psi, analysis, axis, pad, col)[1:]
-
-
 def _runs(fixed: np.ndarray | None, *stepped: np.ndarray) -> list[tuple[int, int]]:
     """Maximal position runs (lo, hi) over which fixed, if given, stays
     constant and every sequence in stepped moves by one stride, so that a
@@ -342,12 +342,6 @@ def _kernel(tables: list[np.ndarray], spec: tuple[tuple[slice, int, slice], ...]
     """The (positions, spectra) pieces for _fft_convolve of the pieces
     spec (see _piece_spec) of tables."""
     return [(at, tables[table][rows]) for at, table, rows in spec]
-
-
-def _pieces(tables: list[np.ndarray], table_of: np.ndarray, row: np.ndarray) -> list[tuple[slice, np.ndarray]]:
-    """The tap spectra of the rows row of tables table_of, in order, as
-    (positions, spectra) pieces for _fft_convolve (see _piece_spec)."""
-    return _kernel(tables, _piece_spec(table_of, row))
 
 
 def _twins(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -471,24 +465,128 @@ def _scale_norms(vectors: np.ndarray) -> np.ndarray:
     return np.sqrt(np.prod(np.abs(vectors), axis=1))
 
 
+class _TapPlan:
+    """The tap tables of a pass plan: tap_keys holds each axis's
+    _tap_spectrum arguments, and fresh is a list that holds the tables the
+    plan's build fetched until a call takes them."""
+
+    def tables(self) -> list[list[np.ndarray]]:
+        """Each axis's tap spectrum tables.  The first call after the build
+        takes those the build fetched, since a pass of more than
+        _TAP_CACHE_SIZE tables has evicted the first ones from the tap memo
+        by then; later calls fetch them from that memo."""
+        try:
+            return self.fresh.pop()
+        except IndexError:
+            return [[_tap_spectrum(*key)[0] for key in keys] for keys in self.tap_keys]
+
+
 @dataclass(frozen=True)
-class _SynthesisPlan:
+class _AnalysisPlan(_TapPlan):
+    """The signal-free part of a fast analysis pass over one grid, chunk
+    length and scale set with one wavelet, built once and shared by every
+    call (see _analysis_plan); its arrays are read-only.
+
+    blocks holds, per block of distinct coefficient rows, each axis's
+    runs and the block's writes.  A run ((k, part), pieces, offset)
+    convolves the row part of run k of the previous axis (of the chirped
+    input on the first axis) with the tap rows pieces (see _piece_spec),
+    into the axis's buffer at offset.  A write (k, part, slots) normalizes
+    the rows part of the last axis's run k into the scale vectors slots.
+    norms holds sqrt|a| per scale vector, shaped (count, 1, ..., 1), and
+    copies the (twins, twin_of) slice pairs over which the first slot of
+    each distinct row is copied to its twins.
+    """
+
+    tap_keys: tuple[tuple[tuple, ...], ...]
+    fresh: list
+    blocks: tuple
+    norms: np.ndarray
+    copies: tuple[tuple[slice, slice], ...]
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _analysis_plan(psi: WaveletSpec, grid: Grid, pads: tuple[int, ...], step: int, vectors: bytes) -> _AnalysisPlan:
+    """The plan of a fast analysis pass of psi over grid with lag FFT
+    lengths pads, in blocks of step distinct coefficient rows, over the
+    scale vectors given as bytes.
+
+    Memoized by value, as _synthesis_plan is, and like it the plan holds
+    tap table keys, never the tables (after its first call).
+
+    A coefficient row is fixed by its tap row ids, one mixed-radix key per
+    scale vector; the distinct keys, ascending, are the rows computed, each
+    into the first scale vector holding it.  In a block, axis k runs once
+    per distinct prefix of tap rows through it, on its parent prefix's
+    row, so siblings share one convolution.
+    """
+    vectors = np.frombuffer(vectors).reshape(-1, grid.ndim)
+    layouts = [_tap_layout(psi, True, axis, pad, col) for axis, pad, col in zip(grid.axes, pads, vectors.T)]
+    taps = [layout[1:] for layout in layouts]
+    key, radix = _row_keys(taps)
+    distinct, first, twins, twin_of = _twins(key)
+    row_elems = [grid.size // axis.count * pad for axis, pad in zip(grid.axes, pads)]
+    blocks = []
+    for lo in range(0, distinct.size, step):
+        block = distinct[lo : lo + step]
+        # the (run, row) of each output row of the previous axis
+        levels, rows_at = [], [(0, 0)]
+        opens = np.zeros(len(block), dtype=bool)
+        opens[0] = True
+        for ax, (_, width, _) in enumerate(taps):
+            prefix = block // math.prod(radix[ax + 1 :])
+            owner = opens.cumsum() - 1
+            np.not_equal(prefix, np.concatenate(([-1], prefix[:-1])), out=opens)
+            heads = opens.nonzero()[0]
+            owner = owner[heads]
+            table_of, row = np.divmod(prefix[heads] % radix[ax], width)
+            runs, offset = _runs(owner), 0
+            level = []
+            for a, b in runs:
+                k, i = rows_at[owner[a]]
+                level.append(((k, slice(i, i + 1)), _piece_spec(table_of[a:b], row[a:b]), offset))
+                offset += (b - a) * row_elems[ax]
+            levels.append(tuple(level))
+            rows_at = [(k, i) for k, (a, b) in enumerate(runs) for i in range(b - a)]
+        # the last axis's rows are the block's distinct rows, in order
+        writes = []
+        for k, (a, b) in enumerate(runs):
+            slots = first[lo + a : lo + b]
+            writes.extend((k, slice(c, d), _span(slots, c, d)) for c, d in _runs(None, slots))
+        blocks.append((tuple(levels), tuple(writes)))
+    norms = _scale_norms(vectors).reshape((-1,) + (1,) * grid.ndim)
+    norms.flags.writeable = False
+    copies = tuple((_span(twins, a, b), _span(twin_of, a, b)) for a, b in _runs(None, twin_of, twins))
+    tap_keys = tuple(tuple(layout[0]) for layout in layouts)
+    fresh = [[layout[1] for layout in layouts]]
+    return _AnalysisPlan(tap_keys, fresh, tuple(blocks), norms, copies)
+
+
+def analysis_cache_info():
+    """Named tuple (hits, misses, maxsize, currsize) of the analysis plan
+    memo; currsize counts its plans, each a few slices per run of rows and
+    one norm per scale vector."""
+    return _analysis_plan.cache_info()
+
+
+@dataclass(frozen=True)
+class _SynthesisPlan(_TapPlan):
     """The signal-free part of a synthesis pass over one grid, chunk
     length and scale set with one wavelet, built once and shared by every
     call (see _synthesis_plan); its arrays are read-only.
 
-    tap_keys holds each axis's _tap_spectrum arguments: a call fetches
-    the tables from that memo.  factors holds each scale vector's measure
-    weight / sqrt|a|, shaped (count, 1, ..., 1).  steps holds what each
-    chunk runs if every twin candidate is a twin (see _synthesis_steps).
-    twins and twin_of are those candidates, each a candidate twin of the
-    scale vector twin_of; compare holds the runs (lo, hi, twins span,
-    twin_of span) over which a call compares their coefficient rows; and
-    taps holds each axis's (width, ids), from which a call whose
-    candidates are not all twins builds its own steps.
+    factors holds each scale vector's measure weight / sqrt|a|, shaped
+    (count, 1, ..., 1).  steps holds what each chunk runs if every twin
+    candidate is a twin (see _synthesis_steps).  twins and twin_of are
+    those candidates, each a candidate twin of the scale vector twin_of;
+    compare holds the runs (lo, hi, twins span, twin_of span) over which a
+    call compares their coefficient rows; and taps holds each axis's
+    (width, ids), from which a call whose candidates are not all twins
+    builds its own steps.
     """
 
     tap_keys: tuple[tuple[tuple, ...], ...]
+    fresh: list
     factors: np.ndarray
     steps: tuple
     twins: np.ndarray
@@ -496,12 +594,8 @@ class _SynthesisPlan:
     compare: tuple[tuple[int, int, slice, slice], ...]
     taps: tuple[tuple[int, np.ndarray], ...]
 
-    def tables(self) -> list[list[np.ndarray]]:
-        """Each axis's tap spectrum tables, from the tap memo."""
-        return [[_tap_spectrum(*key)[0] for key in keys] for keys in self.tap_keys]
 
-
-@functools.lru_cache(maxsize=_SYNTHESIS_CACHE_SIZE)
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _synthesis_plan(
     phi: WaveletSpec, grid: Grid, pads: tuple[int, ...], step: int, vectors: bytes, weights: bytes
 ) -> _SynthesisPlan:
@@ -511,7 +605,8 @@ def _synthesis_plan(
 
     Memoized by value: an equal scale set is a hit, and one edited in
     place a miss.  The plan holds tap table keys and row ids, never the
-    tables, so the tap memo's bound is the only bound on them.
+    tables (after its first call), so the tap memo's bound is the only
+    bound on them.
 
     Twin candidates are the scale vectors of one chunk whose synthesis
     tap rows (one mixed-radix key) and factors agree bit for bit, each a
@@ -534,7 +629,8 @@ def _synthesis_plan(
         array.flags.writeable = False
     steps = _synthesis_steps(count, step, rows, twins, twin_of)
     tap_keys = tuple(tuple(layout[0]) for layout in layouts)
-    return _SynthesisPlan(tap_keys, factors, steps, twins, twin_of, compare, rows)
+    fresh = [[layout[1] for layout in layouts]]
+    return _SynthesisPlan(tap_keys, fresh, factors, steps, twins, twin_of, compare, rows)
 
 
 def synthesis_cache_info():
@@ -600,49 +696,25 @@ def cfrwt_fast(
     _require_same_ndim(f, scales)
     grid = f.grid
     chi = _chirped_input(f, order)[None]
-    norms = _scale_norms(scales.vectors).reshape((-1,) + (1,) * f.ndim)
     chirp = _chirp(grid.radius_sq(), -order.cot)
     out = np.empty((scales.count,) + grid.shape, dtype=np.complex128)
     chunks, work, pads = _chunk_plan(grid, scales.count)
-    taps = [_tap_rows(psi, True, axis, pad, col) for axis, pad, col in zip(grid.axes, pads, scales.vectors.T)]
-    # a coefficient row is fixed by its tap row ids, one mixed-radix key
-    # per scale vector
-    key, radix = _row_keys(taps)
-    distinct, first, twins, twin_of = _twins(key)
-    row_elems = [grid.size // axis.count * pad for axis, pad in zip(grid.axes, pads)]
-    step = chunks[0].stop
-    for lo in range(0, distinct.size, step):
-        block = distinct[lo : lo + step]
-        # chi is the one parent of the first axis
-        parents, opens = [chi], np.zeros(len(block), dtype=bool)
-        opens[0] = True
-        for ax, (axis, (tables, width, _)) in enumerate(zip(grid.axes, taps)):
-            # axis ax runs once per distinct prefix of tap rows through it,
-            # on its parent prefix's row; siblings share one convolution
-            prefix = block // math.prod(radix[ax + 1 :])
-            owner = opens.cumsum() - 1
-            np.not_equal(prefix, np.concatenate(([-1], prefix[:-1])), out=opens)
-            heads = opens.nonzero()[0]
-            owner = owner[heads]
-            table_of, row = np.divmod(prefix[heads] % radix[ax], width)
-            offset, level = 0, []
-            for a, b in _runs(owner):
-                kernel = _pieces(tables, table_of[a:b], row[a:b])
-                level.append(_axis_correlate(parents[owner[a]], ax, axis.count, kernel, work[ax % 2][offset:]))
-                offset += (b - a) * row_elems[ax]
-            if ax < grid.ndim - 1:
-                parents = [rows[i : i + 1] for rows in level for i in range(len(rows))]
+    plan = _analysis_plan(psi, grid, pads, chunks[0].stop, scales.vectors.tobytes())
+    tables = plan.tables()
+    for levels, writes in plan.blocks:
+        level = [chi]
+        for ax, (axis, runs) in enumerate(zip(grid.axes, levels)):
+            parents, level = level, []
+            for (k, part), spec, offset in runs:
+                kernel = _kernel(tables[ax], spec)
+                level.append(_axis_correlate(parents[k][part], ax, axis.count, kernel, work[ax % 2][offset:]))
         # each distinct row goes to its first slot, normalized and chirped
-        done = lo
-        for rows in level:
-            slots = first[done : done + len(rows)]
-            for a, b in _runs(None, slots):
-                dst = out[_span(slots, a, b)]
-                np.divide(rows[a:b], norms[_span(slots, a, b)], out=dst)
-                dst *= chirp
-            done += len(rows)
-    for a, b in _runs(None, twin_of, twins):
-        out[_span(twins, a, b)] = out[_span(twin_of, a, b)]
+        for k, part, slots in writes:
+            dst = out[slots]
+            np.divide(level[k][part], plan.norms[slots], out=dst)
+            dst *= chirp
+    for dst, src in plan.copies:
+        out[dst] = out[src]
     return CfrwtCoefficients(out, grid, scales, order, psi)
 
 

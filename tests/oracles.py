@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from frwt.cfrwt import _axis_correlate, _chirped_input, _chunk_plan, _pieces, _scale_correlate, _tap_rows
+from frwt.cfrwt import _axis_correlate, _chirped_input, _chunk_plan, _kernel, _piece_spec, _scale_correlate, _tap_layout
 from frwt.frft import _as_order, _chirp, _next_fast_len, c_alpha, frft_fast
 from frwt.grid import Grid, SampledSignal, _exact_sum, l2_norm
 from frwt.uncertainty import LocalEntry, _ball_measure, dispersion
@@ -193,10 +193,10 @@ def per_vector_reconstruct(coeffs, phi, cross_value: complex) -> np.ndarray:
     factors = coeffs.scales.measure_weights() / np.sqrt(np.prod(np.abs(vectors), axis=1))
     factors = factors.reshape((-1,) + (1,) * grid.ndim)
     chunks, work, pads = _chunk_plan(grid, coeffs.scales.count)
-    taps = [_tap_rows(phi, False, axis, pad, col) for axis, pad, col in zip(grid.axes, pads, vectors.T)]
+    taps = [_tap_layout(phi, False, axis, pad, col)[1:] for axis, pad, col in zip(grid.axes, pads, vectors.T)]
     acc = np.zeros((1,) + grid.shape[:-1] + (pads[-1],), dtype=complex)
     for chunk in chunks:
-        kernels = [_pieces(tables, *np.divmod(ids[chunk], width)) for tables, width, ids in taps]
+        kernels = [_kernel(tables, _piece_spec(*np.divmod(ids[chunk], width))) for tables, width, ids in taps]
         weighted = coeffs.values[chunk] * b_weights * factors[chunk]
         out = _scale_correlate(weighted, grid, kernels, work, (), acc, chunk is chunks[-1])
     mod = abs(c_alpha(order, grid.ndim)) ** 2

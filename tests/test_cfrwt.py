@@ -400,7 +400,7 @@ def test_tap_spectra_are_cached_read_only(grid, scales_wide, gabor):
     assert np.array_equal(first, again)
     assert after.misses == before.misses and after.hits > before.hits
     pad = cfrwt_module._chunk_plan(grid, scales_wide.count)[2][0]
-    tables = cfrwt_module._tap_rows(DOG3, True, grid.axes[0], pad, scales_wide.vectors[:, 0])[0]
+    tables = cfrwt_module._tap_layout(DOG3, True, grid.axes[0], pad, scales_wide.vectors[:, 0])[1]
     mags = np.unique(np.abs(scales_wide.vectors))
     cap = frft_module._row_blocks(2 * mags.size, pad)[0].stop
     table, rows = cfrwt_module._tap_spectrum(
@@ -416,7 +416,7 @@ def test_tap_tables_hold_one_row_per_distinct_tap_row(grid, scales_wide, psi, ro
     """128 signed scales over 64 magnitudes: an even profile's +-a rows are
     one row, an odd profile's two; every table fits the chunk budget."""
     pad = cfrwt_module._chunk_plan(grid, scales_wide.count)[2][0]
-    tables, _, ids = cfrwt_module._tap_rows(psi, True, grid.axes[0], pad, scales_wide.vectors[:, 0])
+    tables, _, ids = cfrwt_module._tap_layout(psi, True, grid.axes[0], pad, scales_wide.vectors[:, 0])[1:]
     assert sum(len(t) for t in tables) == len(set(ids.tolist())) == rows
     assert all(t.nbytes <= frft_module._CHUNK_BYTES for t in tables)
 
@@ -495,7 +495,7 @@ def test_twin_scale_vectors_read_the_same_bits(ndim):
 
 def test_signed_taps_oracle_is_the_package_tap_table(grid, scales_wide):
     pad = cfrwt_module._chunk_plan(grid, scales_wide.count)[2][0]
-    tables, width, ids = cfrwt_module._tap_rows(DOG3, False, grid.axes[0], pad, scales_wide.vectors[:, 0])
+    tables, width, ids = cfrwt_module._tap_layout(DOG3, False, grid.axes[0], pad, scales_wide.vectors[:, 0])[1:]
     for a, i in zip(scales_wide.vectors[:, 0], ids):
         (_, spectrum), = signed_tap_spectrum(DOG3, False, grid.axes[0], a)
         assert np.array_equal(tables[i // width][i % width], spectrum[0])
@@ -868,12 +868,9 @@ def test_a_synthesis_plan_holds_read_only_arrays_and_no_tables(case):
     assert not any(np.shares_memory(a, t) for a in held for t in tables)
 
 
-def test_threads_share_one_synthesis_plan():
-    """More threads than CPUs build and read one plan at once, with
-    frequent switches; each gets the per-vector bits on every pass."""
-    w = _twin_field("2d-30x27")
-    want = per_vector_reconstruct(w, MEX, CROSS)
-    cfrwt_module._synthesis_plan.cache_clear()
+def _on_threads(call, want):
+    """More threads than CPUs run call three times each, all starting at
+    once, with frequent switches; every call must return want."""
     workers = 2 * (os.cpu_count() or 1) + 1
     start = threading.Barrier(workers)
     results = [[] for _ in range(workers)]
@@ -881,7 +878,7 @@ def test_threads_share_one_synthesis_plan():
     def run(k):
         start.wait()
         for _ in range(3):
-            results[k].append(reconstruct(w, MEX, MEX, cross_value=CROSS).values)
+            results[k].append(call())
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -895,6 +892,15 @@ def test_threads_share_one_synthesis_plan():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert all(len(got) == 3 and all(np.array_equal(g, want) for g in got) for got in results)
+
+
+def test_threads_share_one_synthesis_plan():
+    """Threads build and read one plan at once; each gets the per-vector
+    bits on every pass."""
+    w = _twin_field("2d-30x27")
+    want = per_vector_reconstruct(w, MEX, CROSS)
+    cfrwt_module._synthesis_plan.cache_clear()
+    _on_threads(lambda: reconstruct(w, MEX, MEX, cross_value=CROSS).values, want)
 
 
 # reconstruct's tracemalloc peak on the stream field beyond its 1 MiB work
@@ -913,6 +919,129 @@ def test_reconstruct_needs_little_beyond_its_work_buffer():
     finally:
         tracemalloc.stop()
     assert peak <= frft_module._CHUNK_BYTES + SYNTHESIS_PEAK_MARGIN
+
+
+# ----------------------------------------------------------- analysis plan
+
+
+def _analysis_calls(before):
+    """(hits, misses) of the analysis plan memo since before."""
+    after = cfrwt_module.analysis_cache_info()
+    return after.hits - before.hits, after.misses - before.misses
+
+
+@pytest.mark.parametrize("psi", [MEX, DOG3], ids=lambda p: p.name)
+@pytest.mark.parametrize("chunk_bytes", PLAN_CHUNK_BYTES)
+@pytest.mark.parametrize("case, shuffled", PLAN_CASES, ids=[f"{c}-{'shuffled' if s else 'sorted'}" for c, s in PLAN_CASES])
+def test_cold_and_warm_analysis_plans_give_the_per_vector_bits(case, shuffled, chunk_bytes, psi, monkeypatch):
+    monkeypatch.setattr(frft_module, "_CHUNK_BYTES", chunk_bytes)
+    f, sc = _twin_inputs(case, shuffled=shuffled)
+    want = per_vector_cfrwt(f, psi, ALPHA, sc)
+    cfrwt_module._analysis_plan.cache_clear()
+    cold = cfrwt_fast(f, psi, ALPHA, sc).values
+    before = cfrwt_module.analysis_cache_info()
+    warm = cfrwt_fast(f, psi, ALPHA, sc).values
+    assert _analysis_calls(before) == (1, 0)
+    assert np.array_equal(cold, want)
+    assert np.array_equal(warm, want)
+
+
+def test_the_analysis_plan_is_keyed_by_the_scale_values():
+    f, sc = _twin_inputs("1d-101")
+    want = cfrwt_fast(f, MEX, ALPHA, sc).values
+    equal = ScaleGrid(sc.vectors.copy(), sc.log_step, sc.a_min, sc.a_max, sc.signs)
+    before = cfrwt_module.analysis_cache_info()
+    assert np.array_equal(cfrwt_fast(f, MEX, ALPHA, equal).values, want)
+    assert _analysis_calls(before) == (1, 0)
+    # an edit in place is a new key, whose plan gives the edited result
+    equal.vectors[3, 0] *= 1.5
+    before = cfrwt_module.analysis_cache_info()
+    got = cfrwt_fast(f, MEX, ALPHA, equal).values
+    assert _analysis_calls(before) == (0, 1)
+    assert np.array_equal(got, per_vector_cfrwt(f, MEX, ALPHA, equal))
+    assert not np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("case", ["1d-256", "2d-30x27"])
+def test_an_analysis_plan_holds_read_only_arrays_and_no_tables(case):
+    f, sc = _twin_inputs(case)
+    cfrwt_fast(f, MEX, ALPHA, sc)
+    chunks, _, pads = cfrwt_module._chunk_plan(f.grid, sc.count)
+    plan = cfrwt_module._analysis_plan(MEX, f.grid, pads, chunks[0].stop, sc.vectors.tobytes())
+    held = _held_arrays(plan)
+    assert held and not any(a.flags.writeable for a in held)
+    # the first call took the tables the build fetched; the plan keeps
+    # only their keys
+    assert plan.fresh == []
+    tables = [t for axis_tables in plan.tables() for t in axis_tables]
+    assert not any(np.shares_memory(a, t) for a in held for t in tables)
+
+
+def test_threads_share_one_analysis_plan():
+    f, sc = _twin_inputs("2d-30x27")
+    want = per_vector_cfrwt(f, MEX, ALPHA, sc)
+    cfrwt_module._analysis_plan.cache_clear()
+    _on_threads(lambda: cfrwt_fast(f, MEX, ALPHA, sc).values, want)
+    assert cfrwt_module.analysis_cache_info().currsize == 1
+
+
+def test_analysis_cache_info_counts_the_plan_memo():
+    import frwt
+
+    cfrwt_module._analysis_plan.cache_clear()
+    f, sc = _twin_inputs("1d-101")
+    cfrwt_fast(f, MEX, ALPHA, sc)
+    # the order is no part of the plan; the wavelet is
+    cfrwt_fast(f, MEX, 2.2, sc)
+    cfrwt_fast(f, DOG3, ALPHA, sc)
+    info = frwt.analysis_cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+    # one size for both plan memos
+    assert info.maxsize == frwt.synthesis_cache_info().maxsize == cfrwt_module._PLAN_CACHE_SIZE
+
+
+def test_a_first_pass_computes_each_tap_table_once():
+    """A 1-D N=4096 dog3 pass over the default 128 signed scales needs 16
+    tables, twice what the tap memo keeps: the first call of each pass
+    takes the tables its plan's build fetched instead of computing them
+    again, and gives the bits of a later call."""
+    g = Grid((axis_centered(1 / 64, 4096),))
+    f = sample(g, lambda t: np.exp(-(t**2) / 2) * np.exp(4j * t))
+    sc = log_scale_grid(2.0**-4, 2.0**4, 64, signs="both")
+    for memo in (cfrwt_module._tap_spectrum, cfrwt_module._analysis_plan, cfrwt_module._synthesis_plan):
+        memo.cache_clear()
+
+    def with_tap_misses(call):
+        before = cfrwt_module.tap_cache_info().misses
+        result = call()
+        return result, cfrwt_module.tap_cache_info().misses - before
+
+    w, analysis_misses = with_tap_misses(lambda: cfrwt_fast(f, DOG3, ALPHA, sc))
+    first, synthesis_misses = with_tap_misses(lambda: reconstruct(w, DOG3, DOG3, cross_value=CROSS).values)
+    assert (analysis_misses, synthesis_misses) == (16, 16)
+    assert np.array_equal(w.values, cfrwt_fast(f, DOG3, ALPHA, sc).values)
+    assert np.array_equal(w.values, per_vector_cfrwt(f, DOG3, ALPHA, sc))
+    assert np.array_equal(first, reconstruct(w, DOG3, DOG3, cross_value=CROSS).values)
+
+
+# cfrwt_fast's tracemalloc peak on the stream field beyond its output and
+# its 1 MiB work buffer (numpy 2.4): 404 488 B measured, 413 550 B before
+# the analysis plan.  Nearly all of it is numpy's ufunc buffers for the
+# normalizing divide and chirp, whose rows are strided and whose norms
+# and chirp broadcast.
+ANALYSIS_PEAK_MARGIN = 420 * 1024
+
+
+def test_cfrwt_fast_needs_little_beyond_its_output_and_work_buffer():
+    f, sc = _twin_inputs("1d-256")
+    cfrwt_fast(f, MEX, ALPHA, sc)
+    tracemalloc.start()
+    try:
+        w = cfrwt_fast(f, MEX, ALPHA, sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= w.values.nbytes + frft_module._CHUNK_BYTES + ANALYSIS_PEAK_MARGIN
 
 
 def test_reconstruct_zero_coefficients(gabor_coeffs):

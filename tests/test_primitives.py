@@ -99,6 +99,13 @@ RULES = [
         {("cfrwt.py", "cfrwt_fast"), ("cfrwt.py", "kernel_projection"), ("cfrwt.py", "range_membership_residual")},
         "cfrwt.py",
     ),
+    # a pass's tap layout and twin classes are planned once per scale grid,
+    # so no call redoes that bookkeeping
+    (
+        "pass bookkeeping",
+        re.compile(r"(?<!def )\b_(?:tap_layout|twins)\("),
+        {("cfrwt.py", "_analysis_plan"), ("cfrwt.py", "_synthesis_plan")},
+    ),
 ]
 
 
@@ -134,6 +141,7 @@ def test_primitive_lives_only_in_its_helper(rule):
 # module.function: the package's hidden state lives in these and no others
 MEMOIZED = {
     "admissibility._scan",
+    "cfrwt._analysis_plan",
     "cfrwt._synthesis_plan",
     "cfrwt._tap_spectrum",
     "frft._next_fast_len",
