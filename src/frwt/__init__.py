@@ -17,11 +17,13 @@ from .frft import (
     OrderKind,
     TransformOrder,
     c_alpha,
+    chirp_cache_info,
     frft_direct,
     frft_fast,
     frft_inverse,
     make_plan,
     natural_output_grid,
+    plan_cache_info,
 )
 from .fracconv import frac_convolve, scaled_identity_check, spectral_identity_check
 from .wavelets import (

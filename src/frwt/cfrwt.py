@@ -18,7 +18,7 @@ need not keep the sign of an exact zero).  A small memo keeps these
 tables for a stream of signals, one entry per run of an axis's distinct
 magnitudes, each at most frft._CHUNK_BYTES (the row-block budget), so a
 second pass over the same grid and scales recomputes nothing while at
-most _TAP_CACHE_SIZE tables are in play.
+most frft._ARRAY_CACHE_SIZE tables are in play.
 
 A fast pass, analysis or synthesis, runs from one chunk plan: blocks of
 the shared row-block rule (frft._row_blocks, one row per scale vector's
@@ -39,7 +39,8 @@ analysis does apart from the signal (tap table keys, the runs each axis
 convolves and their buffer offsets, the writes that normalize distinct
 rows into their slots, the twin copies and the scale norms) is one plan,
 memoized per wavelet, grid, chunk length and scale set; a call fetches
-the tap tables and runs the convolutions.
+the tap tables and runs the convolutions.  Both passes take the grid's
+quadrature weights and +-cot chirps from frft's memo of grid chirps.
 
 Synthesis integrates over the scale vectors as well.  The DFT is
 linear, so reconstruct adds the scale vectors' padded spectra along the
@@ -76,10 +77,12 @@ from .admissibility import (
 )
 from .errors import GridMismatch, InadmissibleWavelet, ZeroCrossAdmissibility
 from .frft import (
+    _ARRAY_CACHE_SIZE,
     TransformOrder,
     _as_order,
     _chirp,
     _fft_convolve,
+    _grid_chirp,
     _next_fast_len,
     _row_blocks,
     _short_buffers,
@@ -109,8 +112,6 @@ __all__ = [
 
 CROSS_ZERO_TOL = 1e-8
 
-# tap spectrum tables kept (each at most frft._CHUNK_BYTES)
-_TAP_CACHE_SIZE = 8
 # plans kept by each of the analysis and synthesis plan memos: a stream
 # on one grid and scale set takes one per wavelet
 _PLAN_CACHE_SIZE = 8
@@ -180,7 +181,8 @@ def _require_same_ndim(f: SampledSignal, scales: ScaleGrid) -> None:
 def _chirped_input(f: SampledSignal, order: TransformOrder) -> np.ndarray:
     # quadrature weights and the +i/2 |t|^2 cot chirp of the conjugated
     # daughter are folded in once, shared by both evaluation routes
-    return f.values * f.grid.weights() * _chirp(f.grid.radius_sq(), order.cot)
+    weights, chirp = _grid_chirp(f.grid, order.cot)
+    return f.values * weights * chirp
 
 
 def cfrwt_direct(
@@ -210,7 +212,7 @@ def cfrwt_direct(
     return CfrwtCoefficients(out, f.grid, scales, order, psi)
 
 
-@functools.lru_cache(maxsize=_TAP_CACHE_SIZE)
+@functools.lru_cache(maxsize=_ARRAY_CACHE_SIZE)
 def _tap_spectrum(
     psi: WaveletSpec, analysis: bool, step: float, n: int, pad: int, cap: int, mags: bytes
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -473,7 +475,7 @@ class _TapPlan:
     def tables(self) -> list[list[np.ndarray]]:
         """Each axis's tap spectrum tables.  The first call after the build
         takes those the build fetched, since a pass of more than
-        _TAP_CACHE_SIZE tables has evicted the first ones from the tap memo
+        _ARRAY_CACHE_SIZE tables has evicted the first ones from the tap memo
         by then; later calls fetch them from that memo."""
         try:
             return self.fresh.pop()
@@ -696,7 +698,7 @@ def cfrwt_fast(
     _require_same_ndim(f, scales)
     grid = f.grid
     chi = _chirped_input(f, order)[None]
-    chirp = _chirp(grid.radius_sq(), -order.cot)
+    chirp = _grid_chirp(grid, -order.cot)[1]
     out = np.empty((scales.count,) + grid.shape, dtype=np.complex128)
     chunks, work, pads = _chunk_plan(grid, scales.count)
     plan = _analysis_plan(psi, grid, pads, chunks[0].stop, scales.vectors.tobytes())
@@ -945,7 +947,8 @@ def reconstruct(
     scales = coeffs.scales
     # the twin check reads the samples' bits as complex128
     values = np.ascontiguousarray(coeffs.values, dtype=np.complex128)
-    b_weights = grid.weights() * _chirp(grid.radius_sq(), order.cot)
+    weights, chirp = _grid_chirp(grid, order.cot)
+    b_weights = weights * chirp
     chunks, work, pads = _chunk_plan(grid, scales.count)
     step = chunks[0].stop
     plan = _synthesis_plan(phi, grid, pads, step, scales.vectors.tobytes(), scales.measure_weights().tobytes())
@@ -958,7 +961,7 @@ def reconstruct(
         kernels = [_kernel(axis_tables, spec) for axis_tables, spec in zip(tables, pieces)]
         weights = (b_weights, plan.factors[chunk])
         out = _scale_correlate(values[chunk], grid, kernels, work, weights, acc, chunk is chunks[-1], twins)
-    return SampledSignal(grid, out[0] * (factor * _chirp(grid.radius_sq(), -order.cot)))
+    return SampledSignal(grid, out[0] * (factor * _grid_chirp(grid, -order.cot)[1]))
 
 
 def reproducing_kernel(

@@ -16,7 +16,9 @@ Two evaluation routes are provided and kept deliberately independent:
   the reference the fast path is tested against.
 * ``frft_fast`` factors the kernel into input chirp, classical FFT and
   output chirp.  On the natural output grid it reproduces the direct
-  quadrature to rounding error at O(N log N) cost.
+  quadrature to rounding error at O(N log N) cost.  The chirps and phases
+  depend only on the grid and the order, so a small memo keeps them for a
+  stream of signals (see _kept_plan).
 """
 
 from __future__ import annotations
@@ -40,9 +42,11 @@ __all__ = [
     "OrderKind",
     "TransformOrder",
     "c_alpha",
+    "chirp_cache_info",
     "natural_output_grid",
     "FrftPlan",
     "make_plan",
+    "plan_cache_info",
     "frft_direct",
     "frft_fast",
     "frft_inverse",
@@ -58,6 +62,9 @@ NEAR_SINGULAR_TOL = 1e-3
 _KERNEL_BLOCK_BYTES = 1 << 20
 # numpy's ufunc buffer size, in elements, inside _short_buffers
 _UFUNC_BUFSIZE = 256
+# entries kept by each memo of signal-free arrays (the fast-transform plans,
+# the grid chirps and cfrwt's tap tables), each entry at most _CHUNK_BYTES
+_ARRAY_CACHE_SIZE = 8
 # most threads that do _run_blocks work at once: every CPU the process may
 # run on
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -169,6 +176,32 @@ def _chirp(radius_sq: np.ndarray, factor: "float | np.ndarray") -> np.ndarray:
     phase is carried by factor (cot for the input chirp, -cot for its
     inverse)."""
     return np.exp(0.5j * factor * radius_sq)
+
+
+def _grid_chirp(grid: Grid, factor: float) -> tuple[np.ndarray, np.ndarray]:
+    """grid.weights() and _chirp(grid.radius_sq(), factor), shared by every
+    call on grid at factor: read-only and memoized while the two fit
+    _CHUNK_BYTES, computed afresh for a larger grid."""
+    if 24 * grid.size > _CHUNK_BYTES:
+        return grid.weights(), _chirp(grid.radius_sq(), factor)
+    return _kept_grid_chirp(grid, factor)
+
+
+@functools.lru_cache(maxsize=_ARRAY_CACHE_SIZE)
+def _kept_grid_chirp(grid: Grid, factor: float) -> tuple[np.ndarray, np.ndarray]:
+    # a start of -0.0 gives the points, so the chirp, of a start of 0.0:
+    # unlike _kept_plan's, the key needs no start signs
+    pair = grid.weights(), _chirp(grid.radius_sq(), factor)
+    for array in pair:
+        array.flags.writeable = False
+    return pair
+
+
+def chirp_cache_info():
+    """Named tuple (hits, misses, maxsize, currsize) of the grid chirp
+    memo; currsize counts its entries, each a grid's weights and one chirp
+    of at most _CHUNK_BYTES together."""
+    return _kept_grid_chirp.cache_info()
 
 
 def _cis(phase: np.ndarray) -> np.ndarray:
@@ -373,7 +406,10 @@ class FrftPlan:
 
 def make_plan(grid: Grid, order: "TransformOrder | float") -> FrftPlan:
     """The fast path's chirps and phases for grid at order, built afresh
-    on every call: the caller owns the plan and its arrays."""
+    on every call: the caller owns the plan and its arrays, which are
+    writeable.  frft_fast takes its plans from a memo of read-only ones
+    instead (see _kept_plan), so a change made to a plan returned here
+    never reaches it."""
     order = _as_order(order)
     order._require_generic()
     out_grid = natural_output_grid(grid, order)
@@ -391,6 +427,24 @@ def make_plan(grid: Grid, order: "TransformOrder | float") -> FrftPlan:
         out_chirp=_chirp(out_grid.radius_sq(), cot),
         axis_phases=tuple(phases),
     )
+
+
+@functools.lru_cache(maxsize=_ARRAY_CACHE_SIZE)
+def _kept_plan(grid: Grid, alpha: float, start_signs: tuple[float, ...]) -> FrftPlan:
+    """make_plan(grid, alpha) with read-only arrays, shared by every
+    _transform on grid at alpha.  start_signs, the signs of the axes'
+    starts, is part of the key only: a start of -0.0 equals 0.0 but flips
+    the sign of the zero imaginary parts of its phases."""
+    plan = make_plan(grid, alpha)
+    for array in (plan.in_chirp, plan.out_chirp, *plan.axis_phases):
+        array.flags.writeable = False
+    return plan
+
+
+def plan_cache_info():
+    """Named tuple (hits, misses, maxsize, currsize) of the fast-transform
+    plan memo; currsize counts its plans, each at most _CHUNK_BYTES."""
+    return _kept_plan.cache_info()
 
 
 def frft_fast(f: SampledSignal, order: "TransformOrder | float") -> SampledSignal:
@@ -416,7 +470,11 @@ def _transform(grid: Grid, values: np.ndarray, order: "TransformOrder | float") 
     if order.kind is OrderKind.PARITY:
         return grid.reflected(), np.flip(values, axis=tuple(range(-grid.ndim, 0)))
     _warn_if_near_singular(order, stacklevel=4)
-    plan = make_plan(grid, order)
+    # a plan whose chirps and phases exceed _CHUNK_BYTES is not kept
+    if 16 * (2 * grid.size + sum(grid.shape)) > _CHUNK_BYTES:
+        plan = make_plan(grid, order)
+    else:
+        plan = _kept_plan(grid, order.alpha, tuple(math.copysign(1.0, ax.start) for ax in grid.axes))
     return plan.output_grid, _apply_plan(values, plan)
 
 

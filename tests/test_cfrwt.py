@@ -1044,6 +1044,115 @@ def test_cfrwt_fast_needs_little_beyond_its_output_and_work_buffer():
     assert peak <= w.values.nbytes + frft_module._CHUNK_BYTES + ANALYSIS_PEAK_MARGIN
 
 
+# ----------------------------------------------------- plan and chirp memos
+
+# two with sin(alpha) < 0
+MEMO_ORDERS = (0.9, 2.2, -1.1, 3.7)
+MEMO_CASES = {
+    **{case: TWIN_CASES[case] for case in ("1d-101", "1d-256", "2d-30x27")},
+    # equal grids, hash and all, whose points and chirps are bit-equal
+    "start+0": ((AxisSpec(0.0, 0.1, 64),), (2.0**-3, 2.0**3, 12)),
+    "start-0": ((AxisSpec(-0.0, 0.1, 64),), (2.0**-3, 2.0**3, 12)),
+}
+
+
+def _bit_equal(a, b):
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _memo_inputs(case):
+    axes, (a_min, a_max, cells) = MEMO_CASES[case]
+    g = Grid(axes)
+    f = sample(g, lambda *t: np.exp(-sum((x - 0.3) ** 2 for x in t)) * np.exp(1j * (t[0] - 2 * t[-1])))
+    return f, log_scale_grid(a_min, a_max, cells, ndim=g.ndim, signs="both")
+
+
+@pytest.mark.parametrize("alpha", MEMO_ORDERS)
+@pytest.mark.parametrize("case", list(MEMO_CASES))
+def test_cold_and_warm_grid_chirps_give_the_per_vector_bits(case, alpha):
+    f, sc = _memo_inputs(case)
+    order = _as_order(alpha)
+    # the per-vector oracle shares the chirped input, so pin it on its own
+    chirped = f.values * f.grid.weights() * frft_module._chirp(f.grid.radius_sq(), order.cot)
+    want = per_vector_cfrwt(f, MEX, alpha, sc)
+    frft_module._kept_grid_chirp.cache_clear()
+    for _ in range(2):
+        assert _bit_equal(cfrwt_module._chirped_input(f, order), chirped)
+        w = cfrwt_fast(f, MEX, alpha, sc)
+        assert _bit_equal(w.values, want)
+        got = reconstruct(w, MEX, MEX, cross_value=CROSS).values
+        assert _bit_equal(got, per_vector_reconstruct(w, MEX, CROSS))
+
+
+def test_grids_starting_at_plus_and_minus_zero_share_their_chirps():
+    frft_module._kept_grid_chirp.cache_clear()
+    for case in ("start+0", "start-0"):
+        f, sc = _memo_inputs(case)
+        w = cfrwt_fast(f, MEX, -1.1, sc)
+        assert _bit_equal(w.values, per_vector_cfrwt(f, MEX, -1.1, sc))
+        got = reconstruct(w, MEX, MEX, cross_value=CROSS).values
+        assert _bit_equal(got, per_vector_reconstruct(w, MEX, CROSS))
+    # five chirps a grid (the oracle's chirped input among them), two built
+    info = frft_module.chirp_cache_info()
+    assert (info.hits, info.misses) == (8, 2)
+
+
+def test_kept_grid_chirps_are_read_only():
+    f, sc = _memo_inputs("1d-101")
+    frft_module._kept_grid_chirp.cache_clear()
+    cfrwt_fast(f, MEX, ALPHA, sc)
+    assert frft_module.chirp_cache_info().currsize == 2
+    for factor in (_as_order(ALPHA).cot, -_as_order(ALPHA).cot):
+        for array in frft_module._grid_chirp(f.grid, factor):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+
+def test_grid_chirps_over_the_byte_bound_are_computed_per_call():
+    g = Grid((axis_centered(0.05, 256), axis_centered(0.05, 256)))
+    # weights and chirp, 1.5 MiB
+    assert 24 * g.size > frft_module._CHUNK_BYTES
+    f = sample(g, lambda x, y: np.exp(-(x**2 + y**2)))
+    sc = log_scale_grid(0.5, 1.0, 1, ndim=2, signs="positive")
+    want = per_vector_cfrwt(f, MEX, ALPHA, sc)
+    before = frft_module.chirp_cache_info()
+    w = cfrwt_fast(f, MEX, ALPHA, sc)
+    got = reconstruct(w, MEX, MEX, cross_value=CROSS).values
+    assert frft_module.chirp_cache_info() == before
+    assert _bit_equal(w.values, want)
+    assert _bit_equal(got, per_vector_reconstruct(w, MEX, CROSS))
+
+
+def test_threads_share_one_transform_plan_and_its_chirps():
+    f, sc = _twin_inputs("2d-30x27")
+    want = frft_module._apply_plan(f.values, frft_module.make_plan(f.grid, ALPHA))
+    frft_module._kept_plan.cache_clear()
+    _on_threads(lambda: frft_module.frft_fast(f, ALPHA).values, want)
+    assert frft_module.plan_cache_info().currsize == 1
+    w = cfrwt_fast(f, MEX, ALPHA, sc)
+    frft_module._kept_grid_chirp.cache_clear()
+    _on_threads(lambda: reconstruct(w, MEX, MEX, cross_value=CROSS).values, per_vector_reconstruct(w, MEX, CROSS))
+    assert frft_module.chirp_cache_info().currsize == 2
+
+
+def test_plan_and_chirp_cache_info_count_a_warm_stream():
+    import frwt
+
+    f, sc = _twin_inputs("1d-256")
+    frft_module._kept_plan.cache_clear()
+    frft_module._kept_grid_chirp.cache_clear()
+    for _ in range(3):
+        frwt.frft_fast(f, ALPHA)
+        w = cfrwt_fast(f, MEX, ALPHA, sc)
+        reconstruct(w, DOG4, MEX, cross_value=CROSS)
+    plans, chirps = frwt.plan_cache_info(), frwt.chirp_cache_info()
+    assert (plans.hits, plans.misses, plans.currsize) == (2, 1, 1)
+    # the analysis and the synthesis each take the +cot and -cot chirps
+    assert (chirps.hits, chirps.misses, chirps.currsize) == (10, 2, 2)
+    # one bound for the memos of signal-free arrays
+    assert plans.maxsize == chirps.maxsize == frwt.tap_cache_info().maxsize == frft_module._ARRAY_CACHE_SIZE
+
+
 def test_reconstruct_zero_coefficients(gabor_coeffs):
     zeros = CfrwtCoefficients(
         np.zeros_like(gabor_coeffs.values),

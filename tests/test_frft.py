@@ -595,3 +595,110 @@ def test_plan_c_alpha_modulus(grid_256):
     plan = make_plan(grid_256, TransformOrder(0.9))
     expected = (abs(1 / math.sin(0.9)) / (2 * math.pi)) ** 0.5
     assert abs(plan.c_alpha) == pytest.approx(expected, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# plan memo: _transform's plans are make_plan's, kept read-only
+
+MEMO_GRIDS = {
+    "1d-256": Grid((axis_centered(0.0625, 256),)),
+    "1d-101": Grid((AxisSpec(-5.0, 0.1, 101),)),
+    "1d-4096": Grid((axis_centered(1 / 16, 4096),)),
+    "2d-30x27": Grid((axis_centered(0.25, 30), axis_centered(0.2, 27))),
+}
+# two with sin(alpha) < 0, whose axes run through the inverse FFT
+MEMO_ORDERS = (0.9, 2.2, -1.1, 3.7)
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    return values.view(np.uint64)
+
+
+def _fresh_plan_route(values, grid, alpha):
+    return frft_module._apply_plan(values, make_plan(grid, alpha))
+
+
+def _plan_calls(before):
+    """(hits, misses) of the plan memo since before."""
+    after = frft_module.plan_cache_info()
+    return after.hits - before.hits, after.misses - before.misses
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["single", "batched"])
+@pytest.mark.parametrize("alpha", MEMO_ORDERS)
+@pytest.mark.parametrize("case", list(MEMO_GRIDS))
+def test_cold_and_warm_plans_give_the_fresh_plan_bits(case, alpha, batch):
+    """frft_fast, and the batched _transform that uncertainty runs, give
+    the bits of a plan built afresh, on the miss and on the hit."""
+    grid = MEMO_GRIDS[case]
+    family = [random_smooth_signal(grid, seed=seed) for seed in range(3 if batch else 1)]
+    values = np.stack([f.values for f in family]) if batch else family[0].values
+    want = _fresh_plan_route(values, grid, alpha)
+    frft_module._kept_plan.cache_clear()
+    got = []
+    for calls in ((0, 1), (1, 0)):
+        before = frft_module.plan_cache_info()
+        if batch:
+            out_grid, out = _transform(grid, values, alpha)
+        else:
+            spectrum = frft_fast(family[0], alpha)
+            out_grid, out = spectrum.grid, spectrum.values
+        assert _plan_calls(before) == calls
+        assert out_grid == natural_output_grid(grid, alpha)
+        got.append(out)
+    assert all(np.array_equal(_bits(out), _bits(want)) for out in got)
+
+
+@pytest.mark.parametrize("alpha", MEMO_ORDERS)
+def test_grids_starting_at_plus_and_minus_zero_keep_their_own_plans(alpha):
+    """A start of -0.0 equals one of 0.0, hash and all, but its phases
+    differ in the signs of zeros where sin(alpha) < 0: each grid is
+    planned on its own and transforms to its fresh plan's bits."""
+    plus, minus = Grid((AxisSpec(0.0, 0.1, 64),)), Grid((AxisSpec(-0.0, 0.1, 64),))
+    assert plus == minus and hash(plus) == hash(minus)
+    values = random_smooth_signal(plus, seed=5).values
+    values[::5] = -0.0
+    frft_module._kept_plan.cache_clear()
+    for grid in (plus, minus, plus, minus):
+        got = _transform(grid, values, alpha)[1]
+        assert np.array_equal(_bits(got), _bits(_fresh_plan_route(values, grid, alpha)))
+    assert frft_module.plan_cache_info().currsize == 2
+    phases = [_bits(make_plan(grid, alpha).axis_phases[0]) for grid in (plus, minus)]
+    assert np.array_equal(*phases) == (math.sin(alpha) > 0)
+    for grid, want in zip((plus, minus), phases):
+        kept = frft_module._kept_plan(grid, alpha, (math.copysign(1.0, grid.axes[0].start),))
+        assert np.array_equal(_bits(kept.axis_phases[0]), want)
+
+
+def test_a_kept_plan_is_read_only(grid_256, gaussian_256):
+    frft_module._kept_plan.cache_clear()
+    frft_fast(gaussian_256, 0.9)
+    plan = frft_module._kept_plan(grid_256, 0.9, (-1.0,))
+    assert frft_module.plan_cache_info().currsize == 1
+    for array in (plan.in_chirp, plan.out_chirp, *plan.axis_phases):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_a_changed_make_plan_result_does_not_reach_frft_fast(grid_256, gaussian_256):
+    want = frft_fast(gaussian_256, 0.9).values
+    plan = make_plan(grid_256, 0.9)
+    # make_plan's caller owns fresh, writeable arrays
+    assert not np.shares_memory(plan.in_chirp, make_plan(grid_256, 0.9).in_chirp)
+    for array in (plan.in_chirp, plan.out_chirp, *plan.axis_phases):
+        array[:] = 0.0
+    assert np.array_equal(frft_fast(gaussian_256, 0.9).values, want)
+
+
+def test_a_plan_over_the_byte_bound_is_built_per_call():
+    grid = Grid((axis_centered(0.05, 256), axis_centered(0.05, 256)))
+    # its two chirps alone are 2 MiB
+    assert 32 * grid.size > frft_module._CHUNK_BYTES
+    f = random_smooth_signal(grid, seed=2)
+    want = _fresh_plan_route(f.values, grid, 0.9)
+    for _ in range(2):
+        before = frft_module.plan_cache_info()
+        got = frft_fast(f, 0.9).values
+        assert _plan_calls(before) == (0, 0)
+        assert frft_module.plan_cache_info().currsize == before.currsize
+        assert np.array_equal(_bits(got), _bits(want))

@@ -58,7 +58,7 @@ RULES = [
     (
         "fast transform plan",
         re.compile(r"\b(?:make_plan|_apply_plan)\("),
-        {("frft.py", "_transform"), ("frft.py", "make_plan"), ("frft.py", "_apply_plan")},
+        {("frft.py", "_transform"), ("frft.py", "make_plan"), ("frft.py", "_kept_plan"), ("frft.py", "_apply_plan")},
     ),
     (
         "rows per byte budget",
@@ -144,6 +144,8 @@ MEMOIZED = {
     "cfrwt._analysis_plan",
     "cfrwt._synthesis_plan",
     "cfrwt._tap_spectrum",
+    "frft._kept_grid_chirp",
+    "frft._kept_plan",
     "frft._next_fast_len",
     "frft._openblas_thread_calls",
 }
