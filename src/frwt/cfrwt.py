@@ -37,10 +37,11 @@ wavelet's 2-D pass over 16 x 16 signed scale vectors runs 8 + 64 rows,
 not 2 x 256.  The blocks hold distinct rows, not scale vectors.  What
 analysis does apart from the signal (tap table keys, the runs each axis
 convolves and their buffer offsets, the writes that normalize distinct
-rows into their slots, the twin copies and the scale norms) is one plan,
-memoized per wavelet, grid, chunk length and scale set; a call fetches
-the tap tables and runs the convolutions.  Both passes take the grid's
-quadrature weights and +-cot chirps from frft's memo of grid chirps.
+rows into their slots, the twin copies and the reciprocal scale norms)
+is one plan, memoized per wavelet, grid, chunk length and scale set; a
+call fetches the tap tables and runs the convolutions.  Both passes take
+the grid's quadrature weights and +-cot chirps from frft's memo of grid
+chirps.
 
 Synthesis integrates over the scale vectors as well.  The DFT is
 linear, so reconstruct adds the scale vectors' padded spectra along the
@@ -495,15 +496,18 @@ class _AnalysisPlan(_TapPlan):
     input on the first axis) with the tap rows pieces (see _piece_spec),
     into the axis's buffer at offset.  A write (k, part, slots) normalizes
     the rows part of the last axis's run k into the scale vectors slots.
-    norms holds sqrt|a| per scale vector, shaped (count, 1, ..., 1), and
-    copies the (twins, twin_of) slice pairs over which the first slot of
-    each distinct row is copied to its twins.
+    reciprocals holds 1 / sqrt|a| per scale vector, shaped (count, 1, ...,
+    1), by which a write multiplies: numpy divides complex x by real n with
+    Smith's algorithm, which computes x * (1 / n), so the product has the
+    bits of the quotient but for the signs of exact zeros.  copies holds
+    the (twins, twin_of) slice pairs over which the first slot of each
+    distinct row is copied to its twins.
     """
 
     tap_keys: tuple[tuple[tuple, ...], ...]
     fresh: list
     blocks: tuple
-    norms: np.ndarray
+    reciprocals: np.ndarray
     copies: tuple[tuple[slice, slice], ...]
 
 
@@ -556,18 +560,18 @@ def _analysis_plan(psi: WaveletSpec, grid: Grid, pads: tuple[int, ...], step: in
             slots = first[lo + a : lo + b]
             writes.extend((k, slice(c, d), _span(slots, c, d)) for c, d in _runs(None, slots))
         blocks.append((tuple(levels), tuple(writes)))
-    norms = _scale_norms(vectors).reshape((-1,) + (1,) * grid.ndim)
-    norms.flags.writeable = False
+    reciprocals = 1.0 / _scale_norms(vectors).reshape((-1,) + (1,) * grid.ndim)
+    reciprocals.flags.writeable = False
     copies = tuple((_span(twins, a, b), _span(twin_of, a, b)) for a, b in _runs(None, twin_of, twins))
     tap_keys = tuple(tuple(layout[0]) for layout in layouts)
     fresh = [[layout[1] for layout in layouts]]
-    return _AnalysisPlan(tap_keys, fresh, tuple(blocks), norms, copies)
+    return _AnalysisPlan(tap_keys, fresh, tuple(blocks), reciprocals, copies)
 
 
 def analysis_cache_info():
     """Named tuple (hits, misses, maxsize, currsize) of the analysis plan
     memo; currsize counts its plans, each a few slices per run of rows and
-    one norm per scale vector."""
+    one reciprocal norm per scale vector."""
     return _analysis_plan.cache_info()
 
 
@@ -710,11 +714,14 @@ def cfrwt_fast(
             for (k, part), spec, offset in runs:
                 kernel = _kernel(tables[ax], spec)
                 level.append(_axis_correlate(parents[k][part], ax, axis.count, kernel, work[ax % 2][offset:]))
-        # each distinct row goes to its first slot, normalized and chirped
-        for k, part, slots in writes:
-            dst = out[slots]
-            np.divide(level[k][part], plan.norms[slots], out=dst)
-            dst *= chirp
+        # each distinct row goes to its first slot, normalized and chirped;
+        # the rows are strided and the reciprocals and chirp broadcast, so
+        # short buffers spare numpy's 128 KiB iterator buffers
+        with _short_buffers():
+            for k, part, slots in writes:
+                dst = out[slots]
+                np.multiply(level[k][part], plan.reciprocals[slots], out=dst)
+                dst *= chirp
     for dst, src in plan.copies:
         out[dst] = out[src]
     return CfrwtCoefficients(out, grid, scales, order, psi)

@@ -187,6 +187,14 @@ def _grid_chirp(grid: Grid, factor: float) -> tuple[np.ndarray, np.ndarray]:
     return _kept_grid_chirp(grid, factor)
 
 
+def _grid_weights(grid: Grid, factor: float) -> np.ndarray:
+    """grid.weights(), from _grid_chirp(grid, factor)'s memo entry while
+    it is kept; a larger grid computes the weights alone, not the chirp."""
+    if 24 * grid.size > _CHUNK_BYTES:
+        return grid.weights()
+    return _kept_grid_chirp(grid, factor)[0]
+
+
 @functools.lru_cache(maxsize=_ARRAY_CACHE_SIZE)
 def _kept_grid_chirp(grid: Grid, factor: float) -> tuple[np.ndarray, np.ndarray]:
     # a start of -0.0 gives the points, so the chirp, of a start of 0.0:
@@ -634,21 +642,40 @@ def _row_blocks(count: int, row_elems: int) -> list[slice]:
 
 def _apply_plan(values: np.ndarray, plan: FrftPlan) -> np.ndarray:
     """Chirp-FFT-chirp over the trailing plan.input_grid.ndim axes of values;
-    leading axes are a batch transformed independently."""
-    ndim = plan.input_grid.ndim
-    v = values * plan.input_grid.weights() * plan.in_chirp
+    leading axes are a batch transformed independently.
+
+    The weights come from the grid chirp memo at +cot, the entry cfrwt's
+    analysis of the same grid and order reads.  Each axis's FFT runs in
+    place, and its fftshift is folded into the phase product: the two
+    halves of the spectrum are multiplied into the swapped halves of the
+    other buffer.  Every product keeps the operands and the order of
+    weights * in_chirp, fft, fftshift, phase, out_chirp, c_alpha."""
+    grid = plan.input_grid
+    ndim = grid.ndim
+    v = values * _grid_weights(grid, plan.order.cot)
+    v *= plan.in_chirp
+    shifted = np.empty_like(v)
     forward = plan.order.sin_sign > 0
-    for k, ax in enumerate(plan.input_grid.axes):
-        axis = k - ndim
+    for k, ax in enumerate(grid.axes):
         if forward:
-            v = np.fft.fft(v, axis=axis)
+            np.fft.fft(v, axis=k - ndim, out=v)
         else:
-            v = np.fft.ifft(v, axis=axis) * ax.count
-        v = np.fft.fftshift(v, axes=axis)
+            np.fft.ifft(v, axis=k - ndim, out=v)
+            v *= ax.count
         shape = [1] * ndim
         shape[k] = -1
-        v = v * plan.axis_phases[k].reshape(shape)
-    return v * plan.out_chirp * plan.c_alpha
+        phase = plan.axis_phases[k].reshape(shape)
+        # fftshift moves sample j to (j + n // 2) mod n
+        n, half = ax.count, ax.count // 2
+        trail = (slice(None),) * (ndim - 1 - k)
+        low, high = (..., slice(0, half)) + trail, (..., slice(half, None)) + trail
+        head, tail = (..., slice(0, n - half)) + trail, (..., slice(n - half, None)) + trail
+        np.multiply(v[head], phase[high], out=shifted[high])
+        np.multiply(v[tail], phase[low], out=shifted[low])
+        v, shifted = shifted, v
+    v *= plan.out_chirp
+    v *= plan.c_alpha
+    return v
 
 
 def frft_inverse(g: SampledSignal, order: "TransformOrder | float") -> SampledSignal:

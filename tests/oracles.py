@@ -243,6 +243,29 @@ def dense_direct_apply(values: np.ndarray, grid: Grid, alpha: float, axes_points
     return out
 
 
+def chirp_fft_chirp(values: np.ndarray, plan) -> np.ndarray:
+    """The fast transform as frft._apply_plan first wrote it, from a fresh
+    make_plan plan: weights and input chirp, then per axis fft (or ifft
+    times the length), np.fft.fftshift and the phase, then output chirp
+    and c_alpha, each a fresh product.  frft_fast equal to it bit for bit
+    shows that the memoized weights, the in-place FFTs and the shift
+    folded into the phase product move no bit."""
+    grid = plan.input_grid
+    ndim = grid.ndim
+    v = values * grid.weights() * plan.in_chirp
+    for k, ax in enumerate(grid.axes):
+        axis = k - ndim
+        if plan.order.sin_sign > 0:
+            v = np.fft.fft(v, axis=axis)
+        else:
+            v = np.fft.ifft(v, axis=axis) * ax.count
+        v = np.fft.fftshift(v, axes=axis)
+        shape = [1] * ndim
+        shape[k] = -1
+        v = v * plan.axis_phases[k].reshape(shape)
+    return v * plan.out_chirp * plan.c_alpha
+
+
 def closed_form_spectrum(name: str):
     """Closed-form classical Fourier spectrum (unitary convention) of a
     catalog profile, as a function of the frequency."""

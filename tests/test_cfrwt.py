@@ -452,6 +452,10 @@ def test_negative_scale_taps_are_the_reversed_positive_ones(n):
     assert palindromes == {"mexican_hat", "dog4", "gaussian"}
 
 
+def _bit_equal(a, b):
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def _twin_case(ndim, signs):
     if ndim == 1:
         g = Grid((AxisSpec(-5.0, 0.1, 101),))
@@ -471,14 +475,16 @@ def _twin_case(ndim, signs):
 @pytest.mark.parametrize("psi", [MEX, DOG4, DOG3, MOR, PERTURBED], ids=lambda p: p.name)
 def test_fast_is_bitwise_the_per_vector_route(psi, case, signs, chunk_bytes, grid, monkeypatch):
     """One coefficient row per distinct tuple of tap rows, ±a twins copied,
-    gives the bits of correlating every scale vector on its own."""
+    gives the bits of correlating every scale vector on its own, compared
+    as integers: the rows multiplied by 1 / sqrt|a| equal the oracle's
+    rows divided by sqrt|a|, their exact zeros (1d-256) included."""
     if case == "1d-256":
         f = sample(grid, lambda t: np.exp(-((t - 0.5) ** 2) / (2 * 0.4**2)) * np.exp(3j * t))
         sc = log_scale_grid(2.0**-4, 2.0**4, 64, signs=signs)
     else:
         f, sc = _twin_case(int(case[0]), signs)
     monkeypatch.setattr(frft_module, "_CHUNK_BYTES", chunk_bytes)
-    assert np.array_equal(cfrwt_fast(f, psi, ALPHA, sc).values, per_vector_cfrwt(f, psi, ALPHA, sc))
+    assert _bit_equal(cfrwt_fast(f, psi, ALPHA, sc).values, per_vector_cfrwt(f, psi, ALPHA, sc))
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
@@ -1025,11 +1031,11 @@ def test_a_first_pass_computes_each_tap_table_once():
 
 
 # cfrwt_fast's tracemalloc peak on the stream field beyond its output and
-# its 1 MiB work buffer (numpy 2.4): 404 488 B measured, 413 550 B before
-# the analysis plan.  Nearly all of it is numpy's ufunc buffers for the
-# normalizing divide and chirp, whose rows are strided and whose norms
-# and chirp broadcast.
-ANALYSIS_PEAK_MARGIN = 420 * 1024
+# its 1 MiB work buffer (numpy 2.4): 17 680 B measured.  It was 404 488 B
+# while the normalizing multiply and chirp, whose rows are strided and
+# whose reciprocals and chirp broadcast, ran through numpy's default
+# ufunc buffers instead of frft._short_buffers.
+ANALYSIS_PEAK_MARGIN = 32 * 1024
 
 
 def test_cfrwt_fast_needs_little_beyond_its_output_and_work_buffer():
@@ -1044,6 +1050,21 @@ def test_cfrwt_fast_needs_little_beyond_its_output_and_work_buffer():
     assert peak <= w.values.nbytes + frft_module._CHUNK_BYTES + ANALYSIS_PEAK_MARGIN
 
 
+# ------------------------------------------------ reciprocal normalization
+
+
+@pytest.mark.parametrize("case", ["1d-101", "1d-256", "2d-30x27"])
+def test_an_all_zero_signal_still_gives_an_all_zero_field(case):
+    """Multiplying by 1 / sqrt|a| instead of dividing by sqrt|a| keeps
+    every nonzero bit (test_fast_is_bitwise_the_per_vector_route), but a
+    zero row may come out with zeros of other signs."""
+    f, sc = _twin_inputs(case)
+    zero = SampledSignal(f.grid, np.zeros(f.grid.shape))
+    got = cfrwt_fast(zero, MEX, ALPHA, sc).values
+    assert not got.any()
+    assert np.array_equal(got, per_vector_cfrwt(zero, MEX, ALPHA, sc))
+
+
 # ----------------------------------------------------- plan and chirp memos
 
 # two with sin(alpha) < 0
@@ -1054,10 +1075,6 @@ MEMO_CASES = {
     "start+0": ((AxisSpec(0.0, 0.1, 64),), (2.0**-3, 2.0**3, 12)),
     "start-0": ((AxisSpec(-0.0, 0.1, 64),), (2.0**-3, 2.0**3, 12)),
 }
-
-
-def _bit_equal(a, b):
-    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def _memo_inputs(case):
@@ -1147,8 +1164,9 @@ def test_plan_and_chirp_cache_info_count_a_warm_stream():
         reconstruct(w, DOG4, MEX, cross_value=CROSS)
     plans, chirps = frwt.plan_cache_info(), frwt.chirp_cache_info()
     assert (plans.hits, plans.misses, plans.currsize) == (2, 1, 1)
-    # the analysis and the synthesis each take the +cot and -cot chirps
-    assert (chirps.hits, chirps.misses, chirps.currsize) == (10, 2, 2)
+    # the analysis and the synthesis each take the +cot and -cot chirps,
+    # and frft_fast the weights of the +cot entry
+    assert (chirps.hits, chirps.misses, chirps.currsize) == (13, 2, 2)
     # one bound for the memos of signal-free arrays
     assert plans.maxsize == chirps.maxsize == frwt.tap_cache_info().maxsize == frft_module._ARRAY_CACHE_SIZE
 

@@ -32,7 +32,7 @@ from frwt.frft import (
 from frwt.grid import AxisSpec, Grid, SampledSignal, axis_centered, l1_norm, l2_norm, sample
 
 from conftest import random_smooth_signal, set_workers
-from oracles import brute_kernel_transform, classical_unitary_ft, dense_direct_apply
+from oracles import brute_kernel_transform, chirp_fft_chirp, classical_unitary_ft, dense_direct_apply
 
 # |c(pi/4)| = 2**0.25 / sqrt(2*pi), computed in closed form
 C_PI_QUARTER_ABS = 0.4744249983287943
@@ -605,6 +605,10 @@ MEMO_GRIDS = {
     "1d-101": Grid((AxisSpec(-5.0, 0.1, 101),)),
     "1d-4096": Grid((axis_centered(1 / 16, 4096),)),
     "2d-30x27": Grid((axis_centered(0.25, 30), axis_centered(0.2, 27))),
+    "2d-64x63": Grid((axis_centered(0.1, 64), axis_centered(0.15, 63))),
+    # equal grids, hash and all, whose phases differ in the signs of zeros
+    "start+0": Grid((AxisSpec(0.0, 0.1, 64),)),
+    "start-0": Grid((AxisSpec(-0.0, 0.1, 64),)),
 }
 # two with sin(alpha) < 0, whose axes run through the inverse FFT
 MEMO_ORDERS = (0.9, 2.2, -1.1, 3.7)
@@ -615,7 +619,8 @@ def _bits(values: np.ndarray) -> np.ndarray:
 
 
 def _fresh_plan_route(values, grid, alpha):
-    return frft_module._apply_plan(values, make_plan(grid, alpha))
+    # the unshared formula, so a change to _apply_plan cannot move both sides
+    return chirp_fft_chirp(values, make_plan(grid, alpha))
 
 
 def _plan_calls(before):
@@ -624,27 +629,33 @@ def _plan_calls(before):
     return after.hits - before.hits, after.misses - before.misses
 
 
-@pytest.mark.parametrize("batch", [False, True], ids=["single", "batched"])
+@pytest.mark.parametrize("route", ["single", "batched", "inverse"])
 @pytest.mark.parametrize("alpha", MEMO_ORDERS)
 @pytest.mark.parametrize("case", list(MEMO_GRIDS))
-def test_cold_and_warm_plans_give_the_fresh_plan_bits(case, alpha, batch):
-    """frft_fast, and the batched _transform that uncertainty runs, give
-    the bits of a plan built afresh, on the miss and on the hit."""
+def test_cold_and_warm_plans_give_the_fresh_plan_bits(case, alpha, route):
+    """frft_fast, frft_inverse and the batched _transform that uncertainty
+    runs equal, as integers, chirp_fft_chirp on a plan built afresh, on
+    the miss and on the hit: the memoized plans and weights, the in-place
+    FFTs and the fftshift folded into the phase product move no bit, nor
+    the sign of any zero."""
     grid = MEMO_GRIDS[case]
-    family = [random_smooth_signal(grid, seed=seed) for seed in range(3 if batch else 1)]
-    values = np.stack([f.values for f in family]) if batch else family[0].values
-    want = _fresh_plan_route(values, grid, alpha)
+    family = [random_smooth_signal(grid, seed=seed) for seed in range(3 if route == "batched" else 1)]
+    for f in family:
+        f.values.reshape(-1)[::5] = -0.0
+    values = np.stack([f.values for f in family]) if route == "batched" else family[0].values
+    angle = -alpha if route == "inverse" else alpha
+    want = _fresh_plan_route(values, grid, angle)
     frft_module._kept_plan.cache_clear()
     got = []
     for calls in ((0, 1), (1, 0)):
         before = frft_module.plan_cache_info()
-        if batch:
+        if route == "batched":
             out_grid, out = _transform(grid, values, alpha)
         else:
-            spectrum = frft_fast(family[0], alpha)
+            spectrum = (frft_inverse if route == "inverse" else frft_fast)(family[0], alpha)
             out_grid, out = spectrum.grid, spectrum.values
         assert _plan_calls(before) == calls
-        assert out_grid == natural_output_grid(grid, alpha)
+        assert out_grid == natural_output_grid(grid, angle)
         got.append(out)
     assert all(np.array_equal(_bits(out), _bits(want)) for out in got)
 
@@ -690,15 +701,30 @@ def test_a_changed_make_plan_result_does_not_reach_frft_fast(grid_256, gaussian_
     assert np.array_equal(frft_fast(gaussian_256, 0.9).values, want)
 
 
-def test_a_plan_over_the_byte_bound_is_built_per_call():
+def test_a_plan_over_the_byte_bound_is_built_per_call(monkeypatch):
     grid = Grid((axis_centered(0.05, 256), axis_centered(0.05, 256)))
-    # its two chirps alone are 2 MiB
+    # its two chirps alone are 2 MiB, and its weights and one chirp exceed
+    # the grid chirp memo's entry bound too
     assert 32 * grid.size > frft_module._CHUNK_BYTES
+    assert 24 * grid.size > frft_module._CHUNK_BYTES
     f = random_smooth_signal(grid, seed=2)
     want = _fresh_plan_route(f.values, grid, 0.9)
+    factors = []
+    chirp = frft_module._chirp
+
+    def counted(radius_sq, factor):
+        factors.append(factor)
+        return chirp(radius_sq, factor)
+
+    monkeypatch.setattr(frft_module, "_chirp", counted)
+    chirps = frft_module.chirp_cache_info()
     for _ in range(2):
         before = frft_module.plan_cache_info()
+        factors.clear()
         got = frft_fast(f, 0.9).values
         assert _plan_calls(before) == (0, 0)
         assert frft_module.plan_cache_info().currsize == before.currsize
+        # make_plan's input and output chirps, and no grid chirp
+        assert factors == [TransformOrder(0.9).cot] * 2
         assert np.array_equal(_bits(got), _bits(want))
+    assert frft_module.chirp_cache_info() == chirps
