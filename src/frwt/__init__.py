@@ -12,18 +12,17 @@ from .grid import (
     l2_norm,
     sample,
 )
+from .memo import cache_info
 from .frft import (
     FrftPlan,
     OrderKind,
     TransformOrder,
     c_alpha,
-    chirp_cache_info,
     frft_direct,
     frft_fast,
     frft_inverse,
     make_plan,
     natural_output_grid,
-    plan_cache_info,
 )
 from .fracconv import frac_convolve, scaled_identity_check, spectral_identity_check
 from .wavelets import (
@@ -38,14 +37,12 @@ from .scales import ScaleGrid, log_scale_grid
 from .admissibility import (
     AdmissibilityReport,
     FrequencyScan,
-    admissibility_cache_info,
     admissibility_constant,
     cross_admissibility,
     fractional_spectrum,
 )
 from .cfrwt import (
     CfrwtCoefficients,
-    analysis_cache_info,
     cfrwt_direct,
     cfrwt_fast,
     inner_product_relation_check,
@@ -54,8 +51,6 @@ from .cfrwt import (
     range_membership_residual,
     reconstruct,
     reproducing_kernel,
-    synthesis_cache_info,
-    tap_cache_info,
     truncated_coverage,
 )
 from .uncertainty import (

@@ -34,20 +34,18 @@ evaluated on both sides.
 Everything here is one dimensional; for separable wavelets in n
 dimensions the constant is the n-th power of the per-axis value.  So
 the 1-D scan is memoized per (phi, psi, order, scan), whatever the
-dimension, and each call builds its report from it; see
-admissibility_cache_info.
+dimension, and each call builds its report from it; see frwt.memo.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .frft import TransformOrder, _as_order, _chirp, _row_blocks, c_alpha
+from .memo import memoized
 from .wavelets import _PROFILE_POINTS, WaveletSpec, _profile_quadrature
 
 __all__ = [
@@ -56,7 +54,6 @@ __all__ = [
     "fractional_spectrum",
     "admissibility_constant",
     "cross_admissibility",
-    "admissibility_cache_info",
 ]
 
 # verdict thresholds: an integral is treated as settled when the last two
@@ -68,11 +65,6 @@ _STEADY_RATIO = 0.75
 
 # fewest points of a spectral profile grid
 _MIN_SPECTRAL_POINTS = 256
-# distinct scans kept by the scan memo
-_CACHE_SIZE = 64
-# held around every memo lookup, so that a key missed by two threads at once
-# is scanned once and the hit and miss counts do not depend on timing
-_SCAN_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -216,7 +208,7 @@ def _both_sides(psi: WaveletSpec, order: TransformOrder, us: np.ndarray) -> tupl
     return pos, np.conj(pos) * (phase / np.conj(phase))
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
+@memoized
 def _scan(
     phi: WaveletSpec,
     psi: WaveletSpec,
@@ -273,8 +265,7 @@ def cross_admissibility(
     raised to the power ndim.
     """
     order = _as_order(order)
-    with _SCAN_LOCK:
-        signed_vals, moduli_vals, cutoffs = _scan(phi, psi, order, scan or FrequencyScan())
+    signed_vals, moduli_vals, cutoffs = _scan(phi, psi, order, scan or FrequencyScan())
     return AdmissibilityReport(
         wavelet=psi.name,
         cross_wavelet=None if phi is psi else phi.name,
@@ -285,11 +276,6 @@ def cross_admissibility(
         verdict=_verdict(moduli_vals),
         trace=tuple(zip(cutoffs, moduli_vals)),
     )
-
-
-def admissibility_cache_info():
-    """Named tuple (hits, misses, maxsize, currsize) of the 1-D scan memo."""
-    return _scan.cache_info()
 
 
 def admissibility_constant(

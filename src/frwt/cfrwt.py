@@ -14,18 +14,16 @@ scale component.  The lags are symmetric, so the taps of -a are those
 of +a reversed, bit for bit: the profile is evaluated once per
 magnitude, and an even profile's palindromic row serves both signs with
 one spectrum (an odd profile's two rows are kept apart, since negation
-need not keep the sign of an exact zero).  A small memo keeps these
-tables for a stream of signals, one entry per run of an axis's distinct
-magnitudes, each at most frft._CHUNK_BYTES (the row-block budget), so a
-second pass over the same grid and scales recomputes nothing while at
-most frft._ARRAY_CACHE_SIZE tables are in play.
+need not keep the sign of an exact zero).  Each axis's table of tap
+spectra belongs to the pass plan, whose build computes each distinct
+table once: the equal axes of a grid share one table.
 
 A fast pass, analysis or synthesis, runs from one chunk plan: blocks of
 the shared row-block rule (frft._row_blocks, one row per scale vector's
 largest padded intermediate), at most two reused padded buffers, and
 each axis's lag FFT length.  Every axis is then one padded FFT
 convolution (frft._fft_convolve) whose kernel rows are slices of the
-tap tables.
+axis's tap table.
 
 Analysis computes each distinct row once.  A coefficient row depends on
 the scale vector only through its tap row on each axis, and the axis-k
@@ -35,13 +33,12 @@ coefficient row is normalized and chirped into the first of its scale
 vectors' slots and copied into the others: with both signs, an even
 wavelet's 2-D pass over 16 x 16 signed scale vectors runs 8 + 64 rows,
 not 2 x 256.  The blocks hold distinct rows, not scale vectors.  What
-analysis does apart from the signal (tap table keys, the runs each axis
+analysis does apart from the signal (tap tables, the runs each axis
 convolves and their buffer offsets, the writes that normalize distinct
 rows into their slots, the twin copies and the reciprocal scale norms)
-is one plan, memoized per wavelet, grid, chunk length and scale set; a
-call fetches the tap tables and runs the convolutions.  Both passes take
-the grid's quadrature weights and +-cot chirps from frft's memo of grid
-chirps.
+is one plan, memoized per wavelet, grid, chunk length and scale set (see
+frwt.memo); a call runs the convolutions.  Both passes
+take the grid's quadrature weights and +-cot chirps from the memo too.
 
 Synthesis integrates over the scale vectors as well.  The DFT is
 linear, so reconstruct adds the scale vectors' padded spectra along the
@@ -53,17 +50,14 @@ twins: each distinct row is convolved once and its product row copied
 into its twins' rows of the chunk's buffer, so the in-order sum sees one
 row per scale vector, bit for bit.  An even synthesis wavelet on an even
 analysis wavelet's field pairs the +-a rows of every chunk that holds
-both signs.  What synthesis does apart from the signal (tap table keys
-and row ids, factors, twin candidates and each chunk's pieces) is one
+both signs.  What synthesis does apart from the signal (tap tables and
+rows, factors, twin candidates and each chunk's pieces) is one
 plan too, so a stream of fields on one scale grid builds it once; a call
-fetches the tap tables and compares the candidates' coefficient rows.
-The first call after a plan's build takes the tables the build fetched,
-so a pass of more tables than the tap memo keeps computes each once.
+compares the candidates' coefficient rows.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -78,12 +72,12 @@ from .admissibility import (
 )
 from .errors import GridMismatch, InadmissibleWavelet, ZeroCrossAdmissibility
 from .frft import (
-    _ARRAY_CACHE_SIZE,
     TransformOrder,
     _as_order,
     _chirp,
     _fft_convolve,
     _grid_chirp,
+    _grid_weights,
     _next_fast_len,
     _row_blocks,
     _short_buffers,
@@ -91,13 +85,13 @@ from .frft import (
     frft_fast,
 )
 from .grid import AxisSpec, Grid, SampledSignal, _exact_sum, grids_close, inner_product, l2_norm
+from .memo import memoized
 from .report import VerificationReport, _ratio
 from .scales import ScaleGrid
 from .wavelets import WaveletSpec, make_daughter
 
 __all__ = [
     "CfrwtCoefficients",
-    "analysis_cache_info",
     "cfrwt_direct",
     "cfrwt_fast",
     "plancherel_check",
@@ -106,16 +100,10 @@ __all__ = [
     "reproducing_kernel",
     "kernel_projection",
     "range_membership_residual",
-    "synthesis_cache_info",
-    "tap_cache_info",
     "truncated_coverage",
 ]
 
 CROSS_ZERO_TOL = 1e-8
-
-# plans kept by each of the analysis and synthesis plan memos: a stream
-# on one grid and scale set takes one per wavelet
-_PLAN_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -182,8 +170,7 @@ def _require_same_ndim(f: SampledSignal, scales: ScaleGrid) -> None:
 def _chirped_input(f: SampledSignal, order: TransformOrder) -> np.ndarray:
     # quadrature weights and the +i/2 |t|^2 cot chirp of the conjugated
     # daughter are folded in once, shared by both evaluation routes
-    weights, chirp = _grid_chirp(f.grid, order.cot)
-    return f.values * weights * chirp
+    return f.values * _grid_weights(f.grid) * _grid_chirp(f.grid, order.cot)
 
 
 def cfrwt_direct(
@@ -213,13 +200,12 @@ def cfrwt_direct(
     return CfrwtCoefficients(out, f.grid, scales, order, psi)
 
 
-@functools.lru_cache(maxsize=_ARRAY_CACHE_SIZE)
 def _tap_spectrum(
-    psi: WaveletSpec, analysis: bool, step: float, n: int, pad: int, cap: int, mags: bytes
+    psi: WaveletSpec, analysis: bool, step: float, n: int, pad: int, mags: bytes
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only table of length-pad lag-tap FFTs for a run of ascending
-    scale magnitudes on one axis, one row per distinct tap row, and the
-    table rows of -m and +m for each magnitude m it covers.
+    """Table of length-pad lag-tap FFTs for the ascending scale magnitudes
+    mags on one axis, one row per distinct tap row, and the table rows of
+    -m and +m for each magnitude m.
 
     Taps are psi(x) for synthesis and conj(psi(-x)) for analysis, at
     x = lag step / a over lags -(n - 1)..n - 1.  They depend on neither
@@ -231,25 +217,19 @@ def _tap_spectrum(
     profile's -m row is the negated +m row, but negation need not keep
     the sign of an exact zero, so it is not shared.)
 
-    The table covers the leading magnitudes whose rows fit in cap rows
-    (at least one magnitude), so len(rows) says how far it reaches.  The
-    -m rows of its own come first, in descending magnitude, then the +m
-    rows in ascending magnitude: a signed scale axis in ascending order
-    reads the table as one or two strided runs.
+    The -m rows of their own come first, in descending magnitude, then
+    the +m rows in ascending magnitude: a signed scale axis in ascending
+    order reads the table as one or two strided runs.
     """
     lags = np.arange(-(n - 1), n) * step
-    plus, odd, count = [], [], 0
+    plus, odd = [], []
     for m in np.frombuffer(mags).tolist():
         # one magnitude at a time keeps the profile's temporaries small
         # enough to be reused; sum_j chi_j conj(psi((j - k) dt / a)) is a
         # lag sum against conj(psi(-x))
         taps = np.conj(psi.profile(-(lags / m))) if analysis else psi.profile(lags / m)
-        palindrome = np.array_equal(taps, taps[::-1])
-        count += 1 if palindrome else 2
-        if plus and count > cap:
-            break
         plus.append(taps)
-        odd.append(not palindrome)
+        odd.append(not np.array_equal(taps, taps[::-1]))
     own = np.flatnonzero(odd)[::-1]
     rows = np.empty((len(plus), 2), dtype=np.intp)
     rows[:, 1] = np.arange(own.size, own.size + len(plus))
@@ -261,43 +241,26 @@ def _tap_spectrum(
         table[positive, : 2 * n - 1] = taps
     table[:, 2 * n - 1 :] = 0.0
     np.fft.fft(table, axis=1, out=table)
-    table.flags.writeable = False
-    rows.flags.writeable = False
     return table, rows
 
 
-def tap_cache_info():
-    """Named tuple (hits, misses, maxsize, currsize) of the tap spectrum
-    memo; currsize counts its entries, each at most frft._CHUNK_BYTES."""
-    return _tap_spectrum.cache_info()
-
-
 def _tap_layout(
-    psi: WaveletSpec, analysis: bool, axis: AxisSpec, pad: int, col: np.ndarray
-) -> tuple[list[tuple], list[np.ndarray], int, np.ndarray]:
-    """The tap spectrum tables of one grid axis for the scale components
-    col, with their _tap_spectrum arguments, the most rows a table holds,
-    width, and the id table * width + row of each component's tap row;
-    equal ids are equal tap rows.
-
-    The distinct magnitudes of col, ascending, are cut into the runs that
-    _tap_spectrum covers, each table as many rows as fit _CHUNK_BYTES.
-    """
-    mags = np.abs(col)
-    ranked = np.sort(mags)
-    distinct = ranked[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
-    # no more rows than the distinct magnitudes can need
-    cap = _row_blocks(2 * distinct.size, pad)[0].stop
-    keys, tables, maps, lo = [], [], [], 0
-    while lo < distinct.size:
-        keys.append((psi, analysis, axis.step, axis.count, pad, cap, distinct[lo : lo + cap].tobytes()))
-        table, rows = _tap_spectrum(*keys[-1])
-        tables.append(table)
-        maps.append(rows)
-        lo += len(rows)
-    width = max(len(table) for table in tables)
-    ids = np.concatenate([rows + k * width for k, rows in enumerate(maps)])
-    return keys, tables, width, ids[distinct.searchsorted(mags), (col > 0).view(np.int8)]
+    psi: WaveletSpec, analysis: bool, grid: Grid, pads: tuple[int, ...], vectors: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per grid axis, the tap spectrum table of the scale vectors'
+    components on it, over their distinct magnitudes, and each component's
+    table row (equal rows, equal taps).  Equal axes share one table."""
+    built, layout = {}, []
+    for axis, pad, col in zip(grid.axes, pads, vectors.T):
+        mags = np.abs(col)
+        ranked = np.sort(mags)
+        distinct = ranked[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
+        key = (axis.step, axis.count, pad, distinct.tobytes())
+        if key not in built:
+            built[key] = _tap_spectrum(psi, analysis, *key)
+        table, rows = built[key]
+        layout.append((table, rows[distinct.searchsorted(mags), (col > 0).view(np.int8)]))
+    return layout
 
 
 def _runs(fixed: np.ndarray | None, *stepped: np.ndarray) -> list[tuple[int, int]]:
@@ -328,23 +291,20 @@ def _runs(fixed: np.ndarray | None, *stepped: np.ndarray) -> list[tuple[int, int
     return runs
 
 
-def _piece_spec(
-    table_of: np.ndarray, row: np.ndarray, at: np.ndarray | None = None
-) -> tuple[tuple[slice, int, slice], ...]:
-    """The rows row of tables table_of, in order, as (positions, table,
-    rows) pieces, each rows a basic slice of one table; at, if given,
-    picks the rows read and gives their positions, else they are 0, 1,
-    ..."""
+def _piece_spec(row: np.ndarray, at: np.ndarray | None = None) -> tuple[tuple[slice, slice], ...]:
+    """The table rows row, in order, as (positions, rows) pieces, each rows
+    a basic slice of the table; at, if given, picks the rows read and
+    gives their positions, else they are 0, 1, ..."""
     if at is None:
-        return tuple((slice(a, b), int(table_of[a]), _span(row, a, b)) for a, b in _runs(table_of, row))
-    table_of, row = table_of[at], row[at]
-    return tuple((_span(at, a, b), int(table_of[a]), _span(row, a, b)) for a, b in _runs(table_of, row, at))
+        return tuple((slice(a, b), _span(row, a, b)) for a, b in _runs(None, row))
+    row = row[at]
+    return tuple((_span(at, a, b), _span(row, a, b)) for a, b in _runs(None, row, at))
 
 
-def _kernel(tables: list[np.ndarray], spec: tuple[tuple[slice, int, slice], ...]) -> list[tuple[slice, np.ndarray]]:
+def _kernel(table: np.ndarray, spec: tuple[tuple[slice, slice], ...]) -> list[tuple[slice, np.ndarray]]:
     """The (positions, spectra) pieces for _fft_convolve of the pieces
-    spec (see _piece_spec) of tables."""
-    return [(at, tables[table][rows]) for at, table, rows in spec]
+    spec (see _piece_spec) of table."""
+    return [(at, table[rows]) for at, rows in spec]
 
 
 def _twins(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -363,13 +323,13 @@ def _twins(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     return keys[0][first], first, ranked[twin], first[fresh.cumsum()[twin] - 1]
 
 
-def _row_keys(taps: list[tuple[list[np.ndarray], int, np.ndarray]]) -> tuple[np.ndarray, list[int]]:
-    """One mixed-radix key per scale vector from its tap row ids on every
-    axis (equal keys, equal tap rows), and each axis's radix."""
-    radix = [width * len(tables) for tables, width, _ in taps]
-    key = taps[0][2]
-    for (_, _, ids), base in zip(taps[1:], radix[1:]):
-        key = key * base + ids
+def _row_keys(taps: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, list[int]]:
+    """One mixed-radix key per scale vector from its tap table rows on
+    every axis (equal keys, equal tap rows), and each axis's radix."""
+    radix = [len(table) for table, _ in taps]
+    key = taps[0][1]
+    for (_, rows), base in zip(taps[1:], radix[1:]):
+        key = key * base + rows
     return key, radix
 
 
@@ -468,30 +428,14 @@ def _scale_norms(vectors: np.ndarray) -> np.ndarray:
     return np.sqrt(np.prod(np.abs(vectors), axis=1))
 
 
-class _TapPlan:
-    """The tap tables of a pass plan: tap_keys holds each axis's
-    _tap_spectrum arguments, and fresh is a list that holds the tables the
-    plan's build fetched until a call takes them."""
-
-    def tables(self) -> list[list[np.ndarray]]:
-        """Each axis's tap spectrum tables.  The first call after the build
-        takes those the build fetched, since a pass of more than
-        _ARRAY_CACHE_SIZE tables has evicted the first ones from the tap memo
-        by then; later calls fetch them from that memo."""
-        try:
-            return self.fresh.pop()
-        except IndexError:
-            return [[_tap_spectrum(*key)[0] for key in keys] for keys in self.tap_keys]
-
-
 @dataclass(frozen=True)
-class _AnalysisPlan(_TapPlan):
+class _AnalysisPlan:
     """The signal-free part of a fast analysis pass over one grid, chunk
     length and scale set with one wavelet, built once and shared by every
     call (see _analysis_plan); its arrays are read-only.
 
-    blocks holds, per block of distinct coefficient rows, each axis's
-    runs and the block's writes.  A run ((k, part), pieces, offset)
+    tables holds each axis's tap spectrum table.  blocks holds, per block
+    of distinct coefficient rows, each axis's runs and the block's writes.  A run ((k, part), pieces, offset)
     convolves the row part of run k of the previous axis (of the chirped
     input on the first axis) with the tap rows pieces (see _piece_spec),
     into the axis's buffer at offset.  A write (k, part, slots) normalizes
@@ -504,31 +448,28 @@ class _AnalysisPlan(_TapPlan):
     distinct row is copied to its twins.
     """
 
-    tap_keys: tuple[tuple[tuple, ...], ...]
-    fresh: list
+    tables: tuple[np.ndarray, ...]
     blocks: tuple
     reciprocals: np.ndarray
     copies: tuple[tuple[slice, slice], ...]
 
 
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+@memoized
 def _analysis_plan(psi: WaveletSpec, grid: Grid, pads: tuple[int, ...], step: int, vectors: bytes) -> _AnalysisPlan:
     """The plan of a fast analysis pass of psi over grid with lag FFT
     lengths pads, in blocks of step distinct coefficient rows, over the
     scale vectors given as bytes.
 
-    Memoized by value, as _synthesis_plan is, and like it the plan holds
-    tap table keys, never the tables (after its first call).
+    Memoized by value, as _synthesis_plan is.
 
-    A coefficient row is fixed by its tap row ids, one mixed-radix key per
-    scale vector; the distinct keys, ascending, are the rows computed, each
-    into the first scale vector holding it.  In a block, axis k runs once
+    A coefficient row is fixed by its tap table rows, one mixed-radix key
+    per scale vector; the distinct keys, ascending, are the rows computed,
+    each into the first scale vector holding it.  In a block, axis k runs once
     per distinct prefix of tap rows through it, on its parent prefix's
     row, so siblings share one convolution.
     """
     vectors = np.frombuffer(vectors).reshape(-1, grid.ndim)
-    layouts = [_tap_layout(psi, True, axis, pad, col) for axis, pad, col in zip(grid.axes, pads, vectors.T)]
-    taps = [layout[1:] for layout in layouts]
+    taps = _tap_layout(psi, True, grid, pads, vectors)
     key, radix = _row_keys(taps)
     distinct, first, twins, twin_of = _twins(key)
     row_elems = [grid.size // axis.count * pad for axis, pad in zip(grid.axes, pads)]
@@ -539,18 +480,18 @@ def _analysis_plan(psi: WaveletSpec, grid: Grid, pads: tuple[int, ...], step: in
         levels, rows_at = [], [(0, 0)]
         opens = np.zeros(len(block), dtype=bool)
         opens[0] = True
-        for ax, (_, width, _) in enumerate(taps):
+        for ax in range(grid.ndim):
             prefix = block // math.prod(radix[ax + 1 :])
             owner = opens.cumsum() - 1
             np.not_equal(prefix, np.concatenate(([-1], prefix[:-1])), out=opens)
             heads = opens.nonzero()[0]
             owner = owner[heads]
-            table_of, row = np.divmod(prefix[heads] % radix[ax], width)
+            row = prefix[heads] % radix[ax]
             runs, offset = _runs(owner), 0
             level = []
             for a, b in runs:
                 k, i = rows_at[owner[a]]
-                level.append(((k, slice(i, i + 1)), _piece_spec(table_of[a:b], row[a:b]), offset))
+                level.append(((k, slice(i, i + 1)), _piece_spec(row[a:b]), offset))
                 offset += (b - a) * row_elems[ax]
             levels.append(tuple(level))
             rows_at = [(k, i) for k, (a, b) in enumerate(runs) for i in range(b - a)]
@@ -561,47 +502,36 @@ def _analysis_plan(psi: WaveletSpec, grid: Grid, pads: tuple[int, ...], step: in
             writes.extend((k, slice(c, d), _span(slots, c, d)) for c, d in _runs(None, slots))
         blocks.append((tuple(levels), tuple(writes)))
     reciprocals = 1.0 / _scale_norms(vectors).reshape((-1,) + (1,) * grid.ndim)
-    reciprocals.flags.writeable = False
     copies = tuple((_span(twins, a, b), _span(twin_of, a, b)) for a, b in _runs(None, twin_of, twins))
-    tap_keys = tuple(tuple(layout[0]) for layout in layouts)
-    fresh = [[layout[1] for layout in layouts]]
-    return _AnalysisPlan(tap_keys, fresh, tuple(blocks), reciprocals, copies)
-
-
-def analysis_cache_info():
-    """Named tuple (hits, misses, maxsize, currsize) of the analysis plan
-    memo; currsize counts its plans, each a few slices per run of rows and
-    one reciprocal norm per scale vector."""
-    return _analysis_plan.cache_info()
+    return _AnalysisPlan(tuple(table for table, _ in taps), tuple(blocks), reciprocals, copies)
 
 
 @dataclass(frozen=True)
-class _SynthesisPlan(_TapPlan):
+class _SynthesisPlan:
     """The signal-free part of a synthesis pass over one grid, chunk
     length and scale set with one wavelet, built once and shared by every
     call (see _synthesis_plan); its arrays are read-only.
 
-    factors holds each scale vector's measure weight / sqrt|a|, shaped
-    (count, 1, ..., 1).  steps holds what each chunk runs if every twin
-    candidate is a twin (see _synthesis_steps).  twins and twin_of are
-    those candidates, each a candidate twin of the scale vector twin_of;
-    compare holds the runs (lo, hi, twins span, twin_of span) over which a
-    call compares their coefficient rows; and taps holds each axis's
-    (width, ids), from which a call whose candidates are not all twins
-    builds its own steps.
+    tables holds each axis's tap spectrum table.  factors holds each scale
+    vector's measure weight / sqrt|a|, shaped (count, 1, ..., 1).  steps
+    holds what each chunk runs if every twin candidate is a twin (see
+    _synthesis_steps).  twins and twin_of are those candidates, each a
+    candidate twin of the scale vector twin_of; compare holds the runs
+    (lo, hi, twins span, twin_of span) over which a call compares their
+    coefficient rows; and taps holds each axis's table rows, from which a
+    call whose candidates are not all twins builds its own steps.
     """
 
-    tap_keys: tuple[tuple[tuple, ...], ...]
-    fresh: list
+    tables: tuple[np.ndarray, ...]
     factors: np.ndarray
     steps: tuple
     twins: np.ndarray
     twin_of: np.ndarray
     compare: tuple[tuple[int, int, slice, slice], ...]
-    taps: tuple[tuple[int, np.ndarray], ...]
+    taps: tuple[np.ndarray, ...]
 
 
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+@memoized
 def _synthesis_plan(
     phi: WaveletSpec, grid: Grid, pads: tuple[int, ...], step: int, vectors: bytes, weights: bytes
 ) -> _SynthesisPlan:
@@ -610,9 +540,7 @@ def _synthesis_plan(
     measure weights given as bytes.
 
     Memoized by value: an equal scale set is a hit, and one edited in
-    place a miss.  The plan holds tap table keys and row ids, never the
-    tables (after its first call), so the tap memo's bound is the only
-    bound on them.
+    place a miss.
 
     Twin candidates are the scale vectors of one chunk whose synthesis
     tap rows (one mixed-radix key) and factors agree bit for bit, each a
@@ -621,40 +549,28 @@ def _synthesis_plan(
     forward, and numpy multiplies by a forward run of rows faster.
     """
     vectors = np.frombuffer(vectors).reshape(-1, grid.ndim)
-    layouts = [_tap_layout(phi, False, axis, pad, col) for axis, pad, col in zip(grid.axes, pads, vectors.T)]
-    taps = [layout[1:] for layout in layouts]
+    taps = _tap_layout(phi, False, grid, pads, vectors)
     factors = np.frombuffer(weights) / _scale_norms(vectors)
     count = factors.size
     keys = (np.arange(count) // step, _row_keys(taps)[0], factors.view(np.int64))
     _, _, twins, twin_of = _twins(*(k[::-1] for k in keys))
     twins, twin_of = count - 1 - twins, count - 1 - twin_of
     compare = tuple((a, b, _span(twins, a, b), _span(twin_of, a, b)) for a, b in _runs(twins // step, twins, twin_of))
-    rows = tuple((width, ids) for _, width, ids in taps)
+    rows = tuple(rows for _, rows in taps)
     factors = factors.reshape((-1,) + (1,) * grid.ndim)
-    for array in (factors, twins, twin_of, *(ids for _, ids in rows)):
-        array.flags.writeable = False
     steps = _synthesis_steps(count, step, rows, twins, twin_of)
-    tap_keys = tuple(tuple(layout[0]) for layout in layouts)
-    fresh = [[layout[1] for layout in layouts]]
-    return _SynthesisPlan(tap_keys, fresh, factors, steps, twins, twin_of, compare, rows)
-
-
-def synthesis_cache_info():
-    """Named tuple (hits, misses, maxsize, currsize) of the synthesis plan
-    memo; currsize counts its plans, each a few index arrays of one entry
-    per scale vector."""
-    return _synthesis_plan.cache_info()
+    return _SynthesisPlan(tuple(table for table, _ in taps), factors, steps, twins, twin_of, compare, rows)
 
 
 def _synthesis_steps(
-    count: int, step: int, taps: tuple[tuple[int, np.ndarray], ...], twins: np.ndarray, twin_of: np.ndarray
+    count: int, step: int, taps: tuple[np.ndarray, ...], twins: np.ndarray, twin_of: np.ndarray
 ) -> tuple:
     """Per chunk of step of the count scale vectors, the pieces of each
     axis (see _piece_spec) and the twins argument of _fft_convolve, or
     None, for the twins (each a twin of twin_of) in the chunk: the chunk's
     other rows as slices, and the (twin rows, rows) pairs that copy a
     product row to its twins, in chunk coordinates.  taps holds each
-    axis's (width, ids)."""
+    axis's table rows."""
     kept = np.ones(count, dtype=bool)
     kept[twins] = False
     copies = {}
@@ -665,7 +581,7 @@ def _synthesis_steps(
     for lo in range(0, count, step):
         chunk = slice(lo, min(lo + step, count))
         keep = kept[chunk].nonzero()[0] if lo in copies else None
-        pieces = tuple(_piece_spec(*np.divmod(ids[chunk], width), keep) for width, ids in taps)
+        pieces = tuple(_piece_spec(rows[chunk], keep) for rows in taps)
         live = None if keep is None else (tuple(_span(keep, c, d) for c, d in _runs(None, keep)), tuple(copies[lo]))
         steps.append((pieces, live))
     return tuple(steps)
@@ -702,17 +618,16 @@ def cfrwt_fast(
     _require_same_ndim(f, scales)
     grid = f.grid
     chi = _chirped_input(f, order)[None]
-    chirp = _grid_chirp(grid, -order.cot)[1]
+    chirp = _grid_chirp(grid, -order.cot)
     out = np.empty((scales.count,) + grid.shape, dtype=np.complex128)
     chunks, work, pads = _chunk_plan(grid, scales.count)
     plan = _analysis_plan(psi, grid, pads, chunks[0].stop, scales.vectors.tobytes())
-    tables = plan.tables()
     for levels, writes in plan.blocks:
         level = [chi]
         for ax, (axis, runs) in enumerate(zip(grid.axes, levels)):
             parents, level = level, []
             for (k, part), spec, offset in runs:
-                kernel = _kernel(tables[ax], spec)
+                kernel = _kernel(plan.tables[ax], spec)
                 level.append(_axis_correlate(parents[k][part], ax, axis.count, kernel, work[ax % 2][offset:]))
         # each distinct row goes to its first slot, normalized and chirped;
         # the rows are strided and the reciprocals and chirp broadcast, so
@@ -954,21 +869,19 @@ def reconstruct(
     scales = coeffs.scales
     # the twin check reads the samples' bits as complex128
     values = np.ascontiguousarray(coeffs.values, dtype=np.complex128)
-    weights, chirp = _grid_chirp(grid, order.cot)
-    b_weights = weights * chirp
+    b_weights = _grid_weights(grid) * _grid_chirp(grid, order.cot)
     chunks, work, pads = _chunk_plan(grid, scales.count)
     step = chunks[0].stop
     plan = _synthesis_plan(phi, grid, pads, step, scales.vectors.tobytes(), scales.measure_weights().tobytes())
-    tables = plan.tables()
     # the running padded spectrum of the scale sum along the last axis
     acc = np.zeros((1,) + grid.shape[:-1] + (pads[-1],), dtype=np.complex128)
     for chunk, (pieces, twins) in zip(chunks, _twin_rows(plan, step, values)):
         # a chunk with twins convolves its distinct rows and copies them to
         # their twins' rows before the in-order sum
-        kernels = [_kernel(axis_tables, spec) for axis_tables, spec in zip(tables, pieces)]
+        kernels = [_kernel(table, spec) for table, spec in zip(plan.tables, pieces)]
         weights = (b_weights, plan.factors[chunk])
         out = _scale_correlate(values[chunk], grid, kernels, work, weights, acc, chunk is chunks[-1], twins)
-    return SampledSignal(grid, out[0] * (factor * _grid_chirp(grid, -order.cot)[1]))
+    return SampledSignal(grid, out[0] * (factor * _grid_chirp(grid, -order.cot)))
 
 
 def reproducing_kernel(

@@ -17,8 +17,8 @@ Two evaluation routes are provided and kept deliberately independent:
 * ``frft_fast`` factors the kernel into input chirp, classical FFT and
   output chirp.  On the natural output grid it reproduces the direct
   quadrature to rounding error at O(N log N) cost.  The chirps and phases
-  depend only on the grid and the order, so a small memo keeps them for a
-  stream of signals (see _kept_plan).
+  depend only on the grid and the order, so the memo keeps them for a
+  stream of signals (see _transform_plan and frwt.memo).
 """
 
 from __future__ import annotations
@@ -37,16 +37,15 @@ import numpy as np
 
 from .errors import DeltaKernel, DomainMismatch, NearSingularOrder
 from .grid import AxisSpec, Grid, SampledSignal, grids_close
+from .memo import memoized
 
 __all__ = [
     "OrderKind",
     "TransformOrder",
     "c_alpha",
-    "chirp_cache_info",
     "natural_output_grid",
     "FrftPlan",
     "make_plan",
-    "plan_cache_info",
     "frft_direct",
     "frft_fast",
     "frft_inverse",
@@ -62,9 +61,6 @@ NEAR_SINGULAR_TOL = 1e-3
 _KERNEL_BLOCK_BYTES = 1 << 20
 # numpy's ufunc buffer size, in elements, inside _short_buffers
 _UFUNC_BUFSIZE = 256
-# entries kept by each memo of signal-free arrays (the fast-transform plans,
-# the grid chirps and cfrwt's tap tables), each entry at most _CHUNK_BYTES
-_ARRAY_CACHE_SIZE = 8
 # most threads that do _run_blocks work at once: every CPU the process may
 # run on
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -178,38 +174,17 @@ def _chirp(radius_sq: np.ndarray, factor: "float | np.ndarray") -> np.ndarray:
     return np.exp(0.5j * factor * radius_sq)
 
 
-def _grid_chirp(grid: Grid, factor: float) -> tuple[np.ndarray, np.ndarray]:
-    """grid.weights() and _chirp(grid.radius_sq(), factor), shared by every
-    call on grid at factor: read-only and memoized while the two fit
-    _CHUNK_BYTES, computed afresh for a larger grid."""
-    if 24 * grid.size > _CHUNK_BYTES:
-        return grid.weights(), _chirp(grid.radius_sq(), factor)
-    return _kept_grid_chirp(grid, factor)
+@memoized
+def _grid_weights(grid: Grid) -> np.ndarray:
+    """grid.weights(), shared by every call on grid."""
+    return grid.weights()
 
 
-def _grid_weights(grid: Grid, factor: float) -> np.ndarray:
-    """grid.weights(), from _grid_chirp(grid, factor)'s memo entry while
-    it is kept; a larger grid computes the weights alone, not the chirp."""
-    if 24 * grid.size > _CHUNK_BYTES:
-        return grid.weights()
-    return _kept_grid_chirp(grid, factor)[0]
-
-
-@functools.lru_cache(maxsize=_ARRAY_CACHE_SIZE)
-def _kept_grid_chirp(grid: Grid, factor: float) -> tuple[np.ndarray, np.ndarray]:
-    # a start of -0.0 gives the points, so the chirp, of a start of 0.0:
-    # unlike _kept_plan's, the key needs no start signs
-    pair = grid.weights(), _chirp(grid.radius_sq(), factor)
-    for array in pair:
-        array.flags.writeable = False
-    return pair
-
-
-def chirp_cache_info():
-    """Named tuple (hits, misses, maxsize, currsize) of the grid chirp
-    memo; currsize counts its entries, each a grid's weights and one chirp
-    of at most _CHUNK_BYTES together."""
-    return _kept_grid_chirp.cache_info()
+@memoized
+def _grid_chirp(grid: Grid, factor: float) -> np.ndarray:
+    """_chirp(grid.radius_sq(), factor), shared by every call on grid at
+    factor.  A start of -0.0 gives the chirp of 0.0: no start signs key it."""
+    return _chirp(grid.radius_sq(), factor)
 
 
 def _cis(phase: np.ndarray) -> np.ndarray:
@@ -415,9 +390,9 @@ class FrftPlan:
 def make_plan(grid: Grid, order: "TransformOrder | float") -> FrftPlan:
     """The fast path's chirps and phases for grid at order, built afresh
     on every call: the caller owns the plan and its arrays, which are
-    writeable.  frft_fast takes its plans from a memo of read-only ones
-    instead (see _kept_plan), so a change made to a plan returned here
-    never reaches it."""
+    writeable.  frft_fast takes its plans from the memo of read-only ones
+    instead (see _transform_plan), so a change made to a plan returned
+    here never reaches it."""
     order = _as_order(order)
     order._require_generic()
     out_grid = natural_output_grid(grid, order)
@@ -437,22 +412,12 @@ def make_plan(grid: Grid, order: "TransformOrder | float") -> FrftPlan:
     )
 
 
-@functools.lru_cache(maxsize=_ARRAY_CACHE_SIZE)
-def _kept_plan(grid: Grid, alpha: float, start_signs: tuple[float, ...]) -> FrftPlan:
-    """make_plan(grid, alpha) with read-only arrays, shared by every
-    _transform on grid at alpha.  start_signs, the signs of the axes'
-    starts, is part of the key only: a start of -0.0 equals 0.0 but flips
-    the sign of the zero imaginary parts of its phases."""
-    plan = make_plan(grid, alpha)
-    for array in (plan.in_chirp, plan.out_chirp, *plan.axis_phases):
-        array.flags.writeable = False
-    return plan
-
-
-def plan_cache_info():
-    """Named tuple (hits, misses, maxsize, currsize) of the fast-transform
-    plan memo; currsize counts its plans, each at most _CHUNK_BYTES."""
-    return _kept_plan.cache_info()
+@memoized
+def _transform_plan(grid: Grid, alpha: float, start_signs: tuple[float, ...]) -> FrftPlan:
+    """make_plan(grid, alpha), shared by every _transform on grid at alpha.
+    start_signs, the signs of the axes' starts, is part of the key only: a
+    start of -0.0 equals 0.0 but flips the signs of zeros in its phases."""
+    return make_plan(grid, alpha)
 
 
 def frft_fast(f: SampledSignal, order: "TransformOrder | float") -> SampledSignal:
@@ -478,11 +443,7 @@ def _transform(grid: Grid, values: np.ndarray, order: "TransformOrder | float") 
     if order.kind is OrderKind.PARITY:
         return grid.reflected(), np.flip(values, axis=tuple(range(-grid.ndim, 0)))
     _warn_if_near_singular(order, stacklevel=4)
-    # a plan whose chirps and phases exceed _CHUNK_BYTES is not kept
-    if 16 * (2 * grid.size + sum(grid.shape)) > _CHUNK_BYTES:
-        plan = make_plan(grid, order)
-    else:
-        plan = _kept_plan(grid, order.alpha, tuple(math.copysign(1.0, ax.start) for ax in grid.axes))
+    plan = _transform_plan(grid, order.alpha, tuple(math.copysign(1.0, ax.start) for ax in grid.axes))
     return plan.output_grid, _apply_plan(values, plan)
 
 
@@ -644,15 +605,15 @@ def _apply_plan(values: np.ndarray, plan: FrftPlan) -> np.ndarray:
     """Chirp-FFT-chirp over the trailing plan.input_grid.ndim axes of values;
     leading axes are a batch transformed independently.
 
-    The weights come from the grid chirp memo at +cot, the entry cfrwt's
-    analysis of the same grid and order reads.  Each axis's FFT runs in
-    place, and its fftshift is folded into the phase product: the two
-    halves of the spectrum are multiplied into the swapped halves of the
-    other buffer.  Every product keeps the operands and the order of
-    weights * in_chirp, fft, fftshift, phase, out_chirp, c_alpha."""
+    The weights are the memo's, which cfrwt's passes over the grid read
+    too.  Each axis's FFT runs in place, and its fftshift is folded into
+    the phase product: the two halves of the spectrum are multiplied into
+    the swapped halves of the other buffer.  Every product keeps the
+    operands and the order of weights * in_chirp, fft, fftshift, phase,
+    out_chirp, c_alpha."""
     grid = plan.input_grid
     ndim = grid.ndim
-    v = values * _grid_weights(grid, plan.order.cot)
+    v = values * _grid_weights(grid)
     v *= plan.in_chirp
     shifted = np.empty_like(v)
     forward = plan.order.sin_sign > 0

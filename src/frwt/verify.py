@@ -365,6 +365,11 @@ def _suite_local(cfg: RunConfig) -> list[VerificationReport]:
     return reports
 
 
+def _perturbed_profile(t: np.ndarray) -> np.ndarray:
+    """mexican_hat plus 0.05 dog3; one function, so each pass's wavelet is one memo key."""
+    return get_wavelet("mexican_hat").profile(t) + 0.05 * get_wavelet("dog3").profile(t)
+
+
 def _suite_morrey(cfg: RunConfig) -> list[VerificationReport]:
     grid = _grid_256()
     mex = get_wavelet("mexican_hat")
@@ -409,11 +414,7 @@ def _suite_morrey(cfg: RunConfig) -> list[VerificationReport]:
     bump = sample(grid, lambda t: np.exp(-((t - 0.4) ** 2) / 2))
     other = SampledSignal(grid, bump.values + 0.05 * np.exp(-(grid.meshgrid()[0] ** 2)))
     dog3 = get_wavelet("dog3")
-    pert = WaveletSpec(
-        name="mexhat_perturbed",
-        profile=lambda t: mex.profile(t) + 0.05 * dog3.profile(t),
-        support_radius=max(mex.support_radius, dog3.support_radius),
-    )
+    pert = WaveletSpec("mexhat_perturbed", _perturbed_profile, max(mex.support_radius, dog3.support_radius))
     reports.append(
         _meta(
             morrey_distance_checks(bump, other, mex, pert, (2.0,), cfg.alpha, scan_cfg),

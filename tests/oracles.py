@@ -193,14 +193,17 @@ def per_vector_reconstruct(coeffs, phi, cross_value: complex) -> np.ndarray:
     factors = coeffs.scales.measure_weights() / np.sqrt(np.prod(np.abs(vectors), axis=1))
     factors = factors.reshape((-1,) + (1,) * grid.ndim)
     chunks, work, pads = _chunk_plan(grid, coeffs.scales.count)
-    taps = [_tap_layout(phi, False, axis, pad, col)[1:] for axis, pad, col in zip(grid.axes, pads, vectors.T)]
+    taps = _tap_layout(phi, False, grid, pads, vectors)
     acc = np.zeros((1,) + grid.shape[:-1] + (pads[-1],), dtype=complex)
     for chunk in chunks:
-        kernels = [_kernel(tables, _piece_spec(*np.divmod(ids[chunk], width))) for tables, width, ids in taps]
+        kernels = [_kernel(table, _piece_spec(rows[chunk])) for table, rows in taps]
         weighted = coeffs.values[chunk] * b_weights * factors[chunk]
         out = _scale_correlate(weighted, grid, kernels, work, (), acc, chunk is chunks[-1])
     mod = abs(c_alpha(order, grid.ndim)) ** 2
-    return out[0] * (mod / cross_value * _chirp(grid.radius_sq(), -order.cot))
+    # a name holds the chirp, as the memo holds reconstruct's: numpy reuses
+    # an unnamed temporary of 256 KiB or more in place, with other roundings
+    chirp = _chirp(grid.radius_sq(), -order.cot)
+    return out[0] * (mod / cross_value * chirp)
 
 
 def fine_grid_fractional_spectrum(psi, alpha: float, u: np.ndarray, points: int = 8192) -> np.ndarray:

@@ -2,15 +2,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import threading
 
 import numpy as np
 import pytest
 
-from frwt import admissibility
+from frwt import admissibility, cache_info, memo
 from frwt.admissibility import (
     FrequencyScan,
-    admissibility_cache_info,
     admissibility_constant,
     cross_admissibility,
     fractional_spectrum,
@@ -294,11 +292,15 @@ def test_spectral_grid_size_follows_the_nyquist_bound():
 # -------------------------------------------------------------- scan memo
 
 
+def _scan_info():
+    return cache_info()["scan"]
+
+
 def test_repeated_key_returns_the_same_report():
     first = cross_admissibility(MEX, DOG4, 0.7)
-    before = admissibility_cache_info()
+    before = _scan_info()
     again = cross_admissibility(MEX, DOG4, TransformOrder(0.7), scan=FrequencyScan(), ndim=1)
-    after = admissibility_cache_info()
+    after = _scan_info()
     assert again == first
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
@@ -307,9 +309,9 @@ def test_equal_but_distinct_specs_keep_cross_wavelet():
     twin = dataclasses.replace(MEX)
     assert twin == MEX and twin is not MEX
     self_rep = admissibility_constant(MEX, 1.1)
-    before = admissibility_cache_info()
+    before = _scan_info()
     cross_rep = cross_admissibility(twin, MEX, 1.1)
-    after = admissibility_cache_info()
+    after = _scan_info()
     # the twin pair reads the self scan, and still names its cross wavelet
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
     assert self_rep.cross_wavelet is None
@@ -328,9 +330,9 @@ def test_every_dimension_reads_one_scan(phi):
     assert all(isinstance(part, tuple) for part in entries)  # a held entry cannot be mutated
     signed, moduli, _ = entries
     for ndim in (2, 3):
-        before = admissibility_cache_info()
+        before = _scan_info()
         rep = cross_admissibility(phi, MEX, 1.3, scan=COARSE_SCAN, ndim=ndim)
-        after = admissibility_cache_info()
+        after = _scan_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
         assert rep.ndim == ndim
         assert rep.value == signed[-1] ** ndim
@@ -338,38 +340,21 @@ def test_every_dimension_reads_one_scan(phi):
         assert (rep.verdict, rep.trace, rep.cross_wavelet) == (one.verdict, one.trace, one.cross_wavelet)
 
 
-def test_a_key_missed_by_two_threads_at_once_is_scanned_once():
-    admissibility._scan.cache_clear()
-    meet = threading.Barrier(2)
-    reports = []
-
-    def ask():
-        meet.wait(timeout=30)
-        reports.append(cross_admissibility(MEX, DOG4, 0.7, scan=COARSE_SCAN))
-
-    threads = [threading.Thread(target=ask) for _ in range(2)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    info = admissibility_cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    assert len(reports) == 2 and reports[0] == reports[1]
-
-
-def test_memo_is_bounded_and_counts_misses():
-    maxsize = admissibility_cache_info().maxsize
-    assert isinstance(maxsize, int) and maxsize > 0
-    before = admissibility_cache_info()
-    scans = [FrequencyScan(u_max=8.0 + k, points_per_decade=16, halvings=3) for k in range(maxsize + 3)]
+def test_memo_is_bounded_and_counts_misses(monkeypatch):
+    """A scan holds numbers only, so it is charged the floor, and a budget
+    of `kept` floors keeps the last `kept` scans."""
+    memo._clear()
+    kept = 5
+    monkeypatch.setattr(memo, "_BUDGET_BYTES", kept * memo._FLOOR_BYTES)
+    scans = [FrequencyScan(u_max=8.0 + k, points_per_decade=16, halvings=3) for k in range(kept + 3)]
     for scan in scans:
         admissibility_constant(MEX, 0.8, scan=scan)
-    after = admissibility_cache_info()
-    assert after.misses == before.misses + maxsize + 3
-    assert after.currsize == maxsize
+    after = _scan_info()
+    assert after.misses == kept + 3
+    assert (after.entries, after.bytes) == (kept, kept * memo._FLOOR_BYTES)
     # the oldest key was evicted, the newest is still held
     hits = after.hits
     admissibility_constant(MEX, 0.8, scan=scans[-1])
-    assert admissibility_cache_info().hits == hits + 1
+    assert _scan_info().hits == hits + 1
     admissibility_constant(MEX, 0.8, scan=scans[0])
-    assert admissibility_cache_info().misses == after.misses + 1
+    assert _scan_info().misses == after.misses + 1

@@ -1,10 +1,6 @@
 from __future__ import annotations
 
-import dataclasses
 import math
-import os
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -24,6 +20,7 @@ from frwt.cfrwt import (
     reproducing_kernel,
     truncated_coverage,
 )
+from frwt import cache_info, memo
 from frwt import cfrwt as cfrwt_module
 from frwt import frft as frft_module
 from frwt.errors import GridMismatch, InadmissibleWavelet, ZeroCrossAdmissibility
@@ -394,44 +391,57 @@ def test_per_scale_coverage_matches_fine_grid(scales_wide, name, alpha):
 
 def test_tap_spectra_are_cached_read_only(grid, scales_wide, gabor):
     first = cfrwt_fast(gabor, DOG3, ALPHA, scales_wide).values
-    before = cfrwt_module.tap_cache_info()
+    before = cache_info()["analysis_plan"]
     again = cfrwt_fast(gabor, DOG3, ALPHA, scales_wide).values
-    after = cfrwt_module.tap_cache_info()
+    after = cache_info()["analysis_plan"]
     assert np.array_equal(first, again)
     assert after.misses == before.misses and after.hits > before.hits
-    pad = cfrwt_module._chunk_plan(grid, scales_wide.count)[2][0]
-    tables = cfrwt_module._tap_layout(DOG3, True, grid.axes[0], pad, scales_wide.vectors[:, 0])[1]
+    chunks, _, pads = cfrwt_module._chunk_plan(grid, scales_wide.count)
+    plan = cfrwt_module._analysis_plan(DOG3, grid, pads, chunks[0].stop, scales_wide.vectors.tobytes())
     mags = np.unique(np.abs(scales_wide.vectors))
-    cap = frft_module._row_blocks(2 * mags.size, pad)[0].stop
-    table, rows = cfrwt_module._tap_spectrum(
-        DOG3, True, grid.axes[0].step, grid.axes[0].count, pad, cap, mags[:cap].tobytes()
-    )
-    assert table is tables[0]
-    assert not table.flags.writeable and not rows.flags.writeable
-    assert after.currsize <= after.maxsize
+    table, _ = cfrwt_module._tap_spectrum(DOG3, True, grid.axes[0].step, grid.axes[0].count, pads[0], mags.tobytes())
+    assert np.array_equal(plan.tables[0], table)
+    assert not plan.tables[0].flags.writeable
 
 
 @pytest.mark.parametrize("psi, rows", [(MEX, 64), (DOG3, 128)], ids=["even", "odd"])
 def test_tap_tables_hold_one_row_per_distinct_tap_row(grid, scales_wide, psi, rows):
     """128 signed scales over 64 magnitudes: an even profile's +-a rows are
-    one row, an odd profile's two; every table fits the chunk budget."""
+    one row, an odd profile's two."""
     pad = cfrwt_module._chunk_plan(grid, scales_wide.count)[2][0]
-    tables, _, ids = cfrwt_module._tap_layout(psi, True, grid.axes[0], pad, scales_wide.vectors[:, 0])[1:]
-    assert sum(len(t) for t in tables) == len(set(ids.tolist())) == rows
-    assert all(t.nbytes <= frft_module._CHUNK_BYTES for t in tables)
+    (table, ids), = cfrwt_module._tap_layout(psi, True, grid, (pad,), scales_wide.vectors)
+    assert len(table) == len(set(ids.tolist())) == rows
 
 
-def test_a_long_pass_fits_the_tap_memo():
-    """A 1-D N=4096 pass over the default 128 scales needs 8 tables of 8
-    magnitudes, so a second identical pass only hits."""
+def test_a_long_pass_fits_the_tap_memo(monkeypatch):
+    """A 1-D N=4096 pass over the default 128 scales needs a table of 64
+    rows, 8 MiB, which its plan holds within the memo's budget, so a
+    second identical pass only hits and computes no table."""
     g = Grid((axis_centered(1 / 64, 4096),))
     f = sample(g, lambda t: np.exp(-(t**2) / 2) * np.exp(4j * t))
     sc = log_scale_grid(2.0**-4, 2.0**4, 64, signs="both")
-    cfrwt_fast(f, MEX, ALPHA, sc)
-    before = cfrwt_module.tap_cache_info()
-    cfrwt_fast(f, MEX, ALPHA, sc)
-    after = cfrwt_module.tap_cache_info()
-    assert (after.hits - before.hits, after.misses - before.misses) == (8, 0)
+    want = cfrwt_fast(f, MEX, ALPHA, sc).values
+    builds = _count_tap_builds(monkeypatch)
+    before = cache_info()["analysis_plan"]
+    assert np.array_equal(cfrwt_fast(f, MEX, ALPHA, sc).values, want)
+    after = cache_info()["analysis_plan"]
+    assert (after.hits - before.hits, after.misses - before.misses, len(builds)) == (1, 0, 0)
+    chunks, _, pads = cfrwt_module._chunk_plan(g, sc.count)
+    plan = cfrwt_module._analysis_plan(MEX, g, pads, chunks[0].stop, sc.vectors.tobytes())
+    assert plan.tables[0].nbytes == 8 << 20
+
+
+def _count_tap_builds(monkeypatch) -> list:
+    """The magnitudes of every tap table built from now on."""
+    builds = []
+    build = cfrwt_module._tap_spectrum
+
+    def counted(*key):
+        builds.append(key[-1])
+        return build(*key)
+
+    monkeypatch.setattr(cfrwt_module, "_tap_spectrum", counted)
+    return builds
 
 
 @pytest.mark.parametrize("n", [101, 256, 4096])
@@ -501,10 +511,10 @@ def test_twin_scale_vectors_read_the_same_bits(ndim):
 
 def test_signed_taps_oracle_is_the_package_tap_table(grid, scales_wide):
     pad = cfrwt_module._chunk_plan(grid, scales_wide.count)[2][0]
-    tables, width, ids = cfrwt_module._tap_layout(DOG3, False, grid.axes[0], pad, scales_wide.vectors[:, 0])[1:]
-    for a, i in zip(scales_wide.vectors[:, 0], ids):
+    (table, rows), = cfrwt_module._tap_layout(DOG3, False, grid, (pad,), scales_wide.vectors)
+    for a, row in zip(scales_wide.vectors[:, 0], rows):
         (_, spectrum), = signed_tap_spectrum(DOG3, False, grid.axes[0], a)
-        assert np.array_equal(tables[i // width][i % width], spectrum[0])
+        assert np.array_equal(table[row], spectrum[0])
 
 
 def test_inner_product_relation_two_wavelets(grid, scales_wide, gabor, gabor_coeffs):
@@ -785,20 +795,14 @@ PLAN_CHUNK_BYTES = (frft_module._CHUNK_BYTES, 20_000, 100)
 PLAN_CASES = [("1d-256", False), ("2d-30x27", False), ("3d-12x9x7", False), ("1d-256", True), ("2d-30x27", True)]
 
 
+def _synthesis_info():
+    return cache_info()["synthesis_plan"]
+
+
 def _plan_calls(before):
     """(hits, misses) of the synthesis plan memo since before."""
-    after = cfrwt_module.synthesis_cache_info()
+    after = _synthesis_info()
     return after.hits - before.hits, after.misses - before.misses
-
-
-def _held_arrays(value):
-    if isinstance(value, np.ndarray):
-        return [value]
-    if isinstance(value, (tuple, list)):
-        return [a for item in value for a in _held_arrays(item)]
-    if dataclasses.is_dataclass(value):
-        return [a for f in dataclasses.fields(value) for a in _held_arrays(getattr(value, f.name))]
-    return []
 
 
 @pytest.mark.parametrize("chunk_bytes", PLAN_CHUNK_BYTES)
@@ -812,7 +816,7 @@ def test_a_warm_synthesis_plan_gives_the_same_bits(case, shuffled, chunk_bytes, 
     w = cfrwt_fast(f, MEX, ALPHA, sc)
     assert np.array_equal(w.values, per_vector_cfrwt(f, MEX, ALPHA, sc))
     first = reconstruct(w, MEX, MEX, cross_value=CROSS).values
-    before = cfrwt_module.synthesis_cache_info()
+    before = _synthesis_info()
     again = reconstruct(w, MEX, MEX, cross_value=CROSS).values
     assert _plan_calls(before) == (1, 0)
     assert np.array_equal(again, first)
@@ -833,7 +837,7 @@ def test_a_warm_plan_compares_every_field_s_twin_rows(edit, twin_rows):
         values[[0, 127], 100] = 0.0
         values[0, 100] = complex(-0.0, 0.0)
     field = CfrwtCoefficients(values, w.b_grid, w.scales, w.order, w.wavelet)
-    before = cfrwt_module.synthesis_cache_info()
+    before = _synthesis_info()
     got = reconstruct(field, MEX, MEX, cross_value=CROSS).values
     assert _plan_calls(before) == (1, 0)
     assert np.array_equal(got.view(np.uint64), per_vector_reconstruct(field, MEX, CROSS).view(np.uint64))
@@ -846,67 +850,16 @@ def test_the_synthesis_plan_is_keyed_by_the_scale_values():
     sc = w.scales
     equal = ScaleGrid(sc.vectors.copy(), sc.log_step, sc.a_min, sc.a_max, sc.signs)
     field = CfrwtCoefficients(w.values, w.b_grid, equal, w.order, w.wavelet)
-    before = cfrwt_module.synthesis_cache_info()
+    before = _synthesis_info()
     assert np.array_equal(reconstruct(field, MEX, MEX, cross_value=CROSS).values, want)
     assert _plan_calls(before) == (1, 0)
     # an edit in place is a new key, whose plan gives the edited result
     equal.vectors[3, 0] *= 1.5
-    before = cfrwt_module.synthesis_cache_info()
+    before = _synthesis_info()
     got = reconstruct(field, MEX, MEX, cross_value=CROSS).values
     assert _plan_calls(before) == (0, 1)
     assert np.array_equal(got, per_vector_reconstruct(field, MEX, CROSS))
     assert not np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("case", ["1d-256", "2d-30x27"])
-def test_a_synthesis_plan_holds_read_only_arrays_and_no_tables(case):
-    w = _twin_field(case)
-    reconstruct(w, MEX, MEX, cross_value=CROSS)
-    sc = w.scales
-    chunks, _, pads = cfrwt_module._chunk_plan(w.b_grid, sc.count)
-    plan = cfrwt_module._synthesis_plan(
-        MEX, w.b_grid, pads, chunks[0].stop, sc.vectors.tobytes(), sc.measure_weights().tobytes()
-    )
-    held = _held_arrays(plan)
-    assert held and not any(a.flags.writeable for a in held)
-    # the tap tables stay in the tap memo: the plan holds their keys only
-    tables = [t for axis_tables in plan.tables() for t in axis_tables]
-    assert not any(np.shares_memory(a, t) for a in held for t in tables)
-
-
-def _on_threads(call, want):
-    """More threads than CPUs run call three times each, all starting at
-    once, with frequent switches; every call must return want."""
-    workers = 2 * (os.cpu_count() or 1) + 1
-    start = threading.Barrier(workers)
-    results = [[] for _ in range(workers)]
-
-    def run(k):
-        start.wait()
-        for _ in range(3):
-            results[k].append(call())
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=run, args=(k,)) for k in range(workers)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert all(len(got) == 3 and all(np.array_equal(g, want) for g in got) for got in results)
-
-
-def test_threads_share_one_synthesis_plan():
-    """Threads build and read one plan at once; each gets the per-vector
-    bits on every pass."""
-    w = _twin_field("2d-30x27")
-    want = per_vector_reconstruct(w, MEX, CROSS)
-    cfrwt_module._synthesis_plan.cache_clear()
-    _on_threads(lambda: reconstruct(w, MEX, MEX, cross_value=CROSS).values, want)
 
 
 # reconstruct's tracemalloc peak on the stream field beyond its 1 MiB work
@@ -930,9 +883,13 @@ def test_reconstruct_needs_little_beyond_its_work_buffer():
 # ----------------------------------------------------------- analysis plan
 
 
+def _analysis_info():
+    return cache_info()["analysis_plan"]
+
+
 def _analysis_calls(before):
     """(hits, misses) of the analysis plan memo since before."""
-    after = cfrwt_module.analysis_cache_info()
+    after = _analysis_info()
     return after.hits - before.hits, after.misses - before.misses
 
 
@@ -943,9 +900,9 @@ def test_cold_and_warm_analysis_plans_give_the_per_vector_bits(case, shuffled, c
     monkeypatch.setattr(frft_module, "_CHUNK_BYTES", chunk_bytes)
     f, sc = _twin_inputs(case, shuffled=shuffled)
     want = per_vector_cfrwt(f, psi, ALPHA, sc)
-    cfrwt_module._analysis_plan.cache_clear()
+    memo._clear()
     cold = cfrwt_fast(f, psi, ALPHA, sc).values
-    before = cfrwt_module.analysis_cache_info()
+    before = _analysis_info()
     warm = cfrwt_fast(f, psi, ALPHA, sc).values
     assert _analysis_calls(before) == (1, 0)
     assert np.array_equal(cold, want)
@@ -956,75 +913,43 @@ def test_the_analysis_plan_is_keyed_by_the_scale_values():
     f, sc = _twin_inputs("1d-101")
     want = cfrwt_fast(f, MEX, ALPHA, sc).values
     equal = ScaleGrid(sc.vectors.copy(), sc.log_step, sc.a_min, sc.a_max, sc.signs)
-    before = cfrwt_module.analysis_cache_info()
+    before = _analysis_info()
     assert np.array_equal(cfrwt_fast(f, MEX, ALPHA, equal).values, want)
     assert _analysis_calls(before) == (1, 0)
     # an edit in place is a new key, whose plan gives the edited result
     equal.vectors[3, 0] *= 1.5
-    before = cfrwt_module.analysis_cache_info()
+    before = _analysis_info()
     got = cfrwt_fast(f, MEX, ALPHA, equal).values
     assert _analysis_calls(before) == (0, 1)
     assert np.array_equal(got, per_vector_cfrwt(f, MEX, ALPHA, equal))
     assert not np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("case", ["1d-256", "2d-30x27"])
-def test_an_analysis_plan_holds_read_only_arrays_and_no_tables(case):
-    f, sc = _twin_inputs(case)
-    cfrwt_fast(f, MEX, ALPHA, sc)
-    chunks, _, pads = cfrwt_module._chunk_plan(f.grid, sc.count)
-    plan = cfrwt_module._analysis_plan(MEX, f.grid, pads, chunks[0].stop, sc.vectors.tobytes())
-    held = _held_arrays(plan)
-    assert held and not any(a.flags.writeable for a in held)
-    # the first call took the tables the build fetched; the plan keeps
-    # only their keys
-    assert plan.fresh == []
-    tables = [t for axis_tables in plan.tables() for t in axis_tables]
-    assert not any(np.shares_memory(a, t) for a in held for t in tables)
-
-
-def test_threads_share_one_analysis_plan():
-    f, sc = _twin_inputs("2d-30x27")
-    want = per_vector_cfrwt(f, MEX, ALPHA, sc)
-    cfrwt_module._analysis_plan.cache_clear()
-    _on_threads(lambda: cfrwt_fast(f, MEX, ALPHA, sc).values, want)
-    assert cfrwt_module.analysis_cache_info().currsize == 1
-
-
 def test_analysis_cache_info_counts_the_plan_memo():
-    import frwt
-
-    cfrwt_module._analysis_plan.cache_clear()
+    memo._clear()
     f, sc = _twin_inputs("1d-101")
     cfrwt_fast(f, MEX, ALPHA, sc)
     # the order is no part of the plan; the wavelet is
     cfrwt_fast(f, MEX, 2.2, sc)
     cfrwt_fast(f, DOG3, ALPHA, sc)
-    info = frwt.analysis_cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
-    # one size for both plan memos
-    assert info.maxsize == frwt.synthesis_cache_info().maxsize == cfrwt_module._PLAN_CACHE_SIZE
+    info = _analysis_info()
+    assert (info.hits, info.misses, info.entries) == (1, 2, 2)
 
 
-def test_a_first_pass_computes_each_tap_table_once():
-    """A 1-D N=4096 dog3 pass over the default 128 signed scales needs 16
-    tables, twice what the tap memo keeps: the first call of each pass
-    takes the tables its plan's build fetched instead of computing them
-    again, and gives the bits of a later call."""
+def test_a_first_pass_computes_each_tap_table_once(monkeypatch):
+    """A 1-D N=4096 dog3 pass over the default 128 signed scales needs a
+    table of 64 magnitudes' two rows each, 16 MiB, for each direction:
+    each pass's plan computes it once, and gives the bits of a later call
+    (the plan, over the memo's budget, is built again)."""
     g = Grid((axis_centered(1 / 64, 4096),))
     f = sample(g, lambda t: np.exp(-(t**2) / 2) * np.exp(4j * t))
     sc = log_scale_grid(2.0**-4, 2.0**4, 64, signs="both")
-    for memo in (cfrwt_module._tap_spectrum, cfrwt_module._analysis_plan, cfrwt_module._synthesis_plan):
-        memo.cache_clear()
-
-    def with_tap_misses(call):
-        before = cfrwt_module.tap_cache_info().misses
-        result = call()
-        return result, cfrwt_module.tap_cache_info().misses - before
-
-    w, analysis_misses = with_tap_misses(lambda: cfrwt_fast(f, DOG3, ALPHA, sc))
-    first, synthesis_misses = with_tap_misses(lambda: reconstruct(w, DOG3, DOG3, cross_value=CROSS).values)
-    assert (analysis_misses, synthesis_misses) == (16, 16)
+    memo._clear()
+    builds = _count_tap_builds(monkeypatch)
+    w = cfrwt_fast(f, DOG3, ALPHA, sc)
+    analysis_builds = len(builds)
+    first = reconstruct(w, DOG3, DOG3, cross_value=CROSS).values
+    assert (analysis_builds, len(builds) - analysis_builds) == (1, 1)
     assert np.array_equal(w.values, cfrwt_fast(f, DOG3, ALPHA, sc).values)
     assert np.array_equal(w.values, per_vector_cfrwt(f, DOG3, ALPHA, sc))
     assert np.array_equal(first, reconstruct(w, DOG3, DOG3, cross_value=CROSS).values)
@@ -1092,7 +1017,7 @@ def test_cold_and_warm_grid_chirps_give_the_per_vector_bits(case, alpha):
     # the per-vector oracle shares the chirped input, so pin it on its own
     chirped = f.values * f.grid.weights() * frft_module._chirp(f.grid.radius_sq(), order.cot)
     want = per_vector_cfrwt(f, MEX, alpha, sc)
-    frft_module._kept_grid_chirp.cache_clear()
+    memo._clear()
     for _ in range(2):
         assert _bit_equal(cfrwt_module._chirped_input(f, order), chirped)
         w = cfrwt_fast(f, MEX, alpha, sc)
@@ -1102,73 +1027,69 @@ def test_cold_and_warm_grid_chirps_give_the_per_vector_bits(case, alpha):
 
 
 def test_grids_starting_at_plus_and_minus_zero_share_their_chirps():
-    frft_module._kept_grid_chirp.cache_clear()
+    memo._clear()
     for case in ("start+0", "start-0"):
         f, sc = _memo_inputs(case)
         w = cfrwt_fast(f, MEX, -1.1, sc)
         assert _bit_equal(w.values, per_vector_cfrwt(f, MEX, -1.1, sc))
         got = reconstruct(w, MEX, MEX, cross_value=CROSS).values
         assert _bit_equal(got, per_vector_reconstruct(w, MEX, CROSS))
-    # five chirps a grid (the oracle's chirped input among them), two built
-    info = frft_module.chirp_cache_info()
-    assert (info.hits, info.misses) == (8, 2)
+    # five chirps and three weights a grid (the oracle's chirped input
+    # among them), two chirps and one weights built
+    info = cache_info()
+    assert (info["grid_chirp"].hits, info["grid_chirp"].misses) == (8, 2)
+    assert (info["grid_weights"].hits, info["grid_weights"].misses) == (5, 1)
 
 
 def test_kept_grid_chirps_are_read_only():
     f, sc = _memo_inputs("1d-101")
-    frft_module._kept_grid_chirp.cache_clear()
+    memo._clear()
     cfrwt_fast(f, MEX, ALPHA, sc)
-    assert frft_module.chirp_cache_info().currsize == 2
-    for factor in (_as_order(ALPHA).cot, -_as_order(ALPHA).cot):
-        for array in frft_module._grid_chirp(f.grid, factor):
-            with pytest.raises(ValueError):
-                array[0] = 0.0
+    assert (cache_info()["grid_chirp"].entries, cache_info()["grid_weights"].entries) == (2, 1)
+    arrays = [frft_module._grid_chirp(f.grid, factor) for factor in (_as_order(ALPHA).cot, -_as_order(ALPHA).cot)]
+    for array in arrays + [frft_module._grid_weights(f.grid)]:
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
-def test_grid_chirps_over_the_byte_bound_are_computed_per_call():
+def test_grid_chirps_over_the_byte_bound_are_computed_per_call(monkeypatch):
     g = Grid((axis_centered(0.05, 256), axis_centered(0.05, 256)))
-    # weights and chirp, 1.5 MiB
-    assert 24 * g.size > frft_module._CHUNK_BYTES
+    # weights of 512 KiB and chirps of 1 MiB
+    monkeypatch.setattr(memo, "_BUDGET_BYTES", 256 * 1024)
     f = sample(g, lambda x, y: np.exp(-(x**2 + y**2)))
     sc = log_scale_grid(0.5, 1.0, 1, ndim=2, signs="positive")
     want = per_vector_cfrwt(f, MEX, ALPHA, sc)
-    before = frft_module.chirp_cache_info()
+    before = cache_info()
     w = cfrwt_fast(f, MEX, ALPHA, sc)
     got = reconstruct(w, MEX, MEX, cross_value=CROSS).values
-    assert frft_module.chirp_cache_info() == before
+    after = cache_info()
+    # the analysis takes the weights and two chirps, the synthesis too
+    for name in ("grid_chirp", "grid_weights"):
+        assert after[name].entries == before[name].entries
+        assert after[name].hits == before[name].hits
+    assert after["grid_chirp"].misses - before["grid_chirp"].misses == 4
     assert _bit_equal(w.values, want)
     assert _bit_equal(got, per_vector_reconstruct(w, MEX, CROSS))
 
 
-def test_threads_share_one_transform_plan_and_its_chirps():
-    f, sc = _twin_inputs("2d-30x27")
-    want = frft_module._apply_plan(f.values, frft_module.make_plan(f.grid, ALPHA))
-    frft_module._kept_plan.cache_clear()
-    _on_threads(lambda: frft_module.frft_fast(f, ALPHA).values, want)
-    assert frft_module.plan_cache_info().currsize == 1
-    w = cfrwt_fast(f, MEX, ALPHA, sc)
-    frft_module._kept_grid_chirp.cache_clear()
-    _on_threads(lambda: reconstruct(w, MEX, MEX, cross_value=CROSS).values, per_vector_reconstruct(w, MEX, CROSS))
-    assert frft_module.chirp_cache_info().currsize == 2
-
-
 def test_plan_and_chirp_cache_info_count_a_warm_stream():
-    import frwt
-
     f, sc = _twin_inputs("1d-256")
-    frft_module._kept_plan.cache_clear()
-    frft_module._kept_grid_chirp.cache_clear()
+    memo._clear()
     for _ in range(3):
-        frwt.frft_fast(f, ALPHA)
+        frft_module.frft_fast(f, ALPHA)
         w = cfrwt_fast(f, MEX, ALPHA, sc)
         reconstruct(w, DOG4, MEX, cross_value=CROSS)
-    plans, chirps = frwt.plan_cache_info(), frwt.chirp_cache_info()
-    assert (plans.hits, plans.misses, plans.currsize) == (2, 1, 1)
-    # the analysis and the synthesis each take the +cot and -cot chirps,
-    # and frft_fast the weights of the +cot entry
-    assert (chirps.hits, chirps.misses, chirps.currsize) == (13, 2, 2)
-    # one bound for the memos of signal-free arrays
-    assert plans.maxsize == chirps.maxsize == frwt.tap_cache_info().maxsize == frft_module._ARRAY_CACHE_SIZE
+    # frft_fast takes its plan and the weights, and the analysis and the
+    # synthesis each take the weights, the +cot and -cot chirps and a plan
+    counts = {name: (info.hits, info.misses, info.entries) for name, info in cache_info().items()}
+    assert counts == {
+        "analysis_plan": (2, 1, 1),
+        "grid_chirp": (10, 2, 2),
+        "grid_weights": (8, 1, 1),
+        "scan": (0, 0, 0),
+        "synthesis_plan": (2, 1, 1),
+        "transform_plan": (2, 1, 1),
+    }
 
 
 def test_reconstruct_zero_coefficients(gabor_coeffs):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from frwt.errors import DeltaKernel, DomainMismatch, NearSingularOrder
+from frwt import cache_info, memo
 from frwt import frft as frft_module
 from frwt.frft import (
     OrderKind,
@@ -623,9 +624,13 @@ def _fresh_plan_route(values, grid, alpha):
     return chirp_fft_chirp(values, make_plan(grid, alpha))
 
 
+def _plan_info():
+    return cache_info()["transform_plan"]
+
+
 def _plan_calls(before):
     """(hits, misses) of the plan memo since before."""
-    after = frft_module.plan_cache_info()
+    after = _plan_info()
     return after.hits - before.hits, after.misses - before.misses
 
 
@@ -645,10 +650,10 @@ def test_cold_and_warm_plans_give_the_fresh_plan_bits(case, alpha, route):
     values = np.stack([f.values for f in family]) if route == "batched" else family[0].values
     angle = -alpha if route == "inverse" else alpha
     want = _fresh_plan_route(values, grid, angle)
-    frft_module._kept_plan.cache_clear()
+    memo._clear()
     got = []
     for calls in ((0, 1), (1, 0)):
-        before = frft_module.plan_cache_info()
+        before = _plan_info()
         if route == "batched":
             out_grid, out = _transform(grid, values, alpha)
         else:
@@ -669,23 +674,23 @@ def test_grids_starting_at_plus_and_minus_zero_keep_their_own_plans(alpha):
     assert plus == minus and hash(plus) == hash(minus)
     values = random_smooth_signal(plus, seed=5).values
     values[::5] = -0.0
-    frft_module._kept_plan.cache_clear()
+    memo._clear()
     for grid in (plus, minus, plus, minus):
         got = _transform(grid, values, alpha)[1]
         assert np.array_equal(_bits(got), _bits(_fresh_plan_route(values, grid, alpha)))
-    assert frft_module.plan_cache_info().currsize == 2
+    assert _plan_info().entries == 2
     phases = [_bits(make_plan(grid, alpha).axis_phases[0]) for grid in (plus, minus)]
     assert np.array_equal(*phases) == (math.sin(alpha) > 0)
     for grid, want in zip((plus, minus), phases):
-        kept = frft_module._kept_plan(grid, alpha, (math.copysign(1.0, grid.axes[0].start),))
+        kept = frft_module._transform_plan(grid, alpha, (math.copysign(1.0, grid.axes[0].start),))
         assert np.array_equal(_bits(kept.axis_phases[0]), want)
 
 
 def test_a_kept_plan_is_read_only(grid_256, gaussian_256):
-    frft_module._kept_plan.cache_clear()
+    memo._clear()
     frft_fast(gaussian_256, 0.9)
-    plan = frft_module._kept_plan(grid_256, 0.9, (-1.0,))
-    assert frft_module.plan_cache_info().currsize == 1
+    plan = frft_module._transform_plan(grid_256, 0.9, (-1.0,))
+    assert _plan_info().entries == 1
     for array in (plan.in_chirp, plan.out_chirp, *plan.axis_phases):
         with pytest.raises(ValueError):
             array[0] = 0.0
@@ -703,10 +708,8 @@ def test_a_changed_make_plan_result_does_not_reach_frft_fast(grid_256, gaussian_
 
 def test_a_plan_over_the_byte_bound_is_built_per_call(monkeypatch):
     grid = Grid((axis_centered(0.05, 256), axis_centered(0.05, 256)))
-    # its two chirps alone are 2 MiB, and its weights and one chirp exceed
-    # the grid chirp memo's entry bound too
-    assert 32 * grid.size > frft_module._CHUNK_BYTES
-    assert 24 * grid.size > frft_module._CHUNK_BYTES
+    # its two chirps alone are 2 MiB, and its weights 512 KiB
+    monkeypatch.setattr(memo, "_BUDGET_BYTES", 256 * 1024)
     f = random_smooth_signal(grid, seed=2)
     want = _fresh_plan_route(f.values, grid, 0.9)
     factors = []
@@ -717,14 +720,17 @@ def test_a_plan_over_the_byte_bound_is_built_per_call(monkeypatch):
         return chirp(radius_sq, factor)
 
     monkeypatch.setattr(frft_module, "_chirp", counted)
-    chirps = frft_module.chirp_cache_info()
+    chirps = cache_info()["grid_chirp"]
     for _ in range(2):
-        before = frft_module.plan_cache_info()
+        before = cache_info()
         factors.clear()
         got = frft_fast(f, 0.9).values
-        assert _plan_calls(before) == (0, 0)
-        assert frft_module.plan_cache_info().currsize == before.currsize
+        after = cache_info()
+        # the plan and the weights are built, returned and not kept
+        for name in ("transform_plan", "grid_weights"):
+            assert after[name].misses == before[name].misses + 1
+            assert after[name].entries == before[name].entries
         # make_plan's input and output chirps, and no grid chirp
         assert factors == [TransformOrder(0.9).cot] * 2
         assert np.array_equal(_bits(got), _bits(want))
-    assert frft_module.chirp_cache_info() == chirps
+    assert cache_info()["grid_chirp"] == chirps

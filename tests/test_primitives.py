@@ -4,7 +4,8 @@ lag FFT length and one separable broadcast onto a grid, each defined once
 and used everywhere else; no module imports a name it never reads; the
 package exports exactly the names its modules list in __all__; every
 function, parameter and name the benchmark in perfbench/ binds exists; and
-the only memos are five named ones."""
+functools memoizes only the two scalar memos, every other memo being
+frwt.memo's, which alone sets arrays read-only."""
 
 from __future__ import annotations
 
@@ -58,7 +59,7 @@ RULES = [
     (
         "fast transform plan",
         re.compile(r"\b(?:make_plan|_apply_plan)\("),
-        {("frft.py", "_transform"), ("frft.py", "make_plan"), ("frft.py", "_kept_plan"), ("frft.py", "_apply_plan")},
+        {("frft.py", "_transform"), ("frft.py", "make_plan"), ("frft.py", "_transform_plan"), ("frft.py", "_apply_plan")},
     ),
     (
         "rows per byte budget",
@@ -99,6 +100,8 @@ RULES = [
         {("cfrwt.py", "cfrwt_fast"), ("cfrwt.py", "kernel_projection"), ("cfrwt.py", "range_membership_residual")},
         "cfrwt.py",
     ),
+    # one module owns the read-only policy of shared arrays: the memo
+    ("read-only array", re.compile(r"\.flags\.writeable\s*=\s*False"), {("memo.py", "_freeze")}),
     # a pass's tap layout and twin classes are planned once per scale grid,
     # so no call redoes that bookkeeping
     (
@@ -138,17 +141,9 @@ def test_primitive_lives_only_in_its_helper(rule):
 
 
 # every function memoized with functools.cache or functools.lru_cache, as
-# module.function: the package's hidden state lives in these and no others
-MEMOIZED = {
-    "admissibility._scan",
-    "cfrwt._analysis_plan",
-    "cfrwt._synthesis_plan",
-    "cfrwt._tap_spectrum",
-    "frft._kept_grid_chirp",
-    "frft._kept_plan",
-    "frft._next_fast_len",
-    "frft._openblas_thread_calls",
-}
+# module.function: two scalar memos, whose values hold no array; every
+# other memo is frwt.memo's, under its byte budget
+SCALAR_MEMOS = {"frft._next_fast_len", "frft._openblas_thread_calls"}
 
 
 def _is_memo(decorator: ast.expr) -> bool:
@@ -166,7 +161,7 @@ def test_memoized_functions_are_the_named_ones():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(map(_is_memo, node.decorator_list))
     }
-    assert memoized == MEMOIZED
+    assert memoized == SCALAR_MEMOS
 
 
 def _names_read(tree: ast.AST) -> set[str]:

@@ -1,6 +1,7 @@
 """`run_suite("all")` runs the nine suites as concurrent blocks: its
 records, their order, the scan memo's counts and the failure it reports
-are those of the suites run one after another."""
+are those of the suites run one after another, and a second pass in the
+same process builds nothing."""
 
 from __future__ import annotations
 
@@ -13,8 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from frwt import admissibility, verify
-from frwt.admissibility import admissibility_cache_info
+from frwt import cache_info, memo, verify
 from frwt.cli import main
 from frwt.verify import SUITE_ORDER, run_suite
 
@@ -23,9 +23,9 @@ from conftest import set_workers
 
 @pytest.fixture(scope="module")
 def all_from_a_cleared_memo():
-    admissibility._scan.cache_clear()
+    memo._clear()
     reports = run_suite("all")
-    return reports, admissibility_cache_info()
+    return reports, cache_info()
 
 
 def test_all_equals_the_suites_run_alone(all_from_a_cleared_memo):
@@ -37,7 +37,20 @@ def test_all_equals_the_suites_run_alone(all_from_a_cleared_memo):
 def test_all_reads_the_scan_memo_the_same_way_every_pass(all_from_a_cleared_memo):
     # 4 distinct scans, each asked for again whichever lane asks first
     _, info = all_from_a_cleared_memo
-    assert (info.misses, info.hits) == (4, 16)
+    assert (info["scan"].misses, info["scan"].hits) == (4, 16)
+
+
+def test_a_second_pass_builds_nothing(all_from_a_cleared_memo):
+    """The memo holds all that a pass builds, so a second pass misses no
+    key of any builder."""
+    _, first = all_from_a_cleared_memo
+    # the suites run alone in test_all_equals_the_suites_run_alone may
+    # have run before this test
+    before = cache_info()
+    run_suite("all")
+    after = cache_info()
+    assert sum(info.misses for info in first.values()) > 0
+    assert {name: after[name].misses - before[name].misses for name in after} == dict.fromkeys(after, 0)
 
 
 def test_two_verify_all_processes_print_the_same_records():
