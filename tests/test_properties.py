@@ -1,40 +1,204 @@
 """Differential properties of the planned routes: whatever the grid, the
-scale set, the wavelet and the state of the memo, frft_fast, cfrwt_fast
-and reconstruct give, as integers, the bits of their unplanned oracles,
-and frft_fast runs the bits of the plan make_plan builds.
+scale set, the wavelet, the chunk size and the state of the memo,
+frft_fast, frft_inverse, the batched _transform, cfrwt_fast and
+reconstruct give, as integers, the bits of their unplanned oracles, and
+the transforms run the bits of the plan make_plan builds.
 
 Hypothesis draws grids of one to three axes whose starts are +0.0, -0.0
-or off the centre, unsorted scale sets with repeated and mixed-sign
-components, the six catalog wavelets and orders past pi or below zero.
-Before the routes run, the memo is cleared (cold), or holds what the same
-routes built on an equal grid, each zero start of the other sign (warm),
-or held that and then had it evicted by another grid (evicted).  Every
-fifth sample is -0.0.  The plan is compared too because a start of -0.0
-flips the signs of zeros in the phases but, on every input tried, no bit
-of the transform: c_alpha's nonzero imaginary part absorbs them."""
+or off the centre; scale sets that are unsorted, with repeated and
+mixed-sign components, or log_scale_grid sets, sorted or shuffled, of
+either sign choice; the six catalog wavelets and one that is neither even
+nor odd; orders past pi or below zero; and _CHUNK_BYTES from one row to
+the default.  Before the routes run, the memo is cleared (cold), or holds
+what the same routes built on an equal grid, each zero start of the other
+sign (warm), or held that and then had it evicted by another grid
+(evicted).  Every fifth sample is -0.0, and one coefficient sample may be
+moved by one ulp, or be a zero of the other sign, before reconstruct.
+The plan is compared too because a start of -0.0 flips the signs of
+zeros in the phases but, on every input tried, no bit of the transform:
+c_alpha's nonzero imaginary part absorbs them.
+
+Each route runs twice: the second call must only hit the three plan
+memos and give the first call's bits.  On the drawn grids, small enough
+for quadrature, the fast routes also match frft_direct and cfrwt_direct
+at test_frft's and test_cfrwt's tolerances.
+
+PINNED runs named inputs as explicit examples: every value, and every
+pair of values, of the hand-picked case lists it replaced.  A falsifying
+example that Hypothesis finds goes there too."""
 
 from __future__ import annotations
 
+import dataclasses
+from typing import NamedTuple
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from frwt import frft, memo
-from frwt.cfrwt import cfrwt_fast, reconstruct
-from frwt.frft import frft_fast, make_plan
-from frwt.grid import AxisSpec, Grid, SampledSignal, sample
-from frwt.scales import ScaleGrid
-from frwt.wavelets import CATALOG
+from frwt import cache_info, memo
+from frwt import cfrwt, frft
+from frwt.cfrwt import CfrwtCoefficients, cfrwt_direct, cfrwt_fast, reconstruct
+from frwt.frft import _as_order, frft_direct, frft_fast, frft_inverse, make_plan, natural_output_grid
+from frwt.grid import AxisSpec, Grid, SampledSignal, axis_centered, sample
+from frwt.scales import ScaleGrid, log_scale_grid
+from frwt.wavelets import CATALOG, WaveletSpec
 
 from oracles import chirp_fft_chirp, per_vector_cfrwt, per_vector_reconstruct
 
 CROSS = 1.3 - 0.4j
 ORDERS = (0.9, 2.2, -1.1, 3.7, -4.0)
 MAGNITUDES = (0.3, 0.55, 0.8, 1.3)
-# samples per axis at each dimension, small enough for the per-vector oracles
+# samples per axis at each dimension, small enough for the per-vector and
+# quadrature oracles
 COUNTS = {1: (8, 48), 2: (5, 16), 3: (4, 8)}
-# 200 examples take about 1.5 s on a 2-vCPU VM
+# the perturbed profile of frwt.verify's Morrey distance record: neither
+# even nor odd
+PERTURBED = WaveletSpec(
+    "mexhat_perturbed",
+    lambda t: CATALOG["mexican_hat"].profile(t) + 0.05 * CATALOG["dog3"].profile(t),
+    max(CATALOG["mexican_hat"].support_radius, CATALOG["dog3"].support_radius),
+)
+WAVELETS = {**CATALOG, PERTURBED.name: PERTURBED}
+MIB = frft._CHUNK_BYTES
+# the default; about 8, 3, 2 and 1 rows of the 1-D 256-sample passes; and
+# one row of any pass (an odd profile's table then holds a magnitude's two)
+CHUNK_BYTES = (MIB, 70_000, 3 * 16 * 512, 20_000, 4096, 100, 16)
+PLANS = ("transform_plan", "analysis_plan", "synthesis_plan")
+# the frft_direct and cfrwt_direct tolerances of test_frft's and
+# test_cfrwt's test_fast_matches_direct_any_length
+FRFT_DIRECT_ABS = 1e-10
+CFRWT_DIRECT_REL = 1e-12
+# 200 drawn examples and the pinned ones take about 2.5 s on a 2-vCPU VM
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+class Case(NamedTuple):
+    grid: Grid
+    scales: ScaleGrid
+
+
+class Edit(NamedTuple):
+    """What reconstruct's input has in place of cfrwt_fast's field: kind
+    is "none", "one-ulp" (a sample of row moved up by one ulp) or
+    "signed-zero" (one sample column zeroed, of the other sign in row)."""
+
+    kind: str
+    row: int
+
+
+NO_EDIT = Edit("none", 0)
+
+# the pinned grids and log_scale_grid arguments; start+0 and start-0 are
+# equal grids, hash and all, whose phases differ in the signs of zeros
+CASES = {
+    "1d-101": ((AxisSpec(-5.0, 0.1, 101),), (2.0**-3, 2.0**3, 24)),
+    "1d-256": ((axis_centered(0.0625, 256),), (2.0**-4, 2.0**4, 64)),
+    "1d-4096": ((axis_centered(1 / 16, 4096),), (0.5, 2.0, 2)),
+    "2d-30x27": ((axis_centered(0.4, 30), AxisSpec(-4.0, 0.35, 27)), (0.5, 4.0, 3)),
+    "2d-64x63": ((axis_centered(0.1, 64), axis_centered(0.15, 63)), (0.5, 2.0, 1)),
+    "3d-12x9x7": ((axis_centered(0.5, 12), AxisSpec(-3.0, 0.6, 9), axis_centered(0.7, 7)), (0.5, 2.0, 2)),
+    "start+0": ((AxisSpec(0.0, 0.1, 64),), (2.0**-3, 2.0**3, 12)),
+    "start-0": ((AxisSpec(-0.0, 0.1, 64),), (2.0**-3, 2.0**3, 12)),
+}
+
+# case, signs, shuffled, wavelet, order, route, chunk bytes, memo state, edit
+PINNED = (
+    ("1d-101", "both", False, "mexican_hat", 0.9, "single", MIB, "cold", Edit("one-ulp", 0)),
+    ("1d-101", "both", False, "mexican_hat", 0.9, "inverse", 4096, "warm", NO_EDIT),
+    ("1d-101", "both", False, "mexican_hat", 2.2, "single", MIB, "evicted", NO_EDIT),
+    ("1d-101", "both", False, "mexican_hat", -1.1, "single", MIB, "cold", NO_EDIT),
+    ("1d-101", "both", False, "mexican_hat", 3.7, "single", MIB, "warm", NO_EDIT),
+    ("1d-101", "both", False, "dog4", 0.9, "inverse", 70_000, "warm", NO_EDIT),
+    ("1d-101", "both", False, "dog4", 0.9, "batched", 3 * 16 * 512, "warm", NO_EDIT),
+    ("1d-101", "both", False, "dog4", 2.2, "batched", MIB, "warm", Edit("signed-zero", 0)),
+    ("1d-101", "both", False, "morlet", 0.9, "inverse", MIB, "evicted", NO_EDIT),
+    ("1d-101", "both", False, "mexhat_perturbed", 0.9, "single", 16, "cold", NO_EDIT),
+    ("1d-101", "both", True, "dog4", 0.9, "batched", 100, "evicted", NO_EDIT),
+    ("1d-101", "both", True, "dog3", 0.9, "single", 4096, "warm", NO_EDIT),
+    ("1d-101", "both", True, "morlet", 0.9, "batched", 100, "cold", NO_EDIT),
+    ("1d-101", "both", True, "mexhat_perturbed", 0.9, "batched", 20_000, "cold", NO_EDIT),
+    ("1d-101", "positive", False, "mexican_hat", 0.9, "single", 3 * 16 * 512, "cold", NO_EDIT),
+    ("1d-101", "positive", False, "mexican_hat", 0.9, "inverse", 16, "cold", NO_EDIT),
+    ("1d-101", "positive", False, "dog3", 0.9, "inverse", 16, "warm", NO_EDIT),
+    ("1d-101", "positive", True, "mexhat_perturbed", 0.9, "batched", 70_000, "cold", NO_EDIT),
+    ("1d-256", "both", False, "mexican_hat", 0.9, "single", MIB, "evicted", NO_EDIT),
+    ("1d-256", "both", False, "mexican_hat", 0.9, "inverse", MIB, "warm", Edit("one-ulp", 0)),
+    ("1d-256", "both", False, "mexican_hat", 0.9, "batched", 20_000, "evicted", NO_EDIT),
+    ("1d-256", "both", False, "mexican_hat", 0.9, "batched", 100, "evicted", NO_EDIT),
+    ("1d-256", "both", False, "mexican_hat", 2.2, "batched", MIB, "cold", NO_EDIT),
+    ("1d-256", "both", False, "mexican_hat", -1.1, "single", MIB, "warm", NO_EDIT),
+    ("1d-256", "both", False, "mexican_hat", -1.1, "single", MIB, "cold", Edit("signed-zero", 127)),
+    ("1d-256", "both", False, "mexican_hat", 3.7, "single", MIB, "warm", NO_EDIT),
+    ("1d-256", "both", False, "dog3", 0.9, "inverse", MIB, "evicted", NO_EDIT),
+    ("1d-256", "both", True, "mexican_hat", 0.9, "inverse", MIB, "cold", NO_EDIT),
+    ("1d-256", "both", True, "mexican_hat", 0.9, "batched", 20_000, "warm", NO_EDIT),
+    ("1d-256", "both", True, "mexican_hat", 0.9, "batched", 100, "evicted", NO_EDIT),
+    ("1d-256", "both", True, "dog3", 0.9, "batched", MIB, "evicted", NO_EDIT),
+    ("1d-256", "positive", False, "mexican_hat", 0.9, "inverse", 70_000, "warm", NO_EDIT),
+    ("1d-256", "positive", False, "dog4", 0.9, "inverse", MIB, "warm", NO_EDIT),
+    ("1d-256", "positive", False, "morlet", 0.9, "single", 16, "cold", NO_EDIT),
+    ("1d-256", "positive", False, "mexhat_perturbed", 0.9, "single", 3 * 16 * 512, "warm", NO_EDIT),
+    ("1d-256", "positive", False, "mexhat_perturbed", 0.9, "batched", 100, "warm", NO_EDIT),
+    ("1d-256", "positive", True, "morlet", 0.9, "batched", 4096, "warm", NO_EDIT),
+    ("1d-4096", "both", True, "morlet", 2.2, "inverse", MIB, "warm", NO_EDIT),
+    ("1d-4096", "positive", False, "dog3", -1.1, "single", MIB, "cold", NO_EDIT),
+    ("1d-4096", "positive", True, "mexican_hat", 0.9, "batched", MIB, "warm", NO_EDIT),
+    ("1d-4096", "positive", True, "mexican_hat", 3.7, "batched", MIB, "evicted", NO_EDIT),
+    ("2d-30x27", "both", False, "mexican_hat", 0.9, "inverse", MIB, "cold", NO_EDIT),
+    ("2d-30x27", "both", False, "mexican_hat", 0.9, "batched", 20_000, "evicted", NO_EDIT),
+    ("2d-30x27", "both", False, "mexican_hat", 0.9, "batched", 100, "cold", NO_EDIT),
+    ("2d-30x27", "both", False, "mexican_hat", 2.2, "single", MIB, "cold", NO_EDIT),
+    ("2d-30x27", "both", False, "mexican_hat", -1.1, "inverse", MIB, "warm", NO_EDIT),
+    ("2d-30x27", "both", False, "mexican_hat", 3.7, "batched", MIB, "evicted", NO_EDIT),
+    ("2d-30x27", "both", False, "dog3", 0.9, "single", 20_000, "evicted", NO_EDIT),
+    ("2d-30x27", "both", True, "mexican_hat", 0.9, "inverse", MIB, "cold", NO_EDIT),
+    ("2d-30x27", "both", True, "mexican_hat", 0.9, "batched", 20_000, "warm", NO_EDIT),
+    ("2d-30x27", "both", True, "mexican_hat", 0.9, "single", 100, "warm", NO_EDIT),
+    ("2d-30x27", "both", True, "dog3", 0.9, "batched", 100, "evicted", NO_EDIT),
+    ("2d-30x27", "positive", False, "dog4", 0.9, "batched", 16, "cold", NO_EDIT),
+    ("2d-30x27", "positive", False, "dog3", 0.9, "inverse", 3 * 16 * 512, "evicted", NO_EDIT),
+    ("2d-30x27", "positive", False, "morlet", 0.9, "single", 70_000, "evicted", NO_EDIT),
+    ("2d-30x27", "positive", False, "morlet", 0.9, "inverse", 3 * 16 * 512, "warm", NO_EDIT),
+    ("2d-30x27", "positive", False, "mexhat_perturbed", 0.9, "single", MIB, "cold", NO_EDIT),
+    ("2d-30x27", "positive", True, "dog4", 0.9, "inverse", 4096, "warm", NO_EDIT),
+    ("2d-64x63", "both", False, "mexican_hat", -1.1, "batched", MIB, "evicted", NO_EDIT),
+    ("2d-64x63", "positive", False, "mexican_hat", 0.9, "batched", MIB, "cold", NO_EDIT),
+    ("2d-64x63", "positive", False, "dog4", 2.2, "single", MIB, "cold", NO_EDIT),
+    ("2d-64x63", "positive", False, "mexhat_perturbed", 3.7, "inverse", MIB, "evicted", NO_EDIT),
+    ("3d-12x9x7", "both", False, "mexican_hat", 0.9, "single", MIB, "cold", NO_EDIT),
+    ("3d-12x9x7", "both", False, "mexican_hat", 0.9, "single", 20_000, "cold", NO_EDIT),
+    ("3d-12x9x7", "both", False, "mexican_hat", 0.9, "single", 100, "warm", NO_EDIT),
+    ("3d-12x9x7", "both", False, "dog3", 0.9, "inverse", MIB, "warm", NO_EDIT),
+    ("3d-12x9x7", "both", False, "mexhat_perturbed", 0.9, "batched", 4096, "evicted", NO_EDIT),
+    ("3d-12x9x7", "positive", False, "dog4", 0.9, "single", 20_000, "evicted", NO_EDIT),
+    ("3d-12x9x7", "positive", True, "dog3", 0.9, "inverse", 70_000, "cold", NO_EDIT),
+    ("3d-12x9x7", "positive", True, "morlet", 0.9, "single", 20_000, "evicted", NO_EDIT),
+    ("start+0", "both", False, "mexican_hat", 0.9, "inverse", MIB, "evicted", NO_EDIT),
+    ("start+0", "both", False, "mexican_hat", 2.2, "single", MIB, "evicted", NO_EDIT),
+    ("start+0", "both", False, "mexican_hat", -1.1, "batched", MIB, "warm", NO_EDIT),
+    ("start+0", "both", False, "mexican_hat", 3.7, "batched", MIB, "cold", NO_EDIT),
+    ("start-0", "both", False, "mexican_hat", 0.9, "batched", MIB, "cold", NO_EDIT),
+    ("start-0", "both", False, "mexican_hat", 2.2, "batched", MIB, "evicted", NO_EDIT),
+    ("start-0", "both", False, "mexican_hat", -1.1, "inverse", MIB, "warm", NO_EDIT),
+    ("start-0", "both", False, "mexican_hat", 3.7, "single", MIB, "cold", NO_EDIT),
+)
+
+
+def _pinned_case(case: str, signs: str, shuffled: bool) -> Case:
+    axes, (a_min, a_max, cells) = CASES[case]
+    sc = log_scale_grid(a_min, a_max, cells, ndim=len(axes), signs=signs)
+    if shuffled:
+        order = np.random.default_rng(sc.count).permutation(sc.count)
+        sc = ScaleGrid(sc.vectors[order], sc.log_step, sc.a_min, sc.a_max, sc.signs)
+    return Case(Grid(axes), sc)
+
+
+def _pinned(test):
+    for case, signs, shuffled, name, alpha, route, chunk_bytes, state, edit in PINNED:
+        args = dict(name=name, alpha=alpha, route=route, chunk_bytes=chunk_bytes, state=state, edit=edit)
+        test = example(case=_pinned_case(case, signs, shuffled), **args)(test)
+    return test
 
 
 @st.composite
@@ -51,10 +215,20 @@ def grids(draw) -> Grid:
 
 
 @st.composite
-def scale_sets(draw, ndim: int) -> ScaleGrid:
-    component = st.builds(lambda m, s: s * m, st.sampled_from(MAGNITUDES), st.sampled_from((-1.0, 1.0)))
-    rows = draw(st.lists(st.tuples(*[component] * ndim), min_size=1, max_size=6))
-    return ScaleGrid(np.array(rows), 0.3, min(MAGNITUDES), max(MAGNITUDES), "both")
+def cases(draw) -> Case:
+    """A grid and a scale set of its dimension, drawn as one argument so
+    that examples can give both."""
+    grid = draw(grids())
+    ndim = grid.ndim
+    if draw(st.booleans()):
+        component = st.builds(lambda m, s: s * m, st.sampled_from(MAGNITUDES), st.sampled_from((-1.0, 1.0)))
+        rows = draw(st.lists(st.tuples(*[component] * ndim), min_size=1, max_size=6))
+        return Case(grid, ScaleGrid(np.array(rows), 0.3, min(MAGNITUDES), max(MAGNITUDES), "both"))
+    a_max = draw(st.sampled_from(MAGNITUDES[1:]))
+    cells = draw(st.integers(1, 3 if ndim == 1 else 1))
+    sc = log_scale_grid(MAGNITUDES[0], a_max, cells, ndim, draw(st.sampled_from(("both", "positive"))))
+    order = draw(st.permutations(range(sc.count)))
+    return Case(grid, ScaleGrid(sc.vectors[list(order)], sc.log_step, sc.a_min, sc.a_max, sc.signs))
 
 
 def _flipped_zero_starts(grid: Grid) -> Grid:
@@ -62,22 +236,86 @@ def _flipped_zero_starts(grid: Grid) -> Grid:
     return Grid(tuple(AxisSpec(-ax.start if ax.start == 0.0 else ax.start, ax.step, ax.count) for ax in grid.axes))
 
 
-def _signal(grid: Grid) -> SampledSignal:
-    f = sample(grid, lambda *t: np.exp(-sum((x - 0.2) ** 2 for x in t)) * np.exp(1j * (t[0] - 2 * t[-1])))
+def _signal(grid: Grid, centre: float = 0.2) -> SampledSignal:
+    f = sample(grid, lambda *t: np.exp(-sum((x - centre) ** 2 for x in t)) * np.exp(1j * (t[0] - 2 * t[-1])))
     f.values.reshape(-1)[::5] = -0.0
     return f
 
 
-def _routes(f, psi, alpha, sc):
-    """frft_fast of f and the plan it ran, cfrwt_fast and reconstruct."""
-    plans, apply_plan = [], frft._apply_plan
-    frft._apply_plan = lambda values, plan: plans.append(plan) or apply_plan(values, plan)
+def _transform_input(f: SampledSignal, route: str) -> np.ndarray:
+    if route != "batched":
+        return f.values
+    return np.stack([f.values, _signal(f.grid, -0.4).values, _signal(f.grid, 0.7).values])
+
+
+def _edited(w: CfrwtCoefficients, edit: Edit) -> CfrwtCoefficients:
+    if edit.kind == "none":
+        return w
+    values = w.values.copy()
+    rows = values.reshape(len(values), -1)
+    row, at = edit.row % len(rows), rows.shape[1] // 2
+    if edit.kind == "one-ulp":
+        rows[row, at] = complex(np.nextafter(rows[row, at].real, np.inf), rows[row, at].imag)
+    else:
+        rows[:, at] = 0.0
+        rows[row, at] = complex(-0.0, 0.0)
+    return CfrwtCoefficients(values, w.b_grid, w.scales, w.order, w.wavelet)
+
+
+class Run(NamedTuple):
+    out_grid: Grid
+    spectrum: np.ndarray
+    coeffs: CfrwtCoefficients
+    field: CfrwtCoefficients
+    resynthesis: np.ndarray
+    # each spied function's name mapped to its first call's (args, result)
+    calls: dict
+
+
+SPIED = ((frft, "_transform_plan"), (cfrwt, "_analysis_plan"), (cfrwt, "_synthesis_plan"), (cfrwt, "_twin_rows"))
+
+
+def _routes(f, psi, alpha, sc, route, edit=NO_EDIT) -> Run:
+    """The route's transform of f, cfrwt_fast of f and reconstruct of that
+    field after edit."""
+    calls = {}
+    saved = [getattr(module, name) for module, name in SPIED]
+    for (module, name), real in zip(SPIED, saved):
+        setattr(module, name, lambda *args, name=name, real=real: calls.setdefault(name, (args, real(*args)))[1])
     try:
-        spectrum = frft_fast(f, alpha).values
+        if route == "batched":
+            out_grid, spectrum = frft._transform(f.grid, _transform_input(f, route), alpha)
+        else:
+            g = (frft_inverse if route == "inverse" else frft_fast)(f, alpha)
+            out_grid, spectrum = g.grid, g.values
+        w = cfrwt_fast(f, psi, alpha, sc)
+        field = _edited(w, edit)
+        resynthesis = reconstruct(field, psi, psi, cross_value=CROSS).values
     finally:
-        frft._apply_plan = apply_plan
-    w = cfrwt_fast(f, psi, alpha, sc)
-    return spectrum, plans[0], w, reconstruct(w, psi, psi, cross_value=CROSS).values
+        for (module, name), real in zip(SPIED, saved):
+            setattr(module, name, real)
+    return Run(out_grid, spectrum, w, field, resynthesis, calls)
+
+
+def _plan_counts() -> dict[str, tuple[int, int]]:
+    info = cache_info()
+    return {name: (info[name].hits, info[name].misses) for name in PLANS}
+
+
+def _calls(before, after) -> dict[str, tuple[int, int]]:
+    return {name: (after[name][0] - before[name][0], after[name][1] - before[name][1]) for name in PLANS}
+
+
+def _arrays(value):
+    """The arrays value holds, through tuples, lists and dataclasses."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        for field in dataclasses.fields(value):
+            yield from _arrays(getattr(value, field.name))
 
 
 def _plan_arrays(plan) -> list[np.ndarray]:
@@ -88,34 +326,85 @@ def _bits(values: np.ndarray) -> np.ndarray:
     return values.view(np.uint64)
 
 
+def _bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.array_equal(_bits(a), _bits(b))
+
+
 @PROPERTY
+@_pinned
 @given(
-    data=st.data(),
-    grid=grids(),
-    name=st.sampled_from(sorted(CATALOG)),
+    case=cases(),
+    name=st.sampled_from(sorted(WAVELETS)),
     alpha=st.sampled_from(ORDERS),
+    route=st.sampled_from(("single", "batched", "inverse")),
+    chunk_bytes=st.sampled_from(CHUNK_BYTES),
     state=st.sampled_from(("cold", "warm", "evicted")),
+    edit=st.builds(Edit, st.sampled_from(("none", "one-ulp", "signed-zero")), st.integers(0, 127)),
 )
-def test_planned_routes_give_the_oracle_bits(data, grid, name, alpha, state):
-    psi = CATALOG[name]
-    sc = data.draw(scale_sets(grid.ndim))
+def test_planned_routes_give_the_oracle_bits(case, name, alpha, route, chunk_bytes, state, edit):
+    grid, sc = case
+    psi = WAVELETS[name]
     f = _signal(grid)
     memo._clear()
-    budget = memo._BUDGET_BYTES
+    budget, chunk = memo._BUDGET_BYTES, frft._CHUNK_BYTES
+    frft._CHUNK_BYTES = chunk_bytes
     try:
         if state != "cold":
-            _routes(_signal(_flipped_zero_starts(grid)), psi, alpha, sc)
+            _routes(_signal(_flipped_zero_starts(grid)), psi, alpha, sc, route)
         if state == "evicted":
-            # a budget of two floors keeps at most two entries, so another
-            # grid's routes evict all of this one's
+            # a budget of two floors keeps at most two entries, so the
+            # routes on a grid of three samples an axis, no case's, whose
+            # transform plan and weights are charged the floor, evict all
+            # of this one's
             memo._BUDGET_BYTES = 2 * memo._FLOOR_BYTES
-            other = Grid(tuple(AxisSpec(ax.start, ax.step, ax.count + 1) for ax in grid.axes))
-            _routes(_signal(other), psi, alpha, sc)
-        spectrum, plan, w, resynthesis = _routes(f, psi, alpha, sc)
+            other = Grid((AxisSpec(0.5, 0.25, 3),) * grid.ndim)
+            _routes(_signal(other), psi, alpha, sc, route)
+            memo._BUDGET_BYTES = budget
+        counts = [_plan_counts()]
+        first = _routes(f, psi, alpha, sc, route, edit)
+        counts.append(_plan_counts())
+        again = _routes(f, psi, alpha, sc, route, edit)
+        counts.append(_plan_counts())
+        chirped = cfrwt._chirped_input(f, _as_order(alpha))
     finally:
-        memo._BUDGET_BYTES = budget
-    fresh = make_plan(grid, alpha)
-    assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(_plan_arrays(plan), _plan_arrays(fresh)))
-    assert np.array_equal(_bits(spectrum), _bits(chirp_fft_chirp(f.values, fresh)))
-    assert np.array_equal(_bits(w.values), _bits(per_vector_cfrwt(f, psi, alpha, sc)))
-    assert np.array_equal(_bits(resynthesis), _bits(per_vector_reconstruct(w, psi, CROSS)))
+        memo._BUDGET_BYTES, frft._CHUNK_BYTES = budget, chunk
+
+    # a warm call only hits; the transform plan is keyed by the start signs
+    missed = state != "warm"
+    flipped = missed or any(ax.start == 0.0 for ax in grid.axes)
+    assert _calls(*counts[:2]) == {
+        "transform_plan": (0, 1) if flipped else (1, 0),
+        "analysis_plan": (0, 1) if missed else (1, 0),
+        "synthesis_plan": (0, 1) if missed else (1, 0),
+    }
+    assert _calls(*counts[1:]) == dict.fromkeys(PLANS, (1, 0))
+    assert again.out_grid == first.out_grid
+    assert _bit_equal(again.spectrum, first.spectrum)
+    assert _bit_equal(again.coeffs.values, first.coeffs.values)
+    assert _bit_equal(again.resynthesis, first.resynthesis)
+    plans = [first.calls[name][1] for _, name in SPIED[:3]]
+    assert not any(array.flags.writeable for plan in plans for array in _arrays(plan))
+
+    angle = -alpha if route == "inverse" else alpha
+    fresh = make_plan(grid, angle)
+    assert first.out_grid == natural_output_grid(grid, angle)
+    assert all(_bit_equal(a, b) for a, b in zip(_plan_arrays(plans[0]), _plan_arrays(fresh)))
+    assert _bit_equal(first.spectrum, chirp_fft_chirp(_transform_input(f, route), fresh))
+    # the per-vector oracle shares the chirped input, so pin it on its own
+    assert _bit_equal(chirped, f.values * grid.weights() * frft._chirp(grid.radius_sq(), _as_order(alpha).cot))
+    assert _bit_equal(first.coeffs.values, per_vector_cfrwt(f, psi, alpha, sc))
+    assert _bit_equal(first.resynthesis, per_vector_reconstruct(first.field, psi, CROSS))
+
+    # a twin candidate's row is copied exactly when it and its twin's are
+    # equal as integers
+    (synthesis, step, _), steps = first.calls["_twin_rows"]
+    copied = sum(len(range(step)[dst]) for _, twins in steps if twins for dst, _ in twins[1])
+    rows = _bits(first.field.values.reshape(sc.count, -1))
+    assert copied == sum(np.array_equal(rows[t], rows[s]) for t, s in zip(synthesis.twins, synthesis.twin_of))
+
+    # the drawn grids are small enough for quadrature
+    if all(ax.count <= COUNTS[grid.ndim][1] for ax in grid.axes):
+        spectrum = first.spectrum.reshape((-1,) + grid.shape)[0]
+        assert np.max(np.abs(spectrum - frft_direct(f, angle).values)) < FRFT_DIRECT_ABS
+        direct = cfrwt_direct(f, psi, alpha, sc).values
+        assert np.max(np.abs(first.coeffs.values - direct)) / np.max(np.abs(direct)) < CFRWT_DIRECT_REL
