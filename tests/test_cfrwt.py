@@ -46,6 +46,11 @@ DOG3 = get_wavelet("dog3")
 DOG4 = get_wavelet("dog4")
 MOR = get_wavelet("morlet")
 GAUSS = get_wavelet("gaussian")
+# the perturbed profile of frwt.verify's Morrey distance record: neither
+# even nor odd
+PERTURBED = WaveletSpec(
+    "mexhat_perturbed", lambda t: MEX.profile(t) + 0.05 * DOG3.profile(t), max(MEX.support_radius, DOG3.support_radius)
+)
 
 ALPHA = 0.9
 HALF_PI = math.pi / 2
@@ -472,6 +477,26 @@ def _twin_case(ndim, signs):
     return f, sc
 
 
+# the default budget, three 1-D rows per table and block, and one row (an
+# odd profile's table then holds a magnitude's two rows)
+@pytest.mark.parametrize("chunk_bytes", [frft_module._CHUNK_BYTES, 3 * 16 * 512, 16], ids=["1MiB", "3rows", "1row"])
+@pytest.mark.parametrize("signs", ["both", "positive"])
+@pytest.mark.parametrize("case", ["1d-101", "1d-256", "2d-30x27"])
+@pytest.mark.parametrize("psi", [MEX, DOG4, DOG3, MOR, PERTURBED], ids=lambda p: p.name)
+def test_fast_is_bitwise_the_per_vector_route(psi, case, signs, chunk_bytes, grid, monkeypatch):
+    """One coefficient row per distinct tuple of tap rows, ±a twins copied,
+    gives the bits of correlating every scale vector on its own, compared
+    as integers: the rows multiplied by 1 / sqrt|a| equal the oracle's
+    rows divided by sqrt|a|, their exact zeros (1d-256) included."""
+    if case == "1d-256":
+        f = sample(grid, lambda t: np.exp(-((t - 0.5) ** 2) / (2 * 0.4**2)) * np.exp(3j * t))
+        sc = log_scale_grid(2.0**-4, 2.0**4, 64, signs=signs)
+    else:
+        f, sc = _twin_case(int(case[0]), signs)
+    monkeypatch.setattr(frft_module, "_CHUNK_BYTES", chunk_bytes)
+    assert _bit_equal(cfrwt_fast(f, psi, ALPHA, sc).values, per_vector_cfrwt(f, psi, ALPHA, sc))
+
+
 @pytest.mark.parametrize("ndim", [1, 2])
 def test_twin_scale_vectors_read_the_same_bits(ndim):
     """An even wavelet's coefficients at a and at -a are one row."""
@@ -629,24 +654,31 @@ def test_reconstruct_matches_per_scale_route(axes, a_count, psi):
 
 # ---------------------------------------------------------- synthesis twins
 
+# the default budget, about 8, 2 and 1 rows of the 1-D 256-sample pass,
+# and one row of any pass
+SYNTHESIS_CHUNK_BYTES = (frft_module._CHUNK_BYTES, 70_000, 20_000, 4096, 100)
 TWIN_CASES = {
     "1d-101": ((AxisSpec(-5.0, 0.1, 101),), (2.0**-3, 2.0**3, 24)),
     "1d-256": ((axis_centered(0.0625, 256),), (2.0**-4, 2.0**4, 64)),
     "2d-30x27": ((axis_centered(0.4, 30), AxisSpec(-4.0, 0.35, 27)), (0.5, 4.0, 3)),
+    "3d-12x9x7": ((axis_centered(0.5, 12), AxisSpec(-3.0, 0.6, 9), axis_centered(0.7, 7)), (0.5, 2.0, 2)),
 }
 
 
-def _twin_inputs(case, signs="both"):
+def _twin_inputs(case, signs="both", shuffled=False):
     axes, (a_min, a_max, cells) = TWIN_CASES[case]
     g = Grid(axes)
     sc = log_scale_grid(a_min, a_max, cells, ndim=g.ndim, signs=signs)
+    if shuffled:
+        order = np.random.default_rng(sc.count).permutation(sc.count)
+        sc = ScaleGrid(sc.vectors[order], sc.log_step, sc.a_min, sc.a_max, sc.signs)
     f = sample(g, lambda *t: np.exp(-sum((x - 0.3) ** 2 for x in t)) * np.exp(1j * (t[0] - 2 * t[-1])))
     return f, sc
 
 
-def _twin_field(case, signs="both", alpha=ALPHA):
-    f, sc = _twin_inputs(case, signs)
-    return cfrwt_fast(f, MEX, alpha, sc)
+def _twin_field(case, signs="both", psi=MEX, shuffled=False, alpha=ALPHA):
+    f, sc = _twin_inputs(case, signs, shuffled)
+    return cfrwt_fast(f, psi, alpha, sc)
 
 
 @pytest.fixture
@@ -663,6 +695,21 @@ def twin_rows(monkeypatch):
 
     monkeypatch.setattr(cfrwt_module, "_twin_rows", spy)
     return counts
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["sorted", "shuffled"])
+@pytest.mark.parametrize("signs", ["both", "positive"])
+@pytest.mark.parametrize("case", list(TWIN_CASES))
+@pytest.mark.parametrize("psi", [MEX, DOG4, DOG3, MOR, PERTURBED], ids=lambda p: p.name)
+def test_reconstruct_is_bitwise_the_per_vector_route(psi, case, signs, shuffled, monkeypatch):
+    """Each distinct row of a chunk convolved once and copied to its twins
+    gives the bits of one product row per scale vector, at any chunk
+    size."""
+    w = _twin_field(case, signs, psi, shuffled)
+    for chunk_bytes in SYNTHESIS_CHUNK_BYTES:
+        monkeypatch.setattr(frft_module, "_CHUNK_BYTES", chunk_bytes)
+        got = reconstruct(w, psi, psi, cross_value=CROSS).values
+        assert np.array_equal(got, per_vector_reconstruct(w, psi, CROSS)), chunk_bytes
 
 
 @pytest.mark.parametrize("alpha", [0.9, 2.2])
@@ -743,6 +790,10 @@ def test_synthesis_twins_take_no_more_memory(case):
 
 # ---------------------------------------------------------- synthesis plan
 
+# the default budget, about 2 rows of the 1-D 256-sample pass, and one row
+PLAN_CHUNK_BYTES = (frft_module._CHUNK_BYTES, 20_000, 100)
+PLAN_CASES = [("1d-256", False), ("2d-30x27", False), ("3d-12x9x7", False), ("1d-256", True), ("2d-30x27", True)]
+
 
 def _synthesis_info():
     return cache_info()["synthesis_plan"]
@@ -752,6 +803,24 @@ def _plan_calls(before):
     """(hits, misses) of the synthesis plan memo since before."""
     after = _synthesis_info()
     return after.hits - before.hits, after.misses - before.misses
+
+
+@pytest.mark.parametrize("chunk_bytes", PLAN_CHUNK_BYTES)
+@pytest.mark.parametrize("case, shuffled", PLAN_CASES, ids=[f"{c}-{'shuffled' if s else 'sorted'}" for c, s in PLAN_CASES])
+def test_a_warm_synthesis_plan_gives_the_same_bits(case, shuffled, chunk_bytes, monkeypatch):
+    """A second pass over the same grid and scales only hits the plan memo
+    and gives the first pass's bits, which are one product row per scale
+    vector's."""
+    monkeypatch.setattr(frft_module, "_CHUNK_BYTES", chunk_bytes)
+    f, sc = _twin_inputs(case, shuffled=shuffled)
+    w = cfrwt_fast(f, MEX, ALPHA, sc)
+    assert np.array_equal(w.values, per_vector_cfrwt(f, MEX, ALPHA, sc))
+    first = reconstruct(w, MEX, MEX, cross_value=CROSS).values
+    before = _synthesis_info()
+    again = reconstruct(w, MEX, MEX, cross_value=CROSS).values
+    assert _plan_calls(before) == (1, 0)
+    assert np.array_equal(again, first)
+    assert np.array_equal(again, per_vector_reconstruct(w, MEX, CROSS))
 
 
 @pytest.mark.parametrize("edit", ["one-bit", "negative-zero"])
@@ -822,6 +891,22 @@ def _analysis_calls(before):
     """(hits, misses) of the analysis plan memo since before."""
     after = _analysis_info()
     return after.hits - before.hits, after.misses - before.misses
+
+
+@pytest.mark.parametrize("psi", [MEX, DOG3], ids=lambda p: p.name)
+@pytest.mark.parametrize("chunk_bytes", PLAN_CHUNK_BYTES)
+@pytest.mark.parametrize("case, shuffled", PLAN_CASES, ids=[f"{c}-{'shuffled' if s else 'sorted'}" for c, s in PLAN_CASES])
+def test_cold_and_warm_analysis_plans_give_the_per_vector_bits(case, shuffled, chunk_bytes, psi, monkeypatch):
+    monkeypatch.setattr(frft_module, "_CHUNK_BYTES", chunk_bytes)
+    f, sc = _twin_inputs(case, shuffled=shuffled)
+    want = per_vector_cfrwt(f, psi, ALPHA, sc)
+    memo._clear()
+    cold = cfrwt_fast(f, psi, ALPHA, sc).values
+    before = _analysis_info()
+    warm = cfrwt_fast(f, psi, ALPHA, sc).values
+    assert _analysis_calls(before) == (1, 0)
+    assert np.array_equal(cold, want)
+    assert np.array_equal(warm, want)
 
 
 def test_the_analysis_plan_is_keyed_by_the_scale_values():
@@ -896,7 +981,7 @@ def test_cfrwt_fast_needs_little_beyond_its_output_and_work_buffer():
 @pytest.mark.parametrize("case", ["1d-101", "1d-256", "2d-30x27"])
 def test_an_all_zero_signal_still_gives_an_all_zero_field(case):
     """Multiplying by 1 / sqrt|a| instead of dividing by sqrt|a| keeps
-    every nonzero bit (test_properties.py), but a
+    every nonzero bit (test_fast_is_bitwise_the_per_vector_route), but a
     zero row may come out with zeros of other signs."""
     f, sc = _twin_inputs(case)
     zero = SampledSignal(f.grid, np.zeros(f.grid.shape))
@@ -907,8 +992,10 @@ def test_an_all_zero_signal_still_gives_an_all_zero_field(case):
 
 # ----------------------------------------------------- plan and chirp memos
 
+# two with sin(alpha) < 0
+MEMO_ORDERS = (0.9, 2.2, -1.1, 3.7)
 MEMO_CASES = {
-    "1d-101": TWIN_CASES["1d-101"],
+    **{case: TWIN_CASES[case] for case in ("1d-101", "1d-256", "2d-30x27")},
     # equal grids, hash and all, whose points and chirps are bit-equal
     "start+0": ((AxisSpec(0.0, 0.1, 64),), (2.0**-3, 2.0**3, 12)),
     "start-0": ((AxisSpec(-0.0, 0.1, 64),), (2.0**-3, 2.0**3, 12)),
@@ -920,6 +1007,23 @@ def _memo_inputs(case):
     g = Grid(axes)
     f = sample(g, lambda *t: np.exp(-sum((x - 0.3) ** 2 for x in t)) * np.exp(1j * (t[0] - 2 * t[-1])))
     return f, log_scale_grid(a_min, a_max, cells, ndim=g.ndim, signs="both")
+
+
+@pytest.mark.parametrize("alpha", MEMO_ORDERS)
+@pytest.mark.parametrize("case", list(MEMO_CASES))
+def test_cold_and_warm_grid_chirps_give_the_per_vector_bits(case, alpha):
+    f, sc = _memo_inputs(case)
+    order = _as_order(alpha)
+    # the per-vector oracle shares the chirped input, so pin it on its own
+    chirped = f.values * f.grid.weights() * frft_module._chirp(f.grid.radius_sq(), order.cot)
+    want = per_vector_cfrwt(f, MEX, alpha, sc)
+    memo._clear()
+    for _ in range(2):
+        assert _bit_equal(cfrwt_module._chirped_input(f, order), chirped)
+        w = cfrwt_fast(f, MEX, alpha, sc)
+        assert _bit_equal(w.values, want)
+        got = reconstruct(w, MEX, MEX, cross_value=CROSS).values
+        assert _bit_equal(got, per_vector_reconstruct(w, MEX, CROSS))
 
 
 def test_grids_starting_at_plus_and_minus_zero_share_their_chirps():

@@ -601,6 +601,16 @@ def test_plan_c_alpha_modulus(grid_256):
 # ---------------------------------------------------------------------------
 # plan memo: _transform's plans are make_plan's, kept read-only
 
+MEMO_GRIDS = {
+    "1d-256": Grid((axis_centered(0.0625, 256),)),
+    "1d-101": Grid((AxisSpec(-5.0, 0.1, 101),)),
+    "1d-4096": Grid((axis_centered(1 / 16, 4096),)),
+    "2d-30x27": Grid((axis_centered(0.25, 30), axis_centered(0.2, 27))),
+    "2d-64x63": Grid((axis_centered(0.1, 64), axis_centered(0.15, 63))),
+    # equal grids, hash and all, whose phases differ in the signs of zeros
+    "start+0": Grid((AxisSpec(0.0, 0.1, 64),)),
+    "start-0": Grid((AxisSpec(-0.0, 0.1, 64),)),
+}
 # two with sin(alpha) < 0, whose axes run through the inverse FFT
 MEMO_ORDERS = (0.9, 2.2, -1.1, 3.7)
 
@@ -616,6 +626,43 @@ def _fresh_plan_route(values, grid, alpha):
 
 def _plan_info():
     return cache_info()["transform_plan"]
+
+
+def _plan_calls(before):
+    """(hits, misses) of the plan memo since before."""
+    after = _plan_info()
+    return after.hits - before.hits, after.misses - before.misses
+
+
+@pytest.mark.parametrize("route", ["single", "batched", "inverse"])
+@pytest.mark.parametrize("alpha", MEMO_ORDERS)
+@pytest.mark.parametrize("case", list(MEMO_GRIDS))
+def test_cold_and_warm_plans_give_the_fresh_plan_bits(case, alpha, route):
+    """frft_fast, frft_inverse and the batched _transform that uncertainty
+    runs equal, as integers, chirp_fft_chirp on a plan built afresh, on
+    the miss and on the hit: the memoized plans and weights, the in-place
+    FFTs and the fftshift folded into the phase product move no bit, nor
+    the sign of any zero."""
+    grid = MEMO_GRIDS[case]
+    family = [random_smooth_signal(grid, seed=seed) for seed in range(3 if route == "batched" else 1)]
+    for f in family:
+        f.values.reshape(-1)[::5] = -0.0
+    values = np.stack([f.values for f in family]) if route == "batched" else family[0].values
+    angle = -alpha if route == "inverse" else alpha
+    want = _fresh_plan_route(values, grid, angle)
+    memo._clear()
+    got = []
+    for calls in ((0, 1), (1, 0)):
+        before = _plan_info()
+        if route == "batched":
+            out_grid, out = _transform(grid, values, alpha)
+        else:
+            spectrum = (frft_inverse if route == "inverse" else frft_fast)(family[0], alpha)
+            out_grid, out = spectrum.grid, spectrum.values
+        assert _plan_calls(before) == calls
+        assert out_grid == natural_output_grid(grid, angle)
+        got.append(out)
+    assert all(np.array_equal(_bits(out), _bits(want)) for out in got)
 
 
 @pytest.mark.parametrize("alpha", MEMO_ORDERS)

@@ -24,8 +24,10 @@ for quadrature, the fast routes also match frft_direct and cfrwt_direct
 at test_frft's and test_cfrwt's tolerances.
 
 PINNED runs named inputs as explicit examples: every value, and every
-pair of values, of the hand-picked case lists it replaced.  A falsifying
-example that Hypothesis finds goes there too."""
+pair of values, of the hand-picked bit-pin families in test_cfrwt.py and
+test_frft.py, crossed with the routes, memo states and edits that those
+families hold fixed.  A falsifying example that Hypothesis finds goes
+there too."""
 
 from __future__ import annotations
 
