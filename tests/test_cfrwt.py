@@ -40,17 +40,13 @@ from oracles import (
     per_vector_reconstruct,
     signed_tap_spectrum,
 )
+from named_inputs import PERTURBED, gabor_signal, named_grid, named_scales, twin_inputs, twin_signal
 
 MEX = get_wavelet("mexican_hat")
 DOG3 = get_wavelet("dog3")
 DOG4 = get_wavelet("dog4")
 MOR = get_wavelet("morlet")
 GAUSS = get_wavelet("gaussian")
-# the perturbed profile of frwt.verify's Morrey distance record: neither
-# even nor odd
-PERTURBED = WaveletSpec(
-    "mexhat_perturbed", lambda t: MEX.profile(t) + 0.05 * DOG3.profile(t), max(MEX.support_radius, DOG3.support_radius)
-)
 
 ALPHA = 0.9
 HALF_PI = math.pi / 2
@@ -76,7 +72,7 @@ def scales_wide():
 
 @pytest.fixture(scope="module")
 def gabor(grid):
-    return sample(grid, lambda t: np.exp(-((t - 0.5) ** 2) / (2 * 0.4**2)) * np.exp(3j * t))
+    return gabor_signal(grid)
 
 
 @pytest.fixture(scope="module")
@@ -466,33 +462,19 @@ def _bit_equal(a, b):
     return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def _twin_case(ndim, signs):
-    if ndim == 1:
-        g = Grid((AxisSpec(-5.0, 0.1, 101),))
-        sc = log_scale_grid(2.0**-3, 2.0**3, 24, signs=signs)
-    else:
-        g = Grid((axis_centered(0.4, 30), AxisSpec(-4.0, 0.35, 27)))
-        sc = log_scale_grid(0.5, 4.0, 3, ndim=2, signs=signs)
-    f = sample(g, lambda *t: np.exp(-sum((x - 0.3) ** 2 for x in t)) * np.exp(1j * (t[0] - 2 * t[-1])))
-    return f, sc
-
-
 # the default budget, three 1-D rows per table and block, and one row (an
 # odd profile's table then holds a magnitude's two rows)
 @pytest.mark.parametrize("chunk_bytes", [frft_module._CHUNK_BYTES, 3 * 16 * 512, 16], ids=["1MiB", "3rows", "1row"])
 @pytest.mark.parametrize("signs", ["both", "positive"])
 @pytest.mark.parametrize("case", ["1d-101", "1d-256", "2d-30x27"])
 @pytest.mark.parametrize("psi", [MEX, DOG4, DOG3, MOR, PERTURBED], ids=lambda p: p.name)
-def test_fast_is_bitwise_the_per_vector_route(psi, case, signs, chunk_bytes, grid, monkeypatch):
+def test_fast_is_bitwise_the_per_vector_route(psi, case, signs, chunk_bytes, monkeypatch):
     """One coefficient row per distinct tuple of tap rows, ±a twins copied,
     gives the bits of correlating every scale vector on its own, compared
     as integers: the rows multiplied by 1 / sqrt|a| equal the oracle's
     rows divided by sqrt|a|, their exact zeros (1d-256) included."""
-    if case == "1d-256":
-        f = sample(grid, lambda t: np.exp(-((t - 0.5) ** 2) / (2 * 0.4**2)) * np.exp(3j * t))
-        sc = log_scale_grid(2.0**-4, 2.0**4, 64, signs=signs)
-    else:
-        f, sc = _twin_case(int(case[0]), signs)
+    f = (gabor_signal if case == "1d-256" else twin_signal)(named_grid(case))
+    sc = named_scales(case, signs)
     monkeypatch.setattr(frft_module, "_CHUNK_BYTES", chunk_bytes)
     assert _bit_equal(cfrwt_fast(f, psi, ALPHA, sc).values, per_vector_cfrwt(f, psi, ALPHA, sc))
 
@@ -500,7 +482,7 @@ def test_fast_is_bitwise_the_per_vector_route(psi, case, signs, chunk_bytes, gri
 @pytest.mark.parametrize("ndim", [1, 2])
 def test_twin_scale_vectors_read_the_same_bits(ndim):
     """An even wavelet's coefficients at a and at -a are one row."""
-    f, sc = _twin_case(ndim, "both")
+    f, sc = twin_inputs({1: "1d-101", 2: "2d-30x27"}[ndim])
     values = cfrwt_fast(f, MEX, ALPHA, sc).values
     vectors = [tuple(v) for v in sc.vectors.tolist()]
     a = vectors[-1]
@@ -657,27 +639,11 @@ def test_reconstruct_matches_per_scale_route(axes, a_count, psi):
 # the default budget, about 8, 2 and 1 rows of the 1-D 256-sample pass,
 # and one row of any pass
 SYNTHESIS_CHUNK_BYTES = (frft_module._CHUNK_BYTES, 70_000, 20_000, 4096, 100)
-TWIN_CASES = {
-    "1d-101": ((AxisSpec(-5.0, 0.1, 101),), (2.0**-3, 2.0**3, 24)),
-    "1d-256": ((axis_centered(0.0625, 256),), (2.0**-4, 2.0**4, 64)),
-    "2d-30x27": ((axis_centered(0.4, 30), AxisSpec(-4.0, 0.35, 27)), (0.5, 4.0, 3)),
-    "3d-12x9x7": ((axis_centered(0.5, 12), AxisSpec(-3.0, 0.6, 9), axis_centered(0.7, 7)), (0.5, 2.0, 2)),
-}
-
-
-def _twin_inputs(case, signs="both", shuffled=False):
-    axes, (a_min, a_max, cells) = TWIN_CASES[case]
-    g = Grid(axes)
-    sc = log_scale_grid(a_min, a_max, cells, ndim=g.ndim, signs=signs)
-    if shuffled:
-        order = np.random.default_rng(sc.count).permutation(sc.count)
-        sc = ScaleGrid(sc.vectors[order], sc.log_step, sc.a_min, sc.a_max, sc.signs)
-    f = sample(g, lambda *t: np.exp(-sum((x - 0.3) ** 2 for x in t)) * np.exp(1j * (t[0] - 2 * t[-1])))
-    return f, sc
+TWIN_CASES = ("1d-101", "1d-256", "2d-30x27", "3d-12x9x7")
 
 
 def _twin_field(case, signs="both", psi=MEX, shuffled=False, alpha=ALPHA):
-    f, sc = _twin_inputs(case, signs, shuffled)
+    f, sc = twin_inputs(case, signs, shuffled)
     return cfrwt_fast(f, psi, alpha, sc)
 
 
@@ -699,17 +665,18 @@ def twin_rows(monkeypatch):
 
 @pytest.mark.parametrize("shuffled", [False, True], ids=["sorted", "shuffled"])
 @pytest.mark.parametrize("signs", ["both", "positive"])
-@pytest.mark.parametrize("case", list(TWIN_CASES))
+@pytest.mark.parametrize("case", TWIN_CASES)
 @pytest.mark.parametrize("psi", [MEX, DOG4, DOG3, MOR, PERTURBED], ids=lambda p: p.name)
 def test_reconstruct_is_bitwise_the_per_vector_route(psi, case, signs, shuffled, monkeypatch):
     """Each distinct row of a chunk convolved once and copied to its twins
     gives the bits of one product row per scale vector, at any chunk
     size."""
     w = _twin_field(case, signs, psi, shuffled)
+    want = per_vector_reconstruct(w, psi, CROSS)
     for chunk_bytes in SYNTHESIS_CHUNK_BYTES:
         monkeypatch.setattr(frft_module, "_CHUNK_BYTES", chunk_bytes)
         got = reconstruct(w, psi, psi, cross_value=CROSS).values
-        assert np.array_equal(got, per_vector_reconstruct(w, psi, CROSS)), chunk_bytes
+        assert np.array_equal(got, want), chunk_bytes
 
 
 @pytest.mark.parametrize("alpha", [0.9, 2.2])
@@ -812,7 +779,7 @@ def test_a_warm_synthesis_plan_gives_the_same_bits(case, shuffled, chunk_bytes, 
     and gives the first pass's bits, which are one product row per scale
     vector's."""
     monkeypatch.setattr(frft_module, "_CHUNK_BYTES", chunk_bytes)
-    f, sc = _twin_inputs(case, shuffled=shuffled)
+    f, sc = twin_inputs(case, shuffled=shuffled)
     w = cfrwt_fast(f, MEX, ALPHA, sc)
     assert np.array_equal(w.values, per_vector_cfrwt(f, MEX, ALPHA, sc))
     first = reconstruct(w, MEX, MEX, cross_value=CROSS).values
@@ -898,7 +865,7 @@ def _analysis_calls(before):
 @pytest.mark.parametrize("case, shuffled", PLAN_CASES, ids=[f"{c}-{'shuffled' if s else 'sorted'}" for c, s in PLAN_CASES])
 def test_cold_and_warm_analysis_plans_give_the_per_vector_bits(case, shuffled, chunk_bytes, psi, monkeypatch):
     monkeypatch.setattr(frft_module, "_CHUNK_BYTES", chunk_bytes)
-    f, sc = _twin_inputs(case, shuffled=shuffled)
+    f, sc = twin_inputs(case, shuffled=shuffled)
     want = per_vector_cfrwt(f, psi, ALPHA, sc)
     memo._clear()
     cold = cfrwt_fast(f, psi, ALPHA, sc).values
@@ -910,7 +877,7 @@ def test_cold_and_warm_analysis_plans_give_the_per_vector_bits(case, shuffled, c
 
 
 def test_the_analysis_plan_is_keyed_by_the_scale_values():
-    f, sc = _twin_inputs("1d-101")
+    f, sc = twin_inputs("1d-101")
     want = cfrwt_fast(f, MEX, ALPHA, sc).values
     equal = ScaleGrid(sc.vectors.copy(), sc.log_step, sc.a_min, sc.a_max, sc.signs)
     before = _analysis_info()
@@ -927,7 +894,7 @@ def test_the_analysis_plan_is_keyed_by_the_scale_values():
 
 def test_analysis_cache_info_counts_the_plan_memo():
     memo._clear()
-    f, sc = _twin_inputs("1d-101")
+    f, sc = twin_inputs("1d-101")
     cfrwt_fast(f, MEX, ALPHA, sc)
     # the order is no part of the plan; the wavelet is
     cfrwt_fast(f, MEX, 2.2, sc)
@@ -964,7 +931,7 @@ ANALYSIS_PEAK_MARGIN = 32 * 1024
 
 
 def test_cfrwt_fast_needs_little_beyond_its_output_and_work_buffer():
-    f, sc = _twin_inputs("1d-256")
+    f, sc = twin_inputs("1d-256")
     cfrwt_fast(f, MEX, ALPHA, sc)
     tracemalloc.start()
     try:
@@ -983,7 +950,7 @@ def test_an_all_zero_signal_still_gives_an_all_zero_field(case):
     """Multiplying by 1 / sqrt|a| instead of dividing by sqrt|a| keeps
     every nonzero bit (test_fast_is_bitwise_the_per_vector_route), but a
     zero row may come out with zeros of other signs."""
-    f, sc = _twin_inputs(case)
+    f, sc = twin_inputs(case)
     zero = SampledSignal(f.grid, np.zeros(f.grid.shape))
     got = cfrwt_fast(zero, MEX, ALPHA, sc).values
     assert not got.any()
@@ -994,25 +961,15 @@ def test_an_all_zero_signal_still_gives_an_all_zero_field(case):
 
 # two with sin(alpha) < 0
 MEMO_ORDERS = (0.9, 2.2, -1.1, 3.7)
-MEMO_CASES = {
-    **{case: TWIN_CASES[case] for case in ("1d-101", "1d-256", "2d-30x27")},
-    # equal grids, hash and all, whose points and chirps are bit-equal
-    "start+0": ((AxisSpec(0.0, 0.1, 64),), (2.0**-3, 2.0**3, 12)),
-    "start-0": ((AxisSpec(-0.0, 0.1, 64),), (2.0**-3, 2.0**3, 12)),
-}
-
-
-def _memo_inputs(case):
-    axes, (a_min, a_max, cells) = MEMO_CASES[case]
-    g = Grid(axes)
-    f = sample(g, lambda *t: np.exp(-sum((x - 0.3) ** 2 for x in t)) * np.exp(1j * (t[0] - 2 * t[-1])))
-    return f, log_scale_grid(a_min, a_max, cells, ndim=g.ndim, signs="both")
+# start+0 and start-0 are equal grids, hash and all, whose points and
+# chirps are bit-equal
+MEMO_CASES = ("1d-101", "1d-256", "2d-30x27", "start+0", "start-0")
 
 
 @pytest.mark.parametrize("alpha", MEMO_ORDERS)
-@pytest.mark.parametrize("case", list(MEMO_CASES))
+@pytest.mark.parametrize("case", MEMO_CASES)
 def test_cold_and_warm_grid_chirps_give_the_per_vector_bits(case, alpha):
-    f, sc = _memo_inputs(case)
+    f, sc = twin_inputs(case)
     order = _as_order(alpha)
     # the per-vector oracle shares the chirped input, so pin it on its own
     chirped = f.values * f.grid.weights() * frft_module._chirp(f.grid.radius_sq(), order.cot)
@@ -1029,7 +986,7 @@ def test_cold_and_warm_grid_chirps_give_the_per_vector_bits(case, alpha):
 def test_grids_starting_at_plus_and_minus_zero_share_their_chirps():
     memo._clear()
     for case in ("start+0", "start-0"):
-        f, sc = _memo_inputs(case)
+        f, sc = twin_inputs(case)
         w = cfrwt_fast(f, MEX, -1.1, sc)
         assert _bit_equal(w.values, per_vector_cfrwt(f, MEX, -1.1, sc))
         got = reconstruct(w, MEX, MEX, cross_value=CROSS).values
@@ -1042,7 +999,7 @@ def test_grids_starting_at_plus_and_minus_zero_share_their_chirps():
 
 
 def test_kept_grid_chirps_are_read_only():
-    f, sc = _memo_inputs("1d-101")
+    f, sc = twin_inputs("1d-101")
     memo._clear()
     cfrwt_fast(f, MEX, ALPHA, sc)
     assert (cache_info()["grid_chirp"].entries, cache_info()["grid_weights"].entries) == (2, 1)
@@ -1073,7 +1030,7 @@ def test_grid_chirps_over_the_byte_bound_are_computed_per_call(monkeypatch):
 
 
 def test_plan_and_chirp_cache_info_count_a_warm_stream():
-    f, sc = _twin_inputs("1d-256")
+    f, sc = twin_inputs("1d-256")
     memo._clear()
     for _ in range(3):
         frft_module.frft_fast(f, ALPHA)

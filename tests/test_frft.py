@@ -34,6 +34,7 @@ from frwt.grid import AxisSpec, Grid, SampledSignal, axis_centered, l1_norm, l2_
 
 from conftest import random_smooth_signal, set_workers
 from oracles import brute_kernel_transform, chirp_fft_chirp, classical_unitary_ft, dense_direct_apply
+from named_inputs import named_grid, smooth_signals
 
 # |c(pi/4)| = 2**0.25 / sqrt(2*pi), computed in closed form
 C_PI_QUARTER_ABS = 0.4744249983287943
@@ -601,15 +602,16 @@ def test_plan_c_alpha_modulus(grid_256):
 # ---------------------------------------------------------------------------
 # plan memo: _transform's plans are make_plan's, kept read-only
 
+# each case's grid in named_inputs; start+0 and start-0 are equal grids,
+# hash and all, whose phases differ in the signs of zeros
 MEMO_GRIDS = {
-    "1d-256": Grid((axis_centered(0.0625, 256),)),
-    "1d-101": Grid((AxisSpec(-5.0, 0.1, 101),)),
-    "1d-4096": Grid((axis_centered(1 / 16, 4096),)),
-    "2d-30x27": Grid((axis_centered(0.25, 30), axis_centered(0.2, 27))),
-    "2d-64x63": Grid((axis_centered(0.1, 64), axis_centered(0.15, 63))),
-    # equal grids, hash and all, whose phases differ in the signs of zeros
-    "start+0": Grid((AxisSpec(0.0, 0.1, 64),)),
-    "start-0": Grid((AxisSpec(-0.0, 0.1, 64),)),
+    "1d-256": "1d-256",
+    "1d-101": "1d-101",
+    "1d-4096": "1d-4096",
+    "2d-30x27": "2d-30x27-centred",
+    "2d-64x63": "2d-64x63",
+    "start+0": "start+0",
+    "start-0": "start-0",
 }
 # two with sin(alpha) < 0, whose axes run through the inverse FFT
 MEMO_ORDERS = (0.9, 2.2, -1.1, 3.7)
@@ -643,10 +645,8 @@ def test_cold_and_warm_plans_give_the_fresh_plan_bits(case, alpha, route):
     the miss and on the hit: the memoized plans and weights, the in-place
     FFTs and the fftshift folded into the phase product move no bit, nor
     the sign of any zero."""
-    grid = MEMO_GRIDS[case]
-    family = [random_smooth_signal(grid, seed=seed) for seed in range(3 if route == "batched" else 1)]
-    for f in family:
-        f.values.reshape(-1)[::5] = -0.0
+    grid = named_grid(MEMO_GRIDS[case])
+    family = smooth_signals(grid, 3 if route == "batched" else 1)
     values = np.stack([f.values for f in family]) if route == "batched" else family[0].values
     angle = -alpha if route == "inverse" else alpha
     want = _fresh_plan_route(values, grid, angle)

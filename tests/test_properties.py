@@ -12,8 +12,9 @@ nor odd; orders past pi or below zero; and _CHUNK_BYTES from one row to
 the default.  Before the routes run, the memo is cleared (cold), or holds
 what the same routes built on an equal grid, each zero start of the other
 sign (warm), or held that and then had it evicted by another grid
-(evicted).  Every fifth sample is -0.0, and one coefficient sample may be
-moved by one ulp, or be a zero of the other sign, before reconstruct.
+(evicted).  Every fifth drawn sample is -0.0, and one coefficient sample
+may be moved by one ulp, or be a zero of the other sign, before
+reconstruct.
 The plan is compared too because a start of -0.0 flips the signs of
 zeros in the phases but, on every input tried, no bit of the transform:
 c_alpha's nonzero imaginary part absorbs them.
@@ -23,11 +24,11 @@ memos and give the first call's bits.  On the drawn grids, small enough
 for quadrature, the fast routes also match frft_direct and cfrwt_direct
 at test_frft's and test_cfrwt's tolerances.
 
-PINNED runs named inputs as explicit examples: every value, and every
-pair of values, of the hand-picked bit-pin families in test_cfrwt.py and
-test_frft.py, crossed with the routes, memo states and edits that those
-families hold fixed.  A falsifying example that Hypothesis finds goes
-there too."""
+PINNED runs each named input of the bit-pin families in test_cfrwt.py
+and test_frft.py (named_inputs.py), the family's own signal and all,
+under memo states, routes, chunk sizes, orders and edits that the family
+holds fixed.  A falsifying example that Hypothesis finds goes there
+too."""
 
 from __future__ import annotations
 
@@ -42,10 +43,11 @@ from frwt import cache_info, memo
 from frwt import cfrwt, frft
 from frwt.cfrwt import CfrwtCoefficients, cfrwt_direct, cfrwt_fast, reconstruct
 from frwt.frft import _as_order, frft_direct, frft_fast, frft_inverse, make_plan, natural_output_grid
-from frwt.grid import AxisSpec, Grid, SampledSignal, axis_centered, sample
+from frwt.grid import AxisSpec, Grid, SampledSignal, sample
 from frwt.scales import ScaleGrid, log_scale_grid
-from frwt.wavelets import CATALOG, WaveletSpec
+from frwt.wavelets import CATALOG
 
+from named_inputs import PERTURBED, gabor_signal, named_grid, named_scales, smooth_signals, twin_signal
 from oracles import chirp_fft_chirp, per_vector_cfrwt, per_vector_reconstruct
 
 CROSS = 1.3 - 0.4j
@@ -54,13 +56,6 @@ MAGNITUDES = (0.3, 0.55, 0.8, 1.3)
 # samples per axis at each dimension, small enough for the per-vector and
 # quadrature oracles
 COUNTS = {1: (8, 48), 2: (5, 16), 3: (4, 8)}
-# the perturbed profile of frwt.verify's Morrey distance record: neither
-# even nor odd
-PERTURBED = WaveletSpec(
-    "mexhat_perturbed",
-    lambda t: CATALOG["mexican_hat"].profile(t) + 0.05 * CATALOG["dog3"].profile(t),
-    max(CATALOG["mexican_hat"].support_radius, CATALOG["dog3"].support_radius),
-)
 WAVELETS = {**CATALOG, PERTURBED.name: PERTURBED}
 MIB = frft._CHUNK_BYTES
 # the default; about 8, 3, 2 and 1 rows of the 1-D 256-sample passes; and
@@ -71,13 +66,16 @@ PLANS = ("transform_plan", "analysis_plan", "synthesis_plan")
 # test_cfrwt's test_fast_matches_direct_any_length
 FRFT_DIRECT_ABS = 1e-10
 CFRWT_DIRECT_REL = 1e-12
-# 200 drawn examples and the pinned ones take about 2.5 s on a 2-vCPU VM
+# 200 drawn examples and the pinned ones take about 1.8 s on a 2-vCPU VM
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
 
 class Case(NamedTuple):
     grid: Grid
     scales: ScaleGrid
+    # samples on grid: the single routes, cfrwt_fast and reconstruct take
+    # the first, the batched _transform their stack
+    signals: tuple[np.ndarray, ...]
 
 
 class Edit(NamedTuple):
@@ -91,115 +89,56 @@ class Edit(NamedTuple):
 
 NO_EDIT = Edit("none", 0)
 
-# the pinned grids and log_scale_grid arguments; start+0 and start-0 are
-# equal grids, hash and all, whose phases differ in the signs of zeros
-CASES = {
-    "1d-101": ((AxisSpec(-5.0, 0.1, 101),), (2.0**-3, 2.0**3, 24)),
-    "1d-256": ((axis_centered(0.0625, 256),), (2.0**-4, 2.0**4, 64)),
-    "1d-4096": ((axis_centered(1 / 16, 4096),), (0.5, 2.0, 2)),
-    "2d-30x27": ((axis_centered(0.4, 30), AxisSpec(-4.0, 0.35, 27)), (0.5, 4.0, 3)),
-    "2d-64x63": ((axis_centered(0.1, 64), axis_centered(0.15, 63)), (0.5, 2.0, 1)),
-    "3d-12x9x7": ((axis_centered(0.5, 12), AxisSpec(-3.0, 0.6, 9), axis_centered(0.7, 7)), (0.5, 2.0, 2)),
-    "start+0": ((AxisSpec(0.0, 0.1, 64),), (2.0**-3, 2.0**3, 12)),
-    "start-0": ((AxisSpec(-0.0, 0.1, 64),), (2.0**-3, 2.0**3, 12)),
+# each family's signals on a named grid
+SIGNALS = {
+    "twin": lambda grid: (twin_signal(grid).values,),
+    "gabor": lambda grid: (gabor_signal(grid).values,),
+    "smooth": lambda grid: tuple(f.values for f in smooth_signals(grid, 3)),
 }
 
-# case, signs, shuffled, wavelet, order, route, chunk bytes, memo state, edit
+# twin: test_cfrwt's bit-pin families; gabor: the 1d-256 case of
+# test_fast_is_bitwise_the_per_vector_route; smooth: test_frft's
+# test_cold_and_warm_plans_give_the_fresh_plan_bits, which runs no
+# scales, so its grids take named_inputs' log_scale_grid ranges.  Orders
+# -1.1 and 3.7 have sin(alpha) < 0.
+# signal, grid, signs, shuffled, wavelet, order, route, chunk bytes, memo state, edit
 PINNED = (
-    ("1d-101", "both", False, "mexican_hat", 0.9, "single", MIB, "cold", Edit("one-ulp", 0)),
-    ("1d-101", "both", False, "mexican_hat", 0.9, "inverse", 4096, "warm", NO_EDIT),
-    ("1d-101", "both", False, "mexican_hat", 2.2, "single", MIB, "evicted", NO_EDIT),
-    ("1d-101", "both", False, "mexican_hat", -1.1, "single", MIB, "cold", NO_EDIT),
-    ("1d-101", "both", False, "mexican_hat", 3.7, "single", MIB, "warm", NO_EDIT),
-    ("1d-101", "both", False, "dog4", 0.9, "inverse", 70_000, "warm", NO_EDIT),
-    ("1d-101", "both", False, "dog4", 0.9, "batched", 3 * 16 * 512, "warm", NO_EDIT),
-    ("1d-101", "both", False, "dog4", 2.2, "batched", MIB, "warm", Edit("signed-zero", 0)),
-    ("1d-101", "both", False, "morlet", 0.9, "inverse", MIB, "evicted", NO_EDIT),
-    ("1d-101", "both", False, "mexhat_perturbed", 0.9, "single", 16, "cold", NO_EDIT),
-    ("1d-101", "both", True, "dog4", 0.9, "batched", 100, "evicted", NO_EDIT),
-    ("1d-101", "both", True, "dog3", 0.9, "single", 4096, "warm", NO_EDIT),
-    ("1d-101", "both", True, "morlet", 0.9, "batched", 100, "cold", NO_EDIT),
-    ("1d-101", "both", True, "mexhat_perturbed", 0.9, "batched", 20_000, "cold", NO_EDIT),
-    ("1d-101", "positive", False, "mexican_hat", 0.9, "single", 3 * 16 * 512, "cold", NO_EDIT),
-    ("1d-101", "positive", False, "mexican_hat", 0.9, "inverse", 16, "cold", NO_EDIT),
-    ("1d-101", "positive", False, "dog3", 0.9, "inverse", 16, "warm", NO_EDIT),
-    ("1d-101", "positive", True, "mexhat_perturbed", 0.9, "batched", 70_000, "cold", NO_EDIT),
-    ("1d-256", "both", False, "mexican_hat", 0.9, "single", MIB, "evicted", NO_EDIT),
-    ("1d-256", "both", False, "mexican_hat", 0.9, "inverse", MIB, "warm", Edit("one-ulp", 0)),
-    ("1d-256", "both", False, "mexican_hat", 0.9, "batched", 20_000, "evicted", NO_EDIT),
-    ("1d-256", "both", False, "mexican_hat", 0.9, "batched", 100, "evicted", NO_EDIT),
-    ("1d-256", "both", False, "mexican_hat", 2.2, "batched", MIB, "cold", NO_EDIT),
-    ("1d-256", "both", False, "mexican_hat", -1.1, "single", MIB, "warm", NO_EDIT),
-    ("1d-256", "both", False, "mexican_hat", -1.1, "single", MIB, "cold", Edit("signed-zero", 127)),
-    ("1d-256", "both", False, "mexican_hat", 3.7, "single", MIB, "warm", NO_EDIT),
-    ("1d-256", "both", False, "dog3", 0.9, "inverse", MIB, "evicted", NO_EDIT),
-    ("1d-256", "both", True, "mexican_hat", 0.9, "inverse", MIB, "cold", NO_EDIT),
-    ("1d-256", "both", True, "mexican_hat", 0.9, "batched", 20_000, "warm", NO_EDIT),
-    ("1d-256", "both", True, "mexican_hat", 0.9, "batched", 100, "evicted", NO_EDIT),
-    ("1d-256", "both", True, "dog3", 0.9, "batched", MIB, "evicted", NO_EDIT),
-    ("1d-256", "positive", False, "mexican_hat", 0.9, "inverse", 70_000, "warm", NO_EDIT),
-    ("1d-256", "positive", False, "dog4", 0.9, "inverse", MIB, "warm", NO_EDIT),
-    ("1d-256", "positive", False, "morlet", 0.9, "single", 16, "cold", NO_EDIT),
-    ("1d-256", "positive", False, "mexhat_perturbed", 0.9, "single", 3 * 16 * 512, "warm", NO_EDIT),
-    ("1d-256", "positive", False, "mexhat_perturbed", 0.9, "batched", 100, "warm", NO_EDIT),
-    ("1d-256", "positive", True, "morlet", 0.9, "batched", 4096, "warm", NO_EDIT),
-    ("1d-4096", "both", True, "morlet", 2.2, "inverse", MIB, "warm", NO_EDIT),
-    ("1d-4096", "positive", False, "dog3", -1.1, "single", MIB, "cold", NO_EDIT),
-    ("1d-4096", "positive", True, "mexican_hat", 0.9, "batched", MIB, "warm", NO_EDIT),
-    ("1d-4096", "positive", True, "mexican_hat", 3.7, "batched", MIB, "evicted", NO_EDIT),
-    ("2d-30x27", "both", False, "mexican_hat", 0.9, "inverse", MIB, "cold", NO_EDIT),
-    ("2d-30x27", "both", False, "mexican_hat", 0.9, "batched", 20_000, "evicted", NO_EDIT),
-    ("2d-30x27", "both", False, "mexican_hat", 0.9, "batched", 100, "cold", NO_EDIT),
-    ("2d-30x27", "both", False, "mexican_hat", 2.2, "single", MIB, "cold", NO_EDIT),
-    ("2d-30x27", "both", False, "mexican_hat", -1.1, "inverse", MIB, "warm", NO_EDIT),
-    ("2d-30x27", "both", False, "mexican_hat", 3.7, "batched", MIB, "evicted", NO_EDIT),
-    ("2d-30x27", "both", False, "dog3", 0.9, "single", 20_000, "evicted", NO_EDIT),
-    ("2d-30x27", "both", True, "mexican_hat", 0.9, "inverse", MIB, "cold", NO_EDIT),
-    ("2d-30x27", "both", True, "mexican_hat", 0.9, "batched", 20_000, "warm", NO_EDIT),
-    ("2d-30x27", "both", True, "mexican_hat", 0.9, "single", 100, "warm", NO_EDIT),
-    ("2d-30x27", "both", True, "dog3", 0.9, "batched", 100, "evicted", NO_EDIT),
-    ("2d-30x27", "positive", False, "dog4", 0.9, "batched", 16, "cold", NO_EDIT),
-    ("2d-30x27", "positive", False, "dog3", 0.9, "inverse", 3 * 16 * 512, "evicted", NO_EDIT),
-    ("2d-30x27", "positive", False, "morlet", 0.9, "single", 70_000, "evicted", NO_EDIT),
-    ("2d-30x27", "positive", False, "morlet", 0.9, "inverse", 3 * 16 * 512, "warm", NO_EDIT),
-    ("2d-30x27", "positive", False, "mexhat_perturbed", 0.9, "single", MIB, "cold", NO_EDIT),
-    ("2d-30x27", "positive", True, "dog4", 0.9, "inverse", 4096, "warm", NO_EDIT),
-    ("2d-64x63", "both", False, "mexican_hat", -1.1, "batched", MIB, "evicted", NO_EDIT),
-    ("2d-64x63", "positive", False, "mexican_hat", 0.9, "batched", MIB, "cold", NO_EDIT),
-    ("2d-64x63", "positive", False, "dog4", 2.2, "single", MIB, "cold", NO_EDIT),
-    ("2d-64x63", "positive", False, "mexhat_perturbed", 3.7, "inverse", MIB, "evicted", NO_EDIT),
-    ("3d-12x9x7", "both", False, "mexican_hat", 0.9, "single", MIB, "cold", NO_EDIT),
-    ("3d-12x9x7", "both", False, "mexican_hat", 0.9, "single", 20_000, "cold", NO_EDIT),
-    ("3d-12x9x7", "both", False, "mexican_hat", 0.9, "single", 100, "warm", NO_EDIT),
-    ("3d-12x9x7", "both", False, "dog3", 0.9, "inverse", MIB, "warm", NO_EDIT),
-    ("3d-12x9x7", "both", False, "mexhat_perturbed", 0.9, "batched", 4096, "evicted", NO_EDIT),
-    ("3d-12x9x7", "positive", False, "dog4", 0.9, "single", 20_000, "evicted", NO_EDIT),
-    ("3d-12x9x7", "positive", True, "dog3", 0.9, "inverse", 70_000, "cold", NO_EDIT),
-    ("3d-12x9x7", "positive", True, "morlet", 0.9, "single", 20_000, "evicted", NO_EDIT),
-    ("start+0", "both", False, "mexican_hat", 0.9, "inverse", MIB, "evicted", NO_EDIT),
-    ("start+0", "both", False, "mexican_hat", 2.2, "single", MIB, "evicted", NO_EDIT),
-    ("start+0", "both", False, "mexican_hat", -1.1, "batched", MIB, "warm", NO_EDIT),
-    ("start+0", "both", False, "mexican_hat", 3.7, "batched", MIB, "cold", NO_EDIT),
-    ("start-0", "both", False, "mexican_hat", 0.9, "batched", MIB, "cold", NO_EDIT),
-    ("start-0", "both", False, "mexican_hat", 2.2, "batched", MIB, "evicted", NO_EDIT),
-    ("start-0", "both", False, "mexican_hat", -1.1, "inverse", MIB, "warm", NO_EDIT),
-    ("start-0", "both", False, "mexican_hat", 3.7, "single", MIB, "cold", NO_EDIT),
+    ("twin", "1d-101", "both", False, "mexican_hat", 0.9, "single", MIB, "cold", Edit("one-ulp", 0)),
+    ("twin", "1d-101", "positive", True, "dog4", 2.2, "batched", 100, "warm", Edit("signed-zero", 0)),
+    ("twin", "1d-101", "both", True, "mexhat_perturbed", -1.1, "inverse", 16, "evicted", NO_EDIT),
+    ("twin", "1d-256", "both", False, "mexican_hat", 0.9, "inverse", MIB, "warm", Edit("one-ulp", 0)),
+    ("twin", "1d-256", "both", True, "dog3", 3.7, "batched", 20_000, "evicted", Edit("signed-zero", 127)),
+    ("twin", "1d-256", "positive", False, "morlet", -1.1, "single", 4096, "warm", NO_EDIT),
+    ("twin", "2d-30x27", "both", True, "mexican_hat", 2.2, "batched", 20_000, "evicted", NO_EDIT),
+    ("twin", "2d-30x27", "positive", False, "mexhat_perturbed", 0.9, "inverse", 3 * 16 * 512, "warm", Edit("one-ulp", 1)),
+    ("twin", "3d-12x9x7", "both", False, "dog3", 0.9, "single", 100, "warm", Edit("signed-zero", 5)),
+    ("twin", "3d-12x9x7", "positive", True, "morlet", -4.0, "inverse", 70_000, "evicted", NO_EDIT),
+    ("twin", "start+0", "both", False, "dog3", -1.1, "batched", MIB, "warm", Edit("one-ulp", 3)),
+    ("twin", "start-0", "both", False, "dog3", -1.1, "batched", MIB, "warm", Edit("one-ulp", 3)),
+    ("twin", "start+0", "both", False, "mexican_hat", 3.7, "inverse", 16, "evicted", NO_EDIT),
+    ("twin", "start-0", "both", False, "mexican_hat", 3.7, "inverse", 16, "evicted", NO_EDIT),
+    ("gabor", "1d-256", "both", False, "mexican_hat", 0.9, "single", MIB, "warm", Edit("signed-zero", 0)),
+    ("gabor", "1d-256", "positive", False, "dog3", 0.9, "batched", 3 * 16 * 512, "evicted", NO_EDIT),
+    ("gabor", "1d-256", "both", True, "mexhat_perturbed", 0.9, "inverse", 16, "cold", Edit("one-ulp", 64)),
+    ("smooth", "1d-256", "both", False, "gaussian", 2.2, "batched", 100, "evicted", NO_EDIT),
+    ("smooth", "1d-101", "positive", False, "dog4", -1.1, "inverse", 16, "warm", Edit("one-ulp", 0)),
+    ("smooth", "1d-4096", "both", False, "morlet", 0.9, "single", MIB, "evicted", NO_EDIT),
+    ("smooth", "1d-4096", "positive", True, "dog3", -4.0, "batched", MIB, "warm", NO_EDIT),
+    ("smooth", "2d-30x27-centred", "both", False, "mexhat_perturbed", 3.7, "inverse", 20_000, "evicted", NO_EDIT),
+    ("smooth", "2d-64x63", "positive", False, "dog4", 2.2, "batched", 100, "warm", Edit("signed-zero", 0)),
+    ("smooth", "start+0", "both", False, "dog4", -1.1, "single", MIB, "evicted", NO_EDIT),
+    ("smooth", "start-0", "both", False, "dog4", -1.1, "single", MIB, "evicted", NO_EDIT),
+    ("smooth", "start+0", "both", False, "gaussian", 3.7, "batched", 100, "warm", NO_EDIT),
+    ("smooth", "start-0", "both", False, "gaussian", 3.7, "batched", 100, "warm", NO_EDIT),
 )
 
 
-def _pinned_case(case: str, signs: str, shuffled: bool) -> Case:
-    axes, (a_min, a_max, cells) = CASES[case]
-    sc = log_scale_grid(a_min, a_max, cells, ndim=len(axes), signs=signs)
-    if shuffled:
-        order = np.random.default_rng(sc.count).permutation(sc.count)
-        sc = ScaleGrid(sc.vectors[order], sc.log_step, sc.a_min, sc.a_max, sc.signs)
-    return Case(Grid(axes), sc)
-
-
 def _pinned(test):
-    for case, signs, shuffled, name, alpha, route, chunk_bytes, state, edit in PINNED:
+    for signal, grid, signs, shuffled, name, alpha, route, chunk_bytes, state, edit in PINNED:
+        g = named_grid(grid)
+        case = Case(g, named_scales(grid, signs, shuffled), SIGNALS[signal](g))
         args = dict(name=name, alpha=alpha, route=route, chunk_bytes=chunk_bytes, state=state, edit=edit)
-        test = example(case=_pinned_case(case, signs, shuffled), **args)(test)
+        test = example(case=case, **args)(test)
     return test
 
 
@@ -216,21 +155,32 @@ def grids(draw) -> Grid:
     return Grid(tuple(axes))
 
 
+def _signal(grid: Grid, centre: float) -> np.ndarray:
+    f = sample(grid, lambda *t: np.exp(-sum((x - centre) ** 2 for x in t)) * np.exp(1j * (t[0] - 2 * t[-1])))
+    f.values.reshape(-1)[::5] = -0.0
+    return f.values
+
+
+def _drawn_signals(grid: Grid) -> tuple[np.ndarray, ...]:
+    return tuple(_signal(grid, centre) for centre in (0.2, -0.4, 0.7))
+
+
 @st.composite
 def cases(draw) -> Case:
-    """A grid and a scale set of its dimension, drawn as one argument so
-    that examples can give both."""
+    """A grid, a scale set of its dimension and the signals, drawn as one
+    argument so that examples can give all three."""
     grid = draw(grids())
     ndim = grid.ndim
     if draw(st.booleans()):
         component = st.builds(lambda m, s: s * m, st.sampled_from(MAGNITUDES), st.sampled_from((-1.0, 1.0)))
         rows = draw(st.lists(st.tuples(*[component] * ndim), min_size=1, max_size=6))
-        return Case(grid, ScaleGrid(np.array(rows), 0.3, min(MAGNITUDES), max(MAGNITUDES), "both"))
+        return Case(grid, ScaleGrid(np.array(rows), 0.3, min(MAGNITUDES), max(MAGNITUDES), "both"), _drawn_signals(grid))
     a_max = draw(st.sampled_from(MAGNITUDES[1:]))
     cells = draw(st.integers(1, 3 if ndim == 1 else 1))
     sc = log_scale_grid(MAGNITUDES[0], a_max, cells, ndim, draw(st.sampled_from(("both", "positive"))))
     order = draw(st.permutations(range(sc.count)))
-    return Case(grid, ScaleGrid(sc.vectors[list(order)], sc.log_step, sc.a_min, sc.a_max, sc.signs))
+    sc = ScaleGrid(sc.vectors[list(order)], sc.log_step, sc.a_min, sc.a_max, sc.signs)
+    return Case(grid, sc, _drawn_signals(grid))
 
 
 def _flipped_zero_starts(grid: Grid) -> Grid:
@@ -238,16 +188,8 @@ def _flipped_zero_starts(grid: Grid) -> Grid:
     return Grid(tuple(AxisSpec(-ax.start if ax.start == 0.0 else ax.start, ax.step, ax.count) for ax in grid.axes))
 
 
-def _signal(grid: Grid, centre: float = 0.2) -> SampledSignal:
-    f = sample(grid, lambda *t: np.exp(-sum((x - centre) ** 2 for x in t)) * np.exp(1j * (t[0] - 2 * t[-1])))
-    f.values.reshape(-1)[::5] = -0.0
-    return f
-
-
-def _transform_input(f: SampledSignal, route: str) -> np.ndarray:
-    if route != "batched":
-        return f.values
-    return np.stack([f.values, _signal(f.grid, -0.4).values, _signal(f.grid, 0.7).values])
+def _transform_input(signals: tuple[np.ndarray, ...], route: str) -> np.ndarray:
+    return np.stack(signals) if route == "batched" else signals[0]
 
 
 def _edited(w: CfrwtCoefficients, edit: Edit) -> CfrwtCoefficients:
@@ -277,16 +219,17 @@ class Run(NamedTuple):
 SPIED = ((frft, "_transform_plan"), (cfrwt, "_analysis_plan"), (cfrwt, "_synthesis_plan"), (cfrwt, "_twin_rows"))
 
 
-def _routes(f, psi, alpha, sc, route, edit=NO_EDIT) -> Run:
-    """The route's transform of f, cfrwt_fast of f and reconstruct of that
-    field after edit."""
+def _routes(grid, signals, psi, alpha, sc, route, edit=NO_EDIT) -> Run:
+    """The route's transform of the signals on grid, cfrwt_fast of the
+    first and reconstruct of that field after edit."""
+    f = SampledSignal(grid, signals[0])
     calls = {}
     saved = [getattr(module, name) for module, name in SPIED]
     for (module, name), real in zip(SPIED, saved):
         setattr(module, name, lambda *args, name=name, real=real: calls.setdefault(name, (args, real(*args)))[1])
     try:
         if route == "batched":
-            out_grid, spectrum = frft._transform(f.grid, _transform_input(f, route), alpha)
+            out_grid, spectrum = frft._transform(grid, _transform_input(signals, route), alpha)
         else:
             g = (frft_inverse if route == "inverse" else frft_fast)(f, alpha)
             out_grid, spectrum = g.grid, g.values
@@ -344,15 +287,15 @@ def _bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
     edit=st.builds(Edit, st.sampled_from(("none", "one-ulp", "signed-zero")), st.integers(0, 127)),
 )
 def test_planned_routes_give_the_oracle_bits(case, name, alpha, route, chunk_bytes, state, edit):
-    grid, sc = case
+    grid, sc, signals = case
     psi = WAVELETS[name]
-    f = _signal(grid)
+    f = SampledSignal(grid, signals[0])
     memo._clear()
     budget, chunk = memo._BUDGET_BYTES, frft._CHUNK_BYTES
     frft._CHUNK_BYTES = chunk_bytes
     try:
         if state != "cold":
-            _routes(_signal(_flipped_zero_starts(grid)), psi, alpha, sc, route)
+            _routes(_flipped_zero_starts(grid), signals, psi, alpha, sc, route)
         if state == "evicted":
             # a budget of two floors keeps at most two entries, so the
             # routes on a grid of three samples an axis, no case's, whose
@@ -360,12 +303,12 @@ def test_planned_routes_give_the_oracle_bits(case, name, alpha, route, chunk_byt
             # of this one's
             memo._BUDGET_BYTES = 2 * memo._FLOOR_BYTES
             other = Grid((AxisSpec(0.5, 0.25, 3),) * grid.ndim)
-            _routes(_signal(other), psi, alpha, sc, route)
+            _routes(other, _drawn_signals(other), psi, alpha, sc, route)
             memo._BUDGET_BYTES = budget
         counts = [_plan_counts()]
-        first = _routes(f, psi, alpha, sc, route, edit)
+        first = _routes(grid, signals, psi, alpha, sc, route, edit)
         counts.append(_plan_counts())
-        again = _routes(f, psi, alpha, sc, route, edit)
+        again = _routes(grid, signals, psi, alpha, sc, route, edit)
         counts.append(_plan_counts())
         chirped = cfrwt._chirped_input(f, _as_order(alpha))
     finally:
@@ -391,7 +334,7 @@ def test_planned_routes_give_the_oracle_bits(case, name, alpha, route, chunk_byt
     fresh = make_plan(grid, angle)
     assert first.out_grid == natural_output_grid(grid, angle)
     assert all(_bit_equal(a, b) for a, b in zip(_plan_arrays(plans[0]), _plan_arrays(fresh)))
-    assert _bit_equal(first.spectrum, chirp_fft_chirp(_transform_input(f, route), fresh))
+    assert _bit_equal(first.spectrum, chirp_fft_chirp(_transform_input(signals, route), fresh))
     # the per-vector oracle shares the chirped input, so pin it on its own
     assert _bit_equal(chirped, f.values * grid.weights() * frft._chirp(grid.radius_sq(), _as_order(alpha).cot))
     assert _bit_equal(first.coeffs.values, per_vector_cfrwt(f, psi, alpha, sc))
