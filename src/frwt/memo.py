@@ -1,15 +1,16 @@
 """One memo for what the transforms compute apart from the signal.
 
 Transform plans, grid weights and chirps, coefficient pass plans with
-their tap tables and admissibility scans depend on grids, orders,
-wavelets and scale sets, never on a signal.  Their builders, decorated
-with memoized, share one least-recently-used memo keyed by builder name
-and argument values, bounded by bytes (as in Cao & Irani, "Cost-aware WWW
-proxy caching algorithms", USENIX Symp. Internet Technologies and Systems,
-1997): an entry is charged its arrays' bytes, at least _FLOOR_BYTES, and
-the least recently used entries go while the charges exceed
-_BUDGET_BYTES.  An entry charged more than that is returned, not kept.
-Every array an entry holds is made read-only, as every caller shares it.
+their tap tables, admissibility scans and Morrey ball orders depend on
+grids, orders, wavelets, scale sets and ball scans, never on a signal.
+Their builders, decorated with memoized, share one least-recently-used
+memo keyed by builder name and argument values, bounded by bytes (as in
+Cao & Irani, "Cost-aware WWW proxy caching algorithms", USENIX Symp.
+Internet Technologies and Systems, 1997): an entry is charged its
+arrays' bytes, at least _FLOOR_BYTES, and the least recently used
+entries go while the charges exceed _BUDGET_BYTES.  An entry charged
+more than that is returned, not kept.  Every array an entry holds is
+made read-only, as every caller shares it.
 
 One lock guards lookups and inserts, never a build.  A thread that misses
 a key under construction waits for that build and counts a hit, so each
@@ -30,7 +31,7 @@ import numpy as np
 
 __all__ = ["cache_info"]
 
-# a cold `frwt verify all` pass keeps 4.5 MiB, and a 1-D N = 4096 analysis
+# a cold `frwt verify all` pass keeps 5.7 MiB, and a 1-D N = 4096 analysis
 # plan over 128 scales holds 8.4 MiB of tap tables
 _BUDGET_BYTES = 16 << 20
 # so that entries of few array bytes (a scan holds numbers only) fill it too

@@ -16,8 +16,9 @@ import numpy as np
 
 from .cfrwt import cfrwt_fast
 from .errors import EmptyScan
-from .frft import TransformOrder
+from .frft import TransformOrder, _row_blocks
 from .grid import Grid, SampledSignal, _require_same_grid, _separable, l1_norm
+from .memo import memoized
 from .report import VerificationReport, _ratio
 from .scales import ScaleGrid
 from .wavelets import WaveletSpec, wavelet_l1_norm
@@ -38,6 +39,13 @@ _GROWTH_SWEEP = (1.0, 2.0, 4.0, 8.0)
 _GROWTH_CAP = 0.6
 
 _REL_SLACK = 1e-9
+
+# a scan whose ball orders (8 bytes a sample and center) take more bytes
+# than this sorts each block of centers afresh on every call, so that a
+# call on a large grid holds one block's orders (the 64 default centers
+# of a 256^2 grid would take 32 MiB); the scans of `frwt verify all`
+# take at most 1 MiB
+_KEPT_ORDER_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -79,41 +87,80 @@ def default_morrey_config(grid: Grid, nu: float) -> MorreyConfig:
     return MorreyConfig(nu, centers, radii)
 
 
+def _center_distances(grid: Grid, centers: tuple[tuple[float, ...], ...]) -> np.ndarray:
+    """Squared distance of every sample of grid (in C order) from each
+    center, one row per center: per center, the sum of the axes' squared
+    offsets that _separable forms, in the same axis order."""
+    offsets = np.array(centers)
+    d2 = None
+    for k, pts in enumerate(grid.axis_points()):
+        sq = (pts - offsets[:, k : k + 1]) ** 2
+        d2 = sq if d2 is None else d2[..., None] + sq.reshape((len(centers),) + (1,) * (d2.ndim - 1) + (-1,))
+    return d2.reshape(len(centers), -1)
+
+
+@memoized
+def _ball_orders(grid: Grid, centers: tuple[tuple[float, ...], ...], radii: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Each center's samples of grid ordered by distance (a stable argsort,
+    one row per center), and how many of them lie in the closed ball of
+    each of the ascending radii."""
+    d2 = _center_distances(grid, centers)
+    orders = np.argsort(d2, axis=1, kind="stable")
+    r2 = np.asarray(radii) ** 2
+    counts = np.stack([np.searchsorted(row[order], r2, side="right") for row, order in zip(d2, orders)])
+    return orders, counts
+
+
+def _ball_values(mass: np.ndarray, scale: np.ndarray, order: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """scale times the mass of each center's first counts samples in its
+    order, one row per center: a prefix sum taken in distance order."""
+    prefix = np.zeros((len(order), mass.size + 1))
+    np.cumsum(mass[order], axis=1, out=prefix[:, 1:])
+    return scale * np.take_along_axis(prefix, counts, axis=1)
+
+
 def morrey_norm(f: SampledSignal, cfg: MorreyConfig) -> MorreyEstimate:
     """Largest normalized ball mass over the scan.
 
-    Per center the samples are ordered by distance once; each radius is
-    then a prefix sum, with boundary samples included.  The result is a
-    lower bound of the true supremum.
+    Per center the samples are ordered by distance once (the memo keeps
+    the orders of a scan of at most _KEPT_ORDER_BYTES); each radius is
+    then a prefix sum, with boundary samples included, formed for a
+    block of centers at once.  The first center in cfg.centers order
+    that attains the largest value, at its first such radius, is
+    reported.  The result is a lower bound of the true supremum.
     """
     if not cfg.centers or not cfg.radii:
         raise EmptyScan("morrey scan needs at least one center and one radius")
-    lo = [ax.start for ax in f.grid.axes]
-    hi = [ax.stop for ax in f.grid.axes]
-    axis_points = f.grid.axis_points()
-    mass = (f.grid.weights() * np.abs(f.values)).ravel()
-    radii = np.sort(np.asarray(cfg.radii, dtype=float))
-    scale = radii ** (-cfg.nu)
-    r2 = radii**2
-    best_val = -1.0
-    best_center: tuple[float, ...] = cfg.centers[0]
-    best_radius = radii[0]
+    grid = f.grid
+    lo = [ax.start for ax in grid.axes]
+    hi = [ax.stop for ax in grid.axes]
     for center in cfg.centers:
         if len(center) != f.ndim:
             raise ValueError(f"center {center} has wrong dimension for a {f.ndim}-d signal")
         for c, a_lo, a_hi in zip(center, lo, hi):
             if not a_lo - 1e-9 <= c <= a_hi + 1e-9:
                 raise ValueError(f"center {center} lies outside the grid hull")
-        d2 = _separable([(pts - c) ** 2 for pts, c in zip(axis_points, center)]).ravel()
-        order = np.argsort(d2, kind="stable")
-        prefix = np.concatenate(([0.0], np.cumsum(mass[order])))
-        counts = np.searchsorted(d2[order], r2, side="right")
-        vals = scale * prefix[counts]
-        k = int(np.argmax(vals))
-        if vals[k] > best_val:
-            best_val = float(vals[k])
-            best_center = tuple(float(c) for c in center)
-            best_radius = float(radii[k])
+    centers = tuple(tuple(float(c) for c in center) for center in cfg.centers)
+    mass = (grid.weights() * np.abs(f.values)).ravel()
+    radii = np.sort(np.asarray(cfg.radii, dtype=float))
+    scale = radii ** (-cfg.nu)
+    key = tuple(radii.tolist())
+    kept = 8 * len(centers) * mass.size <= _KEPT_ORDER_BYTES
+    if kept:
+        orders, counts = _ball_orders(grid, centers, key)
+    best_val = -1.0
+    best_center: tuple[float, ...] = centers[0]
+    best_radius = radii[0]
+    for rows in _row_blocks(len(centers), mass.size):
+        # an unkept block's orders are built here and dropped with its values
+        block = (orders[rows], counts[rows]) if kept else _ball_orders.__wrapped__(grid, centers[rows], key)
+        vals = _ball_values(mass, scale, *block)
+        del block
+        ks = np.argmax(vals, axis=1)
+        # strict >: the first center wins a tie
+        for center, k, val in zip(centers[rows], ks.tolist(), vals[np.arange(len(ks)), ks].tolist()):
+            if val > best_val:
+                best_val, best_center, best_radius = val, center, float(radii[k])
     return MorreyEstimate(best_val, best_center, best_radius)
 
 

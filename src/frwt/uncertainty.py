@@ -17,6 +17,7 @@ family and the growth exponent of its envelope against ball measure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -141,20 +142,53 @@ def heisenberg_two_domain(
     )
 
 
-def _scale_moment_sum(coeffs: CfrwtCoefficients, angle: float, mask: np.ndarray | None = None) -> float:
-    """Sum over scales of the b-spectrum second moment, against da/|a|_p^2.
+def _scale_densities(coeffs: CfrwtCoefficients, angle: float) -> tuple[Grid, np.ndarray]:
+    """Output grid and the weighted energy densities of every scale row of
+    the field's b-spectrum at angle: one batched transform."""
+    grid, spectra = _transform(coeffs.b_grid, coeffs.values, angle)
+    return grid, grid.weights() * np.abs(spectra) ** 2
+
+
+def _scale_moment_sum(coeffs: CfrwtCoefficients, densities: tuple[Grid, np.ndarray], mask: np.ndarray | None = None) -> float:
+    """Sum over scales of the b-spectrum second moment, against da/|a|_p^2,
+    from the field's _scale_densities.
 
     With mask given, the moment weight is replaced by the mask (a
     restricted plain energy instead of a radial moment).
     """
+    grid, density = densities
     weights_a = coeffs.scales.measure_weights()
-    grid, spectra = _transform(coeffs.b_grid, coeffs.values, angle)
-    density = grid.weights() * np.abs(spectra) ** 2
     if mask is None:
         per_scale = [_exact_sum(d) for d in density * grid.radius_sq()]
     else:
         per_scale = [_exact_sum(d[mask]) for d in density]
     return _exact_sum(weights_a * np.array(per_scale))
+
+
+class _AlphaSide:
+    """The coefficient field coeffs of f and f itself at the field's own
+    order: each is transformed once, and each moment taken once, on first
+    read, however many checks read them."""
+
+    def __init__(self, coeffs: CfrwtCoefficients, f: SampledSignal) -> None:
+        self.coeffs = coeffs
+        self.f = f
+
+    @functools.cached_property
+    def field_densities(self) -> tuple[Grid, np.ndarray]:
+        return _scale_densities(self.coeffs, self.coeffs.order.alpha)
+
+    @functools.cached_property
+    def spectrum(self) -> SampledSignal:
+        return frft_fast(self.f, self.coeffs.order.alpha)
+
+    @functools.cached_property
+    def field_moment(self) -> float:
+        return _scale_moment_sum(self.coeffs, self.field_densities)
+
+    @functools.cached_property
+    def signal_moment(self) -> float:
+        return dispersion(self.spectrum, 1.0)
 
 
 def _ball_mask(grid: Grid, center: tuple[float, ...], radius: float) -> np.ndarray:
@@ -180,14 +214,18 @@ def heisenberg_cfrwt(
     (the truncated analogue of the admissibility factor); the raw ratio
     against the untruncated floor is kept in the details.
     """
+    return _heisenberg_cfrwt(_AlphaSide(coeffs, f), beta, scan)
+
+
+def _heisenberg_cfrwt(side: _AlphaSide, beta: float, scan: FrequencyScan | None) -> VerificationReport:
+    coeffs, f = side.coeffs, side.f
     alpha = coeffs.order.alpha
     s = _angle_gap(alpha, beta)
     n = f.ndim
     adm, mod = _field_normalizer(coeffs, f, coeffs, f, scan)
 
-    moment_beta = _scale_moment_sum(coeffs, beta)
-    spec_alpha = frft_fast(f, alpha)
-    moment_alpha = dispersion(spec_alpha, 1.0)
+    moment_beta = _scale_moment_sum(coeffs, _scale_densities(coeffs, beta))
+    moment_alpha = side.signal_moment
     lhs = moment_beta * moment_alpha
 
     norm4 = l2_norm(f) ** 4
@@ -195,7 +233,7 @@ def heisenberg_cfrwt(
 
     # measured truncation of the admissibility factor: coefficient-side
     # alpha-moment over the signal-side alpha-moment
-    c_eff = _ratio(_scale_moment_sum(coeffs, alpha), moment_alpha)
+    c_eff = _ratio(side.field_moment, moment_alpha)
     rhs_norm = (n**2 / 4.0) * c_eff * s**2 * norm4
     ratio = _ratio(lhs, rhs_norm)
     details = {
@@ -222,10 +260,14 @@ def lemma_moment_identity_check(
     range can only lose nonnegative mass, so the ratio approaches 1 from
     below as the range widens.
     """
-    alpha = coeffs.order.alpha
+    return _lemma_moment_identity_check(_AlphaSide(coeffs, f), scan)
+
+
+def _lemma_moment_identity_check(side: _AlphaSide, scan: FrequencyScan | None) -> VerificationReport:
+    coeffs, f = side.coeffs, side.f
     adm, mod = _field_normalizer(coeffs, f, coeffs, f, scan)
-    lhs = _scale_moment_sum(coeffs, alpha)
-    rhs = (adm.value.real / mod) * dispersion(frft_fast(f, alpha), 1.0)
+    lhs = side.field_moment
+    rhs = (adm.value.real / mod) * side.signal_moment
     ratio = _ratio(lhs, rhs)
     tolerance = 0.05
     details = {"admissibility": adm.value.real}
@@ -245,13 +287,22 @@ def restricted_energy_identity_check(
     intact; both sides use the same discrete mask, so the comparison is
     exact up to scale truncation.
     """
-    alpha = coeffs.order.alpha
+    return _restricted_energy_identity_check(_AlphaSide(coeffs, f), center, radius, scan)
+
+
+def _restricted_energy_identity_check(
+    side: _AlphaSide,
+    center: tuple[float, ...],
+    radius: float,
+    scan: FrequencyScan | None,
+) -> VerificationReport:
+    coeffs, f = side.coeffs, side.f
     adm, mod = _field_normalizer(coeffs, f, coeffs, f, scan)
-    spec = frft_fast(f, alpha)
+    spec = side.spectrum
     mask = _ball_mask(spec.grid, center, radius)
     if not np.any(mask):
         raise ValueError("ball contains no spectral samples")
-    lhs = _scale_moment_sum(coeffs, alpha, mask)
+    lhs = _scale_moment_sum(coeffs, side.field_densities, mask)
     rhs = (adm.value.real / mod) * _exact_sum((spec.grid.weights() * np.abs(spec.values) ** 2)[mask])
     ratio = _ratio(lhs, rhs)
     tolerance = 0.05
@@ -279,51 +330,92 @@ def local_uncertainty_scan(
     measure on the small-ball half, exposes the growth exponent:
     2*theta/n below the critical exponent, 1 above it.
     """
-    if not f_family:
-        raise ValueError("need at least one signal")
-    if not e_family:
-        raise ValueError("need at least one ball")
-    grid = f_family[0].grid
-    n = grid.ndim
-    _check_theta(theta)
-    if abs(theta - n / 2.0) < 1e-6:
-        raise ThetaAtBoundary(f"theta = {theta} sits at the critical exponent n/2 = {n / 2}")
-    s = _angle_gap(alpha, beta)
-    branch = "subcritical" if theta < n / 2.0 else "supercritical"
+    return _LocalTable(f_family, alpha, beta, (theta,), e_family).report(theta)
 
-    for f in f_family[1:]:
-        _require_same_grid(f, f_family[0])
-    values = np.stack([f.values for f in f_family])
-    out_grid, spectra = _transform(grid, values, alpha)
-    moments = _radial_moments(*_transform(grid, values, beta), theta)
-    # only the supercritical envelope reads the norms
-    norms = [l2_norm(f) for f in f_family] if branch == "supercritical" else None
 
-    densities = out_grid.weights() * np.abs(spectra) ** 2
+class _LocalTable:
+    """The signal side of the local scan, computed once for a family of
+    signals on one grid, a list of balls and the exponents thetas it will
+    be read at: one alpha and one beta transform of the whole family, the
+    restricted energy of every (ball, signal) pair, one radial moment row
+    per theta and, only if some theta is supercritical, the norms.
 
-    entries = []
-    for center, radius in e_family:
-        mask = _ball_mask(out_grid, center, radius)
-        lam = _ball_measure(radius, n)
-        best_ratio = 0.0
-        best_env = 0.0
-        for k, restricted in enumerate(densities[:, mask]):
-            energy = _exact_sum(restricted)
-            if branch == "subcritical":
-                env = energy * abs(s) ** (2.0 * theta) / moments[k]
-                ratio = env / lam ** (2.0 * theta / n)
-            else:
-                env = energy * abs(s) ** n / (norms[k] ** (2.0 - n / theta) * moments[k] ** (n / (2.0 * theta)))
-                ratio = env / lam
-            best_ratio = max(best_ratio, ratio)
-            best_env = max(best_env, env)
-        entries.append(LocalEntry(tuple(center), radius, lam, best_ratio, best_env))
+    report reads one theta over any subsets of the signals and balls with
+    the floating-point operations of a scan of those alone.  Every theta
+    is checked, and every moment row taken (so the tail rule refuses any
+    member of the family), before any ball is.
+    """
 
-    a_hat = max(e.ratio for e in entries)
-    # envelope exponent from the small-ball half of the scan
-    by_measure = sorted(entries, key=lambda e: e.measure)
-    half = by_measure[: max(2, len(by_measure) // 2)]
-    xs = np.log([e.measure for e in half])
-    ys = np.log([max(e.envelope, 1e-300) for e in half])
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    return LocalUncertaintyReport(theta, alpha, beta, branch, a_hat, slope, tuple(entries))
+    def __init__(
+        self,
+        f_family: list[SampledSignal],
+        alpha: float,
+        beta: float,
+        thetas: tuple[float, ...],
+        e_family: list[tuple[tuple[float, ...], float]],
+    ) -> None:
+        if not f_family:
+            raise ValueError("need at least one signal")
+        if not e_family:
+            raise ValueError("need at least one ball")
+        grid = f_family[0].grid
+        n = self.ndim = grid.ndim
+        for theta in thetas:
+            _check_theta(theta)
+            if abs(theta - n / 2.0) < 1e-6:
+                raise ThetaAtBoundary(f"theta = {theta} sits at the critical exponent n/2 = {n / 2}")
+        self.alpha, self.beta = alpha, beta
+        self.s = _angle_gap(alpha, beta)
+
+        for f in f_family[1:]:
+            _require_same_grid(f, f_family[0])
+        values = np.stack([f.values for f in f_family])
+        out_grid, spectra = _transform(grid, values, alpha)
+        beta_side = _transform(grid, values, beta)
+        self.moments = {theta: _radial_moments(*beta_side, theta) for theta in thetas}
+        # only the supercritical envelope reads the norms
+        self.norms = [l2_norm(f) for f in f_family] if max(thetas) > n / 2.0 else None
+
+        densities = out_grid.weights() * np.abs(spectra) ** 2
+        self.balls = list(e_family)
+        # energies[j][k]: ball j, signal k
+        self.energies = [
+            [_exact_sum(restricted) for restricted in densities[:, _ball_mask(out_grid, center, radius)]]
+            for center, radius in e_family
+        ]
+
+    def report(self, theta: float, signals: list[int] | None = None, balls: list[int] | None = None) -> LocalUncertaintyReport:
+        """The scan at theta over the signals and balls of the given
+        indices, in that order (all of them by default)."""
+        n = self.ndim
+        s = self.s
+        moments, norms = self.moments[theta], self.norms
+        branch = "subcritical" if theta < n / 2.0 else "supercritical"
+        signals = range(len(moments)) if signals is None else signals
+        entries = []
+        for j in range(len(self.balls)) if balls is None else balls:
+            center, radius = self.balls[j]
+            energies = self.energies[j]
+            lam = _ball_measure(radius, n)
+            best_ratio = 0.0
+            best_env = 0.0
+            for k in signals:
+                energy = energies[k]
+                if branch == "subcritical":
+                    env = energy * abs(s) ** (2.0 * theta) / moments[k]
+                    ratio = env / lam ** (2.0 * theta / n)
+                else:
+                    env = energy * abs(s) ** n / (norms[k] ** (2.0 - n / theta) * moments[k] ** (n / (2.0 * theta)))
+                    ratio = env / lam
+                best_ratio = max(best_ratio, ratio)
+                best_env = max(best_env, env)
+            entries.append(LocalEntry(tuple(center), radius, lam, best_ratio, best_env))
+
+        a_hat = max(e.ratio for e in entries)
+        # envelope exponent from the small-ball half of the scan
+        by_measure = sorted(entries, key=lambda e: e.measure)
+        half = by_measure[: max(2, len(by_measure) // 2)]
+        xs = np.log([e.measure for e in half])
+        ys = np.log([max(e.envelope, 1e-300) for e in half])
+        slope = float(np.polyfit(xs, ys, 1)[0])
+        return LocalUncertaintyReport(theta, self.alpha, self.beta, branch, a_hat, slope, tuple(entries))

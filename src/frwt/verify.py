@@ -35,11 +35,13 @@ from .morrey import (
 from .report import VerificationReport, _ratio
 from .scales import log_scale_grid
 from .uncertainty import (
-    heisenberg_cfrwt,
+    LocalUncertaintyReport,
+    _AlphaSide,
+    _heisenberg_cfrwt,
+    _LocalTable,
+    _lemma_moment_identity_check,
+    _restricted_energy_identity_check,
     heisenberg_two_domain,
-    lemma_moment_identity_check,
-    local_uncertainty_scan,
-    restricted_energy_identity_check,
 )
 from .wavelets import WaveletSpec, get_wavelet
 
@@ -314,7 +316,10 @@ def _suite_heisenberg(cfg: RunConfig) -> list[VerificationReport]:
     scan = cfg.frequency_scan()
     gabor = _gabor(grid)
     coeffs = cfrwt_fast(gabor, mex, cfg.alpha, cfg.scale_grid())
-    cr = heisenberg_cfrwt(coeffs, gabor, cfg.beta, scan=scan)
+    # the three coefficient-side checks share the field's and the fixture's
+    # transforms at the field's order
+    side = _AlphaSide(coeffs, gabor)
+    cr = _heisenberg_cfrwt(side, cfg.beta, scan)
     reports.append(
         _check(
             "heisenberg_cfrwt_normalized",
@@ -327,27 +332,40 @@ def _suite_heisenberg(cfg: RunConfig) -> list[VerificationReport]:
         )
     )
 
-    reports.append(_meta(lemma_moment_identity_check(coeffs, gabor, scan=scan), grid))
-    reports.append(_meta(restricted_energy_identity_check(coeffs, gabor, (2.5,), 1.5, scan=scan), grid))
+    reports.append(_meta(_lemma_moment_identity_check(side, scan), grid))
+    reports.append(_meta(_restricted_energy_identity_check(side, (2.5,), 1.5, scan), grid))
     return reports
+
+
+def _local_scans(grid: Grid) -> list[tuple[float, LocalUncertaintyReport, LocalUncertaintyReport]]:
+    """(theta, coarse scan, fine scan) at each theta of the local suite.
+
+    The coarse scan (13 dilated Gaussians, 11 balls) is a subset of the
+    fine one (25 and 21): its dilations and radii are bitwise members of
+    the fine ones, found here by exact equality.  So all four scans are
+    read from one table of the fine family.
+    """
+
+    def dilations(count):
+        return np.exp2(np.linspace(-3, 3, count))
+
+    def radii(count):
+        return np.exp2(np.linspace(-3, 2, count))
+
+    family = [sample(grid, lambda t, s=float(s): s**-0.5 * np.exp(-((t / s) ** 2) / 2)) for s in dilations(25)]
+    balls = [((0.0,), float(r)) for r in radii(21)]
+    coarse_signals = np.flatnonzero(np.isin(dilations(25), dilations(13))).tolist()
+    coarse_balls = np.flatnonzero(np.isin(radii(21), radii(11))).tolist()
+    assert (len(coarse_signals), len(coarse_balls)) == (13, 11)
+    thetas = (0.25, 0.4)
+    table = _LocalTable(family, HALF_PI, 0.0, thetas, balls)
+    return [(theta, table.report(theta, coarse_signals, coarse_balls), table.report(theta)) for theta in thetas]
 
 
 def _suite_local(cfg: RunConfig) -> list[VerificationReport]:
     grid = Grid((axis_centered(0.0625, 2048),))
-
-    def dilated_gaussian(s):
-        return sample(grid, lambda t: s**-0.5 * np.exp(-((t / s) ** 2) / 2))
-
-    def family(count):
-        return [dilated_gaussian(float(s)) for s in np.exp2(np.linspace(-3, 3, count))]
-
-    def balls(count):
-        return [((0.0,), float(r)) for r in np.exp2(np.linspace(-3, 2, count))]
-
     reports = []
-    for theta in (0.25, 0.4):
-        coarse = local_uncertainty_scan(family(13), HALF_PI, 0.0, theta, balls(11))
-        fine = local_uncertainty_scan(family(25), HALF_PI, 0.0, theta, balls(21))
+    for theta, coarse, fine in _local_scans(grid):
         cap = 2.0 * theta + 0.1
         stable = coarse.a_hat <= fine.a_hat <= 1.1 * coarse.a_hat
         ok = coarse.envelope_slope <= cap and stable

@@ -14,7 +14,8 @@ import numpy as np
 
 from frwt.cfrwt import _axis_correlate, _chirped_input, _chunk_plan, _kernel, _piece_spec, _scale_correlate, _tap_layout
 from frwt.frft import _as_order, _chirp, _next_fast_len, c_alpha, frft_fast
-from frwt.grid import Grid, SampledSignal, _exact_sum, l2_norm
+from frwt.grid import Grid, SampledSignal, _exact_sum, _separable, l2_norm
+from frwt.morrey import MorreyEstimate
 from frwt.uncertainty import LocalEntry, _ball_measure, dispersion
 from frwt.wavelets import MORLET_OMEGA0
 
@@ -360,3 +361,32 @@ def per_signal_local_scan(f_family, alpha: float, beta: float, theta: float, e_f
     ys = np.log([max(e.envelope, 1e-300) for e in half])
     slope = float(np.polyfit(xs, ys, 1)[0])
     return tuple(entries), a_hat, slope
+
+
+def per_center_morrey_norm(f: SampledSignal, cfg) -> MorreyEstimate:
+    """The Morrey scan as morrey_norm was written before it kept each
+    scan's ball orders and formed the prefix sums of a block of centers
+    at once: per center, a stable argsort of the distances, one cumsum
+    and one searchsorted, and the first center whose best value is
+    strictly larger than every earlier one's.  The same floating-point
+    operations, so the two agree bit for bit."""
+    axis_points = f.grid.axis_points()
+    mass = (f.grid.weights() * np.abs(f.values)).ravel()
+    radii = np.sort(np.asarray(cfg.radii, dtype=float))
+    scale = radii ** (-cfg.nu)
+    r2 = radii**2
+    best_val = -1.0
+    best_center = cfg.centers[0]
+    best_radius = radii[0]
+    for center in cfg.centers:
+        d2 = _separable([(pts - c) ** 2 for pts, c in zip(axis_points, center)]).ravel()
+        order = np.argsort(d2, kind="stable")
+        prefix = np.concatenate(([0.0], np.cumsum(mass[order])))
+        counts = np.searchsorted(d2[order], r2, side="right")
+        vals = scale * prefix[counts]
+        k = int(np.argmax(vals))
+        if vals[k] > best_val:
+            best_val = float(vals[k])
+            best_center = tuple(float(c) for c in center)
+            best_radius = float(radii[k])
+    return MorreyEstimate(best_val, best_center, best_radius)

@@ -1041,6 +1041,7 @@ def test_plan_and_chirp_cache_info_count_a_warm_stream():
     counts = {name: (info.hits, info.misses, info.entries) for name, info in cache_info().items()}
     assert counts == {
         "analysis_plan": (2, 1, 1),
+        "ball_orders": (0, 0, 0),
         "grid_chirp": (10, 2, 2),
         "grid_weights": (8, 1, 1),
         "scan": (0, 0, 0),

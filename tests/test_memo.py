@@ -13,15 +13,16 @@ import time
 import numpy as np
 import pytest
 
-from frwt import admissibility, cache_info, cfrwt, frft, memo
+from frwt import admissibility, cache_info, cfrwt, frft, memo, morrey
 from frwt.admissibility import FrequencyScan, cross_admissibility
 from frwt.cfrwt import cfrwt_fast, reconstruct
 from frwt.frft import TransformOrder, frft_fast, make_plan
 from frwt.grid import AxisSpec, Grid, axis_centered, sample
+from frwt.morrey import default_morrey_config, morrey_norm
 from frwt.scales import log_scale_grid
 from frwt.wavelets import get_wavelet
 
-from oracles import chirp_fft_chirp, per_vector_cfrwt, per_vector_reconstruct
+from oracles import chirp_fft_chirp, per_center_morrey_norm, per_vector_cfrwt, per_vector_reconstruct
 
 MEX = get_wavelet("mexican_hat")
 DOG4 = get_wavelet("dog4")
@@ -32,6 +33,11 @@ COARSE_SCAN = FrequencyScan(points_per_decade=16, halvings=3)
 LINE = Grid((axis_centered(0.1, 64),))
 PLANE = Grid((axis_centered(0.4, 30), AxisSpec(-4.0, 0.35, 27)))
 SCALES = [log_scale_grid(0.5, 4.0, 4, signs="both"), log_scale_grid(0.25, 2.0, 4, signs="both")]
+
+
+def _ball_key(grid, radii=None):
+    cfg = default_morrey_config(grid, 0.5)
+    return (grid, cfg.centers, tuple(sorted(cfg.radii if radii is None else radii)))
 
 
 def _pass_key(sc, *extra):
@@ -56,6 +62,7 @@ BUILDERS = {
     "transform_plan": (frft._transform_plan, (frft, "make_plan"), [(LINE, a, (-1.0,)) for a in (0.9, 2.2)]),
     "grid_chirp": (frft._grid_chirp, (frft, "_chirp"), [(LINE, 0.5), (LINE, -0.5)]),
     "grid_weights": (frft._grid_weights, (Grid, "weights"), [(LINE,), (Grid((axis_centered(0.1, 65),)),)]),
+    "ball_orders": (morrey._ball_orders, (morrey, "_center_distances"), [_ball_key(LINE), _ball_key(LINE, (0.5, 1.0, 2.0))]),
 }
 
 
@@ -78,6 +85,9 @@ def _public_route(name):
         return (lambda: cfrwt_fast(f, MEX, ALPHA, sc).values), per_vector_cfrwt(f, MEX, ALPHA, sc), 1
     if name == "transform_plan":
         return (lambda: frft_fast(f, ALPHA).values), chirp_fft_chirp(f.values, make_plan(PLANE, ALPHA)), 1
+    if name == "ball_orders":
+        cfg = default_morrey_config(PLANE, 0.5)
+        return (lambda: morrey_norm(f, cfg)), per_center_morrey_norm(f, cfg), 1
     w = cfrwt_fast(f, MEX, ALPHA, sc)
     # the synthesis takes the weights, the +cot and -cot chirps and its plan
     kept = {"synthesis_plan": 1, "grid_chirp": 2, "grid_weights": 1}[name]
@@ -203,6 +213,7 @@ def test_every_kind_of_entry_is_read_only(name, grid):
         "transform_plan": (grid, ALPHA, (-1.0,) * grid.ndim),
         "grid_chirp": (grid, -0.5),
         "grid_weights": (grid,),
+        "ball_orders": _ball_key(grid),
     }[name]
     entry = BUILDERS[name][0](*key)
     held = _held_arrays(entry)

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from frwt import morrey
+from frwt import memo, morrey
 from frwt.cfrwt import cfrwt_fast
 from frwt.errors import EmptyScan, GridMismatch
-from frwt.grid import Grid, SampledSignal, axis_centered, l1_norm, sample
+from frwt import cache_info
+from frwt.grid import AxisSpec, Grid, SampledSignal, axis_centered, l1_norm, sample
 from frwt.morrey import (
     MorreyConfig,
     MorreyEstimate,
@@ -21,6 +23,8 @@ from frwt.morrey import (
 )
 from frwt.scales import ScaleGrid
 from frwt.wavelets import WaveletSpec, get_wavelet, wavelet_l1_norm
+
+from oracles import per_center_morrey_norm
 
 MEX = get_wavelet("mexican_hat")
 GAUSS_WAVELET = get_wavelet("gaussian")
@@ -151,6 +155,95 @@ def test_two_dimensional_scan():
     cfg = default_morrey_config(grid, 1.0)
     assert len(cfg.centers) == 64
     assert morrey_norm(f, cfg).value < est.value
+
+
+def _morrey_cases():
+    line = Grid((axis_centered(0.0625, 256),))
+    plane = Grid((axis_centered(0.25, 40), AxisSpec(-3.0, 0.3, 23)))
+    rng = np.random.default_rng(7)
+    noise = SampledSignal(plane, rng.standard_normal(plane.shape) + 1j * rng.standard_normal(plane.shape))
+    bump = sample(line, lambda t: np.exp(-((t - 0.4) ** 2) / 2) * (1.0 + 0.3j * t))
+    return {
+        "1d-default": (bump, default_morrey_config(line, 0.5)),
+        "1d-unsorted-radii": (bump, MorreyConfig(1.0, ((0.0,), (-2.5,), (3.0,)), (2.0, 0.25, 1.0, 0.5, 4.0))),
+        "1d-duplicate-centers": (bump, MorreyConfig(0.5, ((0.5,), (-1.0,), (0.5,), (-1.0,)), (0.5, 1.0, 2.0))),
+        "1d-wide": (
+            sample(Grid((axis_centered(0.0625, 2048),)), lambda t: np.exp(-(t**2) / (2 * 24.0**2))),
+            default_morrey_config(Grid((axis_centered(0.0625, 2048),)), 0.5),
+        ),
+        "2d-default": (noise, default_morrey_config(plane, 1.0)),
+        "2d-nu-zero": (noise, default_morrey_config(plane, 0.0)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_morrey_cases()))
+def test_scan_equals_the_per_center_oracle(case):
+    """Kept ball orders and prefix sums over blocks of centers move no bit
+    of the value, and report the oracle's center and radius, cold and
+    warm."""
+    f, cfg = _morrey_cases()[case]
+    want = per_center_morrey_norm(f, cfg)
+    memo._clear()
+    for _ in range(2):
+        got = morrey_norm(f, cfg)
+        assert (got.value, got.center, got.radius) == (want.value, want.center, want.radius)
+
+
+@pytest.mark.parametrize("kept", [True, False], ids=["kept", "unkept"])
+def test_a_tie_goes_to_the_first_center(grid_256, kept, monkeypatch):
+    # a constant signal: every ball inside the grid holds the same mass
+    if not kept:
+        monkeypatch.setattr(morrey, "_KEPT_ORDER_BYTES", 0)
+    flat = sample(grid_256, lambda t: np.ones_like(t))
+    for centers in (((1.0,), (-1.0,), (0.0,)), ((-1.0,), (0.0,), (1.0,))):
+        cfg = MorreyConfig(0.5, centers, (0.5, 2.0, 1.0))
+        est = morrey_norm(flat, cfg)
+        assert est.center == centers[0]
+        assert est.radius == 2.0
+        assert est == per_center_morrey_norm(flat, cfg)
+
+
+def test_unkept_blocks_equal_the_oracle(monkeypatch):
+    # a scan over the order budget sorts each block of centers afresh
+    f, cfg = _morrey_cases()["2d-default"]
+    monkeypatch.setattr(morrey, "_KEPT_ORDER_BYTES", 0)
+    monkeypatch.setattr(morrey, "_row_blocks", lambda count, elems: [slice(k, min(k + 3, count)) for k in range(0, count, 3)])
+    memo._clear()
+    assert morrey_norm(f, cfg) == per_center_morrey_norm(f, cfg)
+    assert cache_info()["ball_orders"][:3] == (0, 0, 0)
+
+
+def test_scan_errors_come_before_any_work(gaussian_256, monkeypatch):
+    calls = []
+    monkeypatch.setattr(morrey, "_center_distances", lambda *a: calls.append(a))
+    radii = (0.5, 1.0)
+    for centers, error in [
+        (((0.0,), (1.0,), (100.0,)), "outside the grid hull"),
+        (((0.0,), (1.0,), (0.0, 0.0)), "wrong dimension"),
+    ]:
+        with pytest.raises(ValueError, match=error):
+            morrey_norm(gaussian_256, MorreyConfig(0.5, centers, radii))
+    with pytest.raises(EmptyScan):
+        morrey_norm(gaussian_256, MorreyConfig(0.5, (), radii))
+    assert calls == []
+
+
+def test_a_large_scan_peaks_no_higher_than_the_per_center_loop():
+    """A 2-D 256^2 grid's default scan (32 MiB of orders) is sorted block by
+    block and not kept: its traced peak stays under the oracle's."""
+    grid = Grid((axis_centered(1 / 16, 256), axis_centered(1 / 16, 256)))
+    f = sample(grid, lambda x, y: np.exp(-(x**2 + y**2) / 2))
+    cfg = default_morrey_config(grid, 0.5)
+    peaks, results = [], []
+    for scan in (per_center_morrey_norm, morrey_norm):
+        tracemalloc.start()
+        try:
+            results.append(scan(f, cfg))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert results[0] == results[1]
+    assert peaks[1] <= peaks[0]
 
 
 # ------------------------------------------------------------------

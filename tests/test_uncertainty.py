@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import random_smooth_signal
-from frwt import uncertainty
+from frwt import uncertainty, verify
 from frwt.errors import (
     GridMismatch,
     InadmissibleWavelet,
@@ -31,7 +31,7 @@ from frwt.uncertainty import (
     restricted_energy_identity_check,
     local_uncertainty_scan,
 )
-from frwt.verify import _gabor, _grid_256, run_suite
+from frwt.verify import _gabor, _grid_256, _meta, run_suite
 from frwt.wavelets import get_wavelet
 from oracles import per_signal_local_scan
 
@@ -405,3 +405,91 @@ def test_verify_heisenberg_reads_the_configured_admissibility_band():
     assert records["heisenberg_cfrwt_normalized"].details["raw_ratio"] == cr.details["raw_ratio"]
     restricted = restricted_energy_identity_check(field, gabor, (2.5,), 1.5, scan=scan)
     assert records["restricted_energy_identity"].rhs == restricted.rhs
+    # every number of the three records is the public check's own
+    grid = _grid_256()
+    assert records["heisenberg_cfrwt_normalized"].to_json() == verify._check(
+        "heisenberg_cfrwt_normalized", cr.lhs, cr.rhs, cr.tolerance, cr.passed, {"raw_ratio": cr.details["raw_ratio"]}, grid
+    ).to_json()
+    lemma = lemma_moment_identity_check(field, gabor, scan=scan)
+    assert records["coefficient_moment_identity"].to_json() == _meta(lemma, grid).to_json()
+    assert records["restricted_energy_identity"].to_json() == _meta(restricted, grid).to_json()
+
+
+def test_verify_heisenberg_transforms_the_field_and_the_fixture_once_at_its_order(monkeypatch):
+    """The three coefficient-side checks share one transform of the field
+    at its order (plus one at beta for heisenberg_cfrwt) and one of the
+    gabor fixture."""
+    cfg = RunConfig()
+    run_suite("heisenberg", cfg)
+    fields, fixtures = [], []
+    real_transform, real_frft = uncertainty._transform, uncertainty.frft_fast
+
+    def transform(grid, values, order):
+        fields.append(order)
+        return real_transform(grid, values, order)
+
+    def frft(f, order):
+        fixtures.append(order)
+        return real_frft(f, order)
+
+    monkeypatch.setattr(uncertainty, "_transform", transform)
+    monkeypatch.setattr(uncertainty, "frft_fast", frft)
+    run_suite("heisenberg", cfg)
+    assert sorted(fields) == sorted([cfg.alpha, cfg.beta])
+    # heisenberg_two_domain takes two transforms of each of its 21 signals
+    assert fixtures.count(cfg.alpha) == 1
+    assert len(fixtures) == 1 + 2 * 21
+
+
+def test_the_local_suite_reads_four_independent_scans(wide_grid):
+    """The coarse and fine scans the local suite reads from one table equal
+    four scans of their own families and balls, bit for bit."""
+    scans = verify._local_scans(wide_grid)
+    assert [theta for theta, _, _ in scans] == [0.25, 0.4]
+    for theta, coarse, fine in scans:
+        for got, count, balls in ((coarse, 13, 11), (fine, 25, 21)):
+            want = local_uncertainty_scan(_dilates(wide_grid, count), HALF_PI, 0.0, theta, _balls(balls))
+            assert got == want
+            assert repr(got) == repr(want)
+
+
+def test_a_warm_local_suite_takes_625_exact_sums_and_two_transforms(monkeypatch):
+    # 25 signals by 21 balls of restricted energies, and a total and a
+    # tail sum per signal at each of the two thetas; one alpha and one
+    # beta transform of the 25-signal family
+    run_suite("local")
+    sums, transforms = [], []
+    real_sum, real_transform = uncertainty._exact_sum, uncertainty._transform
+    monkeypatch.setattr(uncertainty, "_exact_sum", lambda v: sums.append(v.size) or real_sum(v))
+    monkeypatch.setattr(uncertainty, "_transform", lambda *a: transforms.append(a[1].shape) or real_transform(*a))
+    run_suite("local")
+    assert len(sums) == 25 * 21 + 2 * 2 * 25
+    assert transforms == [(25, 2048)] * 2
+
+
+def test_the_local_table_keeps_the_tail_rule_and_the_grid_check(wide_grid):
+    slow = sample(wide_grid, lambda t: (1.0 + t**2) ** -0.4)
+    with pytest.raises(TailDominated):
+        uncertainty._LocalTable([slow], HALF_PI, 0.0, (0.25,), _balls(3))
+    # a member no report reads is still refused
+    fam = _dilates(wide_grid, 3) + [slow]
+    with pytest.raises(TailDominated):
+        uncertainty._LocalTable(fam, HALF_PI, 0.0, (0.25, 0.4), _balls(3))
+    other = _dilates(Grid((axis_centered(0.125, 2048),)), 1)
+    with pytest.raises(GridMismatch):
+        uncertainty._LocalTable(_dilates(wide_grid, 2) + other, HALF_PI, 0.0, (0.25, 0.4), _balls(3))
+
+
+def test_the_local_table_computes_norms_only_for_a_supercritical_theta(wide_grid, monkeypatch):
+    fam = _dilates(wide_grid, 5)
+    norms = []
+    monkeypatch.setattr(uncertainty, "l2_norm", lambda f: norms.append(f) or l2_norm(f))
+    sub = uncertainty._LocalTable(fam, HALF_PI, 0.0, (0.25, 0.4), _balls(5))
+    assert norms == []
+    both = uncertainty._LocalTable(fam, HALF_PI, 0.0, (0.25, 1.5), _balls(5))
+    assert len(norms) == len(fam)
+    monkeypatch.undo()
+    for theta in (0.25, 1.5):
+        want = local_uncertainty_scan(fam, HALF_PI, 0.0, theta, _balls(5))
+        assert both.report(theta) == want
+    assert sub.report(0.4, [0, 2, 4], [1, 3]) == local_uncertainty_scan(fam[::2], HALF_PI, 0.0, 0.4, _balls(5)[1::2])

@@ -40,6 +40,17 @@ def test_all_reads_the_scan_memo_the_same_way_every_pass(all_from_a_cleared_memo
     assert (info["scan"].misses, info["scan"].hits) == (4, 16)
 
 
+def test_all_sorts_each_morrey_scan_once(all_from_a_cleared_memo):
+    # 18 morrey_norm calls over 3 distinct (grid, centers, radii) scans
+    _, info = all_from_a_cleared_memo
+    assert (info["ball_orders"].misses, info["ball_orders"].hits) == (3, 15)
+
+
+def test_a_cold_pass_keeps_at_most_6_mib(all_from_a_cleared_memo):
+    _, info = all_from_a_cleared_memo
+    assert sum(i.bytes for i in info.values()) <= 6 << 20
+
+
 def test_a_second_pass_builds_nothing(all_from_a_cleared_memo):
     """The memo holds all that a pass builds, so a second pass misses no
     key of any builder."""
