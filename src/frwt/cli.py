@@ -17,7 +17,7 @@ import sys
 from .admissibility import admissibility_constant
 from .cfrwt import cfrwt_fast, reconstruct
 from .errors import DeltaKernel, FrwtError, GridMismatch, InadmissibleWavelet, SignalFileError
-from .frft import frft_direct, frft_fast
+from .frft import _one_blas_thread, frft_direct, frft_fast
 from .grid import SampledSignal, grids_close, l2_norm
 from .io import (
     parse_run_config,
@@ -166,40 +166,43 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    try:
-        code = args.handler(args)
-        # a reader that left shows here, not in the flush at exit
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError:
-        # the output has nowhere to go; the flush at exit must not raise
-        # again, so stdout now writes to the null device
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return EXIT_CLOSED_STDOUT
-    except SignalFileError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except KeyError as exc:
-        print(f"parse error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DeltaKernel as exc:
-        print(
-            f"degenerate order: {exc}\n"
-            "at multiples of pi the transform is an exact relabeling; "
-            "use the frft command, whose engines dispatch the identity "
-            "copy (alpha = 0) and the axis reflection (alpha = pi) exactly",
-            file=sys.stderr,
-        )
-        return EXIT_DELTA
-    except InadmissibleWavelet as exc:
-        print(f"inadmissible wavelet: {exc}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
-    except FrwtError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    # a command holds OpenBLAS at one thread, and stops its idle workers,
+    # which would otherwise busy-wait on CPUs the command's own threads use
+    with _one_blas_thread(stop_pool=True):
+        args = _build_parser().parse_args(argv)
+        try:
+            code = args.handler(args)
+            # a reader that left shows here, not in the flush at exit
+            sys.stdout.flush()
+            return code
+        except BrokenPipeError:
+            # the output has nowhere to go; the flush at exit must not raise
+            # again, so stdout now writes to the null device
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return EXIT_CLOSED_STDOUT
+        except SignalFileError as exc:
+            print(f"parse error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
+        except KeyError as exc:
+            print(f"parse error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+            return EXIT_PARSE
+        except DeltaKernel as exc:
+            print(
+                f"degenerate order: {exc}\n"
+                "at multiples of pi the transform is an exact relabeling; "
+                "use the frft command, whose engines dispatch the identity "
+                "copy (alpha = 0) and the axis reflection (alpha = pi) exactly",
+                file=sys.stderr,
+            )
+            return EXIT_DELTA
+        except InadmissibleWavelet as exc:
+            print(f"inadmissible wavelet: {exc}", file=sys.stderr)
+            return EXIT_INADMISSIBLE
+        except FrwtError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -198,16 +198,42 @@ def _cis(phase: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _openblas_thread_calls():
-    """The get and set thread-count calls of the OpenBLAS that numpy
-    bundles, or None where numpy's extension does not export them."""
+    """The get and set thread-count calls and the worker-pool stop of the
+    OpenBLAS that numpy bundles, or None where numpy's extension does not
+    export them."""
     try:
         lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
         get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        stop = lib.blas_thread_shutdown_
     except (AttributeError, OSError):
         return None
     get.argtypes, get.restype = [], ctypes.c_int
     put.argtypes, put.restype = [ctypes.c_int], None
-    return get, put
+    stop.argtypes, stop.restype = [], ctypes.c_int
+    return get, put, stop
+
+
+@contextlib.contextmanager
+def _one_blas_thread(stop_pool: bool = False):
+    """Hold numpy's OpenBLAS at one thread inside the block and restore its
+    previous count on the way out, after an exception or an interrupt too.
+
+    With stop_pool, OpenBLAS's worker threads are stopped as well: each one
+    busy-waits on a CPU for a while after the pool starts or last worked,
+    although at one thread it is never given work.  OpenBLAS starts them
+    again when the count is raised.
+    """
+    calls = _openblas_thread_calls()
+    previous = calls[0]() if calls else 1
+    try:
+        if previous != 1:
+            calls[1](1)
+        if stop_pool and calls:
+            calls[2]()
+        yield
+    finally:
+        if previous != 1:
+            calls[1](previous)
 
 
 # one permit for each CPU beyond the first: a helper thread holds one while
@@ -226,9 +252,9 @@ def _run_blocks(blocks: int, work, workers: int) -> None:
     _WORKERS threads do block work at any time however the calls nest: a
     call that finds none free runs its blocks serially, and a caller lends
     its own CPU while it waits on its helpers.  While helpers run, OpenBLAS
-    is held to one thread, so a block's contraction does not start threads
-    of its own on CPUs the blocks already use; its previous count is
-    restored afterwards.
+    is held to one thread (_one_blas_thread), so a block's contraction does
+    not start threads of its own on CPUs the blocks already use; its
+    previous count is restored afterwards.
 
     Once a call has raised, no further index is handed out, and the
     exception of the lowest failing index is re-raised here once every
@@ -276,28 +302,23 @@ def _run_blocks(blocks: int, work, workers: int) -> None:
             except BaseException as exc:
                 fail(-1, exc)
 
-    calls = _openblas_thread_calls()
-    previous = calls[0]() if calls else 1
     threads = []
-    try:
-        if previous != 1:
-            calls[1](1)
-        for _ in range(helpers):
-            thread = threading.Thread(target=helper)
-            thread.start()
-            threads.append(thread)
-        drain()
-    except BaseException as exc:  # a helper that did not start, or an interrupt
-        fail(-1, exc)
-    try:
-        # the permits of helpers that never started, and the caller's own CPU
-        _cpu_permits.release(helpers - len(threads) + 1)
-        for thread in threads:
-            uninterrupted(thread.join)
-    finally:
-        if previous != 1:
-            calls[1](previous)
-        uninterrupted(_cpu_permits.acquire)
+    with _one_blas_thread():
+        try:
+            for _ in range(helpers):
+                thread = threading.Thread(target=helper)
+                thread.start()
+                threads.append(thread)
+            drain()
+        except BaseException as exc:  # a helper that did not start, or an interrupt
+            fail(-1, exc)
+        try:
+            # the permits of helpers that never started, and the caller's own CPU
+            _cpu_permits.release(helpers - len(threads) + 1)
+            for thread in threads:
+                uninterrupted(thread.join)
+        finally:
+            uninterrupted(_cpu_permits.acquire)
     if failures:
         raise failures[min(failures)]
 

@@ -202,7 +202,9 @@ def sample(grid: Grid, fn: Callable[..., np.ndarray]) -> SampledSignal:
 
 def _exact_sum(values: np.ndarray) -> "float | complex":
     """Exactly rounded sum of a real or complex array: math.fsum over the
-    real and imaginary parts separately, in C order.
+    real and imaginary parts separately, in C order.  Each part goes to
+    fsum as a list, whose floats it reads faster than an array's elements;
+    an exactly rounded sum has the same bits either way.
 
     A part whose sum fsum cannot form (an intermediate overflow, or
     inf + -inf) takes numpy's sum of the same part instead, which is
@@ -213,7 +215,7 @@ def _exact_sum(values: np.ndarray) -> "float | complex":
     sums = []
     for part in (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,):
         try:
-            sums.append(math.fsum(part))
+            sums.append(math.fsum(part.tolist()))
         except (OverflowError, ValueError):
             with np.errstate(over="ignore", invalid="ignore"):
                 sums.append(float(np.sum(part)))

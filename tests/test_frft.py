@@ -422,7 +422,7 @@ def test_split_2d_direct_blocks_are_bit_identical_to_dense_kernel_at_one_openbla
 
 @pytest.mark.skipif(frft_module._openblas_thread_calls() is None, reason="numpy's OpenBLAS exports no thread calls")
 def test_direct_route_holds_openblas_to_one_thread_and_restores_it(monkeypatch):
-    get_threads, set_threads = frft_module._openblas_thread_calls()
+    get_threads, set_threads, _ = frft_module._openblas_thread_calls()
     seen = []
     real_cis = frft_module._cis
 
@@ -446,7 +446,7 @@ def test_direct_route_holds_openblas_to_one_thread_and_restores_it(monkeypatch):
 
 @pytest.mark.skipif(frft_module._openblas_thread_calls() is None, reason="numpy's OpenBLAS exports no thread calls")
 def test_an_interrupt_while_the_caller_takes_its_cpu_back_restores_openblas_and_the_permits(monkeypatch):
-    get_threads, set_threads = frft_module._openblas_thread_calls()
+    get_threads, set_threads, _ = frft_module._openblas_thread_calls()
     set_workers(monkeypatch, 2)
     permits = frft_module._cpu_permits
     real_acquire = permits.acquire

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from frwt import (
     write_csv,
     write_signal,
 )
+from frwt import frft as frft_module
 from frwt.cli import main
 from frwt.errors import SignalFileError
 from frwt.grid import AxisSpec, Grid, axis_centered, sample
@@ -834,3 +836,111 @@ def test_import_does_not_load_scipy_signal():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+# ---------------------------------------------------------------------------
+# one OpenBLAS thread per command
+
+_blas_calls = frft_module._openblas_thread_calls()
+needs_blas_calls = pytest.mark.skipif(_blas_calls is None, reason="numpy's OpenBLAS exports no thread calls")
+
+
+def _frwt(argv, threads):
+    """Run `frwt ARGV` in a fresh process with OPENBLAS_NUM_THREADS set to
+    threads, or unset for None, and return its completed process."""
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-m", "frwt.cli", *argv], capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def _broken_suite(cfg):
+    raise ValueError("fixture out of range")
+
+
+@needs_blas_calls
+@pytest.mark.parametrize(
+    "argv,code,broken",
+    [
+        (["verify", "reconstruction"], 0, False),
+        (["frft"], 2, False),
+        (["verify", "parseval"], 6, True),
+    ],
+    ids=["return", "parse-error", "suite-error"],
+)
+def test_a_command_restores_openblas_thread_count(monkeypatch, capsys, argv, code, broken):
+    from frwt import verify
+
+    get_threads, set_threads, _ = _blas_calls
+    if broken:
+        monkeypatch.setitem(verify._SUITES, "parseval", _broken_suite)
+    before = get_threads()
+    # a count other than one, so that a count left at one shows
+    set_threads(2)
+    try:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        after = get_threads()
+    finally:
+        set_threads(before)
+    assert rc == code
+    assert after == 2
+
+
+@needs_blas_calls
+def test_a_command_runs_at_one_openblas_thread(monkeypatch, capsys):
+    from frwt import verify
+
+    get_threads, set_threads, _ = _blas_calls
+    seen = []
+    suite = verify._SUITES["reconstruction"]
+
+    def recording(cfg):
+        seen.append(get_threads())
+        return suite(cfg)
+
+    monkeypatch.setitem(verify._SUITES, "reconstruction", recording)
+    before = get_threads()
+    set_threads(2)
+    try:
+        assert main(["verify", "reconstruction"]) == 0
+    finally:
+        set_threads(before)
+    assert seen == [1]
+
+
+def test_a_command_without_openblas_thread_calls_is_unchanged(monkeypatch, capsys):
+    assert main(["verify", "reconstruction"]) == 0
+    found = capsys.readouterr().out
+    monkeypatch.setattr(frft_module, "_openblas_thread_calls", lambda: None)
+    assert main(["verify", "reconstruction"]) == 0
+    assert capsys.readouterr().out == found
+    assert main(["verify", "nonsense"]) == 5
+    with pytest.raises(SystemExit) as exc:
+        main(["frft"])
+    assert exc.value.code == 2
+
+
+def test_verify_output_does_not_depend_on_openblas_thread_count():
+    outputs = {_frwt(["verify", "reconstruction"], threads).stdout for threads in (None, "1", "2")}
+    assert len(outputs) == 1
+
+
+def test_cli_direct_transform_does_not_depend_on_openblas_thread_count(tmp_path):
+    # both axes split into row blocks, whose matrix products round by
+    # OpenBLAS's thread count: every command takes the one-thread bits
+    grid = Grid((axis_centered(0.05, 400), axis_centered(0.05, 300)))
+    src = tmp_path / "in.sig"
+    write_signal(src, random_smooth_signal(grid, seed=grid.size))
+    outputs = set()
+    for threads in (None, "1", "2"):
+        out = tmp_path / f"out-{threads}.sig"
+        _frwt(["frft", str(src), "--alpha", "0.9", "--engine", "direct", "--output", str(out)], threads)
+        outputs.add(out.read_bytes())
+    assert len(outputs) == 1

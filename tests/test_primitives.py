@@ -88,7 +88,11 @@ RULES = [
     # in one place
     ("helper thread", re.compile(r"\bthreading\.Thread\("), {("frft.py", "_run_blocks")}),
     ("CPU permit", re.compile(r"\b_cpu_permits\."), {("frft.py", "_run_blocks")}),
-    ("OpenBLAS lookup", re.compile(r"\bctypes\.CDLL\(|scipy_openblas_"), {("frft.py", "_openblas_thread_calls")}),
+    (
+        "OpenBLAS lookup",
+        re.compile(r"\bctypes\.CDLL\(|scipy_openblas_|blas_thread_shutdown_"),
+        {("frft.py", "_openblas_thread_calls")},
+    ),
     # a coefficient field carries its wavelet, so only the synthesis entry,
     # which is handed the analysing wavelet again, compares the two
     ("analysing wavelet guard", re.compile(r"coefficients were taken with"), {("cfrwt.py", "reconstruct")}),
@@ -371,12 +375,26 @@ def test_fft_convolve_weighs_a_chunk_in_place_with_its_bits():
     assert peak < 16 * 1024
 
 
+def _wide(shape, seed, complex_values=False):
+    # magnitudes from 1e-300 to 1e300 with random signs: cancellation
+    # across the whole exponent range
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape)
+    return values + 1j * _wide(shape, seed + 1) if complex_values else values
+
+
 @pytest.mark.parametrize(
     "values",
     [
         np.linspace(-1.0, 1.0, 1001) ** 3,
         (np.arange(64.0) - 20.0) * (1.0 + 1e-3j),
         np.array([1e100, 1.0, -1e100]),
+        _wide(2048, 1),
+        _wide(561, 3, complex_values=True),
+        # strided views: a complex array's parts, and every third element
+        _wide(512, 5, complex_values=True).real,
+        _wide(512, 7, complex_values=True).imag,
+        _wide(1200, 9, complex_values=True)[1::3],
     ],
 )
 def test_exact_sum_is_fsum_of_each_part(values):
@@ -398,6 +416,8 @@ def test_exact_sum_is_non_finite_where_fsum_raises():
         assert math.isnan(_exact_sum(np.array([math.inf, -math.inf, 1.0])))
         got = _exact_sum(np.full(64, -1e307 + 1.0j))
         assert got.real == -math.inf and got.imag == 64.0
+        got = _exact_sum(np.array([1.0 + 1.0j, complex(-math.inf, 2.0), complex(math.inf, 3.0)]))
+        assert math.isnan(got.real) and got.imag == 6.0
 
 
 SEPARABLE_GRIDS = [
