@@ -10,6 +10,8 @@ output was written.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import math
 import os
 import sys
@@ -166,6 +168,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # at exit the collector's last walk over numpy's and frwt's objects
+    # costs 10-14 ms, and a command leaves nothing for it to free: every
+    # file it writes is closed on return.  Freezing the heap once the
+    # interpreter exits skips that walk and leaves in-process callers a
+    # normal collector.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     # a command holds OpenBLAS at one thread, and stops its idle workers,
     # which would otherwise busy-wait on CPUs the command's own threads use
     with _one_blas_thread(stop_pool=True):

@@ -3,7 +3,8 @@
 All transforms in this package operate on signals sampled over uniform
 axis-aligned grids in one to three dimensions.  Integrals are approximated
 by the tensor product of one-dimensional trapezoidal rules; reductions are
-exactly rounded sums (_exact_sum), so results do not depend on chunking.
+exactly rounded sums (_exact_sum, or _exact_row_sums for a batch of rows),
+so results do not depend on chunking.
 
 A per-axis quantity (weights, squared coordinates, a phase, a wavelet
 profile) reaches the grid in one way only: _separable combines one 1-D
@@ -220,6 +221,65 @@ def _exact_sum(values: np.ndarray) -> "float | complex":
             with np.errstate(over="ignore", invalid="ignore"):
                 sums.append(float(np.sum(part)))
     return complex(*sums) if len(sums) == 2 else sums[0]
+
+
+# Batches of fewer values take _exact_sum row by row.  The tree's numpy
+# calls cost 33 us at 256 values and 47 us at 2048, fsum 6-11 us and
+# 48-300 us (one row, narrow to wide exponent ranges; 2-vCPU VM).
+_TREE_MIN_VALUES = 2048
+
+
+def _exact_row_sums(rows: np.ndarray) -> list[float]:
+    """_exact_sum of each row of a real 2-D array, with the same bits.
+
+    The rows, zero-padded to a power-of-two width, are reduced together
+    by a pairwise tree of Knuth's error-free TwoSum, so a row's exact sum
+    is its tree sum s plus the sum of the tree's rounding errors e.  With
+    err the float sum of the errors and mag that of their magnitudes,
+    hi = s + err and lo = err - (hi - s) (exact when |s| >= |err|) leave
+    the exact sum within 4 n 2^-53 mag of hi + lo for a row of n values
+    (Ogita, Rump and Oishi, "Accurate sum and dot product", SIAM J. Sci.
+    Comput. 26(6), 2005).  hi is then the exactly rounded sum when that
+    interval lies strictly inside hi's rounding interval, whose lower
+    half is half as wide when |hi| is a power of two.  Every other row
+    takes _exact_sum: a zero or non-finite hi, a sum too close to a
+    rounding boundary, and a row whose sum of |x| may reach 2^1020, where
+    math.fsum can overflow between two finite values and _exact_sum
+    gives numpy's sum instead.
+    """
+    m, n = rows.shape
+    if m * n < _TREE_MIN_VALUES:
+        return [_exact_sum(row) for row in rows]
+    width = 1 << (n - 1).bit_length()
+    s = rows
+    if width != n:
+        s = np.zeros((m, width))
+        s[:, :n] = rows
+    # the errors of the level of width w go to columns w - 1 to 2w - 2
+    errors = np.empty((m, width - 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        while width > 1:
+            width //= 2
+            a, b = s[:, :width], s[:, width:]
+            s = a + b
+            z = s - a
+            errors[:, width - 1 : 2 * width - 1] = (a - (s - z)) + (b - z)
+        s = s[:, 0]
+        err = errors.sum(axis=1)
+        mag = np.abs(errors).sum(axis=1)
+        hi = s + err
+        lo = err - (hi - s)
+        # nan for a non-finite hi, and 0 (no row passes) for |hi| < 2^-1021
+        half_gap = np.spacing(np.abs(hi)) * np.where(np.abs(np.frexp(hi)[0]) == 0.5, 0.25, 0.5)
+        exact = (
+            (np.abs(lo) + mag * (4 * n * 2.0**-53) < half_gap)
+            & (np.abs(s) >= np.abs(err))
+            & (n * np.abs(rows).max(axis=1) < 2.0**1020)
+        )
+    sums = hi.tolist()
+    for i in np.flatnonzero(~exact).tolist():
+        sums[i] = _exact_sum(rows[i])
+    return sums
 
 
 def integrate(f: SampledSignal) -> complex:

@@ -27,7 +27,7 @@ from .admissibility import FrequencyScan
 from .cfrwt import CfrwtCoefficients, _field_normalizer
 from .errors import InvalidAnglePair, TailDominated, ThetaAtBoundary
 from .frft import _transform, frft_fast
-from .grid import Grid, SampledSignal, _exact_sum, _require_same_grid, _separable, l2_norm
+from .grid import Grid, SampledSignal, _exact_row_sums, _exact_sum, _require_same_grid, _separable, l2_norm
 from .report import VerificationReport, _ratio
 
 __all__ = [
@@ -95,19 +95,15 @@ def _radial_moments(grid: Grid, values: np.ndarray, theta: float) -> list[float]
     the signals, trailing axes run over grid, and the tail rule holds per
     signal."""
     r2 = grid.radius_sq()
-    weighted = grid.weights() * np.abs(values) ** 2 * r2**theta
-    outer = r2 > r2.max() / 4.0
-    moments = []
-    for row in weighted.reshape((-1,) + grid.shape):
-        total = _exact_sum(row)
-        if total > 0.0:
-            tail = _exact_sum(row[outer])
-            if tail > _TAIL_FRACTION * total:
-                raise TailDominated(
-                    f"outer radial octave holds {tail / total:.1%} of the moment; "
-                    "enlarge the grid or use a faster-decaying signal"
-                )
-        moments.append(total)
+    rows = (grid.weights() * np.abs(values) ** 2 * r2**theta).reshape(-1, grid.size)
+    moments = _exact_row_sums(rows)
+    tails = _exact_row_sums(rows[:, (r2 > r2.max() / 4.0).reshape(-1)])
+    for total, tail in zip(moments, tails):
+        if total > 0.0 and tail > _TAIL_FRACTION * total:
+            raise TailDominated(
+                f"outer radial octave holds {tail / total:.1%} of the moment; "
+                "enlarge the grid or use a faster-decaying signal"
+            )
     return moments
 
 
@@ -159,9 +155,9 @@ def _scale_moment_sum(coeffs: CfrwtCoefficients, densities: tuple[Grid, np.ndarr
     grid, density = densities
     weights_a = coeffs.scales.measure_weights()
     if mask is None:
-        per_scale = [_exact_sum(d) for d in density * grid.radius_sq()]
+        per_scale = _exact_row_sums((density * grid.radius_sq()).reshape(len(density), -1))
     else:
-        per_scale = [_exact_sum(d[mask]) for d in density]
+        per_scale = _exact_row_sums(density[:, mask])
     return _exact_sum(weights_a * np.array(per_scale))
 
 
@@ -379,10 +375,7 @@ class _LocalTable:
         densities = out_grid.weights() * np.abs(spectra) ** 2
         self.balls = list(e_family)
         # energies[j][k]: ball j, signal k
-        self.energies = [
-            [_exact_sum(restricted) for restricted in densities[:, _ball_mask(out_grid, center, radius)]]
-            for center, radius in e_family
-        ]
+        self.energies = [_exact_row_sums(densities[:, _ball_mask(out_grid, center, radius)]) for center, radius in e_family]
 
     def report(self, theta: float, signals: list[int] | None = None, balls: list[int] | None = None) -> LocalUncertaintyReport:
         """The scan at theta over the signals and balls of the given

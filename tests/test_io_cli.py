@@ -1,5 +1,6 @@
 """File format round trips and command front-end behavior."""
 
+import gc
 import json
 import math
 import os
@@ -944,3 +945,20 @@ def test_cli_direct_transform_does_not_depend_on_openblas_thread_count(tmp_path)
         _frwt(["frft", str(src), "--alpha", "0.9", "--engine", "direct", "--output", str(out)], threads)
         outputs.add(out.read_bytes())
     assert len(outputs) == 1
+
+
+# ---------------------------------------------------------------------------
+# the exit without the collector's last walk
+
+
+def test_an_in_process_command_leaves_the_collector_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    assert main(["verify", "reconstruction"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_a_command_process_keeps_its_output_and_exit_code(capsys):
+    # the heap is frozen only as the interpreter exits, after main returned
+    # and before stdout's flush at exit
+    assert main(["verify", "parseval"]) == 0
+    assert _frwt(["verify", "parseval"], None).stdout.decode() == capsys.readouterr().out

@@ -1,7 +1,7 @@
 """The shared numerical primitives: one chirp, one padded FFT convolution,
-one exact sum, one batched fast-transform entry, one row-block rule, one
-lag FFT length and one separable broadcast onto a grid, each defined once
-and used everywhere else; no module imports a name it never reads; the
+one exact sum, one exact sum of a batch of rows, one batched fast-transform
+entry, one row-block rule, one lag FFT length and one separable broadcast
+onto a grid, each defined once and used everywhere else; no module imports a name it never reads; the
 package exports exactly the names its modules list in __all__; every
 function, parameter and name the benchmark in perfbench/ binds exists; and
 functools memoizes only the two scalar memos, every other memo being
@@ -20,13 +20,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from frwt import grid as grid_module
 from frwt.cfrwt import CfrwtCoefficients, cfrwt_fast, inner_product_relation_check, kernel_projection
 from frwt.frft import TransformOrder, _chirp, _fft_convolve, _next_fast_len
 from frwt.grid import (
     AxisSpec,
     Grid,
     SampledSignal,
+    _exact_row_sums,
     _exact_sum,
     _separable,
     axis_centered,
@@ -46,6 +50,10 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "frwt"
 # [, the modules searched, every module when left out])
 RULES = [
     ("math.fsum", re.compile(r"\bfsum\("), {("grid.py", "_exact_sum")}),
+    # rows are summed exactly in batches by one error-free tree of TwoSum
+    ("TwoSum", re.compile(r"\((\w+) - \(\w+ - (\w+)\)\) \+ \(\w+ - \2\)"), {("grid.py", "_exact_row_sums")}),
+    # a command skips the collector's last walk at exit from one place
+    ("exit freeze", re.compile(r"\batexit\.register\(|\bgc\.freeze\b"), {("cli.py", "main")}),
     (
         "inline quadratic chirp",
         re.compile(r"np\.exp\(\s*(?:[-+]\s*|\w+\s*\*\s*)?0\.5j"),
@@ -418,6 +426,102 @@ def test_exact_sum_is_non_finite_where_fsum_raises():
         assert got.real == -math.inf and got.imag == 64.0
         got = _exact_sum(np.array([1.0 + 1.0j, complex(-math.inf, 2.0), complex(math.inf, 3.0)]))
         assert math.isnan(got.real) and got.imag == 6.0
+
+
+def _row_bits(sums):
+    return np.array(sums, dtype=np.float64).view(np.uint64)
+
+
+def _drawn_rows(rows, width, low, span, mixed, zero_share, seed):
+    """A batch of values 2^e * [0.5, 1) with exponents e from low to
+    low + span (subnormal to overflowing), signed at random if mixed, and
+    about zero_share of them +0.0 or -0.0."""
+    rng = np.random.default_rng(seed)
+    exponents = rng.integers(low, min(low + span, 1024) + 1, (rows, width))
+    values = np.ldexp(rng.uniform(0.5, 1.0, (rows, width)), exponents)
+    if mixed:
+        values *= rng.choice([-1.0, 1.0], values.shape)
+    zeros = rng.random(values.shape) < zero_share
+    values[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
+    return values
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(1, 40),
+    width=st.sampled_from([0, 1, 2, 3, 7, 8, 63, 64, 255, 256, 1023, 2048]),
+    low=st.integers(-1080, 1024),
+    span=st.sampled_from([0, 1, 52, 53, 54, 106, 400, 2100]),
+    mixed=st.booleans(),
+    zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# on either side of the cut-over between fsum by row and the tree
+@example(rows=1, width=1023, low=-60, span=2100, mixed=True, zero_share=0.0, seed=1)
+@example(rows=3, width=1023, low=-60, span=2100, mixed=True, zero_share=0.0, seed=1)
+@example(rows=25, width=2048, low=-1080, span=1080, mixed=False, zero_share=0.0, seed=2)
+def test_exact_row_sums_are_the_exact_sums_of_the_rows(rows, width, low, span, mixed, zero_share, seed):
+    values = _drawn_rows(rows, width, low, span, mixed, zero_share, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _exact_row_sums(values)
+        assert np.array_equal(_row_bits(got), _row_bits([_exact_sum(row) for row in values]))
+
+
+EXACT_ROW_SUM_ROWS = {
+    # half-ulp ties of 1, broken or not by a tail beyond the error terms
+    "tie": [1.0, 2.0**-54, 2.0**-54, 0.0],
+    "tie-up": [1.0, 2.0**-54, 2.0**-54, 2.0**-106],
+    "tie-down": [1.0, 2.0**-54, 2.0**-54, -(2.0**-106)],
+    # sums just below a power of two, where the gap halves: the second
+    # one's hi + lo is the midpoint 1 - 2^-54 and its sum lies just below,
+    # so it rounds down to 1 - 2^-53, not to its hi of 1
+    "power-of-two-tail": [1.0, -(2.0**-80)],
+    "below-power-of-two": [1.0, -(2.0**-54), -(2.0**-108)],
+    # a sum that the float sum of the tree's errors puts on the other side
+    # of a midpoint than it is: only the error bound refuses it
+    "rounded-errors": [
+        float.fromhex(v) for v in ("0x1.0000000000002p-55", "0x1.ffffffffffffcp-56", "0x1.a3778aac8643cp+0", "-0x1.8p-53")
+    ],
+    "negative-zeros": [-0.0] * 5,
+    "subnormals": [5e-324, 3 * 5e-324, -(2.0**-1030), 2.0**-1023],
+    "inf": [1.0, math.inf, 2.0],
+    "-inf": [-math.inf, 1.0, -1.0],
+    "nan": [1.0, math.nan, 2.0],
+    "inf-inf": [math.inf, 1.0, -math.inf],
+}
+
+
+@pytest.mark.parametrize("row", EXACT_ROW_SUM_ROWS.values(), ids=EXACT_ROW_SUM_ROWS.keys())
+def test_exact_row_sums_keep_the_bits_of_named_rows(row):
+    # repeated past the cut-over, so that the tree takes the row
+    values = np.tile(row, (-(-grid_module._TREE_MIN_VALUES // len(row)), 1))
+    with np.errstate(invalid="ignore"):
+        want = _exact_sum(np.array(row))
+    assert np.array_equal(_row_bits(_exact_row_sums(values)), _row_bits([want] * len(values)))
+
+
+def test_exact_row_sums_leave_a_fsum_overflow_to_exact_sum(monkeypatch):
+    # fsum's running sum overflows on a finite sum: _exact_sum then gives
+    # numpy's sum, which the tree's more accurate one would not match
+    row = np.array([1e307] * 20 + [-1e307] * 18)
+    with pytest.raises(OverflowError):
+        math.fsum(row)
+    copies = -(-grid_module._TREE_MIN_VALUES // len(row))
+    fallback = []
+    monkeypatch.setattr(grid_module, "_exact_sum", lambda v: fallback.append(len(v)) or _exact_sum(v))
+    assert _exact_row_sums(np.tile(row, (copies, 1))) == [_exact_sum(row)] * copies
+    assert fallback == [len(row)] * copies
+
+
+def test_exact_row_sums_certify_smooth_rows_without_fsum(monkeypatch):
+    # the rows of a radial moment: their values span 0.1 down to
+    # subnormals, and every one is certified by the tree
+    t = np.linspace(-64.0, 64.0, 2048)
+    values = np.exp(-np.outer(np.linspace(0.05, 2.0, 25), t**2)) * t**2 / 16.0
+    want = [_exact_sum(row) for row in values]
+    monkeypatch.setattr(grid_module, "_exact_sum", lambda v: pytest.fail("a row took fsum"))
+    assert np.array_equal(_row_bits(_exact_row_sums(values)), _row_bits(want))
 
 
 SEPARABLE_GRIDS = [

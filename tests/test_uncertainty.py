@@ -455,15 +455,17 @@ def test_the_local_suite_reads_four_independent_scans(wide_grid):
 
 def test_a_warm_local_suite_takes_625_exact_sums_and_two_transforms(monkeypatch):
     # 25 signals by 21 balls of restricted energies, and a total and a
-    # tail sum per signal at each of the two thetas; one alpha and one
-    # beta transform of the 25-signal family
+    # tail sum per signal at each of the two thetas, counted as the rows
+    # summed one by one or in batches; one alpha and one beta transform of
+    # the 25-signal family
     run_suite("local")
-    sums, transforms = [], []
-    real_sum, real_transform = uncertainty._exact_sum, uncertainty._transform
-    monkeypatch.setattr(uncertainty, "_exact_sum", lambda v: sums.append(v.size) or real_sum(v))
+    rows, transforms = [], []
+    real_sum, real_row_sums, real_transform = uncertainty._exact_sum, uncertainty._exact_row_sums, uncertainty._transform
+    monkeypatch.setattr(uncertainty, "_exact_sum", lambda v: rows.append(1) or real_sum(v))
+    monkeypatch.setattr(uncertainty, "_exact_row_sums", lambda v: rows.append(len(v)) or real_row_sums(v))
     monkeypatch.setattr(uncertainty, "_transform", lambda *a: transforms.append(a[1].shape) or real_transform(*a))
     run_suite("local")
-    assert len(sums) == 25 * 21 + 2 * 2 * 25
+    assert sum(rows) == 25 * 21 + 2 * 2 * 25
     assert transforms == [(25, 2048)] * 2
 
 
