@@ -58,11 +58,13 @@ compares the candidates' coefficient rows.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import frft
 from .admissibility import (
     AdmissibilityReport,
     FrequencyScan,
@@ -87,7 +89,7 @@ from .frft import (
 from .grid import AxisSpec, Grid, SampledSignal, _exact_sum, grids_close, inner_product, l2_norm
 from .memo import memoized
 from .report import VerificationReport, _ratio
-from .scales import ScaleGrid
+from .scales import ScaleGrid, _measure_weights
 from .wavelets import WaveletSpec, make_daughter
 
 __all__ = [
@@ -344,23 +346,31 @@ def _span(seq: np.ndarray, lo: int, hi: int) -> slice:
     return slice(first, stop if stop >= 0 else None, stride)
 
 
-def _chunk_plan(grid: Grid, count: int) -> tuple[list[slice], list[np.ndarray], tuple[int, ...]]:
+def _chunk_plan(grid: Grid, count: int) -> tuple[tuple[slice, ...], list[np.ndarray], tuple[int, ...]]:
     """Chunks of count scale vectors, padded buffers and per-axis lag FFT
     lengths for one coefficient pass over grid.
 
     Axis k correlates over lags -(n_k - 1)..n_k - 1, so any FFT length
     pads[k] >= 2 n_k - 1 leaves its n_k central sums unaliased.  A chunk
-    holds as many scale vectors as fit _CHUNK_BYTES of their largest
+    holds as many scale vectors as fit frft._CHUNK_BYTES of their largest
     padded intermediate; analysis runs its distinct rows in blocks of the
     first chunk's length.  The buffers, sized for the first (largest)
     chunk, are one per grid axis, at most two, since each axis reads the
-    previous axis's buffer.
+    previous axis's buffer; they are the only part made on every call.
     """
     pads = tuple(_next_fast_len(2 * ax.count - 1) for ax in grid.axes)
-    padded = max(grid.size // ax.count * pad for ax, pad in zip(grid.axes, pads))
-    chunks = _row_blocks(count, padded)
+    chunks, padded = _chunk_layout(grid, count, pads, frft._CHUNK_BYTES)
     work = [np.empty(chunks[0].stop * padded, dtype=np.complex128) for _ in range(min(2, grid.ndim))]
     return chunks, work, pads
+
+
+@functools.lru_cache(maxsize=64)
+def _chunk_layout(grid: Grid, count: int, pads: tuple[int, ...], chunk_bytes: int) -> tuple[tuple[slice, ...], int]:
+    """_chunk_plan's chunks and the elements of one scale vector's largest
+    padded intermediate, kept by value.  chunk_bytes, frft._CHUNK_BYTES
+    at the call, is part of the key only: frft._row_blocks reads it."""
+    padded = max(grid.size // ax.count * pad for ax, pad in zip(grid.axes, pads))
+    return tuple(_row_blocks(count, padded)), padded
 
 
 def _axis_correlate(
@@ -533,11 +543,20 @@ class _SynthesisPlan:
 
 @memoized
 def _synthesis_plan(
-    phi: WaveletSpec, grid: Grid, pads: tuple[int, ...], step: int, vectors: bytes, weights: bytes
+    phi: WaveletSpec,
+    grid: Grid,
+    pads: tuple[int, ...],
+    step: int,
+    vectors: bytes,
+    log_step: float,
+    log_sign: float,
 ) -> _SynthesisPlan:
     """The plan of a synthesis pass of phi over grid with lag FFT lengths
-    pads, in chunks of step scale vectors, over the scale vectors and
-    measure weights given as bytes.
+    pads, in chunks of step scale vectors, over the scale vectors given as
+    bytes with the log spacing log_step, from which the build computes
+    their measure weights as ScaleGrid.measure_weights does.  log_sign,
+    the sign of log_step, is part of the key only: a log_step of -0.0
+    equals 0.0 but gives its weights other signs.
 
     Memoized by value: an equal scale set is a hit, and one edited in
     place a miss.
@@ -550,7 +569,7 @@ def _synthesis_plan(
     """
     vectors = np.frombuffer(vectors).reshape(-1, grid.ndim)
     taps = _tap_layout(phi, False, grid, pads, vectors)
-    factors = np.frombuffer(weights) / _scale_norms(vectors)
+    factors = _measure_weights(vectors, log_step) / _scale_norms(vectors)
     count = factors.size
     keys = (np.arange(count) // step, _row_keys(taps)[0], factors.view(np.int64))
     _, _, twins, twin_of = _twins(*(k[::-1] for k in keys))
@@ -595,9 +614,8 @@ def _twin_rows(plan: _SynthesisPlan, step: int, values: np.ndarray) -> tuple:
     were."""
     bits = values.reshape(plan.factors.shape[0], -1).view(np.uint64)
     equal = np.empty(plan.twins.size, dtype=bool)
-    with _short_buffers():
-        for a, b, dst, src in plan.compare:
-            np.all(bits[dst] == bits[src], axis=1, out=equal[a:b])
+    for a, b, dst, src in plan.compare:
+        np.all(bits[dst] == bits[src], axis=1, out=equal[a:b])
     if equal.all():
         return plan.steps
     return _synthesis_steps(len(bits), step, plan.taps, plan.twins[equal], plan.twin_of[equal])
@@ -622,17 +640,17 @@ def cfrwt_fast(
     out = np.empty((scales.count,) + grid.shape, dtype=np.complex128)
     chunks, work, pads = _chunk_plan(grid, scales.count)
     plan = _analysis_plan(psi, grid, pads, chunks[0].stop, scales.vectors.tobytes())
-    for levels, writes in plan.blocks:
-        level = [chi]
-        for ax, (axis, runs) in enumerate(zip(grid.axes, levels)):
-            parents, level = level, []
-            for (k, part), spec, offset in runs:
-                kernel = _kernel(plan.tables[ax], spec)
-                level.append(_axis_correlate(parents[k][part], ax, axis.count, kernel, work[ax % 2][offset:]))
-        # each distinct row goes to its first slot, normalized and chirped;
-        # the rows are strided and the reciprocals and chirp broadcast, so
-        # short buffers spare numpy's 128 KiB iterator buffers
-        with _short_buffers():
+    # the convolutions and the writes broadcast or stride their operands:
+    # one short-buffer scope for the pass (see frft._short_buffers)
+    with _short_buffers():
+        for levels, writes in plan.blocks:
+            level = [chi]
+            for ax, (axis, runs) in enumerate(zip(grid.axes, levels)):
+                parents, level = level, []
+                for (k, part), spec, offset in runs:
+                    kernel = _kernel(plan.tables[ax], spec)
+                    level.append(_axis_correlate(parents[k][part], ax, axis.count, kernel, work[ax % 2][offset:]))
+            # each distinct row goes to its first slot, normalized and chirped
             for k, part, slots in writes:
                 dst = out[slots]
                 np.multiply(level[k][part], plan.reciprocals[slots], out=dst)
@@ -872,16 +890,19 @@ def reconstruct(
     b_weights = _grid_weights(grid) * _grid_chirp(grid, order.cot)
     chunks, work, pads = _chunk_plan(grid, scales.count)
     step = chunks[0].stop
-    plan = _synthesis_plan(phi, grid, pads, step, scales.vectors.tobytes(), scales.measure_weights().tobytes())
+    log_step = scales.log_step
+    plan = _synthesis_plan(phi, grid, pads, step, scales.vectors.tobytes(), log_step, math.copysign(1.0, log_step))
     # the running padded spectrum of the scale sum along the last axis
     acc = np.zeros((1,) + grid.shape[:-1] + (pads[-1],), dtype=np.complex128)
-    for chunk, (pieces, twins) in zip(chunks, _twin_rows(plan, step, values)):
-        # a chunk with twins convolves its distinct rows and copies them to
-        # their twins' rows before the in-order sum
-        kernels = [_kernel(table, spec) for table, spec in zip(plan.tables, pieces)]
-        weights = (b_weights, plan.factors[chunk])
-        out = _scale_correlate(values[chunk], grid, kernels, work, weights, acc, chunk is chunks[-1], twins)
-    return SampledSignal(grid, out[0] * (factor * _grid_chirp(grid, -order.cot)))
+    # one short-buffer scope for the twin check and the convolutions
+    with _short_buffers():
+        for chunk, (pieces, twins) in zip(chunks, _twin_rows(plan, step, values)):
+            # a chunk with twins convolves its distinct rows and copies them
+            # to their twins' rows before the in-order sum
+            kernels = [_kernel(table, spec) for table, spec in zip(plan.tables, pieces)]
+            weights = (b_weights, plan.factors[chunk])
+            out = _scale_correlate(values[chunk], grid, kernels, work, weights, acc, chunk is chunks[-1], twins)
+    return SampledSignal._trusted(grid, out[0] * (factor * _grid_chirp(grid, -order.cot)))
 
 
 def reproducing_kernel(

@@ -124,7 +124,18 @@ class TransformOrder:
 
 
 def _as_order(order: "TransformOrder | float") -> TransformOrder:
-    return order if isinstance(order, TransformOrder) else TransformOrder(float(order))
+    if isinstance(order, TransformOrder):
+        return order
+    alpha = float(order)
+    # -0.0 equals 0.0 as a key, so a zero order is built afresh
+    return _order_at(alpha) if alpha else TransformOrder(alpha)
+
+
+@functools.lru_cache(maxsize=256)
+def _order_at(alpha: float) -> TransformOrder:
+    """TransformOrder(alpha), kept by value: a stream of calls at a few
+    orders classifies each once."""
+    return TransformOrder(alpha)
 
 
 def _warn_if_near_singular(order: TransformOrder, stacklevel: int = 3) -> None:
@@ -142,7 +153,13 @@ def c_alpha(order: "TransformOrder | float", ndim: int = 1) -> complex:
     """Kernel normalization, (principal sqrt of (1 - i cot)/(2 pi)) ** ndim."""
     order = _as_order(order)
     order._require_generic()
-    c1 = np.sqrt((1.0 - 1j * order.cot) / (2.0 * math.pi))
+    return _normalization(order.alpha, ndim)
+
+
+@functools.lru_cache(maxsize=256)
+def _normalization(alpha: float, ndim: int) -> complex:
+    """c_alpha at the generic order alpha, kept by value."""
+    c1 = np.sqrt((1.0 - 1j * _as_order(alpha).cot) / (2.0 * math.pi))
     return complex(c1**ndim)
 
 
@@ -448,7 +465,7 @@ def frft_fast(f: SampledSignal, order: "TransformOrder | float") -> SampledSigna
     points) at O(N log N) for any sample counts; identity and parity orders
     dispatch exactly.
     """
-    return SampledSignal(*_transform(f.grid, f.values, order))
+    return SampledSignal._trusted(*_transform(f.grid, f.values, order))
 
 
 def _transform(grid: Grid, values: np.ndarray, order: "TransformOrder | float") -> tuple[Grid, np.ndarray]:
@@ -494,6 +511,10 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
+# whether this thread is inside _short_buffers
+_buffer_scope = threading.local()
+
+
 @contextlib.contextmanager
 def _short_buffers():
     """Run the body with numpy's ufunc buffers at _UFUNC_BUFSIZE elements.
@@ -503,10 +524,21 @@ def _short_buffers():
     each at the default 8192 (a 1 MiB pass's chunk needs two or three).
     At 256 it walks rows of 256 or more elements in place and copies
     shorter ones through 4 KiB; the arithmetic is the same.
+
+    The size is set on entry and restored on exit, one np.setbufsize call
+    each; an entry inside an open scope on the same thread changes
+    nothing, so a pass opens one scope around all of its helpers.
     """
-    with np.errstate():
-        np.setbufsize(_UFUNC_BUFSIZE)
+    if getattr(_buffer_scope, "open", False):
         yield
+        return
+    previous = np.setbufsize(_UFUNC_BUFSIZE)
+    _buffer_scope.open = True
+    try:
+        yield
+    finally:
+        _buffer_scope.open = False
+        np.setbufsize(previous)
 
 
 # its ufuncs broadcast or write strided operands

@@ -183,7 +183,18 @@ class SampledSignal:
             raise ValueError(
                 f"values shape {values.shape} does not match grid shape {grid.shape}"
             )
-        if not np.all(np.isfinite(values)):
+        self._attach(grid, values)
+
+    @classmethod
+    def _trusted(cls, grid: Grid, values: np.ndarray) -> "SampledSignal":
+        """The signal of values, a complex128 array of grid's shape that
+        the package computed itself: only the finiteness check runs."""
+        signal = cls.__new__(cls)
+        signal._attach(grid, values)
+        return signal
+
+    def _attach(self, grid: Grid, values: np.ndarray) -> None:
+        if not np.isfinite(values).all():
             raise ValueError("signal contains non-finite samples")
         self.grid = grid
         self.values = values

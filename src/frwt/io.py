@@ -331,6 +331,13 @@ class RunConfig:
 
 
 _FLOAT_KEYS = {"alpha", "beta", "a_min", "a_max", "u_min", "u_max", "nu", "tolerance"}
+# the most magnitude cells per scale sign a config may ask for
+_A_COUNT_MAX = 4096
+# the admissibility scan's band: its lowest end, whose halvings must stay
+# positive, and its widest ratio (40 decades: about 10 700 points at the
+# scan's 256 per decade)
+_U_MIN_FLOOR = 1e-300
+_BAND_RATIO_MAX = 1e40
 
 
 def parse_run_config(path: str | os.PathLike | None) -> RunConfig:
@@ -377,10 +384,12 @@ def _validate_config(cfg: RunConfig, where: str) -> None:
             raise SignalFileError(f"{where}: {key} must be finite")
     if not 0.0 < cfg.a_min < cfg.a_max:
         raise SignalFileError(f"{where}: need 0 < a_min < a_max")
-    if cfg.a_count < 1:
-        raise SignalFileError(f"{where}: a_count must be at least 1")
+    if not 1 <= cfg.a_count <= _A_COUNT_MAX:
+        raise SignalFileError(f"{where}: a_count must be between 1 and {_A_COUNT_MAX}")
     if not 0.0 < cfg.u_min < cfg.u_max:
         raise SignalFileError(f"{where}: need 0 < u_min < u_max")
+    if cfg.u_min < _U_MIN_FLOOR or cfg.u_max / cfg.u_min > _BAND_RATIO_MAX:
+        raise SignalFileError(f"{where}: need u_min >= {_U_MIN_FLOOR:g} and u_max / u_min <= {_BAND_RATIO_MAX:g}")
     if cfg.nu < 0.0:
         raise SignalFileError(f"{where}: nu must be nonnegative")
     if cfg.tolerance is not None and cfg.tolerance <= 0.0:

@@ -63,11 +63,16 @@ class ScaleGrid:
         On the log grid da_i = |a_i| h, so each axis contributes h / |a_i|;
         squaring a_i first would overflow or underflow for legal scales.
         """
-        return self.log_step**self.ndim / np.prod(np.abs(self.vectors), axis=1)
+        return _measure_weights(self.vectors, self.log_step)
 
     def log_measure_weights(self) -> np.ndarray:
         """Quadrature weights for the measure da / |a|_p."""
         return np.full(self.count, self.log_step**self.ndim)
+
+
+def _measure_weights(vectors: np.ndarray, log_step: float) -> np.ndarray:
+    """ScaleGrid.measure_weights of the (S, ndim) scale vectors at log_step."""
+    return log_step ** vectors.shape[1] / np.prod(np.abs(vectors), axis=1)
 
 
 def log_scale_grid(

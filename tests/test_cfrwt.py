@@ -829,6 +829,63 @@ def test_the_synthesis_plan_is_keyed_by_the_scale_values():
     assert not np.array_equal(got, want)
 
 
+def test_the_synthesis_plan_is_keyed_by_the_log_step_and_its_sign():
+    """The plan computes the measure weights from the scale vectors and
+    log_step, so an equal vector set at another log_step is a new key, and
+    so is -0.0 after 0.0: it equals 0.0 but gives its weights other
+    signs."""
+    w = _twin_field("1d-101")
+    sc = w.scales
+    for log_step in (2 * sc.log_step, 0.0, -0.0):
+        scaled = ScaleGrid(sc.vectors, log_step, sc.a_min, sc.a_max, sc.signs)
+        field = CfrwtCoefficients(w.values, w.b_grid, scaled, w.order, w.wavelet)
+        before = _synthesis_info()
+        got = reconstruct(field, MEX, MEX, cross_value=CROSS).values
+        assert _plan_calls(before) == (0, 1)
+        assert np.array_equal(got.view(np.uint64), per_vector_reconstruct(field, MEX, CROSS).view(np.uint64))
+
+
+@pytest.mark.parametrize("case", ["1d-256", "2d-30x27"])
+def test_a_pass_sets_numpys_buffer_size_once_and_restores_it(case, monkeypatch):
+    """cfrwt_fast and reconstruct each open one short-buffer scope around
+    every helper that needs it, the padded convolutions, the writes and
+    the twin check among them: one np.setbufsize call sets the size and
+    one restores it.  A directly called _fft_convolve opens its own."""
+    f, sc = twin_inputs(case)
+    w = cfrwt_fast(f, MEX, ALPHA, sc)
+    calls = []
+    setbufsize = np.setbufsize
+
+    def counted(size):
+        calls.append(size)
+        return setbufsize(size)
+
+    monkeypatch.setattr(np, "setbufsize", counted)
+    default = np.getbufsize()
+    u = np.ones((2, 8), dtype=np.complex128)
+    runs = (
+        lambda: cfrwt_fast(f, MEX, ALPHA, sc),
+        lambda: reconstruct(w, MEX, MEX, cross_value=CROSS),
+        lambda: frft_module._fft_convolve(u, np.ones((2, 16), dtype=np.complex128), (1,)),
+    )
+    for run in runs:
+        calls.clear()
+        run()
+        assert calls == [frft_module._UFUNC_BUFSIZE, default]
+        assert np.getbufsize() == default
+
+
+def test_an_overflowing_reconstruction_is_refused():
+    """reconstruct's output skips the signal constructor's conversion and
+    shape check, not its finiteness check."""
+    grid = Grid((axis_centered(1.0, 64),))
+    sc = log_scale_grid(0.5, 2.0, 2, signs="both")
+    values = np.full((sc.count,) + grid.shape, 1.7e308, dtype=np.complex128)
+    field = CfrwtCoefficients(values, grid, sc, _as_order(ALPHA), MEX)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite samples"):
+        reconstruct(field, MEX, MEX, cross_value=CROSS)
+
+
 # reconstruct's tracemalloc peak on the stream field beyond its 1 MiB work
 # buffer (numpy 2.4): 48 264 B measured, 281 763 B before the synthesis
 # plan and _fft_convolve's short ufunc buffers

@@ -21,6 +21,7 @@ from frwt import frft as frft_module
 from frwt.frft import (
     OrderKind,
     TransformOrder,
+    _as_order,
     _next_fast_len,
     _transform,
     c_alpha,
@@ -501,6 +502,30 @@ def test_parity_dispatch_exact():
     out = frft_fast(f, math.pi)
     assert np.array_equal(out.values, f.values[::-1])
     assert np.allclose(out.grid.axis_points()[0], -f.grid.axis_points()[0][::-1])
+
+
+def test_a_kept_order_keeps_the_sign_of_a_zero():
+    """Float orders are kept by value, and -0.0 equals 0.0 as a key: a zero
+    order is built afresh, so -0.0 after 0.0 is still -0.0, and both are
+    the exact identity."""
+    g = Grid((axis_centered(0.125, 64),))
+    f = random_smooth_signal(g, seed=4)
+    for alpha in (0.0, -0.0):
+        out = frft_fast(f, alpha)
+        assert out.grid == g
+        assert np.array_equal(out.values.view(np.uint64), f.values.view(np.uint64))
+    assert math.copysign(1.0, _as_order(-0.0).alpha) == -1.0
+    assert math.copysign(1.0, _as_order(0.0).alpha) == 1.0
+    assert _as_order(0.9) is _as_order(0.9) == TransformOrder(0.9)
+    assert c_alpha(0.9, 2) == c_alpha(TransformOrder(0.9), 2)
+
+
+def test_an_overflowing_transform_is_refused():
+    """frft_fast's output skips the signal constructor's conversion and
+    shape check, not its finiteness check."""
+    f = SampledSignal(Grid((axis_centered(1.0, 64),)), np.full(64, 1.7e308))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite samples"):
+        frft_fast(f, 0.9)
 
 
 def test_identity_wrong_output_grid_raises(gaussian_256):

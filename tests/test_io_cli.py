@@ -500,6 +500,40 @@ def test_config_rejects_bad_input(tmp_path, line, fragment):
         parse_run_config(path)
 
 
+@pytest.mark.parametrize(
+    "command, config, fragment",
+    [
+        # np.arange in log_scale_grid raised "Maximum allowed size exceeded"
+        ("cfrwt", "a_count = 99999999999999999999\n", "a_count must be between 1 and 4096"),
+        ("cfrwt", "a_count = 4097\n", "a_count must be between 1 and 4096"),
+        # the scan's point count overflowed: float infinity to integer
+        ("plancherel", "u_min = 1e-300\nu_max = 1e300\n", "u_max / u_min <= 1e+40"),
+        ("plancherel", "u_min = 1e-20\nu_max = 1.1e20\n", "u_max / u_min <= 1e+40"),
+        ("cfrwt", "u_min = 5e-324\nu_max = 1e-320\n", "u_min >= 1e-300"),
+    ],
+    ids=["huge-a_count", "a_count-past-limit", "unbounded-band", "band-past-limit", "subnormal-u_min"],
+)
+def test_a_config_past_a_stated_limit_is_a_parse_failure(tmp_path, grid_256, command, config, fragment):
+    """A config whose scale count or admissibility band is past the limits
+    README states exits 2 with one stderr line, in a fresh process."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    if command == "cfrwt":
+        signal = tmp_path / "in.sig"
+        write_signal(signal, _modulated(grid_256))
+        argv = ["cfrwt", str(signal), "--output", str(tmp_path / "w.coef")]
+    else:
+        argv = ["verify", command]
+    proc = subprocess.run(
+        [sys.executable, "-m", "frwt.cli", *argv, "--config", str(cfg)], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("parse error: ") and fragment in proc.stderr
+    assert not (tmp_path / "w.coef").exists()
+
+
 # ---------------------------------------------------------------------------
 # command front end (in-process)
 

@@ -57,7 +57,7 @@ BUILDERS = {
     "synthesis_plan": (
         cfrwt._synthesis_plan,
         (cfrwt, "_tap_layout"),
-        [(MEX, *_pass_key(sc, sc.measure_weights().tobytes())) for sc in SCALES],
+        [(MEX, *_pass_key(sc, sc.log_step, 1.0)) for sc in SCALES],
     ),
     "transform_plan": (frft._transform_plan, (frft, "make_plan"), [(LINE, a, (-1.0,)) for a in (0.9, 2.2)]),
     "grid_chirp": (frft._grid_chirp, (frft, "_chirp"), [(LINE, 0.5), (LINE, -0.5)]),
@@ -209,7 +209,7 @@ def test_every_kind_of_entry_is_read_only(name, grid):
     key = {
         "scan": (MEX, DOG4, TransformOrder(0.7), COARSE_SCAN),
         "analysis_plan": (MEX, grid, pads, chunks[0].stop, sc.vectors.tobytes()),
-        "synthesis_plan": (MEX, grid, pads, chunks[0].stop, sc.vectors.tobytes(), sc.measure_weights().tobytes()),
+        "synthesis_plan": (MEX, grid, pads, chunks[0].stop, sc.vectors.tobytes(), sc.log_step, 1.0),
         "transform_plan": (grid, ALPHA, (-1.0,) * grid.ndim),
         "grid_chirp": (grid, -0.5),
         "grid_weights": (grid,),

@@ -4,7 +4,7 @@ entry, one row-block rule, one lag FFT length and one separable broadcast
 onto a grid, each defined once and used everywhere else; no module imports a name it never reads; the
 package exports exactly the names its modules list in __all__; every
 function, parameter and name the benchmark in perfbench/ binds exists; and
-functools memoizes only the two scalar memos, every other memo being
+functools memoizes only the named scalar memos, every other memo being
 frwt.memo's, which alone sets arrays read-only."""
 
 from __future__ import annotations
@@ -112,6 +112,16 @@ RULES = [
         {("cfrwt.py", "cfrwt_fast"), ("cfrwt.py", "kernel_projection"), ("cfrwt.py", "range_membership_residual")},
         "cfrwt.py",
     ),
+    # numpy's ufunc buffer size is set and restored in one scope, which a
+    # pass enters once
+    ("ufunc buffer size", re.compile(r"\bnp\.setbufsize\("), {("frft.py", "_short_buffers")}),
+    # only the package's own transform and synthesis outputs skip the
+    # signal constructor's conversion and shape check
+    (
+        "trusted signal",
+        re.compile(r"\bSampledSignal\._trusted\("),
+        {("frft.py", "frft_fast"), ("cfrwt.py", "reconstruct")},
+    ),
     # one module owns the read-only policy of shared arrays: the memo
     ("read-only array", re.compile(r"\.flags\.writeable\s*=\s*False"), {("memo.py", "_freeze")}),
     # a pass's tap layout and twin classes are planned once per scale grid,
@@ -153,9 +163,17 @@ def test_primitive_lives_only_in_its_helper(rule):
 
 
 # every function memoized with functools.cache or functools.lru_cache, as
-# module.function: two scalar memos, whose values hold no array; every
-# other memo is frwt.memo's, under its byte budget
-SCALAR_MEMOS = {"frft._next_fast_len", "frft._openblas_thread_calls"}
+# module.function: the scalar memos, whose values hold no array (a padded
+# length, the OpenBLAS calls, an order's classification, its kernel
+# normalization, a pass's chunk layout); every other memo is frwt.memo's,
+# under its byte budget
+SCALAR_MEMOS = {
+    "frft._next_fast_len",
+    "frft._openblas_thread_calls",
+    "frft._order_at",
+    "frft._normalization",
+    "cfrwt._chunk_layout",
+}
 
 
 def _is_memo(decorator: ast.expr) -> bool:
