@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 parse or precondition
 failure, 3 degenerate transform order, 4 inadmissible wavelet, 5
-unknown verification suite, 6 a verification suite stopped on an
-unexpected error (reported on one line), 7 stdout was closed before the
-output was written.
+unknown verification suite, 6 a command stopped on an unexpected error
+(reported on one line), 7 stdout was closed before the output was
+written.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ EXIT_PARSE = 2
 EXIT_DELTA = 3
 EXIT_INADMISSIBLE = 4
 EXIT_UNKNOWN_SUITE = 5
-EXIT_SUITE_ERROR = 6
+EXIT_UNEXPECTED = 6
 EXIT_CLOSED_STDOUT = 7
 
 
@@ -68,6 +68,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _unexpected(what: str, exc: Exception) -> int:
+    """Report an error no other exit code covers on one line, without a traceback."""
+    message = " ".join(str(exc).split())
+    print(f"{what}: {type(exc).__name__}: {message}", file=sys.stderr)
+    return EXIT_UNEXPECTED
+
+
 def cmd_frft(args) -> int:
     signal = _load_signal(args.input)
     engine = frft_fast if args.engine == "fast" else frft_direct
@@ -90,7 +97,7 @@ def cmd_cfrwt(args) -> int:
         for cutoff, value in adm.trace:
             print(f"  {cutoff:.3e}  {value:.6f}", file=sys.stderr)
         return EXIT_INADMISSIBLE
-    scales = cfg.scale_grid(signal.ndim)
+    scales = cfg.scale_grid(signal.ndim, signal.values.size)
     coeffs = cfrwt_fast(signal, psi, cfg.alpha, scales)
     write_coefficients(args.output, coeffs)
     print(f"wrote {scales.count} x {signal.values.size} coefficients at order {cfg.alpha}")
@@ -124,9 +131,7 @@ def cmd_verify(args) -> int:
     except FrwtError:
         raise
     except Exception as exc:
-        message = " ".join(str(exc).split())
-        print(f"suite error: {args.suite}: {type(exc).__name__}: {message}", file=sys.stderr)
-        return EXIT_SUITE_ERROR
+        return _unexpected(f"suite error: {args.suite}", exc)
     for rep in reports:
         print(rep.to_json())
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
@@ -212,6 +217,8 @@ def main(argv: list[str] | None = None) -> int:
         except FrwtError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
+        except Exception as exc:
+            return _unexpected(f"unexpected error: {args.command}", exc)
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ import ctypes
 import enum
 import functools
 import math
-import os
 import threading
 import warnings
 from dataclasses import dataclass, field
@@ -61,9 +60,6 @@ NEAR_SINGULAR_TOL = 1e-3
 _KERNEL_BLOCK_BYTES = 1 << 20
 # numpy's ufunc buffer size, in elements, inside _short_buffers
 _UFUNC_BUFSIZE = 256
-# most threads that do _run_blocks work at once: every CPU the process may
-# run on
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 class OrderKind(enum.Enum):
@@ -253,93 +249,6 @@ def _one_blas_thread(stop_pool: bool = False):
             calls[1](previous)
 
 
-# one permit for each CPU beyond the first: a helper thread holds one while
-# it does block work, and a caller gives its own CPU back while it waits on
-# its helpers, so with the thread that made the outermost call at most
-# _WORKERS threads do block work at once (see _run_blocks)
-_cpu_permits = threading.Semaphore(_WORKERS - 1)
-
-
-def _run_blocks(blocks: int, work, workers: int) -> None:
-    """Call work(k) for every k in range(blocks), on the calling thread and
-    up to workers - 1 helper threads that take the indices in order from
-    one shared counter.  The calls must not depend on one another.
-
-    Each helper holds a CPU permit, taken without waiting, so at most
-    _WORKERS threads do block work at any time however the calls nest: a
-    call that finds none free runs its blocks serially, and a caller lends
-    its own CPU while it waits on its helpers.  While helpers run, OpenBLAS
-    is held to one thread (_one_blas_thread), so a block's contraction does
-    not start threads of its own on CPUs the blocks already use; its
-    previous count is restored afterwards.
-
-    Once a call has raised, no further index is handed out, and the
-    exception of the lowest failing index is re-raised here once every
-    helper has stopped: the one a serial loop would have raised.
-    """
-    helpers = 0
-    while helpers < min(workers, blocks) - 1 and _cpu_permits.acquire(blocking=False):
-        helpers += 1
-    if not helpers:
-        for k in range(blocks):
-            work(k)
-        return
-    lock = threading.Lock()
-    indices = iter(range(blocks))
-    failures = {}
-
-    def fail(k: int, exc: BaseException) -> None:
-        with lock:
-            failures[k] = exc
-
-    def drain() -> None:
-        while True:
-            with lock:
-                k = next(indices, blocks) if not failures else blocks
-            if k == blocks:
-                return
-            try:
-                work(k)
-            except BaseException as exc:  # re-raised in the caller below
-                fail(k, exc)
-                return
-
-    def helper() -> None:
-        try:
-            drain()
-        finally:
-            _cpu_permits.release()
-
-    def uninterrupted(wait) -> None:
-        # an interrupt stops the hand-out of blocks, and the wait goes on
-        while True:
-            try:
-                wait()
-                return
-            except BaseException as exc:
-                fail(-1, exc)
-
-    threads = []
-    with _one_blas_thread():
-        try:
-            for _ in range(helpers):
-                thread = threading.Thread(target=helper)
-                thread.start()
-                threads.append(thread)
-            drain()
-        except BaseException as exc:  # a helper that did not start, or an interrupt
-            fail(-1, exc)
-        try:
-            # the permits of helpers that never started, and the caller's own CPU
-            _cpu_permits.release(helpers - len(threads) + 1)
-            for thread in threads:
-                uninterrupted(thread.join)
-        finally:
-            uninterrupted(_cpu_permits.acquire)
-    if failures:
-        raise failures[min(failures)]
-
-
 def _direct_apply(values: np.ndarray, grid: Grid, order: TransformOrder,
                   axes_points: list[np.ndarray]) -> np.ndarray:
     """Kernel quadrature: weighted values contracted with one kernel matrix
@@ -352,15 +261,6 @@ def _direct_apply(values: np.ndarray, grid: Grid, order: TransformOrder,
     it does `c1 * exp(...)` for the whole matrix (a temporary of 256 KiB or
     more is reused, with a rounding that differs from a fresh product), so
     every element is bit-identical to the whole-matrix quadrature.
-
-    Where the operand is a vector (a 1-D signal), the blocks run
-    concurrently on every free CPU (_run_blocks): each writes its own rows
-    of the result and reads the operand only, and OpenBLAS's thread count
-    moves no bit of a matrix-vector product, whose every output is one
-    row's dot product.  It does move bits of a matrix-matrix product (its
-    inner-dimension panels differ; seen at 300 and 363 input samples), so
-    the blocks of a matrix operand run one after another, with OpenBLAS
-    as it is.
     """
     cot, csc = order.cot, order.csc
     c1 = c_alpha(order, 1)
@@ -371,15 +271,12 @@ def _direct_apply(values: np.ndarray, grid: Grid, order: TransformOrder,
         moved = np.moveaxis(out, axis, 0)
         res = np.empty((xi.size,) + moved.shape[1:], dtype=np.complex128)
         blocks = max(1, xi.size // max(2, _KERNEL_BLOCK_BYTES // (16 * t.size)))
-
-        def apply_block(k: int) -> None:
+        for k in range(blocks):
             rows = slice(xi.size * k // blocks, xi.size * (k + 1) // blocks)
             x = xi[rows]
             phase = 0.5 * (t[None, :] ** 2 + x[:, None] ** 2) * cot - np.outer(x, t) * csc
             kernel = c1 * _cis(phase)
             res[rows] = np.tensordot(kernel, moved, axes=(1, 0))
-
-        _run_blocks(blocks, apply_block, blocks if moved.ndim == 1 else 1)
         out = np.moveaxis(res, 0, axis)
     return out
 

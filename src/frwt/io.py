@@ -253,6 +253,12 @@ def read_csv(path: str | os.PathLike) -> SampledSignal:
     return SampledSignal(grid, values)
 
 
+def _usable_log_step(log_step: float) -> bool:
+    """A file's log step must be finite and nonnegative (a negative one negates
+    every measure weight); writers refuse what readers refuse."""
+    return 0.0 <= log_step < math.inf
+
+
 def write_coefficients(path: str | os.PathLike, coeffs: CfrwtCoefficients) -> None:
     """Write coeffs; the file stores its wavelet by catalog name, so a field
     taken with any other wavelet is refused, as the reader would refuse or
@@ -260,6 +266,8 @@ def write_coefficients(path: str | os.PathLike, coeffs: CfrwtCoefficients) -> No
     if CATALOG.get(coeffs.wavelet.name) != coeffs.wavelet:
         raise SignalFileError(f"{os.fspath(path)}: not written, wavelet {coeffs.wavelet.name!r} is not a catalog entry")
     scales = coeffs.scales
+    if not _usable_log_step(scales.log_step):
+        raise SignalFileError(f"{os.fspath(path)}: not written, scale log step {scales.log_step} is negative or not finite")
     name = coeffs.wavelet.name.encode()
     signs = scales.signs.encode()
     head = b"".join([
@@ -287,6 +295,8 @@ def read_coefficients(path: str | os.PathLike) -> CfrwtCoefficients:
         count, sdim, log_step, a_min, a_max = cur.take(_SCALES)
         if sdim != grid.ndim:
             raise SignalFileError(f"{where}: scale dimension {sdim} does not match grid {grid.ndim}")
+        if not _usable_log_step(log_step):
+            raise SignalFileError(f"{where}: scale log step {log_step} is negative or not finite")
         signs = cur.text(*cur.take(_LENGTH))
         vectors = np.frombuffer(cur.read(8 * count * sdim), dtype="<f8").reshape(count, sdim)
         weights = np.frombuffer(cur.read(8 * count), dtype="<f8")
@@ -325,14 +335,24 @@ class RunConfig:
         """The admissibility scan over the band [u_min, u_max]."""
         return FrequencyScan(u_min=self.u_min, u_max=self.u_max)
 
-    def scale_grid(self, ndim: int = 1) -> ScaleGrid:
-        """The a_count-cell scale grid over [a_min, a_max], both signs per axis."""
+    def scale_grid(self, ndim: int = 1, samples: int = 1) -> ScaleGrid:
+        """The a_count-cell scale grid over [a_min, a_max], both signs per axis,
+        for a field of `samples` samples a vector; refused before it is built
+        past the scale vector or field limit."""
+        count = (2 * self.a_count) ** ndim
+        if count > _SCALE_VECTORS_MAX:
+            raise SignalFileError(f"config: (2 a_count)^{ndim} = {count} scale vectors, more than {_SCALE_VECTORS_MAX}")
+        if count * samples > _FIELD_SAMPLES_MAX:
+            raise SignalFileError(f"config: {count} scale vectors x {samples} samples, more than {_FIELD_SAMPLES_MAX} coefficients")
         return log_scale_grid(self.a_min, self.a_max, self.a_count, ndim=ndim, signs="both")
 
 
 _FLOAT_KEYS = {"alpha", "beta", "a_min", "a_max", "u_min", "u_max", "nu", "tolerance"}
-# the most magnitude cells per scale sign a config may ask for
+# the most magnitude cells per scale sign a config may ask for, scale vectors
+# (2 a_count)^ndim, and samples of a coefficient field (1 GiB of complex128)
 _A_COUNT_MAX = 4096
+_SCALE_VECTORS_MAX = 1 << 16
+_FIELD_SAMPLES_MAX = 1 << 26
 # the admissibility scan's band: its lowest end, whose halvings must stay
 # positive, and its widest ratio (40 decades: about 10 700 points at the
 # scan's 256 per decade)

@@ -2,13 +2,17 @@
 
 Each suite returns a list of VerificationReports mirroring one group of
 acceptance checks; `run_suite("all")` chains every group, running the
-suites concurrently on every CPU and keeping their order.  Fixtures are
-seeded and deterministic, so two runs produce identical records.
+suites' jobs concurrently on every CPU and keeping their order.  Fixtures
+are seeded and deterministic, so two runs produce identical records.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import threading
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,7 +26,7 @@ from .cfrwt import (
     reconstruct,
 )
 from .fracconv import spectral_identity_check
-from .frft import _run_blocks, frft_direct, frft_fast, frft_inverse
+from .frft import _one_blas_thread, frft_direct, frft_fast, frft_inverse
 from .grid import Grid, SampledSignal, axis_centered, l2_norm, sample
 from .io import RunConfig
 from .morrey import (
@@ -50,6 +54,10 @@ __all__ = ["SUITE_ORDER", "suite_names", "run_suite"]
 HALF_PI = math.pi / 2
 
 _FIVE_ORDERS = (0.4, 0.9, HALF_PI, 2.2, 2.9)
+_ADDITIVITY_GRID = Grid((axis_centered(0.0625, 1024),))
+
+# most threads that run run_suite's jobs at once: every CPU the process may run on
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _fixture(grid: Grid, seed: int) -> SampledSignal:
@@ -132,23 +140,31 @@ def _suite_parseval(cfg: RunConfig) -> list[VerificationReport]:
     return reports
 
 
-def _suite_additivity(cfg: RunConfig) -> list[VerificationReport]:
-    grid = Grid((axis_centered(0.0625, 1024),))
+def _additivity_jobs(cfg: RunConfig) -> list[Callable[[], dict]]:
+    """The additivity check's ten (alpha, beta) pairs, drawn in order, as jobs."""
     rng = np.random.default_rng(1234)
-    worst = 0.0
-    pairs = {}
+    jobs = []
     for k in range(10):
-        f = _fixture(grid, 50 + k)
         while True:
             a, b = rng.uniform(0.3, 2.8, 2)
             if min(abs(math.sin(a + b)), abs(math.sin(a)), abs(math.sin(b))) > 0.15:
                 break
-        cascade = frft_fast(frft_fast(f, b), a)
-        direct = frft_direct(f, a + b, output_grid=cascade.grid)
-        dev = l2_norm(SampledSignal(cascade.grid, cascade.values - direct.values)) / l2_norm(direct)
-        pairs[f"pair{k}"] = {"alpha": a, "beta": b, "deviation": dev}
-        worst = max(worst, dev)
-    return [_check("frft_order_additivity", worst, 1e-4, 1e-4, worst <= 1e-4, pairs, grid)]
+        jobs.append(functools.partial(_additivity_pair, 50 + k, a, b))
+    return jobs
+
+
+def _additivity_pair(seed: int, a: float, b: float) -> dict:
+    f = _fixture(_ADDITIVITY_GRID, seed)
+    cascade = frft_fast(frft_fast(f, b), a)
+    direct = frft_direct(f, a + b, output_grid=cascade.grid)
+    dev = l2_norm(SampledSignal(cascade.grid, cascade.values - direct.values)) / l2_norm(direct)
+    return {"alpha": a, "beta": b, "deviation": dev}
+
+
+def _additivity_report(pairs: list[dict]) -> list[VerificationReport]:
+    worst = max(pair["deviation"] for pair in pairs)
+    details = {f"pair{k}": pair for k, pair in enumerate(pairs)}
+    return [_check("frft_order_additivity", worst, 1e-4, 1e-4, worst <= 1e-4, details, _ADDITIVITY_GRID)]
 
 
 def _suite_convolution(cfg: RunConfig) -> list[VerificationReport]:
@@ -442,9 +458,16 @@ def _suite_morrey(cfg: RunConfig) -> list[VerificationReport]:
     return reports
 
 
+class _Split(NamedTuple):
+    """A suite as independent jobs(cfg), whose results report() turns into its reports."""
+
+    jobs: Callable[[RunConfig], list[Callable[[], object]]]
+    report: Callable[[list], list[VerificationReport]]
+
+
 _SUITES = {
     "parseval": _suite_parseval,
-    "additivity": _suite_additivity,
+    "additivity": _Split(_additivity_jobs, _additivity_report),
     "convolution": _suite_convolution,
     "plancherel": _suite_plancherel,
     "reconstruction": _suite_reconstruction,
@@ -461,19 +484,70 @@ def suite_names() -> tuple[str, ...]:
     return SUITE_ORDER + ("all",)
 
 
+def _run_jobs(jobs: list[Callable[[], object]]) -> list:
+    """Call the independent jobs on the calling thread and up to _WORKERS - 1
+    helper threads, which take them in order from one shared counter, and
+    return their results in job order.  OpenBLAS is held to one thread
+    meanwhile, so a job's products start no threads on CPUs the jobs use
+    and their bits do not depend on the CPU count.  Once a job has raised,
+    no further job is handed out, and the exception of the lowest failing
+    job is re-raised once every helper has stopped: the one a serial loop
+    would have raised.
+    """
+    lock = threading.Lock()
+    indices = iter(range(len(jobs)))
+    results, failures = [None] * len(jobs), {}
+
+    def drain() -> None:
+        while True:
+            with lock:
+                k = None if failures else next(indices, None)
+            if k is None:
+                return
+            try:
+                results[k] = jobs[k]()
+            except BaseException as exc:  # re-raised in the caller below
+                failures[k] = exc
+                return
+
+    threads = []
+    with _one_blas_thread():
+        try:
+            for _ in range(min(_WORKERS, len(jobs)) - 1):
+                thread = threading.Thread(target=drain)
+                thread.start()
+                threads.append(thread)
+            drain()
+        except BaseException as exc:  # a helper that did not start, or an interrupt
+            failures[-1] = exc
+        for thread in threads:
+            # an interrupt stops the hand-out of jobs, and the join goes on
+            while True:
+                try:
+                    thread.join()
+                    break
+                except BaseException as exc:
+                    failures[-1] = exc
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
+def _suite_jobs(suite, cfg: RunConfig) -> tuple[list, Callable[[list], list[VerificationReport]]]:
+    """suite's jobs and the step that builds its reports: a plain suite is one job."""
+    if isinstance(suite, _Split):
+        return suite.jobs(cfg), suite.report
+    return [functools.partial(suite, cfg)], lambda results: results[0]
+
+
 def run_suite(name: str, cfg: RunConfig | None = None) -> list[VerificationReport]:
-    """Run one named suite (or "all") and return its reports."""
+    """Run one named suite (or "all") and return its reports.  The suites
+    share no state, so the jobs of every suite asked for run together, in
+    suite order, and each suite's reports are built from its jobs' results:
+    the reports of the suites run one after another."""
     cfg = cfg if cfg is not None else RunConfig()
-    if name == "all":
-        # the suites share no state, so they run as independent blocks on
-        # as many CPUs as are free; each list keeps its SUITE_ORDER place
-        lists = [None] * len(SUITE_ORDER)
-
-        def run(k: int) -> None:
-            lists[k] = _SUITES[SUITE_ORDER[k]](cfg)
-
-        _run_blocks(len(SUITE_ORDER), run, len(SUITE_ORDER))
-        return [rep for reports in lists for rep in reports]
-    if name not in _SUITES:
+    if name != "all" and name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; valid: {', '.join(suite_names())}")
-    return _SUITES[name](cfg)
+    plans = [_suite_jobs(_SUITES[suite], cfg) for suite in (SUITE_ORDER if name == "all" else (name,))]
+    results = iter(_run_jobs([job for jobs, _ in plans for job in jobs]))
+    return [rep for jobs, report in plans for rep in report([next(results) for _ in jobs])]

@@ -1,11 +1,9 @@
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import pytest
 
-from frwt import frft
+from frwt import verify
 from frwt.grid import Grid, axis_centered, sample
 from frwt.verify import _fixture as random_smooth_signal  # noqa: F401  (imported by test modules)
 
@@ -22,7 +20,5 @@ def gaussian_256(grid_256):
 
 
 def set_workers(monkeypatch, workers: int) -> None:
-    """Run frft's block runner as on a host of `workers` CPUs: the CPU
-    count and its permits change together."""
-    monkeypatch.setattr(frft, "_WORKERS", workers)
-    monkeypatch.setattr(frft, "_cpu_permits", threading.Semaphore(workers - 1))
+    """Run verify's job runner as on a host of `workers` CPUs."""
+    monkeypatch.setattr(verify, "_WORKERS", workers)

@@ -8,8 +8,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +31,7 @@ from frwt.frft import (
 )
 from frwt.grid import AxisSpec, Grid, SampledSignal, axis_centered, l1_norm, l2_norm, sample
 
-from conftest import random_smooth_signal, set_workers
+from conftest import random_smooth_signal
 from oracles import brute_kernel_transform, chirp_fft_chirp, classical_unitary_ft, dense_direct_apply
 from named_inputs import named_grid, smooth_signals
 
@@ -187,185 +185,6 @@ def test_direct_blocks_are_bit_identical_to_dense_kernel(axes, block_bytes, monk
         assert np.array_equal(out.values, dense)
 
 
-# the direct route's row blocks and the worker count: the uneven 1200-point
-# case (22 blocks, on helper threads), and 300x280 with blocks small enough
-# that both axes split (matrix operands, on the calling thread)
-THREADED_CASES = [
-    ((AxisSpec(-5.0, 0.009, 1200),), None, True),
-    ((axis_centered(0.04, 300), AxisSpec(-5.0, 0.04, 280)), 16 * 40 * 300, False),
-]
-THREADED_IDS = ["1200", "300x280"]
-
-
-def _direct_outputs(axes, block_bytes, monkeypatch, workers):
-    if block_bytes is not None:
-        monkeypatch.setattr(frft_module, "_KERNEL_BLOCK_BYTES", block_bytes)
-    set_workers(monkeypatch, workers)
-    g = Grid(axes)
-    f = random_smooth_signal(g, seed=g.size)
-    return [frft_direct(f, alpha).values for alpha in (0.9, 2.2, -0.7)]
-
-
-@pytest.mark.parametrize("axes,block_bytes,on_helpers", THREADED_CASES, ids=THREADED_IDS)
-def test_direct_blocks_on_threads_are_bit_identical_to_serial(axes, block_bytes, on_helpers, monkeypatch):
-    """Any number of threads, more than the blocks included, gives the
-    serial result bit for bit: each block writes its own rows."""
-    serial = _direct_outputs(axes, block_bytes, monkeypatch, 1)
-    for workers in (len(os.sched_getaffinity(0)), 2, 64):
-        threaded = _direct_outputs(axes, block_bytes, monkeypatch, workers)
-        assert all(np.array_equal(a, b) for a, b in zip(threaded, serial))
-
-
-@pytest.mark.parametrize("axes,block_bytes,on_helpers", THREADED_CASES, ids=THREADED_IDS)
-def test_direct_blocks_use_helpers_for_vector_operands_only(axes, block_bytes, on_helpers, monkeypatch):
-    """A 1-D signal's blocks run on helper threads too.  A matrix operand's
-    run on the caller: OpenBLAS's thread count moves bits of a matrix
-    product, so it stays untouched there."""
-    on_caller = set()
-    real_cis = frft_module._cis
-
-    def cis(phase):
-        on_caller.add(threading.current_thread() is threading.main_thread())
-        return real_cis(phase)
-
-    monkeypatch.setattr(frft_module, "_cis", cis)
-    _direct_outputs(axes, block_bytes, monkeypatch, 4)
-    assert on_caller == ({True, False} if on_helpers else {True})
-
-
-def test_direct_block_error_in_a_helper_reaches_the_caller(monkeypatch):
-    # the caller waits in its first block until a helper has raised, so the
-    # failure is a helper's, and the helper's exception is the one raised
-    helper_failed = threading.Event()
-    helpers = []
-    real_cis = frft_module._cis
-
-    def cis(phase):
-        if threading.current_thread() is threading.main_thread():
-            helper_failed.wait(timeout=30)
-            return real_cis(phase)
-        helpers.append(threading.current_thread())
-        helper_failed.set()
-        raise ArithmeticError("block failed on a helper")
-
-    set_workers(monkeypatch, 2)
-    monkeypatch.setattr(frft_module, "_cis", cis)
-    f = random_smooth_signal(Grid((axis_centered(0.01, 1024),)), seed=3)
-    with pytest.raises(ArithmeticError, match="on a helper"):
-        frft_direct(f, 0.9)
-    # raised after the join
-    assert helpers and not any(thread.is_alive() for thread in helpers)
-
-
-def _free_helper_slots() -> int:
-    permits = frft_module._cpu_permits
-    free = 0
-    while permits.acquire(blocking=False):
-        free += 1
-    if free:
-        permits.release(free)
-    return free
-
-
-def _nested_blocks(inner) -> None:
-    # 4 outer blocks, each running 8 inner ones on every helper it can get
-    frft_module._run_blocks(4, lambda k: frft_module._run_blocks(8, lambda j: inner(k, j), 8), 4)
-
-
-@pytest.mark.parametrize("workers", [2, 3])
-def test_nested_block_runs_never_have_more_busy_threads_than_cpus(workers, monkeypatch):
-    set_workers(monkeypatch, workers)
-    lock = threading.Lock()
-    inside, most, done = 0, 0, []
-
-    def inner(k, j):
-        nonlocal inside, most
-        with lock:
-            inside += 1
-            most = max(most, inside)
-        time.sleep(0.002)
-        with lock:
-            inside -= 1
-            done.append((k, j))
-
-    _nested_blocks(inner)
-    assert sorted(done) == [(k, j) for k in range(4) for j in range(8)]
-    assert 1 < most <= workers
-    assert _free_helper_slots() == workers - 1
-
-
-def test_helper_slots_are_free_again_after_a_nested_block_raises(monkeypatch):
-    set_workers(monkeypatch, 3)
-
-    def inner(k, j):
-        time.sleep(0.001)
-        if (k, j) == (2, 5):
-            raise ArithmeticError("inner block failed")
-
-    with pytest.raises(ArithmeticError, match="inner block failed"):
-        _nested_blocks(inner)
-    assert _free_helper_slots() == 2
-
-
-def _one_block_per_thread(on_caller, on_helper):
-    """work for _run_blocks(2, ...) with two threads: the caller's block
-    waits until the helper has taken the other one, so each thread runs
-    one; on_helper gets the helper's Thread and on_caller waits on it."""
-    helper = []
-    taken = threading.Event()
-
-    def work(k):
-        if threading.current_thread() is threading.main_thread():
-            taken.wait(timeout=30)
-            on_caller(helper[0])
-        else:
-            helper.append(threading.current_thread())
-            taken.set()
-            on_helper(helper[0])
-
-    return work
-
-
-def test_no_block_starts_once_one_has_raised(monkeypatch):
-    set_workers(monkeypatch, 2)
-    ran = []
-
-    def fail(thread):
-        raise ArithmeticError("block failed on the helper")
-
-    first_two = _one_block_per_thread(lambda thread: thread.join(timeout=30), fail)
-    # the caller's block returns once the helper has raised and stopped
-    with pytest.raises(ArithmeticError, match="on the helper"):
-        frft_module._run_blocks(6, lambda k: first_two(k) if k < 2 else ran.append(k), 2)
-    assert ran == []
-
-
-def test_a_waiting_caller_lends_its_cpu_to_a_helpers_nested_blocks(monkeypatch):
-    set_workers(monkeypatch, 2)
-    lock = threading.Lock()
-    inside, most = 0, 0
-
-    def inner(j):
-        nonlocal inside, most
-        with lock:
-            inside += 1
-            most = max(most, inside)
-        time.sleep(0.002)
-        with lock:
-            inside -= 1
-
-    def nested(thread):
-        # the caller, with no block left, waits on this helper and lends its CPU
-        deadline = time.monotonic() + 30
-        while _free_helper_slots() != 1 and time.monotonic() < deadline:
-            time.sleep(0.001)
-        frft_module._run_blocks(8, inner, 8)
-
-    frft_module._run_blocks(2, _one_block_per_thread(lambda thread: None, nested), 2)
-    assert most == 2
-    assert _free_helper_slots() == 1
-
-
 # a 2-D direct transform whose axes both split into row blocks, against the
 # whole-matrix formula, in a process with OpenBLAS at one thread: the bits
 # of a matrix operand's products depend on OpenBLAS's thread count
@@ -419,74 +238,6 @@ def test_split_2d_direct_blocks_are_bit_identical_to_dense_kernel_at_one_openbla
     found = json.loads(proc.stdout)
     assert found["blocks"] == blocks
     assert found["equal"] == [True] * 5
-
-
-@pytest.mark.skipif(frft_module._openblas_thread_calls() is None, reason="numpy's OpenBLAS exports no thread calls")
-def test_direct_route_holds_openblas_to_one_thread_and_restores_it(monkeypatch):
-    get_threads, set_threads, _ = frft_module._openblas_thread_calls()
-    seen = []
-    real_cis = frft_module._cis
-
-    def cis(phase):
-        seen.append(get_threads())
-        return real_cis(phase)
-
-    set_workers(monkeypatch, 2)
-    monkeypatch.setattr(frft_module, "_cis", cis)
-    before = get_threads()
-    # a count other than one, so that a count left at one shows
-    set_threads(2)
-    try:
-        frft_direct(random_smooth_signal(Grid((axis_centered(0.01, 1024),)), seed=3), 0.9)
-        after = get_threads()
-    finally:
-        set_threads(before)
-    assert after == 2
-    assert seen and set(seen) == {1}
-
-
-@pytest.mark.skipif(frft_module._openblas_thread_calls() is None, reason="numpy's OpenBLAS exports no thread calls")
-def test_an_interrupt_while_the_caller_takes_its_cpu_back_restores_openblas_and_the_permits(monkeypatch):
-    get_threads, set_threads, _ = frft_module._openblas_thread_calls()
-    set_workers(monkeypatch, 2)
-    permits = frft_module._cpu_permits
-    real_acquire = permits.acquire
-    interrupted = []
-
-    def acquire(blocking=True, timeout=None):
-        # the one blocking acquire: the caller's, once its helper has stopped
-        if blocking and not interrupted:
-            interrupted.append(True)
-            raise KeyboardInterrupt
-        return real_acquire(blocking, timeout)
-
-    monkeypatch.setattr(permits, "acquire", acquire)
-    free = _free_helper_slots()
-    before = get_threads()
-    set_threads(2)
-    try:
-        with pytest.raises(KeyboardInterrupt):
-            frft_module._run_blocks(4, lambda k: time.sleep(0.001), 2)
-        after = get_threads()
-    finally:
-        set_threads(before)
-    assert interrupted
-    assert after == 2
-    assert _free_helper_slots() == free
-
-
-def test_direct_route_without_openblas_thread_calls_is_unchanged(monkeypatch):
-    axes, block_bytes, _ = THREADED_CASES[0]
-    found = _direct_outputs(axes, block_bytes, monkeypatch, 2)
-    # a library that exports neither call: the lookup finds nothing
-    monkeypatch.setattr(frft_module.ctypes, "CDLL", lambda path: object())
-    frft_module._openblas_thread_calls.cache_clear()
-    try:
-        assert frft_module._openblas_thread_calls() is None
-        missing = _direct_outputs(axes, block_bytes, monkeypatch, 2)
-    finally:
-        frft_module._openblas_thread_calls.cache_clear()
-    assert all(np.array_equal(a, b) for a, b in zip(missing, found))
 
 
 def test_identity_dispatch_exact(grid_256, gaussian_256):

@@ -336,6 +336,50 @@ def _coefficients(grid, count, seed):
     return CfrwtCoefficients(values, grid, scales, TransformOrder(0.9), get_wavelet("mexican_hat"))
 
 
+@pytest.mark.parametrize("log_step", [-0.5, math.inf, math.nan], ids=["negative", "infinite", "nan"])
+def test_a_negative_or_non_finite_log_step_is_refused(tmp_path, grid_256, capsys, log_step):
+    """A field whose scale block has a negative log step negates every
+    measure weight: synth printed the negated signal's error and exited 0.
+    The writer refuses such a field, and the reader such a file."""
+    field = _coefficients(grid_256, 3, seed=13)
+    good = tmp_path / "good.coef"
+    write_coefficients(good, field)
+    scales = field.scales
+    bad_scales = ScaleGrid(scales.vectors, log_step, scales.a_min, scales.a_max, scales.signs)
+    path = tmp_path / "bad.coef"
+    with pytest.raises(SignalFileError, match="not written, scale log step"):
+        write_coefficients(path, replace(field, scales=bad_scales))
+    assert not path.exists()
+    # the same file with the log step and the weights it implies written in
+    import struct
+
+    raw = good.read_bytes()
+    block = struct.Struct("<IBddd")
+    for old, new in (
+        (block.pack(3, 1, scales.log_step, scales.a_min, scales.a_max), block.pack(3, 1, log_step, scales.a_min, scales.a_max)),
+        (scales.measure_weights().astype("<f8").tobytes(), bad_scales.measure_weights().astype("<f8").tobytes()),
+    ):
+        assert raw.count(old) == 1
+        raw = raw.replace(old, new)
+    path.write_bytes(raw)
+    with pytest.raises(SignalFileError, match="scale log step"):
+        read_coefficients(path)
+    out = tmp_path / "out.sig"
+    assert main(["synth", str(path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: {path}: scale log step") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_a_zero_log_step_field_is_written_and_read(tmp_path, grid_256):
+    # Morrey's single-scale slices carry a zero log step
+    field = _coefficients(grid_256, 3, seed=14)
+    scales = replace(field.scales, log_step=0.0)
+    path = tmp_path / "zero.coef"
+    write_coefficients(path, replace(field, scales=scales))
+    assert read_coefficients(path).scales.log_step == 0.0
+
+
 def test_read_of_write_is_bit_exact_with_signed_zeros(tmp_path, grid_256):
     """Readers return the stored bits: a -0.0 real or imaginary part
     survives the round trip (re + 1j * im would turn a -0.0 real part
@@ -532,6 +576,49 @@ def test_a_config_past_a_stated_limit_is_a_parse_failure(tmp_path, grid_256, com
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("parse error: ") and fragment in proc.stderr
     assert not (tmp_path / "w.coef").exists()
+
+
+# Each case asks for a scale grid or a field past a stated limit, where
+# building it would take gigabytes; a process capped at 1 GiB of address
+# space fails at once if the limit is not checked before the build.
+_ADDRESS_SPACE_CAP = 1 << 30
+
+
+def _cap_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE_CAP, _ADDRESS_SPACE_CAP))
+
+
+@pytest.mark.parametrize(
+    "shape, a_count, fragment",
+    [
+        # (2 * 4096)^2 scale vectors: a MemoryError traceback, exit 1, before the limit
+        ((16, 16), 4096, "(2 a_count)^2 = 67108864 scale vectors, more than 65536"),
+        ((8, 8, 8), 64, "(2 a_count)^3 = 2097152 scale vectors, more than 65536"),
+        # 8192 scale vectors of 16384 samples: 2 GiB of coefficients
+        ((16384,), 4096, "8192 scale vectors x 16384 samples, more than 67108864 coefficients"),
+    ],
+    ids=["2d-vectors", "3d-vectors", "1d-field"],
+)
+def test_a_scale_grid_or_field_past_its_limit_is_refused_before_it_is_built(tmp_path, shape, a_count, fragment):
+    grid = Grid(tuple(axis_centered(0.125, n) for n in shape))
+    signal = tmp_path / "in.sig"
+    write_signal(signal, SampledSignal(grid, np.ones(grid.shape, dtype=np.complex128)))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"a_count = {a_count}\n")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), env.get("PYTHONPATH", "")])
+    argv = [sys.executable, "-m", "frwt.cli", "cfrwt", str(signal), "--config", str(cfg), "--output", str(tmp_path / "w.coef")]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120, preexec_fn=_cap_address_space)
+    assert (proc.returncode, proc.stderr.count("\n")) == (2, 1), proc.stderr[-2000:]
+    assert proc.stderr.startswith("parse error: config: ") and fragment in proc.stderr
+    assert not (tmp_path / "w.coef").exists()
+
+
+def test_the_default_scale_grid_in_two_dimensions_is_within_the_limits():
+    assert RunConfig().scale_grid(2, 64 * 64).count == 16384
 
 
 # ---------------------------------------------------------------------------
@@ -815,6 +902,33 @@ def test_cli_verify_suite_error_is_not_unknown_suite(monkeypatch, capsys):
     assert rc == 6
     err = capsys.readouterr().err
     assert err == "suite error: parseval: ValueError: fixture out of range second line\n"
+
+
+@pytest.mark.parametrize("command, target", [("frft", "frft_fast"), ("cfrwt", "cfrwt_fast"), ("synth", "reconstruct")])
+def test_an_unexpected_error_in_a_command_is_one_line_and_exit_6(tmp_path, grid_256, monkeypatch, capsys, command, target):
+    from frwt import cli
+
+    signal = tmp_path / "in.sig"
+    write_signal(signal, _modulated(grid_256))
+    coef = tmp_path / "in.coef"
+    assert main(["cfrwt", str(signal), "--output", str(coef)]) == 0
+    capsys.readouterr()
+
+    def broken(*args, **kwargs):
+        raise ValueError("injected\nsecond line")
+
+    monkeypatch.setattr(cli, target, broken)
+    out = tmp_path / "out"
+    argv = {
+        "frft": ["frft", str(signal), "--alpha", "0.9", "--output", str(out)],
+        "cfrwt": ["cfrwt", str(signal), "--output", str(out)],
+        "synth": ["synth", str(coef), "--output", str(out)],
+    }[command]
+    assert main(argv) == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"unexpected error: {command}: ValueError: injected second line\n"
+    assert not out.exists()
 
 
 def test_cli_verify_suite_package_error_keeps_its_code(monkeypatch, capsys):

@@ -90,12 +90,11 @@ RULES = [
     ("struct unpack", re.compile(r"\.unpack\("), {("io.py", "take")}),
     # the file readers leave every axis and grid check to AxisSpec and Grid
     ("axis from a file", re.compile(r"\bAxisSpec\("), {("io.py", "_grid")}, "io.py"),
-    # one concurrency site: the block runner, which runs the direct route's
-    # row blocks and `verify all`'s suites; only it starts helper threads and
-    # takes or gives CPU permits, and OpenBLAS's thread count is looked up
-    # in one place
-    ("helper thread", re.compile(r"\bthreading\.Thread\("), {("frft.py", "_run_blocks")}),
-    ("CPU permit", re.compile(r"\b_cpu_permits\."), {("frft.py", "_run_blocks")}),
+    # one concurrency site: the job runner beside run_suite, which runs the
+    # verify suites' jobs; only it starts helper threads, no CPU permits
+    # ration them, and OpenBLAS's thread count is looked up in one place
+    ("helper thread", re.compile(r"\bthreading\.Thread\("), {("verify.py", "_run_jobs")}),
+    ("CPU permit", re.compile(r"\b_cpu_permits\."), set()),
     (
         "OpenBLAS lookup",
         re.compile(r"\bctypes\.CDLL\(|scipy_openblas_|blas_thread_shutdown_"),
