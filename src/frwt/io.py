@@ -25,6 +25,7 @@ import math
 import os
 import stat
 import struct
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -89,12 +90,15 @@ def _grid(axes: list[tuple[float, float, int]], where: str) -> Grid:
 def _file_errors(path: str | os.PathLike, verb: str):
     """Turn an OSError raised while path is read (verb "read") or written
     ("write") into an InputFileError or OutputFileError, so that a failed
-    write never reads as a failed read."""
+    write never reads as a failed read, and text that is not UTF-8 into a
+    SignalFileError."""
     try:
         yield
     except OSError as exc:
         error = OutputFileError if verb == "write" else InputFileError
         raise error(f"cannot {verb} {os.fspath(path)}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SignalFileError(f"{os.fspath(path)}: not UTF-8 text: {exc.reason}") from exc
 
 
 def _open_nonblocking(path: str, flags: int) -> int:
@@ -213,13 +217,20 @@ def _axis_from_column(col: np.ndarray, where: str, k: int) -> tuple[float, float
 
 def read_csv(path: str | os.PathLike) -> SampledSignal:
     where = os.fspath(path)
-    with _file_errors(path, "read"), open(path, opener=_open_nonblocking) as fh:
+    with _file_errors(path, "read"), open(path, encoding="utf-8", opener=_open_nonblocking) as fh:
         _regular_size(fh, where)
         header = fh.readline().strip()
         try:
-            table = np.loadtxt(fh, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                # an empty body is refused below, not warned about
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                table = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except UnicodeDecodeError:
+            raise  # a ValueError too; _file_errors reports it
         except ValueError as exc:
             raise SignalFileError(f"{where}: {exc}") from exc
+    if table.size == 0:
+        raise SignalFileError(f"{where}: no data rows")
     columns = header.split(",")
     if len(columns) < 3 or columns[-2:] != ["re", "im"]:
         raise SignalFileError(f"{where}: header must be t1[,t2[,t3]],re,im, got {header!r}")
@@ -366,7 +377,7 @@ def parse_run_config(path: str | os.PathLike | None) -> RunConfig:
         return cfg
     where = os.fspath(path)
     overrides: dict = {}
-    with _file_errors(path, "read"), open(path) as fh:
+    with _file_errors(path, "read"), open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:
@@ -404,6 +415,8 @@ def _validate_config(cfg: RunConfig, where: str) -> None:
             raise SignalFileError(f"{where}: {key} must be finite")
     if not 0.0 < cfg.a_min < cfg.a_max:
         raise SignalFileError(f"{where}: need 0 < a_min < a_max")
+    if not math.isfinite(cfg.a_max / cfg.a_min):
+        raise SignalFileError(f"{where}: a_max / a_min overflows; need a finite ratio")
     if not 1 <= cfg.a_count <= _A_COUNT_MAX:
         raise SignalFileError(f"{where}: a_count must be between 1 and {_A_COUNT_MAX}")
     if not 0.0 < cfg.u_min < cfg.u_max:

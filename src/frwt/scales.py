@@ -93,6 +93,8 @@ def log_scale_grid(
     if cells < 1:
         raise ValueError("need at least one magnitude cell")
     h = math.log(a_max / a_min) / cells
+    if not math.isfinite(h):
+        raise ValueError(f"log step {h} is not finite: a_max / a_min overflows")
     # base-2 exponent arithmetic: for octave-aligned dyadic ranges the
     # exponents below are exact floats, so nested ranges at equal density
     # share bitwise-identical magnitudes

@@ -17,7 +17,6 @@ family and the growth exponent of its envelope against ball measure.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -161,32 +160,6 @@ def _scale_moment_sum(coeffs: CfrwtCoefficients, densities: tuple[Grid, np.ndarr
     return _exact_sum(weights_a * np.array(per_scale))
 
 
-class _AlphaSide:
-    """The coefficient field coeffs of f and f itself at the field's own
-    order: each is transformed once, and each moment taken once, on first
-    read, however many checks read them."""
-
-    def __init__(self, coeffs: CfrwtCoefficients, f: SampledSignal) -> None:
-        self.coeffs = coeffs
-        self.f = f
-
-    @functools.cached_property
-    def field_densities(self) -> tuple[Grid, np.ndarray]:
-        return _scale_densities(self.coeffs, self.coeffs.order.alpha)
-
-    @functools.cached_property
-    def spectrum(self) -> SampledSignal:
-        return frft_fast(self.f, self.coeffs.order.alpha)
-
-    @functools.cached_property
-    def field_moment(self) -> float:
-        return _scale_moment_sum(self.coeffs, self.field_densities)
-
-    @functools.cached_property
-    def signal_moment(self) -> float:
-        return dispersion(self.spectrum, 1.0)
-
-
 def _ball_mask(grid: Grid, center: tuple[float, ...], radius: float) -> np.ndarray:
     """Samples of grid in the closed ball of radius about center."""
     if radius <= 0.0:
@@ -210,18 +183,13 @@ def heisenberg_cfrwt(
     (the truncated analogue of the admissibility factor); the raw ratio
     against the untruncated floor is kept in the details.
     """
-    return _heisenberg_cfrwt(_AlphaSide(coeffs, f), beta, scan)
-
-
-def _heisenberg_cfrwt(side: _AlphaSide, beta: float, scan: FrequencyScan | None) -> VerificationReport:
-    coeffs, f = side.coeffs, side.f
     alpha = coeffs.order.alpha
     s = _angle_gap(alpha, beta)
     n = f.ndim
     adm, mod = _field_normalizer(coeffs, f, coeffs, f, scan)
 
     moment_beta = _scale_moment_sum(coeffs, _scale_densities(coeffs, beta))
-    moment_alpha = side.signal_moment
+    moment_alpha = dispersion(frft_fast(f, alpha), 1.0)
     lhs = moment_beta * moment_alpha
 
     norm4 = l2_norm(f) ** 4
@@ -229,7 +197,7 @@ def _heisenberg_cfrwt(side: _AlphaSide, beta: float, scan: FrequencyScan | None)
 
     # measured truncation of the admissibility factor: coefficient-side
     # alpha-moment over the signal-side alpha-moment
-    c_eff = _ratio(side.field_moment, moment_alpha)
+    c_eff = _ratio(_scale_moment_sum(coeffs, _scale_densities(coeffs, alpha)), moment_alpha)
     rhs_norm = (n**2 / 4.0) * c_eff * s**2 * norm4
     ratio = _ratio(lhs, rhs_norm)
     details = {
@@ -256,14 +224,10 @@ def lemma_moment_identity_check(
     range can only lose nonnegative mass, so the ratio approaches 1 from
     below as the range widens.
     """
-    return _lemma_moment_identity_check(_AlphaSide(coeffs, f), scan)
-
-
-def _lemma_moment_identity_check(side: _AlphaSide, scan: FrequencyScan | None) -> VerificationReport:
-    coeffs, f = side.coeffs, side.f
+    alpha = coeffs.order.alpha
     adm, mod = _field_normalizer(coeffs, f, coeffs, f, scan)
-    lhs = side.field_moment
-    rhs = (adm.value.real / mod) * side.signal_moment
+    lhs = _scale_moment_sum(coeffs, _scale_densities(coeffs, alpha))
+    rhs = (adm.value.real / mod) * dispersion(frft_fast(f, alpha), 1.0)
     ratio = _ratio(lhs, rhs)
     tolerance = 0.05
     details = {"admissibility": adm.value.real}
@@ -283,22 +247,13 @@ def restricted_energy_identity_check(
     intact; both sides use the same discrete mask, so the comparison is
     exact up to scale truncation.
     """
-    return _restricted_energy_identity_check(_AlphaSide(coeffs, f), center, radius, scan)
-
-
-def _restricted_energy_identity_check(
-    side: _AlphaSide,
-    center: tuple[float, ...],
-    radius: float,
-    scan: FrequencyScan | None,
-) -> VerificationReport:
-    coeffs, f = side.coeffs, side.f
+    alpha = coeffs.order.alpha
     adm, mod = _field_normalizer(coeffs, f, coeffs, f, scan)
-    spec = side.spectrum
+    spec = frft_fast(f, alpha)
     mask = _ball_mask(spec.grid, center, radius)
     if not np.any(mask):
         raise ValueError("ball contains no spectral samples")
-    lhs = _scale_moment_sum(coeffs, side.field_densities, mask)
+    lhs = _scale_moment_sum(coeffs, _scale_densities(coeffs, alpha), mask)
     rhs = (adm.value.real / mod) * _exact_sum((spec.grid.weights() * np.abs(spec.values) ** 2)[mask])
     ratio = _ratio(lhs, rhs)
     tolerance = 0.05

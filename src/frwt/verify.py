@@ -40,12 +40,11 @@ from .report import VerificationReport, _ratio
 from .scales import log_scale_grid
 from .uncertainty import (
     LocalUncertaintyReport,
-    _AlphaSide,
-    _heisenberg_cfrwt,
     _LocalTable,
-    _lemma_moment_identity_check,
-    _restricted_energy_identity_check,
+    heisenberg_cfrwt,
     heisenberg_two_domain,
+    lemma_moment_identity_check,
+    restricted_energy_identity_check,
 )
 from .wavelets import WaveletSpec, get_wavelet
 
@@ -332,10 +331,7 @@ def _suite_heisenberg(cfg: RunConfig) -> list[VerificationReport]:
     scan = cfg.frequency_scan()
     gabor = _gabor(grid)
     coeffs = cfrwt_fast(gabor, mex, cfg.alpha, cfg.scale_grid())
-    # the three coefficient-side checks share the field's and the fixture's
-    # transforms at the field's order
-    side = _AlphaSide(coeffs, gabor)
-    cr = _heisenberg_cfrwt(side, cfg.beta, scan)
+    cr = heisenberg_cfrwt(coeffs, gabor, cfg.beta, scan)
     reports.append(
         _check(
             "heisenberg_cfrwt_normalized",
@@ -348,8 +344,8 @@ def _suite_heisenberg(cfg: RunConfig) -> list[VerificationReport]:
         )
     )
 
-    reports.append(_meta(_lemma_moment_identity_check(side, scan), grid))
-    reports.append(_meta(_restricted_energy_identity_check(side, (2.5,), 1.5, scan), grid))
+    reports.append(_meta(lemma_moment_identity_check(coeffs, gabor, scan), grid))
+    reports.append(_meta(restricted_energy_identity_check(coeffs, gabor, (2.5,), 1.5, scan), grid))
     return reports
 
 

@@ -136,8 +136,11 @@ def test_malformed_signal_file_exits_2(tmp_path, capsys, raw, fragment):
         ([(k * 1e200, 0.5) for k in range(1, 5)], "invalid axis"),
         ([(-1e308, 0.5), (1e308, 0.5)], "invalid axis"),
         ([(0.5 * k, 1e200 if k == 1 else 0.5) for k in range(4)], "overflowing energy"),
+        # numpy warned that the input contained no data, then the
+        # refusal named a column count
+        ([], "no data rows"),
     ],
-    ids=["squared-overflow", "step-overflow", "overflowing-energy"],
+    ids=["squared-overflow", "step-overflow", "overflowing-energy", "header-only"],
 )
 def test_malformed_csv_file_exits_2(tmp_path, capsys, rows, fragment):
     path = tmp_path / "bad.csv"
@@ -554,8 +557,16 @@ def test_config_rejects_bad_input(tmp_path, line, fragment):
         ("plancherel", "u_min = 1e-300\nu_max = 1e300\n", "u_max / u_min <= 1e+40"),
         ("plancherel", "u_min = 1e-20\nu_max = 1.1e20\n", "u_max / u_min <= 1e+40"),
         ("cfrwt", "u_min = 5e-324\nu_max = 1e-320\n", "u_min >= 1e-300"),
+        # the log step was inf: verify printed NaN records and numpy
+        # warnings, cfrwt ran its pass and then refused to write
+        ("heisenberg", "a_min = 1e-300\na_max = 1e300\n", "a_max / a_min overflows"),
+        ("cfrwt", "a_min = 1e-300\na_max = 1e300\n", "a_max / a_min overflows"),
+        ("cfrwt", "a_min = 5e-324\n", "a_max / a_min overflows"),
     ],
-    ids=["huge-a_count", "a_count-past-limit", "unbounded-band", "band-past-limit", "subnormal-u_min"],
+    ids=[
+        "huge-a_count", "a_count-past-limit", "unbounded-band", "band-past-limit", "subnormal-u_min",
+        "overflowing-scale-ratio-verify", "overflowing-scale-ratio-cfrwt", "subnormal-a_min",
+    ],
 )
 def test_a_config_past_a_stated_limit_is_a_parse_failure(tmp_path, grid_256, command, config, fragment):
     """A config whose scale count or admissibility band is past the limits
@@ -576,6 +587,48 @@ def test_a_config_past_a_stated_limit_is_a_parse_failure(tmp_path, grid_256, com
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("parse error: ") and fragment in proc.stderr
     assert not (tmp_path / "w.coef").exists()
+
+
+def _cli_in_an_ascii_locale(*argv):
+    """A fresh `frwt` process in the C locale with UTF-8 mode and locale
+    coercion off, where a bare open() decodes text as ASCII."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), env.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-m", "frwt.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_a_config_is_utf8_text_in_any_locale(tmp_path, grid_256):
+    """A UTF-8 comment reads in an ASCII locale, and a byte that is not
+    UTF-8 exits 2 with one line (both exited 6)."""
+    signal = tmp_path / "in.sig"
+    write_signal(signal, _modulated(grid_256))
+    cfg = tmp_path / "run.cfg"
+    argv = ["cfrwt", str(signal), "--config", str(cfg), "--output", str(tmp_path / "w.coef")]
+    cfg.write_bytes("# ordre α\na_count = 4\n".encode())
+    proc = _cli_in_an_ascii_locale(*argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    cfg.write_bytes(b"# ordre \xff\na_count = 4\n")
+    proc = _cli_in_an_ascii_locale(*argv)
+    assert (proc.returncode, proc.stderr) == (2, f"parse error: {cfg}: not UTF-8 text: invalid start byte\n")
+
+
+def test_a_csv_is_utf8_text_in_any_locale(tmp_path):
+    """A UTF-8 comment reads in an ASCII locale, and a byte that is not
+    UTF-8 exits 2 with one line, in the header or past numpy's first read
+    (each exited 6)."""
+    path = tmp_path / "in.csv"
+    rows = "".join(f"{0.125 * k!r},{math.exp(-k * k / 64)!r},0\n" for k in range(-600, 600))
+    argv = ["frft", str(path), "--alpha", "0.9", "--output", str(tmp_path / "out.sig")]
+    path.write_bytes(("t1,re,im\n# temps α\n" + rows).encode())
+    proc = _cli_in_an_ascii_locale(*argv)
+    assert proc.returncode == 0 and proc.stderr == ""
+    for raw in (b"t1\xff,re,im\n" + rows.encode(), b"t1,re,im\n" + rows.encode() + b"# \xff\n"):
+        path.write_bytes(raw)
+        proc = _cli_in_an_ascii_locale(*argv)
+        assert (proc.returncode, proc.stderr) == (2, f"parse error: {path}: not UTF-8 text: invalid start byte\n")
 
 
 # Each case asks for a scale grid or a field past a stated limit, where

@@ -1,18 +1,24 @@
-"""Byte-mutation fuzzing of the binary signal and coefficient files.
+"""Fuzzing of every file the commands read.
 
-Every mutated file must either go through the command (exit 0) or be
-refused as malformed (exit 2); no other code and no uncaught exception.
+Every byte-mutated binary signal or coefficient file must either go
+through the command (exit 0) or be refused as malformed (exit 2); no
+other code and no uncaught exception.  Every config or CSV text, arbitrary
+bytes or key=value lines and rows of edge values, must either parse or
+raise SignalFileError or InputFileError on one line, without a warning.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from frwt import cfrwt_fast, get_wavelet, log_scale_grid, write_coefficients, write_signal
+from frwt import cfrwt_fast, get_wavelet, log_scale_grid, parse_run_config, read_csv, write_coefficients, write_signal
 from frwt.cli import main
+from frwt.errors import InputFileError, SignalFileError
 from frwt.grid import Grid, axis_centered, sample
 
 
@@ -79,3 +85,58 @@ def test_mutated_coefficient_file_exits_0_or_2(files, data, capsys):
     rc = main(["synth", str(path), "--config", str(files["config"]), "--output", str(files["root"] / "out.sig")])
     assert rc in (0, 2)
     assert "Traceback" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# text files
+
+# README's config keys, and values at the edges of what a parser must refuse
+TEXT_FUZZ = settings(FUZZ, max_examples=200)
+
+_KEYS = ["alpha", "beta", "wavelet", "a_min", "a_max", "a_count", "u_min", "u_max", "nu", "tolerance", "threads"]
+_EDGES = [
+    b"inf", b"-inf", b"nan", b"1e300", b"-1e300", b"1e-300", b"-1e-300", b"5e-324", b"", b"\x00", b"1\x00",
+    b"\xff", b"\xc3", b"0", b"-1", b"4097", b"99999999999999999999", b"mexican_hat", b"0.0625", b"16",
+]
+_VALUES = st.one_of(st.sampled_from(_EDGES), st.floats().map(lambda x: repr(x).encode()), st.binary(max_size=6))
+
+
+def _text_file(root, raw: bytes):
+    path = root / "fuzz.txt"
+    path.write_bytes(raw)
+    return path
+
+
+def _parses_or_refuses(read, path) -> None:
+    """read(path) returns, or raises a file error whose message is one
+    line; it warns about nothing."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            read(path)
+        except (SignalFileError, InputFileError) as exc:
+            assert "\n" not in str(exc)
+    assert not caught, [str(w.message) for w in caught]
+
+
+_config_lines = st.lists(
+    st.tuples(st.sampled_from(_KEYS), _VALUES).map(lambda kv: kv[0].encode() + b" = " + kv[1]), max_size=5
+).map(b"\n".join)
+
+
+@TEXT_FUZZ
+@given(raw=st.one_of(st.binary(max_size=64), _config_lines))
+def test_a_config_text_parses_or_is_refused(tmp_path, raw):
+    _parses_or_refuses(parse_run_config, _text_file(tmp_path, raw))
+
+
+_csv_rows = st.tuples(
+    st.sampled_from([b"t1,re,im", b"t1,t2,re,im", b"t,re,im", b"re,im", b""]),
+    st.lists(st.lists(_VALUES, min_size=1, max_size=5).map(b",".join), max_size=6),
+).map(lambda hr: b"\n".join([hr[0], *hr[1]]))
+
+
+@TEXT_FUZZ
+@given(raw=st.one_of(st.binary(max_size=64), _csv_rows))
+def test_a_csv_text_parses_or_is_refused(tmp_path, raw):
+    _parses_or_refuses(read_csv, _text_file(tmp_path, raw))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+import pytest
 
 from frwt.scales import ScaleGrid, log_scale_grid
 
@@ -24,3 +25,11 @@ def test_measure_weights_are_h_to_the_n_over_the_product_of_magnitudes():
     scales = log_scale_grid(0.3, 7.0, 5, ndim=3, signs="both")
     want = scales.log_step**3 / np.prod(np.abs(scales.vectors), axis=1)
     assert np.array_equal(scales.measure_weights(), want)
+
+
+@pytest.mark.parametrize("a_min, a_max", [(1e-300, 1e300), (5e-324, 16.0)])
+def test_an_overflowing_range_is_refused(a_min, a_max):
+    # a_max / a_min is inf, so the log step would be too
+    with pytest.raises(ValueError, match="a_max / a_min overflows"):
+        log_scale_grid(a_min, a_max, 4)
+

@@ -415,32 +415,6 @@ def test_verify_heisenberg_reads_the_configured_admissibility_band():
     assert records["restricted_energy_identity"].to_json() == _meta(restricted, grid).to_json()
 
 
-def test_verify_heisenberg_transforms_the_field_and_the_fixture_once_at_its_order(monkeypatch):
-    """The three coefficient-side checks share one transform of the field
-    at its order (plus one at beta for heisenberg_cfrwt) and one of the
-    gabor fixture."""
-    cfg = RunConfig()
-    run_suite("heisenberg", cfg)
-    fields, fixtures = [], []
-    real_transform, real_frft = uncertainty._transform, uncertainty.frft_fast
-
-    def transform(grid, values, order):
-        fields.append(order)
-        return real_transform(grid, values, order)
-
-    def frft(f, order):
-        fixtures.append(order)
-        return real_frft(f, order)
-
-    monkeypatch.setattr(uncertainty, "_transform", transform)
-    monkeypatch.setattr(uncertainty, "frft_fast", frft)
-    run_suite("heisenberg", cfg)
-    assert sorted(fields) == sorted([cfg.alpha, cfg.beta])
-    # heisenberg_two_domain takes two transforms of each of its 21 signals
-    assert fixtures.count(cfg.alpha) == 1
-    assert len(fixtures) == 1 + 2 * 21
-
-
 def test_the_local_suite_reads_four_independent_scans(wide_grid):
     """The coarse and fine scans the local suite reads from one table equal
     four scans of their own families and balls, bit for bit."""
