@@ -46,7 +46,6 @@ from .cfrwt import (
     cfrwt_direct,
     cfrwt_fast,
     inner_product_relation_check,
-    kernel_projection,
     plancherel_check,
     range_membership_residual,
     reconstruct,

@@ -100,7 +100,6 @@ __all__ = [
     "inner_product_relation_check",
     "reconstruct",
     "reproducing_kernel",
-    "kernel_projection",
     "range_membership_residual",
     "truncated_coverage",
 ]
@@ -926,31 +925,6 @@ def reproducing_kernel(
     d_phi = make_daughter(phi, a, b, order, grid, tail_tol=None)
     d_psi = make_daughter(psi, a0, b0, order, grid, tail_tol=None)
     return factor * inner_product(d_phi, d_psi)
-
-
-def kernel_projection(
-    array: CfrwtCoefficients,
-    phi: WaveletSpec,
-    p0: tuple[tuple[float, ...], tuple[float, ...]],
-    scan: FrequencyScan | None = None,
-) -> complex:
-    """Apply the reproducing-kernel integral to a coefficient array at p0.
-
-    For arrays in the transform's range this reproduces the array value
-    at p0; for arbitrary arrays the defect measures distance from the
-    range.
-    """
-    order = array.order
-    psi = array.wavelet
-    factor = _cross_value(phi, psi, order, array.b_grid.ndim, scan)
-    b0, a0 = p0
-    daughter0 = make_daughter(psi, a0, b0, order, array.b_grid, tail_tol=None)
-    # <phi_{a,b}, psi_{a0,b0}> over all (b, a) is one coefficient pass
-    # of the p0 daughter treated as a signal
-    inner = np.conj(cfrwt_fast(daughter0, phi, order, array.scales).values)
-    kernel_vals = factor * inner
-    total = array.measure_weights() * array.values * kernel_vals
-    return _exact_sum(total)
 
 
 def range_membership_residual(

@@ -348,10 +348,10 @@ def make_plan(grid: Grid, order: "TransformOrder | float") -> FrftPlan:
 
 
 @memoized
-def _transform_plan(grid: Grid, alpha: float, start_signs: tuple[float, ...]) -> FrftPlan:
+def _transform_plan(grid: Grid, alpha: float) -> FrftPlan:
     """make_plan(grid, alpha), shared by every _transform on grid at alpha.
-    start_signs, the signs of the axes' starts, is part of the key only: a
-    start of -0.0 equals 0.0 but flips the signs of zeros in its phases."""
+    A start of -0.0 shares the plan of 0.0: the zeros it flips in the
+    phases move no output bit."""
     return make_plan(grid, alpha)
 
 
@@ -378,7 +378,7 @@ def _transform(grid: Grid, values: np.ndarray, order: "TransformOrder | float") 
     if order.kind is OrderKind.PARITY:
         return grid.reflected(), np.flip(values, axis=tuple(range(-grid.ndim, 0)))
     _warn_if_near_singular(order, stacklevel=4)
-    plan = _transform_plan(grid, order.alpha, tuple(math.copysign(1.0, ax.start) for ax in grid.axes))
+    plan = _transform_plan(grid, order.alpha)
     return plan.output_grid, _apply_plan(values, plan)
 
 

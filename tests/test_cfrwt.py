@@ -6,14 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from frwt.admissibility import admissibility_constant, fractional_spectrum
+from frwt.admissibility import admissibility_constant, cross_admissibility, fractional_spectrum
 from frwt.cfrwt import (
     CfrwtCoefficients,
     _predicted_plancherel_ratio,
     cfrwt_direct,
     cfrwt_fast,
     inner_product_relation_check,
-    kernel_projection,
     plancherel_check,
     range_membership_residual,
     reconstruct,
@@ -24,7 +23,7 @@ from frwt import cache_info, memo
 from frwt import cfrwt as cfrwt_module
 from frwt import frft as frft_module
 from frwt.errors import GridMismatch, InadmissibleWavelet, ZeroCrossAdmissibility
-from frwt.frft import _as_order
+from frwt.frft import _as_order, c_alpha
 from frwt.grid import AxisSpec, Grid, SampledSignal, axis_centered, axis_linspace, l2_norm, sample
 from frwt.io import read_coefficients, write_coefficients
 from frwt.scales import ScaleGrid, log_scale_grid
@@ -1141,10 +1140,9 @@ def test_reconstruct_rejects_vanishing_cross_constant(gabor_coeffs):
         lambda coeffs, grid: reconstruct(coeffs, MEX, MEX, cross_value=1e-9),
         # the dog3/mexican hat constant cancels to about 1.7e-15
         lambda coeffs, grid: reproducing_kernel(DOG3, MEX, ALPHA, ((0.5,), (1.0,)), ((0.5,), (1.0,)), grid),
-        lambda coeffs, grid: kernel_projection(coeffs, DOG3, ((0.5,), (1.0,))),
         lambda coeffs, grid: range_membership_residual(coeffs, DOG3),
     ],
-    ids=["reconstruct", "reproducing_kernel", "kernel_projection", "range_membership_residual"],
+    ids=["reconstruct", "reproducing_kernel", "range_membership_residual"],
 )
 def test_given_cross_constant_below_zero_tolerance_is_refused(entry, gabor_coeffs, grid):
     with pytest.raises(ZeroCrossAdmissibility):
@@ -1166,9 +1164,6 @@ def test_checks_read_a_wavelet_outside_the_catalog_from_the_field(gabor, scales_
     assert lemma_moment_identity_check(field, gabor).details["admissibility"] == adm
     assert restricted_energy_identity_check(field, gabor, (2.5,), 1.5).passed
     assert range_membership_residual(field, pert) < 0.05
-    idx = np.unravel_index(np.argmax(np.abs(field.values)), field.values.shape)
-    p0 = ((gabor.grid.axis_points()[0][idx[1]],), tuple(scales_wide.vectors[idx[0]]))
-    assert kernel_projection(field, pert, p0) == pytest.approx(field.values[idx], rel=0.05)
 
 
 # -------------------------------------------------------- reproducing kernel
@@ -1195,15 +1190,22 @@ def test_reproducing_kernel_decays_with_separation(grid):
     assert abs(far) < 1e-3 * abs(diag)
 
 
-def test_kernel_projection_consistency(gabor_coeffs, scales_wide, grid):
-    # Projecting a genuine coefficient array through the kernel returns the
-    # coefficient at the probe point.
-    idx = np.unravel_index(np.argmax(np.abs(gabor_coeffs.values)), gabor_coeffs.values.shape)
-    s_vec = tuple(scales_wide.vectors[idx[0]])
-    b_pt = (grid.axis_points()[0][idx[1]],)
-    proj = kernel_projection(gabor_coeffs, MEX, (b_pt, s_vec))
-    direct = gabor_coeffs.values[idx]
-    assert abs(proj - direct) / abs(direct) < 0.05
+@pytest.mark.parametrize("phi, psi", [(MEX, MEX), (DOG4, MEX), (MEX, DOG4)], ids=["mex-mex", "dog4-mex", "mex-dog4"])
+def test_reproducing_kernel_is_the_coefficient_pass_of_the_p0_daughter(phi, psi, grid):
+    """At a grid point p = (b_k, a_s) the kernel is the synthesis factor
+    times conj(W[s, k]), W the phi coefficient field of psi's p0 daughter:
+    the inner products the quadrature takes one at a time are one pass."""
+    p0 = ((0.5,), (1.0,))
+    sc = log_scale_grid(0.25, 4.0, 16, ndim=1, signs="both")
+    W = cfrwt_fast(make_daughter(psi, p0[1], p0[0], ALPHA, grid, tail_tol=None), phi, ALPHA, sc).values
+    factor = abs(c_alpha(ALPHA)) ** 2 / cross_admissibility(phi, psi, ALPHA).value
+    points = grid.axis_points()[0]
+    shifts = range(0, grid.shape[0], 32)
+    got = np.array(
+        [[reproducing_kernel(phi, psi, ALPHA, p0, ((points[k],), tuple(a)), grid) for k in shifts] for a in sc.vectors]
+    )
+    # measured <= 4.4e-17 of the field's peak over these 256 points
+    assert np.abs(got - factor * np.conj(W[:, ::32])).max() <= 1e-14 * np.abs(W).max()
 
 
 def test_range_membership_discriminates_noise(grid, scales_wide):

@@ -59,7 +59,7 @@ BUILDERS = {
         (cfrwt, "_tap_layout"),
         [(MEX, *_pass_key(sc, sc.log_step, 1.0)) for sc in SCALES],
     ),
-    "transform_plan": (frft._transform_plan, (frft, "make_plan"), [(LINE, a, (-1.0,)) for a in (0.9, 2.2)]),
+    "transform_plan": (frft._transform_plan, (frft, "make_plan"), [(LINE, a) for a in (0.9, 2.2)]),
     "grid_chirp": (frft._grid_chirp, (frft, "_chirp"), [(LINE, 0.5), (LINE, -0.5)]),
     "grid_weights": (frft._grid_weights, (Grid, "weights"), [(LINE,), (Grid((axis_centered(0.1, 65),)),)]),
     "ball_orders": (morrey._ball_orders, (morrey, "_center_distances"), [_ball_key(LINE), _ball_key(LINE, (0.5, 1.0, 2.0))]),
@@ -210,7 +210,7 @@ def test_every_kind_of_entry_is_read_only(name, grid):
         "scan": (MEX, DOG4, TransformOrder(0.7), COARSE_SCAN),
         "analysis_plan": (MEX, grid, pads, chunks[0].stop, sc.vectors.tobytes()),
         "synthesis_plan": (MEX, grid, pads, chunks[0].stop, sc.vectors.tobytes(), sc.log_step, 1.0),
-        "transform_plan": (grid, ALPHA, (-1.0,) * grid.ndim),
+        "transform_plan": (grid, ALPHA),
         "grid_chirp": (grid, -0.5),
         "grid_weights": (grid,),
         "ball_orders": _ball_key(grid),
@@ -266,7 +266,7 @@ def test_the_kept_bytes_stay_within_the_budget_over_a_stream_of_grids():
     assert info["transform_plan"].misses == 30
     assert info["transform_plan"].entries < 30
     # the newest grid's entries were kept
-    assert frft._transform_plan(grid, ALPHA, (-1.0, -1.0)) is frft._transform_plan(grid, ALPHA, (-1.0, -1.0))
+    assert frft._transform_plan(grid, ALPHA) is frft._transform_plan(grid, ALPHA)
     assert cache_info()["transform_plan"].misses == 30
 
 
@@ -277,8 +277,8 @@ def test_a_build_that_raises_keeps_nothing(monkeypatch):
     memo._clear()
     monkeypatch.setattr(frft, "make_plan", broken)
     with pytest.raises(RuntimeError):
-        frft._transform_plan(LINE, ALPHA, (-1.0,))
+        frft._transform_plan(LINE, ALPHA)
     monkeypatch.undo()
-    plan = frft._transform_plan(LINE, ALPHA, (-1.0,))
-    assert frft._transform_plan(LINE, ALPHA, (-1.0,)) is plan
+    plan = frft._transform_plan(LINE, ALPHA)
+    assert frft._transform_plan(LINE, ALPHA) is plan
     assert cache_info()["transform_plan"][:3] == (1, 2, 1)

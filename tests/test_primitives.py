@@ -24,8 +24,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frwt import grid as grid_module
-from frwt.cfrwt import CfrwtCoefficients, cfrwt_fast, inner_product_relation_check, kernel_projection
-from frwt.frft import TransformOrder, _chirp, _fft_convolve, _next_fast_len
+from frwt.cfrwt import cfrwt_fast, inner_product_relation_check
+from frwt.frft import _chirp, _fft_convolve, _next_fast_len
 from frwt.grid import (
     AxisSpec,
     Grid,
@@ -103,12 +103,12 @@ RULES = [
     # a coefficient field carries its wavelet, so only the synthesis entry,
     # which is handed the analysing wavelet again, compares the two
     ("analysing wavelet guard", re.compile(r"coefficients were taken with"), {("cfrwt.py", "reconstruct")}),
-    # a coefficient-side check takes the fields it checks; only the kernel
-    # values and the re-analysis of a resynthesis need a pass of their own
+    # a coefficient-side check takes the fields it checks; only the
+    # re-analysis of a resynthesis needs a pass of its own
     (
         "coefficient pass",
         re.compile(r"\bcfrwt_fast\("),
-        {("cfrwt.py", "cfrwt_fast"), ("cfrwt.py", "kernel_projection"), ("cfrwt.py", "range_membership_residual")},
+        {("cfrwt.py", "cfrwt_fast"), ("cfrwt.py", "range_membership_residual")},
         "cfrwt.py",
     ),
     # numpy's ufunc buffer size is set and restored in one scope, which a
@@ -601,14 +601,6 @@ OVERFLOWING = {
     "inner_product_relation_check": lambda: inner_product_relation_check(
         cfrwt_fast(_flat(1e153), MEX, 0.9, _scales()), _flat(1e153),
         cfrwt_fast(_flat(1e153), DOG4, 0.9, _scales()), _flat(1e153),
-    ),
-    # an arbitrary array, far from the range, whose kernel integral overflows
-    "kernel_projection": lambda: kernel_projection(
-        CfrwtCoefficients(
-            np.full((_scales(0.1).count,) + GRID.shape, 1e308 + 0j), GRID, _scales(0.1), TransformOrder(0.9), DOG4
-        ),
-        MEX,
-        ((0.0,), (1.0,)),
     ),
     "dispersion": lambda: dispersion(_flat(1e153), 1.0),
     "energy": lambda: cfrwt_fast(_flat(1e153), MEX, 0.9, _scales()).energy(),
