@@ -205,9 +205,10 @@ def main(argv: list[str] | None = None) -> int:
         except DeltaKernel as exc:
             print(
                 f"degenerate order: {exc}\n"
-                "at multiples of pi the transform is an exact relabeling; "
-                "use the frft command, whose engines dispatch the identity "
-                "copy (alpha = 0) and the axis reflection (alpha = pi) exactly",
+                "at multiples of pi the transform is an exact relabeling, the "
+                "identity (alpha = 0) or an axis reflection (alpha = pi), which "
+                "only the frft command carries; set alpha in the config to "
+                "another order",
                 file=sys.stderr,
             )
             return EXIT_DELTA

@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import StepMismatch
-from .frft import TransformOrder, _as_order, _chirp, _direct_apply, _fft_convolve, _next_fast_len, _row_blocks, c_alpha, frft_fast
-from .grid import Grid, SampledSignal, _separable
+from .frft import TransformOrder, _as_order, _chirp, _direct_apply, _fft_convolve, _next_fast_len, c_alpha, frft_fast
+from .grid import SampledSignal, _separable
 from .report import VerificationReport
 
 __all__ = [
@@ -144,47 +144,21 @@ def spectral_identity_check(f: SampledSignal, g: SampledSignal, order: "Transfor
     return _factorization_check("fracconv_spectral_identity", f, g, order, order, g, (1.0,) * f.ndim, {})
 
 
-def _evaluate_scaled(
-    g: SampledSignal,
-    scale: Sequence[float],
-    target: Grid,
-    g_eval: Callable[..., np.ndarray] | None,
-) -> np.ndarray:
-    """Samples of y -> g(y / -a) on the target grid.
-
-    Uses the callable when provided.  Otherwise each axis is resampled by
-    Whittaker-Shannon (sinc) interpolation of g's uniform samples, with
-    zero where y / -a lies outside g's grid hull.
-    """
-    if g_eval is not None:
-        coords = [pts / (-a) for pts, a in zip(target.meshgrid(), scale)]
-        return np.asarray(g_eval(*coords), dtype=np.complex128)
-    out = np.asarray(g.values, dtype=np.complex128)
-    for k, (ax, a, tgt) in enumerate(zip(g.grid.axes, scale, target.axes)):
-        # target coordinates in units of g's step from its first sample
-        u = (tgt.points() / (-a) - ax.start) / ax.step
-        inside = (u >= -1e-9) & (u <= ax.count - 1 + 1e-9)
-        j = np.arange(ax.count)
-        blocks = [
-            np.tensordot(np.sinc(u[rows, None] - j) * inside[rows, None], out, axes=(1, k))
-            for rows in _row_blocks(u.size, ax.count)
-        ]
-        out = np.moveaxis(np.concatenate(blocks), 0, k)
-    return out
-
-
 def scaled_identity_check(
     f: SampledSignal,
     g: SampledSignal,
     scale: Sequence[float],
     order: "TransformOrder | float",
-    g_eval: Callable[..., np.ndarray] | None = None,
+    g_eval: Callable[..., np.ndarray],
 ) -> VerificationReport:
     """Scaled convolution identity.
 
     Left side: transform at order -alpha of f *_{-alpha} g(./-a).
     Right side: (|a|_p / c(alpha)) exp(-i/2 |a xi|^2 cot(alpha))
                 * F_{-alpha}[f](xi) * F_alpha[chirped g](a xi).
+
+    g_eval is the function that g samples, called with one coordinate
+    array per axis; the dilated operand g(y / -a) is g_eval on f's grid.
     """
     order = _as_order(order)
     scale = tuple(float(a) for a in scale)
@@ -192,7 +166,8 @@ def scaled_identity_check(
         raise ValueError(f"scale has {len(scale)} components for a {f.ndim}-d signal")
     if any(a == 0.0 for a in scale):
         raise ValueError("scale components must be nonzero")
-    h = SampledSignal(f.grid, _evaluate_scaled(g, scale, f.grid, g_eval))
+    coords = [pts / (-a) for pts, a in zip(f.grid.meshgrid(), scale)]
+    h = SampledSignal(f.grid, np.asarray(g_eval(*coords), dtype=np.complex128))
     return _factorization_check(
         "fracconv_scaled_identity", f, g, order, order.negated(), h, scale, {"scale": list(scale)}
     )

@@ -1,9 +1,23 @@
-"""Brute-force reference computations used only by the test suite.
+"""Reference computations used only by the test suite.
 
-These deliberately avoid the package's optimized code paths: the kernel sum
-below builds the full tensor-product kernel in one shot instead of the
-per-axis contractions used by the library, so the two routes share no
-intermediate structure.
+Two kinds.  The brute-force quadratures (brute_kernel_transform,
+brute_admissibility, brute_classical_cwt, brute_reconstruct,
+classical_unitary_ft, fine_grid_fractional_spectrum, dense_direct_apply)
+and closed_form_spectrum avoid the package's optimized code paths:
+brute_kernel_transform, for one, builds the full tensor-product kernel in
+one shot instead of the library's per-axis contractions, so the two routes
+share no intermediate structure.
+
+The others rewrite a route the package took before one step of it changed,
+with the same floating-point operations, so that equal bits show the step
+moved none.  Several share the unchanged part with the package by design:
+
+- per_vector_cfrwt shares cfrwt._chirped_input and cfrwt._axis_correlate;
+- per_scale_reconstruct shares cfrwt._scale_correlate;
+- per_vector_reconstruct shares cfrwt._chunk_plan, cfrwt._tap_layout,
+  cfrwt._kernel, cfrwt._piece_spec and cfrwt._scale_correlate;
+- per_signal_local_scan shares frft_fast and uncertainty.dispersion;
+- chirp_fft_chirp reads the chirps and phases of a frft.make_plan plan.
 """
 
 from __future__ import annotations

@@ -851,6 +851,26 @@ def test_cli_cfrwt_degenerate_order_exits_3(tmp_path, signal_file, capsys):
     assert "frft" in err and "identity" in err
 
 
+@pytest.mark.parametrize(
+    "command, alpha",
+    [("heisenberg", "0"), ("cfrwt", "3.141592653589793")],
+    ids=["verify-zero", "cfrwt-pi"],
+)
+def test_cli_degenerate_order_hint_names_the_config_alpha(tmp_path, signal_file, capsys, command, alpha):
+    # only a config alpha reaches the degenerate-order exit, so the hint
+    # sends the user back to that key
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"alpha = {alpha}\n")
+    argv = {
+        "heisenberg": ["verify", "heisenberg", "--config", str(cfg)],
+        "cfrwt": ["cfrwt", str(signal_file), "--config", str(cfg), "--output", str(tmp_path / "w.coef")],
+    }[command]
+    assert main(argv) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("degenerate order: ")
+    assert "set alpha in the config" in lines[1]
+
+
 def test_cli_cfrwt_inadmissible_exits_4(tmp_path, signal_file, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("wavelet = gaussian\n")
